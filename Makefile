@@ -5,33 +5,6 @@ GO ?= go
 # Packages with concurrent paths, exercised under the race detector.
 RACE_PKGS := ./internal/api/... ./internal/server/... ./internal/query/... ./internal/kvstore/... ./internal/tier/... ./internal/retrieve/... ./internal/ingest/... ./internal/erode/... ./internal/segment/... ./internal/codec/... ./internal/sched/... ./internal/sub/... ./internal/results/... ./internal/tenant/... ./internal/fault/... ./internal/repair/... ./internal/store/... ./internal/cluster/...
 
-# The retrieval fast path's headline benchmarks: the series tracked in
-# BENCH_PR4.json (ns/op, allocs/op, MB/s) so later PRs can spot
-# regressions.
-BENCH_PKGS := ./internal/retrieve/ ./internal/codec/ ./internal/server/ ./internal/sub/
-BENCH_REGEX := 'BenchmarkRetrieveSegment|BenchmarkRetrieveSparse|BenchmarkDecodeSampled|BenchmarkEncodeGOPs|Benchmark(Tiered)?Query|BenchmarkSubscribePush|BenchmarkMaterializedQuery'
-
-# The materialization series (BENCH_PR7.json): the same repeated query with
-# the results store disabled ("before") and enabled ("after"), so the
-# committed pair quantifies exactly what serving stored operator outputs
-# buys over recomputation.
-RESULTS_BENCH_PKGS := ./internal/server/
-RESULTS_BENCH_REGEX := 'BenchmarkMaterializedQuery'
-
-# The standing-query subsystem's own trajectory artifact: commit-to-push
-# latency and allocs/op for the push path, kept separate from the
-# retrieval series in BENCH_PR4.json.
-SUB_BENCH_PKGS := ./internal/sub/
-SUB_BENCH_REGEX := 'BenchmarkSubscribePush'
-
-# The fair-admission series (BENCH_PR8.json): the same hot/cold tenant
-# skew with the weighted-fair gate funnelled back into one global FIFO
-# (VSTORE_BENCH_FAIRGATE=off — the pre-PR8 behaviour) and with it on, so
-# the committed pair quantifies the cold tenant's admission-wait fix
-# (the cold-p99-ms extra metric is the headline number).
-TENANT_BENCH_PKGS := ./internal/tenant/
-TENANT_BENCH_REGEX := 'BenchmarkTenantSkewAdmission'
-
 # The live-serving and storage core: covered with a minimum gate so the
 # concurrency machinery (manifest commits, snapshot release, daemon
 # lifecycle, tier demotion, shard recovery, HTTP admission control,
@@ -42,7 +15,7 @@ COVER_MIN := 80
 # Fuzzing budget: 10s locally keeps the loop fast, nightly CI raises it.
 FUZZTIME ?= 10s
 
-.PHONY: build test race bench bench-json bench-json-sub bench-json-results bench-json-tenant bench-smoke lint fmt vet staticcheck vulncheck cover fuzz soak load-smoke scrub-smoke fault-smoke fault-soak cluster-smoke all
+.PHONY: build test race bench lint fmt vet staticcheck vulncheck cover fuzz soak load-smoke scrub-smoke fault-smoke fault-soak cluster-smoke all
 
 all: build lint test
 
@@ -58,56 +31,11 @@ test:
 race:
 	$(GO) test -race -short -timeout 25m $(RACE_PKGS)
 
+# The repo's one benchmark (BENCHMARK.json, benchmark/README.md): four
+# checked workloads, then the traced per-layer ladder. `go test ./benchmark`
+# (part of `make test`) is its smoke run.
 bench:
-	$(GO) test -run '^$$' -bench $(BENCH_REGEX) -benchmem $(BENCH_PKGS)
-
-# Refreshes the "after" side of the committed benchmark trajectory.
-# (The "before" side is the recorded pre-PR4 baseline; benchjson
-# preserves fields it is not asked to write.) Two steps, not a pipe: a
-# benchmark failure must fail the target, not vanish into a truncated
-# artifact.
-bench-json:
-	$(GO) test -run '^$$' -bench $(BENCH_REGEX) -benchmem $(BENCH_PKGS) > bench.out.tmp
-	$(GO) run ./cmd/benchjson -o BENCH_PR4.json -field after < bench.out.tmp
-	@rm -f bench.out.tmp
-
-# The standing-query series: BenchmarkSubscribePush only, into its own
-# artifact so the retrieval trajectory above stays uncontaminated.
-# -baseline seeds the missing "before" side from the committed previous
-# "after" run (and fails loudly when the artifact has neither), so the
-# comparison pair the artifact exists for can never silently degrade to a
-# single column.
-bench-json-sub:
-	$(GO) test -run '^$$' -bench $(SUB_BENCH_REGEX) -benchmem $(SUB_BENCH_PKGS) > bench.sub.tmp
-	$(GO) run ./cmd/benchjson -o BENCH_PR6.json -field after -baseline before < bench.sub.tmp
-	@rm -f bench.sub.tmp
-
-# The materialization series: "before" runs the benchmark with the results
-# store disabled (VSTORE_BENCH_MATERIALIZE=off — pure recomputation, the
-# pre-materialization behaviour), "after" with it enabled, so the committed
-# pair isolates the layer's effect on one benchmark name.
-bench-json-results:
-	VSTORE_BENCH_MATERIALIZE=off $(GO) test -run '^$$' -bench $(RESULTS_BENCH_REGEX) -benchmem $(RESULTS_BENCH_PKGS) > bench.res.tmp
-	$(GO) run ./cmd/benchjson -o BENCH_PR7.json -field before < bench.res.tmp
-	$(GO) test -run '^$$' -bench $(RESULTS_BENCH_REGEX) -benchmem $(RESULTS_BENCH_PKGS) > bench.res.tmp
-	$(GO) run ./cmd/benchjson -o BENCH_PR7.json -field after < bench.res.tmp
-	@rm -f bench.res.tmp
-
-# The fair-admission series: "before" funnels every tenant through one
-# global FIFO queue (VSTORE_BENCH_FAIRGATE=off — exactly the gate this PR
-# replaced), "after" runs the weighted-fair gate, so the committed pair
-# shows what deficit round-robin buys a cold tenant under hot-tenant skew.
-bench-json-tenant:
-	VSTORE_BENCH_FAIRGATE=off $(GO) test -run '^$$' -bench $(TENANT_BENCH_REGEX) -benchmem $(TENANT_BENCH_PKGS) > bench.ten.tmp
-	$(GO) run ./cmd/benchjson -o BENCH_PR8.json -field before < bench.ten.tmp
-	$(GO) test -run '^$$' -bench $(TENANT_BENCH_REGEX) -benchmem $(TENANT_BENCH_PKGS) > bench.ten.tmp
-	$(GO) run ./cmd/benchjson -o BENCH_PR8.json -field after < bench.ten.tmp
-	@rm -f bench.ten.tmp
-
-# One iteration of every benchmark in the fast-path packages: keeps
-# benchmark code compiling and running in CI without the measurement cost.
-bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x $(BENCH_PKGS) $(TENANT_BENCH_PKGS)
+	bash benchmark/run.sh
 
 # Every listed package must actually carry tests: a package silently
 # contributing zero statements would hollow out the aggregate gate.

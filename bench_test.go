@@ -1,24 +1,22 @@
 // Benchmarks regenerating the paper's evaluation artifacts (one benchmark
-// per table/figure, §6-§7) plus micro-benchmarks of the substrates. The
-// figure benchmarks run an entire experiment per iteration, so their
-// ns/op is the cost of regenerating that artifact; run
+// per table/figure, §6-§7). Each runs an entire experiment per iteration,
+// so its ns/op is the cost of regenerating that artifact; run
 //
 //	go test -bench=. -benchmem
 //
 // at the module root. Reduced parameters (short profiling clips, few
 // segments) keep a full sweep tractable; cmd/vbench runs the full-scale
-// versions.
+// versions. The store's own speed is measured by benchmark/ (see
+// BENCHMARK.json); the two substrate benchmarks at the end time what its
+// ladder does not: scene rendering, and the operators outside Query A.
 package repro_test
 
 import (
 	"os"
 	"testing"
 
-	"repro/internal/codec"
 	"repro/internal/experiments"
 	"repro/internal/focusmodel"
-	"repro/internal/format"
-	"repro/internal/kvstore"
 	"repro/internal/ops"
 	"repro/internal/vidsim"
 )
@@ -130,64 +128,13 @@ func BenchmarkFocusModel(b *testing.B) {
 	}
 }
 
-// --- substrate micro-benchmarks ---
+// --- substrates benchmark/ does not time ---
 
 func BenchmarkSceneRender(b *testing.B) {
 	src := vidsim.NewSource(vidsim.Datasets[0])
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		src.Frame(i % 3000)
-	}
-}
-
-func BenchmarkEncodeMedium(b *testing.B) {
-	src := vidsim.NewSource(vidsim.Datasets[0])
-	frames := src.Clip(0, 60)
-	var bytes int64
-	for _, f := range frames {
-		bytes += int64(f.Bytes())
-	}
-	b.SetBytes(bytes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := codec.Encode(frames, codec.Params{Quality: format.QGood, Speed: format.SpeedMedium, KeyframeI: 50}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDecodeFull(b *testing.B) {
-	src := vidsim.NewSource(vidsim.Datasets[0])
-	frames := src.Clip(0, 60)
-	enc, _, err := codec.Encode(frames, codec.Params{Quality: format.QGood, Speed: format.SpeedMedium, KeyframeI: 50})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var bytes int64
-	for _, f := range frames {
-		bytes += int64(f.Bytes())
-	}
-	b.SetBytes(bytes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := enc.Decode(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDecodeSampledSparse(b *testing.B) {
-	src := vidsim.NewSource(vidsim.Datasets[0])
-	frames := src.Clip(0, 240)
-	enc, _, err := codec.Encode(frames, codec.Params{Quality: format.QGood, Speed: format.SpeedMedium, KeyframeI: 10})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := enc.DecodeSampled(func(i int) bool { return i%30 == 29 }); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -203,41 +150,5 @@ func BenchmarkOperators(b *testing.B) {
 			}
 			b.SetBytes(pixels)
 		})
-	}
-}
-
-func BenchmarkKVStorePut1MB(b *testing.B) {
-	dir := b.TempDir()
-	kv, err := kvstore.Open(dir, kvstore.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer kv.Close()
-	val := make([]byte, 1<<20)
-	b.SetBytes(1 << 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := kv.Put("segment", val); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKVStoreGet1MB(b *testing.B) {
-	dir := b.TempDir()
-	kv, err := kvstore.Open(dir, kvstore.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer kv.Close()
-	if err := kv.Put("segment", make([]byte, 1<<20)); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(1 << 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := kv.Get("segment"); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -7,7 +7,7 @@
 //	vbench [-clip frames] [-segments n] [-dir path] <artifact>
 //
 // Artifacts: fig3a fig3b fig4 fig5 fig6 table3 table4 fig11 fig12 fig13
-// fig14 sfconfig speedup tiering fastpath httpserve focus all
+// fig14 sfconfig focus all
 package main
 
 import (
@@ -25,15 +25,11 @@ var (
 	segments   = flag.Int("segments", 3, "segments ingested per dataset for fig11 (8s each)")
 	dir        = flag.String("dir", "", "working directory for stores (default: temp)")
 	seconds    = flag.Int("seconds", 60, "clip seconds for fig3 coding sweeps")
-	parallel   = flag.Int("parallel", 8, "query worker-pool width for the speedup artifact (0 = GOMAXPROCS)")
-	cacheBytes = flag.Int64("cache-bytes", 1<<30, "retrieval cache budget in bytes for the speedup artifact (0 = disabled)")
-	shards     = flag.Int("shards", 4, "per-tier kvstore shards for the tiering artifact")
-	fastBytes  = flag.Int64("fast-bytes", 0, "fast-tier byte budget for the tiering artifact (0 = unbudgeted)")
 )
 
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: vbench [flags] <artifact>\nartifacts: fig3a fig3b fig4 fig5 fig6 table3 table4 fig11 fig12 fig13 fig14 sfconfig speedup tiering fastpath httpserve focus all\n")
+		fmt.Fprintf(os.Stderr, "usage: vbench [flags] <artifact>\nartifacts: fig3a fig3b fig4 fig5 fig6 table3 table4 fig11 fig12 fig13 fig14 sfconfig focus all\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -45,17 +41,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vbench:", err)
 		os.Exit(1)
 	}
-}
-
-// flagPassed reports whether the named flag was set on the command line.
-func flagPassed(name string) bool {
-	passed := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			passed = true
-		}
-	})
-	return passed
 }
 
 func run(artifact string) error {
@@ -159,99 +144,6 @@ func run(artifact string) error {
 				return err
 			}
 			fmt.Print(experiments.RenderFig14(rows))
-			return nil
-		}},
-		{"speedup", func() error {
-			wd := *dir
-			if wd == "" {
-				var err error
-				wd, err = os.MkdirTemp("", "vbench-speedup-*")
-				if err != nil {
-					return err
-				}
-				defer os.RemoveAll(wd)
-			}
-			// A multi-segment query is the point of the artifact, so the
-			// 3-segment fig11 default is raised — but an explicit
-			// -segments value is honoured whatever it is.
-			n := *segments
-			if !flagPassed("segments") {
-				n = 8
-			}
-			res, err := experiments.Speedup(env, wd, "jackson", n, *parallel, *cacheBytes)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.RenderSpeedup(res))
-			return nil
-		}},
-		{"tiering", func() error {
-			wd := *dir
-			if wd == "" {
-				var err error
-				wd, err = os.MkdirTemp("", "vbench-tiering-*")
-				if err != nil {
-					return err
-				}
-				defer os.RemoveAll(wd)
-			}
-			// Multi-segment reads across the tiers are the point; honour
-			// an explicit -segments whatever it is.
-			n := *segments
-			if !flagPassed("segments") {
-				n = 6
-			}
-			res, err := experiments.Tiering(env, wd, "jackson", n, *shards, *fastBytes)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.RenderTiering(res))
-			return nil
-		}},
-		{"fastpath", func() error {
-			wd := *dir
-			if wd == "" {
-				var err error
-				wd, err = os.MkdirTemp("", "vbench-fastpath-*")
-				if err != nil {
-					return err
-				}
-				defer os.RemoveAll(wd)
-			}
-			// One full 8-second segment by default; an explicit -clip
-			// chooses the measured clip length like the other artifacts.
-			n := 240
-			if flagPassed("clip") {
-				n = *clipFrames
-			}
-			res, err := experiments.FastPath(wd, "jackson", n, *parallel)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.RenderFastPath(res))
-			return nil
-		}},
-		{"httpserve", func() error {
-			wd := *dir
-			if wd == "" {
-				var err error
-				wd, err = os.MkdirTemp("", "vbench-httpserve-*")
-				if err != nil {
-					return err
-				}
-				defer os.RemoveAll(wd)
-			}
-			// Several segments make the streaming latency visible; honour
-			// an explicit -segments whatever it is.
-			n := *segments
-			if !flagPassed("segments") {
-				n = 6
-			}
-			res, err := experiments.HTTPServe(env, wd, "jackson", n)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.RenderHTTPServe(res))
 			return nil
 		}},
 		{"sfconfig", func() error {

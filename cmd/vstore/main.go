@@ -13,7 +13,7 @@
 //	                 [-shards N] [-fast-bytes N] [-demote-after D]
 //	vstore api       -db DIR [-listen :8080] [-max-inflight N] [-max-queue N] [-max-subs N] [-query-timeout D]
 //	                 [-erode-interval D] [-today D] [-shards N] [-fast-bytes N] [-demote-after D]
-//	vstore route     -nodes n1=http://H:P,n2=http://H:P[,...] [-listen :8090] [-replicas N] [-workers N] [-hash rendezvous|ring]
+//	vstore route     -nodes n1=http://H:P,n2=http://H:P[,...] [-listen :8090] [-replicas N] [-workers N]
 //	vstore scrub     -db DIR [-shards N]
 //	vstore damage    -db DIR -stream NAME [-segment I] [-sf KEY] [-shards N]
 //	vstore stats     -db DIR
@@ -579,7 +579,6 @@ func cmdRoute(args []string) error {
 	listen := fs.String("listen", ":8090", "listen address")
 	replicas := fs.Int("replicas", 1, "nodes serving each stream (owner + replicas-1 followers)")
 	workers := fs.Int("workers", 4, "concurrent chunk executions per query")
-	hash := fs.String("hash", "rendezvous", "placement strategy: rendezvous or ring")
 	fs.Parse(args)
 	nodes, err := parseNodes(*nodesSpec)
 	if err != nil {
@@ -589,7 +588,6 @@ func cmdRoute(args []string) error {
 		Nodes:    nodes,
 		Replicas: *replicas,
 		Workers:  *workers,
-		Hash:     *hash,
 	})
 	if err != nil {
 		return err
@@ -598,8 +596,8 @@ func cmdRoute(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("vstore router listening on %s (%d nodes, %s placement, %d replicas, %d workers)\n",
-		addr, len(nodes), *hash, *replicas, *workers)
+	fmt.Printf("vstore router listening on %s (%d nodes, %d replicas, %d workers)\n",
+		addr, len(nodes), *replicas, *workers)
 	for _, n := range nodes {
 		fmt.Printf("  node %-12s %s\n", n.Name, n.URL)
 	}

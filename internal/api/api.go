@@ -37,14 +37,13 @@
 //	GET  /metrics     Prometheus text exposition (served during drain)
 //	GET  /healthz     liveness (reports draining during shutdown)
 //
-// Peer endpoints (what a remote store implementation and the cluster
-// router drive; see internal/store for the boundary they transport):
+// Peer endpoints (what follower replication and the cluster router
+// drive; see internal/store for the snapshot leases behind them):
 //
 //	POST /v1/snapshot          pin a snapshot, returning a TTL lease
 //	POST /v1/snapshot/release  release a snapshot lease
 //	GET  /v1/refs              a leased snapshot's committed replicas
 //	GET  /v1/segment           one replica's bytes through a lease
-//	GET  /v1/commits           NDJSON stream of segment commits
 //	POST /v1/pull              replicate a stream from a peer node
 //
 // Authentication: clients present an API key via the X-API-Key header (or
@@ -193,12 +192,7 @@ type Server struct {
 
 	baseCtx    context.Context
 	cancelBase context.CancelFunc
-	// drainCtx ends when Shutdown begins — before the HTTP server's own
-	// drain — so long-lived streams with no natural end (GET /v1/commits)
-	// return promptly instead of holding the drain to its deadline.
-	drainCtx    context.Context
-	cancelDrain context.CancelFunc
-	draining    atomic.Bool
+	draining   atomic.Bool
 
 	httpSrv  *http.Server
 	lis      net.Listener
@@ -225,7 +219,6 @@ func New(store *server.Server, lim Limits) *Server {
 	})
 	s.leases = storepkg.NewLeases(s.lim.SnapshotLeaseTTL)
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
-	s.drainCtx, s.cancelDrain = context.WithCancel(context.Background())
 	s.route("query", "POST /v1/query", s.handleQuery)
 	s.route("ingest", "POST /v1/ingest", s.handleIngest)
 	s.route("subscribe", "POST /v1/subscribe", s.handleSubscribe)
@@ -241,7 +234,6 @@ func New(store *server.Server, lim Limits) *Server {
 	s.route("snapshot_release", "POST /v1/snapshot/release", s.handleSnapshotRelease)
 	s.route("refs", "GET /v1/refs", s.handleRefs)
 	s.route("segment", "GET /v1/segment", s.handleSegment)
-	s.route("commits", "GET /v1/commits", s.handleCommits)
 	s.route("pull", "POST /v1/pull", s.handlePull)
 	s.route("metrics", "GET /metrics", s.handleMetrics)
 	s.route("healthz", "GET /healthz", s.handleHealthz)
@@ -401,9 +393,6 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 // by the caller afterwards.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
-	// Commit streams never return on their own either; ending drainCtx
-	// lets each /v1/commits handler write nothing further and return.
-	s.cancelDrain()
 	// Subscriptions never return on their own, so the hub must close
 	// before httpSrv.Shutdown can drain: each subscribe handler sees its
 	// push channel close, writes its trailer line, and returns.

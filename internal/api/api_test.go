@@ -248,9 +248,11 @@ func TestAdmissionControl(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// waitInFlight polls until the endpoint reports at least n in-flight
-	// requests (the counter increments on arrival, before the gate).
-	waitInFlight := func(endpoint string, n int64) {
+	// waitStats polls /v1/stats until cond holds. Nothing the steps below
+	// wait for is ordered with a client call returning — the gate grants
+	// and parks after arrival, and route settles its in-flight count after
+	// the response is flushed — so each is awaited, not slept for.
+	waitStats := func(what string, cond func(api.StatsResponse) bool) api.StatsResponse {
 		t.Helper()
 		deadline := time.Now().Add(15 * time.Second)
 		for {
@@ -258,11 +260,11 @@ func TestAdmissionControl(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.API[endpoint].InFlight >= n {
-				return
+			if cond(st) {
+				return st
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("%s never reached %d in-flight", endpoint, n)
+				t.Fatalf("never observed: %s (last stats: api %+v, gate %+v)", what, st.API, st.Tenants["default"].Gate)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -275,8 +277,9 @@ func TestAdmissionControl(t *testing.T) {
 		_, err := cl.Ingest(ctx, api.IngestRequest{Stream: "cam", Scene: "jackson", Segments: 4})
 		holderDone <- err
 	}()
-	waitInFlight("ingest", 1)
-	time.Sleep(50 * time.Millisecond) // arrival -> slot acquisition
+	waitStats("the ingest holding the slot", func(st api.StatsResponse) bool {
+		return st.Tenants["default"].Gate.InFlight == 1
+	})
 
 	// 2. Fill the waiting room with a query.
 	queuedDone := make(chan error, 1)
@@ -284,8 +287,9 @@ func TestAdmissionControl(t *testing.T) {
 		_, _, err := cl.Query(ctx, api.QueryRequest{Stream: "cam", Query: testQuery})
 		queuedDone <- err
 	}()
-	waitInFlight("query", 1)
-	time.Sleep(50 * time.Millisecond) // arrival -> queue entry
+	waitStats("the query parked in the waiting room", func(st api.StatsResponse) bool {
+		return st.Tenants["default"].Gate.Queued == 1
+	})
 
 	// 3. Slot busy, waiting room full: the next request gets 429.
 	_, _, err := cl.Query(ctx, api.QueryRequest{Stream: "cam", Query: testQuery})
@@ -304,15 +308,11 @@ func TestAdmissionControl(t *testing.T) {
 	if err := <-queuedDone; err != nil {
 		t.Fatalf("queued query: %v", err)
 	}
-	st, err := cl.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := waitStats("both endpoints quiescent", func(st api.StatsResponse) bool {
+		return st.API["query"].InFlight == 0 && st.API["ingest"].InFlight == 0
+	})
 	if st.API["query"].Rejections != 1 {
 		t.Fatalf("query rejections = %d, want 1", st.API["query"].Rejections)
-	}
-	if st.API["query"].InFlight != 0 || st.API["ingest"].InFlight != 0 {
-		t.Fatalf("in-flight left: %+v / %+v", st.API["query"], st.API["ingest"])
 	}
 
 	// 5. Burst: 8 simultaneous queries against the 1+1 server must all

@@ -1,21 +1,17 @@
-// Peer endpoints: the wire surface a remote store implementation
-// (RemoteStore) and the cluster router drive. A peer pins a snapshot
-// through a TTL lease, enumerates and fetches segment replicas through
-// it, runs leased queries, follows the commit stream, and replicates
-// whole streams with idempotent pulls. Everything here transports the
-// internal/store boundary — nothing reaches past what a local caller of
-// store.Store could do.
+// Peer endpoints: the wire surface follower replication (pullStream) and
+// the cluster router drive. A peer pins a snapshot through a TTL lease,
+// enumerates and fetches segment replicas through it, runs leased
+// queries, and replicates whole streams with idempotent pulls. Nothing
+// here reaches past what a local holder of a server.Snapshot could do.
 
 package api
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/segment"
@@ -147,56 +143,6 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	_, _ = w.Write(body)
-}
-
-// handleCommits streams segment commits as NDJSON from this point on, in
-// commit order, until the client disconnects or the server drains. The
-// commit hook hands off to a bounded buffer; a subscriber too slow to
-// drain it is disconnected with an in-band error (delivery is gap-free or
-// over, never silently gappy) — the remote hub resubscribes and resyncs
-// from a fresh snapshot.
-func (s *Server) handleCommits(w http.ResponseWriter, r *http.Request) {
-	ch := make(chan segment.Commit, 1024)
-	overflow := make(chan struct{})
-	var once sync.Once
-	cancel := s.store.SubscribeCommits(func(c segment.Commit) {
-		select {
-		case ch <- c:
-		default:
-			once.Do(func() { close(overflow) })
-		}
-	})
-	defer cancel()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flush := func() {
-		if f, ok := w.(http.Flusher); ok {
-			f.Flush()
-		}
-	}
-	flush() // the header reaches the client before the first commit
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-s.drainCtx.Done():
-			return
-		case <-overflow:
-			if cw, ok := w.(*countingWriter); ok {
-				cw.midStreamErr = true
-			}
-			_ = enc.Encode(QueryLine{Error: "commit stream lagged: buffer overflow"})
-			flush()
-			return
-		case c := <-ch:
-			if enc.Encode(CommitLine{Stream: c.Stream, Idx: c.Idx, Seq: c.Seq}) != nil {
-				return
-			}
-			flush()
-		}
-	}
 }
 
 // handlePull replicates one stream from a peer node onto this one: pin a

@@ -1,14 +1,11 @@
 // Client methods for the peer endpoints: snapshot leases, replica
-// enumeration and fetch, the commit stream, and replication pulls. These
-// are what RemoteStore and the cluster layer are built from.
+// enumeration and fetch, and replication pulls. These are what follower
+// replication and the cluster layer are built from.
 
 package api
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -128,58 +125,6 @@ func (c *Client) SegmentRaw(ctx context.Context, snapID, stream, sf string, idx 
 		return nil, err
 	}
 	return segment.UnmarshalRawSegment(b)
-}
-
-// Commits follows the server's segment-commit stream, invoking fn for
-// every commit in order until ctx ends, the server drains (nil), or the
-// stream lags past the server's buffer (*StreamError).
-func (c *Client) Commits(ctx context.Context, fn func(CommitLine) error) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/commits", nil)
-	if err != nil {
-		return err
-	}
-	c.authorize(req)
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return statusError(resp)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		// Commit lines and the in-band overflow error share the wire shape
-		// of a QueryLine error, so probe for the error field first.
-		var probe struct {
-			Error string `json:"error"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			return fmt.Errorf("api: malformed commit line: %w", err)
-		}
-		if probe.Error != "" {
-			return &StreamError{Msg: probe.Error}
-		}
-		var cl CommitLine
-		if err := json.Unmarshal(line, &cl); err != nil {
-			return fmt.Errorf("api: malformed commit line: %w", err)
-		}
-		if err := fn(cl); err != nil {
-			return err
-		}
-	}
-	// A commit stream has no trailer: it ends when the server drains or
-	// the subscriber cancels. Scanner errors from our own cancellation are
-	// a clean end too.
-	if err := sc.Err(); err != nil && ctx.Err() == nil {
-		return err
-	}
-	return nil
 }
 
 // Pull asks the server to replicate a stream from a peer node onto

@@ -263,10 +263,9 @@ func TestClientAbortCounted(t *testing.T) {
 	if err := <-aborted; !errors.Is(err, context.Canceled) {
 		t.Fatalf("aborted query returned %v", err)
 	}
-	if err := <-holderDone; err != nil {
-		t.Fatalf("slot holder: %v", err)
-	}
-
+	// Checked while the ingest still holds the slot: the abort is counted
+	// when the parked handler returns, and the tenant window only keeps
+	// the trailing 60 s, which a slow host's ingest can outlast.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		st, err := cl.Stats(ctx)
@@ -286,12 +285,15 @@ func TestClientAbortCounted(t *testing.T) {
 			if st.Tenants["default"].Window.Aborted != 1 {
 				t.Fatalf("tenant window = %+v, want 1 abort", st.Tenants["default"].Window)
 			}
-			return
+			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("client abort never counted: %+v", q)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	if err := <-holderDone; err != nil {
+		t.Fatalf("slot holder: %v", err)
 	}
 }
 
@@ -347,22 +349,30 @@ func TestPrometheusExposition(t *testing.T) {
 	if _, _, err := hot.Query(context.Background(), api.QueryRequest{Stream: "cam", Query: testQuery}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get(cl.BaseURL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	// route settles a request's tenant accounting after its response is
+	// flushed, so the scrape is repeated until the query above is counted.
+	var text string
+	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		resp, err := http.Get(cl.BaseURL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("metrics answered %d", resp.StatusCode)
+		}
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+			t.Fatalf("metrics content type %q", ct)
+		}
+		text = string(body)
+		if strings.Contains(text, `vstore_tenant_requests_total{tenant="hot"} 1`) || time.Now().After(deadline) {
+			break
+		}
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics answered %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("metrics content type %q", ct)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(body)
 	for _, want := range []string{
 		"# TYPE vstore_tenant_requests_total counter",
 		`vstore_tenant_requests_total{tenant="hot"} 1`,

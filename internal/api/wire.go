@@ -36,9 +36,9 @@ type QueryRequest struct {
 	// configured default. The smaller of the two wins.
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
 	// Snap, when set, runs the query against a snapshot lease previously
-	// granted by POST /v1/snapshot instead of pinning a fresh one — how a
-	// remote store (or the cluster router) issues several chunked reads
-	// against one frozen view. The lease stays live after the query; its
+	// granted by POST /v1/snapshot instead of pinning a fresh one — how
+	// the cluster router issues several chunked reads against one frozen
+	// view. The lease stays live after the query; its
 	// owner releases it.
 	Snap string `json:"snap,omitempty"`
 }
@@ -81,8 +81,8 @@ type QueryLine struct {
 
 // ChunkFromResult flattens an in-process QueryResult into the wire chunk
 // covering [seg0, seg1) — per-epoch spans merged in order. Tests and the
-// vbench artifact reuse it to prove the over-HTTP results byte-identical
-// to the in-process path.
+// benchmark reuse it to prove the over-HTTP results byte-identical to the
+// in-process path.
 func ChunkFromResult(seg0, seg1 int, res server.QueryResult) QueryChunk {
 	c := QueryChunk{Seg0: seg0, Seg1: seg1, Detections: []Detection{}, FinalPTS: []int{}}
 	for _, r := range res.Results {
@@ -129,14 +129,6 @@ type WireRef struct {
 // stream in the leased snapshot, sorted by (format key, index).
 type RefsResponse struct {
 	Refs []WireRef `json:"refs"`
-}
-
-// CommitLine is one NDJSON line of GET /v1/commits: a segment commit,
-// in commit order (Seq strictly increasing).
-type CommitLine struct {
-	Stream string `json:"stream"`
-	Idx    int    `json:"idx"`
-	Seq    int64  `json:"seq"`
 }
 
 // PullRequest is the body of POST /v1/pull: replicate the stream's

@@ -172,63 +172,60 @@ func streamOwnedBy(t *testing.T, place func(stream string) []cluster.Node, owner
 	return ""
 }
 
-// TestPlacers pins the placement contract for both strategies:
-// deterministic across instances, distinct nodes owner-first, replica
-// clamping, and reasonable spread. Rendezvous additionally keeps a
-// stream's owner stable when an unrelated node leaves — the property
-// failover relies on.
+// TestPlacers pins the placement contract: deterministic across
+// instances, distinct nodes owner-first, replica clamping, reasonable
+// spread, and a stream's owner staying put when an unrelated node leaves
+// — the property failover relies on.
 func TestPlacers(t *testing.T) {
 	nodes := []cluster.Node{
 		{Name: "a", URL: "http://a"},
 		{Name: "b", URL: "http://b"},
 		{Name: "c", URL: "http://c"},
 	}
-	for _, kind := range []string{"rendezvous", "ring"} {
-		t.Run(kind, func(t *testing.T) {
-			p1, err := cluster.NewPlacer(kind, nodes)
-			if err != nil {
-				t.Fatal(err)
+	t.Run("rendezvous", func(t *testing.T) {
+		p1, err := cluster.NewPlacer(nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p2, err := cluster.NewPlacer(nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owned := map[string]int{}
+		for i := 0; i < 64; i++ {
+			stream := fmt.Sprintf("stream-%d", i)
+			got := p1.Place(stream, 2)
+			if len(got) != 2 {
+				t.Fatalf("%s: %d nodes for replicas=2", stream, len(got))
 			}
-			p2, err := cluster.NewPlacer(kind, nodes)
-			if err != nil {
-				t.Fatal(err)
+			if got[0].Name == got[1].Name {
+				t.Fatalf("%s: owner and follower are the same node", stream)
 			}
-			owned := map[string]int{}
-			for i := 0; i < 64; i++ {
-				stream := fmt.Sprintf("stream-%d", i)
-				got := p1.Place(stream, 2)
-				if len(got) != 2 {
-					t.Fatalf("%s: %d nodes for replicas=2", stream, len(got))
-				}
-				if got[0].Name == got[1].Name {
-					t.Fatalf("%s: owner and follower are the same node", stream)
-				}
-				if again := p2.Place(stream, 2); mustMarshal(t, got) != mustMarshal(t, again) {
-					t.Fatalf("%s: placement differs across placer instances", stream)
-				}
-				if all := p1.Place(stream, 99); len(all) != len(nodes) {
-					t.Fatalf("%s: replicas beyond membership returned %d nodes", stream, len(all))
-				}
-				if one := p1.Place(stream, 0); len(one) != 1 {
-					t.Fatalf("%s: replicas=0 returned %d nodes, want the owner", stream, len(one))
-				}
-				owned[got[0].Name]++
+			if again := p2.Place(stream, 2); mustMarshal(t, got) != mustMarshal(t, again) {
+				t.Fatalf("%s: placement differs across placer instances", stream)
 			}
-			for _, n := range nodes {
-				if owned[n.Name] == 0 {
-					t.Errorf("node %s owns no stream of 64 — placement is not spreading", n.Name)
-				}
+			if all := p1.Place(stream, 99); len(all) != len(nodes) {
+				t.Fatalf("%s: replicas beyond membership returned %d nodes", stream, len(all))
 			}
-		})
-	}
+			if one := p1.Place(stream, 0); len(one) != 1 {
+				t.Fatalf("%s: replicas=0 returned %d nodes, want the owner", stream, len(one))
+			}
+			owned[got[0].Name]++
+		}
+		for _, n := range nodes {
+			if owned[n.Name] == 0 {
+				t.Errorf("node %s owns no stream of 64 — placement is not spreading", n.Name)
+			}
+		}
+	})
 
 	// Rendezvous minimal disruption: drop node c; streams c did not own
 	// keep their owner.
-	full, err := cluster.NewPlacer("rendezvous", nodes)
+	full, err := cluster.NewPlacer(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduced, err := cluster.NewPlacer("rendezvous", nodes[:2])
+	reduced, err := cluster.NewPlacer(nodes[:2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,16 +248,13 @@ func TestPlacers(t *testing.T) {
 
 func TestNewPlacerRejects(t *testing.T) {
 	good := []cluster.Node{{Name: "a", URL: "http://a"}}
-	if _, err := cluster.NewPlacer("rendezvous", nil); err == nil {
+	if _, err := cluster.NewPlacer(nil); err == nil {
 		t.Error("empty membership accepted")
 	}
-	if _, err := cluster.NewPlacer("sha-tree", good); err == nil {
-		t.Error("unknown strategy accepted")
-	}
-	if _, err := cluster.NewPlacer("", []cluster.Node{{Name: "a"}}); err == nil {
+	if _, err := cluster.NewPlacer([]cluster.Node{{Name: "a"}}); err == nil {
 		t.Error("node without URL accepted")
 	}
-	if _, err := cluster.NewPlacer("", append(good, cluster.Node{Name: "a", URL: "http://b"})); err == nil {
+	if _, err := cluster.NewPlacer(append(good, cluster.Node{Name: "a", URL: "http://b"})); err == nil {
 		t.Error("duplicate node name accepted")
 	}
 }
@@ -530,7 +524,7 @@ func TestRouterKillNodeFailover(t *testing.T) {
 	// The victim's store is prepared here, then served by the child: a
 	// kill mid-query must not cost committed footage its readability.
 	stream := func() string {
-		placer, err := cluster.NewPlacer("rendezvous", []cluster.Node{
+		placer, err := cluster.NewPlacer([]cluster.Node{
 			{Name: "victim", URL: "http://x"}, {Name: "survivor", URL: "http://y"},
 		})
 		if err != nil {

@@ -1,11 +1,11 @@
 // Package cluster is the multi-node serving layer: a static membership
-// of vstore nodes, a consistent-hash placement of streams onto them, and
+// of vstore nodes, a rendezvous-hash placement of streams onto them, and
 // a stateless router that serves the single-node HTTP API over the whole
 // fleet — queries fan out in chunks to the owning node (failing over to
 // replica followers), ingest forwards to the owner and replicates to the
 // followers, and statistics aggregate across every node. The router keeps
-// no durable state of its own: membership and the hash function are its
-// only configuration, so any number of routers can front the same nodes.
+// no durable state of its own: the membership is its only configuration,
+// so any number of routers can front the same nodes.
 package cluster
 
 import (
@@ -28,15 +28,17 @@ type Node struct {
 // are replica followers. Placements are pure functions of (stream,
 // membership) — every router derives the same answer with no
 // coordination.
-type Placer interface {
-	// Place returns min(replicas, len(nodes)) distinct nodes for stream,
-	// owner first. replicas < 1 is treated as 1.
-	Place(stream string, replicas int) []Node
+//
+// The mapping is rendezvous (highest-random-weight) hashing: every node
+// scores hash(stream, node) and the placement is the nodes by descending
+// score. Removing a node disturbs only the streams it served — the
+// defining property that makes failover and membership change cheap.
+type Placer struct {
+	nodes []Node
 }
 
-// NewPlacer builds the named placement strategy over the membership:
-// "rendezvous" (the default for "") or "ring".
-func NewPlacer(kind string, nodes []Node) (Placer, error) {
+// NewPlacer validates the membership and builds its placer.
+func NewPlacer(nodes []Node) (*Placer, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("cluster: placement needs at least one node")
 	}
@@ -50,14 +52,7 @@ func NewPlacer(kind string, nodes []Node) (Placer, error) {
 		}
 		seen[n.Name] = true
 	}
-	switch kind {
-	case "", "rendezvous":
-		return newRendezvous(nodes), nil
-	case "ring":
-		return newRing(nodes), nil
-	default:
-		return nil, fmt.Errorf("cluster: unknown hash strategy %q (want rendezvous or ring)", kind)
-	}
+	return &Placer{nodes: append([]Node(nil), nodes...)}, nil
 }
 
 func hash64(parts ...string) uint64 {
@@ -72,8 +67,8 @@ func hash64(parts ...string) uint64 {
 }
 
 // fmix64 is the murmur3 finalizer. FNV-1a alone keeps short inputs (node
-// names, vnode indices) in a narrow band of the 64-bit circle, which
-// collapses the ring onto one node; the extra avalanche spreads them.
+// and stream names) in a narrow band of the 64-bit range, which skews
+// ownership towards one node; the extra avalanche spreads them.
 func fmix64(x uint64) uint64 {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
@@ -83,19 +78,9 @@ func fmix64(x uint64) uint64 {
 	return x
 }
 
-// rendezvous is highest-random-weight hashing: every node scores
-// hash(stream, node) and the placement is the nodes by descending score.
-// Removing a node disturbs only the streams it served — the defining
-// property that makes failover and membership change cheap.
-type rendezvous struct {
-	nodes []Node
-}
-
-func newRendezvous(nodes []Node) *rendezvous {
-	return &rendezvous{nodes: append([]Node(nil), nodes...)}
-}
-
-func (p *rendezvous) Place(stream string, replicas int) []Node {
+// Place returns min(replicas, len(nodes)) distinct nodes for stream,
+// owner first. replicas < 1 is treated as 1.
+func (p *Placer) Place(stream string, replicas int) []Node {
 	if replicas < 1 {
 		replicas = 1
 	}
@@ -119,60 +104,6 @@ func (p *rendezvous) Place(stream string, replicas int) []Node {
 	out := make([]Node, replicas)
 	for i := range out {
 		out[i] = ranked[i].node
-	}
-	return out
-}
-
-// ringVnodes is how many points each node contributes to the ring —
-// enough to spread ownership evenly across small memberships.
-const ringVnodes = 64
-
-// ring is classic consistent hashing: each node hashes to ringVnodes
-// points on a circle, a stream hashes to one point, and the placement is
-// the next distinct nodes walking clockwise.
-type ring struct {
-	points []ringPoint // sorted by hash
-}
-
-type ringPoint struct {
-	hash uint64
-	node Node
-}
-
-func newRing(nodes []Node) *ring {
-	r := &ring{}
-	for _, n := range nodes {
-		for v := 0; v < ringVnodes; v++ {
-			r.points = append(r.points, ringPoint{
-				hash: hash64(n.Name, fmt.Sprintf("%d", v)),
-				node: n,
-			})
-		}
-	}
-	sort.Slice(r.points, func(i, j int) bool {
-		if r.points[i].hash != r.points[j].hash {
-			return r.points[i].hash < r.points[j].hash
-		}
-		return r.points[i].node.Name < r.points[j].node.Name
-	})
-	return r
-}
-
-func (p *ring) Place(stream string, replicas int) []Node {
-	if replicas < 1 {
-		replicas = 1
-	}
-	h := hash64(stream)
-	start := sort.Search(len(p.points), func(i int) bool { return p.points[i].hash >= h })
-	var out []Node
-	seen := map[string]bool{}
-	for i := 0; i < len(p.points) && len(out) < replicas; i++ {
-		pt := p.points[(start+i)%len(p.points)]
-		if seen[pt.node.Name] {
-			continue
-		}
-		seen[pt.node.Name] = true
-		out = append(out, pt.node)
 	}
 	return out
 }

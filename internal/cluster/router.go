@@ -40,19 +40,15 @@ type Options struct {
 	// Workers bounds how many chunks of one query execute concurrently.
 	// Zero selects 4; the merge order is segment order at any setting.
 	Workers int
-	// Hash names the placement strategy: "rendezvous" (default) or
-	// "ring".
-	Hash string
 }
 
 // Router serves the cluster. Create with NewRouter, start with Start (or
 // mount Handler), stop with Shutdown.
 type Router struct {
 	nodes    []Node
-	placer   Placer
+	placer   *Placer
 	replicas int
 	workers  int
-	hashKind string
 
 	http *http.Client // shared transport to the nodes; no global timeout (streams)
 	mux  *http.ServeMux
@@ -90,7 +86,7 @@ func (c *endpointCounters) stats() EndpointStats {
 
 // NewRouter builds a router over the membership.
 func NewRouter(opts Options) (*Router, error) {
-	placer, err := NewPlacer(opts.Hash, opts.Nodes)
+	placer, err := NewPlacer(opts.Nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +95,6 @@ func NewRouter(opts Options) (*Router, error) {
 		placer:   placer,
 		replicas: opts.Replicas,
 		workers:  opts.Workers,
-		hashKind: opts.Hash,
 		http:     &http.Client{},
 		mux:      http.NewServeMux(),
 		metrics:  map[string]*endpointCounters{},
@@ -109,9 +104,6 @@ func NewRouter(opts Options) (*Router, error) {
 	}
 	if r.workers <= 0 {
 		r.workers = 4
-	}
-	if r.hashKind == "" {
-		r.hashKind = "rendezvous"
 	}
 	r.drainCtx, r.cancelDrain = context.WithCancel(context.Background())
 	r.route("query", "POST /v1/query", r.handleQuery)
@@ -664,7 +656,6 @@ func (r *Router) handleStreams(w http.ResponseWriter, req *http.Request) {
 // liveness, and where every known stream lives.
 func (r *Router) handleCluster(w http.ResponseWriter, req *http.Request) {
 	resp := ClusterResponse{
-		Hash:       r.hashKind,
 		Replicas:   r.replicas,
 		Workers:    r.workers,
 		Placements: map[string][]string{},

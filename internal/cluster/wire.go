@@ -52,7 +52,6 @@ type NodeStatus struct {
 // placement configuration, and where every known stream lives (owner
 // first, then its replica followers).
 type ClusterResponse struct {
-	Hash       string              `json:"hash"`
 	Replicas   int                 `json:"replicas"`
 	Workers    int                 `json:"workers"`
 	Nodes      []NodeStatus        `json:"nodes"`

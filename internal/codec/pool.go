@@ -21,21 +21,17 @@ import (
 // or cached frames. The aliasing-safety tests in the retrieve package
 // enforce this.
 
-// poolingOn gates every pool below. It exists so tests and benchmarks can
-// prove behaviour is byte-identical with pooling on and off, and measure
-// the allocation delta.
+// poolingOn gates every pool below. It exists so tests can prove
+// behaviour is byte-identical with pooling on and off: the pooling-off
+// path is the reference pooled output is compared against.
 var poolingOn atomic.Bool
 
 func init() { poolingOn.Store(true) }
 
 // SetPooling enables or disables codec buffer pooling and returns the
 // previous setting. Pooling is on by default; disabling it makes every
-// Get allocate fresh and every Put drop its buffer. Intended for tests
-// and benchmarks.
+// Get allocate fresh and every Put drop its buffer. Intended for tests.
 func SetPooling(on bool) bool { return poolingOn.Swap(on) }
-
-// PoolingEnabled reports whether codec buffer pooling is active.
-func PoolingEnabled() bool { return poolingOn.Load() }
 
 // planePair is the two-plane scratch both coder directions need: the
 // decoder's (raw GOP read, reconstruction) pair, the encoder's

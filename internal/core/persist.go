@@ -57,7 +57,7 @@ type sfDTO struct {
 	Coding      string  `json:"coding"`
 	BytesPerSec float64 `json:"bytes_per_sec"`
 	IngestSec   float64 `json:"ingest_sec"`
-	Placement   string  `json:"placement,omitempty"`
+	Placement   string  `json:"placement"`
 }
 
 type erosionDTO struct {
@@ -191,7 +191,6 @@ func FromBytes(b []byte) (*Config, error) {
 			Profile:  profile.CFProfile{Fidelity: fid, Accuracy: c.Accuracy, Speed: c.Speed},
 		})
 	}
-	legacyPlacement := make([]bool, 0, len(dto.SFs))
 	for _, s := range dto.SFs {
 		fid, err := format.ParseFidelity(s.Fidelity)
 		if err != nil {
@@ -201,11 +200,10 @@ func FromBytes(b []byte) (*Config, error) {
 		if err != nil {
 			return nil, err
 		}
-		placement, explicit, err := ParsePlacement(s.Placement)
+		placement, err := ParsePlacement(s.Placement)
 		if err != nil {
 			return nil, err
 		}
-		legacyPlacement = append(legacyPlacement, !explicit)
 		sf := format.StorageFormat{Fidelity: fid, Coding: coding}
 		d.SFs = append(d.SFs, DerivedSF{
 			SF:        sf,
@@ -218,14 +216,6 @@ func FromBytes(b []byte) (*Config, error) {
 			return nil, fmt.Errorf("core: invalid subscription %d -> %d", ci, si)
 		}
 		d.SFs[si].Consumers = append(d.SFs[si].Consumers, ci)
-	}
-	// Legacy configurations (persisted before tier placement existed)
-	// default to the profiler-free rule: subscribed formats stay fast,
-	// unsubscribed ones (the archival golden fallback) go cold.
-	for i := range d.SFs {
-		if legacyPlacement[i] && len(d.SFs[i].Consumers) == 0 {
-			d.SFs[i].Placement = PlaceCold
-		}
 	}
 	cfg := &Config{Derivation: d}
 	if dto.Erosion != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/format"
@@ -96,8 +97,7 @@ func TestPlacementDeterminism(t *testing.T) {
 }
 
 // TestPlacementPersistence: placements round-trip through the persisted
-// form, and legacy configurations without the field default to
-// subscribed-fast / unsubscribed-cold.
+// form, and a storage format without the field is rejected.
 func TestPlacementPersistence(t *testing.T) {
 	cfg, err := Configure([]Consumer{
 		{Op: ops.Motion{}, Target: 0.9, Prof: newFakeProfiler(3)},
@@ -126,30 +126,18 @@ func TestPlacementPersistence(t *testing.T) {
 		t.Fatalf("tier runtime knobs lost in round-trip: %+v", rt)
 	}
 
-	// Legacy form: strip every placement field.
+	// A storage format with no placement field is rejected, not defaulted.
 	var raw map[string]any
 	if err := json.Unmarshal(b, &raw); err != nil {
 		t.Fatal(err)
 	}
-	for _, sf := range raw["storage_formats"].([]any) {
-		delete(sf.(map[string]any), "placement")
-	}
-	legacy, err := json.Marshal(raw)
+	delete(raw["storage_formats"].([]any)[0].(map[string]any), "placement")
+	stripped, err := json.Marshal(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, err := FromBytes(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, sf := range old.Derivation.SFs {
-		want := PlaceFast
-		if len(sf.Consumers) == 0 {
-			want = PlaceCold
-		}
-		if sf.Placement != want {
-			t.Fatalf("legacy SF%d (consumers %v) placed %v, want %v", i, sf.Consumers, sf.Placement, want)
-		}
+	if _, err := FromBytes(stripped); err == nil || !strings.Contains(err.Error(), "placement") {
+		t.Fatalf("storage format without placement: err = %v, want a placement error", err)
 	}
 
 	// An unknown placement is rejected, not guessed.

@@ -42,19 +42,17 @@ func (p Placement) String() string {
 	return "fast"
 }
 
-// ParsePlacement parses a persisted placement name. The empty string is
-// the legacy (pre-tiering) form and reports ok=false so the caller can
-// apply the default rule.
-func ParsePlacement(s string) (Placement, bool, error) {
+// ParsePlacement parses a persisted placement name. A missing (empty)
+// name is an error like any other unknown one: every configuration this
+// repo writes names each format's tier.
+func ParsePlacement(s string) (Placement, error) {
 	switch s {
 	case "fast":
-		return PlaceFast, true, nil
+		return PlaceFast, nil
 	case "cold":
-		return PlaceCold, true, nil
-	case "":
-		return PlaceFast, false, nil
+		return PlaceCold, nil
 	}
-	return PlaceFast, false, fmt.Errorf("core: unknown placement %q", s)
+	return PlaceFast, fmt.Errorf("core: unknown placement %q", s)
 }
 
 // ColdSlowdown models the cold tier's retrieval bandwidth penalty

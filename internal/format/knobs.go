@@ -196,12 +196,6 @@ func (f Fidelity) RicherEq(g Fidelity) bool {
 		f.Sampling.Fraction() >= g.Sampling.Fraction()
 }
 
-// StrictlyRicher reports whether f is richer than g: richer-or-equal on all
-// knobs and strictly richer on at least one.
-func (f Fidelity) StrictlyRicher(g Fidelity) bool {
-	return f.RicherEq(g) && f != g
-}
-
 // Max returns the knob-wise maximum of f and g: the least fidelity that is
 // richer than or equal to both. Used when coalescing storage formats.
 func (f Fidelity) Max(g Fidelity) Fidelity {
@@ -274,18 +268,6 @@ func FidelitySpace() []Fidelity {
 			}
 		}
 	}
-	return out
-}
-
-// CodingSpace enumerates all |C| coding options including the raw bypass.
-func CodingSpace() []Coding {
-	out := make([]Coding, 0, len(SpeedSteps)*len(KeyframeIntervals)+1)
-	for _, s := range SpeedSteps {
-		for _, k := range KeyframeIntervals {
-			out = append(out, Coding{Speed: s, KeyframeI: k})
-		}
-	}
-	out = append(out, RawCoding)
 	return out
 }
 

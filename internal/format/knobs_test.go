@@ -11,12 +11,13 @@ func TestSpaceSizes(t *testing.T) {
 	if got, want := len(fs), 4*3*10*5; got != want {
 		t.Fatalf("|F| = %d, want %d", got, want)
 	}
-	cs := CodingSpace()
-	if got, want := len(cs), 5*5+1; got != want {
-		t.Fatalf("|C| = %d, want %d", got, want)
+	// |C|: every speed step at every keyframe interval, plus the raw bypass.
+	cs := len(SpeedSteps)*len(KeyframeIntervals) + 1
+	if want := 5*5 + 1; cs != want {
+		t.Fatalf("|C| = %d, want %d", cs, want)
 	}
 	// Table 1: about 15K possible storage-format combinations.
-	if got := len(fs) * len(cs); got != 15600 {
+	if got := len(fs) * cs; got != 15600 {
 		t.Fatalf("|F x C| = %d, want 15600", got)
 	}
 	seen := make(map[Fidelity]bool, len(fs))

@@ -91,10 +91,6 @@ func NewMulti(store *segment.Store, man *segment.Manifest, ds ...*core.StorageDe
 	return r
 }
 
-// Handles reports whether the repairer's derivation covers the storage
-// format key.
-func (r *Repairer) Handles(sfKey string) bool { return r.indexOf(sfKey) >= 0 }
-
 // indexOf resolves a storage-format key to its derivation index, -1 if
 // the format is not part of the derivation.
 func (r *Repairer) indexOf(sfKey string) int {

@@ -402,39 +402,6 @@ func (s *Store) InvalidateSegment(stream string, seg int) {
 	s.pruneLocked(stream)
 }
 
-// InvalidateStream drops every stored result of the stream and bumps its
-// generation — the coarse hammer for stream-wide deletions.
-func (s *Store) InvalidateStream(stream string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.bumpLocked(stream)
-	for el := s.ll.Front(); el != nil; {
-		next := el.Next()
-		if el.Value.(*entryMeta).stream == stream {
-			s.invalidations++
-			s.removeLocked(el)
-		}
-		el = next
-	}
-	s.pruneLocked(stream)
-}
-
-// BumpGeneration invalidates in-flight fills for the stream without
-// touching resident entries — the defensive bump for passes that already
-// dropped the affected segments individually.
-func (s *Store) BumpGeneration(stream string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.bumpLocked(stream)
-	s.pruneLocked(stream)
-}
-
 // bumpLocked advances the stream's generation. It only materializes state
 // when something can still reference the old generation; an untouched
 // stream needs no entry to be "at a fresh generation". Caller holds mu.

@@ -271,8 +271,6 @@ func TestStoreDisabledSentinel(t *testing.T) {
 	// contract (callers gate on a non-nil store).
 	s.Abandon("cam")
 	s.InvalidateSegment("cam", 0)
-	s.InvalidateStream("cam")
-	s.BumpGeneration("cam")
 	s.Purge()
 	s.Resize(1)
 	if got := s.Stats(); got != (Stats{}) {
@@ -364,20 +362,7 @@ func TestStoreGenerationDropsRacingFill(t *testing.T) {
 	if st := s.Stats(); st.Dropped != 1 || st.Puts != 0 {
 		t.Fatalf("stats = %+v, want 1 dropped / 0 puts", st)
 	}
-	// Same race through InvalidateStream and BumpGeneration.
-	for name, bump := range map[string]func(){
-		"stream": func() { s.InvalidateStream("cam") },
-		"bump":   func() { s.BumpGeneration("cam") },
-	} {
-		_, gen, _ := s.Get(k)
-		bump()
-		s.Put(k, testEntry(1), gen)
-		if _, _, ok := s.Get(k); ok {
-			t.Fatalf("%s: stale fill landed", name)
-		}
-		s.Abandon("cam")
-	}
-	mustCheckInvariants(t, s, "after all races")
+	mustCheckInvariants(t, s, "after the race")
 }
 
 func TestStoreInvalidateSegmentScope(t *testing.T) {
@@ -414,7 +399,7 @@ func TestStoreInvalidateSegmentScope(t *testing.T) {
 	// invalidation of "cam".
 	kOther := testKey("other", 1, "Diff")
 	_, gen, _ := s.Get(kOther)
-	s.InvalidateStream("cam")
+	s.InvalidateSegment("cam", 1)
 	s.Put(kOther, testEntry(9), gen)
 	if _, _, ok := s.Get(kOther); !ok {
 		t.Fatal("cam's invalidation dropped other's in-flight fill")
@@ -431,7 +416,7 @@ func TestStoreGenerationStatePruned(t *testing.T) {
 		stream := fmt.Sprintf("stream-%d", i)
 		k := testKey(stream, 0, "Diff")
 		fill(t, s, k, testEntry(i))
-		s.InvalidateStream(stream)
+		s.InvalidateSegment(stream, 0)
 
 		// Abandon path: a miss whose retrieval failed.
 		k2 := testKey(stream+"-err", 0, "Diff")

@@ -19,15 +19,6 @@ type CacheStats struct {
 	Budget    int64
 }
 
-// HitRate returns hits/(hits+misses), or 0 before any lookup.
-func (s CacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 type cacheEntry struct {
 	key    string
 	stream string

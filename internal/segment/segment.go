@@ -398,7 +398,7 @@ func (s *Store) PutRawRef(r Ref, frames []*frame.Frame) error {
 }
 
 // MarshalRawSegment is the wire framing for shipping a raw segment between
-// nodes (remote store reads, replication): a frame count followed by
+// nodes (follower replication): a frame count followed by
 // length-prefixed per-frame records in the store's own record encoding, so
 // the receiver's per-frame byte accounting matches the sender's disk
 // accounting exactly.

@@ -94,10 +94,6 @@ func (sn *Snapshot) GetRaw(stream string, sf format.StorageFormat, idx int, keep
 	return sn.view.GetRaw(stream, sf, idx, keep)
 }
 
-// ContainsRef reports whether the replica (by manifest ref) is in the
-// snapshot's committed set.
-func (sn *Snapshot) ContainsRef(r segment.Ref) bool { return sn.ms.Contains(r) }
-
 // GetEncodedRef reads an encoded replica by manifest ref through the
 // snapshot: outside the committed set is ErrNotFound, inside it the bytes
 // are physically readable even if erosion removed the segment after the

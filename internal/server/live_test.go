@@ -11,11 +11,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/erode"
 	"repro/internal/ingest"
-	"repro/internal/kvstore"
 	"repro/internal/ops"
 	"repro/internal/profile"
 	"repro/internal/query"
 	"repro/internal/segment"
+	"repro/internal/tier"
 	"repro/internal/vidsim"
 )
 
@@ -318,7 +318,8 @@ func TestLiveStreamLifecycle(t *testing.T) {
 func TestOpenReconcilesBareIngest(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(t, "jackson", []ops.Operator{ops.Motion{}}, []float64{0.9})
-	kv, err := kvstore.Open(filepath.Join(dir, "segments"), kvstore.Options{})
+	// Opened the way cmd/vstore's openStore does.
+	kv, err := tier.Open(filepath.Join(dir, "segments"), tier.Options{Route: segment.RouteKey})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,9 +112,6 @@ func TestQueryCacheHitsAndDeterminism(t *testing.T) {
 	if cs.Hits == 0 {
 		t.Fatalf("repeated query had no cache hits: %+v", cs)
 	}
-	if cs.HitRate() <= 0 {
-		t.Fatalf("hit rate %v on repeated query", cs.HitRate())
-	}
 	for i := range cold.Results {
 		for _, r := range []QueryResult{warmup, warm} {
 			if !reflect.DeepEqual(r.Results[i].Detections, cold.Results[i].Detections) {

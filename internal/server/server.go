@@ -139,9 +139,8 @@ func Open(dir string) (*Server, error) { return OpenWith(dir, Options{}) }
 // OpenWith is Open with explicit engine options. The store is a tiered,
 // sharded engine: segment records live in per-shard logs split across a
 // fast and a cold tier, routed by stream+segment, with reads falling
-// through fast→cold. A legacy single-log store is migrated in place, and
-// demotions interrupted by a crash are completed before the manifest is
-// rebuilt.
+// through fast→cold. Demotions interrupted by a crash are completed
+// before the manifest is rebuilt.
 func OpenWith(dir string, opt Options) (*Server, error) {
 	kv, err := tier.Open(filepath.Join(dir, "segments"), tier.Options{
 		Shards: opt.Shards,

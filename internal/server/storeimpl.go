@@ -1,9 +1,8 @@
-// The in-process implementation of the transport-agnostic store boundary
-// (internal/store): the Server and its Snapshot satisfy store.Store and
-// store.Snapshot directly, so the engine packages (query, retrieve, sub)
-// depend only on the interface and cannot tell this store from a remote
-// peer. AdoptSegment is the replication primitive the cluster layer's
-// follower pulls land on.
+// The implementation of the store boundary (internal/store): the Server
+// and its Snapshot satisfy store.Store and store.Snapshot directly, so the
+// engine packages (query, retrieve, sub) depend only on the interface.
+// AdoptSegment is the replication primitive the cluster layer's follower
+// pulls land on.
 
 package server
 

@@ -5,17 +5,14 @@
 // against it, observe commits — without saying anything about where the
 // bytes live.
 //
-// Two implementations exist: the in-process *server.Server (the store and
-// the engine share an address space — the original single-node deployment)
-// and api.RemoteStore (the same surface over the HTTP NDJSON wire, so the
-// engine can run against a peer node). The contract that makes the split
-// safe is byte-identity: every read and every evaluation through a
-// Snapshot must return exactly what the in-process path returns over the
-// same committed set, so the engine packages (query, retrieve, results,
-// sub, repair) cannot tell — and must not care — which side of a socket
-// their store is on. The cluster layer (internal/cluster) builds on this:
-// a router fans one query's spans across nodes and merges the chunks, and
-// the answer is provably the single-node answer.
+// The one implementation is the in-process *server.Server; a peer node is
+// reached through internal/api's client and the snapshot leases in this
+// package, not through a second Store. The contract is byte-identity:
+// every read and every evaluation through a Snapshot returns exactly what
+// the server returns over the same committed set, at any worker count,
+// cache state or transport. The cluster layer (internal/cluster) builds
+// on this: a router fans one query's spans across nodes and merges the
+// chunks, and the answer is provably the single-node answer.
 package store
 
 import (

@@ -53,16 +53,15 @@ func (q *tq) maxInFlight() int { return q.t.Quota().MaxInFlight }
 // every request calls Acquire and, on admission, the returned release.
 // All mutable fields are guarded by mu.
 type Gate struct {
-	mu         sync.Mutex
-	capacity   int
-	defQueue   int // per-tenant queue bound when the quota leaves MaxQueue zero
-	inFlight   int
-	qs         map[*Tenant]*tq
-	rr         []*tq // round-robin ring, tenant arrival order
-	cursor     int
-	holdEWMA   float64 // smoothed slot-hold time, ns; drives Retry-After
-	now        func() time.Time
-	fifoFunnel *Tenant // non-nil: route every Acquire through one tenant (bench "before" mode)
+	mu       sync.Mutex
+	capacity int
+	defQueue int // per-tenant queue bound when the quota leaves MaxQueue zero
+	inFlight int
+	qs       map[*Tenant]*tq
+	rr       []*tq // round-robin ring, tenant arrival order
+	cursor   int
+	holdEWMA float64 // smoothed slot-hold time, ns; drives Retry-After
+	now      func() time.Time
 }
 
 // NewGate returns a gate admitting at most capacity concurrent requests,
@@ -82,11 +81,6 @@ func NewGate(capacity, defaultQueue int) *Gate {
 		now:      time.Now,
 	}
 }
-
-// funnel forces every Acquire through one tenant's queue — the global
-// FIFO this gate replaced. Benchmark-only: the "before" side of
-// BenchmarkTenantSkewAdmission.
-func (g *Gate) funnel(t *Tenant) { g.fifoFunnel = t }
 
 func (g *Gate) qLocked(t *Tenant) *tq {
 	q, ok := g.qs[t]
@@ -115,9 +109,6 @@ func (g *Gate) maxQueueOf(q *tq) int {
 // path, with a load-derived Retry-After); a context that ends first
 // returns ctx.Err().
 func (g *Gate) Acquire(ctx context.Context, t *Tenant) (release func(), wait time.Duration, err error) {
-	if g.fifoFunnel != nil {
-		t = g.fifoFunnel
-	}
 	g.mu.Lock()
 	q := g.qLocked(t)
 	if g.inFlight < g.capacity && len(q.queue) == 0 &&

@@ -3,7 +3,6 @@ package tenant
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -315,61 +314,4 @@ func TestRejectionRetryAfterTracksLoad(t *testing.T) {
 		t.Fatalf("load-derived Retry-After = %s, want scaled with the 5s hold", rej.RetryAfter)
 	}
 	relB()
-}
-
-// TestFunnelIsGlobalFIFO: the benchmark's "before" mode routes every
-// tenant through one queue — cold requests wait behind the entire hot
-// backlog, which is exactly the defect the fair gate fixes.
-func TestFunnelIsGlobalFIFO(t *testing.T) {
-	r := reg(core.TenantQuota{Name: "hot"}, core.TenantQuota{Name: "cold"})
-	hot, cold := mustTenant(t, r, "hot"), mustTenant(t, r, "cold")
-	g := NewGate(1, 16)
-	g.funnel(hot)
-	ctx := context.Background()
-
-	rel, _, err := g.Acquire(ctx, hot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	order := make(chan string, 4)
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Stagger arrivals so FIFO order is deterministic.
-			time.Sleep(time.Duration(i) * 50 * time.Millisecond)
-			r, _, err := g.Acquire(ctx, hot)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			order <- fmt.Sprintf("hot%d", i)
-			time.Sleep(10 * time.Millisecond)
-			r()
-		}(i)
-	}
-	time.Sleep(200 * time.Millisecond) // all hot waiters parked in order
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		r, _, err := g.Acquire(ctx, cold)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		order <- "cold"
-		r()
-	}()
-	waitQueued(t, g, "hot", 4) // funneled: cold queues in hot's lane
-	rel()
-	wg.Wait()
-	close(order)
-	var got []string
-	for s := range order {
-		got = append(got, s)
-	}
-	if got[len(got)-1] != "cold" {
-		t.Fatalf("funneled cold request served at %v, want last", got)
-	}
 }

@@ -88,17 +88,17 @@ type Store struct {
 	cold   []*kvstore.Store
 }
 
-// Open opens (creating if necessary) a tiered store under dir. A legacy
-// single-store layout (log files directly in dir) is migrated into fast
-// shard 0. Interrupted migrations — keys live in both tiers after a
-// crash between a two-phase operation's write and delete — are settled
-// by recoverDemotions: identical copies complete the demotion (fast
+// Open opens (creating if necessary) a tiered store under dir. A
+// single-store layout (log files directly in dir) is rejected.
+// Interrupted demotions — keys live in both tiers after a crash between
+// a two-phase operation's write and delete — are settled by
+// recoverDemotions: identical copies complete the demotion (fast
 // duplicate deleted), differing copies keep the newer fast write.
 func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("tier: %w", err)
 	}
-	if err := migrateLegacy(dir); err != nil {
+	if err := rejectLooseLogs(dir); err != nil {
 		return nil, err
 	}
 	shards, err := discoverShards(dir)
@@ -140,34 +140,18 @@ func (s *Store) shardDir(t ID, i int) string {
 	return filepath.Join(s.dir, t.String(), fmt.Sprintf("%03d", i))
 }
 
-// migrateLegacy adopts a pre-tiering single-store layout (numbered logs
-// directly in dir) as fast shard 0 of a 1-shard store.
-func migrateLegacy(dir string) error {
+// rejectLooseLogs refuses a directory holding kvstore log files directly
+// in it. That is a single-store layout, not a tiered one: opening it would
+// create empty shards beside the logs and serve none of their data.
+func rejectLooseLogs(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return fmt.Errorf("tier: %w", err)
 	}
-	var logs []string
 	for _, e := range entries {
 		if !e.IsDir() && strings.HasSuffix(e.Name(), ".log") {
-			logs = append(logs, e.Name())
-		}
-	}
-	if len(logs) == 0 {
-		return nil
-	}
-	dst := filepath.Join(dir, Fast.String(), "000")
-	if _, err := os.Stat(dst); err == nil {
-		// Loose legacy logs beside an existing tiered layout: renaming
-		// would collide with (and clobber) the shard's numbered logs.
-		return fmt.Errorf("tier: %s holds both legacy logs and a tiered layout; refusing to merge", dir)
-	}
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		return fmt.Errorf("tier: %w", err)
-	}
-	for _, name := range logs {
-		if err := os.Rename(filepath.Join(dir, name), filepath.Join(dst, name)); err != nil {
-			return fmt.Errorf("tier: migrating legacy log %s: %w", name, err)
+			return fmt.Errorf("tier: %s is not a tiered store: loose log file %s beside the %s/ and %s/ shard directories",
+				dir, e.Name(), Fast, Cold)
 		}
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -303,8 +304,9 @@ func TestCrashRecoveryReplacedKeyKeepsFast(t *testing.T) {
 	}
 }
 
-// TestLegacyMigration: a pre-tiering store (logs directly in the
-// directory) is adopted as fast shard 0 and reads back byte-identically.
+// TestLegacyMigration: a single-store layout (logs directly in the
+// directory) is no longer migrated. Open refuses it with an error naming
+// the loose file, and leaves the directory as it found it.
 func TestLegacyMigration(t *testing.T) {
 	dir := t.TempDir()
 	kv, err := kvstore.Open(dir, kvstore.Options{})
@@ -317,16 +319,20 @@ func TestLegacyMigration(t *testing.T) {
 	if err := kv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s := openTest(t, dir, Options{Shards: 8})
-	if s.Shards() != 1 {
-		t.Fatalf("legacy store adopted with %d shards, want 1", s.Shards())
+	before, _ := filepath.Glob(filepath.Join(dir, "*"))
+	logs, _ := filepath.Glob(filepath.Join(dir, "*.log"))
+	if len(logs) == 0 {
+		t.Fatal("fixture wrote no log file")
 	}
-	got, err := s.Get("seg/cam/00000000")
-	if err != nil || string(got) != "legacy" {
-		t.Fatalf("legacy read = %q, %v", got, err)
+	_, err = Open(dir, Options{Shards: 8})
+	if err == nil {
+		t.Fatal("single-store layout accepted")
 	}
-	if entries, _ := filepath.Glob(filepath.Join(dir, "*.log")); len(entries) != 0 {
-		t.Fatalf("legacy logs left behind: %v", entries)
+	if name := filepath.Base(logs[0]); !strings.Contains(err.Error(), name) {
+		t.Fatalf("error %q does not name the loose log %s", err, name)
+	}
+	if after, _ := filepath.Glob(filepath.Join(dir, "*")); !reflect.DeepEqual(after, before) {
+		t.Fatalf("rejected Open changed the directory: %v -> %v", before, after)
 	}
 }
 
@@ -441,9 +447,8 @@ func TestShardMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestLegacyBesideTieredRejected: loose legacy logs next to an existing
-// tiered layout would collide with shard 0's numbered logs on migration;
-// Open must refuse rather than clobber.
+// TestLegacyBesideTieredRejected: a loose log next to an existing tiered
+// layout is refused too, and the error names it.
 func TestLegacyBesideTieredRejected(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{Shards: 1})
@@ -459,7 +464,7 @@ func TestLegacyBesideTieredRejected(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "000001.log"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{}); err == nil {
-		t.Fatal("mixed legacy/tiered layout accepted")
+	if _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "000001.log") {
+		t.Fatalf("mixed legacy/tiered layout: err = %v, want one naming 000001.log", err)
 	}
 }
