@@ -15,7 +15,7 @@ COVER_MIN := 80
 # Fuzzing budget: 10s locally keeps the loop fast, nightly CI raises it.
 FUZZTIME ?= 10s
 
-.PHONY: build test race bench lint fmt vet staticcheck vulncheck cover fuzz soak load-smoke scrub-smoke fault-smoke fault-soak cluster-smoke all
+.PHONY: build test race bench bench-ab lint fmt vet staticcheck vulncheck cover fuzz soak load-smoke scrub-smoke fault-smoke fault-soak cluster-smoke all
 
 all: build lint test
 
@@ -37,6 +37,18 @@ race:
 bench:
 	bash benchmark/run.sh
 
+# Interleaved A/B of one workload, BASE (a git ref, checked out into a
+# worktree under .bench_build/) against this working tree: PAIRS pairs of the
+# driver's own 15-second run, the side that goes first alternating, then per
+# metric both sides' quartiles, the pairs won and whether that is a gain. The
+# only way to compare speeds on a host that drifts (benchmark/README.md);
+# ten pairs take about ten minutes, so nothing runs it per PR.
+BASE ?= HEAD
+WORKLOAD ?= scan_cold
+PAIRS ?= 10
+bench-ab:
+	bash scripts/bench-ab.sh $(BASE) $(WORKLOAD) $(PAIRS)
+
 # Every listed package must actually carry tests: a package silently
 # contributing zero statements would hollow out the aggregate gate.
 cover:
@@ -51,11 +63,15 @@ cover:
 		printf "coverage (api+server+ingest+erode+kvstore+tier+sub+results+tenant+fault+repair+store+cluster): %s%% (minimum %s%%)\n", $$3, min; \
 		if ($$3 + 0 < min) { print "FAIL: coverage below minimum"; exit 1 } }'
 
-# A short deterministic-input fuzz pass over configuration persistence:
-# FromBytes must never panic, and accepted inputs must round-trip.
+# A short deterministic-input fuzz pass over configuration persistence
+# (FromBytes must never panic, and accepted inputs must round-trip) and over
+# the two pixel kernels whose rewrite is hardest to read: any plane size and
+# seed must give the bytes of the reference loop kept in the test file.
 # Nightly CI runs this with FUZZTIME=5m.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzConfigRoundTrip -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzBoxScale -fuzztime $(FUZZTIME) ./internal/frame/
+	$(GO) test -run '^$$' -fuzz FuzzBoxBlur3 -fuzztime $(FUZZTIME) ./internal/ops/
 
 # The subscription soak under the race detector: a live pipeline feeds
 # segments for VSTORE_SOAK (default a few hundred ms; nightly CI runs 60s)

@@ -137,6 +137,7 @@ func Encode(frames []*frame.Frame, p Params) (*Encoded, Stats, error) {
 		e.pts[i] = int32(f.PTS)
 	}
 	q := p.Quality.QuantStep()
+	qt := newQuantTable(q)
 	dz := byte(deadzone(q))
 	planeLen := e.planeLen()
 	var data bytes.Buffer
@@ -161,7 +162,7 @@ func Encode(frames []*frame.Frame, p Params) (*Encoded, Stats, error) {
 		end := min(g+p.KeyframeI, len(frames))
 		gopBuf = gopBuf[:0]
 		for i := g; i < end; i++ {
-			quantise(cur, frames[i], q)
+			quantise(cur, frames[i], qt)
 			if i == g {
 				gopBuf = append(gopBuf, cur...)
 				st.PixelsIntra += int64(planeLen)
@@ -222,23 +223,40 @@ func deadzone(quantStep int) int {
 	return 4
 }
 
+// quantTable maps every sample value to its reconstruction under one
+// quantisation step: the centre of the value's step-wide bin, clamped to 255.
+type quantTable [256]byte
+
+// newQuantTable builds the table for step q. Steps of at most 1 are the
+// identity and have no table.
+func newQuantTable(q int) *quantTable {
+	if q <= 1 {
+		return nil
+	}
+	t := new(quantTable)
+	for v := range t {
+		t[v] = byte(min((v/q)*q+q/2, 255))
+	}
+	return t
+}
+
+// apply quantises p in place; a nil table leaves it as it is.
+func (t *quantTable) apply(p []byte) {
+	if t == nil {
+		return
+	}
+	for i, v := range p {
+		p[i] = t[v]
+	}
+}
+
 // quantise writes the quantised planes of f into dst (concatenated Y, Cb,
-// Cr). Step 1 is the identity.
-func quantise(dst []byte, f *frame.Frame, q int) {
+// Cr).
+func quantise(dst []byte, f *frame.Frame, t *quantTable) {
 	n := copy(dst, f.Y)
 	n += copy(dst[n:], f.Cb)
 	copy(dst[n:], f.Cr)
-	if q <= 1 {
-		return
-	}
-	half := q / 2
-	for i, v := range dst {
-		nv := (int(v)/q)*q + half
-		if nv > 255 {
-			nv = 255
-		}
-		dst[i] = byte(nv)
-	}
+	t.apply(dst)
 }
 
 // Decode reconstructs every frame.
@@ -373,18 +391,19 @@ func (e *Encoded) decodeGOP(g *gop, last, kept int, keep func(i int) bool, out [
 	batch := frame.NewBatch(e.W, e.H, kept)
 	bi := 0
 	for i := int(g.start); i <= last; i++ {
-		if _, err := io.ReadFull(r, buf); err != nil {
+		dst := buf
+		if i == int(g.start) {
+			dst = recon // the keyframe is its own reconstruction
+		}
+		if _, err := io.ReadFull(r, dst); err != nil {
 			r.close() // re-pools the reader; Reset reinitialises the broken stream
 			putPlanePair(pair)
 			return nil, st, fmt.Errorf("codec: decoding frame %d: %w", i, err)
 		}
 		if i == int(g.start) {
-			copy(recon, buf)
 			st.PixelsIntra += int64(planeLen)
 		} else {
-			for j := range recon {
-				recon[j] += buf[j]
-			}
+			addBytes(recon, buf)
 			st.PixelsDelta += int64(planeLen)
 		}
 		st.Frames++
@@ -404,6 +423,23 @@ func (e *Encoded) decodeGOP(g *gop, last, kept int, keep func(i int) bool, out [
 		return nil, st, fmt.Errorf("codec: flate close: %w", err)
 	}
 	return out, st, nil
+}
+
+// addBytes adds delta into acc sample by sample, modulo 256, eight samples
+// per step: the low seven bits of every byte are added with the top bits
+// masked off, so no carry leaves its byte, and the top bits are then added
+// without carry by exclusive or.
+func addBytes(acc, delta []byte) {
+	const low7, top = 0x7f7f7f7f7f7f7f7f, 0x8080808080808080
+	n := len(acc) &^ 7
+	for j := 0; j < n; j += 8 {
+		a := binary.LittleEndian.Uint64(acc[j:])
+		d := binary.LittleEndian.Uint64(delta[j:])
+		binary.LittleEndian.PutUint64(acc[j:], ((a&low7)+(d&low7))^((a^d)&top))
+	}
+	for j := n; j < len(acc); j++ {
+		acc[j] += delta[j]
+	}
 }
 
 // Marshal serialises the container to bytes.

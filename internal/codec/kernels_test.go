@@ -1,0 +1,177 @@
+package codec
+
+import (
+	"bytes"
+	"compress/flate"
+	"io"
+	"math/rand"
+	"testing"
+
+	"repro/internal/format"
+	"repro/internal/frame"
+)
+
+// refQuantise is the divide-multiply-clamp loop quantise and ApplyQuality
+// each carried before they shared a table, kept verbatim as the oracle.
+func refQuantise(p []byte, q int) {
+	if q <= 1 {
+		return
+	}
+	half := q / 2
+	for i, v := range p {
+		nv := (int(v)/q)*q + half
+		if nv > 255 {
+			nv = 255
+		}
+		p[i] = byte(nv)
+	}
+}
+
+// refAddDelta is decodeGOP's delta reconstruction as it stood before the
+// eight-at-a-time rewrite, kept verbatim as the oracle.
+func refAddDelta(recon, buf []byte) {
+	for j := range recon {
+		recon[j] += buf[j]
+	}
+}
+
+// refDecode reconstructs every frame of e the way decodeGOP did before the
+// rewrite: read into buf, copy the keyframe into recon, add deltas one
+// sample at a time, copy recon out.
+func refDecode(t *testing.T, e *Encoded) []*frame.Frame {
+	t.Helper()
+	planeLen := e.planeLen()
+	buf, recon := make([]byte, planeLen), make([]byte, planeLen)
+	var out []*frame.Frame
+	for _, g := range e.gops {
+		r := flate.NewReader(bytes.NewReader(e.Data[g.off : g.off+g.length]))
+		for i := int(g.start); i < int(g.start+g.frames); i++ {
+			if _, err := io.ReadFull(r, buf); err != nil {
+				t.Fatalf("reference decode of frame %d: %v", i, err)
+			}
+			if i == int(g.start) {
+				copy(recon, buf)
+			} else {
+				refAddDelta(recon, buf)
+			}
+			f := frame.New(e.W, e.H)
+			f.PTS = int(e.pts[i])
+			n := copy(f.Y, recon)
+			n += copy(f.Cb, recon[n:])
+			copy(f.Cr, recon[n:])
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// randomFrames returns n frames of noise over a slowly moving base, so that
+// deltas are a mix of suppressed, small and wrapping values.
+func randomFrames(rng *rand.Rand, w, h, n int) []*frame.Frame {
+	out := make([]*frame.Frame, n)
+	for i := range out {
+		f := frame.New(w, h)
+		f.PTS = i
+		for _, p := range [][]byte{f.Y, f.Cb, f.Cr} {
+			for j := range p {
+				p[j] = byte(j*7 + i*13 + rng.Intn(64))
+			}
+		}
+		out[i] = f
+	}
+	return out
+}
+
+func TestQuantTableMatchesReference(t *testing.T) {
+	all := make([]byte, 256)
+	for v := range all {
+		all[v] = byte(v)
+	}
+	steps := []int{0, 1, 2, 3, 5, 7, 100, 255, 256}
+	for _, q := range format.Qualities {
+		steps = append(steps, q.QuantStep())
+	}
+	for _, q := range steps {
+		got, want := bytes.Clone(all), bytes.Clone(all)
+		newQuantTable(q).apply(got)
+		refQuantise(want, q)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("step %d: table differs from the reference", q)
+		}
+	}
+}
+
+// TestQuantiseCallersMatchReference drives the two users of the table —
+// the encoder's quantise and ApplyQuality — at every quality level.
+func TestQuantiseCallersMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for _, q := range format.Qualities {
+		for _, d := range [][2]int{{2, 2}, {6, 2}, {34, 18}, {136, 76}, {160, 90}} {
+			f := randomFrames(rng, d[0], d[1], 1)[0]
+			want := append(append(bytes.Clone(f.Y), f.Cb...), f.Cr...)
+			refQuantise(want, q.QuantStep())
+
+			got := make([]byte, len(want))
+			quantise(got, f, newQuantTable(q.QuantStep()))
+			if !bytes.Equal(got, want) {
+				t.Fatalf("quantise %v %dx%d differs from the reference", q, d[0], d[1])
+			}
+			ApplyQuality([]*frame.Frame{f}, q)
+			if got := append(append(bytes.Clone(f.Y), f.Cb...), f.Cr...); !bytes.Equal(got, want) {
+				t.Fatalf("ApplyQuality %v %dx%d differs from the reference", q, d[0], d[1])
+			}
+		}
+	}
+}
+
+func TestAddBytesMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	lens := []int{21600, 21601, 21607, 15504}
+	for n := 0; n <= 41; n++ {
+		lens = append(lens, n)
+	}
+	for _, n := range lens {
+		acc, delta := make([]byte, n), make([]byte, n)
+		rng.Read(acc)
+		rng.Read(delta)
+		if n >= 16 { // every carry case within one word
+			copy(acc, []byte{0xff, 0xff, 0x80, 0x80, 0x7f, 0x7f, 0x00, 0x01})
+			copy(delta, []byte{0xff, 0x01, 0x80, 0x7f, 0x7f, 0x01, 0x00, 0xff})
+		}
+		want := bytes.Clone(acc)
+		refAddDelta(want, delta)
+		addBytes(acc, delta)
+		if !bytes.Equal(acc, want) {
+			t.Fatalf("length %d: sum differs from the reference", n)
+		}
+	}
+}
+
+// TestDecodeMatchesReference decodes containers whose plane length is and is
+// not a multiple of eight (2×2 → 6, 6×2 → 18, 34×18 → 918, 160×90 → 21600)
+// at every quality level.
+func TestDecodeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for _, q := range format.Qualities {
+		for _, d := range [][2]int{{2, 2}, {6, 2}, {34, 18}, {160, 90}} {
+			frames := randomFrames(rng, d[0], d[1], 7)
+			e, _, err := Encode(frames, Params{Quality: q, Speed: format.SpeedFastest, KeyframeI: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := e.Decode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := refDecode(t, e)
+			if len(got) != len(want) {
+				t.Fatalf("%v %dx%d: decoded %d frames, reference %d", q, d[0], d[1], len(got), len(want))
+			}
+			for i := range got {
+				if got[i].PTS != want[i].PTS || !frame.Equal(got[i], want[i]) {
+					t.Fatalf("%v %dx%d: frame %d differs from the reference", q, d[0], d[1], i)
+				}
+			}
+		}
+	}
+}

@@ -98,23 +98,10 @@ func abs(x int) int {
 // decoding again, without the entropy-coding cost. Profiling uses it to
 // evaluate quality levels cheaply.
 func ApplyQuality(frames []*frame.Frame, q format.Quality) {
-	step := q.QuantStep()
-	if step <= 1 {
-		return
-	}
-	half := step / 2
-	quant := func(p []byte) {
-		for i, v := range p {
-			nv := (int(v)/step)*step + half
-			if nv > 255 {
-				nv = 255
-			}
-			p[i] = byte(nv)
-		}
-	}
+	t := newQuantTable(q.QuantStep())
 	for _, f := range frames {
-		quant(f.Y)
-		quant(f.Cb)
-		quant(f.Cr)
+		t.apply(f.Y)
+		t.apply(f.Cb)
+		t.apply(f.Cr)
 	}
 }

@@ -148,10 +148,22 @@ func (f *Frame) DownscaleInto(g *Frame) {
 }
 
 // boxScale fills dst (dw×dh) by averaging the source box mapped to each
-// destination sample.
+// destination sample: columns [dx·sw/dw, (dx+1)·sw/dw) of rows
+// [dy·sh/dh, (dy+1)·sh/dh), each range widened to one when empty. The
+// column ranges are the same for every row, so they are computed once, and
+// a destination row first adds its source rows into per-column sums.
 func boxScale(dst []byte, dw, dh int, src []byte, sw, sh int) {
 	if dw == 0 || dh == 0 {
 		return
+	}
+	var narrow [512]int // planes this narrow scale without allocating
+	buf := narrow[:]
+	if dw+1+sw > len(buf) {
+		buf = make([]int, dw+1+sw)
+	}
+	edges, cols := buf[:dw+1], buf[dw+1:dw+1+sw] // box dx spans [edges[dx], max(edges[dx+1], edges[dx]+1))
+	for dx := range edges {
+		edges[dx] = dx * sw / dw
 	}
 	for dy := 0; dy < dh; dy++ {
 		sy0 := dy * sh / dh
@@ -159,21 +171,25 @@ func boxScale(dst []byte, dw, dh int, src []byte, sw, sh int) {
 		if sy1 <= sy0 {
 			sy1 = sy0 + 1
 		}
-		for dx := 0; dx < dw; dx++ {
-			sx0 := dx * sw / dw
-			sx1 := (dx + 1) * sw / dw
+		for x, v := range src[sy0*sw:][:len(cols)] {
+			cols[x] = int(v)
+		}
+		for y := sy0 + 1; y < sy1; y++ {
+			for x, v := range src[y*sw:][:len(cols)] {
+				cols[x] += int(v)
+			}
+		}
+		out := dst[dy*dw:][:dw]
+		for dx := range out {
+			sx0, sx1 := edges[dx], edges[dx+1]
 			if sx1 <= sx0 {
 				sx1 = sx0 + 1
 			}
-			var sum, n int
-			for y := sy0; y < sy1; y++ {
-				row := y * sw
-				for x := sx0; x < sx1; x++ {
-					sum += int(src[row+x])
-					n++
-				}
+			sum := 0
+			for _, c := range cols[sx0:sx1] {
+				sum += c
 			}
-			dst[dy*dw+dx] = byte(sum / n)
+			out[dx] = byte(sum / ((sx1 - sx0) * (sy1 - sy0)))
 		}
 	}
 }

@@ -1,0 +1,95 @@
+package frame
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+)
+
+// refBoxScale is boxScale as it stood before the span-table rewrite, kept
+// verbatim as the oracle: two divisions per destination sample and a walk of
+// its whole source box.
+func refBoxScale(dst []byte, dw, dh int, src []byte, sw, sh int) {
+	if dw == 0 || dh == 0 {
+		return
+	}
+	for dy := 0; dy < dh; dy++ {
+		sy0 := dy * sh / dh
+		sy1 := (dy + 1) * sh / dh
+		if sy1 <= sy0 {
+			sy1 = sy0 + 1
+		}
+		for dx := 0; dx < dw; dx++ {
+			sx0 := dx * sw / dw
+			sx1 := (dx + 1) * sw / dw
+			if sx1 <= sx0 {
+				sx1 = sx0 + 1
+			}
+			var sum, n int
+			for y := sy0; y < sy1; y++ {
+				row := y * sw
+				for x := sx0; x < sx1; x++ {
+					sum += int(src[row+x])
+					n++
+				}
+			}
+			dst[dy*dw+dx] = byte(sum / n)
+		}
+	}
+}
+
+// checkBoxScale scales one seeded-random sw×sh plane to dw×dh both ways.
+// Every third plane is saturated: the largest box sums.
+func checkBoxScale(t *testing.T, seed int64, dw, dh, sw, sh int) {
+	t.Helper()
+	src := make([]byte, sw*sh)
+	if seed%3 == 0 {
+		for i := range src {
+			src[i] = 255
+		}
+	} else {
+		rand.New(rand.NewSource(seed)).Read(src)
+	}
+	got, want := make([]byte, dw*dh), make([]byte, dw*dh)
+	boxScale(got, dw, dh, src, sw, sh)
+	refBoxScale(want, dw, dh, src, sw, sh)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%dx%d -> %dx%d seed %d: plane differs from the reference", sw, sh, dw, dh, seed)
+	}
+}
+
+func TestBoxScaleMatchesReference(t *testing.T) {
+	// {dw, dh, sw, sh}: degenerate planes, integer and non-integer ratios,
+	// odd widths, the conversions the derived configuration performs
+	// (720p = 160×90 here), one axis unscaled, ratios above one, whose empty
+	// source ranges are widened to one sample, and planes too wide for the
+	// on-stack tables.
+	cases := [][4]int{
+		{1, 1, 1, 1}, {1, 1, 2, 5}, {2, 5, 2, 5}, {1, 2, 5, 2}, {3, 3, 3, 3}, {3, 3, 17, 4},
+		{0, 4, 8, 8}, {4, 0, 8, 8},
+		{80, 45, 160, 90}, {40, 22, 160, 90}, {53, 30, 160, 90},
+		{136, 76, 160, 90}, {106, 60, 160, 90}, {120, 68, 160, 90}, {68, 38, 80, 45},
+		{159, 89, 160, 90}, {7, 5, 161, 91}, {33, 19, 137, 77},
+		{160, 45, 160, 90}, {80, 90, 160, 90},
+		{5, 5, 3, 3}, {17, 4, 4, 17}, {160, 90, 136, 76}, {9, 2, 2, 9},
+		{300, 7, 400, 9}, {1, 3, 512, 5}, {255, 3, 256, 4},
+	}
+	for i, c := range cases {
+		for seed := int64(0); seed < 3; seed++ {
+			checkBoxScale(t, int64(i)*3+seed, c[0], c[1], c[2], c[3])
+		}
+	}
+	rng := rand.New(rand.NewSource(18))
+	for i := 0; i < 300; i++ {
+		checkBoxScale(t, rng.Int63(), 1+rng.Intn(70), 1+rng.Intn(70), 1+rng.Intn(170), 1+rng.Intn(100))
+	}
+}
+
+func FuzzBoxScale(f *testing.F) {
+	f.Add(uint8(136), uint8(76), uint8(160), uint8(90), int64(1))
+	f.Add(uint8(5), uint8(5), uint8(3), uint8(3), int64(2))
+	f.Add(uint8(1), uint8(1), uint8(2), uint8(5), int64(3))
+	f.Fuzz(func(t *testing.T, dw, dh, sw, sh uint8, seed int64) {
+		checkBoxScale(t, seed, int(dw), int(dh), int(sw)+1, int(sh)+1)
+	})
+}

@@ -46,7 +46,7 @@ func (License) Run(frames []*frame.Frame) (Output, Stats) {
 }
 
 func plateCells(f *frame.Frame, g *cellStats) []Detection {
-	g.update(f, max(f.H/licenseCellDivisor, 2))
+	g.update(f.Y, f.W, f.H, max(f.H/licenseCellDivisor, 2))
 	var xs, ys []float64
 	for c := range g.flips {
 		if g.flips[c] >= plateFlipDensity {

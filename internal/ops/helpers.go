@@ -1,6 +1,6 @@
 package ops
 
-import "repro/internal/frame"
+import "encoding/binary"
 
 // sigGrad is the horizontal gradient magnitude considered "significant":
 // above background texture, noise and quantisation steps, below the
@@ -22,18 +22,16 @@ type cellStats struct {
 	hGrad    []float64 // mean |horizontal gradient|
 	flips    []float64 // horizontal gradient sign-flip density (plate signature)
 	// accumulation and helper scratch, reused across update calls
-	sum, sum2, grad, flip, cnt []float64
-	med                        []float64 // median sort buffer
-	rows                       []float64 // rowMedianMean output
+	acc  []cellAcc
+	med  []float64 // median sort buffer
+	rows []float64 // rowMedianMean output
 }
 
-// gridStats computes cell statistics over f with the given cell pixel size
-// into a fresh grid. The work is one pass over the luma plane. Hot loops
-// reuse one cellStats via update instead.
-func gridStats(f *frame.Frame, px int) *cellStats {
-	g := new(cellStats)
-	g.update(f, px)
-	return g
+// cellAcc is one cell's running totals. They are integers, each far below
+// 2^53 for any frame, so converting a total to float64 once gives the same
+// bits as adding the samples one by one in float64.
+type cellAcc struct {
+	sum, sum2, grad, flip, cnt int
 }
 
 // growZero returns buf resized to n elements, all zero, reusing its
@@ -47,44 +45,45 @@ func growZero(buf []float64, n int) []float64 {
 	return buf
 }
 
-// update recomputes the grid over f, reusing g's buffers when their
-// capacity allows. Slices previously returned by g's helpers are
-// overwritten.
-func (g *cellStats) update(f *frame.Frame, px int) {
+// update recomputes the grid over the w×h luma plane y, reusing g's
+// buffers when their capacity allows. Slices previously returned by g's
+// helpers are overwritten.
+func (g *cellStats) update(y []byte, w, h, px int) {
 	if px < 2 {
 		px = 2
 	}
-	cw := (f.W + px - 1) / px
-	ch := (f.H + px - 1) / px
+	cw := (w + px - 1) / px
+	ch := (h + px - 1) / px
 	n := cw * ch
 	g.cw, g.ch, g.px = cw, ch, px
 	g.mean = growZero(g.mean, n)
 	g.variance = growZero(g.variance, n)
 	g.hGrad = growZero(g.hGrad, n)
 	g.flips = growZero(g.flips, n)
-	g.sum = growZero(g.sum, n)
-	g.sum2 = growZero(g.sum2, n)
-	g.grad = growZero(g.grad, n)
-	g.flip = growZero(g.flip, n)
-	g.cnt = growZero(g.cnt, n)
-	sum, sum2, grad, flip, count := g.sum, g.sum2, g.grad, g.flip, g.cnt
-	for y := 0; y < f.H; y++ {
-		cy := y / px
-		row := y * f.W
-		lastSig := 0 // sign of the last significant gradient in this row
-		for x := 0; x < f.W; x++ {
-			c := cy*cw + x/px
-			v := float64(f.Y[row+x])
-			sum[c] += v
-			sum2[c] += v * v
-			count[c]++
-			if x > 0 {
-				gv := int(f.Y[row+x]) - int(f.Y[row+x-1])
+	if cap(g.acc) < n {
+		g.acc = make([]cellAcc, n)
+	}
+	g.acc = g.acc[:n]
+	clear(g.acc)
+	for yy := 0; yy < h; yy++ {
+		row := y[yy*w : (yy+1)*w]
+		cells := g.acc[(yy/px)*cw : (yy/px+1)*cw]
+		lastSig := 0        // sign of the last significant gradient in this row
+		prev := int(row[0]) // the first sample has no gradient
+		for cx := range cells {
+			span := row[cx*px : min((cx+1)*px, w)]
+			var sum, sum2, grad, flip int
+			for _, b := range span {
+				v := int(b)
+				sum += v
+				sum2 += v * v
+				gv := v - prev
+				prev = v
 				ag := gv
 				if ag < 0 {
 					ag = -ag
 				}
-				grad[c] += float64(ag)
+				grad += ag
 				// A flip is a significant gradient whose sign opposes the
 				// previous significant one: the pixel-pitch alternation of a
 				// plate, which texture and object edges do not produce.
@@ -94,22 +93,29 @@ func (g *cellStats) update(f *frame.Frame, px int) {
 						sig = -1
 					}
 					if lastSig == -sig {
-						flip[c]++
+						flip++
 					}
 					lastSig = sig
 				}
 			}
+			a := &cells[cx]
+			a.sum += sum
+			a.sum2 += sum2
+			a.grad += grad
+			a.flip += flip
+			a.cnt += len(span)
 		}
 	}
-	for c := range sum {
-		if count[c] == 0 {
+	for c, a := range g.acc {
+		if a.cnt == 0 {
 			continue
 		}
-		m := sum[c] / count[c]
+		cnt := float64(a.cnt)
+		m := float64(a.sum) / cnt
 		g.mean[c] = m
-		g.variance[c] = sum2[c]/count[c] - m*m
-		g.hGrad[c] = grad[c] / count[c]
-		g.flips[c] = flip[c] / count[c]
+		g.variance[c] = float64(a.sum2)/cnt - m*m
+		g.hGrad[c] = float64(a.grad) / cnt
+		g.flips[c] = float64(a.flip) / cnt
 	}
 }
 
@@ -220,18 +226,69 @@ outer:
 	return
 }
 
-// boxBlur3 performs one 3×3 box blur pass over the luma plane in place,
-// using a scratch buffer. Used by NN to model convolutional feature passes;
-// the work is real.
-func boxBlur3(y []byte, w, h int, scratch []byte) {
-	copy(scratch, y)
-	for yy := 1; yy < h-1; yy++ {
-		for xx := 1; xx < w-1; xx++ {
-			i := yy*w + xx
-			s := int(scratch[i-w-1]) + int(scratch[i-w]) + int(scratch[i-w+1]) +
-				int(scratch[i-1]) + int(scratch[i]) + int(scratch[i+1]) +
-				int(scratch[i+w-1]) + int(scratch[i+w]) + int(scratch[i+w+1])
-			y[i] = byte(s / 9)
-		}
+// boxBlur3 performs one 3×3 box blur pass over the luma plane in place;
+// border samples are left as they are. Used by NN to model convolutional
+// feature passes; the work is real. scratch is grown as needed and returned
+// for reuse; nothing an earlier pass left in it reaches the output.
+//
+// The sum is separable — each output row adds its three source rows into
+// column sums, then every sample is three neighbouring column sums over
+// nine — and runs eight samples at a time, in the 16-bit lanes of two words:
+// one for the even samples, one for the odd.
+func boxBlur3(y []byte, w, h int, scratch []byte) []byte {
+	if w < 3 || h < 3 {
+		return scratch
 	}
+	// Three source rows, saved because an in-place pass overwrites a row
+	// before the row below has read it, and one output row, each padded to
+	// whole words; a source row has one word more, read as the last word's
+	// right-hand neighbour. Padding only reaches samples at or beyond the
+	// right-hand border, which are not stored.
+	pw := (w + 7) &^ 7
+	rw := pw + 8
+	if cap(scratch) < 3*rw+pw {
+		scratch = make([]byte, 3*rw+pw)
+	}
+	scratch = scratch[:3*rw+pw]
+	above, cur, below, out := scratch[:rw], scratch[rw:2*rw], scratch[2*rw:3*rw], scratch[3*rw:]
+	copy(above, y[:w])
+	copy(cur, y[w:2*w])
+	for yy := 1; yy < h-1; yy++ {
+		copy(below, y[(yy+1)*w:(yy+2)*w])
+		var even, odd, prevOdd uint64
+		nextEven, nextOdd := columnSums(above, cur, below)
+		for k := 0; k < pw; k += 8 {
+			prevOdd, even, odd = odd, nextEven, nextOdd
+			nextEven, nextOdd = columnSums(above[k+8:], cur[k+8:], below[k+8:])
+			// An even sample's neighbours are the odd samples either side of
+			// it, the left one a lane down; an odd sample's are the even ones,
+			// the right one a lane up.
+			evenSums := even + odd + (odd<<16 | prevOdd>>48)
+			oddSums := even + odd + (even>>16 | nextEven<<48)
+			binary.LittleEndian.PutUint64(out[k:], ninths(evenSums)|ninths(oddSums)<<8)
+		}
+		copy(y[yy*w+1:(yy+1)*w-1], out[1:w-1])
+		above, cur, below = cur, below, above
+	}
+	return scratch
+}
+
+// columnSums adds the first eight samples of three rows column by column:
+// the sums of samples 0, 2, 4, 6 in the 16-bit lanes of even, those of
+// samples 1, 3, 5, 7 in the lanes of odd.
+func columnSums(above, cur, below []byte) (even, odd uint64) {
+	const lanes = 0x00ff00ff00ff00ff
+	a := binary.LittleEndian.Uint64(above)
+	c := binary.LittleEndian.Uint64(cur)
+	b := binary.LittleEndian.Uint64(below)
+	return a&lanes + c&lanes + b&lanes, a>>8&lanes + c>>8&lanes + b>>8&lanes
+}
+
+// ninths divides each 16-bit lane of sums, none above 9·255, by nine and
+// leaves lane i's quotient in byte 2i. x·7282>>16 is x/9 for every x below
+// 2¹⁵ (7282·9 = 2¹⁶+2); lanes are divided two at a time, 32 bits apart, so
+// that neighbouring products cannot meet.
+func ninths(sums uint64) uint64 {
+	const pair, quot = 0x0000ffff0000ffff, 0x000000ff000000ff
+	return ((sums&pair)*7282>>16)&quot | ((sums>>16&pair)*7282>>16)&quot<<16
 }

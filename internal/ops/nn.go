@@ -190,28 +190,24 @@ func (NN) Name() string { return "NN" }
 func (NN) Run(frames []*frame.Frame) (Output, Stats) {
 	var out Output
 	var st Stats
+	// Per-frame scratch reused across frames (allocation economy): every
+	// frame overwrites all of it before reading, so nothing is carried over.
 	var feat, scratch []byte
-	var grid cellStats // feature grid reused across frames (allocation economy)
+	var grid cellStats
 	for _, f := range frames {
 		out.PTS = append(out.PTS, f.PTS)
 		st.Frames++
 		n := f.NumPixels()
 		st.Pixels += int64(n)
 		st.Work += int64(n) * nnWorkDepth
-		if cap(feat) < n {
-			feat = make([]byte, n)
-			scratch = make([]byte, n)
-		}
-		feat = feat[:n]
-		scratch = scratch[:n]
-		copy(feat, f.Y)
+		// Frames are read-only; the passes run in place on a copy of luma.
+		feat = append(feat[:0], f.Y...)
 		// Feature extraction: repeated 3×3 passes denoise and pool context;
 		// the blurred plane is what lets NN see fainter objects than S-NN.
-		ff := &frame.Frame{W: f.W, H: f.H, Y: feat, Cb: f.Cb, Cr: f.Cr, PTS: f.PTS}
 		for p := 0; p < nnConvPasses; p++ {
-			boxBlur3(ff.Y, ff.W, ff.H, scratch)
+			scratch = boxBlur3(feat, f.W, f.H, scratch)
 		}
-		grid.update(ff, max(ff.H/nnCellDivisor, 2))
+		grid.update(feat, f.W, f.H, max(f.H/nnCellDivisor, 2))
 		fine := &grid
 		car, person := false, false
 		for _, cl := range objectClusters(fine, 0.7) {
