@@ -248,9 +248,10 @@ func tenantFrom(ctx context.Context) *tenant.Tenant {
 	return t
 }
 
-// apiKey extracts the client's API key: the X-API-Key header, else an
-// Authorization: Bearer token. Empty means the keyless default tenant.
-func apiKey(r *http.Request) string {
+// APIKey extracts the client's API key: the X-API-Key header, else an
+// Authorization: Bearer token. Empty means the keyless default tenant. The
+// cluster router uses it too, so it forwards exactly what a node would read.
+func APIKey(r *http.Request) string {
 	if k := r.Header.Get("X-API-Key"); k != "" {
 		return k
 	}
@@ -283,7 +284,7 @@ func (s *Server) route(name, pattern string, fn http.HandlerFunc) {
 			http.Error(w, "server draining", http.StatusServiceUnavailable)
 			return
 		}
-		tn, err := s.tenants.Resolve(apiKey(r))
+		tn, err := s.tenants.Resolve(APIKey(r))
 		if err != nil {
 			m.unauthorized.Add(1)
 			http.Error(w, "unknown API key", http.StatusUnauthorized)
@@ -419,8 +420,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// writeJSON writes one JSON response body.
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes one JSON response body.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
@@ -438,18 +439,20 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 
 // reject answers the 429, hinting when to retry: the operator-pinned
 // Limits.RetryAfter when set, else the load-derived hint the gate or
-// quota computed. Clamped to >= 1s — a sub-second hint would round to
-// "Retry-After: 0" and clients would hammer the already-saturated server.
+// quota computed.
 func (s *Server) reject(w http.ResponseWriter, hint time.Duration, msg string) {
 	if s.retryAfterSet {
 		hint = s.lim.RetryAfter
 	}
-	secs := int(hint.Round(time.Second) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	SetRetryAfter(w, hint)
 	http.Error(w, msg, http.StatusTooManyRequests)
+}
+
+// SetRetryAfter sets the Retry-After header to hint in whole seconds,
+// clamped to >= 1 — a sub-second hint would round to "Retry-After: 0" and
+// clients would hammer the already-saturated server.
+func SetRetryAfter(w http.ResponseWriter, hint time.Duration) {
+	w.Header().Set("Retry-After", strconv.Itoa(max(int(hint.Round(time.Second)/time.Second), 1)))
 }
 
 // acquire admits one request: the tenant's rate/byte quotas first, then
@@ -656,7 +659,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if cw, isCW := w.(*countingWriter); isCW {
 		cw.ingestBytes = resp.Bytes
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -680,7 +683,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Subs = &hs
 	ls := s.leases.Stats()
 	resp.Leases = &ls
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // Metrics returns a snapshot of the per-endpoint counters, keyed by
@@ -706,7 +709,7 @@ func (s *Server) handleStreams(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Streams[name] = info
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleErode(w http.ResponseWriter, r *http.Request) {
@@ -719,7 +722,7 @@ func (s *Server) handleErode(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, http.StatusOK, ErodeResponse{Eroded: n})
+	WriteJSON(w, http.StatusOK, ErodeResponse{Eroded: n})
 }
 
 func (s *Server) handleDemote(w http.ResponseWriter, r *http.Request) {
@@ -732,7 +735,7 @@ func (s *Server) handleDemote(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, http.StatusOK, DemoteResponse{Demoted: n})
+	WriteJSON(w, http.StatusOK, DemoteResponse{Demoted: n})
 }
 
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
@@ -740,7 +743,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, http.StatusOK, CompactResponse{OK: true})
+	WriteJSON(w, http.StatusOK, CompactResponse{OK: true})
 }
 
 // handleScrub runs one self-healing scrub pass: every record checksum
@@ -764,11 +767,11 @@ func (s *Server) handleScrub(w http.ResponseWriter, r *http.Request) {
 	for _, f := range rep.Failed {
 		resp.Failed = append(resp.Failed, fmt.Sprintf("%s/%s/%d: %v", f.Ref.Stream, f.Ref.SFKey, f.Ref.Idx, f.Err))
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, HealthResponse{
+	WriteJSON(w, http.StatusOK, HealthResponse{
 		OK:       true,
 		Draining: s.draining.Load(),
 		Degraded: s.store.Degraded(),

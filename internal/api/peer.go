@@ -28,7 +28,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := s.leases.Grant(snap)
-	writeJSON(w, http.StatusOK, SnapshotResponse{ID: id, Streams: snap.StreamSegments()})
+	WriteJSON(w, http.StatusOK, SnapshotResponse{ID: id, Streams: snap.StreamSegments()})
 }
 
 func (s *Server) handleSnapshotRelease(w http.ResponseWriter, r *http.Request) {
@@ -40,7 +40,7 @@ func (s *Server) handleSnapshotRelease(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing lease id", http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, http.StatusOK, SnapshotReleaseResponse{Found: s.leases.Release(req.ID)})
+	WriteJSON(w, http.StatusOK, SnapshotReleaseResponse{Found: s.leases.Release(req.ID)})
 }
 
 // leasedSnapshot resolves the snap query parameter to the leased server
@@ -85,7 +85,7 @@ func (s *Server) handleRefs(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Refs = append(resp.Refs, WireRef{SF: ref.SFKey, Raw: ref.Raw, Idx: ref.Idx})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleSegment serves one replica's bytes through a leased snapshot:
@@ -164,12 +164,12 @@ func (s *Server) handlePull(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	n, err := s.pullStream(r.Context(), req.Stream, req.Source, apiKey(r))
+	n, err := s.pullStream(r.Context(), req.Stream, req.Source, APIKey(r))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	writeJSON(w, http.StatusOK, PullResponse{Segments: n})
+	WriteJSON(w, http.StatusOK, PullResponse{Segments: n})
 }
 
 // pullStream does the pull: one source-side snapshot lease covers every

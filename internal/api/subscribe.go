@@ -138,7 +138,7 @@ func (s *Server) handleUnsubscribe(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing id", http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, http.StatusOK, UnsubscribeResponse{Found: s.hub.Unsubscribe(req.ID)})
+	WriteJSON(w, http.StatusOK, UnsubscribeResponse{Found: s.hub.Unsubscribe(req.ID)})
 }
 
 // handleSubs lists the live subscriptions with their counters.
@@ -148,5 +148,5 @@ func (s *Server) handleSubs(w http.ResponseWriter, r *http.Request) {
 	if resp.Subs == nil {
 		resp.Subs = []sub.Stats{}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }

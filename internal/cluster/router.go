@@ -22,12 +22,12 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/sched"
 )
 
 // Options configures a router.
@@ -172,20 +172,6 @@ func (r *Router) route(name, pattern string, fn http.HandlerFunc) {
 	})
 }
 
-// apiKey mirrors the node-side extraction so the router forwards exactly
-// what it was given.
-func apiKey(r *http.Request) string {
-	if k := r.Header.Get("X-API-Key"); k != "" {
-		return k
-	}
-	if auth := r.Header.Get("Authorization"); auth != "" {
-		if k, found := strings.CutPrefix(auth, "Bearer "); found {
-			return strings.TrimSpace(k)
-		}
-	}
-	return ""
-}
-
 // writeStatusError forwards a node's status error verbatim — code,
 // message, and Retry-After hint — so admission control at the nodes is
 // visible through the router; anything else is a 502.
@@ -193,11 +179,7 @@ func writeStatusError(w http.ResponseWriter, err error) {
 	var se *api.StatusError
 	if errors.As(err, &se) {
 		if se.RetryAfter > 0 {
-			secs := int(se.RetryAfter.Round(time.Second) / time.Second)
-			if secs < 1 {
-				secs = 1
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
+			api.SetRetryAfter(w, se.RetryAfter)
 		}
 		http.Error(w, se.Msg, se.Code)
 		return
@@ -371,7 +353,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 
 	ctx, cancel := context.WithCancel(req.Context())
 	defer cancel()
-	sess := &querySession{r: r, key: apiKey(req), stream: qr.Stream, cands: r.Place(qr.Stream)}
+	sess := &querySession{r: r, key: api.APIKey(req), stream: qr.Stream, cands: r.Place(qr.Stream)}
 	defer sess.release()
 	if _, _, _, err := sess.acquire(ctx); err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
@@ -480,7 +462,7 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 	}
 	cands := r.Place(ir.Stream)
 	owner := cands[0]
-	key := apiKey(req)
+	key := api.APIKey(req)
 	resp, err := r.clientFor(owner, key).Ingest(req.Context(), ir)
 	if err != nil {
 		// Writes have one home: the owner down means the ingest fails
@@ -504,7 +486,7 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 			r.replications.Add(1)
 		}()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleSubscribe proxies the standing-query stream to the stream's
@@ -532,7 +514,7 @@ func (r *Router) handleSubscribe(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	preq.Header.Set("Content-Type", "application/json")
-	if k := apiKey(req); k != "" {
+	if k := api.APIKey(req); k != "" {
 		preq.Header.Set("X-API-Key", k)
 	}
 	resp, err := r.http.Do(preq)
@@ -588,31 +570,21 @@ func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 		Nodes:       map[string]*api.StatsResponse{},
 		Unreachable: map[string]string{},
 	}
-	key := apiKey(req)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, n := range r.nodes {
-		n := n
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(req.Context(), 5*time.Second)
-			defer cancel()
-			st, err := r.clientFor(n, key).Stats(ctx)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				resp.Unreachable[n.Name] = err.Error()
-				return
-			}
-			resp.Nodes[n.Name] = &st
-		}()
+	key := api.APIKey(req)
+	stats, errs := eachNode(req.Context(), r, 5*time.Second, func(ctx context.Context, n Node) (api.StatsResponse, error) {
+		return r.clientFor(n, key).Stats(ctx)
+	})
+	for i, n := range r.nodes {
+		if errs[i] != nil {
+			resp.Unreachable[n.Name] = errs[i].Error()
+		} else {
+			resp.Nodes[n.Name] = &stats[i]
+		}
 	}
-	wg.Wait()
 	if len(resp.Unreachable) == 0 {
 		resp.Unreachable = nil
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // mergedStreams asks every node for its streams and keeps, per stream,
@@ -620,35 +592,37 @@ func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 // replication is catching up).
 func (r *Router) mergedStreams(ctx context.Context, key string) map[string]api.StreamInfo {
 	merged := map[string]api.StreamInfo{}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, n := range r.nodes {
-		n := n
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			nctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-			defer cancel()
-			streams, err := r.clientFor(n, key).Streams(nctx)
-			if err != nil {
-				return
+	answers, _ := eachNode(ctx, r, 5*time.Second, func(ctx context.Context, n Node) (map[string]api.StreamInfo, error) {
+		return r.clientFor(n, key).Streams(ctx)
+	})
+	for _, streams := range answers {
+		for name, info := range streams {
+			if have, ok := merged[name]; !ok || info.Segments > have.Segments {
+				merged[name] = info
 			}
-			mu.Lock()
-			defer mu.Unlock()
-			for name, info := range streams {
-				if have, ok := merged[name]; !ok || info.Segments > have.Segments {
-					merged[name] = info
-				}
-			}
-		}()
+		}
 	}
-	wg.Wait()
 	return merged
 }
 
+// eachNode asks every node at once, each under its own timeout, and returns
+// the answers and errors in membership order: callers fold them with no
+// locking of their own.
+func eachNode[T any](ctx context.Context, r *Router, timeout time.Duration, ask func(ctx context.Context, n Node) (T, error)) ([]T, []error) {
+	errs := make([]error, len(r.nodes))
+	answers, _ := sched.Ordered(len(r.nodes), len(r.nodes), func(i int) (T, error) {
+		nctx, cancel := context.WithTimeout(ctx, timeout)
+		defer cancel()
+		v, err := ask(nctx, r.nodes[i])
+		errs[i] = err
+		return v, nil
+	})
+	return answers, errs
+}
+
 func (r *Router) handleStreams(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, http.StatusOK, api.StreamsResponse{
-		Streams: r.mergedStreams(req.Context(), apiKey(req)),
+	api.WriteJSON(w, http.StatusOK, api.StreamsResponse{
+		Streams: r.mergedStreams(req.Context(), api.APIKey(req)),
 	})
 }
 
@@ -660,29 +634,18 @@ func (r *Router) handleCluster(w http.ResponseWriter, req *http.Request) {
 		Workers:    r.workers,
 		Placements: map[string][]string{},
 	}
-	key := apiKey(req)
-	statuses := make([]NodeStatus, len(r.nodes))
-	var wg sync.WaitGroup
-	for i, n := range r.nodes {
-		i, n := i, n
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(req.Context(), 3*time.Second)
-			defer cancel()
-			st := NodeStatus{Node: n}
-			h, err := r.clientFor(n, key).Healthz(ctx)
-			if err != nil {
-				st.Error = err.Error()
-			} else {
-				st.OK = h.OK
-				st.Draining = h.Draining
-			}
-			statuses[i] = st
-		}()
-	}
-	wg.Wait()
-	resp.Nodes = statuses
+	key := api.APIKey(req)
+	resp.Nodes, _ = eachNode(req.Context(), r, 3*time.Second, func(ctx context.Context, n Node) (NodeStatus, error) {
+		st := NodeStatus{Node: n}
+		h, err := r.clientFor(n, key).Healthz(ctx)
+		if err != nil {
+			st.Error = err.Error()
+		} else {
+			st.OK = h.OK
+			st.Draining = h.Draining
+		}
+		return st, nil
+	})
 	for stream := range r.mergedStreams(req.Context(), key) {
 		var names []string
 		for _, n := range r.Place(stream) {
@@ -690,7 +653,7 @@ func (r *Router) handleCluster(w http.ResponseWriter, req *http.Request) {
 		}
 		resp.Placements[stream] = names
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleMetrics is the router's own Prometheus text exposition. Node
@@ -730,21 +693,12 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	}
 
 	// Node liveness, probed now.
-	up := make([]int, len(r.nodes))
-	var wg sync.WaitGroup
-	for i, n := range r.nodes {
-		i, n := i, n
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(req.Context(), 2*time.Second)
-			defer cancel()
-			if h, err := r.clientFor(n, "").Healthz(ctx); err == nil && h.OK {
-				up[i] = 1
-			}
-		}()
-	}
-	wg.Wait()
+	up, _ := eachNode(req.Context(), r, 2*time.Second, func(ctx context.Context, n Node) (int, error) {
+		if h, err := r.clientFor(n, "").Healthz(ctx); err == nil && h.OK {
+			return 1, nil
+		}
+		return 0, nil
+	})
 	head("vstore_router_node_up", "gauge", "Whether the node answered its health check.")
 	for i, n := range r.nodes {
 		app("vstore_router_node_up{node=%q} %d\n", n.Name, up[i])
@@ -756,13 +710,7 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 }
 
 func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, http.StatusOK, api.HealthResponse{OK: true, Draining: r.draining.Load()})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	api.WriteJSON(w, http.StatusOK, api.HealthResponse{OK: true, Draining: r.draining.Load()})
 }
 
 // Handler returns the routed handler for mounting under a caller-owned

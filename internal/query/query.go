@@ -21,6 +21,7 @@ import (
 	"repro/internal/profile"
 	"repro/internal/results"
 	"repro/internal/retrieve"
+	"repro/internal/sched"
 	"repro/internal/segment"
 	"repro/internal/vidsim"
 )
@@ -254,45 +255,33 @@ func (e *Engine) Run(ctx context.Context, stream string, c Cascade, b Binding, s
 // retrieval, and before each pooled segment task starts): cancellation
 // stops further decode work promptly and surfaces as ctx.Err().
 func (e *Engine) retrieveRange(ctx context.Context, r *retrieve.Retriever, stream string, sf format.StorageFormat, cf format.ConsumptionFormat, seg0, seg1 int, within func(pts int) bool, tag string) ([]*frame.Frame, retrieve.Stats, error) {
-	n := seg1 - seg0
-	if e.Workers == 1 || n <= 1 {
-		return r.RangeTagged(ctx, stream, sf, cf, seg0, seg1, within, tag)
-	}
 	type segResult struct {
 		frames []*frame.Frame
 		st     retrieve.Stats
-		err    error
 	}
-	results := make([]segResult, n)
-	pool := NewPool(e.Workers)
-	for i := 0; i < n; i++ {
-		idx := seg0 + i
-		slot := &results[i]
-		pool.Go(func() {
-			// A canceled query abandons queued segment tasks before their
-			// decode starts; in-flight decodes run to completion.
-			if err := ctx.Err(); err != nil {
-				slot.err = err
-				return
-			}
-			slot.frames, slot.st, slot.err = r.SegmentTagged(stream, sf, cf, idx, within, tag)
-		})
-	}
-	pool.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, retrieve.Stats{}, err
+	slots, err := sched.Ordered(seg1-seg0, e.Workers, func(i int) (segResult, error) {
+		// A canceled query abandons queued segment tasks before their
+		// decode starts; in-flight decodes run to completion.
+		if err := ctx.Err(); err != nil {
+			return segResult{}, err
+		}
+		frames, st, err := r.SegmentTagged(stream, sf, cf, seg0+i, within, tag)
+		if errors.Is(err, segment.ErrNotFound) {
+			return segResult{st: st}, nil // eroded segment: caller handles fallback
+		}
+		return segResult{frames, st}, err
+	})
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, retrieve.Stats{}, cerr
 	}
 	var all []*frame.Frame
 	var total retrieve.Stats
-	for i := range results {
-		total.Add(results[i].st)
-		if errors.Is(results[i].err, segment.ErrNotFound) {
-			continue // eroded segment: caller handles fallback
-		}
-		if results[i].err != nil {
-			return nil, total, results[i].err
-		}
-		all = append(all, results[i].frames...)
+	for _, s := range slots {
+		total.Add(s.st)
+		all = append(all, s.frames...)
+	}
+	if err != nil {
+		return nil, total, err
 	}
 	return all, total, nil
 }
@@ -306,100 +295,99 @@ func (e *Engine) retrieveRange(ctx context.Context, r *retrieve.Retriever, strea
 // stage result is byte-identical to the recomputing path at any worker
 // count and under any hit/miss mix.
 func (e *Engine) runStageMaterialized(ctx context.Context, r *retrieve.Retriever, stream string, op ops.Operator, sb StageBinding, seg0, seg1 int, within func(pts int) bool, tag string) (ops.Output, retrieve.Stats, ops.Stats, error) {
-	n := seg1 - seg0
-	var out ops.Output
-	var rst retrieve.Stats
-	var ost ops.Stats
-	if e.Workers == 1 || n <= 1 {
-		for idx := seg0; idx < seg1; idx++ {
-			if err := ctx.Err(); err != nil {
-				return ops.Output{}, rst, ost, err
-			}
-			o, srst, sost, err := e.materializedSegment(r, stream, op, sb, idx, within, tag, e.Workers)
-			rst.Add(srst)
-			if errors.Is(err, segment.ErrNotFound) {
-				continue // eroded segment: same skip as the retrieval fold
-			}
-			if err != nil {
-				return ops.Output{}, rst, ost, err
-			}
-			out.PTS = append(out.PTS, o.PTS...)
-			out.Detections = append(out.Detections, o.Detections...)
-			ost.Add(sost)
-		}
-		return out, rst, ost, nil
-	}
 	type segResult struct {
 		out ops.Output
 		rst retrieve.Stats
 		ost ops.Stats
-		err error
 	}
-	slots := make([]segResult, n)
-	pool := NewPool(e.Workers)
-	for i := 0; i < n; i++ {
-		idx := seg0 + i
-		slot := &slots[i]
-		pool.Go(func() {
-			// A canceled query abandons queued segment tasks before they
-			// touch the store; a task that has started always balances its
-			// own Get miss (Put or Abandon) before finishing.
-			if err := ctx.Err(); err != nil {
-				slot.err = err
-				return
-			}
-			slot.out, slot.rst, slot.ost, slot.err = e.materializedSegment(r, stream, op, sb, idx, within, tag, 1)
-		})
+	// Segments fanned across the pool consume sequentially; a lone segment
+	// gets the whole worker budget for its consumption instead.
+	inner := 1
+	if seg1-seg0 <= 1 {
+		inner = e.Workers
 	}
-	pool.Wait()
-	if err := ctx.Err(); err != nil {
-		return ops.Output{}, retrieve.Stats{}, ops.Stats{}, err
-	}
-	for i := range slots {
-		rst.Add(slots[i].rst)
-		if errors.Is(slots[i].err, segment.ErrNotFound) {
-			continue // eroded segment: same skip as the retrieval fold
+	slots, err := sched.Ordered(seg1-seg0, e.Workers, func(i int) (segResult, error) {
+		// A canceled query abandons queued segment tasks before they touch
+		// the store; a task that has started always balances its own Get
+		// miss (Put or Abandon) before finishing.
+		if err := ctx.Err(); err != nil {
+			return segResult{}, err
 		}
-		if slots[i].err != nil {
-			return ops.Output{}, rst, ost, slots[i].err
+		out, rst, ost, err := e.materializedSegment(r, stream, op, sb, seg0+i, within, tag, inner)
+		if errors.Is(err, segment.ErrNotFound) {
+			return segResult{rst: rst}, nil // eroded segment: same skip as the retrieval fold
 		}
-		out.PTS = append(out.PTS, slots[i].out.PTS...)
-		out.Detections = append(out.Detections, slots[i].out.Detections...)
-		ost.Add(slots[i].ost)
+		return segResult{out, rst, ost}, err
+	})
+	if cerr := ctx.Err(); cerr != nil {
+		return ops.Output{}, retrieve.Stats{}, ops.Stats{}, cerr
+	}
+	var out ops.Output
+	var rst retrieve.Stats
+	var ost ops.Stats
+	for _, s := range slots {
+		rst.Add(s.rst)
+		out.PTS = append(out.PTS, s.out.PTS...)
+		out.Detections = append(out.Detections, s.out.Detections...)
+		ost.Add(s.ost)
+	}
+	if err != nil {
+		return ops.Output{}, rst, ost, err
 	}
 	return out, rst, ost, nil
 }
 
+// stageFunc computes one stage's output over some segments, with the
+// retrieval and consumption accounting of doing so.
+type stageFunc func() (ops.Output, retrieve.Stats, ops.Stats, error)
+
+// retrieveThenRun is the stageFunc both materialized paths memoise: retrieve
+// the frames, then run the operator over them.
+func retrieveThenRun(op ops.Operator, fid format.Fidelity, workers int, retrieveFrames func() ([]*frame.Frame, retrieve.Stats, error)) stageFunc {
+	return func() (ops.Output, retrieve.Stats, ops.Stats, error) {
+		frames, rst, err := retrieveFrames()
+		if err != nil {
+			return ops.Output{}, rst, ops.Stats{}, err
+		}
+		out, ost := runStage(op, frames, fid, workers)
+		return out, rst, ost, nil
+	}
+}
+
+// memoised is the results store's fill protocol, written once: a hit serves
+// the stored output and its exact accounting; a miss computes and writes
+// behind. The miss is balanced on every path — Put when the output may be
+// stored, Abandon when retrieval failed or was degraded (frames from a
+// fallback reconstruction are possibly best-effort: the query is answered,
+// but post-repair queries must recompute from the restored replica) — so the
+// stream's generation state never leaks, and the token carried from the miss
+// to Put drops fills that raced an invalidation. want is the covered-segment
+// set of a range entry (see results.Store.GetRange), nil for one segment.
+func (e *Engine) memoised(k results.Key, want []int, compute stageFunc) (ops.Output, retrieve.Stats, ops.Stats, error) {
+	ent, tok, ok := e.Results.GetRange(k, want)
+	if ok {
+		return ops.Output{PTS: ent.PTS, Detections: ent.Detections}, ent.Retrieval, ent.Consumption, nil
+	}
+	out, rst, ost, err := compute()
+	if err != nil || rst.Degraded > 0 {
+		e.Results.Abandon(k.Stream)
+	} else {
+		e.Results.Put(k, results.Entry{Segs: want, PTS: out.PTS, Detections: out.Detections, Retrieval: rst, Consumption: ost}, tok)
+	}
+	return out, rst, ost, err
+}
+
 // materializedSegment answers one segment of an eligible stage: visibility
 // check first (an eroded segment must miss even while its entry is still
-// resident), then consult the store, then compute and write behind on a
-// miss. Every Get miss is balanced — Put on success, Abandon on retrieval
-// error — so the stream's generation state never leaks; the generation
-// token carried from Get to Put drops fills that raced an invalidation.
+// resident), then the store, then compute and write behind on a miss.
 func (e *Engine) materializedSegment(r *retrieve.Retriever, stream string, op ops.Operator, sb StageBinding, idx int, within func(pts int) bool, tag string, workers int) (ops.Output, retrieve.Stats, ops.Stats, error) {
 	if !e.Store.Visible(stream, sb.SF, idx) {
 		return ops.Output{}, retrieve.Stats{}, ops.Stats{}, segment.ErrNotFound
 	}
 	k := results.Key{Stream: stream, Seg: idx, Op: op.Name(), SF: sb.SF.Key(), CF: sb.CF.Fidelity.Key(), Span: tag}
-	ent, gen, ok := e.Results.Get(k)
-	if ok {
-		return ops.Output{PTS: ent.PTS, Detections: ent.Detections}, ent.Retrieval, ent.Consumption, nil
-	}
-	frames, rst, err := r.SegmentTagged(stream, sb.SF, sb.CF, idx, within, tag)
-	if err != nil {
-		e.Results.Abandon(stream)
-		return ops.Output{}, rst, ops.Stats{}, err
-	}
-	out, ost := runStage(op, frames, sb.CF.Fidelity, workers)
-	if rst.Degraded > 0 {
-		// The frames came from a fallback reconstruction, possibly
-		// best-effort: answer the query but never materialize the output,
-		// so post-repair queries recompute from the restored replica.
-		e.Results.Abandon(stream)
-		return out, rst, ost, nil
-	}
-	e.Results.Put(k, results.Entry{PTS: out.PTS, Detections: out.Detections, Retrieval: rst, Consumption: ost}, gen)
-	return out, rst, ost, nil
+	return e.memoised(k, nil, retrieveThenRun(op, sb.CF.Fidelity, workers, func() ([]*frame.Frame, retrieve.Stats, error) {
+		return r.SegmentTagged(stream, sb.SF, sb.CF, idx, within, tag)
+	}))
 }
 
 // runStageRangeMaterialized executes a stateful stage over a multi-segment
@@ -419,37 +407,16 @@ func (e *Engine) runStageRangeMaterialized(ctx context.Context, r *retrieve.Retr
 			visible = append(visible, idx)
 		}
 	}
-	recompute := func() (ops.Output, retrieve.Stats, ops.Stats, error) {
-		frames, rst, err := e.retrieveRange(ctx, r, stream, sb.SF, sb.CF, seg0, seg1, within, tag)
-		if err != nil {
-			return ops.Output{}, rst, ops.Stats{}, err
-		}
-		out, ost := runStage(op, frames, sb.CF.Fidelity, e.Workers)
-		return out, rst, ost, nil
-	}
+	recompute := retrieveThenRun(op, sb.CF.Fidelity, e.Workers, func() ([]*frame.Frame, retrieve.Stats, error) {
+		return e.retrieveRange(ctx, r, stream, sb.SF, sb.CF, seg0, seg1, within, tag)
+	})
 	if len(visible) == 0 {
 		// Nothing this snapshot can retrieve: run the (empty) fold without
 		// storing an uninvalidatable entry.
 		return recompute()
 	}
 	k := results.Key{Stream: stream, Seg: seg0, End: seg1, Op: op.Name(), SF: sb.SF.Key(), CF: sb.CF.Fidelity.Key(), Span: tag}
-	ent, gen, ok := e.Results.GetRange(k, visible)
-	if ok {
-		return ops.Output{PTS: ent.PTS, Detections: ent.Detections}, ent.Retrieval, ent.Consumption, nil
-	}
-	out, rst, ost, err := recompute()
-	if err != nil {
-		e.Results.Abandon(stream)
-		return ops.Output{}, rst, ops.Stats{}, err
-	}
-	if rst.Degraded > 0 {
-		// Degraded serves are answered but never materialized (see
-		// materializedSegment).
-		e.Results.Abandon(stream)
-		return out, rst, ost, nil
-	}
-	e.Results.Put(k, results.Entry{Segs: visible, PTS: out.PTS, Detections: out.Detections, Retrieval: rst, Consumption: ost}, gen)
-	return out, rst, ost, nil
+	return e.memoised(k, visible, recompute)
 }
 
 // spanTag digests activation spans into a cache tag: equal span sets — and
@@ -490,23 +457,18 @@ func runStage(op ops.Operator, frames []*frame.Frame, fid format.Fidelity, worke
 		out ops.Output
 		st  ops.Stats
 	}
-	results := make([]chunkResult, chunks)
-	pool := NewPool(workers)
-	for i := 0; i < chunks; i++ {
+	results, _ := sched.Ordered(chunks, workers, func(i int) (chunkResult, error) {
 		lo := len(frames) * i / chunks
 		hi := len(frames) * (i + 1) / chunks
-		slot := &results[i]
-		pool.Go(func() {
-			slot.out, slot.st = ops.RunAtFidelity(op, frames[lo:hi], fid)
-		})
-	}
-	pool.Wait()
+		out, st := ops.RunAtFidelity(op, frames[lo:hi], fid)
+		return chunkResult{out, st}, nil
+	})
 	var out ops.Output
 	var st ops.Stats
-	for i := range results {
-		out.PTS = append(out.PTS, results[i].out.PTS...)
-		out.Detections = append(out.Detections, results[i].out.Detections...)
-		st.Add(results[i].st)
+	for _, c := range results {
+		out.PTS = append(out.PTS, c.out.PTS...)
+		out.Detections = append(out.Detections, c.out.Detections...)
+		st.Add(c.st)
 	}
 	return out, st
 }

@@ -205,9 +205,9 @@ func (r *Repairer) RepairRef(ref segment.Ref) (bool, error) {
 		t = pt
 	}
 	if sf.Coding.Raw {
-		err = r.Store.PutRawAt(t, ref.Stream, sf, ref.Idx, frames)
+		err = r.Store.PutRawRef(ref, &t, frames)
 	} else {
-		err = r.Store.PutEncodedAt(t, ref.Stream, sf, ref.Idx, enc)
+		err = r.Store.PutEncodedRef(ref, &t, enc)
 	}
 	if err != nil {
 		return false, err

@@ -17,7 +17,9 @@
 //   - invalidation is generation-safe per stream: InvalidateSegment drops
 //     a removed segment's entries AND bumps the stream's generation, so an
 //     in-flight fill racing the erosion is dropped at Put instead of
-//     repopulating the store with pre-erosion results.
+//     repopulating the store with pre-erosion results. The index, its byte
+//     budget and that generation state are package lru's, shared with the
+//     frame cache; this package adds persistence and the per-segment index.
 //
 // Because entries hold a stage's complete output and exact accounting, a
 // query served from materialized results is byte-identical to one that
@@ -26,11 +28,13 @@
 package results
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sync"
+
+	"repro/internal/lru"
 )
 
 // Prefix namespaces every materialized result in the kvstore. It is
@@ -138,40 +142,25 @@ type Stats struct {
 	Budget        int64
 }
 
-// streamState tracks one stream's invalidation generation together with
-// what keeps it alive: resident entries and in-flight fills. The state is
-// pruned the moment both reach zero — the pruning rule the frame cache
-// shares — so churning through stream names cannot leak generation
-// entries. Pruning is safe exactly then: with no token outstanding, no
-// later Put can confuse a fresh generation with a stale one.
-type streamState struct {
-	gen       int64
-	inflight  int // Get misses awaiting their Put or Abandon
-	residents int // entries of this stream in the index
-}
-
-type entryMeta struct {
-	key    string
+// meta is what the index holds per entry: the segments it is registered
+// under for invalidation (the value itself lives in the kvstore).
+type meta struct {
 	stream string
-	segs   []int // segments the entry is registered under for invalidation
-	bytes  int64
+	segs   []int
 }
 
-// Store is the materialized-results store: a byte-budgeted LRU index over
-// entries persisted in the kvstore. All methods are safe for concurrent
-// use, and every method tolerates a nil receiver (the disabled sentinel),
-// reporting zeroes and ignoring writes.
+// Store is the materialized-results store: a byte-budgeted LRU index
+// (lru.Cache, grouped by stream) over entries persisted in the kvstore. All
+// methods are safe for concurrent use, and every method but Get, GetRange
+// and Put tolerates a nil receiver (the disabled sentinel), reporting zeroes
+// and ignoring writes.
 type Store struct {
-	mu      sync.Mutex
-	kv      KV
-	budget  int64
-	bytes   int64
-	ll      *list.List // front = most recently used; values are *entryMeta
-	entries map[string]*list.Element
-	bySeg   map[string]map[string]*list.Element // segPrefix -> key -> element
-	gens    map[string]*streamState
+	mu    sync.Mutex // orders index, bySeg and kvstore updates as one
+	kv    KV
+	idx   *lru.Cache[meta]
+	bySeg map[string]map[string]struct{} // segPrefix -> keys of the entries covering it
 
-	hits, misses, puts, dropped, evictions, invalidations int64
+	puts, dropped, invalidations int64
 }
 
 // New opens a store over kv with the given byte budget, adopting entries a
@@ -185,56 +174,56 @@ func New(kv KV, budgetBytes int64, valid func(stream string, seg int) bool) *Sto
 	if budgetBytes <= 0 {
 		return nil
 	}
-	s := &Store{
-		kv:      kv,
-		budget:  budgetBytes,
-		ll:      list.New(),
-		entries: make(map[string]*list.Element),
-		bySeg:   make(map[string]map[string]*list.Element),
-		gens:    make(map[string]*streamState),
-	}
+	s := &Store{kv: kv, bySeg: make(map[string]map[string]struct{})}
+	s.idx = lru.New(budgetBytes, s.forget)
 	// Adoption order is the sorted key order the kvstore reports — a
 	// deterministic LRU seed; real recency re-establishes itself under use.
-	// Each value is decoded to recover the covered-segment list (range
-	// entries register under every covered segment); a value that does not
-	// decode is garbage and is removed rather than adopted.
 	for _, k := range kv.Keys(Prefix) {
-		stream, seg, ok := decodeKey(k)
-		if !ok {
+		if !s.adopt(k, valid) {
 			_ = kv.Delete(k)
-			continue
 		}
-		v, err := kv.Get(k)
-		if err != nil {
-			_ = kv.Delete(k)
-			continue
-		}
-		ent, err := decodeEntry(v)
-		if err != nil {
-			_ = kv.Delete(k)
-			continue
-		}
-		segs := ent.Segs
-		if len(segs) == 0 {
-			segs = []int{seg}
-		}
-		adoptable := true
-		if valid != nil {
-			for _, sg := range segs {
-				if !valid(stream, sg) {
-					adoptable = false
-					break
-				}
-			}
-		}
-		if !adoptable {
-			_ = kv.Delete(k)
-			continue
-		}
-		s.insertLocked(&entryMeta{key: k, stream: stream, segs: segs, bytes: int64(len(v))})
 	}
-	s.evictToBudgetLocked()
 	return s
+}
+
+// adopt indexes one persisted entry, reporting false for what must be
+// deleted instead: a malformed key or a value that does not decode (garbage
+// under the prefix), an entry covering a segment valid rejects, or one the
+// budget cannot hold. The value is decoded to recover the covered-segment
+// list, since range entries register under every covered segment.
+func (s *Store) adopt(key string, valid func(stream string, seg int) bool) bool {
+	stream, seg, ok := decodeKey(key)
+	if !ok {
+		return false
+	}
+	v, err := s.kv.Get(key)
+	if err != nil {
+		return false
+	}
+	ent, err := decodeEntry(v)
+	if err != nil {
+		return false
+	}
+	m := meta{stream: stream, segs: coveredSegs(ent, seg)}
+	for _, sg := range m.segs {
+		if valid != nil && !valid(stream, sg) {
+			return false
+		}
+	}
+	if s.idx.Add(stream, key, m, int64(len(v))) != lru.Landed {
+		return false
+	}
+	s.register(key, m)
+	return true
+}
+
+// coveredSegs is the entry's covered-segment list; an entry with no explicit
+// list covers exactly its key's own segment.
+func coveredSegs(e Entry, seg int) []int {
+	if len(e.Segs) == 0 {
+		return []int{seg}
+	}
+	return e.Segs
 }
 
 // Get returns the stored entry for k, marking it most recently used. On a
@@ -242,7 +231,7 @@ func New(kv KV, budgetBytes int64, valid func(stream string, seg int) bool) *Sto
 // token: the caller MUST balance the miss with exactly one Put (to land
 // the fill) or Abandon (to discard it), or the stream's generation state
 // stays pinned.
-func (s *Store) Get(k Key) (Entry, int64, bool) {
+func (s *Store) Get(k Key) (Entry, lru.Token, bool) {
 	return s.GetRange(k, nil)
 }
 
@@ -254,113 +243,50 @@ func (s *Store) Get(k Key) (Entry, int64, bool) {
 // serve it, and a landing refill simply replaces it. want == nil skips the
 // check (the single-segment path, where the caller's visibility gate
 // already decided).
-func (s *Store) GetRange(k Key, want []int) (Entry, int64, bool) {
+func (s *Store) GetRange(k Key, want []int) (Entry, lru.Token, bool) {
 	key := k.encode()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.entries[key]
-	if ok {
-		v, err := s.kv.Get(key)
-		if err == nil {
-			if ent, derr := decodeEntry(v); derr == nil {
-				if want == nil || coveredEqual(k, ent, want) {
-					s.hits++
-					s.ll.MoveToFront(el)
-					return ent, 0, true
-				}
-				// Coverage mismatch: miss, entry left resident.
-				s.misses++
-				st := s.stateLocked(k.Stream)
-				st.inflight++
-				return Entry{}, st.gen, false
+	if m, resident := s.idx.Peek(key); resident && (want == nil || slices.Equal(m.segs, want)) {
+		if v, err := s.kv.Get(key); err == nil {
+			if ent, err := decodeEntry(v); err == nil {
+				s.idx.Get(k.Stream, key) // count the hit, mark most recently used
+				return ent, 0, true
 			}
 		}
 		// Index and kvstore disagree (a torn write healed by replay, or a
 		// corrupt value): drop the entry and miss, re-filling it cleanly.
-		s.removeLocked(el)
+		s.idx.Remove(key)
 	}
-	s.misses++
-	st := s.stateLocked(k.Stream)
-	st.inflight++
-	return Entry{}, st.gen, false
+	return Entry{}, s.idx.Miss(k.Stream), false
 }
 
-// coveredEqual reports whether the entry's covered segments equal want
-// (both are ascending). An entry with no explicit list covers exactly the
-// key's own segment.
-func coveredEqual(k Key, ent Entry, want []int) bool {
-	segs := ent.Segs
-	if len(segs) == 0 {
-		segs = []int{k.Seg}
-	}
-	if len(segs) != len(want) {
-		return false
-	}
-	for i := range segs {
-		if segs[i] != want[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Put lands a fill observed at Get-miss time carrying generation token
-// gen. If the stream was invalidated since — the fill may predate an
-// erosion — the entry is silently dropped. Oversized entries (larger than
-// the whole budget) are never stored; a refresh that grew past the budget
+// Put lands a fill observed at Get-miss time carrying token tok. If the
+// stream was invalidated since — the fill may predate an erosion — the
+// entry is silently dropped. Oversized entries (larger than the whole
+// budget) are never stored; a refresh that grew past the budget
 // additionally drops the resident entry.
-func (s *Store) Put(k Key, e Entry, gen int64) {
+func (s *Store) Put(k Key, e Entry, tok lru.Token) {
 	v := e.encode()
 	key := k.encode()
+	m := meta{stream: k.Stream, segs: coveredSegs(e, k.Seg)}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.stateLocked(k.Stream)
-	if st.inflight > 0 {
-		st.inflight--
-	}
-	if gen != st.gen {
+	// The index goes first so a stale or oversized fill never reaches the
+	// kvstore; nothing can observe the gap, since every reader takes mu.
+	switch s.idx.Put(k.Stream, key, m, int64(len(v)), tok) {
+	case lru.Stale:
 		s.dropped++
-		s.pruneLocked(k.Stream)
-		return
-	}
-	el, resident := s.entries[key]
-	if int64(len(v)) > s.budget {
-		if resident {
-			s.removeLocked(el)
-			s.evictions++
+	case lru.Landed:
+		s.register(key, m)
+		if err := s.kv.Put(key, v); err != nil {
+			// The persisted value is unknown; drop the entry rather than
+			// serve bytes that may disagree with the index.
+			s.idx.Remove(key)
+			return
 		}
-		s.pruneLocked(k.Stream)
-		return
+		s.puts++
 	}
-	if err := s.kv.Put(key, v); err != nil {
-		// The persisted value is unknown; drop any resident entry rather
-		// than serve bytes that may disagree with the index.
-		if resident {
-			s.removeLocked(el)
-		}
-		s.pruneLocked(k.Stream)
-		return
-	}
-	segs := e.Segs
-	if len(segs) == 0 {
-		segs = []int{k.Seg}
-	}
-	if resident {
-		// A refresh may change the covered-segment set (a range refilled
-		// under a different erosion state): re-register so invalidation
-		// keeps finding the entry under every segment it now covers.
-		meta := el.Value.(*entryMeta)
-		s.deregisterSegsLocked(meta, el)
-		s.bytes += int64(len(v)) - meta.bytes
-		meta.bytes = int64(len(v))
-		meta.segs = segs
-		s.registerSegsLocked(meta, el)
-		s.ll.MoveToFront(el)
-	} else {
-		s.insertLocked(&entryMeta{key: key, stream: k.Stream, segs: segs, bytes: int64(len(v))})
-	}
-	s.puts++
-	s.evictToBudgetLocked()
 }
 
 // Abandon balances a Get miss whose fill will never arrive (the retrieval
@@ -368,16 +294,8 @@ func (s *Store) Put(k Key, e Entry, gen int64) {
 // stream's generation state would stay pinned by the phantom in-flight
 // fill.
 func (s *Store) Abandon(stream string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if st := s.gens[stream]; st != nil {
-		if st.inflight > 0 {
-			st.inflight--
-		}
-		s.pruneLocked(stream)
+	if s != nil {
+		s.idx.Abandon(stream)
 	}
 }
 
@@ -393,24 +311,10 @@ func (s *Store) InvalidateSegment(stream string, seg int) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.bumpLocked(stream)
-	set := s.bySeg[segPrefix(stream, seg)]
-	for _, el := range set {
+	s.idx.Bump(stream)
+	for key := range s.bySeg[segPrefix(stream, seg)] {
 		s.invalidations++
-		s.removeLocked(el)
-	}
-	s.pruneLocked(stream)
-}
-
-// bumpLocked advances the stream's generation. It only materializes state
-// when something can still reference the old generation; an untouched
-// stream needs no entry to be "at a fresh generation". Caller holds mu.
-func (s *Store) bumpLocked(stream string) {
-	// With no state there are no residents and no in-flight fills: every
-	// future Get-miss allocates fresh state, so there is nothing a bump
-	// must outdate.
-	if st := s.gens[stream]; st != nil {
-		st.gen++
+		s.idx.Remove(key)
 	}
 }
 
@@ -423,10 +327,10 @@ func (s *Store) Purge() {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for el := s.ll.Front(); el != nil; {
-		next := el.Next()
-		s.removeLocked(el)
-		el = next
+	for _, set := range s.bySeg {
+		for key := range set {
+			s.idx.Remove(key)
+		}
 	}
 }
 
@@ -438,8 +342,7 @@ func (s *Store) Resize(budgetBytes int64) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.budget = budgetBytes
-	s.evictToBudgetLocked()
+	s.idx.Resize(budgetBytes)
 }
 
 // Stats snapshots the counters. A nil store reports zeroes.
@@ -449,101 +352,43 @@ func (s *Store) Stats() Stats {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	st := s.idx.Stats()
 	return Stats{
-		Hits:          s.hits,
-		Misses:        s.misses,
+		Hits:          st.Hits,
+		Misses:        st.Misses,
 		Puts:          s.puts,
 		Dropped:       s.dropped,
-		Bytes:         s.bytes,
-		Entries:       s.ll.Len(),
-		Evictions:     s.evictions,
+		Bytes:         st.Bytes,
+		Entries:       st.Entries,
+		Evictions:     st.Evictions,
 		Invalidations: s.invalidations,
-		Budget:        s.budget,
+		Budget:        st.Budget,
 	}
 }
 
-// stateLocked returns the stream's generation state, creating it at
-// generation zero. Creation at zero is safe because pruning only ever runs
-// with no tokens outstanding: no stale token can match the fresh zero.
-// Caller holds mu.
-func (s *Store) stateLocked(stream string) *streamState {
-	st := s.gens[stream]
-	if st == nil {
-		st = &streamState{}
-		s.gens[stream] = st
-	}
-	return st
-}
-
-// pruneLocked drops the stream's generation state once nothing references
-// it. Caller holds mu.
-func (s *Store) pruneLocked(stream string) {
-	if st := s.gens[stream]; st != nil && st.inflight == 0 && st.residents == 0 {
-		delete(s.gens, stream)
-	}
-}
-
-// insertLocked indexes one entry as most recently used. Caller holds mu.
-func (s *Store) insertLocked(meta *entryMeta) {
-	el := s.ll.PushFront(meta)
-	s.entries[meta.key] = el
-	s.registerSegsLocked(meta, el)
-	s.bytes += meta.bytes
-	s.stateLocked(meta.stream).residents++
-}
-
-// registerSegsLocked indexes the entry under every segment it covers, so
-// any covered segment's invalidation finds it. Caller holds mu.
-func (s *Store) registerSegsLocked(meta *entryMeta, el *list.Element) {
-	for _, seg := range meta.segs {
-		sp := segPrefix(meta.stream, seg)
-		set := s.bySeg[sp]
-		if set == nil {
-			set = make(map[string]*list.Element)
-			s.bySeg[sp] = set
+// register indexes the entry under every segment it covers, so any covered
+// segment's invalidation finds it. Caller holds mu.
+func (s *Store) register(key string, m meta) {
+	for _, seg := range m.segs {
+		sp := segPrefix(m.stream, seg)
+		if s.bySeg[sp] == nil {
+			s.bySeg[sp] = make(map[string]struct{})
 		}
-		set[meta.key] = el
+		s.bySeg[sp][key] = struct{}{}
 	}
 }
 
-// deregisterSegsLocked removes the entry's per-segment index records.
-// Caller holds mu.
-func (s *Store) deregisterSegsLocked(meta *entryMeta, el *list.Element) {
-	for _, seg := range meta.segs {
-		sp := segPrefix(meta.stream, seg)
-		if set := s.bySeg[sp]; set != nil {
-			delete(set, meta.key)
-			if len(set) == 0 {
-				delete(s.bySeg, sp)
-			}
+// forget is the index's removal hook: whatever the reason an entry left
+// (evicted, invalidated, purged, or replaced by a refresh that may cover
+// different segments), its per-segment records and its persisted value go
+// with it. Runs under mu, which every path into the index holds.
+func (s *Store) forget(key string, m meta) {
+	for _, seg := range m.segs {
+		sp := segPrefix(m.stream, seg)
+		delete(s.bySeg[sp], key)
+		if len(s.bySeg[sp]) == 0 {
+			delete(s.bySeg, sp)
 		}
 	}
-}
-
-// removeLocked unlinks one entry from the index and deletes its persisted
-// value. Caller holds mu.
-func (s *Store) removeLocked(el *list.Element) {
-	meta := el.Value.(*entryMeta)
-	s.ll.Remove(el)
-	delete(s.entries, meta.key)
-	s.deregisterSegsLocked(meta, el)
-	s.bytes -= meta.bytes
-	_ = s.kv.Delete(meta.key)
-	if st := s.gens[meta.stream]; st != nil {
-		st.residents--
-		s.pruneLocked(meta.stream)
-	}
-}
-
-// evictToBudgetLocked evicts least-recently-used entries until the byte
-// budget holds. Caller holds mu.
-func (s *Store) evictToBudgetLocked() {
-	for s.bytes > s.budget && s.ll.Len() > 0 {
-		el := s.ll.Back()
-		if el == nil {
-			return
-		}
-		s.evictions++
-		s.removeLocked(el)
-	}
+	_ = s.kv.Delete(key)
 }

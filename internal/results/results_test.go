@@ -2,10 +2,12 @@ package results
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/lru"
 	"repro/internal/ops"
 	"repro/internal/retrieve"
 )
@@ -84,71 +86,58 @@ func testKey(stream string, seg int, op string) Key {
 	return Key{Stream: stream, Seg: seg, Op: op, SF: "sf0", CF: "cf0", Span: ""}
 }
 
-// mustCheckInvariants asserts the structural invariants every operation
-// sequence must preserve: budget holds, byte accounting is exact, the
-// list/map/bySeg indexes agree, and generation states are exactly those
-// with residents or in-flight fills.
+// mustCheckInvariants asserts that the adapter's three records agree: the
+// index (lru.Cache), the per-segment bySeg sets and the persisted values.
+// Every resident entry is registered under exactly the segments it covers
+// and nowhere else, no bySeg set is empty, the kvstore holds exactly the
+// resident keys, and the accounted bytes are the persisted values' sizes,
+// within budget. (The index's own structure — list, map, generation state —
+// is package lru's, checked there.)
 func mustCheckInvariants(t *testing.T, s *Store, step string) {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.bytes > s.budget {
-		t.Fatalf("%s: bytes %d > budget %d", step, s.bytes, s.budget)
+	st := s.idx.Stats()
+	if st.Bytes > st.Budget {
+		t.Fatalf("%s: bytes %d > budget %d", step, st.Bytes, st.Budget)
 	}
-	if s.ll.Len() != len(s.entries) {
-		t.Fatalf("%s: list has %d entries, map %d", step, s.ll.Len(), len(s.entries))
-	}
-	var sum int64
-	var registrations int
-	residents := map[string]int{}
-	segCounts := map[string]int{}
-	for el := s.ll.Front(); el != nil; el = el.Next() {
-		meta := el.Value.(*entryMeta)
-		if got, ok := s.entries[meta.key]; !ok || got != el {
-			t.Fatalf("%s: list entry %q not in map", step, meta.key)
-		}
-		if len(meta.segs) == 0 {
-			t.Fatalf("%s: entry %q registered under no segments", step, meta.key)
-		}
-		sum += meta.bytes
-		residents[meta.stream]++
-		registrations += len(meta.segs)
-		for _, seg := range meta.segs {
-			segCounts[segPrefix(meta.stream, seg)]++
-		}
-	}
-	if sum != s.bytes {
-		t.Fatalf("%s: accounted %d bytes, entries hold %d", step, s.bytes, sum)
-	}
-	var bySegTotal int
+	registered := map[string]int{} // key -> bySeg sets holding it
 	for sp, set := range s.bySeg {
 		if len(set) == 0 {
 			t.Fatalf("%s: empty bySeg set %q not pruned", step, sp)
 		}
-		if len(set) != segCounts[sp] {
-			t.Fatalf("%s: bySeg[%q] has %d entries, list holds %d", step, sp, len(set), segCounts[sp])
-		}
-		bySegTotal += len(set)
-	}
-	if bySegTotal != registrations {
-		t.Fatalf("%s: bySeg holds %d registrations, entries carry %d", step, bySegTotal, registrations)
-	}
-	for stream, st := range s.gens {
-		if st.inflight < 0 {
-			t.Fatalf("%s: stream %q inflight %d < 0", step, stream, st.inflight)
-		}
-		if st.residents != residents[stream] {
-			t.Fatalf("%s: stream %q state claims %d residents, index holds %d",
-				step, stream, st.residents, residents[stream])
-		}
-		if st.inflight == 0 && st.residents == 0 {
-			t.Fatalf("%s: stream %q state with no residents and no fills not pruned", step, stream)
+		for key := range set {
+			registered[key]++
 		}
 	}
-	for stream, n := range residents {
-		if n > 0 && s.gens[stream] == nil {
-			t.Fatalf("%s: stream %q has %d residents but no generation state", step, stream, n)
+	if len(registered) != st.Entries {
+		t.Fatalf("%s: bySeg registers %d keys, index holds %d entries", step, len(registered), st.Entries)
+	}
+	var sum int64
+	for key, n := range registered {
+		m, ok := s.idx.Peek(key)
+		if !ok {
+			t.Fatalf("%s: bySeg registers %q, which the index does not hold", step, key)
 		}
+		if len(m.segs) == 0 || len(m.segs) != n {
+			t.Fatalf("%s: entry %q covers %v but sits in %d bySeg sets", step, key, m.segs, n)
+		}
+		for _, seg := range m.segs {
+			if _, ok := s.bySeg[segPrefix(m.stream, seg)][key]; !ok {
+				t.Fatalf("%s: entry %q not registered under covered segment %d", step, key, seg)
+			}
+		}
+		v, err := s.kv.Get(key)
+		if err != nil {
+			t.Fatalf("%s: resident entry %q has no persisted value: %v", step, key, err)
+		}
+		sum += int64(len(v))
+	}
+	if sum != st.Bytes {
+		t.Fatalf("%s: accounted %d bytes, persisted values hold %d", step, st.Bytes, sum)
+	}
+	if keys := s.kv.Keys(Prefix); len(keys) != st.Entries {
+		t.Fatalf("%s: kvstore holds %d keys under %s, index %d entries: %v", step, len(keys), Prefix, st.Entries, keys)
 	}
 }
 
@@ -425,10 +414,7 @@ func TestStoreGenerationStatePruned(t *testing.T) {
 		}
 		s.Abandon(stream + "-err")
 	}
-	s.mu.Lock()
-	n := len(s.gens)
-	s.mu.Unlock()
-	if n != 0 {
+	if n := s.idx.Stats().Groups; n != 0 {
 		t.Fatalf("generation map holds %d states after full churn, want 0", n)
 	}
 	mustCheckInvariants(t, s, "after churn")
@@ -629,4 +615,145 @@ func TestStorePurgeAndResize(t *testing.T) {
 	if keys := kv.Keys(Prefix); len(keys) != 0 {
 		t.Fatalf("purge left %d persisted keys", len(keys))
 	}
+}
+
+// TestStorePropertyIndexSegsAndKVAgree drives the adapter with seeded random
+// operations — point and range fills, fills that race an invalidation,
+// coverage-mismatched lookups, segment invalidation, resize, a corrupted
+// value, a failing kvstore, and a reopen with a validity filter — and after
+// every step checks that the index, the bySeg sets and the kvstore contents
+// agree (mustCheckInvariants), that a hit returns the last entry that landed
+// under its key, and that an entry covering an invalidated segment is gone.
+// Every miss is balanced, so the store must end with no generation state.
+func TestStorePropertyIndexSegsAndKVAgree(t *testing.T) {
+	streams := []string{"a", "b"}
+	for seed := int64(0); seed < 8; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			kv := newFakeKV()
+			unit := int64(len(testEntry(0).encode()))
+			s := New(kv, int64(3+rng.Intn(6))*unit, nil)
+			landed := map[string]Entry{} // encoded key -> last entry whose Put may have landed
+			covers := map[string][]int{} // encoded key -> segments that entry covers
+			gone := map[string]bool{}    // "stream/seg" invalidated and not refilled since
+			type pending struct {
+				k     Key
+				e     Entry
+				tok   lru.Token
+				stale bool
+			}
+			var fills []pending
+			randKey := func() (Key, Entry) {
+				stream := streams[rng.Intn(len(streams))]
+				seg := rng.Intn(4)
+				e := testEntry(rng.Intn(1000))
+				if rng.Intn(3) == 0 { // a range entry over a random covered subset
+					k := Key{Stream: stream, Seg: seg, End: seg + 3, Op: "Diff", SF: "sf0", CF: "cf0"}
+					for sg := seg; sg < seg+3; sg++ {
+						if sg == seg || rng.Intn(2) == 0 {
+							e.Segs = append(e.Segs, sg)
+						}
+					}
+					return k, e
+				}
+				return testKey(stream, seg, []string{"Diff", "NN"}[rng.Intn(2)]), e
+			}
+			land := func(p pending) {
+				s.Put(p.k, p.e, p.tok)
+				if p.stale || kv.failPut {
+					return
+				}
+				landed[p.k.encode()] = p.e
+				covers[p.k.encode()] = coveredSegs(p.e, p.k.Seg)
+				for _, sg := range covers[p.k.encode()] {
+					delete(gone, fmt.Sprintf("%s/%d", p.k.Stream, sg))
+				}
+			}
+			for op := 0; op < 300; op++ {
+				k, e := randKey()
+				switch rng.Intn(10) {
+				case 0, 1, 2: // lookup; fill on a miss
+					got, tok, ok := s.GetRange(k, e.Segs)
+					if !ok {
+						land(pending{k: k, e: e, tok: tok})
+						break
+					}
+					if want := landed[k.encode()]; fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+						t.Fatalf("op %d: hit on %v returned %+v, last landed %+v", op, k, got, want)
+					}
+					for _, sg := range covers[k.encode()] {
+						if gone[fmt.Sprintf("%s/%d", k.Stream, sg)] {
+							t.Fatalf("op %d: hit on %v, which covers invalidated segment %d", op, k, sg)
+						}
+					}
+				case 3: // observe a miss, leave the fill in flight
+					if _, tok, ok := s.GetRange(k, e.Segs); !ok {
+						fills = append(fills, pending{k: k, e: e, tok: tok})
+					}
+				case 4: // land or abandon a fill in flight
+					if len(fills) == 0 {
+						continue
+					}
+					i := rng.Intn(len(fills))
+					p := fills[i]
+					fills = append(fills[:i], fills[i+1:]...)
+					if rng.Intn(4) == 0 {
+						s.Abandon(p.k.Stream)
+					} else {
+						land(p)
+					}
+				case 5: // erosion removes one segment
+					s.InvalidateSegment(k.Stream, k.Seg)
+					gone[fmt.Sprintf("%s/%d", k.Stream, k.Seg)] = true
+					for i := range fills {
+						if fills[i].k.Stream == k.Stream {
+							fills[i].stale = true
+						}
+					}
+				case 6: // operator resize
+					s.Resize(int64(1+rng.Intn(8)) * unit)
+				case 7: // a value corrupted behind the index's back reads as a miss
+					if _, resident := s.idx.Peek(k.encode()); resident {
+						kv.m[k.encode()] = []byte{0xff}
+						if _, _, ok := s.GetRange(k, covers[k.encode()]); ok {
+							t.Fatalf("op %d: corrupt value under %v served as a hit", op, k)
+						}
+						s.Abandon(k.Stream)
+					}
+				case 8: // the kvstore refuses one write
+					kv.failPut = true
+					if _, tok, ok := s.GetRange(k, e.Segs); !ok {
+						land(pending{k: k, e: e, tok: tok})
+					}
+					kv.failPut = false
+				case 9: // restart: adopt what was persisted, minus one eroded segment
+					if len(fills) > 0 {
+						continue // a reopen with fills in flight is a different store's tokens
+					}
+					st := s.Stats()
+					s = New(kv, st.Budget, func(stream string, seg int) bool {
+						return stream != k.Stream || seg != k.Seg
+					})
+					gone[fmt.Sprintf("%s/%d", k.Stream, k.Seg)] = true
+				}
+				mustCheckInvariants(t, s, fmt.Sprintf("op %d", op))
+			}
+			for _, p := range fills {
+				s.Abandon(p.k.Stream)
+			}
+			if n := s.idx.Stats().Groups - residentStreams(s); n != 0 {
+				t.Fatalf("%d generation states outlive their entries and fills", n)
+			}
+		})
+	}
+}
+
+// residentStreams counts the streams with at least one resident entry.
+func residentStreams(s *Store) int {
+	seen := map[string]bool{}
+	for sp := range s.bySeg {
+		stream, _, _ := decodeKey(sp + "x")
+		seen[stream] = true
+	}
+	return len(seen)
 }

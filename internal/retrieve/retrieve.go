@@ -12,6 +12,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/format"
 	"repro/internal/frame"
+	"repro/internal/lru"
 	"repro/internal/profile"
 	"repro/internal/sched"
 	"repro/internal/segment"
@@ -131,19 +132,27 @@ func (r *Retriever) SegmentTagged(stream string, sf format.StorageFormat, cf for
 	if !r.Store.Visible(stream, sf, idx) {
 		return nil, Stats{}, segment.ErrNotFound
 	}
-	cacheable := r.Cache != nil && (within == nil || tag != "")
+	// filling is set while a cache miss awaits its put or abandon. The miss
+	// is balanced in one place: every return below abandons it unless the
+	// put landed first.
+	filling := false
 	var key string
-	var gen int64
-	if cacheable {
+	var tok lru.Token
+	if r.Cache != nil && (within == nil || tag != "") {
 		key = cacheKey(stream, sf, cf, idx) + "#" + tag
-		cached, g, ok := r.Cache.get(stream, key)
+		cached, t, ok := r.Cache.get(stream, key)
 		if ok {
 			// A hit skips the disk read, decode and conversion entirely;
 			// only the delivery count is accounted. The cached set itself
 			// is delivered, shared across hits — zero copies.
 			return cached, Stats{FramesDelivered: int64(len(cached))}, nil
 		}
-		gen = g
+		tok, filling = t, true
+		defer func() {
+			if filling {
+				r.Cache.abandon(stream)
+			}
+		}()
 	}
 	var frames []*frame.Frame
 	var st Stats
@@ -157,9 +166,6 @@ func (r *Retriever) SegmentTagged(stream string, sf format.StorageFormat, cf for
 			// ancestor and answer degraded rather than failing the query.
 			full, ok := r.rebuildRaw(stream, sf, idx)
 			if !ok {
-				if cacheable {
-					r.Cache.abandon(stream)
-				}
 				return nil, st, err
 			}
 			degraded = true
@@ -180,9 +186,6 @@ func (r *Retriever) SegmentTagged(stream string, sf format.StorageFormat, cf for
 		if err != nil {
 			renc, ok := r.rebuildEncoded(stream, sf, idx)
 			if !ok {
-				if cacheable {
-					r.Cache.abandon(stream)
-				}
 				return nil, st, err
 			}
 			degraded = true
@@ -198,9 +201,6 @@ func (r *Retriever) SegmentTagged(stream string, sf format.StorageFormat, cf for
 			got, cst, err = enc.DecodeSampled(keepFn)
 		}
 		if err != nil {
-			if cacheable {
-				r.Cache.abandon(stream)
-			}
 			return nil, st, err
 		}
 		frames = got
@@ -215,14 +215,11 @@ func (r *Retriever) SegmentTagged(stream string, sf format.StorageFormat, cf for
 	// byte-identical to the pre-pooling engine.
 	st.VirtualSeconds += profile.TransformSeconds(pixels)
 	st.FramesDelivered = int64(len(out))
-	if cacheable {
-		if degraded {
-			// Reconstructed bytes may be best-effort; never let them
-			// shadow the repaired replica from the cache.
-			r.Cache.abandon(stream)
-		} else {
-			r.Cache.put(stream, key, out, gen)
-		}
+	// Reconstructed bytes may be best-effort; never let them shadow the
+	// repaired replica from the cache.
+	if filling && !degraded {
+		r.Cache.put(stream, key, out, tok)
+		filling = false
 	}
 	if degraded {
 		st.Degraded = 1

@@ -76,3 +76,35 @@ func (b *Batch) Go(fn func()) {
 // Wait blocks until every task scheduled through this batch has finished;
 // other batches' and Pool.Go tasks are not waited for.
 func (b *Batch) Wait() { b.wg.Wait() }
+
+// Ordered runs fn(i) for every i in [0, n) and returns the results in index
+// order, cut after the first index whose fn failed, with that error. With
+// workers == 1 or n <= 1 it runs inline and stops there; otherwise every
+// index runs, on a pool of at most workers tasks (workers <= 0 selects
+// GOMAXPROCS). Either way a caller folding the returned slice in order sees
+// exactly what a sequential loop that stops at its first error would have
+// seen — the fold is written once and is byte-identical at any worker count.
+func Ordered[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
+	n = max(n, 0)
+	out := make([]T, n)
+	errs := make([]error, n)
+	if workers == 1 || n <= 1 {
+		for i := range out {
+			if out[i], errs[i] = fn(i); errs[i] != nil {
+				break
+			}
+		}
+	} else {
+		p := NewPool(workers)
+		for i := range out {
+			p.Go(func() { out[i], errs[i] = fn(i) })
+		}
+		p.Wait()
+	}
+	for i, err := range errs {
+		if err != nil {
+			return out[:i+1], err
+		}
+	}
+	return out, nil
+}

@@ -104,7 +104,7 @@ func (s *Store) Tiered() *tier.Store { return s.ts }
 
 // SetPlacement installs the write-time tier placement. Safe to call
 // while ingest runs: in-flight segments pick up the new placement on
-// their next record write. A nil PlaceFunc (or an untiered store) writes
+// their next replica write. A nil PlaceFunc (or an untiered store) writes
 // everything to the fast tier.
 func (s *Store) SetPlacement(place PlaceFunc) {
 	s.mu.Lock()
@@ -112,18 +112,25 @@ func (s *Store) SetPlacement(place PlaceFunc) {
 	s.mu.Unlock()
 }
 
-// put writes one record of a segment stored under sfKey, routing it to
-// the placed tier when the store is tiered.
-func (s *Store) put(sfKey, key string, value []byte) error {
-	if s.ts != nil {
+// writer returns the record writer for one replica stored under sfKey:
+// onto the tier *at when given — how repair lands a rebuilt replica back on
+// the tier the manifest records for it, even if the live placement plan has
+// moved on — else onto the tier the write-time placement assigns the format.
+func (s *Store) writer(sfKey string, at *tier.ID) func(key string, value []byte) error {
+	if s.ts == nil {
+		return s.kv.Put
+	}
+	if at == nil {
 		s.mu.RLock()
 		place := s.place
 		s.mu.RUnlock()
-		if place != nil {
-			return s.ts.PutTier(place(sfKey), key, value)
+		if place == nil {
+			return s.kv.Put
 		}
+		t := place(sfKey)
+		at = &t
 	}
-	return s.kv.Put(key, value)
+	return func(key string, value []byte) error { return s.ts.PutTier(*at, key, value) }
 }
 
 // Key layout, shared by the typed accessors below, DeleteRef (which only
@@ -146,67 +153,32 @@ func rawFramePrefixOf(stream, sfKey string, idx int) string {
 	return fmt.Sprintf("%s%s/%s/%08d/", rawPrefix, stream, sfKey, idx)
 }
 
-func encKey(stream string, sf format.StorageFormat, idx int) string {
-	return encKeyOf(stream, sf.Key(), idx)
-}
-
-func rawFrameKey(stream string, sf format.StorageFormat, idx, pts int) string {
-	return fmt.Sprintf("%s%08d", rawFramePrefixOf(stream, sf.Key(), idx), pts)
-}
-
-func rawMetaKey(stream string, sf format.StorageFormat, idx int) string {
-	return rawMetaKeyOf(stream, sf.Key(), idx)
-}
-
-// PutEncoded stores an encoded segment.
+// PutEncoded stores an encoded segment through the write-time placement.
 func (s *Store) PutEncoded(stream string, sf format.StorageFormat, idx int, enc *codec.Encoded) error {
-	if sf.Coding.Raw {
-		return errors.New("segment: PutEncoded with raw coding; use PutRaw")
-	}
-	return s.put(sf.Key(), encKey(stream, sf, idx), enc.Marshal())
+	return s.PutEncodedRef(RefOf(stream, sf, idx), nil, enc)
 }
 
-// putAt writes one record to an explicit tier, bypassing the placement
-// function — how repair lands a rebuilt replica back on the tier the
-// manifest records for it, even if the live placement plan has moved on.
-func (s *Store) putAt(t tier.ID, key string, value []byte) error {
-	if s.ts != nil {
-		return s.ts.PutTier(t, key, value)
+// PutEncodedRef stores an encoded replica by manifest ref — the one encoded
+// writer, behind ingest, adoption of a replica from a peer (both at == nil:
+// placement decides the tier) and repair (an explicit tier, see writer).
+func (s *Store) PutEncodedRef(r Ref, at *tier.ID, enc *codec.Encoded) error {
+	if r.Raw {
+		return errors.New("segment: encoded write to a raw replica; use PutRawRef")
 	}
-	return s.kv.Put(key, value)
+	return s.writer(r.SFKey, at)(encKeyOf(r.Stream, r.SFKey, r.Idx), enc.Marshal())
 }
 
-// PutEncodedAt stores an encoded segment on an explicit tier.
-func (s *Store) PutEncodedAt(t tier.ID, stream string, sf format.StorageFormat, idx int, enc *codec.Encoded) error {
-	if sf.Coding.Raw {
-		return errors.New("segment: PutEncodedAt with raw coding; use PutRawAt")
-	}
-	return s.putAt(t, encKey(stream, sf, idx), enc.Marshal())
-}
-
-// PutRawAt stores a raw segment on an explicit tier, frames first and
-// the metadata anchor last — so an interrupted repair never leaves an
-// anchor that promises frames which were not yet rewritten.
-func (s *Store) PutRawAt(t tier.ID, stream string, sf format.StorageFormat, idx int, frames []*frame.Frame) error {
-	if !sf.Coding.Raw {
-		return errors.New("segment: PutRawAt with encoded coding; use PutEncodedAt")
-	}
-	if len(frames) == 0 {
-		return errors.New("segment: empty raw segment")
-	}
-	for _, f := range frames {
-		if err := s.putAt(t, rawFrameKey(stream, sf, idx, f.PTS), marshalFrame(f)); err != nil {
-			return err
-		}
-	}
-	meta := rawMeta{w: frames[0].W, h: frames[0].H, n: len(frames), firstPTS: frames[0].PTS}
-	return s.putAt(t, rawMetaKey(stream, sf, idx), meta.marshal())
-}
-
-// GetEncoded loads an encoded segment. Damaged bytes — a failed record
-// checksum or an unparseable container — return ErrCorrupt.
+// GetEncoded loads an encoded segment.
 func (s *Store) GetEncoded(stream string, sf format.StorageFormat, idx int) (*codec.Encoded, error) {
-	b, err := s.kv.Get(encKey(stream, sf, idx))
+	return s.GetEncodedRef(RefOf(stream, sf, idx))
+}
+
+// GetEncodedRef loads an encoded replica by manifest ref — the form
+// inter-node transfers use, where only the format KEY travels on the wire.
+// Damaged bytes — a failed record checksum or an unparseable container —
+// return ErrCorrupt.
+func (s *Store) GetEncodedRef(r Ref) (*codec.Encoded, error) {
+	b, err := s.kv.Get(encKeyOf(r.Stream, r.SFKey, r.Idx))
 	if err != nil {
 		return nil, asSegmentErr(err)
 	}
@@ -276,50 +248,60 @@ func unmarshalFrame(b []byte) (*frame.Frame, error) {
 	return f, nil
 }
 
-// PutRaw stores a raw segment, one record per frame plus a metadata record.
+// PutRaw stores a raw segment through the write-time placement.
 func (s *Store) PutRaw(stream string, sf format.StorageFormat, idx int, frames []*frame.Frame) error {
-	if !sf.Coding.Raw {
-		return errors.New("segment: PutRaw with encoded coding; use PutEncoded")
+	return s.PutRawRef(RefOf(stream, sf, idx), nil, frames)
+}
+
+// PutRawRef stores a raw replica by manifest ref, one record per frame plus
+// the metadata anchor — the one raw writer (see PutEncodedRef for at). The
+// anchor goes LAST: it is what commits the replica (readers and the
+// manifest rebuild at open both start from it), so a write interrupted at
+// any record leaves no anchor promising frames that were never written.
+func (s *Store) PutRawRef(r Ref, at *tier.ID, frames []*frame.Frame) error {
+	if !r.Raw {
+		return errors.New("segment: raw write to an encoded replica; use PutEncodedRef")
 	}
 	if len(frames) == 0 {
 		return errors.New("segment: empty raw segment")
 	}
-	meta := rawMeta{w: frames[0].W, h: frames[0].H, n: len(frames), firstPTS: frames[0].PTS}
-	if err := s.put(sf.Key(), rawMetaKey(stream, sf, idx), meta.marshal()); err != nil {
-		return err
-	}
+	put := s.writer(r.SFKey, at)
+	prefix := rawFramePrefixOf(r.Stream, r.SFKey, r.Idx)
 	for _, f := range frames {
-		if err := s.put(sf.Key(), rawFrameKey(stream, sf, idx, f.PTS), marshalFrame(f)); err != nil {
+		if err := put(fmt.Sprintf("%s%08d", prefix, f.PTS), marshalFrame(f)); err != nil {
 			return err
 		}
 	}
-	return nil
+	meta := rawMeta{w: frames[0].W, h: frames[0].H, n: len(frames), firstPTS: frames[0].PTS}
+	return put(rawMetaKeyOf(r.Stream, r.SFKey, r.Idx), meta.marshal())
 }
 
 // GetRaw loads the raw frames of a segment for which keep(pts) is true;
-// keep == nil loads all. Only the kept frames are read from disk. The
-// returned read-bytes count reflects the disk traffic incurred.
+// keep == nil loads all.
+func (s *Store) GetRaw(stream string, sf format.StorageFormat, idx int, keep func(pts int) bool) ([]*frame.Frame, int64, error) {
+	return s.GetRawRef(RefOf(stream, sf, idx), keep)
+}
+
+// GetRawRef is the raw-segment reader, addressed by manifest ref. Only the
+// kept frames are read from disk, and the returned read-bytes count
+// reflects the disk traffic incurred. The metadata anchor gates existence
+// (no anchor means no committed replica); then every stored frame record
+// under the prefix is visited in PTS order.
 //
 // Frames are found by enumerating the segment's stored frame keys, not by
 // assuming a contiguous PTS run from the metadata anchor: a temporally
 // sampled storage format keeps its frames at their original strided
 // timeline positions, which the old [firstPTS, firstPTS+n) walk silently
 // truncated to the first 1/stride of the segment.
-func (s *Store) GetRaw(stream string, sf format.StorageFormat, idx int, keep func(pts int) bool) ([]*frame.Frame, int64, error) {
-	return s.getRawByPrefix(rawMetaKey(stream, sf, idx), rawFramePrefixOf(stream, sf.Key(), idx), keep)
-}
-
-// getRawByPrefix is the shared raw-segment reader: the metadata anchor
-// gates existence (no anchor means no committed replica), then every
-// stored frame record under the prefix is visited in PTS order.
-func (s *Store) getRawByPrefix(metaKey, prefix string, keep func(pts int) bool) ([]*frame.Frame, int64, error) {
-	mb, err := s.kv.Get(metaKey)
+func (s *Store) GetRawRef(r Ref, keep func(pts int) bool) ([]*frame.Frame, int64, error) {
+	mb, err := s.kv.Get(rawMetaKeyOf(r.Stream, r.SFKey, r.Idx))
 	if err != nil {
 		return nil, 0, asSegmentErr(err)
 	}
 	if _, err := unmarshalRawMeta(mb); err != nil {
 		return nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
+	prefix := rawFramePrefixOf(r.Stream, r.SFKey, r.Idx)
 	var out []*frame.Frame
 	var read int64
 	for _, key := range s.kv.Keys(prefix) {
@@ -345,56 +327,6 @@ func (s *Store) getRawByPrefix(metaKey, prefix string, keep func(pts int) bool) 
 		out = append(out, f)
 	}
 	return out, read, nil
-}
-
-// GetEncodedRef is GetEncoded addressed by manifest ref — the form
-// inter-node transfers use, where only the format KEY travels on the wire.
-func (s *Store) GetEncodedRef(r Ref) (*codec.Encoded, error) {
-	b, err := s.kv.Get(encKeyOf(r.Stream, r.SFKey, r.Idx))
-	if err != nil {
-		return nil, asSegmentErr(err)
-	}
-	enc, err := codec.Unmarshal(b)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return enc, nil
-}
-
-// GetRawRef loads every present frame of a raw replica by manifest ref,
-// with the same per-frame byte accounting and key enumeration as GetRaw.
-func (s *Store) GetRawRef(r Ref) ([]*frame.Frame, int64, error) {
-	return s.getRawByPrefix(rawMetaKeyOf(r.Stream, r.SFKey, r.Idx), rawFramePrefixOf(r.Stream, r.SFKey, r.Idx), nil)
-}
-
-// PutEncodedRef stores an encoded replica by manifest ref, through the
-// write-time tier placement — how a node adopts a segment replicated from
-// a peer.
-func (s *Store) PutEncodedRef(r Ref, enc *codec.Encoded) error {
-	if r.Raw {
-		return errors.New("segment: PutEncodedRef with raw ref; use PutRawRef")
-	}
-	return s.put(r.SFKey, encKeyOf(r.Stream, r.SFKey, r.Idx), enc.Marshal())
-}
-
-// PutRawRef stores a raw replica by manifest ref, frames first and the
-// metadata anchor last — an interrupted adoption never leaves an anchor
-// promising frames that were not yet written.
-func (s *Store) PutRawRef(r Ref, frames []*frame.Frame) error {
-	if !r.Raw {
-		return errors.New("segment: PutRawRef with encoded ref; use PutEncodedRef")
-	}
-	if len(frames) == 0 {
-		return errors.New("segment: empty raw segment")
-	}
-	prefix := rawFramePrefixOf(r.Stream, r.SFKey, r.Idx)
-	for _, f := range frames {
-		if err := s.put(r.SFKey, fmt.Sprintf("%s%08d", prefix, f.PTS), marshalFrame(f)); err != nil {
-			return err
-		}
-	}
-	meta := rawMeta{w: frames[0].W, h: frames[0].H, n: len(frames), firstPTS: frames[0].PTS}
-	return s.put(r.SFKey, rawMetaKeyOf(r.Stream, r.SFKey, r.Idx), meta.marshal())
 }
 
 // MarshalRawSegment is the wire framing for shipping a raw segment between
@@ -449,10 +381,7 @@ func UnmarshalRawSegment(b []byte) ([]*frame.Frame, error) {
 
 // Has reports whether the segment exists (encoded or raw).
 func (s *Store) Has(stream string, sf format.StorageFormat, idx int) bool {
-	if sf.Coding.Raw {
-		return s.kv.Has(rawMetaKey(stream, sf, idx))
-	}
-	return s.kv.Has(encKey(stream, sf, idx))
+	return s.kv.Has(anchorKey(RefOf(stream, sf, idx)))
 }
 
 // Visible reports whether the segment may be read. On a bare store it is

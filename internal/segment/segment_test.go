@@ -8,6 +8,7 @@ import (
 	"repro/internal/format"
 	"repro/internal/frame"
 	"repro/internal/kvstore"
+	"repro/internal/tier"
 	"repro/internal/vidsim"
 )
 
@@ -187,5 +188,59 @@ func TestBytesForSeparatesFormats(t *testing.T) {
 	// Streams are isolated too.
 	if got := s.BytesFor("cam2", encSF); got != 0 {
 		t.Fatalf("BytesFor(cam2) = %d", got)
+	}
+}
+
+// failingKV fails the failAt-th Put (1-based) and every one after it: a
+// process that died partway through a write, seen from the next open.
+type failingKV struct {
+	KV
+	failAt, puts int
+}
+
+func (f *failingKV) Put(key string, value []byte) error {
+	if f.puts++; f.puts >= f.failAt {
+		return errors.New("failingKV: crashed")
+	}
+	return f.KV.Put(key, value)
+}
+
+// TestTornRawWriteNeverCommits: a raw replica is many records, and the
+// metadata anchor is the one that commits it — ScanRefs rebuilds the
+// manifest at open from the anchors it finds, and the reader never compares
+// the frames listed with the anchor's count. So whichever record a write is
+// interrupted at, through any of the three entry points (ingest, repair on
+// an explicit tier, adoption from a peer), a fresh scan of the same store
+// must not report the replica. With the anchor written first, as the ingest
+// path once did, every k > 1 resurrected a truncated segment as committed.
+func TestTornRawWriteNeverCommits(t *testing.T) {
+	frames := clip(t, 0, 6)
+	ref := RefOf("cam", rawSF, 3)
+	fast := tier.Fast
+	writers := map[string]func(*Store) error{
+		"PutRaw":         func(s *Store) error { return s.PutRaw("cam", rawSF, 3, frames) },
+		"PutRawRef":      func(s *Store) error { return s.PutRawRef(ref, nil, frames) },
+		"PutRawRef@tier": func(s *Store) error { return s.PutRawRef(ref, &fast, frames) },
+	}
+	records := len(frames) + 1
+	for name, write := range writers {
+		for k := 1; k <= records+1; k++ {
+			kv, err := kvstore.Open(t.TempDir(), kvstore.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = write(NewStore(&failingKV{KV: kv, failAt: k}))
+			var found []Ref
+			NewStore(kv).ScanRefs(func(r Ref) { found = append(found, r) })
+			kv.Close()
+			switch {
+			case k <= records && err == nil:
+				t.Fatalf("%s: write survived a failure at record %d of %d", name, k, records)
+			case k <= records && len(found) != 0:
+				t.Fatalf("%s: failure at record %d of %d left %v committed", name, k, records, found)
+			case k > records && (err != nil || len(found) != 1 || found[0] != ref):
+				t.Fatalf("%s: uninterrupted write: err %v, scan found %v", name, err, found)
+			}
+		}
 	}
 }

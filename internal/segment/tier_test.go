@@ -16,10 +16,10 @@ func TestRouteKey(t *testing.T) {
 	enc := format.StorageFormat{Fidelity: format.Fidelity{Quality: format.QBest, Crop: format.Crop100, Res: format.Resolutions[0], Sampling: format.Samplings[0]}, Coding: format.Coding{Speed: format.SpeedSlowest, KeyframeI: format.KeyframeIntervals[0]}}
 	raw := format.StorageFormat{Fidelity: enc.Fidelity, Coding: format.RawCoding}
 	keys := []string{
-		encKey("cam", enc, 7),
-		rawMetaKey("cam", raw, 7),
-		rawFrameKey("cam", raw, 7, 0),
-		rawFrameKey("cam", raw, 7, 239),
+		encKeyOf("cam", enc.Key(), 7),
+		rawMetaKeyOf("cam", raw.Key(), 7),
+		rawFramePrefixOf("cam", raw.Key(), 7) + "00000000",
+		rawFramePrefixOf("cam", raw.Key(), 7) + "00000239",
 	}
 	want := RouteKey(keys[0])
 	for _, k := range keys[1:] {
@@ -27,14 +27,14 @@ func TestRouteKey(t *testing.T) {
 			t.Fatalf("RouteKey(%q) = %q, want %q (co-located)", k, got, want)
 		}
 	}
-	if RouteKey(encKey("cam", enc, 8)) == want {
+	if RouteKey(encKeyOf("cam", enc.Key(), 8)) == want {
 		t.Fatal("distinct segments share a routing token")
 	}
-	if RouteKey(encKey("cam2", enc, 7)) == want {
+	if RouteKey(encKeyOf("cam2", enc.Key(), 7)) == want {
 		t.Fatal("distinct streams share a routing token")
 	}
 	// Streams with '/' in the name still co-locate correctly.
-	if RouteKey(encKey("a/b", enc, 7)) != RouteKey(rawMetaKey("a/b", raw, 7)) {
+	if RouteKey(encKeyOf("a/b", enc.Key(), 7)) != RouteKey(rawMetaKeyOf("a/b", raw.Key(), 7)) {
 		t.Fatal("slashed stream name broke routing")
 	}
 	for _, k := range []string{"meta/epoch/00000000", "garbage", "raw/short"} {

@@ -111,7 +111,7 @@ func (sn *Snapshot) GetRawRef(r segment.Ref) ([]*frame.Frame, int64, error) {
 	if !sn.ms.Contains(r) {
 		return nil, 0, segment.ErrNotFound
 	}
-	return sn.view.Store.GetRawRef(r)
+	return sn.view.Store.GetRawRef(r, nil)
 }
 
 // Release ends the snapshot's pin on eroded-but-undeleted segments. It is

@@ -49,6 +49,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/results"
 	"repro/internal/retrieve"
+	"repro/internal/sched"
 	"repro/internal/segment"
 	"repro/internal/store"
 	"repro/internal/tier"
@@ -827,41 +828,21 @@ func (s *Server) QueryAt(ctx context.Context, snap *Snapshot, stream string, cas
 		Rebuild:    s.rebuildReplica,
 		OnDegraded: s.onDegraded,
 	}
-	results := make([]query.Result, len(spans))
-	errs := make([]error, len(spans))
-	if spanPar > 1 {
-		pool := query.NewPool(spanPar)
-		for i := range spans {
-			i := i
-			pool.Go(func() {
-				results[i], errs[i] = eng.Run(ctx, stream, cascade, bindings[i], spans[i].lo, spans[i].hi)
-			})
+	results, err := sched.Ordered(len(spans), spanPar, func(i int) (query.Result, error) {
+		if err := ctx.Err(); err != nil {
+			return query.Result{}, err
 		}
-		pool.Wait()
-	} else {
-		for i := range spans {
-			if err := ctx.Err(); err != nil {
-				return QueryResult{}, err
-			}
-			results[i], errs[i] = eng.Run(ctx, stream, cascade, bindings[i], spans[i].lo, spans[i].hi)
-			if errs[i] != nil {
-				break
-			}
-		}
-	}
+		return eng.Run(ctx, stream, cascade, bindings[i], spans[i].lo, spans[i].hi)
+	})
 	// A canceled query reports the cancellation, not whichever span error
 	// the abandonment happened to produce first.
-	if err := ctx.Err(); err != nil {
+	if cerr := ctx.Err(); cerr != nil {
+		return QueryResult{}, cerr
+	}
+	if err != nil {
 		return QueryResult{}, err
 	}
-	var out QueryResult
-	for i := range spans {
-		if errs[i] != nil {
-			return out, errs[i]
-		}
-		out.Results = append(out.Results, results[i])
-	}
-	return out, nil
+	return QueryResult{Results: results}, nil
 }
 
 // queryWorkers resolves the effective worker-pool width: the server-level

@@ -97,12 +97,12 @@ func (s *Server) AdoptSegment(stream string, idx int, replicas []AdoptedReplica)
 	for i, rep := range replicas {
 		var err error
 		if rep.Raw {
-			err = s.segs.PutRawRef(refs[i], rep.Frames)
+			err = s.segs.PutRawRef(refs[i], nil, rep.Frames)
 		} else {
 			if rep.Enc == nil {
 				err = fmt.Errorf("server: adopt %s/%s/%d: encoded replica without container", stream, rep.SFKey, idx)
 			} else {
-				err = s.segs.PutEncodedRef(refs[i], rep.Enc)
+				err = s.segs.PutEncodedRef(refs[i], nil, rep.Enc)
 			}
 		}
 		if err != nil {
