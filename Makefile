@@ -71,14 +71,17 @@ cover:
 		if ($$3 + 0 < min) { print "FAIL: coverage below minimum"; exit 1 } }'
 
 # A short deterministic-input fuzz pass over configuration persistence
-# (FromBytes must never panic, and accepted inputs must round-trip) and over
-# the two pixel kernels whose rewrite is hardest to read: any plane size and
-# seed must give the bytes of the reference loop kept in the test file.
+# (FromBytes must never panic, and accepted inputs must round-trip), over
+# the two pixel kernels whose rewrite is hardest to read (any plane size and
+# seed must give the bytes of the reference loop kept in the test file) and
+# over the raw record parser, whose frames alias their input (any bytes must
+# give the copying reference's error or frame, and never panic).
 # Nightly CI runs this with FUZZTIME=5m.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzConfigRoundTrip -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzBoxScale -fuzztime $(FUZZTIME) ./internal/frame/
 	$(GO) test -run '^$$' -fuzz FuzzBoxBlur3 -fuzztime $(FUZZTIME) ./internal/ops/
+	$(GO) test -run '^$$' -fuzz FuzzUnmarshalFrame -fuzztime $(FUZZTIME) ./internal/segment/
 
 # The subscription soak under the race detector: a live pipeline feeds
 # segments for VSTORE_SOAK (default a few hundred ms; nightly CI runs 60s)

@@ -225,7 +225,10 @@ func deadzone(quantStep int) int {
 
 // quantTable maps every sample value to its reconstruction under one
 // quantisation step: the centre of the value's step-wide bin, clamped to 255.
-type quantTable [256]byte
+type quantTable struct {
+	step int
+	lut  [256]byte
+}
 
 // newQuantTable builds the table for step q. Steps of at most 1 are the
 // identity and have no table.
@@ -233,20 +236,31 @@ func newQuantTable(q int) *quantTable {
 	if q <= 1 {
 		return nil
 	}
-	t := new(quantTable)
-	for v := range t {
-		t[v] = byte(min((v/q)*q+q/2, 255))
+	t := &quantTable{step: q}
+	for v := range t.lut {
+		t.lut[v] = byte(min((v/q)*q+q/2, 255))
 	}
 	return t
 }
 
-// apply quantises p in place; a nil table leaves it as it is.
+// apply quantises p in place; a nil table leaves it as it is. A step that
+// is a power of two needs no division, and its bin centre never passes 255:
+// (v/q)·q + q/2 is v with its low bits cleared and bit q/2 set, which one
+// mask and one or do to eight samples at a time. Other steps, and the tail
+// of every plane, go through the table.
 func (t *quantTable) apply(p []byte) {
 	if t == nil {
 		return
 	}
+	if q := t.step; q&(q-1) == 0 && q <= 256 {
+		const ones = 0x0101010101010101
+		keep, centre := ^(uint64(q-1) * ones), uint64(q/2)*ones
+		for ; len(p) >= 8; p = p[8:] {
+			binary.LittleEndian.PutUint64(p, binary.LittleEndian.Uint64(p)&keep|centre)
+		}
+	}
 	for i, v := range p {
-		p[i] = t[v]
+		p[i] = t.lut[v]
 	}
 }
 

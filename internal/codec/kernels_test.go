@@ -82,21 +82,31 @@ func randomFrames(rng *rand.Rand, w, h, n int) []*frame.Frame {
 	return out
 }
 
+// TestQuantTableMatchesReference covers every step from 0 to 256 — each
+// power of two takes the eight-at-a-time path, 256 its widest mask, every
+// other step the table — over all 256 sample values and over planes of
+// every length from 0 to 41, whose tails of 0 to 7 samples the table
+// finishes.
 func TestQuantTableMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
 	all := make([]byte, 256)
 	for v := range all {
 		all[v] = byte(v)
 	}
-	steps := []int{0, 1, 2, 3, 5, 7, 100, 255, 256}
-	for _, q := range format.Qualities {
-		steps = append(steps, q.QuantStep())
-	}
-	for _, q := range steps {
-		got, want := bytes.Clone(all), bytes.Clone(all)
-		newQuantTable(q).apply(got)
-		refQuantise(want, q)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("step %d: table differs from the reference", q)
+	for q := 0; q <= 256; q++ {
+		planes := [][]byte{all}
+		for n := 0; n <= 41; n++ {
+			p := make([]byte, n)
+			rng.Read(p)
+			planes = append(planes, p)
+		}
+		for _, p := range planes {
+			got, want := bytes.Clone(p), bytes.Clone(p)
+			newQuantTable(q).apply(got)
+			refQuantise(want, q)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("step %d, %d samples: differs from the reference", q, len(p))
+			}
 		}
 	}
 }

@@ -185,15 +185,17 @@ func matches(scope []string, site string) bool {
 	return true
 }
 
-// OnRead runs read-site rules for site. Flip mode flips one
+// OnRead runs read-site rules for the keyed site "<scope>:<key>", which is
+// built only once an injector is found installed. Flip mode flips one
 // deterministic bit of buf in place (the caller's checksum verification
 // must catch it); Err and Torn return an injected error. A nil return
 // with an unmodified buf means no fault fired.
-func OnRead(site string, buf []byte) error {
+func OnRead(scope, key string, buf []byte) error {
 	in := active.Load()
 	if in == nil {
 		return nil
 	}
+	site := scope + ":" + key
 	r, h := in.decide(Read, site)
 	if r == nil {
 		return nil
@@ -208,15 +210,17 @@ func OnRead(site string, buf []byte) error {
 	return fmt.Errorf("%w: read at %s", ErrInjected, site)
 }
 
-// OnWrite runs write-site rules for a write of n bytes at site. It
-// returns how many bytes the caller should actually write and the error
-// to surface after writing them: (n, nil) when no fault fires, (k < n,
-// ErrInjected) for a torn write, (0, ErrInjected) for a failed write.
-func OnWrite(site string, n int) (int, error) {
+// OnWrite runs write-site rules for a write of n bytes at the keyed site
+// (see OnRead). It returns how many bytes the caller should actually write
+// and the error to surface after writing them: (n, nil) when no fault
+// fires, (k < n, ErrInjected) for a torn write, (0, ErrInjected) for a
+// failed write.
+func OnWrite(scope, key string, n int) (int, error) {
 	in := active.Load()
 	if in == nil {
 		return n, nil
 	}
+	site := scope + ":" + key
 	r, h := in.decide(Write, site)
 	if r == nil {
 		return n, nil

@@ -20,10 +20,10 @@ func TestDisabledIsNoOp(t *testing.T) {
 	}
 	buf := []byte{1, 2, 3}
 	want := append([]byte(nil), buf...)
-	if err := OnRead("fast/000:k", buf); err != nil || !bytes.Equal(buf, want) {
+	if err := OnRead("fast/000", "k", buf); err != nil || !bytes.Equal(buf, want) {
 		t.Fatalf("OnRead disabled: err=%v buf=%v", err, buf)
 	}
-	if n, err := OnWrite("fast/000:k", 10); n != 10 || err != nil {
+	if n, err := OnWrite("fast/000", "k", 10); n != 10 || err != nil {
 		t.Fatalf("OnWrite disabled: n=%d err=%v", n, err)
 	}
 	if err := OnSync("fast/000"); err != nil {
@@ -39,12 +39,12 @@ func TestDisabledIsNoOp(t *testing.T) {
 
 func TestReadErrAlways(t *testing.T) {
 	install(t, New(7, []Rule{{Op: Read, Mode: Err, Rate: 1}}))
-	err := OnRead("fast/000:seg/cam/sf0/00000000", nil)
+	err := OnRead("fast/000", "seg/cam/sf0/00000000", nil)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
 	// Other ops stay clean: the rule arms reads only.
-	if n, err := OnWrite("fast/000:k", 5); n != 5 || err != nil {
+	if n, err := OnWrite("fast/000", "k", 5); n != 5 || err != nil {
 		t.Fatalf("write affected by read rule: n=%d err=%v", n, err)
 	}
 	if err := OnSync("fast/000"); err != nil {
@@ -57,15 +57,15 @@ func TestReadErrAlways(t *testing.T) {
 
 func TestScopeFiltering(t *testing.T) {
 	install(t, New(1, []Rule{{Op: Read, Scope: []string{"fast", ":seg/"}, Mode: Err, Rate: 1}}))
-	if err := OnRead("fast/001:seg/cam/sf1/00000002", nil); !errors.Is(err, ErrInjected) {
+	if err := OnRead("fast/001", "seg/cam/sf1/00000002", nil); !errors.Is(err, ErrInjected) {
 		t.Fatalf("scoped site should fire: %v", err)
 	}
 	// Cold tier: one scope substring missing.
-	if err := OnRead("cold/001:seg/cam/sf1/00000002", nil); err != nil {
+	if err := OnRead("cold/001", "seg/cam/sf1/00000002", nil); err != nil {
 		t.Fatalf("cold site fired: %v", err)
 	}
 	// Fast tier but a metadata key: the :seg/ substring is missing.
-	if err := OnRead("fast/000:meta/config/3", nil); err != nil {
+	if err := OnRead("fast/000", "meta/config/3", nil); err != nil {
 		t.Fatalf("metadata site fired: %v", err)
 	}
 }
@@ -74,7 +74,7 @@ func TestFlipFlipsExactlyOneBit(t *testing.T) {
 	install(t, New(3, []Rule{{Op: Read, Mode: Flip, Rate: 1}}))
 	buf := make([]byte, 64)
 	orig := append([]byte(nil), buf...)
-	if err := OnRead("fast/000:k", buf); err != nil {
+	if err := OnRead("fast/000", "k", buf); err != nil {
 		t.Fatalf("flip returned error: %v", err)
 	}
 	diffBits := 0
@@ -89,7 +89,7 @@ func TestFlipFlipsExactlyOneBit(t *testing.T) {
 		t.Fatalf("flip changed %d bits, want exactly 1", diffBits)
 	}
 	// Empty buffer: nothing to flip, no error, no panic.
-	if err := OnRead("fast/000:k", nil); err != nil {
+	if err := OnRead("fast/000", "k", nil); err != nil {
 		t.Fatalf("flip on empty buf: %v", err)
 	}
 }
@@ -97,7 +97,7 @@ func TestFlipFlipsExactlyOneBit(t *testing.T) {
 func TestTornWriteReturnsStrictPrefix(t *testing.T) {
 	install(t, New(9, []Rule{{Op: Write, Mode: Torn, Rate: 1}}))
 	for i := 0; i < 50; i++ {
-		n, err := OnWrite("fast/000:k", 100)
+		n, err := OnWrite("fast/000", "k", 100)
 		if !errors.Is(err, ErrInjected) {
 			t.Fatalf("torn write err = %v", err)
 		}
@@ -109,7 +109,7 @@ func TestTornWriteReturnsStrictPrefix(t *testing.T) {
 
 func TestWriteErrWritesNothing(t *testing.T) {
 	install(t, New(2, []Rule{{Op: Write, Mode: Err, Rate: 1}}))
-	n, err := OnWrite("fast/000:k", 100)
+	n, err := OnWrite("fast/000", "k", 100)
 	if n != 0 || !errors.Is(err, ErrInjected) {
 		t.Fatalf("write err: n=%d err=%v", n, err)
 	}
@@ -137,7 +137,7 @@ func TestDeterministicSchedule(t *testing.T) {
 		out := make([]bool, 200)
 		for i := range out {
 			Install(in)
-			out[i] = OnRead("fast/000:k", nil) != nil
+			out[i] = OnRead("fast/000", "k", nil) != nil
 		}
 		Install(nil)
 		return out
@@ -167,7 +167,7 @@ func TestRateIsApproximatelyHonoured(t *testing.T) {
 	fired := 0
 	const trials = 4000
 	for i := 0; i < trials; i++ {
-		if OnRead("fast/000:k", nil) != nil {
+		if OnRead("fast/000", "k", nil) != nil {
 			fired++
 		}
 	}
@@ -186,13 +186,13 @@ func TestFirstMatchingRuleWins(t *testing.T) {
 		{Op: Read, Mode: Flip, Rate: 1},
 	}))
 	buf := []byte{0}
-	if err := OnRead("fast/000:k", buf); !errors.Is(err, ErrInjected) {
+	if err := OnRead("fast/000", "k", buf); !errors.Is(err, ErrInjected) {
 		t.Fatalf("fast read should hit the err rule: %v", err)
 	}
 	if buf[0] != 0 {
 		t.Fatal("err rule also flipped bits")
 	}
-	if err := OnRead("cold/000:k", buf); err != nil {
+	if err := OnRead("cold/000", "k", buf); err != nil {
 		t.Fatalf("cold read should fall to the flip rule: %v", err)
 	}
 	if buf[0] == 0 {

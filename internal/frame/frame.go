@@ -9,7 +9,8 @@
 // entries, the slices handed to operators — are SHARED, not copied: the
 // identity transforms (Downscale to the source dimensions, CropCenter(1))
 // return their receiver, cached segments hand the same frames to every
-// hit, and arena batches (NewBatch) share one backing allocation. Every
+// hit, arena batches (NewBatch) share one backing allocation, and raw
+// frames alias the stored record they were read into (Over). Every
 // consumer of delivered frames must treat them as immutable; an operator
 // or caller that needs to scribble on pixels must Clone first. Producers
 // (the scene renderer, the decoder) may freely mutate frames they have
@@ -32,17 +33,17 @@ type Frame struct {
 	PTS       int
 }
 
-// New allocates a zeroed frame of the given luma dimensions. Dimensions are
-// rounded up to even so the chroma planes subsample cleanly.
+// evenDims clamps luma dimensions to at least 2 and rounds them up to even,
+// so the chroma planes subsample cleanly.
+func evenDims(w, h int) (int, int) {
+	w, h = max(w, 2), max(h, 2)
+	return w + w&1, h + h&1
+}
+
+// New allocates a zeroed frame of the given luma dimensions, rounded by
+// evenDims.
 func New(w, h int) *Frame {
-	if w < 2 {
-		w = 2
-	}
-	if h < 2 {
-		h = 2
-	}
-	w += w & 1
-	h += h & 1
+	w, h = evenDims(w, h)
 	return &Frame{
 		W:  w,
 		H:  h,
@@ -50,6 +51,26 @@ func New(w, h int) *Frame {
 		Cb: make([]byte, (w/2)*(h/2)),
 		Cr: make([]byte, (w/2)*(h/2)),
 	}
+}
+
+// Over returns a frame of the given luma dimensions (rounded as New rounds
+// them) whose planes alias the front of buf — Y, then Cb, then Cr, each
+// capped at its own length so an append to one cannot reach the next — and
+// the number of bytes such a frame spans. It is the one carve rule, behind
+// arena batches and the raw read path, which delivers a stored record's
+// planes where the read put them. A buf shorter than the span leaves the
+// planes nil; bytes past it are not touched.
+func Over(w, h int, buf []byte) (Frame, int) {
+	w, h = evenDims(w, h)
+	ylen := w * h
+	clen := (w / 2) * (h / 2)
+	f := Frame{W: w, H: h}
+	if len(buf) >= ylen+2*clen {
+		f.Y = buf[:ylen:ylen]
+		f.Cb = buf[ylen : ylen+clen : ylen+clen]
+		f.Cr = buf[ylen+clen : ylen+2*clen : ylen+2*clen]
+	}
+	return f, ylen + 2*clen
 }
 
 // NewBatch returns n zeroed frames of identical luma dimensions whose
@@ -61,29 +82,12 @@ func NewBatch(w, h, n int) []*Frame {
 	if n <= 0 {
 		return nil
 	}
-	if w < 2 {
-		w = 2
-	}
-	if h < 2 {
-		h = 2
-	}
-	w += w & 1
-	h += h & 1
-	ylen := w * h
-	clen := (w / 2) * (h / 2)
-	flen := ylen + 2*clen
+	_, flen := Over(w, h, nil)
 	arena := make([]byte, n*flen)
 	frames := make([]Frame, n)
 	out := make([]*Frame, n)
 	for i := range frames {
-		p := arena[i*flen : (i+1)*flen]
-		frames[i] = Frame{
-			W:  w,
-			H:  h,
-			Y:  p[:ylen:ylen],
-			Cb: p[ylen : ylen+clen : ylen+clen],
-			Cr: p[ylen+clen : flen : flen],
-		}
+		frames[i], _ = Over(w, h, arena[i*flen:])
 		out[i] = &frames[i]
 	}
 	return out

@@ -94,6 +94,39 @@ func TestNewBatch(t *testing.T) {
 	}
 }
 
+func TestOver(t *testing.T) {
+	for _, d := range [][2]int{{0, 0}, {1, 1}, {2, 2}, {5, 4}, {31, 17}, {160, 90}} {
+		single := New(d[0], d[1])
+		_, span := Over(d[0], d[1], nil)
+		if span != single.Bytes() {
+			t.Fatalf("%dx%d spans %d bytes, New allocates %d", d[0], d[1], span, single.Bytes())
+		}
+		buf := make([]byte, span+3) // bytes past the span are left alone
+		for i := range buf {
+			buf[i] = byte(i)
+		}
+		f, _ := Over(d[0], d[1], buf)
+		if f.W != single.W || f.H != single.H || len(f.Y) != len(single.Y) ||
+			len(f.Cb) != len(single.Cb) || len(f.Cr) != len(single.Cr) {
+			t.Fatalf("%dx%d: %v with planes %d/%d/%d differs from New", d[0], d[1], &f, len(f.Y), len(f.Cb), len(f.Cr))
+		}
+		if &f.Y[0] != &buf[0] || &f.Cb[0] != &buf[len(f.Y)] || &f.Cr[len(f.Cr)-1] != &buf[span-1] {
+			t.Fatalf("%dx%d: planes are not Y|Cb|Cr over the buffer", d[0], d[1])
+		}
+		_ = append(f.Y, 0xEE)
+		_ = append(f.Cb, 0xEE)
+		_ = append(f.Cr, 0xEE)
+		for i := range buf {
+			if buf[i] != byte(i) {
+				t.Fatalf("%dx%d: append through a plane wrote byte %d of the buffer", d[0], d[1], i)
+			}
+		}
+		if short, n := Over(d[0], d[1], buf[:span-1]); n != span || short.Y != nil || short.Cb != nil || short.Cr != nil {
+			t.Fatalf("%dx%d: a buffer one byte short was carved", d[0], d[1])
+		}
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	f := randomFrame(r, 32, 18)

@@ -82,9 +82,6 @@ type Store struct {
 	transientReads atomic.Uint64 // CRC failures that cleared on re-read
 }
 
-// rsite is the fault-injection site of one keyed operation.
-func (s *Store) rsite(key string) string { return s.opts.FaultScope + ":" + key }
-
 // Open opens (creating if necessary) a store in dir and replays its logs to
 // rebuild the index. A torn record at the tail of the newest log — the
 // signature of a crash mid-write — is truncated away. A record whose
@@ -300,7 +297,7 @@ func (s *Store) appendLocked(key string, value []byte, tombstone bool) error {
 	copy(buf[recHeaderSize+len(key):], value)
 	binary.BigEndian.PutUint32(buf[0:], crc32.ChecksumIEEE(buf[4:]))
 	off := s.actSize
-	if n, ferr := fault.OnWrite(s.rsite(key), len(buf)); ferr != nil {
+	if n, ferr := fault.OnWrite(s.opts.FaultScope, key, len(buf)); ferr != nil {
 		if n > 0 {
 			// A torn write: the prefix a crash mid-write would leave on
 			// disk. actSize does not advance, so the next append
@@ -366,7 +363,7 @@ func (s *Store) readRecord(key string, loc recordLoc) (rec []byte, ok bool, err 
 	if _, err := s.files[loc.file].ReadAt(rec, recOff); err != nil {
 		return nil, false, fmt.Errorf("kvstore: read %q: %w", key, err)
 	}
-	if err := fault.OnRead(s.rsite(key), rec); err != nil {
+	if err := fault.OnRead(s.opts.FaultScope, key, rec); err != nil {
 		return nil, false, fmt.Errorf("kvstore: read %q: %w", key, err)
 	}
 	return rec, crc32.ChecksumIEEE(rec[4:]) == binary.BigEndian.Uint32(rec[0:]), nil
@@ -395,7 +392,10 @@ func (s *Store) readRecordVerified(key string, loc recordLoc) ([]byte, bool, err
 // Get returns the value stored under key, or ErrNotFound. The whole
 // record is re-read and its checksum verified on every call, so damage
 // that landed after the original write (bit rot, a bad sector) surfaces
-// as ErrCorrupt instead of being served silently into a query.
+// as ErrCorrupt instead of being served silently into a query. The
+// returned slice is cut from a buffer allocated for this call, which the
+// store neither retains nor reuses: the caller owns it and may write to it
+// (the raw read path delivers frames that alias it).
 func (s *Store) Get(key string) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -435,7 +435,7 @@ func (s *Store) Len() int {
 // Keys returns all live keys with the given prefix in sorted order.
 func (s *Store) Keys(prefix string) []string {
 	s.mu.RLock()
-	out := make([]string, 0, len(s.index))
+	var out []string // sized by the matches, not by the index
 	for k := range s.index {
 		if strings.HasPrefix(k, prefix) {
 			out = append(out, k)
@@ -628,7 +628,7 @@ func (s *Store) Compact() error {
 			}
 			cur = &staged[len(staged)-1]
 		}
-		if n, ferr := fault.OnWrite(s.rsite(k), len(rec)); ferr != nil {
+		if n, ferr := fault.OnWrite(s.opts.FaultScope, k, len(rec)); ferr != nil {
 			if n > 0 {
 				cur.f.WriteAt(rec[:n], cur.size)
 			}

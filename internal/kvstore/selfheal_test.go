@@ -563,3 +563,51 @@ func TestPersistentDamageSurvivesReread(t *testing.T) {
 		t.Fatalf("CorruptReads=%d TransientReads=%d, want 3 and 0", st.CorruptReads, st.TransientReads)
 	}
 }
+
+// TestGetReturnsOwnedBuffer pins the ownership rule the raw read path
+// relies on: Get's result is the caller's — the store keeps no reference to
+// it and never hands the same memory out again — so overwriting it changes
+// neither a later Get nor the log. The second half repeats it with read
+// flips armed, where the value returned is the re-read's buffer.
+func TestGetReturnsOwnedBuffer(t *testing.T) {
+	s := openTemp(t, Options{})
+	want := make([]byte, 4096)
+	for i := range want {
+		want[i] = byte(i * 31)
+	}
+	if err := s.Put("raw/cam/sf/00000000/00000007", want); err != nil {
+		t.Fatal(err)
+	}
+	scribbleAndReread := func(round string) (served int) {
+		for i := 0; i < 40; i++ {
+			v, err := s.Get("raw/cam/sf/00000000/00000007")
+			if errors.Is(err, ErrCorrupt) && fault.Enabled() {
+				continue // both reads of this Get drew a flip
+			}
+			if err != nil {
+				t.Fatalf("%s: Get %d: %v", round, i, err)
+			}
+			if !bytes.Equal(v, want) {
+				t.Fatalf("%s: Get %d returned bytes an earlier caller overwrote", round, i)
+			}
+			for j := range v {
+				v[j] ^= 0xFF
+			}
+			served++
+		}
+		return served
+	}
+	scribbleAndReread("no faults")
+
+	faults(t, 3, "read=flip:0.4")
+	if served := scribbleAndReread("flips armed"); served == 0 {
+		t.Fatal("no Get survived the flips; lower the rate")
+	}
+	if s.Stats().TransientReads == 0 {
+		t.Fatal("no Get was served from its re-read; the flip rule proved nothing")
+	}
+	fault.Install(nil)
+	if bad, err := s.VerifyAll(); err != nil || len(bad) != 0 {
+		t.Fatalf("log damaged by writes to returned values: %v %v", bad, err)
+	}
+}

@@ -209,6 +209,59 @@ func TestRangeOwnedDelivery(t *testing.T) {
 	assertFramesEqual(t, shared, ref)
 }
 
+// TestMutateAliasedRawDeliveryLeavesStorePristine covers the binding where
+// delivered planes are the stored record itself: a raw format read at its
+// own resolution (the identity conversion, so nothing is copied) for a
+// consumer of lower quality (so the record buffer kvstore.Get returned is
+// quantised in place). Scribbling over a delivery must leave the next one,
+// the cache and the log untouched, with and without the cache.
+func TestMutateAliasedRawDeliveryLeavesStorePristine(t *testing.T) {
+	cf := format.ConsumptionFormat{Fidelity: format.Fidelity{
+		Quality: format.QGood, Crop: format.Crop100, Res: 200, Sampling: s11}}
+	for _, cached := range []bool{false, true} {
+		r, _, rawSF := setup(t)
+		if cached {
+			r.Cache = NewCache(1 << 30)
+		}
+		store := r.Store.(*segment.Store)
+		stored, _, err := store.GetRaw("cam", rawSF, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := cloneFrames(stored)
+		codec.ApplyQuality(ref, cf.Fidelity.Quality)
+		if frame.Equal(ref[0], stored[0]) {
+			t.Fatal("the binding quantises nothing; the test would prove nothing")
+		}
+		for pass := 0; pass < 3; pass++ { // with a cache: one miss, then hits
+			got, _, err := r.Segment("cam", rawSF, cf, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertFramesEqual(t, got, ref)
+			scribble(got)
+		}
+		if cached {
+			if st := r.Cache.Stats(); st.Hits != 2 {
+				t.Fatalf("cached passes did not hit: %+v", st)
+			}
+			shared, _, err := r.SegmentTagged("cam", rawSF, cf, 0, nil, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertFramesEqual(t, shared, ref)
+		}
+		again, _, err := store.GetRaw("cam", rawSF, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertFramesEqual(t, again, stored)
+		if refs, meta, err := store.VerifyAll(); err != nil || len(refs)+len(meta) != 0 {
+			t.Fatalf("cached=%v: log damaged by in-place quantisation or a scribble: %v %v %v", cached, refs, meta, err)
+		}
+	}
+}
+
 var errFrameCorrupted = errors.New("concurrent reader observed corrupted cached frame")
 
 func assertFramesEqual(t *testing.T, got, want []*frame.Frame) {

@@ -61,6 +61,9 @@ func asSegmentErr(err error) error {
 // reads.
 type KV interface {
 	Put(key string, value []byte) error
+	// Get returns a buffer the caller owns: the store never retains or
+	// reuses it. The raw read path depends on it — delivered planes alias
+	// the returned value (unmarshalFrame) and may be quantised in place.
 	Get(key string) ([]byte, error)
 	Has(key string) bool
 	Delete(key string) error
@@ -215,36 +218,34 @@ func unmarshalRawMeta(b []byte) (rawMeta, error) {
 	}, nil
 }
 
-func marshalFrame(f *frame.Frame) []byte {
-	out := make([]byte, 0, 8+f.Bytes())
-	var hdr [8]byte
-	binary.BigEndian.PutUint16(hdr[0:], uint16(f.W))
-	binary.BigEndian.PutUint16(hdr[2:], uint16(f.H))
-	binary.BigEndian.PutUint32(hdr[4:], uint32(f.PTS))
-	out = append(out, hdr[:]...)
+// appendFrame appends f's stored record: an 8-byte header (W, H, PTS) and
+// the three planes.
+func appendFrame(out []byte, f *frame.Frame) []byte {
+	out = binary.BigEndian.AppendUint16(out, uint16(f.W))
+	out = binary.BigEndian.AppendUint16(out, uint16(f.H))
+	out = binary.BigEndian.AppendUint32(out, uint32(f.PTS))
 	out = append(out, f.Y...)
 	out = append(out, f.Cb...)
-	out = append(out, f.Cr...)
-	return out
+	return append(out, f.Cr...)
 }
 
-func unmarshalFrame(b []byte) (*frame.Frame, error) {
+func marshalFrame(f *frame.Frame) []byte {
+	return appendFrame(make([]byte, 0, 8+f.Bytes()), f)
+}
+
+// unmarshalFrame parses one stored record into a frame whose planes alias
+// b: the record is not copied, so b must be the caller's to hand over.
+func unmarshalFrame(b []byte) (frame.Frame, error) {
 	if len(b) < 8 {
-		return nil, errors.New("segment: truncated raw frame")
+		return frame.Frame{}, errors.New("segment: truncated raw frame")
 	}
 	w := int(binary.BigEndian.Uint16(b[0:]))
 	h := int(binary.BigEndian.Uint16(b[2:]))
-	pts := int(binary.BigEndian.Uint32(b[4:]))
-	f := frame.New(w, h)
-	f.PTS = pts
-	want := 8 + f.Bytes()
-	if len(b) != want {
-		return nil, fmt.Errorf("segment: raw frame %d bytes, want %d", len(b), want)
+	f, n := frame.Over(w, h, b[8:])
+	if len(b) != 8+n {
+		return frame.Frame{}, fmt.Errorf("segment: raw frame %d bytes, want %d", len(b), 8+n)
 	}
-	p := b[8:]
-	n := copy(f.Y, p)
-	n += copy(f.Cb, p[n:])
-	copy(f.Cr, p[n:])
+	f.PTS = int(binary.BigEndian.Uint32(b[4:]))
 	return f, nil
 }
 
@@ -302,9 +303,11 @@ func (s *Store) GetRawRef(r Ref, keep func(pts int) bool) ([]*frame.Frame, int64
 		return nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	prefix := rawFramePrefixOf(r.Stream, r.SFKey, r.Idx)
-	var out []*frame.Frame
+	keys := s.kv.Keys(prefix)
+	hdrs := make([]frame.Frame, len(keys)) // one allocation for every kept frame's header
+	out := make([]*frame.Frame, 0, len(keys))
 	var read int64
-	for _, key := range s.kv.Keys(prefix) {
+	for _, key := range keys {
 		pts, err := strconv.Atoi(key[len(prefix):])
 		if err != nil {
 			return nil, read, fmt.Errorf("%w: bad raw frame key %q", ErrCorrupt, key)
@@ -320,7 +323,8 @@ func (s *Store) GetRawRef(r Ref, keep func(pts int) bool) ([]*frame.Frame, int64
 			return nil, read, asSegmentErr(err)
 		}
 		read += int64(len(b))
-		f, err := unmarshalFrame(b)
+		f := &hdrs[len(out)]
+		*f, err = unmarshalFrame(b)
 		if err != nil {
 			return nil, read, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
@@ -342,14 +346,14 @@ func MarshalRawSegment(frames []*frame.Frame) []byte {
 	out := make([]byte, 0, size)
 	out = binary.BigEndian.AppendUint32(out, uint32(len(frames)))
 	for _, f := range frames {
-		rec := marshalFrame(f)
-		out = binary.BigEndian.AppendUint32(out, uint32(len(rec)))
-		out = append(out, rec...)
+		out = binary.BigEndian.AppendUint32(out, uint32(8+f.Bytes()))
+		out = appendFrame(out, f)
 	}
 	return out
 }
 
-// UnmarshalRawSegment parses MarshalRawSegment's framing.
+// UnmarshalRawSegment parses MarshalRawSegment's framing. The frames'
+// planes alias b.
 func UnmarshalRawSegment(b []byte) ([]*frame.Frame, error) {
 	if len(b) < 4 {
 		return nil, errors.New("segment: truncated raw segment wire header")
@@ -370,7 +374,7 @@ func UnmarshalRawSegment(b []byte) ([]*frame.Frame, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, f)
+		out = append(out, &f)
 		off += l
 	}
 	if off != len(b) {

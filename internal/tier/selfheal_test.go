@@ -181,3 +181,52 @@ func TestTierDamageValueMissing(t *testing.T) {
 		t.Fatalf("DamageValue(missing) = %v", err)
 	}
 }
+
+// TestGetReturnsOwnedBuffer is kvstore's test of the same name through the
+// tiers: a value served from either tier — the cold one by fall-through —
+// is the caller's to overwrite, with and without read flips armed.
+func TestGetReturnsOwnedBuffer(t *testing.T) {
+	s := openTest(t, t.TempDir(), Options{Shards: 2})
+	vals := map[string][]byte{}
+	for i, tr := range []ID{Fast, Cold} {
+		k := fmt.Sprintf("raw/cam/sf/00000000/%08d", i)
+		vals[k] = bytes.Repeat([]byte{byte(0x30 + i), 0x0C}, 1500)
+		if err := s.PutTier(tr, k, vals[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scribbleAndReread := func(round string) (served int) {
+		for i := 0; i < 40; i++ {
+			for k, want := range vals {
+				v, err := s.Get(k)
+				if errors.Is(err, kvstore.ErrCorrupt) && fault.Enabled() {
+					continue // both reads of this Get drew a flip
+				}
+				if err != nil {
+					t.Fatalf("%s: Get %s: %v", round, k, err)
+				}
+				if !bytes.Equal(v, want) {
+					t.Fatalf("%s: Get %s returned bytes an earlier caller overwrote", round, k)
+				}
+				for j := range v {
+					v[j] ^= 0xFF
+				}
+				served++
+			}
+		}
+		return served
+	}
+	scribbleAndReread("no faults")
+
+	installFaults(t, 3, "read=flip:0.4")
+	if served := scribbleAndReread("flips armed"); served == 0 {
+		t.Fatal("no Get survived the flips; lower the rate")
+	}
+	if s.Stats().TransientReads == 0 {
+		t.Fatal("no Get was served from its re-read; the flip rule proved nothing")
+	}
+	fault.Install(nil)
+	if bad, err := s.VerifyAll(); err != nil || len(bad) != 0 {
+		t.Fatalf("logs damaged by writes to returned values: %v %v", bad, err)
+	}
+}

@@ -295,7 +295,9 @@ func (s *Store) PutTier(t ID, key string, value []byte) error {
 // replica, so one damaged tier degrades a stream instead of taking it
 // down. If the cold tier has no copy either, the original fast error is
 // returned (it carries the real diagnosis: the data exists but is
-// damaged, not absent).
+// damaged, not absent). The value is whichever shard's Get produced it and
+// is kept nowhere here, so kvstore.Get's rule carries over: the caller owns
+// the returned buffer.
 func (s *Store) Get(key string) ([]byte, error) {
 	i := s.shardOf(key)
 	v, err := s.fast[i].Get(key)
