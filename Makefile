@@ -15,7 +15,7 @@ COVER_MIN := 80
 # Fuzzing budget: 10s locally keeps the loop fast, nightly CI raises it.
 FUZZTIME ?= 10s
 
-.PHONY: build test loc race bench bench-ab lint fmt vet staticcheck vulncheck cover fuzz soak load-smoke scrub-smoke fault-smoke fault-soak cluster-smoke all
+.PHONY: build test examples loc race bench bench-ab lint fmt vet staticcheck vulncheck cover fuzz soak load-smoke scrub-smoke fault-smoke fault-soak cluster-smoke all
 
 all: build lint test
 
@@ -24,6 +24,17 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The walkthroughs under examples/ are run, not just compiled: each is a
+# self-checking program over a throwaway store (a few seconds apiece), and
+# a non-zero exit fails the target. What a CLI verb already shows has no
+# example (`vstore query`, `vstore serve`).
+EXAMPLES := quickstart lifecycle httpserve subscribe multitenant
+examples:
+	@set -e; for e in $(EXAMPLES); do \
+		echo "== examples/$$e"; \
+		$(GO) run ./examples/$$e; \
+	done
 
 # The ROADMAP's line metric, by the exact command it is defined with, and
 # the same for tests. Prints only: nothing reads the numbers back. (A
@@ -75,13 +86,16 @@ cover:
 # the two pixel kernels whose rewrite is hardest to read (any plane size and
 # seed must give the bytes of the reference loop kept in the test file) and
 # over the raw record parser, whose frames alias their input (any bytes must
-# give the copying reference's error or frame, and never panic).
+# give the copying reference's error or frame, and never panic), and over the
+# query chunk split (any validated range must be tiled exactly, whatever the
+# chunk size — the loop that once overflowed).
 # Nightly CI runs this with FUZZTIME=5m.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzConfigRoundTrip -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzBoxScale -fuzztime $(FUZZTIME) ./internal/frame/
 	$(GO) test -run '^$$' -fuzz FuzzBoxBlur3 -fuzztime $(FUZZTIME) ./internal/ops/
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalFrame -fuzztime $(FUZZTIME) ./internal/segment/
+	$(GO) test -run '^$$' -fuzz FuzzQuerySpans -fuzztime $(FUZZTIME) ./internal/api/
 
 # The subscription soak under the race detector: a live pipeline feeds
 # segments for VSTORE_SOAK (default a few hundred ms; nightly CI runs 60s)

@@ -23,6 +23,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -531,7 +532,7 @@ func cmdStats(args []string) error {
 		return err
 	}
 	defer closeStore()
-	st := store.KV().Stats()
+	st := store.Tiered().Stats()
 	disk, err := store.KV().DiskBytes()
 	if err != nil {
 		return err
@@ -592,15 +593,27 @@ func cmdRoute(args []string) error {
 	if err != nil {
 		return err
 	}
-	addr, err := rt.Start(*listen)
+	return serveUntilSignal(rt, *listen, "drained", func(addr net.Addr) {
+		fmt.Printf("vstore router listening on %s (%d nodes, %d replicas, %d workers)\n",
+			addr, len(nodes), *replicas, *workers)
+		for _, n := range nodes {
+			fmt.Printf("  node %-12s %s\n", n.Name, n.URL)
+		}
+	})
+}
+
+// serveUntilSignal is the whole run of the api and route verbs: start
+// listening, print the listen line the smokes parse, wait for SIGINT or
+// SIGTERM, drain under a 30 s deadline, print the drained line.
+func serveUntilSignal(srv interface {
+	Start(addr string) (net.Addr, error)
+	Shutdown(ctx context.Context) error
+}, listen, drained string, listening func(net.Addr)) error {
+	addr, err := srv.Start(listen)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("vstore router listening on %s (%d nodes, %d replicas, %d workers)\n",
-		addr, len(nodes), *replicas, *workers)
-	for _, n := range nodes {
-		fmt.Printf("  node %-12s %s\n", n.Name, n.URL)
-	}
+	listening(addr)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
@@ -608,10 +621,10 @@ func cmdRoute(args []string) error {
 	fmt.Println("draining: waiting for in-flight requests...")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := rt.Shutdown(ctx); err != nil {
+	if err := srv.Shutdown(ctx); err != nil {
 		return fmt.Errorf("shutdown: %w", err)
 	}
-	fmt.Println("drained")
+	fmt.Println(drained)
 	return nil
 }
 
@@ -688,24 +701,9 @@ func cmdAPI(args []string) error {
 	} else if reg != nil {
 		lim.Tenants = reg
 	}
-	as := api.New(srv, lim)
-	addr, err := as.Start(*listen)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("vstore api listening on %s (db %s)\n", addr, *db)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	<-sig
-	fmt.Println("draining: waiting for in-flight requests...")
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := as.Shutdown(ctx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
 	// srv.Close (deferred) stops the daemon and live streams after the
 	// HTTP surface is quiet.
-	fmt.Println("drained; closing store")
-	return nil
+	return serveUntilSignal(api.New(srv, lim), *listen, "drained; closing store", func(addr net.Addr) {
+		fmt.Printf("vstore api listening on %s (db %s)\n", addr, *db)
+	})
 }

@@ -54,16 +54,12 @@ package api
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
 	"runtime"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/query"
@@ -129,55 +125,13 @@ func (l Limits) withDefaults() Limits {
 	return l
 }
 
-// endpointMetrics is one endpoint's counter set (see EndpointStats).
-type endpointMetrics struct {
-	requests     atomic.Int64
-	rejections   atomic.Int64
-	errors       atomic.Int64
-	unauthorized atomic.Int64
-	unavailable  atomic.Int64
-	clientAborts atomic.Int64
-	inFlight     atomic.Int64
-	observed     atomic.Int64 // requests included in the latency sums
-	latencyNs    atomic.Int64
-	maxNs        atomic.Int64
-}
-
-func (m *endpointMetrics) observe(d time.Duration) {
-	ns := d.Nanoseconds()
-	m.observed.Add(1)
-	m.latencyNs.Add(ns)
-	for {
-		cur := m.maxNs.Load()
-		if ns <= cur || m.maxNs.CompareAndSwap(cur, ns) {
-			return
-		}
-	}
-}
-
-func (m *endpointMetrics) stats() EndpointStats {
-	st := EndpointStats{
-		Requests:     m.requests.Load(),
-		Rejections:   m.rejections.Load(),
-		Errors:       m.errors.Load(),
-		Unauthorized: m.unauthorized.Load(),
-		Unavailable:  m.unavailable.Load(),
-		ClientAborts: m.clientAborts.Load(),
-		InFlight:     m.inFlight.Load(),
-		MaxMs:        float64(m.maxNs.Load()) / 1e6,
-	}
-	if n := m.observed.Load(); n > 0 {
-		st.AvgMs = float64(m.latencyNs.Load()) / float64(n) / 1e6
-	}
-	return st
-}
-
 // Server serves one store over HTTP. Create with New, start with Start (or
 // mount Handler yourself), stop with Shutdown. The underlying
 // server.Server's lifecycle stays the caller's: Shutdown drains HTTP
 // traffic; closing the store (which stops daemons and live streams) comes
 // after.
 type Server struct {
+	*Shell
 	store   *server.Server
 	lim     Limits
 	gate    *tenant.Gate
@@ -187,26 +141,15 @@ type Server struct {
 	retryAfterSet bool
 	hub           *sub.Hub
 	leases        *storepkg.Leases
-	mux           *http.ServeMux
-	metrics       map[string]*endpointMetrics
-
-	baseCtx    context.Context
-	cancelBase context.CancelFunc
-	draining   atomic.Bool
-
-	httpSrv  *http.Server
-	lis      net.Listener
-	serveErr chan error
 }
 
 // New wraps the store in an HTTP API server with the given limits.
 func New(store *server.Server, lim Limits) *Server {
 	s := &Server{
+		Shell:         NewShell("server"),
 		store:         store,
 		lim:           lim.withDefaults(),
 		retryAfterSet: lim.RetryAfter > 0,
-		mux:           http.NewServeMux(),
-		metrics:       map[string]*endpointMetrics{},
 	}
 	s.tenants = s.lim.Tenants
 	if s.tenants == nil {
@@ -218,7 +161,6 @@ func New(store *server.Server, lim Limits) *Server {
 		Webhook:          s.lim.Webhook,
 	})
 	s.leases = storepkg.NewLeases(s.lim.SnapshotLeaseTTL)
-	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
 	s.route("query", "POST /v1/query", s.handleQuery)
 	s.route("ingest", "POST /v1/ingest", s.handleIngest)
 	s.route("subscribe", "POST /v1/subscribe", s.handleSubscribe)
@@ -240,12 +182,19 @@ func New(store *server.Server, lim Limits) *Server {
 	return s
 }
 
-// tenantKey carries the request's resolved *tenant.Tenant in its context.
-type tenantKey struct{}
+// admission is the per-request state the node's route wrapper shares with
+// its handlers through the request context: the resolved tenant, and what
+// the handler learns that the tenant's accounting needs.
+type admission struct {
+	tenant      *tenant.Tenant
+	gateWait    time.Duration // admission-gate wait, for per-tenant wait stats
+	ingestBytes int64         // segment bytes an ingest stored, charged like traffic
+}
 
-func tenantFrom(ctx context.Context) *tenant.Tenant {
-	t, _ := ctx.Value(tenantKey{}).(*tenant.Tenant)
-	return t
+type admissionKey struct{}
+
+func admissionFrom(ctx context.Context) *admission {
+	return ctx.Value(admissionKey{}).(*admission)
 }
 
 // APIKey extracts the client's API key: the X-API-Key header, else an
@@ -263,125 +212,24 @@ func APIKey(r *http.Request) string {
 	return ""
 }
 
-// route mounts one instrumented endpoint: request/in-flight/latency
-// accounting, the 503 drain gate, API-key → tenant resolution, and
-// outcome classification by status code. Every arrival is counted —
-// drain-time 503s included, which the pre-multi-tenant wrapper silently
-// dropped by returning before the request counter.
-func (s *Server) route(name, pattern string, fn http.HandlerFunc) {
-	m := &endpointMetrics{}
-	s.metrics[name] = m
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		m.requests.Add(1)
-		// healthz must answer during drain (it reports the drain) and
-		// metrics must stay scrapable while the server winds down.
-		if s.draining.Load() && name != "healthz" && name != "metrics" {
-			m.unavailable.Add(1)
-			// A drain is transient — the replacement instance (or the
-			// restarted one) is seconds away — so the 503 carries the same
-			// backoff hint a 429 does instead of leaving clients to guess.
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "server draining", http.StatusServiceUnavailable)
-			return
-		}
+// route mounts one endpoint on the shell behind API-key → tenant
+// resolution (an unknown key is answered 401), and accounts the finished
+// request against its tenant by the shell's own classification.
+func (s *Server) route(name, pattern string, fn func(*Response, *http.Request)) {
+	s.Route(name, pattern, func(w *Response, r *http.Request) {
 		tn, err := s.tenants.Resolve(APIKey(r))
 		if err != nil {
-			m.unauthorized.Add(1)
 			http.Error(w, "unknown API key", http.StatusUnauthorized)
 			return
 		}
-		m.inFlight.Add(1)
+		ad := &admission{tenant: tn}
 		t0 := time.Now()
-		cw := &countingWriter{ResponseWriter: w, status: http.StatusOK}
-		// Deferred, not sequential: a panicking handler (recovered by
-		// net/http per connection) must not leak an in-flight count or
-		// skip its accounting.
 		defer func() {
-			m.inFlight.Add(-1)
-			d := time.Since(t0)
-			switch {
-			case cw.status == http.StatusTooManyRequests:
-				m.rejections.Add(1)
-				tn.Observe(tenant.OutcomeRejected, d, 0, cw.bytes)
-			case !cw.wrote && r.Context().Err() != nil:
-				// The handler wrote nothing and the request context is
-				// dead: the client vanished (mid-body, or while parked in
-				// the admission gate). Not a 200, not an error — counted
-				// apart and excluded from the latency summaries, which
-				// a pile of slow aborts used to drag around.
-				m.clientAborts.Add(1)
-				tn.Observe(tenant.OutcomeAborted, d, cw.gateWait, cw.bytes)
-			case cw.status >= 500 || cw.midStreamErr:
-				m.errors.Add(1)
-				m.observe(d)
-				tn.Observe(tenant.OutcomeError, d, cw.gateWait, cw.bytes)
-			default:
-				m.observe(d)
-				tn.Observe(tenant.OutcomeOK, d, cw.gateWait, cw.bytes)
-			}
-			tn.ChargeBytes(cw.bytes + cw.ingestBytes)
+			tn.Observe(w.Outcome(r), time.Since(t0), ad.gateWait, w.Bytes())
+			tn.ChargeBytes(w.Bytes() + ad.ingestBytes)
 		}()
-		fn(cw, r.WithContext(context.WithValue(r.Context(), tenantKey{}, tn)))
+		fn(w, r.WithContext(context.WithValue(r.Context(), admissionKey{}, ad)))
 	})
-}
-
-// countingWriter captures the response status, whether anything was
-// written at all (distinguishing client aborts from empty 200s), the
-// response byte count for tenant byte quotas, and mid-stream query
-// failures, which arrive after the 200 header.
-type countingWriter struct {
-	http.ResponseWriter
-	status       int
-	wrote        bool
-	bytes        int64
-	ingestBytes  int64         // segment bytes an ingest stored, charged like traffic
-	gateWait     time.Duration // admission-gate wait, for per-tenant wait stats
-	midStreamErr bool
-}
-
-func (w *countingWriter) WriteHeader(code int) {
-	w.status = code
-	w.wrote = true
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *countingWriter) Write(p []byte) (int, error) {
-	w.wrote = true
-	n, err := w.ResponseWriter.Write(p)
-	w.bytes += int64(n)
-	return n, err
-}
-
-// Flush forwards to the underlying writer so NDJSON lines reach the
-// client as they are produced.
-func (w *countingWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// Handler returns the routed, instrumented handler — for mounting under a
-// caller-owned http.Server or a test mux. Requests served this way do not
-// observe Shutdown's context cancellation (they still observe the drain
-// flag); prefer Start for the full lifecycle.
-func (s *Server) Handler() http.Handler { return s.mux }
-
-// Start listens on addr ("host:port"; ":0" picks a free port) and serves
-// in the background until Shutdown. It returns the bound address.
-func (s *Server) Start(addr string) (net.Addr, error) {
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s.lis = lis
-	s.httpSrv = &http.Server{
-		Handler:           s.mux,
-		BaseContext:       func(net.Listener) context.Context { return s.baseCtx },
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	s.serveErr = make(chan error, 1)
-	go func() { s.serveErr <- s.httpSrv.Serve(lis) }()
-	return lis.Addr(), nil
 }
 
 // Shutdown drains the server gracefully: new requests are refused (503,
@@ -393,48 +241,14 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 // connections are closed. Safe to call once; the store itself is closed
 // by the caller afterwards.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
 	// Subscriptions never return on their own, so the hub must close
-	// before httpSrv.Shutdown can drain: each subscribe handler sees its
-	// push channel close, writes its trailer line, and returns.
-	s.hub.Close()
-	if s.httpSrv == nil {
-		s.cancelBase()
-		s.leases.ReleaseAll()
-		return nil
-	}
-	err := s.httpSrv.Shutdown(ctx)
-	// Cancel the base context either way: on clean drain every request
-	// has returned and this is a no-op; on deadline it aborts stragglers
-	// so their pool work stops promptly.
-	s.cancelBase()
-	if err != nil {
-		_ = s.httpSrv.Close()
-	}
-	if serveErr := <-s.serveErr; serveErr != nil && !errors.Is(serveErr, http.ErrServerClosed) && err == nil {
-		err = serveErr
-	}
+	// before the drain: each subscribe handler sees its push channel
+	// close, writes its trailer line, and returns.
+	err := s.Shell.Shutdown(ctx, s.hub.Close)
 	// No remote pin outlives the server: whatever leases peers abandoned
 	// release here, before the caller closes the store.
 	s.leases.ReleaseAll()
 	return err
-}
-
-// WriteJSON writes one JSON response body.
-func WriteJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// readJSON decodes the request body into v, answering 400 on malformed
-// input. An empty body decodes to the zero value.
-func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil && !errors.Is(err, io.EOF) {
-		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
-		return false
-	}
-	return true
 }
 
 // reject answers the 429, hinting when to retry: the operator-pinned
@@ -462,15 +276,13 @@ func SetRetryAfter(w http.ResponseWriter, hint time.Duration) {
 // vanished client gets nothing and is classified as an abort by the
 // route wrapper.
 func (s *Server) acquire(ctx context.Context, w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
-	tn := tenantFrom(r.Context())
-	if allowed, retry := tn.AllowRequest(); !allowed {
+	ad := admissionFrom(r.Context())
+	if allowed, retry := ad.tenant.AllowRequest(); !allowed {
 		s.reject(w, retry, "tenant quota exhausted: rate or byte budget spent")
 		return nil, false
 	}
-	release, wait, err := s.gate.Acquire(ctx, tn)
-	if cw, isCW := w.(*countingWriter); isCW {
-		cw.gateWait = wait
-	}
+	release, wait, err := s.gate.Acquire(ctx, ad.tenant)
+	ad.gateWait = wait
 	switch rej := (*tenant.Rejection)(nil); {
 	case err == nil:
 		return release, true
@@ -491,28 +303,18 @@ func (s *Server) acquire(ctx context.Context, w http.ResponseWriter, r *http.Req
 // whole life, and executed chunk-by-chunk so results flow before the full
 // span finishes decoding. Client disconnection or timeout cancels the
 // execution between per-segment batches.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleQuery(w *Response, r *http.Request) {
 	var req QueryRequest
-	if !readJSON(w, r, &req) {
+	if !ReadJSON(w, r, &req) {
 		return
 	}
-	if req.Stream == "" {
-		http.Error(w, "missing stream", http.StatusBadRequest)
+	if err := req.Validate(); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	cascade, names, err := query.ByName(orDefault(req.Query, "A"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if req.From < 0 || (req.To != 0 && req.To < req.From) || req.Chunk < 0 {
-		http.Error(w, "invalid segment range", http.StatusBadRequest)
-		return
-	}
-	// A target accuracy outside [0, 1] is meaningless to the optimizer;
-	// it used to slip through and skew cascade selection silently.
-	if req.Accuracy < 0 || req.Accuracy > 1 {
-		http.Error(w, "accuracy must be within [0, 1]", http.StatusBadRequest)
 		return
 	}
 	acc := req.Accuracy
@@ -563,53 +365,26 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		defer pinned.Release()
 		snap = pinned
 	}
-	from, to := req.From, req.To
-	if to == 0 {
-		to = snap.Segments(req.Stream)
-	}
-	if from > to {
-		from = to
-	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flush := func() {
-		if f, ok := w.(http.Flusher); ok {
-			f.Flush()
-		}
-	}
-	emit := func(line QueryLine) {
-		_ = enc.Encode(line)
-		flush()
-	}
-
-	step := req.Chunk
-	if step <= 0 {
-		step = to - from
-	}
 	t0 := time.Now()
-	chunks := 0
-	for lo := from; lo < to; lo += step {
-		hi := min(lo+step, to)
+	chunks, segments := 0, 0
+	for lo, hi := range req.Spans(snap.Segments(req.Stream)) {
 		res, err := s.store.QueryAt(ctx, snap, req.Stream, cascade, names, acc, lo, hi)
 		if err != nil {
 			// Client-driven terminations (disconnect, timeout) are not
 			// server errors.
-			if cw, ok := w.(*countingWriter); ok &&
-				!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-				cw.midStreamErr = true
-			}
-			emit(QueryLine{Error: err.Error()})
+			w.MidStreamErr = !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
+			w.Line(QueryLine{Error: err.Error()})
 			return
 		}
 		c := ChunkFromResult(lo, hi, res)
-		emit(QueryLine{Chunk: &c})
+		w.Line(QueryLine{Chunk: &c})
 		chunks++
+		segments += hi - lo
 	}
-	emit(QueryLine{Done: &QuerySummary{
+	w.Line(QueryLine{Done: &QuerySummary{
 		Chunks:   chunks,
-		Segments: to - from,
+		Segments: segments,
 		WallMs:   float64(time.Since(t0).Nanoseconds()) / 1e6,
 	}})
 }
@@ -617,9 +392,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // handleIngest appends segments of a scene to a stream — the batch
 // counterpart of a live pipeline, sharing the query gate so mixed
 // query/ingest load is admitted against one in-flight budget.
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleIngest(w *Response, r *http.Request) {
 	var req IngestRequest
-	if !readJSON(w, r, &req) {
+	if !ReadJSON(w, r, &req) {
 		return
 	}
 	if req.Stream == "" {
@@ -656,20 +431,15 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	// Stored segment bytes count against the tenant's byte quota just
 	// like response traffic.
-	if cw, isCW := w.(*countingWriter); isCW {
-		cw.ingestBytes = resp.Bytes
-	}
+	admissionFrom(r.Context()).ingestBytes = resp.Bytes
 	WriteJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleStats(w *Response, r *http.Request) {
 	resp := StatsResponse{
 		Store:   s.store.Stats(),
-		API:     map[string]EndpointStats{},
+		API:     s.Metrics(),
 		Tenants: map[string]TenantStats{},
-	}
-	for name, m := range s.metrics {
-		resp.API[name] = m.stats()
 	}
 	gateStats, _, _ := s.gate.Snapshot()
 	for _, tn := range s.tenants.Tenants() {
@@ -686,18 +456,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, resp)
 }
 
-// Metrics returns a snapshot of the per-endpoint counters, keyed by
-// endpoint name — the counters /v1/stats serves, reachable even while
-// the server drains (when /v1/stats itself answers 503).
-func (s *Server) Metrics() map[string]EndpointStats {
-	out := make(map[string]EndpointStats, len(s.metrics))
-	for name, m := range s.metrics {
-		out[name] = m.stats()
-	}
-	return out
-}
-
-func (s *Server) handleStreams(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleStreams(w *Response, r *http.Request) {
 	live := s.store.LiveStreams()
 	resp := StreamsResponse{Streams: map[string]StreamInfo{}}
 	for name, n := range s.store.StreamSegments() {
@@ -712,9 +471,9 @@ func (s *Server) handleStreams(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleErode(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleErode(w *Response, r *http.Request) {
 	var req ErodeRequest
-	if !readJSON(w, r, &req) {
+	if !ReadJSON(w, r, &req) {
 		return
 	}
 	n, err := s.store.ErodePass(server.AgeByToday(func() int { return req.Today }))
@@ -725,9 +484,9 @@ func (s *Server) handleErode(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, ErodeResponse{Eroded: n})
 }
 
-func (s *Server) handleDemote(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleDemote(w *Response, r *http.Request) {
 	var req ErodeRequest
-	if !readJSON(w, r, &req) {
+	if !ReadJSON(w, r, &req) {
 		return
 	}
 	n, err := s.store.DemotePass(server.AgeByToday(func() int { return req.Today }))
@@ -738,7 +497,7 @@ func (s *Server) handleDemote(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, DemoteResponse{Demoted: n})
 }
 
-func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCompact(w *Response, r *http.Request) {
 	if err := s.store.Compact(); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -751,7 +510,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 // from fallback ancestors. The pass runs even when some replicas cannot be
 // healed — the response reports them — so only the verification walk itself
 // failing is a 500.
-func (s *Server) handleScrub(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleScrub(w *Response, r *http.Request) {
 	rep, err := s.store.ScrubPass()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -770,10 +529,10 @@ func (s *Server) handleScrub(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHealthz(w *Response, r *http.Request) {
 	WriteJSON(w, http.StatusOK, HealthResponse{
 		OK:       true,
-		Draining: s.draining.Load(),
+		Draining: s.Draining(),
 		Degraded: s.store.Degraded(),
 	})
 }

@@ -1,41 +1,26 @@
-// GET /metrics: Prometheus text exposition (format 0.0.4), written by
-// hand against the stdlib — the repo takes no dependencies. Counters come
-// from the tenants' cumulative totals and the per-endpoint counter sets;
-// gauges from the gate's live snapshot; the admission-wait histogram from
-// each tenant's cumulative power-of-two bucket counts.
+// GET /metrics on a node: the tenants' cumulative totals, the gate's live
+// snapshot, the admission-wait histogram from each tenant's cumulative
+// power-of-two bucket counts, the self-healing counters and the shell's
+// per-endpoint counter sets, written through the shell's Exposition.
 
 package api
 
 import (
-	"fmt"
 	"net/http"
-	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/tenant"
 )
 
-// promEscape escapes a label value per the exposition format.
-func promEscape(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(s)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var b strings.Builder
-
-	head := func(name, typ, help string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-	}
+func (s *Server) handleMetrics(w *Response, r *http.Request) {
+	var e Exposition
 	tenants := s.tenants.Tenants()
 
 	// Per-tenant cumulative counters.
-	type counter struct {
+	for _, c := range []struct {
 		name, help string
 		value      func(tenant.Totals) float64
-	}
-	counters := []counter{
+	}{
 		{"vstore_tenant_requests_total", "Requests received, by tenant.",
 			func(t tenant.Totals) float64 { return float64(t.Requests) }},
 		{"vstore_tenant_ok_total", "Requests admitted and answered successfully, by tenant.",
@@ -50,100 +35,56 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			func(t tenant.Totals) float64 { return float64(t.Bytes) }},
 		{"vstore_tenant_latency_seconds_total", "Summed latency of answered requests, by tenant.",
 			func(t tenant.Totals) float64 { return float64(t.LatencyNs) / 1e9 }},
-	}
-	for _, c := range counters {
-		head(c.name, "counter", c.help)
+	} {
+		e.Head(c.name, "counter", c.help)
 		for _, tn := range tenants {
-			fmt.Fprintf(&b, "%s{tenant=%q} %g\n", c.name, promEscape(tn.Name()), c.value(tn.Totals()))
+			e.Sample(c.name, Label("tenant", tn.Name()), c.value(tn.Totals()))
 		}
 	}
 
 	// Admission-wait histogram, per tenant: cumulative le-buckets over the
 	// shared power-of-two bounds, in seconds.
-	head("vstore_tenant_admission_wait_seconds", "histogram",
-		"Time admitted requests waited in the fair gate, by tenant.")
+	const wait = "vstore_tenant_admission_wait_seconds"
+	e.Head(wait, "histogram", "Time admitted requests waited in the fair gate, by tenant.")
 	for _, tn := range tenants {
-		name := promEscape(tn.Name())
+		name := Label("tenant", tn.Name())
 		hist := tn.WaitHist()
 		var cum int64
 		for i, bound := range tenant.WaitBucketBoundsMs {
 			cum += hist[i]
-			fmt.Fprintf(&b, "vstore_tenant_admission_wait_seconds_bucket{tenant=%q,le=%q} %d\n",
-				name, fmt.Sprintf("%g", bound/1000), cum)
+			e.Sample(wait+"_bucket", name+","+Label("le", strconv.FormatFloat(bound/1000, 'g', -1, 64)), float64(cum))
 		}
 		cum += hist[len(hist)-1]
-		fmt.Fprintf(&b, "vstore_tenant_admission_wait_seconds_bucket{tenant=%q,le=\"+Inf\"} %d\n", name, cum)
-		fmt.Fprintf(&b, "vstore_tenant_admission_wait_seconds_sum{tenant=%q} %g\n",
-			name, float64(tn.Totals().WaitNs)/1e9)
-		fmt.Fprintf(&b, "vstore_tenant_admission_wait_seconds_count{tenant=%q} %d\n", name, cum)
+		e.Sample(wait+"_bucket", name+","+Label("le", "+Inf"), float64(cum))
+		e.Sample(wait+"_sum", name, float64(tn.Totals().WaitNs)/1e9)
+		e.Sample(wait+"_count", name, float64(cum))
 	}
 
 	// Live gate state.
 	gateStats, inFlight, queued := s.gate.Snapshot()
-	head("vstore_gate_in_flight", "gauge", "Requests holding an execution slot, by tenant.")
+	e.Head("vstore_gate_in_flight", "gauge", "Requests holding an execution slot, by tenant.")
 	for _, tn := range tenants {
-		fmt.Fprintf(&b, "vstore_gate_in_flight{tenant=%q} %d\n", promEscape(tn.Name()), gateStats[tn.Name()].InFlight)
+		e.Sample("vstore_gate_in_flight", Label("tenant", tn.Name()), float64(gateStats[tn.Name()].InFlight))
 	}
-	head("vstore_gate_queued", "gauge", "Requests parked in the fair gate, by tenant.")
+	e.Head("vstore_gate_queued", "gauge", "Requests parked in the fair gate, by tenant.")
 	for _, tn := range tenants {
-		fmt.Fprintf(&b, "vstore_gate_queued{tenant=%q} %d\n", promEscape(tn.Name()), gateStats[tn.Name()].Queued)
+		e.Sample("vstore_gate_queued", Label("tenant", tn.Name()), float64(gateStats[tn.Name()].Queued))
 	}
-	head("vstore_gate_capacity", "gauge", "Gate-wide concurrent execution slots.")
-	fmt.Fprintf(&b, "vstore_gate_capacity %d\n", s.gate.Capacity())
-	head("vstore_gate_total_in_flight", "gauge", "Execution slots currently held, all tenants.")
-	fmt.Fprintf(&b, "vstore_gate_total_in_flight %d\n", inFlight)
-	head("vstore_gate_total_queued", "gauge", "Requests currently parked, all tenants.")
-	fmt.Fprintf(&b, "vstore_gate_total_queued %d\n", queued)
+	e.Value("vstore_gate_capacity", "gauge", "Gate-wide concurrent execution slots.", float64(s.gate.Capacity()))
+	e.Value("vstore_gate_total_in_flight", "gauge", "Execution slots currently held, all tenants.", float64(inFlight))
+	e.Value("vstore_gate_total_queued", "gauge", "Requests currently parked, all tenants.", float64(queued))
 
 	// Self-healing: corruption found on the read path, degraded fallback
 	// serves, and the repair machinery's progress.
 	st := s.store.Stats()
-	head("vstore_corrupt_reads_total", "counter", "Reads whose CRC failure survived a re-read.")
-	fmt.Fprintf(&b, "vstore_corrupt_reads_total %d\n", st.CorruptReads)
-	head("vstore_transient_reads_total", "counter", "CRC failures that cleared on re-read (read-path corruption).")
-	fmt.Fprintf(&b, "vstore_transient_reads_total %d\n", st.TransientReads)
-	head("vstore_degraded_serves_total", "counter", "Queries answered from a fallback replica.")
-	fmt.Fprintf(&b, "vstore_degraded_serves_total %d\n", st.DegradedServes)
-	head("vstore_repairs_total", "counter", "Damaged replicas re-derived successfully.")
-	fmt.Fprintf(&b, "vstore_repairs_total %d\n", st.Repairs)
-	head("vstore_repairs_failed_total", "counter", "Repair attempts that could not complete.")
-	fmt.Fprintf(&b, "vstore_repairs_failed_total %d\n", st.RepairsFailed)
-	head("vstore_scrub_passes_total", "counter", "Self-healing scrub passes completed.")
-	fmt.Fprintf(&b, "vstore_scrub_passes_total %d\n", st.ScrubPasses)
-	head("vstore_repair_pending", "gauge", "Damaged replicas queued for background repair.")
-	fmt.Fprintf(&b, "vstore_repair_pending %d\n", st.RepairPending)
+	e.Value("vstore_corrupt_reads_total", "counter", "Reads whose CRC failure survived a re-read.", float64(st.CorruptReads))
+	e.Value("vstore_transient_reads_total", "counter", "CRC failures that cleared on re-read (read-path corruption).", float64(st.TransientReads))
+	e.Value("vstore_degraded_serves_total", "counter", "Queries answered from a fallback replica.", float64(st.DegradedServes))
+	e.Value("vstore_repairs_total", "counter", "Damaged replicas re-derived successfully.", float64(st.Repairs))
+	e.Value("vstore_repairs_failed_total", "counter", "Repair attempts that could not complete.", float64(st.RepairsFailed))
+	e.Value("vstore_scrub_passes_total", "counter", "Self-healing scrub passes completed.", float64(st.ScrubPasses))
+	e.Value("vstore_repair_pending", "gauge", "Damaged replicas queued for background repair.", float64(st.RepairPending))
 
-	// Per-endpoint counters (ordered for a stable exposition).
-	names := make([]string, 0, len(s.metrics))
-	for name := range s.metrics {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	type epCounter struct {
-		name, help string
-		value      func(EndpointStats) float64
-	}
-	epCounters := []epCounter{
-		{"vstore_endpoint_requests_total", "Requests received, by endpoint.",
-			func(st EndpointStats) float64 { return float64(st.Requests) }},
-		{"vstore_endpoint_rejections_total", "429 responses, by endpoint.",
-			func(st EndpointStats) float64 { return float64(st.Rejections) }},
-		{"vstore_endpoint_errors_total", "5xx responses and mid-stream failures, by endpoint.",
-			func(st EndpointStats) float64 { return float64(st.Errors) }},
-		{"vstore_endpoint_unauthorized_total", "401 responses to unknown API keys, by endpoint.",
-			func(st EndpointStats) float64 { return float64(st.Unauthorized) }},
-		{"vstore_endpoint_unavailable_total", "503 responses while draining, by endpoint.",
-			func(st EndpointStats) float64 { return float64(st.Unavailable) }},
-		{"vstore_endpoint_client_aborts_total", "Requests whose client vanished, by endpoint.",
-			func(st EndpointStats) float64 { return float64(st.ClientAborts) }},
-	}
-	for _, c := range epCounters {
-		head(c.name, "counter", c.help)
-		for _, name := range names {
-			fmt.Fprintf(&b, "%s{endpoint=%q} %g\n", c.name, name, c.value(s.metrics[name].stats()))
-		}
-	}
-
-	w.Header().Set("Content-Length", fmt.Sprint(b.Len()))
-	_, _ = w.Write([]byte(b.String()))
+	e.Endpoints("vstore_endpoint", s.Metrics())
+	e.Send(w)
 }

@@ -21,7 +21,7 @@ import (
 // handleSnapshot pins a snapshot and grants a lease on it. The table owns
 // the pin from here: it releases on POST /v1/snapshot/release, on idle
 // expiry past the lease TTL, or at shutdown.
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSnapshot(w *Response, r *http.Request) {
 	snap, err := s.store.Snapshot()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
@@ -31,9 +31,9 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, SnapshotResponse{ID: id, Streams: snap.StreamSegments()})
 }
 
-func (s *Server) handleSnapshotRelease(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSnapshotRelease(w *Response, r *http.Request) {
 	var req SnapshotReleaseRequest
-	if !readJSON(w, r, &req) {
+	if !ReadJSON(w, r, &req) {
 		return
 	}
 	if req.ID == "" {
@@ -66,7 +66,7 @@ func (s *Server) leasedSnapshot(w http.ResponseWriter, id string) (*server.Snaps
 
 // handleRefs enumerates one stream's committed replicas in the leased
 // snapshot, optionally filtered to one storage format.
-func (s *Server) handleRefs(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRefs(w *Response, r *http.Request) {
 	q := r.URL.Query()
 	stream := q.Get("stream")
 	if stream == "" {
@@ -93,7 +93,7 @@ func (s *Server) handleRefs(w http.ResponseWriter, r *http.Request) {
 // for raw ones. Replicas outside the snapshot's committed set are 404;
 // inside it the bytes stay readable even if erosion removed the segment
 // after the pin — that is what the lease pins.
-func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSegment(w *Response, r *http.Request) {
 	q := r.URL.Query()
 	stream, sf := q.Get("stream"), q.Get("sf")
 	if stream == "" || sf == "" {
@@ -150,9 +150,9 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 // segments this node is missing. Admitted through the fair gate — a pull
 // is ingest-weight work. Idempotent by construction (AdoptSegment skips
 // fully-committed segments), so the cluster layer re-runs it freely.
-func (s *Server) handlePull(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handlePull(w *Response, r *http.Request) {
 	var req PullRequest
-	if !readJSON(w, r, &req) {
+	if !ReadJSON(w, r, &req) {
 		return
 	}
 	if req.Stream == "" || req.Source == "" {

@@ -7,7 +7,6 @@
 package api
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 	"strings"
@@ -21,9 +20,9 @@ import (
 // Subscriptions are admitted against the dedicated MaxSubscriptions
 // budget (429 on overflow), not the per-request gate: they are long-lived
 // and must not starve one-shot queries of execution slots.
-func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSubscribe(w *Response, r *http.Request) {
 	var req SubscribeRequest
-	if !readJSON(w, r, &req) {
+	if !ReadJSON(w, r, &req) {
 		return
 	}
 	if req.Stream == "" {
@@ -75,19 +74,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	// that already ended the subscription.
 	defer s.hub.Unsubscribe(sn.ID())
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flush := func() {
-		if f, ok := w.(http.Flusher); ok {
-			f.Flush()
-		}
-	}
-	emit := func(line SubLine) {
-		_ = enc.Encode(line)
-		flush()
-	}
-	emit(SubLine{Ack: &SubAck{ID: sn.ID(), Stream: req.Stream}})
+	w.Line(SubLine{Ack: &SubAck{ID: sn.ID(), Stream: req.Stream}})
 
 	ctx := r.Context()
 	for {
@@ -102,26 +89,24 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 				switch endErr := sn.Err(); {
 				case endErr == nil:
 					summary.Reason = "unsubscribed"
-					emit(SubLine{Done: &summary})
+					w.Line(SubLine{Done: &summary})
 				case errors.Is(endErr, sub.ErrClosed):
 					summary.Reason = "draining"
-					emit(SubLine{Done: &summary})
+					w.Line(SubLine{Done: &summary})
 				case errors.Is(endErr, sub.ErrLagged):
 					// Client-caused: in-band error, but not a server error
 					// for the metrics.
-					emit(SubLine{Error: endErr.Error()})
+					w.Line(SubLine{Error: endErr.Error()})
 				default:
-					if cw, ok := w.(*countingWriter); ok {
-						cw.midStreamErr = true
-					}
-					emit(SubLine{Error: endErr.Error()})
+					w.MidStreamErr = true
+					w.Line(SubLine{Error: endErr.Error()})
 				}
 				return
 			}
 			c := ChunkFromResult(p.Seg0, p.Seg1, p.Result)
-			emit(SubLine{Seq: p.Seq, Dropped: p.Dropped, Chunk: &c})
+			w.Line(SubLine{Seq: p.Seq, Dropped: p.Dropped, Chunk: &c})
 			for i := range p.Alerts {
-				emit(SubLine{Seq: p.Seq, Alert: &p.Alerts[i]})
+				w.Line(SubLine{Seq: p.Seq, Alert: &p.Alerts[i]})
 			}
 		}
 	}
@@ -129,9 +114,9 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 
 // handleUnsubscribe ends one subscription by ID; its connection receives
 // the "unsubscribed" trailer.
-func (s *Server) handleUnsubscribe(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleUnsubscribe(w *Response, r *http.Request) {
 	var req UnsubscribeRequest
-	if !readJSON(w, r, &req) {
+	if !ReadJSON(w, r, &req) {
 		return
 	}
 	if req.ID == "" {
@@ -142,7 +127,7 @@ func (s *Server) handleUnsubscribe(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSubs lists the live subscriptions with their counters.
-func (s *Server) handleSubs(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSubs(w *Response, r *http.Request) {
 	st := s.hub.Stats()
 	resp := SubsResponse{Active: st.Active, Subs: st.Subs}
 	if resp.Subs == nil {

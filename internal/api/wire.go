@@ -5,7 +5,9 @@
 package api
 
 import (
-	"repro/internal/kvstore"
+	"errors"
+	"iter"
+
 	"repro/internal/server"
 	"repro/internal/store"
 	"repro/internal/sub"
@@ -41,6 +43,49 @@ type QueryRequest struct {
 	// view. The lease stays live after the query; its
 	// owner releases it.
 	Snap string `json:"snap,omitempty"`
+}
+
+// Validate reports what makes the request unanswerable, as the 400 body a
+// node and the router both send.
+func (q QueryRequest) Validate() error {
+	switch {
+	case q.Stream == "":
+		return errors.New("missing stream")
+	case q.From < 0 || (q.To != 0 && q.To < q.From) || q.Chunk < 0:
+		return errors.New("invalid segment range")
+	case q.Accuracy < 0 || q.Accuracy > 1:
+		// Meaningless to the optimizer; it used to slip through and skew
+		// cascade selection silently.
+		return errors.New("accuracy must be within [0, 1]")
+	}
+	return nil
+}
+
+// Spans yields the chunks [lo, hi) a validated request executes, in
+// order: [From, To) cut every Chunk segments, To zero meaning committed
+// (the stream's length in the pinned snapshot) and From clamped to it.
+func (q QueryRequest) Spans(committed int) iter.Seq2[int, int] {
+	from, to := q.From, q.To
+	if to == 0 {
+		to = committed
+	}
+	from = min(from, to)
+	step := q.Chunk
+	if step <= 0 {
+		step = to - from
+	}
+	return func(yield func(lo, hi int) bool) {
+		for lo := from; lo < to; {
+			hi := to
+			if step < to-lo { // not lo+step < to: that sum can overflow
+				hi = lo + step
+			}
+			if !yield(lo, hi) {
+				return
+			}
+			lo = hi
+		}
+	}
 }
 
 // Detection is one operator detection on the wire.
@@ -306,7 +351,7 @@ type TenantStats struct {
 // windowed traffic, and the standing-query hub's per-subscription
 // counters.
 type StatsResponse struct {
-	Store   kvstore.Stats            `json:"store"`
+	Store   server.Stats             `json:"store"`
 	API     map[string]EndpointStats `json:"api"`
 	Tenants map[string]TenantStats   `json:"tenants,omitempty"`
 	Subs    *sub.HubStats            `json:"subs,omitempty"`

@@ -18,10 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,43 +42,23 @@ type Options struct {
 // Router serves the cluster. Create with NewRouter, start with Start (or
 // mount Handler), stop with Shutdown.
 type Router struct {
+	*api.Shell
 	nodes    []Node
 	placer   *Placer
 	replicas int
 	workers  int
 
 	http *http.Client // shared transport to the nodes; no global timeout (streams)
-	mux  *http.ServeMux
 
-	draining        atomic.Bool
 	degradedRoutes  atomic.Int64
 	replications    atomic.Int64
 	replicationErrs atomic.Int64
-	metrics         map[string]*endpointCounters
 
 	// drainCtx ends when Shutdown begins, aborting background replication
 	// pulls and any straggling fan-out.
 	drainCtx    context.Context
 	cancelDrain context.CancelFunc
 	background  sync.WaitGroup
-
-	httpSrv  *http.Server
-	lis      net.Listener
-	serveErr chan error
-}
-
-type endpointCounters struct {
-	requests   atomic.Int64
-	rejections atomic.Int64
-	errors     atomic.Int64
-}
-
-func (c *endpointCounters) stats() EndpointStats {
-	return EndpointStats{
-		Requests:   c.requests.Load(),
-		Rejections: c.rejections.Load(),
-		Errors:     c.errors.Load(),
-	}
 }
 
 // NewRouter builds a router over the membership.
@@ -91,13 +68,12 @@ func NewRouter(opts Options) (*Router, error) {
 		return nil, err
 	}
 	r := &Router{
+		Shell:    api.NewShell("router"),
 		nodes:    append([]Node(nil), opts.Nodes...),
 		placer:   placer,
 		replicas: opts.Replicas,
 		workers:  opts.Workers,
 		http:     &http.Client{},
-		mux:      http.NewServeMux(),
-		metrics:  map[string]*endpointCounters{},
 	}
 	if r.replicas < 1 {
 		r.replicas = 1
@@ -106,14 +82,14 @@ func NewRouter(opts Options) (*Router, error) {
 		r.workers = 4
 	}
 	r.drainCtx, r.cancelDrain = context.WithCancel(context.Background())
-	r.route("query", "POST /v1/query", r.handleQuery)
-	r.route("ingest", "POST /v1/ingest", r.handleIngest)
-	r.route("subscribe", "POST /v1/subscribe", r.handleSubscribe)
-	r.route("stats", "GET /v1/stats", r.handleStats)
-	r.route("streams", "GET /v1/streams", r.handleStreams)
-	r.route("cluster", "GET /v1/cluster", r.handleCluster)
-	r.route("metrics", "GET /metrics", r.handleMetrics)
-	r.route("healthz", "GET /healthz", r.handleHealthz)
+	r.Route("query", "POST /v1/query", r.handleQuery)
+	r.Route("ingest", "POST /v1/ingest", r.handleIngest)
+	r.Route("subscribe", "POST /v1/subscribe", r.handleSubscribe)
+	r.Route("stats", "GET /v1/stats", r.handleStats)
+	r.Route("streams", "GET /v1/streams", r.handleStreams)
+	r.Route("cluster", "GET /v1/cluster", r.handleCluster)
+	r.Route("metrics", "GET /metrics", r.handleMetrics)
+	r.Route("healthz", "GET /healthz", r.handleHealthz)
 	return r, nil
 }
 
@@ -131,51 +107,14 @@ func (r *Router) Place(stream string) []Node { return r.placer.Place(stream, r.r
 // DegradedRoutes reports how many candidate nodes reads had to skip.
 func (r *Router) DegradedRoutes() int64 { return r.degradedRoutes.Load() }
 
-// statusWriter captures enough of the response to classify it.
-type statusWriter struct {
-	http.ResponseWriter
-	status       int
-	midStreamErr bool
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// route mounts one counted endpoint behind the drain gate (healthz and
-// metrics stay reachable while draining, as on a node).
-func (r *Router) route(name, pattern string, fn http.HandlerFunc) {
-	c := &endpointCounters{}
-	r.metrics[name] = c
-	r.mux.HandleFunc(pattern, func(w http.ResponseWriter, req *http.Request) {
-		c.requests.Add(1)
-		if r.draining.Load() && name != "healthz" && name != "metrics" {
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "router draining", http.StatusServiceUnavailable)
-			return
-		}
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		fn(sw, req)
-		switch {
-		case sw.status == http.StatusTooManyRequests:
-			c.rejections.Add(1)
-		case sw.status >= 500 || sw.midStreamErr:
-			c.errors.Add(1)
-		}
-	})
-}
-
 // writeStatusError forwards a node's status error verbatim — code,
 // message, and Retry-After hint — so admission control at the nodes is
-// visible through the router; anything else is a 502.
-func writeStatusError(w http.ResponseWriter, err error) {
+// visible through the router; anything else is a 502. A vanished client
+// gets nothing, and the shell counts the abort.
+func writeStatusError(w http.ResponseWriter, req *http.Request, err error) {
+	if req.Context().Err() != nil {
+		return
+	}
 	var se *api.StatusError
 	if errors.As(err, &se) {
 		if se.RetryAfter > 0 {
@@ -332,18 +271,13 @@ func (s *querySession) run(ctx context.Context, req api.QueryRequest, lo, hi int
 // order. Errors before the first byte keep their status codes (a node's
 // 429 stays a 429, hint included); errors after it travel in-band, as on
 // a node.
-func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
+func (r *Router) handleQuery(w *api.Response, req *http.Request) {
 	var qr api.QueryRequest
-	if err := json.NewDecoder(req.Body).Decode(&qr); err != nil && !errors.Is(err, io.EOF) {
-		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+	if !api.ReadJSON(w, req, &qr) {
 		return
 	}
-	if qr.Stream == "" {
-		http.Error(w, "missing stream", http.StatusBadRequest)
-		return
-	}
-	if qr.From < 0 || (qr.To != 0 && qr.To < qr.From) || qr.Chunk < 0 {
-		http.Error(w, "invalid segment range", http.StatusBadRequest)
+	if err := qr.Validate(); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	if qr.Snap != "" {
@@ -356,27 +290,16 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	sess := &querySession{r: r, key: api.APIKey(req), stream: qr.Stream, cands: r.Place(qr.Stream)}
 	defer sess.release()
 	if _, _, _, err := sess.acquire(ctx); err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
+		writeStatusError(w, req, err)
 		return
-	}
-	from, to := qr.From, qr.To
-	if to == 0 {
-		to = sess.streams[qr.Stream]
-	}
-	if from > to {
-		from = to
 	}
 
 	// The spans: one per chunk of the merge, executed concurrently,
 	// emitted in order.
-	step := qr.Chunk
-	if step <= 0 {
-		step = to - from
-	}
 	type span struct{ lo, hi int }
 	var spans []span
-	for lo := from; lo < to; lo += step {
-		spans = append(spans, span{lo, minInt(lo+step, to)})
+	for lo, hi := range qr.Spans(sess.streams[qr.Stream]) {
+		spans = append(spans, span{lo, hi})
 	}
 
 	type spanResult struct {
@@ -401,59 +324,36 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	}
 
 	t0 := time.Now()
-	enc := json.NewEncoder(w)
-	flush := func() {
-		if f, ok := w.(http.Flusher); ok {
-			f.Flush()
-		}
-	}
-	wroteHeader := false
-	emitted := 0
+	segments := 0
 	for i := range spans {
 		res := <-results[i]
 		if res.err != nil {
-			if !wroteHeader {
+			if !w.Wrote() {
 				// Nothing sent yet: the error keeps its status code.
-				writeStatusError(w, res.err)
+				writeStatusError(w, req, res.err)
 				return
 			}
-			if sw, ok := w.(*statusWriter); ok {
-				sw.midStreamErr = true
-			}
-			_ = enc.Encode(api.QueryLine{Error: res.err.Error()})
-			flush()
+			w.MidStreamErr = true
+			w.Line(api.QueryLine{Error: res.err.Error()})
 			return
 		}
-		if !wroteHeader {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.WriteHeader(http.StatusOK)
-			wroteHeader = true
-		}
-		c := res.chunk
-		_ = enc.Encode(api.QueryLine{Chunk: &c})
-		flush()
-		emitted++
+		w.Line(api.QueryLine{Chunk: &res.chunk})
+		segments += spans[i].hi - spans[i].lo
 	}
-	if !wroteHeader {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-	}
-	_ = enc.Encode(api.QueryLine{Done: &api.QuerySummary{
-		Chunks:   emitted,
-		Segments: to - from,
+	w.Line(api.QueryLine{Done: &api.QuerySummary{
+		Chunks:   len(spans),
+		Segments: segments,
 		WallMs:   float64(time.Since(t0).Nanoseconds()) / 1e6,
 	}})
-	flush()
 }
 
 // handleIngest forwards the write to the stream's owner, then fans
 // replication pulls out to the followers in the background. Pulls are
 // idempotent stream-level copies, so a failed pull is simply retried by
 // the next ingest's fan-out.
-func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
+func (r *Router) handleIngest(w *api.Response, req *http.Request) {
 	var ir api.IngestRequest
-	if err := json.NewDecoder(req.Body).Decode(&ir); err != nil && !errors.Is(err, io.EOF) {
-		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+	if !api.ReadJSON(w, req, &ir) {
 		return
 	}
 	if ir.Stream == "" {
@@ -467,7 +367,7 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 	if err != nil {
 		// Writes have one home: the owner down means the ingest fails
 		// (replication is for read availability, not multi-master writes).
-		writeStatusError(w, err)
+		writeStatusError(w, req, err)
 		return
 	}
 	for _, follower := range cands[1:] {
@@ -492,8 +392,8 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 // handleSubscribe proxies the standing-query stream to the stream's
 // owner: the subscription lives where commits happen. The NDJSON lines
 // pass through untouched, flushed as they arrive.
-func (r *Router) handleSubscribe(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(req.Body, 1<<20))
+func (r *Router) handleSubscribe(w *api.Response, req *http.Request) {
+	body, err := io.ReadAll(req.Body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -537,9 +437,7 @@ func (r *Router) handleSubscribe(w http.ResponseWriter, req *http.Request) {
 			if _, werr := w.Write(buf[:n]); werr != nil {
 				return
 			}
-			if f, ok := w.(http.Flusher); ok {
-				f.Flush()
-			}
+			w.Flush()
 		}
 		if rerr != nil {
 			return
@@ -547,26 +445,17 @@ func (r *Router) handleSubscribe(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// routerStats snapshots the router's own counters.
-func (r *Router) routerStats() RouterStats {
-	rs := RouterStats{
-		DegradedRoutes:    r.degradedRoutes.Load(),
-		Replications:      r.replications.Load(),
-		ReplicationErrors: r.replicationErrs.Load(),
-		Endpoints:         map[string]EndpointStats{},
-	}
-	for name, c := range r.metrics {
-		rs.Endpoints[name] = c.stats()
-	}
-	return rs
-}
-
 // handleStats aggregates every node's /v1/stats under the router's own
 // counters. Unreachable nodes are reported, not fatal — a degraded
 // cluster still has statistics.
-func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
+func (r *Router) handleStats(w *api.Response, req *http.Request) {
 	resp := StatsResponse{
-		Router:      r.routerStats(),
+		Router: RouterStats{
+			DegradedRoutes:    r.degradedRoutes.Load(),
+			Replications:      r.replications.Load(),
+			ReplicationErrors: r.replicationErrs.Load(),
+			Endpoints:         r.Metrics(),
+		},
 		Nodes:       map[string]*api.StatsResponse{},
 		Unreachable: map[string]string{},
 	}
@@ -620,7 +509,7 @@ func eachNode[T any](ctx context.Context, r *Router, timeout time.Duration, ask 
 	return answers, errs
 }
 
-func (r *Router) handleStreams(w http.ResponseWriter, req *http.Request) {
+func (r *Router) handleStreams(w *api.Response, req *http.Request) {
 	api.WriteJSON(w, http.StatusOK, api.StreamsResponse{
 		Streams: r.mergedStreams(req.Context(), api.APIKey(req)),
 	})
@@ -628,7 +517,7 @@ func (r *Router) handleStreams(w http.ResponseWriter, req *http.Request) {
 
 // handleCluster is placement introspection: the membership with
 // liveness, and where every known stream lives.
-func (r *Router) handleCluster(w http.ResponseWriter, req *http.Request) {
+func (r *Router) handleCluster(w *api.Response, req *http.Request) {
 	resp := ClusterResponse{
 		Replicas:   r.replicas,
 		Workers:    r.workers,
@@ -660,108 +549,47 @@ func (r *Router) handleCluster(w http.ResponseWriter, req *http.Request) {
 // metrics stay on the nodes (scrape each /metrics directly); the router
 // exports what only it knows — routing health and per-endpoint traffic —
 // plus a liveness gauge per node.
-func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	var b []byte
-	app := func(format string, args ...any) { b = append(b, fmt.Sprintf(format, args...)...) }
-	head := func(name, typ, help string) {
-		app("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-	}
-	head("vstore_router_degraded_routes_total", "counter",
-		"Candidate nodes skipped while routing reads (owner down, failover to follower).")
-	app("vstore_router_degraded_routes_total %d\n", r.degradedRoutes.Load())
-	head("vstore_router_replications_total", "counter", "Follower replication pulls completed.")
-	app("vstore_router_replications_total %d\n", r.replications.Load())
-	head("vstore_router_replication_errors_total", "counter", "Follower replication pulls failed.")
-	app("vstore_router_replication_errors_total %d\n", r.replicationErrs.Load())
-
-	names := make([]string, 0, len(r.metrics))
-	for name := range r.metrics {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	head("vstore_router_requests_total", "counter", "Requests received, by endpoint.")
-	for _, name := range names {
-		app("vstore_router_requests_total{endpoint=%q} %d\n", name, r.metrics[name].requests.Load())
-	}
-	head("vstore_router_rejections_total", "counter", "429 responses forwarded, by endpoint.")
-	for _, name := range names {
-		app("vstore_router_rejections_total{endpoint=%q} %d\n", name, r.metrics[name].rejections.Load())
-	}
-	head("vstore_router_errors_total", "counter", "5xx responses and mid-stream failures, by endpoint.")
-	for _, name := range names {
-		app("vstore_router_errors_total{endpoint=%q} %d\n", name, r.metrics[name].errors.Load())
-	}
+func (r *Router) handleMetrics(w *api.Response, req *http.Request) {
+	var e api.Exposition
+	e.Value("vstore_router_degraded_routes_total", "counter",
+		"Candidate nodes skipped while routing reads (owner down, failover to follower).", float64(r.degradedRoutes.Load()))
+	e.Value("vstore_router_replications_total", "counter", "Follower replication pulls completed.", float64(r.replications.Load()))
+	e.Value("vstore_router_replication_errors_total", "counter", "Follower replication pulls failed.", float64(r.replicationErrs.Load()))
+	e.Endpoints("vstore_router", r.Metrics())
 
 	// Node liveness, probed now.
-	up, _ := eachNode(req.Context(), r, 2*time.Second, func(ctx context.Context, n Node) (int, error) {
+	up, _ := eachNode(req.Context(), r, 2*time.Second, func(ctx context.Context, n Node) (float64, error) {
 		if h, err := r.clientFor(n, "").Healthz(ctx); err == nil && h.OK {
 			return 1, nil
 		}
 		return 0, nil
 	})
-	head("vstore_router_node_up", "gauge", "Whether the node answered its health check.")
+	e.Head("vstore_router_node_up", "gauge", "Whether the node answered its health check.")
 	for i, n := range r.nodes {
-		app("vstore_router_node_up{node=%q} %d\n", n.Name, up[i])
+		e.Sample("vstore_router_node_up", api.Label("node", n.Name), up[i])
 	}
-
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
-	_, _ = w.Write(b)
+	e.Send(w)
 }
 
-func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
-	api.WriteJSON(w, http.StatusOK, api.HealthResponse{OK: true, Draining: r.draining.Load()})
+func (r *Router) handleHealthz(w *api.Response, req *http.Request) {
+	api.WriteJSON(w, http.StatusOK, api.HealthResponse{OK: true, Draining: r.Draining()})
 }
 
-// Handler returns the routed handler for mounting under a caller-owned
-// server.
-func (r *Router) Handler() http.Handler { return r.mux }
-
-// Start listens on addr (":0" picks a free port) and serves in the
-// background until Shutdown. It returns the bound address.
-func (r *Router) Start(addr string) (net.Addr, error) {
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	r.lis = lis
-	r.httpSrv = &http.Server{Handler: r.mux, ReadHeaderTimeout: 10 * time.Second}
-	r.serveErr = make(chan error, 1)
-	go func() { r.serveErr <- r.httpSrv.Serve(lis) }()
-	return lis.Addr(), nil
-}
-
-// Shutdown drains the router: new requests are refused, in-flight ones
-// finish, and background replication pulls are aborted (they are
-// idempotent and resume on the next ingest).
+// Shutdown drains the router: new requests are refused, background
+// replication pulls are aborted (they are idempotent and resume on the
+// next ingest) and given until ctx ends to return, and in-flight requests
+// finish.
 func (r *Router) Shutdown(ctx context.Context) error {
-	r.draining.Store(true)
-	r.cancelDrain()
-	done := make(chan struct{})
-	go func() {
-		r.background.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-	}
-	if r.httpSrv == nil {
-		return nil
-	}
-	err := r.httpSrv.Shutdown(ctx)
-	if err != nil {
-		_ = r.httpSrv.Close()
-	}
-	if serveErr := <-r.serveErr; serveErr != nil && !errors.Is(serveErr, http.ErrServerClosed) && err == nil {
-		err = serveErr
-	}
-	return err
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return r.Shell.Shutdown(ctx, func() {
+		r.cancelDrain()
+		done := make(chan struct{})
+		go func() {
+			r.background.Wait()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-ctx.Done():
+		}
+	})
 }

@@ -8,13 +8,6 @@ package cluster
 
 import "repro/internal/api"
 
-// EndpointStats is one router endpoint's counter set.
-type EndpointStats struct {
-	Requests   int64 `json:"requests"`
-	Rejections int64 `json:"rejections"` // 429s forwarded from nodes
-	Errors     int64 `json:"errors"`     // 5xx responses and mid-stream failures
-}
-
 // RouterStats is the router's own health: how often reads had to fail
 // over from a stream's owner to a replica follower, and how replication
 // fan-out is doing.
@@ -27,8 +20,8 @@ type RouterStats struct {
 	Replications int64 `json:"replications"`
 	// ReplicationErrors counts follower pulls that failed; the next
 	// ingest's pull retries the whole stream (pulls are idempotent).
-	ReplicationErrors int64                    `json:"replication_errors"`
-	Endpoints         map[string]EndpointStats `json:"endpoints"`
+	ReplicationErrors int64                        `json:"replication_errors"`
+	Endpoints         map[string]api.EndpointStats `json:"endpoints"`
 }
 
 // StatsResponse is the body of the router's GET /v1/stats: its own

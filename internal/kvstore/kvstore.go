@@ -464,64 +464,15 @@ func (s *Store) Scan(prefix string, fn func(key string, value []byte) bool) erro
 	return nil
 }
 
-// Stats reports store occupancy, plus the activity of any retrieval cache
-// layered in front of the store. The cache counters are populated by the
-// owning layer (the server wires its retrieval cache through here so one
-// Stats call describes the whole storage path); they stay zero when no
-// cache is attached.
+// Stats reports one store's occupancy and the corruption its reads met.
 type Stats struct {
 	Keys         int
 	LiveBytes    int64 // bytes of live values
 	GarbageBytes int64 // bytes of superseded or deleted records
 	Files        int
 
-	CacheHits      int64
-	CacheMisses    int64
-	CacheEvictions int64
-	CacheBytes     int64 // bytes of cached frames resident
-
-	// Materialized-results counters, populated by the server when a
-	// results store is attached (zero otherwise): stored per-segment
-	// operator outputs served in place of recomputation.
-	ResultsHits          int64
-	ResultsMisses        int64
-	ResultsBytes         int64 // bytes of stored results resident
-	ResultsEntries       int
-	ResultsEvictions     int64
-	ResultsInvalidations int64 // entries dropped by erosion/deletion
-
-	// Live-serving counters, populated by the server (zero otherwise):
-	// streaming-ingest queue occupancy, background erosion passes, and
-	// snapshot activity of the segment manifest.
-	IngestQueued    int   // segments waiting in live-stream ingest queues
-	ErosionPasses   int64 // background erosion daemon passes completed
-	ActiveSnapshots int   // query snapshots currently held
-	SnapshotsTaken  int64 // query snapshots ever taken
-
-	// Tier counters, populated by the tiered sharded engine and the
-	// server's demotion pass (zero on a bare single store): per-tier
-	// occupancy, committed segment replicas per tier, and fast→cold
-	// migrations performed.
-	Shards        int
-	FastKeys      int
-	ColdKeys      int
-	FastLiveBytes int64
-	ColdLiveBytes int64
-	FastSegments  int   // committed segment replicas placed fast
-	ColdSegments  int   // committed segment replicas placed cold
-	Demotions     int64 // segment replicas migrated fast→cold
-
-	// Self-healing counters. CorruptReads is populated by the store
-	// itself (and summed across shards by the tiered engine); the rest
-	// are populated by the server's degraded-serving and repair
-	// machinery (zero otherwise).
 	CorruptReads   int64 // reads whose CRC failure survived a re-read
 	TransientReads int64 // CRC failures that cleared on re-read (read-path corruption)
-	DegradedServes int64 // queries answered from a fallback replica
-	Repairs        int64 // damaged replicas re-derived successfully
-	RepairsFailed  int64 // repair attempts that could not complete
-	ScrubPasses    int64 // background scrub passes completed
-	RepairPending  int   // damaged replicas queued for repair
 }
 
 // Stats returns current occupancy counters.

@@ -69,7 +69,6 @@ type KV interface {
 	Delete(key string) error
 	Keys(prefix string) []string
 	Scan(prefix string, fn func(key string, value []byte) bool) error
-	Stats() kvstore.Stats
 	DiskBytes() (int64, error)
 	Compact() error
 	Close() error

@@ -45,7 +45,6 @@ import (
 	"repro/internal/format"
 	"repro/internal/frame"
 	"repro/internal/ingest"
-	"repro/internal/kvstore"
 	"repro/internal/query"
 	"repro/internal/results"
 	"repro/internal/retrieve"
@@ -983,30 +982,66 @@ func (s *Server) Erode(stream string, ageOfSegment func(idx int) int) (int, erro
 	return total, nil
 }
 
-// Stats reports the underlying store occupancy (with the per-tier
-// breakdown and demotion count of the tiered engine), the retrieval
-// cache's hit/miss/evict counters (zero when the cache is disabled), and
-// the live lifecycle's counters: streaming-ingest queue occupancy,
-// erosion-daemon passes, and snapshot activity.
-func (s *Server) Stats() kvstore.Stats {
-	st := s.kv.Stats()
-	cs := s.CacheStats()
-	st.CacheHits = cs.Hits
-	st.CacheMisses = cs.Misses
-	st.CacheEvictions = cs.Evictions
-	st.CacheBytes = cs.Bytes
-	rs := s.ResultsStats()
-	st.ResultsHits = rs.Hits
-	st.ResultsMisses = rs.Misses
-	st.ResultsBytes = rs.Bytes
-	st.ResultsEntries = rs.Entries
-	st.ResultsEvictions = rs.Evictions
-	st.ResultsInvalidations = rs.Invalidations
-	ms := s.manifest.Stats()
-	st.ActiveSnapshots = ms.ActiveSnapshots
-	st.SnapshotsTaken = ms.SnapshotsTaken
-	st.FastSegments = ms.FastLive
-	st.ColdSegments = ms.ColdLive
+// Stats is the whole storage path in one value: the tiered engine's
+// occupancy and read-corruption counters (embedded) beside what the
+// server's own layers count — the retrieval cache, the results store,
+// live serving, placement and self-healing. Zero where a layer is off.
+type Stats struct {
+	tier.Stats
+
+	CacheHits      int64
+	CacheMisses    int64
+	CacheEvictions int64
+	CacheBytes     int64 // bytes of cached frames resident
+
+	ResultsHits          int64
+	ResultsMisses        int64
+	ResultsBytes         int64 // bytes of stored results resident
+	ResultsEntries       int
+	ResultsEvictions     int64
+	ResultsInvalidations int64 // entries dropped by erosion/deletion
+
+	IngestQueued    int   // segments waiting in live-stream ingest queues
+	ErosionPasses   int64 // background erosion daemon passes completed
+	ActiveSnapshots int   // query snapshots currently held
+	SnapshotsTaken  int64 // query snapshots ever taken
+
+	FastSegments int   // committed segment replicas placed fast
+	ColdSegments int   // committed segment replicas placed cold
+	Demotions    int64 // segment replicas migrated fast→cold
+
+	DegradedServes int64 // queries answered from a fallback replica
+	Repairs        int64 // damaged replicas re-derived successfully
+	RepairsFailed  int64 // repair attempts that could not complete
+	ScrubPasses    int64 // background scrub passes completed
+	RepairPending  int   // damaged replicas queued for repair
+}
+
+// Stats snapshots every layer's counters.
+func (s *Server) Stats() Stats {
+	cs, rs, ms := s.CacheStats(), s.ResultsStats(), s.manifest.Stats()
+	st := Stats{
+		Stats:                s.kv.Stats(),
+		CacheHits:            cs.Hits,
+		CacheMisses:          cs.Misses,
+		CacheEvictions:       cs.Evictions,
+		CacheBytes:           cs.Bytes,
+		ResultsHits:          rs.Hits,
+		ResultsMisses:        rs.Misses,
+		ResultsBytes:         rs.Bytes,
+		ResultsEntries:       rs.Entries,
+		ResultsEvictions:     rs.Evictions,
+		ResultsInvalidations: rs.Invalidations,
+		ActiveSnapshots:      ms.ActiveSnapshots,
+		SnapshotsTaken:       ms.SnapshotsTaken,
+		FastSegments:         ms.FastLive,
+		ColdSegments:         ms.ColdLive,
+		DegradedServes:       s.heal.degradedServes.Load(),
+		Repairs:              s.heal.repairs.Load(),
+		RepairsFailed:        s.heal.repairsFailed.Load(),
+		ScrubPasses:          s.heal.scrubPasses.Load(),
+		RepairPending:        s.RepairPending(),
+	}
 	s.mu.Lock()
 	daemon := s.daemon
 	past := s.pastErodePasses
@@ -1016,11 +1051,6 @@ func (s *Server) Stats() kvstore.Stats {
 	}
 	s.mu.Unlock()
 	st.ErosionPasses = past + daemon.Stats().Passes
-	st.DegradedServes = s.heal.degradedServes.Load()
-	st.Repairs = s.heal.repairs.Load()
-	st.RepairsFailed = s.heal.repairsFailed.Load()
-	st.ScrubPasses = s.heal.scrubPasses.Load()
-	st.RepairPending = s.RepairPending()
 	return st
 }
 

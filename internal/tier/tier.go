@@ -449,22 +449,35 @@ func (s *Store) TierStats(t ID) kvstore.Stats {
 	return out
 }
 
+// Stats is the engine's occupancy: both tiers' counters summed, and the
+// per-tier breakdown beside them.
+type Stats struct {
+	kvstore.Stats
+	Shards        int
+	FastKeys      int
+	ColdKeys      int
+	FastLiveBytes int64
+	ColdLiveBytes int64
+}
+
 // Stats returns occupancy counters aggregated over both tiers, with the
 // per-tier breakdown in the tier fields.
-func (s *Store) Stats() kvstore.Stats {
+func (s *Store) Stats() Stats {
 	f, c := s.TierStats(Fast), s.TierStats(Cold)
-	return kvstore.Stats{
-		Keys:           f.Keys + c.Keys,
-		LiveBytes:      f.LiveBytes + c.LiveBytes,
-		GarbageBytes:   f.GarbageBytes + c.GarbageBytes,
-		Files:          f.Files + c.Files,
-		Shards:         s.shards,
-		FastKeys:       f.Keys,
-		ColdKeys:       c.Keys,
-		FastLiveBytes:  f.LiveBytes,
-		ColdLiveBytes:  c.LiveBytes,
-		CorruptReads:   f.CorruptReads + c.CorruptReads,
-		TransientReads: f.TransientReads + c.TransientReads,
+	return Stats{
+		Stats: kvstore.Stats{
+			Keys:           f.Keys + c.Keys,
+			LiveBytes:      f.LiveBytes + c.LiveBytes,
+			GarbageBytes:   f.GarbageBytes + c.GarbageBytes,
+			Files:          f.Files + c.Files,
+			CorruptReads:   f.CorruptReads + c.CorruptReads,
+			TransientReads: f.TransientReads + c.TransientReads,
+		},
+		Shards:        s.shards,
+		FastKeys:      f.Keys,
+		ColdKeys:      c.Keys,
+		FastLiveBytes: f.LiveBytes,
+		ColdLiveBytes: c.LiveBytes,
 	}
 }
 
