@@ -442,13 +442,17 @@ func (e *Encoded) decodeGOP(g *gop, last, kept int, keep func(i int) bool, out [
 // addBytes adds delta into acc sample by sample, modulo 256, eight samples
 // per step: the low seven bits of every byte are added with the top bits
 // masked off, so no carry leaves its byte, and the top bits are then added
-// without carry by exclusive or.
+// without carry by exclusive or. A word of delta that is all zeros — most of
+// them, after the encoder's deadzone — leaves acc as it is and is skipped.
 func addBytes(acc, delta []byte) {
 	const low7, top = 0x7f7f7f7f7f7f7f7f, 0x8080808080808080
 	n := len(acc) &^ 7
 	for j := 0; j < n; j += 8 {
-		a := binary.LittleEndian.Uint64(acc[j:])
 		d := binary.LittleEndian.Uint64(delta[j:])
+		if d == 0 {
+			continue
+		}
+		a := binary.LittleEndian.Uint64(acc[j:])
 		binary.LittleEndian.PutUint64(acc[j:], ((a&low7)+(d&low7))^((a^d)&top))
 	}
 	for j := n; j < len(acc); j++ {

@@ -140,19 +140,44 @@ func TestAddBytesMatchesReference(t *testing.T) {
 	for n := 0; n <= 41; n++ {
 		lens = append(lens, n)
 	}
-	for _, n := range lens {
-		acc, delta := make([]byte, n), make([]byte, n)
-		rng.Read(acc)
-		rng.Read(delta)
-		if n >= 16 { // every carry case within one word
-			copy(acc, []byte{0xff, 0xff, 0x80, 0x80, 0x7f, 0x7f, 0x00, 0x01})
-			copy(delta, []byte{0xff, 0x01, 0x80, 0x7f, 0x7f, 0x01, 0x00, 0xff})
-		}
-		want := bytes.Clone(acc)
-		refAddDelta(want, delta)
-		addBytes(acc, delta)
-		if !bytes.Equal(acc, want) {
-			t.Fatalf("length %d: sum differs from the reference", n)
+	// What the zero-word skip can meet: dense deltas, none, a single
+	// non-zero byte in each word (at a position that moves along), and zero
+	// words between dense ones.
+	shapes := []struct {
+		name string
+		fill func(delta []byte)
+	}{
+		{"dense", func(delta []byte) { rng.Read(delta) }},
+		{"zero", func(delta []byte) {}},
+		{"one byte a word", func(delta []byte) {
+			for j := 0; j < len(delta); j += 8 {
+				if k := j + j/8%8; k < len(delta) {
+					delta[k] = byte(1 + rng.Intn(255))
+				}
+			}
+		}},
+		{"every other word", func(delta []byte) {
+			rng.Read(delta)
+			for j := 0; j+8 <= len(delta); j += 16 {
+				clear(delta[j : j+8])
+			}
+		}},
+	}
+	for _, shape := range shapes {
+		for _, n := range lens {
+			acc, delta := make([]byte, n), make([]byte, n)
+			rng.Read(acc)
+			shape.fill(delta)
+			if n >= 16 && shape.name == "dense" { // every carry case within one word
+				copy(acc, []byte{0xff, 0xff, 0x80, 0x80, 0x7f, 0x7f, 0x00, 0x01})
+				copy(delta, []byte{0xff, 0x01, 0x80, 0x7f, 0x7f, 0x01, 0x00, 0xff})
+			}
+			want := bytes.Clone(acc)
+			refAddDelta(want, delta)
+			addBytes(acc, delta)
+			if !bytes.Equal(acc, want) {
+				t.Fatalf("%s, length %d: sum differs from the reference", shape.name, n)
+			}
 		}
 	}
 }

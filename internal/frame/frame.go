@@ -20,6 +20,7 @@
 package frame
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -151,51 +152,96 @@ func (f *Frame) DownscaleInto(g *Frame) {
 	boxScale(g.Cr, g.W/2, g.H/2, f.Cr, f.W/2, f.H/2)
 }
 
+// lane255s is how many samples of 255 a 16-bit lane holds (257): the rows
+// boxScale adds between emptying its lanes, and the largest area reciprocal takes.
+const lane255s = 0xffff / 255
+
 // boxScale fills dst (dw×dh) by averaging the source box mapped to each
 // destination sample: columns [dx·sw/dw, (dx+1)·sw/dw) of rows
-// [dy·sh/dh, (dy+1)·sh/dh), each range widened to one when empty. The
-// column ranges are the same for every row, so they are computed once, and
-// a destination row first adds its source rows into per-column sums.
+// [dy·sh/dh, (dy+1)·sh/dh), each range widened to one when empty. A
+// destination row adds its source rows eight columns at a time, in the 16-bit
+// lanes of two words (even samples, odd samples), and empties the lanes into
+// running totals over the columns, after lane255s rows at the latest, so a
+// box of any height takes the same path. A box sum is then the difference of
+// two totals, divided by multiplying with the reciprocal of its area: a box
+// is one of two widths, so a row works out two.
 func boxScale(dst []byte, dw, dh int, src []byte, sw, sh int) {
 	if dw == 0 || dh == 0 {
 		return
 	}
-	var narrow [512]int // planes this narrow scale without allocating
-	buf := narrow[:]
-	if dw+1+sw > len(buf) {
-		buf = make([]int, dw+1+sw)
+	var narrow [512]uint64 // planes this narrow scale without allocating
+	tab := narrow[:]
+	if dw+1+sw+1 > len(tab) {
+		tab = make([]uint64, dw+1+sw+1)
 	}
-	edges, cols := buf[:dw+1], buf[dw+1:dw+1+sw] // box dx spans [edges[dx], max(edges[dx+1], edges[dx]+1))
+	edges, totals := tab[:dw+1], tab[dw+1:][:sw+1] // box dx spans [edges[dx], max(edges[dx+1], edges[dx]+1))
 	for dx := range edges {
-		edges[dx] = dx * sw / dw
+		edges[dx] = uint64(dx * sw / dw)
 	}
+	narrowest := max(sw/dw, 1) // a box is this wide or one column wider
 	for dy := 0; dy < dh; dy++ {
 		sy0 := dy * sh / dh
-		sy1 := (dy + 1) * sh / dh
-		if sy1 <= sy0 {
-			sy1 = sy0 + 1
-		}
-		for x, v := range src[sy0*sw:][:len(cols)] {
-			cols[x] = int(v)
-		}
-		for y := sy0 + 1; y < sy1; y++ {
-			for x, v := range src[y*sw:][:len(cols)] {
-				cols[x] += int(v)
+		sy1 := max((dy+1)*sh/dh, sy0+1)
+		clear(totals) // totals[x] becomes the sum of columns [0, x) over the box's rows
+		for y := sy0; y < sy1; y += lane255s {
+			rows := src[y*sw : min(y+lane255s, sy1)*sw]
+			var run uint64
+			for k := 0; k+8 <= sw; k += 8 {
+				const lanes = 0x00ff00ff00ff00ff
+				var even, odd uint64
+				for off := k; off < len(rows); off += sw {
+					w := binary.LittleEndian.Uint64(rows[off:])
+					even += w & lanes
+					odd += w >> 8 & lanes
+				}
+				t := totals[k+1:][:8]
+				run += even & 0xffff
+				t[0] += run
+				run += odd & 0xffff
+				t[1] += run
+				run += even >> 16 & 0xffff
+				t[2] += run
+				run += odd >> 16 & 0xffff
+				t[3] += run
+				run += even >> 32 & 0xffff
+				t[4] += run
+				run += odd >> 32 & 0xffff
+				t[5] += run
+				run += even >> 48
+				t[6] += run
+				run += odd >> 48
+				t[7] += run
+			}
+			for x := sw &^ 7; x < sw; x++ { // the columns short of a word
+				for off := x; off < len(rows); off += sw {
+					run += uint64(rows[off])
+				}
+				totals[x+1] += run
 			}
 		}
+		recips := [2]uint64{reciprocal(narrowest * (sy1 - sy0)), reciprocal((narrowest + 1) * (sy1 - sy0))}
 		out := dst[dy*dw:][:dw]
 		for dx := range out {
-			sx0, sx1 := edges[dx], edges[dx+1]
-			if sx1 <= sx0 {
-				sx1 = sx0 + 1
+			sx0 := edges[dx]
+			sx1 := max(edges[dx+1], sx0+1)
+			sum := totals[sx1] - totals[sx0]
+			if r := recips[int(sx1-sx0)-narrowest]; r != 0 {
+				out[dx] = byte(sum * r >> 32)
+			} else {
+				out[dx] = byte(sum / ((sx1 - sx0) * uint64(sy1-sy0)))
 			}
-			sum := 0
-			for _, c := range cols[sx0:sx1] {
-				sum += c
-			}
-			out[dx] = byte(sum / ((sx1 - sx0) * (sy1 - sy0)))
 		}
 	}
+}
+
+// reciprocal returns the r for which sum·r>>32 is sum/area for every sum a
+// box of that area can hold (at most 255·area; TestReciprocalExact tries
+// every pair), or zero for an area above lane255s: the caller then divides.
+func reciprocal(area int) uint64 {
+	if area > lane255s {
+		return 0
+	}
+	return 1<<32/uint64(area) + 1
 }
 
 // CropCenter returns a frame retaining the central fraction frac of each

@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// refBoxScale is boxScale as it stood before the span-table rewrite, kept
-// verbatim as the oracle: two divisions per destination sample and a walk of
-// its whole source box.
+// refBoxScale is boxScale as it stood before the span-table and lane
+// rewrites, kept verbatim as the oracle: two divisions per destination sample
+// and a walk of its whole source box.
 func refBoxScale(dst []byte, dw, dh int, src []byte, sw, sh int) {
 	if dw == 0 || dh == 0 {
 		return
@@ -73,6 +73,11 @@ func TestBoxScaleMatchesReference(t *testing.T) {
 		{160, 45, 160, 90}, {80, 90, 160, 90},
 		{5, 5, 3, 3}, {17, 4, 4, 17}, {160, 90, 136, 76}, {9, 2, 2, 9},
 		{300, 7, 400, 9}, {1, 3, 512, 5}, {255, 3, 256, 4},
+		// Boxes as tall as a 16-bit lane holds (257 rows of 255), one row
+		// taller and several lanes' worth — seed%3 == 0 saturates the plane —
+		// widths that end short of a word, and a single column.
+		{3, 1, 9, 257}, {3, 1, 9, 258}, {2, 1, 16, 600}, {5, 2, 60, 514}, {5, 2, 60, 516},
+		{20, 3, 60, 9}, {31, 5, 137, 21}, {2, 2, 7, 7}, {7, 3, 7, 9}, {1, 4, 1, 700}, {1, 1, 1, 258},
 	}
 	for i, c := range cases {
 		for seed := int64(0); seed < 3; seed++ {
@@ -85,11 +90,32 @@ func TestBoxScaleMatchesReference(t *testing.T) {
 	}
 }
 
+// TestReciprocalExact checks the multiplier boxScale divides with against
+// the division it replaces, for every box area that has one and every sum a
+// box of that area can reach.
+func TestReciprocalExact(t *testing.T) {
+	if reciprocal(lane255s+1) != 0 {
+		t.Fatalf("area %d has a reciprocal, and nothing checks it", lane255s+1)
+	}
+	for area := uint64(1); area <= lane255s; area++ {
+		r := reciprocal(int(area))
+		for sum := uint64(0); sum <= 255*area; sum++ {
+			if sum*r>>32 != sum/area {
+				t.Fatalf("%d·%d>>32 = %d, want %d/%d = %d", sum, r, sum*r>>32, sum, area, sum/area)
+			}
+		}
+	}
+}
+
 func FuzzBoxScale(f *testing.F) {
-	f.Add(uint8(136), uint8(76), uint8(160), uint8(90), int64(1))
-	f.Add(uint8(5), uint8(5), uint8(3), uint8(3), int64(2))
-	f.Add(uint8(1), uint8(1), uint8(2), uint8(5), int64(3))
-	f.Fuzz(func(t *testing.T, dw, dh, sw, sh uint8, seed int64) {
+	f.Add(uint16(136), uint16(76), uint16(159), uint16(89), int64(1))
+	f.Add(uint16(5), uint16(5), uint16(2), uint16(2), int64(2))
+	f.Add(uint16(1), uint16(1), uint16(1), uint16(4), int64(3))
+	f.Add(uint16(3), uint16(1), uint16(8), uint16(257), int64(3))
+	f.Fuzz(func(t *testing.T, dw, dh, sw, sh uint16, seed int64) {
+		if (int(sw)+1)*(int(sh)+1) > 1<<22 || int(dw)*int(dh) > 1<<22 {
+			t.Skip("the reference walks every source sample of every box")
+		}
 		checkBoxScale(t, seed, int(dw), int(dh), int(sw)+1, int(sh)+1)
 	})
 }

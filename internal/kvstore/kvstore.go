@@ -355,48 +355,55 @@ func (s *Store) Sync() error {
 	return nil
 }
 
-// readRecord reads key's full record (header, key, value) and reports
-// whether its stored checksum verifies. Caller holds mu.
-func (s *Store) readRecord(key string, loc recordLoc) (rec []byte, ok bool, err error) {
+// readRecordVerified reads key's full record (header, key, value) into
+// *buf, grown first when it is too small, and reports whether its stored
+// checksum verifies — re-reading once, into the same buffer, when it does
+// not: a CRC mismatch observed on one read is not always on the medium —
+// corruption picked up on the read path itself (controller, bus, an
+// injected flip) clears on retry, while true bit rot fails again. Only
+// damage that survives the re-read is reported as corrupt; a recovered read
+// counts toward TransientReads. I/O errors are not retried — an error is the
+// device refusing the read, not the data arriving wrong. Caller holds mu.
+func (s *Store) readRecordVerified(key string, loc recordLoc, buf *[]byte) (rec []byte, ok bool, err error) {
 	recOff := loc.valOff - int64(len(key)) - recHeaderSize
-	rec = make([]byte, recHeaderSize+len(key)+int(loc.valLen))
-	if _, err := s.files[loc.file].ReadAt(rec, recOff); err != nil {
-		return nil, false, fmt.Errorf("kvstore: read %q: %w", key, err)
+	n := recHeaderSize + len(key) + int(loc.valLen)
+	if cap(*buf) < n {
+		*buf = make([]byte, n)
 	}
-	if err := fault.OnRead(s.opts.FaultScope, key, rec); err != nil {
-		return nil, false, fmt.Errorf("kvstore: read %q: %w", key, err)
+	rec = (*buf)[:n]
+	for reread := false; ; reread = true {
+		if _, err := s.files[loc.file].ReadAt(rec, recOff); err != nil {
+			return nil, false, fmt.Errorf("kvstore: read %q: %w", key, err)
+		}
+		if err := fault.OnRead(s.opts.FaultScope, key, rec); err != nil {
+			return nil, false, fmt.Errorf("kvstore: read %q: %w", key, err)
+		}
+		ok = crc32.ChecksumIEEE(rec[4:]) == binary.BigEndian.Uint32(rec[0:])
+		if ok && reread {
+			s.transientReads.Add(1)
+		}
+		if ok || reread {
+			return rec, ok, nil
+		}
 	}
-	return rec, crc32.ChecksumIEEE(rec[4:]) == binary.BigEndian.Uint32(rec[0:]), nil
 }
 
-// readRecordVerified reads key's record, re-reading once when the
-// checksum fails: a CRC mismatch observed on one read is not always on
-// the medium — corruption picked up on the read path itself (controller,
-// bus, an injected flip) clears on retry, while true bit rot fails
-// again. Only damage that survives the re-read is reported as corrupt;
-// a recovered read counts toward TransientReads. I/O errors are not
-// retried — an error is the device refusing the read, not the data
-// arriving wrong. Caller holds mu.
-func (s *Store) readRecordVerified(key string, loc recordLoc) ([]byte, bool, error) {
-	rec, ok, err := s.readRecord(key, loc)
-	if err != nil || ok {
-		return rec, ok, err
-	}
-	rec, ok, err = s.readRecord(key, loc)
-	if err == nil && ok {
-		s.transientReads.Add(1)
-	}
-	return rec, ok, err
-}
+// Get is GetInto with nothing lent: the value is in a buffer allocated for
+// this call, which the caller owns and may write to.
+func (s *Store) Get(key string) ([]byte, error) { return s.GetInto(key, new([]byte)) }
 
-// Get returns the value stored under key, or ErrNotFound. The whole
-// record is re-read and its checksum verified on every call, so damage
-// that landed after the original write (bit rot, a bad sector) surfaces
-// as ErrCorrupt instead of being served silently into a query. The
-// returned slice is cut from a buffer allocated for this call, which the
-// store neither retains nor reuses: the caller owns it and may write to it
-// (the raw read path delivers frames that alias it).
-func (s *Store) Get(key string) ([]byte, error) {
+// GetInto is the one read: the value stored under key, or ErrNotFound. The
+// whole record is re-read and its checksum verified on every call, so damage
+// that landed after the original write (bit rot, a bad sector) surfaces as
+// ErrCorrupt instead of being served silently into a query.
+//
+// The record is read into *buf, replaced first by a larger buffer when it is
+// too small, so a caller that passes the same buf again reads every record
+// into one allocation. The value aliases *buf until the caller's next read
+// into it, or for good once the caller sets *buf to nil (the raw read path's
+// keeping visitor delivers frames that alias it); the store keeps no
+// reference. After an error *buf is still the caller's, contents unspecified.
+func (s *Store) GetInto(key string, buf *[]byte) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
@@ -406,7 +413,7 @@ func (s *Store) Get(key string) ([]byte, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	rec, ok, err := s.readRecordVerified(key, loc)
+	rec, ok, err := s.readRecordVerified(key, loc, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -561,9 +568,10 @@ func (s *Store) Compact() error {
 	sort.Strings(keys)
 	newIndex := make(map[string]recordLoc, len(keys))
 	var newLive int64
+	var buf []byte // every record is written out before the next is read
 	for _, k := range keys {
 		loc := s.index[k]
-		rec, ok, err := s.readRecordVerified(k, loc)
+		rec, ok, err := s.readRecordVerified(k, loc, &buf)
 		if err != nil {
 			return fail(fmt.Errorf("kvstore: compact: %w", err))
 		}
@@ -641,8 +649,9 @@ func (s *Store) VerifyAll() ([]string, error) {
 		return nil, errors.New("kvstore: store is closed")
 	}
 	var bad []string
+	var buf []byte
 	for k, loc := range s.index {
-		if _, ok, err := s.readRecordVerified(k, loc); err != nil || !ok {
+		if _, ok, err := s.readRecordVerified(k, loc, &buf); err != nil || !ok {
 			bad = append(bad, k)
 		}
 	}

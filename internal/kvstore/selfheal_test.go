@@ -611,3 +611,79 @@ func TestGetReturnsOwnedBuffer(t *testing.T) {
 		t.Fatalf("log damaged by writes to returned values: %v %v", bad, err)
 	}
 }
+
+// TestGetIntoLentBuffer is the lending half of the ownership rule: a caller
+// that passes the same buffer again reads every record into one allocation,
+// through a transient flip (re-read once, into that buffer), a persistent
+// one (ErrCorrupt, counted once, the buffer still the caller's) and back;
+// and a value the caller took out of the loan is not overwritten.
+func TestGetIntoLentBuffer(t *testing.T) {
+	s := openTemp(t, Options{})
+	key := func(i int) string { return fmt.Sprintf("raw/cam/sf/00000000/%08d", i) }
+	want := make([][]byte, 8)
+	for i := range want {
+		want[i] = bytes.Repeat([]byte{byte(0x10 + i), byte(i)}, 2048)
+		if err := s.Put(key(i), want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf []byte
+	if _, err := s.GetInto(key(0), &buf); err != nil {
+		t.Fatal(err)
+	}
+	lent := &buf[0]
+	read := func(i int) ([]byte, error) {
+		t.Helper()
+		v, err := s.GetInto(key(i), &buf)
+		if &buf[0] != lent {
+			t.Fatalf("read %d left the lent buffer for another", i)
+		}
+		if err == nil && (!bytes.Equal(v, want[i]) || &v[0] != &buf[recHeaderSize+len(key(i))]) {
+			t.Fatalf("read %d: value wrong, or not in the lent buffer", i)
+		}
+		return v, err
+	}
+	for i := range want {
+		if _, err := read(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	faults(t, 42, "read=flip:0.5")
+	corrupt := int64(0)
+	for i := 0; s.Stats().TransientReads == 0; i++ {
+		if i == 64 {
+			t.Fatal("no read was served from its re-read in 64 tries at rate 0.5")
+		}
+		if _, err := read(i % len(want)); errors.Is(err, ErrCorrupt) {
+			corrupt++ // flipped on the read and the re-read
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	fault.Install(nil)
+	if st := s.Stats(); st.TransientReads != 1 || st.CorruptReads != corrupt {
+		t.Fatalf("TransientReads=%d CorruptReads=%d, want 1 and %d", st.TransientReads, st.CorruptReads, corrupt)
+	}
+
+	if err := s.DamageValue(key(3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := read(3); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("damaged record read as %v, want ErrCorrupt", err)
+	}
+	if st := s.Stats(); st.TransientReads != 1 || st.CorruptReads != corrupt+1 {
+		t.Fatalf("TransientReads=%d CorruptReads=%d after one persistent failure, want 1 and %d", st.TransientReads, st.CorruptReads, corrupt+1)
+	}
+	kept, err := read(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf = nil // keep the value: the next read must find its own buffer
+	if v, err := s.GetInto(key(5), &buf); err != nil || !bytes.Equal(v, want[5]) {
+		t.Fatalf("read after keeping a value: %v", err)
+	}
+	if !bytes.Equal(kept, want[4]) {
+		t.Fatal("a kept value was overwritten by the next read")
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/format"
 	"repro/internal/frame"
+	"repro/internal/kvstore"
 	"repro/internal/segment"
 	"repro/internal/vidsim"
 )
@@ -197,4 +198,56 @@ func frameEqual(a, b *frame.Frame) bool {
 		}
 	}
 	return true
+}
+
+// TestDegradedServeRawMidSegment damages one frame record past the first of
+// a raw segment read by a converting binding: frames already scaled out of
+// the borrowed buffer are dropped, the segment is rebuilt and served
+// degraded with the answer of the undamaged store, and the cache takes
+// neither the partial output nor the rebuild.
+func TestDegradedServeRawMidSegment(t *testing.T) {
+	r, _, rawSF := setup(t)
+	r.Cache = NewCache(1 << 24)
+	cf := format.ConsumptionFormat{Fidelity: format.Fidelity{
+		Quality: format.QGood, Crop: format.Crop100, Res: 100, Sampling: s11}}
+	want, wantSt, err := (&Retriever{Store: r.Store}).Segment("cam", rawSF, cf, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tw, _ := vidsim.Dims(100); want[0].W != tw {
+		t.Fatal("the binding converts nothing; the test would prove nothing")
+	}
+	kv := r.Store.(*segment.Store).KV().(*kvstore.Store)
+	var records []string
+	for _, k := range kv.Keys("raw/cam/") {
+		if ref, ok := segment.ParseKey(k); ok && ref.Idx == 1 {
+			records = append(records, k)
+		}
+	}
+	if len(records) != segment.Frames {
+		t.Fatalf("found %d frame records of segment 1, want %d", len(records), segment.Frames)
+	}
+	if err := kv.DamageValue(records[7]); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := r.Segment("cam", rawSF, cf, 1, nil); !errors.Is(err, segment.ErrCorrupt) {
+		t.Fatalf("no rebuild hook: err = %v, want ErrCorrupt", err)
+	}
+	r.Rebuild = func(stream string, seg int, sf format.StorageFormat) (*codec.Encoded, []*frame.Frame, error) {
+		_, frames := rederive(t, sf, seg)
+		return nil, frames, nil
+	}
+	for pass := 0; pass < 2; pass++ {
+		got, st, err := r.Segment("cam", rawSF, cf, 1, nil)
+		if err != nil {
+			t.Fatalf("degraded raw serve failed: %v", err)
+		}
+		if st.Degraded != 1 || st.BytesRead != 0 || st.FramesDelivered != wantSt.FramesDelivered {
+			t.Fatalf("pass %d: stats %+v, want a degraded serve of %d frames read from no record", pass, st, wantSt.FramesDelivered)
+		}
+		assertFramesEqual(t, got, want)
+	}
+	if st := r.Cache.Stats(); st.Entries != 0 || st.Hits != 0 {
+		t.Fatalf("a degraded serve reached the cache: %+v", st)
+	}
 }

@@ -54,7 +54,8 @@ type SegmentReader interface {
 	// stale cached frames.
 	Visible(stream string, sf format.StorageFormat, idx int) bool
 	GetEncoded(stream string, sf format.StorageFormat, idx int) (*codec.Encoded, error)
-	GetRaw(stream string, sf format.StorageFormat, idx int, keep func(pts int) bool) ([]*frame.Frame, int64, error)
+	// VisitRaw lends visit the raw frames keep admits, one at a time.
+	VisitRaw(stream string, sf format.StorageFormat, idx int, keep func(pts int) bool, visit segment.RawVisitor) (int64, error)
 }
 
 // Retriever streams stored segments to consumers.
@@ -154,33 +155,36 @@ func (r *Retriever) SegmentTagged(stream string, sf format.StorageFormat, cf for
 			}
 		}()
 	}
-	var frames []*frame.Frame
+	conv := converter{cf: cf, out: []*frame.Frame{}}
 	var st Stats
 	degraded := false
 	if sf.Coding.Raw {
-		got, bytes, err := r.Store.GetRaw(stream, sf, idx, rawKeep(cf.Fidelity.Sampling, within))
+		keep := rawKeep(cf.Fidelity.Sampling, within)
+		// Conversion runs inside the read, on each record while it is hot.
+		bytes, err := r.Store.VisitRaw(stream, sf, idx, keep, conv.add)
 		if err != nil {
 			// The segment is visible, so any read failure — corrupt
 			// record, failing shard, or a replica that vanished without
-			// being eroded — is damage. Reconstruct from a fallback
-			// ancestor and answer degraded rather than failing the query.
+			// being eroded — is damage. Drop what was converted so far,
+			// reconstruct from a fallback ancestor and answer degraded
+			// rather than failing the query.
 			full, ok := r.rebuildRaw(stream, sf, idx)
 			if !ok {
 				return nil, st, err
 			}
 			degraded = true
-			keep := rawKeep(cf.Fidelity.Sampling, within)
-			got = got[:0:0]
+			var got []*frame.Frame
 			for _, f := range full {
 				if keep(f.PTS) {
 					got = append(got, f)
 				}
 			}
+			conv = converter{cf: cf, out: []*frame.Frame{}}
+			conv.addAll(got)
 			bytes = 0
 		}
-		frames = got
 		st.BytesRead = bytes
-		st.VirtualSeconds += profile.RawReadSeconds(bytes, len(got))
+		st.VirtualSeconds += profile.RawReadSeconds(bytes, len(conv.out))
 	} else {
 		enc, err := r.Store.GetEncoded(stream, sf, idx)
 		if err != nil {
@@ -203,12 +207,18 @@ func (r *Retriever) SegmentTagged(stream string, sf format.StorageFormat, cf for
 		if err != nil {
 			return nil, st, err
 		}
-		frames = got
 		st.BytesRead = cst.BytesFlate
 		st.FramesDecoded = cst.Frames
 		st.VirtualSeconds += profile.DecodeSeconds(cst, cst.BytesFlate)
+		conv.addAll(got)
 	}
-	out, pixels := convertFidelity(frames, sf, cf)
+	out, pixels := conv.out, conv.pixels
+	// A quality downgrade quantises in place: every branch above delivers
+	// frames this retrieval exclusively owns (kept records, decoder arenas or
+	// fresh conversions), never cache- or caller-visible memory.
+	if cf.Fidelity.Quality < sf.Fidelity.Quality {
+		codec.ApplyQuality(out, cf.Fidelity.Quality)
+	}
 	// The virtual clock still accounts the conversion scan (the simulated
 	// hardware's transform stage is unchanged); only the physical copies
 	// are elided on the identity path, keeping stats and artifacts
@@ -256,55 +266,56 @@ func (r *Retriever) rebuildRaw(stream string, sf format.StorageFormat, idx int) 
 	return frames, true
 }
 
-// convertFidelity converts decoded frames to the consumption fidelity,
-// returning the delivered set and the source pixels scanned. Three paths,
-// fastest first: when the consumption fidelity matches the stored frames
-// (same dimensions, no crop) the decoded frames are delivered as-is —
-// zero copies, the identity fast path; when only a downscale is needed,
-// output planes are carved from one arena batch; the general
-// downscale+crop path allocates per frame. A quality downgrade quantises
-// in place: every branch delivers frames this retrieval exclusively owns
-// (decoder arenas or fresh conversions), never cache- or caller-visible
-// memory.
-func convertFidelity(frames []*frame.Frame, sf format.StorageFormat, cf format.ConsumptionFormat) ([]*frame.Frame, int64) {
-	var pixels int64
-	for _, f := range frames {
-		pixels += int64(f.NumPixels())
-	}
-	tw, th := vidsim.Dims(cf.Fidelity.Res)
-	if len(frames) > 0 {
+// converter takes one segment's source frames, as they arrive, to the
+// consumption resolution and crop; the first frame's dimensions decide how.
+// Three shapes, fastest first: when the consumption fidelity matches the
+// stored frames (same dimensions, no crop) the source planes are delivered
+// as-is — zero copies; when only a downscale is needed, output planes are
+// carved from one arena batch; downscale+crop allocates per frame.
+type converter struct {
+	cf     format.ConsumptionFormat
+	out    []*frame.Frame // the delivered set; starts empty, not nil
+	pixels int64          // source pixels scanned
+	tw, th int
+	batch  []*frame.Frame // downscale only: the frames to deliver
+}
+
+// add converts the next of n source frames. It is a segment.RawVisitor: true
+// means it delivered f itself (the identity shape keeps its records);
+// otherwise f may be overwritten once add returns.
+func (c *converter) add(n int, f *frame.Frame) bool {
+	crop := c.cf.Fidelity.Crop
+	if len(c.out) == 0 {
 		// Downscale clamps to the source dimensions (upscaling is not
 		// supported); apply the same clamp up front so the arena batch
 		// gets the dimensions the per-frame path would produce.
-		tw = min(tw, frames[0].W)
-		th = min(th, frames[0].H)
+		tw, th := vidsim.Dims(c.cf.Fidelity.Res)
+		c.tw, c.th = min(tw, f.W), min(th, f.H)
+		c.out = make([]*frame.Frame, 0, n)
+		if crop == format.Crop100 && (c.tw != f.W || c.th != f.H) {
+			c.batch = frame.NewBatch(c.tw, c.th, n)
+		}
 	}
-	var out []*frame.Frame
+	c.pixels += int64(f.NumPixels())
 	switch {
-	case len(frames) == 0:
-		out = make([]*frame.Frame, 0)
-	case cf.Fidelity.Crop == format.Crop100 && tw == frames[0].W && th == frames[0].H:
-		// Identity: the stored resolution already is the consumption
-		// resolution. Deliver the decoded frames themselves — zero copies.
-		out = frames
-	case cf.Fidelity.Crop == format.Crop100:
-		batch := frame.NewBatch(tw, th, len(frames))
-		for i, f := range frames {
-			f.DownscaleInto(batch[i])
-		}
-		out = batch
+	case crop != format.Crop100:
+		c.out = append(c.out, f.Downscale(c.tw, c.th).CropCenter(crop.Fraction()))
+	case c.batch != nil:
+		g := c.batch[len(c.out)]
+		f.DownscaleInto(g)
+		c.out = append(c.out, g)
 	default:
-		out = make([]*frame.Frame, 0, len(frames))
-		for _, f := range frames {
-			g := f.Downscale(tw, th)
-			g = g.CropCenter(cf.Fidelity.Crop.Fraction())
-			out = append(out, g)
-		}
+		c.out = append(c.out, f)
+		return true
 	}
-	if cf.Fidelity.Quality < sf.Fidelity.Quality {
-		codec.ApplyQuality(out, cf.Fidelity.Quality)
+	return false
+}
+
+// addAll converts a materialised set: a decoded segment, or a rebuilt one.
+func (c *converter) addAll(frames []*frame.Frame) {
+	for _, f := range frames {
+		c.add(len(frames), f)
 	}
-	return out, pixels
 }
 
 // cloneFrames deep-copies a delivered frame set — the defensive copy the

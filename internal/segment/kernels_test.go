@@ -243,3 +243,108 @@ func TestGetRawAliasesOwnedRecords(t *testing.T) {
 		t.Fatalf("store damaged by a scribble on delivered frames: %v %v %v", refs, meta, err)
 	}
 }
+
+// poisonKV fills a buffer the store lends back to it with 0xFF before it
+// reads into it — as soon as the next read begins — and once more, on
+// request, after the last: whatever a visitor delivered out of a buffer it
+// gave back is then visibly wrong.
+type poisonKV struct {
+	KV
+	lent []byte
+}
+
+func (p *poisonKV) poison() {
+	for i := range p.lent {
+		p.lent[i] = 0xFF
+	}
+}
+
+func (p *poisonKV) GetInto(key string, buf *[]byte) ([]byte, error) {
+	p.lent = (*buf)[:cap(*buf)]
+	p.poison()
+	v, err := p.KV.GetInto(key, buf)
+	p.lent = (*buf)[:cap(*buf)]
+	return v, err
+}
+
+// TestVisitRawLendsOneBuffer reads a segment through visitors that keep
+// every record (GetRaw), none (a converting visitor: it scales the lent frame
+// into one of its own), and every third, over a store that poisons each
+// buffer it gets back. Everything delivered must equal what was stored:
+// nothing a keeping visitor holds is lent again, and nothing a converting
+// one delivered lives in the lent buffer. Only a converting read reuses
+// buffers, and it allocates two of them.
+func TestVisitRawLendsOneBuffer(t *testing.T) {
+	s := newStore(t)
+	kv := &poisonKV{KV: s.kv}
+	s.kv = kv
+	frames := clip(t, 0, 24)
+	if err := s.PutRaw("cam", rawSF, 0, frames); err != nil {
+		t.Fatal(err)
+	}
+	keep := func(pts int) bool { return pts%2 == 0 }
+	var want []*frame.Frame
+	for _, f := range frames {
+		if keep(f.PTS) {
+			want = append(want, f)
+		}
+	}
+	check := func(name string, got, want []*frame.Frame) {
+		t.Helper()
+		kv.poison()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d frames, want %d", name, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].PTS != want[i].PTS || !frame.Equal(got[i], want[i]) {
+				t.Fatalf("%s: frame %d (pts %d) differs from what was stored", name, i, want[i].PTS)
+			}
+		}
+	}
+
+	got, read, err := s.GetRaw("cam", rawSF, 0, keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("keeping", got, want)
+	if kv.lent != nil {
+		t.Fatal("a read whose visitor keeps every record lent a buffer")
+	}
+
+	var small, wantSmall []*frame.Frame
+	for _, f := range want {
+		wantSmall = append(wantSmall, f.Downscale(20, 10))
+	}
+	buffers := map[*byte]bool{}
+	readSmall, err := s.VisitRaw("cam", rawSF, 0, keep, func(n int, f *frame.Frame) bool {
+		if n != len(want) {
+			t.Fatalf("visitor told of %d frames, want %d", n, len(want))
+		}
+		buffers[&f.Y[0]] = true
+		small = append(small, f.Downscale(20, 10))
+		return false
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("converting", small, wantSmall)
+	if readSmall != read {
+		t.Fatalf("converting read %d bytes, keeping %d", readSmall, read)
+	}
+	if len(buffers) != 2 {
+		t.Fatalf("a converting read of %d frames used %d buffers, want 2 (the first value, then one record)", len(want), len(buffers))
+	}
+
+	var mixed []*frame.Frame
+	if _, err := s.VisitRaw("cam", rawSF, 0, keep, func(n int, f *frame.Frame) bool {
+		if len(mixed)%3 == 0 {
+			mixed = append(mixed, f)
+			return true
+		}
+		mixed = append(mixed, f.Clone())
+		return false
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check("every third kept", mixed, want)
+}

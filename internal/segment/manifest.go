@@ -474,6 +474,14 @@ func (v *View) GetRaw(stream string, sf format.StorageFormat, idx int, keep func
 	return v.Store.GetRaw(stream, sf, idx, keep)
 }
 
+// VisitRaw visits a raw segment's kept frames if the snapshot contains it.
+func (v *View) VisitRaw(stream string, sf format.StorageFormat, idx int, keep func(pts int) bool, visit RawVisitor) (int64, error) {
+	if !v.Visible(stream, sf, idx) {
+		return 0, ErrNotFound
+	}
+	return v.Store.VisitRaw(stream, sf, idx, keep, visit)
+}
+
 // ScanRefs calls fn for every segment replica physically present in the
 // store, in no particular order. It is how a reopened server rebuilds its
 // manifest from disk.

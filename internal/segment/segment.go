@@ -62,9 +62,14 @@ func asSegmentErr(err error) error {
 type KV interface {
 	Put(key string, value []byte) error
 	// Get returns a buffer the caller owns: the store never retains or
-	// reuses it. The raw read path depends on it — delivered planes alias
-	// the returned value (unmarshalFrame) and may be quantised in place.
+	// reuses it.
 	Get(key string) ([]byte, error)
+	// GetInto reads into a buffer the caller lends (an empty one is Get): the
+	// value aliases *buf, replaced when too small, until the caller's next
+	// read into it, or for good once the caller sets *buf to nil. The raw
+	// read path borrows one record buffer per segment this way, and keeps
+	// the ones whose planes it delivers (unmarshalFrame aliases its input).
+	GetInto(key string, buf *[]byte) ([]byte, error)
 	Has(key string) bool
 	Delete(key string) error
 	Keys(prefix string) []string
@@ -282,54 +287,96 @@ func (s *Store) GetRaw(stream string, sf format.StorageFormat, idx int, keep fun
 	return s.GetRawRef(RefOf(stream, sf, idx), keep)
 }
 
-// GetRawRef is the raw-segment reader, addressed by manifest ref. Only the
-// kept frames are read from disk, and the returned read-bytes count
-// reflects the disk traffic incurred. The metadata anchor gates existence
-// (no anchor means no committed replica); then every stored frame record
-// under the prefix is visited in PTS order.
-//
-// Frames are found by enumerating the segment's stored frame keys, not by
-// assuming a contiguous PTS run from the metadata anchor: a temporally
-// sampled storage format keeps its frames at their original strided
-// timeline positions, which the old [firstPTS, firstPTS+n) walk silently
-// truncated to the first 1/stride of the segment.
+// GetRawRef collects a raw replica's kept frames: the visitor that keeps
+// every frame, so each one's planes alias a record buffer of its own.
 func (s *Store) GetRawRef(r Ref, keep func(pts int) bool) ([]*frame.Frame, int64, error) {
+	out := []*frame.Frame{}
+	read, err := s.VisitRawRef(r, keep, func(n int, f *frame.Frame) bool {
+		if len(out) == 0 {
+			out = make([]*frame.Frame, 0, n)
+		}
+		out = append(out, f)
+		return true
+	})
+	if err != nil {
+		return nil, read, err
+	}
+	return out, read, nil
+}
+
+// RawVisitor receives the kept frames of one raw segment in PTS order; n is
+// how many were listed (a frame eroded between listing and read is skipped,
+// so fewer may arrive). f and the record buffer its planes alias are lent
+// until the visitor returns, when the next frame's read overwrites both —
+// unless it returns true, which makes them its own: f then stays valid, and
+// may be written to.
+type RawVisitor func(n int, f *frame.Frame) (keep bool)
+
+// VisitRaw is VisitRawRef addressed by stream, format and index.
+func (s *Store) VisitRaw(stream string, sf format.StorageFormat, idx int, keep func(pts int) bool, visit RawVisitor) (int64, error) {
+	return s.VisitRawRef(RefOf(stream, sf, idx), keep, visit)
+}
+
+// VisitRawRef is the raw-segment reader, addressed by manifest ref. Only the
+// frames for which keep(pts) is true (all, when keep is nil) are read from
+// disk, each into a record buffer the next one reuses unless visit kept it,
+// and the returned read-bytes count reflects the disk traffic incurred. The
+// metadata anchor gates existence (no anchor means no committed replica);
+// frames are found by listing the stored frame keys, in PTS order, not by
+// assuming a contiguous run from the anchor: a temporally sampled storage
+// format keeps its frames at their strided timeline positions.
+func (s *Store) VisitRawRef(r Ref, keep func(pts int) bool, visit RawVisitor) (int64, error) {
 	mb, err := s.kv.Get(rawMetaKeyOf(r.Stream, r.SFKey, r.Idx))
 	if err != nil {
-		return nil, 0, asSegmentErr(err)
+		return 0, asSegmentErr(err)
 	}
 	if _, err := unmarshalRawMeta(mb); err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	prefix := rawFramePrefixOf(r.Stream, r.SFKey, r.Idx)
 	keys := s.kv.Keys(prefix)
-	hdrs := make([]frame.Frame, len(keys)) // one allocation for every kept frame's header
-	out := make([]*frame.Frame, 0, len(keys))
-	var read int64
+	kept := keys[:0]
 	for _, key := range keys {
 		pts, err := strconv.Atoi(key[len(prefix):])
 		if err != nil {
-			return nil, read, fmt.Errorf("%w: bad raw frame key %q", ErrCorrupt, key)
+			return 0, fmt.Errorf("%w: bad raw frame key %q", ErrCorrupt, key)
 		}
-		if keep != nil && !keep(pts) {
-			continue
+		if keep == nil || keep(pts) {
+			kept = append(kept, key)
 		}
-		b, err := s.kv.Get(key)
+	}
+	var read int64
+	var buf []byte                 // the record buffer a visitor gave back, lent to the next read
+	hdrs := make([]frame.Frame, 1) // headers to lend: one, until a visitor keeps it
+	for i, key := range kept {
+		// With nothing to lend (the first read, or the visitor kept the last
+		// record) the read is a plain Get, whose value is the visitor's to keep.
+		var b []byte
+		if buf == nil {
+			b, err = s.kv.Get(key)
+		} else {
+			b, err = s.kv.GetInto(key, &buf)
+		}
 		if errors.Is(err, kvstore.ErrNotFound) {
 			continue // frame individually eroded between listing and read
 		}
 		if err != nil {
-			return nil, read, asSegmentErr(err)
+			return read, asSegmentErr(err)
 		}
 		read += int64(len(b))
-		f := &hdrs[len(out)]
-		*f, err = unmarshalFrame(b)
-		if err != nil {
-			return nil, read, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		if len(hdrs) == 0 {
+			hdrs = make([]frame.Frame, len(kept)-i) // one allocation for every header yet to keep
 		}
-		out = append(out, f)
+		if hdrs[0], err = unmarshalFrame(b); err != nil {
+			return read, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+		if visit(len(kept), &hdrs[0]) {
+			buf, hdrs = nil, hdrs[1:]
+		} else if buf == nil {
+			buf = b // a value, not yet a record: the next read grows it once
+		}
 	}
-	return out, read, nil
+	return read, nil
 }
 
 // MarshalRawSegment is the wire framing for shipping a raw segment between

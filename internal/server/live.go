@@ -77,7 +77,7 @@ func (sn *Snapshot) Refs(stream, sfKey string) []int { return sn.ms.Segments(str
 func (sn *Snapshot) RefsOf(stream string) []segment.Ref { return sn.ms.Refs(stream) }
 
 // Visible reports whether the replica was committed when the snapshot was
-// taken. Together with GetEncoded and GetRaw this makes the Snapshot
+// taken. Together with GetEncoded and VisitRaw this makes the Snapshot
 // itself a retrieve.SegmentReader — the surface a query engine (local or
 // remote) reads through.
 func (sn *Snapshot) Visible(stream string, sf format.StorageFormat, idx int) bool {
@@ -89,9 +89,9 @@ func (sn *Snapshot) GetEncoded(stream string, sf format.StorageFormat, idx int) 
 	return sn.view.GetEncoded(stream, sf, idx)
 }
 
-// GetRaw loads a raw segment's kept frames if the snapshot contains it.
-func (sn *Snapshot) GetRaw(stream string, sf format.StorageFormat, idx int, keep func(pts int) bool) ([]*frame.Frame, int64, error) {
-	return sn.view.GetRaw(stream, sf, idx, keep)
+// VisitRaw visits a raw segment's kept frames if the snapshot contains it.
+func (sn *Snapshot) VisitRaw(stream string, sf format.StorageFormat, idx int, keep func(pts int) bool, visit segment.RawVisitor) (int64, error) {
+	return sn.view.VisitRaw(stream, sf, idx, keep, visit)
 }
 
 // GetEncodedRef reads an encoded replica by manifest ref through the

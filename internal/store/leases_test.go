@@ -6,8 +6,8 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/format"
-	"repro/internal/frame"
 	"repro/internal/retrieve"
+	"repro/internal/segment"
 )
 
 // fakeSnap counts releases — the only behavior the lease table owns.
@@ -23,8 +23,8 @@ func (f *fakeSnap) Visible(string, format.StorageFormat, int) bool {
 func (f *fakeSnap) GetEncoded(string, format.StorageFormat, int) (*codec.Encoded, error) {
 	return nil, nil
 }
-func (f *fakeSnap) GetRaw(string, format.StorageFormat, int, func(int) bool) ([]*frame.Frame, int64, error) {
-	return nil, 0, nil
+func (f *fakeSnap) VisitRaw(string, format.StorageFormat, int, func(int) bool, segment.RawVisitor) (int64, error) {
+	return 0, nil
 }
 func (f *fakeSnap) Release() error {
 	f.released++

@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/format"
-	"repro/internal/frame"
 	"repro/internal/query"
 	"repro/internal/segment"
 )
@@ -46,11 +45,11 @@ type Snapshot interface {
 	Visible(stream string, sf format.StorageFormat, idx int) bool
 	// GetEncoded loads an encoded segment the snapshot contains.
 	GetEncoded(stream string, sf format.StorageFormat, idx int) (*codec.Encoded, error)
-	// GetRaw loads the raw frames for which keep(pts) is true (nil keeps
-	// all), returning the disk bytes the read cost — implementations must
-	// account exactly like segment.Store.GetRaw so stats stay identical
-	// across transports.
-	GetRaw(stream string, sf format.StorageFormat, idx int, keep func(pts int) bool) ([]*frame.Frame, int64, error)
+	// VisitRaw hands visit the raw frames for which keep(pts) is true (nil
+	// keeps all) under segment.RawVisitor's lending rule, returning the disk
+	// bytes the read cost — implementations must account exactly like
+	// segment.Store.VisitRaw so stats stay identical across transports.
+	VisitRaw(stream string, sf format.StorageFormat, idx int, keep func(pts int) bool, visit segment.RawVisitor) (int64, error)
 	// Release ends the pin. Idempotent; reads after Release are undefined.
 	Release() error
 }

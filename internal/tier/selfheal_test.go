@@ -230,3 +230,38 @@ func TestGetReturnsOwnedBuffer(t *testing.T) {
 		t.Fatalf("logs damaged by writes to returned values: %v %v", bad, err)
 	}
 }
+
+// TestCorruptFastFallsThroughIntoLentBuffer: the cold read that follows a
+// corrupt fast one lands in the buffer the caller lent, not in a new one.
+func TestCorruptFastFallsThroughIntoLentBuffer(t *testing.T) {
+	s := openTest(t, t.TempDir(), Options{Shards: 2})
+	const k, other = "raw/cam/sf/00000000/00000001", "raw/cam/sf/00000000/00000002"
+	val := bytes.Repeat([]byte{0x42, 0x17}, 1500)
+	i := s.shardOf(k)
+	for _, kv := range []*kvstore.Store{s.fast[i], s.cold[i]} {
+		if err := kv.Put(k, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.PutTier(Fast, other, bytes.Repeat([]byte{0x99}, len(val))); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.fast[i].DamageValue(k); err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	if _, err := s.GetInto(other, &buf); err != nil { // sizes the buffer
+		t.Fatal(err)
+	}
+	lent := &buf[0]
+	got, err := s.GetInto(k, &buf)
+	if err != nil || !bytes.Equal(got, val) {
+		t.Fatalf("GetInto through corrupt fast = %v (len %d), want cold bytes", err, len(got))
+	}
+	if &buf[0] != lent || &got[len(got)-1] != &buf[len(buf)-1] {
+		t.Fatal("the cold read did not land in the lent buffer")
+	}
+	if st := s.Stats(); st.CorruptReads != 1 || st.TransientReads != 0 {
+		t.Fatalf("CorruptReads=%d TransientReads=%d, want 1 and 0", st.CorruptReads, st.TransientReads)
+	}
+}

@@ -288,23 +288,27 @@ func (s *Store) PutTier(t ID, key string, value []byte) error {
 	return nil
 }
 
-// Get returns the value stored under key, reading through fast→cold: the
+// Get returns the value stored under key in a buffer the caller owns: GetInto
+// with nothing lent.
+func (s *Store) Get(key string) ([]byte, error) { return s.GetInto(key, new([]byte)) }
+
+// GetInto returns the value stored under key, reading through fast→cold: the
 // fast tier is consulted first, and a demoted key serves byte-identically
 // from cold. A fast read that fails for any reason — a corrupt record, a
 // failing device — is treated as a miss and falls through to the cold
 // replica, so one damaged tier degrades a stream instead of taking it
 // down. If the cold tier has no copy either, the original fast error is
 // returned (it carries the real diagnosis: the data exists but is
-// damaged, not absent). The value is whichever shard's Get produced it and
-// is kept nowhere here, so kvstore.Get's rule carries over: the caller owns
-// the returned buffer.
-func (s *Store) Get(key string) ([]byte, error) {
+// damaged, not absent). buf goes to whichever shard reads — the cold one
+// after a failed fast one — and is kept nowhere here, so kvstore.GetInto's
+// lending rule carries over.
+func (s *Store) GetInto(key string, buf *[]byte) ([]byte, error) {
 	i := s.shardOf(key)
-	v, err := s.fast[i].Get(key)
+	v, err := s.fast[i].GetInto(key, buf)
 	if err == nil {
 		return v, nil
 	}
-	cv, cerr := s.cold[i].Get(key)
+	cv, cerr := s.cold[i].GetInto(key, buf)
 	if cerr == nil {
 		return cv, nil
 	}
