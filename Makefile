@@ -86,9 +86,10 @@ cover:
 # the two pixel kernels whose rewrite is hardest to read (any plane size and
 # seed must give the bytes of the reference loop kept in the test file) and
 # over the raw record parser, whose frames alias their input (any bytes must
-# give the copying reference's error or frame, and never panic), and over the
+# give the copying reference's error or frame, and never panic), over the
 # query chunk split (any validated range must be tiled exactly, whatever the
-# chunk size — the loop that once overflowed).
+# chunk size — the loop that once overflowed), and over the NDJSON line
+# parser (any bytes must give json.Unmarshal's error or value).
 # Nightly CI runs this with FUZZTIME=5m.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzConfigRoundTrip -fuzztime $(FUZZTIME) ./internal/core/
@@ -96,6 +97,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBoxBlur3 -fuzztime $(FUZZTIME) ./internal/ops/
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalFrame -fuzztime $(FUZZTIME) ./internal/segment/
 	$(GO) test -run '^$$' -fuzz FuzzQuerySpans -fuzztime $(FUZZTIME) ./internal/api/
+	$(GO) test -run '^$$' -fuzz FuzzQueryLine -fuzztime $(FUZZTIME) ./internal/api/
 
 # The subscription soak under the race detector: a live pipeline feeds
 # segments for VSTORE_SOAK (default a few hundred ms; nightly CI runs 60s)

@@ -378,7 +378,9 @@ func (s *Server) handleQuery(w *Response, r *http.Request) {
 			return
 		}
 		c := ChunkFromResult(lo, hi, res)
-		w.Line(QueryLine{Chunk: &c})
+		if !w.Line(QueryLine{Chunk: &c}) {
+			return
+		}
 		chunks++
 		segments += hi - lo
 	}

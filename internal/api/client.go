@@ -114,19 +114,28 @@ func statusError(resp *http.Response) *StatusError {
 	return se
 }
 
-// do issues one JSON request; out nil skips decoding the response body.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+// drain reads what is left of a finished body, up to a bound, so that the
+// transport sees its end and keeps the connection for the next request;
+// closed unread, the connection is dropped and the next request dials.
+func drain(body io.Reader) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(body, 64<<10))
+}
+
+// send issues one request, in (nil: none) as its JSON body, and returns the
+// 200 response for the caller to read and close; any other status is a
+// *StatusError.
+func (c *Client) send(ctx context.Context, method, path string, in any) (*http.Response, error) {
 	var body io.Reader
 	if in != nil {
 		b, err := json.Marshal(in)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		body = bytes.NewReader(b)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -134,41 +143,42 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	c.authorize(req)
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		defer drain(resp.Body)
+		return nil, statusError(resp)
+	}
+	return resp, nil
+}
+
+// do issues one JSON request; out nil skips decoding the response body.
+func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+	resp, err := c.send(ctx, method, path, in)
+	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return statusError(resp)
-	}
+	defer drain(resp.Body)
 	if out == nil {
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// QueryStream runs one query, invoking fn for every chunk as it arrives
-// off the wire — results flow while later segments are still decoding
-// server-side. It returns the summary trailer on success.
-func (c *Client) QueryStream(ctx context.Context, req QueryRequest, fn func(QueryChunk) error) (QuerySummary, error) {
-	var sum QuerySummary
-	b, err := json.Marshal(req)
+// stream runs one NDJSON request: every non-empty line of the response
+// goes to fn, which ends the stream by returning last (the trailer or an
+// in-band error line) or an error. Past the trailer the body is drained for
+// the connection's sake; past an error line it is not, since a failed
+// stream owes no clean end. A body that ends before its last line is
+// truncated.
+func (c *Client) stream(ctx context.Context, path string, in any, fn func(line []byte) (last bool, err error)) error {
+	resp, err := c.send(ctx, http.MethodPost, path, in)
 	if err != nil {
-		return sum, err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/query", bytes.NewReader(b))
-	if err != nil {
-		return sum, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	c.authorize(hreq)
-	resp, err := c.httpClient().Do(hreq)
-	if err != nil {
-		return sum, err
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return sum, statusError(resp)
-	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20) // detection lists can be long
 	for sc.Scan() {
@@ -176,27 +186,43 @@ func (c *Client) QueryStream(ctx context.Context, req QueryRequest, fn func(Quer
 		if len(line) == 0 {
 			continue
 		}
-		var ql QueryLine
-		if err := json.Unmarshal(line, &ql); err != nil {
-			return sum, fmt.Errorf("api: malformed response line: %w", err)
+		last, err := fn(line)
+		if last && err == nil {
+			drain(resp.Body)
 		}
-		switch {
-		case ql.Error != "":
-			return sum, &StreamError{Msg: ql.Error}
-		case ql.Chunk != nil:
-			if fn != nil {
-				if err := fn(*ql.Chunk); err != nil {
-					return sum, err
-				}
-			}
-		case ql.Done != nil:
-			return *ql.Done, nil
+		if last || err != nil {
+			return err
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return sum, err
+		return err
 	}
-	return sum, &StreamError{Truncated: true}
+	return &StreamError{Truncated: true}
+}
+
+// QueryStream runs one query, invoking fn for every chunk as it arrives
+// off the wire — results flow while later segments are still decoding
+// server-side. It returns the summary trailer on success.
+func (c *Client) QueryStream(ctx context.Context, req QueryRequest, fn func(QueryChunk) error) (QuerySummary, error) {
+	var sum QuerySummary
+	err := c.stream(ctx, "/v1/query", req, func(line []byte) (bool, error) {
+		ql, err := parseQueryLine(line)
+		switch {
+		case err != nil:
+			return false, fmt.Errorf("api: malformed response line: %w", err)
+		case ql.Error != "":
+			return true, &StreamError{Msg: ql.Error}
+		case ql.Chunk != nil:
+			if fn != nil {
+				return false, fn(*ql.Chunk)
+			}
+		case ql.Done != nil:
+			sum = *ql.Done
+			return true, nil
+		}
+		return false, nil
+	})
+	return sum, err
 }
 
 // Query runs one query and collects every chunk.
@@ -228,53 +254,22 @@ type SubEvent struct {
 // Cancel ctx to drop the subscription client-side.
 func (c *Client) Subscribe(ctx context.Context, req SubscribeRequest, fn func(SubEvent) error) (SubSummary, error) {
 	var sum SubSummary
-	b, err := json.Marshal(req)
-	if err != nil {
-		return sum, err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/subscribe", bytes.NewReader(b))
-	if err != nil {
-		return sum, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	c.authorize(hreq)
-	resp, err := c.httpClient().Do(hreq)
-	if err != nil {
-		return sum, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return sum, statusError(resp)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var sl SubLine
-		if err := json.Unmarshal(line, &sl); err != nil {
-			return sum, fmt.Errorf("api: malformed subscription line: %w", err)
-		}
+	err := c.stream(ctx, "/v1/subscribe", req, func(line []byte) (bool, error) {
+		sl, err := parseSubLine(line)
 		switch {
+		case err != nil:
+			return false, fmt.Errorf("api: malformed subscription line: %w", err)
 		case sl.Error != "":
-			return sum, &StreamError{Msg: sl.Error}
+			return true, &StreamError{Msg: sl.Error}
 		case sl.Done != nil:
-			return *sl.Done, nil
-		default:
-			if fn != nil {
-				ev := SubEvent{Ack: sl.Ack, Seq: sl.Seq, Dropped: sl.Dropped, Chunk: sl.Chunk, Alert: sl.Alert}
-				if err := fn(ev); err != nil {
-					return sum, err
-				}
-			}
+			sum = *sl.Done
+			return true, nil
+		case fn != nil:
+			return false, fn(SubEvent{Ack: sl.Ack, Seq: sl.Seq, Dropped: sl.Dropped, Chunk: sl.Chunk, Alert: sl.Alert})
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return sum, err
-	}
-	return sum, &StreamError{Truncated: true}
+		return false, nil
+	})
+	return sum, err
 }
 
 // Unsubscribe ends a subscription by ID, reporting whether it was live.

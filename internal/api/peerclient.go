@@ -75,23 +75,14 @@ func (c *Client) Refs(ctx context.Context, snapID, stream, sf string) ([]WireRef
 // segment.ErrNotFound — the same sentinel a local read returns for a
 // replica outside the snapshot.
 func (c *Client) getBytes(ctx context.Context, path string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-	if err != nil {
-		return nil, err
+	resp, err := c.send(ctx, http.MethodGet, path, nil)
+	if se := (*StatusError)(nil); errors.As(err, &se) && se.Code == http.StatusNotFound {
+		return nil, fmt.Errorf("%s: %w", se.Msg, segment.ErrNotFound)
 	}
-	c.authorize(req)
-	resp, err := c.httpClient().Do(req)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		se := statusError(resp)
-		return nil, fmt.Errorf("%s: %w", se.Msg, segment.ErrNotFound)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, statusError(resp)
-	}
 	return io.ReadAll(resp.Body)
 }
 

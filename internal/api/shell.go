@@ -220,7 +220,11 @@ type Response struct {
 	status int
 	wrote  bool
 	bytes  int64
-	lines  *json.Encoder
+	// line holds the NDJSON line being written, reused line to line; nil
+	// until the first line sends the header.
+	line []byte
+	// lineFailed marks a stream ended by a line that could not be encoded.
+	lineFailed bool
 	// MidStreamErr marks a stream that failed server-side after its 200
 	// header went out; the handler sets it before the in-band error line.
 	MidStreamErr bool
@@ -252,17 +256,29 @@ func (w *Response) Wrote() bool { return w.wrote }
 // Bytes is the count of body bytes written so far.
 func (w *Response) Bytes() int64 { return w.bytes }
 
-// Line writes v as one NDJSON line and flushes it, so a long stream
-// reaches the client as it is produced. The first line sends the 200
-// header.
-func (w *Response) Line(v any) {
-	if w.lines == nil {
+// Line writes v as one NDJSON line (line.go's codec) with one Write and
+// flushes it, so a long stream reaches the client as it is produced. The
+// first line sends the 200 header. A line that cannot be encoded — a NaN
+// or ±Inf float — ends the stream as a server failure: its in-band error
+// line goes out instead, every later line is dropped, and Line reports
+// false, so the handler returns and the response ends.
+func (w *Response) Line(v any) bool {
+	if w.lineFailed {
+		return false
+	}
+	if w.line == nil {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.WriteHeader(http.StatusOK)
-		w.lines = json.NewEncoder(w)
 	}
-	_ = w.lines.Encode(v)
+	b, err := appendLine(w.line[:0], v)
+	if err != nil {
+		w.MidStreamErr, w.lineFailed = true, true
+		b, _ = appendLine(b, QueryLine{Error: "api: encoding response line: " + err.Error()})
+	}
+	w.line = b
+	_, _ = w.Write(b)
 	w.Flush()
+	return !w.lineFailed
 }
 
 // Outcome classifies the finished request, for the endpoint counters and

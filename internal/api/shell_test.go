@@ -3,12 +3,16 @@ package api_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -109,6 +113,87 @@ func TestShellAccounting(t *testing.T) {
 				t.Errorf("counters %+v, want %+v", got, row.want)
 			}
 		})
+	}
+}
+
+// TestUnencodableLineEndsStream: a chunk line that cannot be encoded — a
+// NaN detection coordinate — ends the stream with its in-band error and no
+// later line, not even a trailer that would count the missing chunk. The
+// client reads a *StreamError, and the endpoint counts a server error.
+func TestUnencodableLineEndsStream(t *testing.T) {
+	sh := api.NewShell("server")
+	sh.Route("query", "POST /v1/query", func(w *api.Response, _ *http.Request) {
+		w.Line(api.QueryLine{Chunk: &api.QueryChunk{Seg1: 1}})
+		w.Line(api.QueryLine{Chunk: &api.QueryChunk{Seg0: 1, Seg1: 2, Detections: []api.Detection{{Label: "car", X: math.NaN()}}}})
+		w.Line(api.QueryLine{Chunk: &api.QueryChunk{Seg0: 2, Seg1: 3}})
+		w.Line(api.QueryLine{Done: &api.QuerySummary{Chunks: 3, Segments: 3}})
+	})
+	ts := httptest.NewServer(sh.Handler())
+	defer ts.Close()
+
+	var seen []int
+	_, err := api.NewClient(ts.URL).QueryStream(context.Background(), api.QueryRequest{Stream: "cam"}, func(c api.QueryChunk) error {
+		seen = append(seen, c.Seg0)
+		return nil
+	})
+	var se *api.StreamError
+	if !errors.As(err, &se) || se.Truncated || !strings.Contains(se.Msg, "NaN") {
+		t.Fatalf("err = %v, want an in-band *StreamError naming the NaN", err)
+	}
+	if !reflect.DeepEqual(seen, []int{0}) {
+		t.Fatalf("client saw chunks starting at %v, want only [0]", seen)
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"chunk":{"seg0":0,"seg1":1,"detections":null,"final_pts":null,"video_seconds":0,"virtual_seconds":0,"speed":0}}` + "\n" +
+		`{"error":"api: encoding response line: json: unsupported value: NaN"}` + "\n"
+	if string(body) != want {
+		t.Fatalf("body:\n%s\nwant:\n%s", body, want)
+	}
+	if st := sh.Metrics()["query"]; st.Requests != 2 || st.Errors != 2 {
+		t.Fatalf("query counters %+v, want 2 requests, 2 errors", st)
+	}
+}
+
+// TestClientKeepsConnection: every read path of the client takes its
+// response to the end, the chunked terminator after a stream's trailer
+// included, so the transport keeps the connection — fifty sequential
+// queries, a refused one and a stats call dial once.
+func TestClientKeepsConnection(t *testing.T) {
+	srv, cl := startAPI(t, api.Limits{})
+	sc, _ := vidsim.DatasetByName("jackson")
+	if _, err := srv.Ingest(sc, "cam", 1); err != nil {
+		t.Fatal(err)
+	}
+	var dials atomic.Int32
+	tr := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		dials.Add(1)
+		return (&net.Dialer{}).DialContext(ctx, network, addr)
+	}}
+	defer tr.CloseIdleConnections()
+	cl.HTTP = &http.Client{Transport: tr}
+	ctx := context.Background()
+	for i := 0; i < 50; i++ {
+		if _, _, err := cl.Query(ctx, api.QueryRequest{Stream: "cam", Query: testQuery, Chunk: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := cl.Query(ctx, api.QueryRequest{Stream: "cam", Accuracy: 2}); err == nil {
+		t.Fatal("accuracy 2 was accepted")
+	}
+	if _, err := cl.Stats(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("%d dials for 52 sequential requests, want 1", n)
 	}
 }
 

@@ -104,7 +104,9 @@ func (s *Server) handleSubscribe(w *Response, r *http.Request) {
 				return
 			}
 			c := ChunkFromResult(p.Seg0, p.Seg1, p.Result)
-			w.Line(SubLine{Seq: p.Seq, Dropped: p.Dropped, Chunk: &c})
+			if !w.Line(SubLine{Seq: p.Seq, Dropped: p.Dropped, Chunk: &c}) {
+				return
+			}
 			for i := range p.Alerts {
 				w.Line(SubLine{Seq: p.Seq, Alert: &p.Alerts[i]})
 			}

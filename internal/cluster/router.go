@@ -337,7 +337,9 @@ func (r *Router) handleQuery(w *api.Response, req *http.Request) {
 			w.Line(api.QueryLine{Error: res.err.Error()})
 			return
 		}
-		w.Line(api.QueryLine{Chunk: &res.chunk})
+		if !w.Line(api.QueryLine{Chunk: &res.chunk}) {
+			return
+		}
 		segments += spans[i].hi - spans[i].lo
 	}
 	w.Line(api.QueryLine{Done: &api.QuerySummary{
