@@ -88,8 +88,10 @@ cover:
 # over the raw record parser, whose frames alias their input (any bytes must
 # give the copying reference's error or frame, and never panic), over the
 # query chunk split (any validated range must be tiled exactly, whatever the
-# chunk size — the loop that once overflowed), and over the NDJSON line
-# parser (any bytes must give json.Unmarshal's error or value).
+# chunk size — the loop that once overflowed), over the NDJSON line
+# parser (any bytes must give json.Unmarshal's error or value), and over the
+# results entry decoder that adoption trusts (no panic, allocation bounded
+# by the input, and an accepted input re-encodes to itself).
 # Nightly CI runs this with FUZZTIME=5m.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzConfigRoundTrip -fuzztime $(FUZZTIME) ./internal/core/
@@ -98,6 +100,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalFrame -fuzztime $(FUZZTIME) ./internal/segment/
 	$(GO) test -run '^$$' -fuzz FuzzQuerySpans -fuzztime $(FUZZTIME) ./internal/api/
 	$(GO) test -run '^$$' -fuzz FuzzQueryLine -fuzztime $(FUZZTIME) ./internal/api/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime $(FUZZTIME) ./internal/results/
 
 # The subscription soak under the race detector: a live pipeline feeds
 # segments for VSTORE_SOAK (default a few hundred ms; nightly CI runs 60s)

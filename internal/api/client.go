@@ -255,7 +255,8 @@ type SubEvent struct {
 func (c *Client) Subscribe(ctx context.Context, req SubscribeRequest, fn func(SubEvent) error) (SubSummary, error) {
 	var sum SubSummary
 	err := c.stream(ctx, "/v1/subscribe", req, func(line []byte) (bool, error) {
-		sl, err := parseSubLine(line)
+		var sl SubLine
+		err := json.Unmarshal(line, &sl)
 		switch {
 		case err != nil:
 			return false, fmt.Errorf("api: malformed subscription line: %w", err)

@@ -1,15 +1,15 @@
-// The NDJSON line codec. A chunk line — QueryLine{Chunk} from /v1/query and
-// the router, SubLine{Seq, Dropped, Chunk} from /v1/subscribe — is nearly
-// all a warm query costs to deliver, and reflection is most of what
-// encoding/json costs on it. appendLine writes a chunk line by hand, byte
-// for byte what json.Encoder writes: the same key order, null for a nil
-// slice, floats spelled 'f' or 'e' by magnitude, labels HTML-escaped, the
-// same error on NaN and ±Inf. parseQueryLine and parseSubLine read back
-// exactly that canonical form and hand every other line — a trailer, an
-// error, an ack, an alert, or a chunk with whitespace, another key order,
-// an escape or a number spelled otherwise — to json.Unmarshal.
-// TestAppendLineMatchesEncoder and FuzzQueryLine pin the two halves to
-// encoding/json.
+// The NDJSON line codec. A query chunk line — QueryLine{Chunk} from
+// /v1/query and the router — is nearly all a warm query costs to deliver,
+// and reflection is most of what encoding/json costs on it. appendLine
+// writes a chunk line by hand, byte for byte what json.Encoder writes: the
+// same key order, null for a nil slice, floats spelled 'f' or 'e' by
+// magnitude, labels HTML-escaped, the same error on NaN and ±Inf.
+// parseQueryLine reads back exactly that canonical form and hands every
+// other line — a trailer, an error, or a chunk with whitespace, another key
+// order, an escape or a number spelled otherwise — to json.Unmarshal. Every
+// other line type, the subscription stream's included, goes through
+// encoding/json both ways. TestAppendLineMatchesEncoder and FuzzQueryLine
+// pin the two halves to encoding/json.
 
 package api
 
@@ -35,31 +35,10 @@ var plain = func() (t [256]bool) {
 // appendLine appends v as one NDJSON line, exactly as json.Encoder.Encode
 // writes it; on error b is returned as it was.
 func appendLine(b []byte, v any) ([]byte, error) {
-	e := lineEncoder{b: b}
-	switch l := v.(type) {
-	case QueryLine:
-		if l.Chunk != nil && l.Done == nil && l.Error == "" {
-			e.raw(`{"chunk":`)
-			e.chunk(l.Chunk)
-			return e.end(len(b))
-		}
-	case SubLine:
-		if l.Chunk != nil && l.Ack == nil && l.Alert == nil && l.Done == nil && l.Error == "" {
-			e.raw("{")
-			if l.Seq != 0 {
-				e.raw(`"seq":`)
-				e.b = strconv.AppendInt(e.b, l.Seq, 10)
-				e.raw(",")
-			}
-			if l.Dropped != 0 {
-				e.raw(`"dropped":`)
-				e.b = strconv.AppendInt(e.b, l.Dropped, 10)
-				e.raw(",")
-			}
-			e.raw(`"chunk":`)
-			e.chunk(l.Chunk)
-			return e.end(len(b))
-		}
+	if l, ok := v.(QueryLine); ok && l.Chunk != nil && l.Done == nil && l.Error == "" {
+		e := lineEncoder{b: append(b, `{"chunk":`...)}
+		e.chunk(l.Chunk)
+		return e.end(len(b))
 	}
 	j, err := json.Marshal(v)
 	if err != nil {
@@ -168,7 +147,7 @@ func (e *lineEncoder) end(start int) ([]byte, error) {
 
 // parseQueryLine parses one line of a query response.
 func parseQueryLine(line []byte) (QueryLine, error) {
-	if _, _, c, ok := canonical(line, false); ok {
+	if c, ok := canonical(line); ok {
 		return QueryLine{Chunk: c}, nil
 	}
 	var ql QueryLine
@@ -176,34 +155,14 @@ func parseQueryLine(line []byte) (QueryLine, error) {
 	return ql, err
 }
 
-// parseSubLine parses one line of a subscription stream.
-func parseSubLine(line []byte) (SubLine, error) {
-	if seq, dropped, c, ok := canonical(line, true); ok {
-		return SubLine{Seq: seq, Dropped: dropped, Chunk: c}, nil
-	}
-	var sl SubLine
-	err := json.Unmarshal(line, &sl)
-	return sl, err
-}
-
-// canonical reads a chunk line exactly as appendLine writes it — with the
-// subscription stream's seq and dropped keys when sub is set — and reports
+// canonical reads a chunk line exactly as appendLine writes it and reports
 // whether the whole line was one.
-func canonical(line []byte, sub bool) (seq, dropped int64, c *QueryChunk, ok bool) {
+func canonical(line []byte) (*QueryChunk, bool) {
 	s := lineScanner{b: line, ok: true}
-	s.lit("{")
-	if sub && s.opt(`"seq":`) {
-		seq = int64(s.int())
-		s.lit(",")
-	}
-	if sub && s.opt(`"dropped":`) {
-		dropped = int64(s.int())
-		s.lit(",")
-	}
-	s.lit(`"chunk":`)
-	c = s.chunk()
+	s.lit(`{"chunk":`)
+	c := s.chunk()
 	s.lit("}")
-	return seq, dropped, c, s.ok && s.i == len(line)
+	return c, s.ok && s.i == len(line)
 }
 
 // chunk reads one canonical chunk object; a miss clears s.ok.

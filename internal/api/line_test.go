@@ -130,11 +130,10 @@ func genLine(rng *rand.Rand) any {
 // reports whether the codec's own path read it.
 func parseLine(v any, line []byte) (got any, fast bool, err error) {
 	if _, ok := v.(SubLine); ok {
-		_, _, _, fast = canonical(line, true)
-		got, err = parseSubLine(line)
-		return got, fast, err
+		got, err = unmarshalLine(v, line)
+		return got, false, err
 	}
-	_, _, _, fast = canonical(line, false)
+	_, fast = canonical(line)
 	got, err = parseQueryLine(line)
 	return got, fast, err
 }
@@ -151,25 +150,14 @@ func unmarshalLine(v any, line []byte) (any, error) {
 	return ql, err
 }
 
-// plainChunkLine reports whether v is a chunk line appendLine writes itself
-// with every label plain — the lines the parser must read on its own path.
+// plainChunkLine reports whether v is a query chunk line with every label
+// plain — the lines the parser must read on its own path.
 func plainChunkLine(v any) bool {
-	var c *QueryChunk
-	switch l := v.(type) {
-	case QueryLine:
-		if l.Done != nil || l.Error != "" {
-			return false
-		}
-		c = l.Chunk
-	case SubLine:
-		if l.Ack != nil || l.Alert != nil || l.Done != nil || l.Error != "" {
-			return false
-		}
-		c = l.Chunk
-	}
-	if c == nil {
+	l, ok := v.(QueryLine)
+	if !ok || l.Chunk == nil || l.Done != nil || l.Error != "" {
 		return false
 	}
+	c := l.Chunk
 	for _, d := range c.Detections {
 		for i := 0; i < len(d.Label); i++ {
 			if !plain[d.Label[i]] {
@@ -183,8 +171,8 @@ func plainChunkLine(v any) bool {
 // TestAppendLineMatchesEncoder: for seeded random lines, appendLine writes
 // exactly the bytes json.NewEncoder(…).Encode writes — or fails with its
 // error and leaves the buffer as it was — and the parser reads every line
-// back to json.Unmarshal's value, on its own path exactly for the chunk
-// lines whose labels are plain.
+// back to json.Unmarshal's value, on its own path exactly for the query
+// chunk lines whose labels are plain.
 func TestAppendLineMatchesEncoder(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const prefix = "earlier line\n"

@@ -20,10 +20,10 @@ type Runtime struct {
 	// no cache on open, and an operator-enabled cache survives a
 	// reconfiguration. Negative explicitly disables on Reconfigure.
 	CacheBytes int64
-	// ResultsBytes is the materialized-results budget in bytes: finalized
-	// per-segment operator outputs are stored in the kvstore and indexed
-	// least recently used up to this budget, so repeated analytics serve
-	// stored detections instead of re-decoding and re-classifying. Zero
+	// ResultsBytes is the materialized-results budget in bytes of in-memory
+	// footprint: finalized per-segment operator outputs are held least
+	// recently used up to it, and persisted in the kvstore, so repeated
+	// analytics serve stored detections instead of re-decoding. Zero
 	// means "unspecified": no materialization on open, and an
 	// operator-enabled store survives a reconfiguration. Negative
 	// explicitly disables on Reconfigure (and purges stored entries, so a

@@ -1,6 +1,9 @@
 package format
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // ConsumptionFormat CF⟨f⟩ characterises the raw frame sequences supplied to
 // an operator: a fidelity option only, since consumers always receive
@@ -23,14 +26,21 @@ func (sf StorageFormat) String() string {
 }
 
 // Key returns a unique, '/'-free identifier for the fidelity, suitable for
-// use as a path component in storage keys.
-func (f Fidelity) Key() string {
-	return fmt.Sprintf("%s-%dp-%d.%d-%d", f.Quality, int(f.Res), f.Sampling.Num, f.Sampling.Den, int(f.Crop))
+// use as a path component in storage keys, e.g. "best-720p-1.1-100". Stored
+// keys carry it, so its bytes never change (TestKeysMatchSprintf).
+func (f Fidelity) Key() string { return string(f.appendKey(make([]byte, 0, 40))) }
+
+func (f Fidelity) appendKey(b []byte) []byte {
+	b = append(append(b, f.Quality.String()...), '-')
+	b = append(strconv.AppendInt(b, int64(f.Res), 10), "p-"...)
+	b = append(strconv.AppendInt(b, int64(f.Sampling.Num), 10), '.')
+	b = append(strconv.AppendInt(b, int64(f.Sampling.Den), 10), '-')
+	return strconv.AppendInt(b, int64(f.Crop), 10)
 }
 
 // Key returns a unique, '/'-free identifier for the storage format.
 func (sf StorageFormat) Key() string {
-	return sf.Fidelity.Key() + "_" + sf.Coding.String()
+	return string(sf.Coding.appendTo(append(sf.Fidelity.appendKey(make([]byte, 0, 56)), '_')))
 }
 
 // Satisfies reports whether the storage format can supply the consumption

@@ -8,6 +8,7 @@ package format
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -248,11 +249,15 @@ type Coding struct {
 // RawCoding is the coding-bypass option.
 var RawCoding = Coding{Raw: true}
 
-func (c Coding) String() string {
+func (c Coding) String() string { return string(c.appendTo(nil)) }
+
+// appendTo appends "RAW", or <keyframe interval>-<speed> e.g. "250-slowest".
+func (c Coding) appendTo(b []byte) []byte {
 	if c.Raw {
-		return "RAW"
+		return append(b, "RAW"...)
 	}
-	return fmt.Sprintf("%d-%s", c.KeyframeI, c.Speed)
+	b = append(strconv.AppendInt(b, int64(c.KeyframeI), 10), '-')
+	return append(b, c.Speed.String()...)
 }
 
 // FidelitySpace enumerates all |F| fidelity options. The slice is freshly

@@ -1,6 +1,7 @@
 package format
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -218,5 +219,44 @@ func TestFidelityStringMatchesTable3Style(t *testing.T) {
 	f := Fidelity{Quality: QBest, Crop: Crop50, Res: 200, Sampling: Sampling{1, 2}}
 	if got := f.String(); got != "best-200p-1/2-50%" {
 		t.Fatalf("Fidelity.String() = %q", got)
+	}
+}
+
+// TestKeysMatchSprintf: Fidelity.Key and StorageFormat.Key are built with
+// strconv appends, and must spell exactly what the fmt.Sprintf formulation
+// spelled — segment keys and persisted configurations hold these strings —
+// over every quality × resolution × sampling × crop × coding value, plus an
+// out-of-range quality and speed step.
+func TestKeysMatchSprintf(t *testing.T) {
+	codings := []Coding{RawCoding, {Speed: SpeedStep(9), KeyframeI: 7}}
+	for _, s := range SpeedSteps {
+		for _, k := range KeyframeIntervals {
+			codings = append(codings, Coding{Speed: s, KeyframeI: k})
+		}
+	}
+	fids := append(FidelitySpace(), Fidelity{Quality: Quality(7), Crop: Crop100, Res: 720, Sampling: Sampling{1, 1}})
+	n := 0
+	for _, f := range fids {
+		want := fmt.Sprintf("%s-%dp-%d.%d-%d", f.Quality, int(f.Res), f.Sampling.Num, f.Sampling.Den, int(f.Crop))
+		if got := f.Key(); got != want {
+			t.Fatalf("%v.Key() = %q, want %q", f, got, want)
+		}
+		for _, c := range codings {
+			coding := "RAW"
+			if !c.Raw {
+				coding = fmt.Sprintf("%d-%s", c.KeyframeI, c.Speed)
+			}
+			if got := c.String(); got != coding {
+				t.Fatalf("%#v.String() = %q, want %q", c, got, coding)
+			}
+			sf := StorageFormat{Fidelity: f, Coding: c}
+			if got := sf.Key(); got != want+"_"+coding {
+				t.Fatalf("%v.Key() = %q, want %q", sf, got, want+"_"+coding)
+			}
+			n++
+		}
+	}
+	if n < 15600 {
+		t.Fatalf("checked %d storage formats, want at least |F x C| = 15600", n)
 	}
 }

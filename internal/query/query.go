@@ -72,7 +72,9 @@ type StageBinding struct {
 // Binding is the per-stage format assignment of one query execution.
 type Binding []StageBinding
 
-// Result is the outcome of a query execution.
+// Result is the outcome of a query execution. Detections and FinalPTS may
+// share storage with the results store (a range entry served as the final
+// stage): they are read-only, though appending to them is safe.
 type Result struct {
 	Detections   []ops.Detection // final-stage detections
 	FinalPTS     []int           // frames the final stage consumed
@@ -113,7 +115,7 @@ type Engine struct {
 	// Results, when non-nil, materializes finalized per-segment stage
 	// outputs (see the results package): eligible stages consult it before
 	// computing and write behind after, so a repeated query serves stored
-	// detections at kvstore speed instead of re-decoding and re-running
+	// detections from memory instead of re-decoding and re-running
 	// operators. A stage is eligible when its operator is frame-independent
 	// (per-segment outputs concatenate into exactly the whole-range output)
 	// or the range is a single segment (a stateful operator's output over
@@ -355,9 +357,10 @@ func retrieveThenRun(op ops.Operator, fid format.Fidelity, workers int, retrieve
 }
 
 // memoised is the results store's fill protocol, written once: a hit serves
-// the stored output and its exact accounting; a miss computes and writes
-// behind. The miss is balanced on every path — Put when the output may be
-// stored, Abandon when retrieval failed or was degraded (frames from a
+// the stored output (the store's read-only slices) and its exact
+// accounting; a miss computes and writes behind, Put copying the output.
+// The miss is balanced on every path — Put when the output may be stored,
+// Abandon when retrieval failed or was degraded (frames from a
 // fallback reconstruction are possibly best-effort: the query is answered,
 // but post-repair queries must recompute from the restored replica) — so the
 // stream's generation state never leaks, and the token carried from the miss

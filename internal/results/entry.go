@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 
 	"repro/internal/ops"
 	"repro/internal/retrieve"
@@ -40,18 +41,27 @@ type Entry struct {
 
 const entryVersion = 1
 
+// footprint is what a resident entry holds in memory, as the budget counts
+// it: the Entry (slice headers, stats), 8 B per covered segment and consumed
+// frame, one ops.Detection per detection, and the label bytes.
+func (e Entry) footprint() int64 {
+	n := int64(unsafe.Sizeof(e)) + 8*int64(len(e.Segs)+len(e.PTS))
+	for _, d := range e.Detections {
+		n += int64(unsafe.Sizeof(d)) + int64(len(d.Label))
+	}
+	return n
+}
+
 // encode serialises the entry.
 func (e Entry) encode() []byte {
 	// Size guess: varints dominate; labels are short.
 	out := make([]byte, 0, 16+8*len(e.PTS)+32*len(e.Detections))
 	out = append(out, entryVersion)
-	out = binary.AppendUvarint(out, uint64(len(e.Segs)))
-	for _, s := range e.Segs {
-		out = binary.AppendUvarint(out, uint64(int64(s)))
-	}
-	out = binary.AppendUvarint(out, uint64(len(e.PTS)))
-	for _, p := range e.PTS {
-		out = binary.AppendUvarint(out, uint64(int64(p)))
+	for _, list := range [...][]int{e.Segs, e.PTS} {
+		out = binary.AppendUvarint(out, uint64(len(list)))
+		for _, v := range list {
+			out = binary.AppendUvarint(out, uint64(int64(v)))
+		}
 	}
 	out = binary.AppendUvarint(out, uint64(len(e.Detections)))
 	for _, d := range e.Detections {
@@ -72,40 +82,18 @@ func (e Entry) encode() []byte {
 }
 
 // decodeEntry parses an encoded entry, rejecting truncation, trailing
-// garbage and unknown versions — a corrupt value must read as a miss, not
-// as wrong results.
+// garbage, unknown versions and any spelling encode would not write, and
+// allocates at most a small multiple of len(b) (FuzzDecodeEntry).
 func decodeEntry(b []byte) (Entry, error) {
 	if len(b) == 0 || b[0] != entryVersion {
 		return Entry{}, fmt.Errorf("results: unknown entry version")
 	}
 	d := decoder{b: b[1:]}
 	var e Entry
-	nSegs := d.uvarint()
-	if nSegs > uint64(len(b)) { // cheap sanity bound before allocating
-		return Entry{}, fmt.Errorf("results: corrupt entry")
-	}
-	if nSegs > 0 {
-		e.Segs = make([]int, nSegs)
-		for i := range e.Segs {
-			e.Segs[i] = int(int64(d.uvarint()))
-		}
-	}
-	nPTS := d.uvarint()
-	if nPTS > uint64(len(b)) { // cheap sanity bound before allocating
-		return Entry{}, fmt.Errorf("results: corrupt entry")
-	}
-	if nPTS > 0 {
-		e.PTS = make([]int, nPTS)
-		for i := range e.PTS {
-			e.PTS[i] = int(int64(d.uvarint()))
-		}
-	}
-	nDet := d.uvarint()
-	if nDet > uint64(len(b)) {
-		return Entry{}, fmt.Errorf("results: corrupt entry")
-	}
-	if nDet > 0 {
-		e.Detections = make([]ops.Detection, nDet)
+	e.Segs, e.PTS = d.ints(), d.ints()
+	// A detection takes at least 18 bytes: two one-byte varints, two floats.
+	if n := d.count(18); n > 0 {
+		e.Detections = make([]ops.Detection, n)
 		for i := range e.Detections {
 			e.Detections[i].PTS = int(int64(d.uvarint()))
 			e.Detections[i].Label = d.str(int(d.uvarint()))
@@ -141,12 +129,36 @@ func (d *decoder) uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
+	if n <= 0 || (n > 1 && d.b[n-1] == 0) { // overflow, truncation, or a padded spelling
 		d.err = true
 		return 0
 	}
 	d.b = d.b[n:]
 	return v
+}
+
+// count reads a list length, latching err when that many elements of at
+// least minBytes each cannot fit in what is left — so a corrupt count never
+// allocates.
+func (d *decoder) count(minBytes int) int {
+	n := d.uvarint()
+	if n > uint64(len(d.b)/minBytes) {
+		d.err = true
+		return 0
+	}
+	return int(n)
+}
+
+// ints reads a counted list of ints, nil when empty.
+func (d *decoder) ints() []int {
+	var out []int
+	if n := d.count(1); n > 0 {
+		out = make([]int, n)
+		for i := range out {
+			out[i] = int(int64(d.uvarint()))
+		}
+	}
+	return out
 }
 
 func (d *decoder) str(n int) string {

@@ -1,10 +1,12 @@
 // Package results is VStore's results-materialization layer: finalized
 // per-segment operator outputs (detections, consumed frame timelines, and
 // the deterministic retrieval/consumption accounting that reproduces query
-// stats) stored in the tiered kvstore, keyed by everything that determines
-// them — stream, segment, operator, storage and consumption format, and
-// the activation-span digest of the cascade stage. Repeated queries and
-// subscription fan-out then serve stored detections at kvstore speed
+// stats), keyed by everything that determines them — stream, segment,
+// operator, storage and consumption format, and the activation-span digest
+// of the cascade stage. Entries are served decoded from memory; the tiered
+// kvstore persists them, written through on every fill and read only when a
+// reopened store adopts them. Repeated queries and subscription fan-out
+// then serve stored detections with one map lookup
 // instead of re-decoding and re-classifying the same footage — VSS's
 // "cache in the most useful format" taken one level up the stack, from
 // decoded pixels to operator outputs.
@@ -30,8 +32,9 @@ package results
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/lru"
@@ -85,14 +88,33 @@ func (k Key) span() int {
 // segment stay addressable (segment-granular invalidation scans by
 // prefix), while the operator/format/span/range tuple collapses into a
 // digest so arbitrary format keys cannot collide with the path structure.
+// The bytes are fmt's "%s\x00%s\x00%s\x00%s\x00%d" digest input and
+// "%s%s/%08d/%s" key, so earlier stores still adopt (TestKeyEncodeGolden).
 func (k Key) encode() string {
-	d := sha256.Sum256([]byte(fmt.Sprintf("%s\x00%s\x00%s\x00%s\x00%d", k.Op, k.SF, k.CF, k.Span, k.span())))
-	return fmt.Sprintf("%s%s/%08d/%s", Prefix, k.Stream, k.Seg, hex.EncodeToString(d[:16]))
+	b := append(make([]byte, 0, 128), k.Op...)
+	for _, f := range [...]string{k.SF, k.CF, k.Span} {
+		b = append(append(b, 0), f...)
+	}
+	b = strconv.AppendInt(append(b, 0), int64(k.span()), 10)
+	d := sha256.Sum256(b)
+	return string(hex.AppendEncode(appendSegPrefix(b[:0], k.Stream, k.Seg), d[:16]))
 }
 
 // segPrefix is the kv prefix holding every entry of one segment.
 func segPrefix(stream string, seg int) string {
-	return fmt.Sprintf("%s%s/%08d/", Prefix, stream, seg)
+	return string(appendSegPrefix(nil, stream, seg))
+}
+
+// appendSegPrefix appends res/<stream>/<seg>/, the segment zero-padded to
+// eight characters sign included, as fmt's %08d pads it.
+func appendSegPrefix(b []byte, stream string, seg int) []byte {
+	b = append(append(append(b, Prefix...), stream...), '/')
+	digits := strconv.AppendInt(make([]byte, 0, 20), int64(seg), 10)
+	zeros := "00000000"[:max(8-len(digits), 0)]
+	if seg < 0 {
+		b, digits = append(b, '-'), digits[1:]
+	}
+	return append(append(append(b, zeros...), digits...), '/')
 }
 
 // decodeKey recovers (stream, seg) from an encoded key, parsing from the
@@ -105,28 +127,16 @@ func decodeKey(key string) (stream string, seg int, ok bool) {
 	}
 	rest := key[len(Prefix):]
 	// rest = <stream>/<%08d>/<digest32>
-	slash2 := lastIndexByte(rest, '/')
-	if slash2 <= 0 {
-		return "", 0, false
-	}
-	slash1 := lastIndexByte(rest[:slash2], '/')
+	slash2 := strings.LastIndexByte(rest, '/')
+	slash1 := strings.LastIndexByte(rest[:max(slash2, 0)], '/')
 	if slash1 <= 0 {
 		return "", 0, false
 	}
-	var idx int
-	if _, err := fmt.Sscanf(rest[slash1+1:slash2], "%d", &idx); err != nil || idx < 0 {
+	idx, err := strconv.Atoi(rest[slash1+1 : slash2])
+	if err != nil || idx < 0 {
 		return "", 0, false
 	}
 	return rest[:slash1], idx, true
-}
-
-func lastIndexByte(s string, b byte) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
 }
 
 // Stats reports the store's activity and occupancy.
@@ -135,22 +145,23 @@ type Stats struct {
 	Misses        int64
 	Puts          int64 // fills that landed (dropped fills are not counted)
 	Dropped       int64 // fills dropped by a generation mismatch
-	Bytes         int64 // bytes of stored entries resident in the index
+	Bytes         int64 // in-memory footprint of the resident entries (see Entry.footprint)
 	Entries       int
 	Evictions     int64
 	Invalidations int64 // entries dropped by segment invalidation
 	Budget        int64
 }
 
-// meta is what the index holds per entry: the segments it is registered
-// under for invalidation (the value itself lives in the kvstore).
+// meta is what the index holds per entry: the decoded entry a hit serves,
+// and the segments it is registered under for invalidation.
 type meta struct {
 	stream string
 	segs   []int
+	ent    Entry
 }
 
-// Store is the materialized-results store: a byte-budgeted LRU index
-// (lru.Cache, grouped by stream) over entries persisted in the kvstore. All
+// Store is the materialized-results store: a byte-budgeted LRU (lru.Cache,
+// grouped by stream) of decoded entries, each persisted in the kvstore. All
 // methods are safe for concurrent use, and every method but Get, GetRange
 // and Put tolerates a nil receiver (the disabled sentinel), reporting zeroes
 // and ignoring writes.
@@ -188,9 +199,9 @@ func New(kv KV, budgetBytes int64, valid func(stream string, seg int) bool) *Sto
 
 // adopt indexes one persisted entry, reporting false for what must be
 // deleted instead: a malformed key or a value that does not decode (garbage
-// under the prefix), an entry covering a segment valid rejects, or one the
-// budget cannot hold. The value is decoded to recover the covered-segment
-// list, since range entries register under every covered segment.
+// under the prefix, or a value damaged at rest), an entry covering a segment
+// valid rejects, or one the budget cannot hold. This is the one place a
+// persisted value is trusted, so it is the one place it is checked.
 func (s *Store) adopt(key string, valid func(stream string, seg int) bool) bool {
 	stream, seg, ok := decodeKey(key)
 	if !ok {
@@ -204,13 +215,13 @@ func (s *Store) adopt(key string, valid func(stream string, seg int) bool) bool 
 	if err != nil {
 		return false
 	}
-	m := meta{stream: stream, segs: coveredSegs(ent, seg)}
+	m := meta{stream: stream, segs: coveredSegs(ent, seg), ent: ent}
 	for _, sg := range m.segs {
 		if valid != nil && !valid(stream, sg) {
 			return false
 		}
 	}
-	if s.idx.Add(stream, key, m, int64(len(v))) != lru.Landed {
+	if s.idx.Add(stream, key, m, ent.footprint()) != lru.Landed {
 		return false
 	}
 	s.register(key, m)
@@ -226,7 +237,8 @@ func coveredSegs(e Entry, seg int) []int {
 	return e.Segs
 }
 
-// Get returns the stored entry for k, marking it most recently used. On a
+// Get returns the stored entry for k, marking it most recently used. A hit
+// shares the store's slices: read-only, though safe to append to. On a
 // miss it registers an in-flight fill and returns the stream's generation
 // token: the caller MUST balance the miss with exactly one Put (to land
 // the fill) or Abandon (to discard it), or the stream's generation state
@@ -248,15 +260,8 @@ func (s *Store) GetRange(k Key, want []int) (Entry, lru.Token, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if m, resident := s.idx.Peek(key); resident && (want == nil || slices.Equal(m.segs, want)) {
-		if v, err := s.kv.Get(key); err == nil {
-			if ent, err := decodeEntry(v); err == nil {
-				s.idx.Get(k.Stream, key) // count the hit, mark most recently used
-				return ent, 0, true
-			}
-		}
-		// Index and kvstore disagree (a torn write healed by replay, or a
-		// corrupt value): drop the entry and miss, re-filling it cleanly.
-		s.idx.Remove(key)
+		s.idx.Get(k.Stream, key) // count the hit, mark most recently used
+		return m.ent, 0, true
 	}
 	return Entry{}, s.idx.Miss(k.Stream), false
 }
@@ -265,16 +270,20 @@ func (s *Store) GetRange(k Key, want []int) (Entry, lru.Token, bool) {
 // stream was invalidated since — the fill may predate an erosion — the
 // entry is silently dropped. Oversized entries (larger than the whole
 // budget) are never stored; a refresh that grew past the budget
-// additionally drops the resident entry.
+// additionally drops the resident entry. The store keeps a clipped copy of
+// e's slices, so e stays the caller's and appending to a hit reallocates.
 func (s *Store) Put(k Key, e Entry, tok lru.Token) {
+	e.Segs = slices.Clip(slices.Clone(e.Segs))
+	e.PTS = slices.Clip(slices.Clone(e.PTS))
+	e.Detections = slices.Clip(slices.Clone(e.Detections))
 	v := e.encode()
 	key := k.encode()
-	m := meta{stream: k.Stream, segs: coveredSegs(e, k.Seg)}
+	m := meta{stream: k.Stream, segs: coveredSegs(e, k.Seg), ent: e}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// The index goes first so a stale or oversized fill never reaches the
 	// kvstore; nothing can observe the gap, since every reader takes mu.
-	switch s.idx.Put(k.Stream, key, m, int64(len(v)), tok) {
+	switch s.idx.Put(k.Stream, key, m, e.footprint(), tok) {
 	case lru.Stale:
 		s.dropped++
 	case lru.Landed:

@@ -90,9 +90,9 @@ func testKey(stream string, seg int, op string) Key {
 // index (lru.Cache), the per-segment bySeg sets and the persisted values.
 // Every resident entry is registered under exactly the segments it covers
 // and nowhere else, no bySeg set is empty, the kvstore holds exactly the
-// resident keys, and the accounted bytes are the persisted values' sizes,
-// within budget. (The index's own structure — list, map, generation state —
-// is package lru's, checked there.)
+// resident keys, and the accounted bytes are the resident entries'
+// footprints, within budget. (The index's own structure — list, map,
+// generation state — is package lru's, checked there.)
 func mustCheckInvariants(t *testing.T, s *Store, step string) {
 	t.Helper()
 	s.mu.Lock()
@@ -127,14 +127,13 @@ func mustCheckInvariants(t *testing.T, s *Store, step string) {
 				t.Fatalf("%s: entry %q not registered under covered segment %d", step, key, seg)
 			}
 		}
-		v, err := s.kv.Get(key)
-		if err != nil {
+		if _, err := s.kv.Get(key); err != nil {
 			t.Fatalf("%s: resident entry %q has no persisted value: %v", step, key, err)
 		}
-		sum += int64(len(v))
+		sum += m.ent.footprint()
 	}
 	if sum != st.Bytes {
-		t.Fatalf("%s: accounted %d bytes, persisted values hold %d", step, st.Bytes, sum)
+		t.Fatalf("%s: accounted %d bytes, resident entries' footprints sum to %d", step, st.Bytes, sum)
 	}
 	if keys := s.kv.Keys(Prefix); len(keys) != st.Entries {
 		t.Fatalf("%s: kvstore holds %d keys under %s, index %d entries: %v", step, len(keys), Prefix, st.Entries, keys)
@@ -269,7 +268,7 @@ func TestStoreDisabledSentinel(t *testing.T) {
 
 func TestStoreLRUEviction(t *testing.T) {
 	kv := newFakeKV()
-	unit := int64(len(testEntry(0).encode()))
+	unit := testEntry(0).footprint()
 	s := New(kv, 3*unit+unit/2, nil) // room for 3 entries
 	keys := make([]Key, 4)
 	for i := range keys {
@@ -305,14 +304,14 @@ func TestStoreLRUEviction(t *testing.T) {
 func TestStoreOversizedPut(t *testing.T) {
 	kv := newFakeKV()
 	small := Entry{PTS: []int{1}}
-	s := New(kv, int64(len(testEntry(0).encode()))+1, nil)
+	s := New(kv, testEntry(0).footprint()+1, nil)
 	k := testKey("cam", 0, "Diff")
 	fill(t, s, k, small)
 	mustCheckInvariants(t, s, "small resident")
 	// A refresh that grew past the whole budget drops the resident entry
 	// instead of serving a stale value under a fresh index.
 	big := testEntry(0)
-	for len(big.encode()) <= int(s.Stats().Budget) {
+	for big.footprint() <= s.Stats().Budget {
 		big.PTS = append(big.PTS, len(big.PTS))
 	}
 	if _, _, ok := s.Get(k); !ok {
@@ -454,7 +453,7 @@ func TestStoreReopenAdoption(t *testing.T) {
 	}
 
 	// Reopening under a tiny budget must evict down to it.
-	unit := int64(len(testEntry(1).encode()))
+	unit := testEntry(1).footprint()
 	s3 := New(kv, unit+unit/2, nil)
 	mustCheckInvariants(t, s3, "after tight reopen")
 	if st := s3.Stats(); st.Entries != 1 {
@@ -467,21 +466,25 @@ func TestStoreCorruptValueReadsAsMiss(t *testing.T) {
 	s := New(kv, 1<<20, nil)
 	k := testKey("cam", 0, "Diff")
 	fill(t, s, k, testEntry(1))
-	// Corrupt the persisted value behind the index's back.
+	// Corrupt the persisted value behind the index's back. Hits are served
+	// from memory, so the damage is never read: a hit returns the entry that
+	// landed.
 	kv.m[k.encode()] = []byte{0xff, 0xff}
-	_, gen, ok := s.Get(k)
-	if ok {
-		t.Fatal("corrupt value served as a hit")
-	}
-	// The miss registered an in-flight fill; a clean refill must land.
-	s.Put(k, testEntry(2), gen)
-	mustCheckInvariants(t, s, "after refill")
 	got, _, ok := s.Get(k)
-	if !ok {
-		t.Fatal("refill after corruption did not land")
+	if !ok || fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", testEntry(1)) {
+		t.Fatalf("hit after corruption = %+v, %v; want the landed entry", got, ok)
 	}
-	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", testEntry(2)) {
-		t.Fatal("refill served wrong entry")
+	mustCheckInvariants(t, s, "after corruption")
+	// A reopen adopts only what decodes: the corrupt value reads as a miss,
+	// and is deleted rather than adopted.
+	s2 := New(kv, 1<<20, nil)
+	mustCheckInvariants(t, s2, "after reopen")
+	if _, _, ok := s2.Get(k); ok {
+		t.Fatal("corrupt value adopted on reopen")
+	}
+	s2.Abandon("cam")
+	if _, err := kv.Get(k.encode()); err == nil {
+		t.Fatal("corrupt value still persisted after reopen")
 	}
 }
 
@@ -601,7 +604,7 @@ func TestStorePurgeAndResize(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		fill(t, s, testKey("cam", i, "Diff"), testEntry(i))
 	}
-	unit := int64(len(testEntry(0).encode()))
+	unit := testEntry(0).footprint()
 	s.Resize(2 * unit)
 	mustCheckInvariants(t, s, "after shrink")
 	if st := s.Stats(); st.Entries > 2 {
@@ -619,8 +622,9 @@ func TestStorePurgeAndResize(t *testing.T) {
 
 // TestStorePropertyIndexSegsAndKVAgree drives the adapter with seeded random
 // operations — point and range fills, fills that race an invalidation,
-// coverage-mismatched lookups, segment invalidation, resize, a corrupted
-// value, a failing kvstore, and a reopen with a validity filter — and after
+// coverage-mismatched lookups, segment invalidation, resize, a value
+// corrupted at rest (still served from memory, dropped by the next reopen),
+// a failing kvstore, and a reopen with a validity filter — and after
 // every step checks that the index, the bySeg sets and the kvstore contents
 // agree (mustCheckInvariants), that a hit returns the last entry that landed
 // under its key, and that an entry covering an invalidated segment is gone.
@@ -631,11 +635,12 @@ func TestStorePropertyIndexSegsAndKVAgree(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			kv := newFakeKV()
-			unit := int64(len(testEntry(0).encode()))
+			unit := testEntry(0).footprint()
 			s := New(kv, int64(3+rng.Intn(6))*unit, nil)
 			landed := map[string]Entry{} // encoded key -> last entry whose Put may have landed
 			covers := map[string][]int{} // encoded key -> segments that entry covers
 			gone := map[string]bool{}    // "stream/seg" invalidated and not refilled since
+			corrupt := map[string]bool{} // encoded key whose persisted value was damaged since it landed
 			type pending struct {
 				k     Key
 				e     Entry
@@ -663,6 +668,7 @@ func TestStorePropertyIndexSegsAndKVAgree(t *testing.T) {
 				if p.stale || kv.failPut {
 					return
 				}
+				delete(corrupt, p.k.encode())
 				landed[p.k.encode()] = p.e
 				covers[p.k.encode()] = coveredSegs(p.e, p.k.Seg)
 				for _, sg := range covers[p.k.encode()] {
@@ -712,13 +718,14 @@ func TestStorePropertyIndexSegsAndKVAgree(t *testing.T) {
 					}
 				case 6: // operator resize
 					s.Resize(int64(1+rng.Intn(8)) * unit)
-				case 7: // a value corrupted behind the index's back reads as a miss
+				case 7: // a value corrupted behind the index's back is never served
 					if _, resident := s.idx.Peek(k.encode()); resident {
 						kv.m[k.encode()] = []byte{0xff}
-						if _, _, ok := s.GetRange(k, covers[k.encode()]); ok {
-							t.Fatalf("op %d: corrupt value under %v served as a hit", op, k)
+						corrupt[k.encode()] = true
+						got, _, ok := s.GetRange(k, covers[k.encode()])
+						if want := landed[k.encode()]; !ok || fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+							t.Fatalf("op %d: hit on %v after corruption = %+v, %v; last landed %+v", op, k, got, ok, want)
 						}
-						s.Abandon(k.Stream)
 					}
 				case 8: // the kvstore refuses one write
 					kv.failPut = true
@@ -735,6 +742,12 @@ func TestStorePropertyIndexSegsAndKVAgree(t *testing.T) {
 						return stream != k.Stream || seg != k.Seg
 					})
 					gone[fmt.Sprintf("%s/%d", k.Stream, k.Seg)] = true
+					for key := range corrupt {
+						if _, ok := kv.m[key]; ok {
+							t.Fatalf("op %d: reopen kept the corrupt value under %q", op, key)
+						}
+						delete(corrupt, key)
+					}
 				}
 				mustCheckInvariants(t, s, fmt.Sprintf("op %d", op))
 			}

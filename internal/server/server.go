@@ -996,7 +996,7 @@ type Stats struct {
 
 	ResultsHits          int64
 	ResultsMisses        int64
-	ResultsBytes         int64 // bytes of stored results resident
+	ResultsBytes         int64 // in-memory footprint of the resident results
 	ResultsEntries       int
 	ResultsEvictions     int64
 	ResultsInvalidations int64 // entries dropped by erosion/deletion
