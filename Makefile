@@ -28,8 +28,9 @@ test:
 # The walkthroughs under examples/ are run, not just compiled: each is a
 # self-checking program over a throwaway store (a few seconds apiece), and
 # a non-zero exit fails the target. What a CLI verb already shows has no
-# example (`vstore query`, `vstore serve`).
-EXAMPLES := quickstart lifecycle httpserve subscribe multitenant
+# example (`vstore configure`/`ingest`/`query`, `vstore serve`), and the
+# erosion walkthrough is `vbench table4`/`fig13`.
+EXAMPLES := httpserve subscribe multitenant
 examples:
 	@set -e; for e in $(EXAMPLES); do \
 		echo "== examples/$$e"; \
@@ -153,7 +154,9 @@ load-smoke:
 
 # Self-healing end to end on a real store: configure, ingest, flip one
 # bit in a committed replica (`vstore damage`), and require one `vstore
-# scrub` pass to find and re-derive it — the second pass must scan clean.
+# scrub` pass to find and re-derive it — the second pass must scan clean,
+# and `vstore query` must print the same detections line as before the
+# damage.
 scrub-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); \
@@ -161,10 +164,15 @@ scrub-smoke:
 	$(GO) build -o "$$tmp/vstore" ./cmd/vstore; \
 	"$$tmp/vstore" configure -db "$$tmp/db" -clip 120 >/dev/null; \
 	"$$tmp/vstore" ingest -db "$$tmp/db" -scene jackson -segments 2 >/dev/null; \
+	"$$tmp/vstore" query -db "$$tmp/db" -scene jackson -to 2 | grep ' detections' > "$$tmp/before"; \
 	"$$tmp/vstore" damage -db "$$tmp/db" -stream jackson -segment 1; \
 	"$$tmp/vstore" scrub -db "$$tmp/db"; \
 	"$$tmp/vstore" scrub -db "$$tmp/db" | grep -q '0 corrupt, 0 lost' || \
-		{ echo "FAIL: store not clean after repair"; exit 1; }
+		{ echo "FAIL: store not clean after repair"; exit 1; }; \
+	"$$tmp/vstore" query -db "$$tmp/db" -scene jackson -to 2 | grep ' detections' > "$$tmp/after"; \
+	cmp -s "$$tmp/before" "$$tmp/after" || \
+		{ echo "FAIL: healed store answers differently"; cat "$$tmp/before" "$$tmp/after"; exit 1; }; \
+	cat "$$tmp/after"
 
 # Availability through an induced storage outage, over the wire: the api
 # server runs with read bit flips injected on one derived replica

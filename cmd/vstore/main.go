@@ -1,18 +1,21 @@
 // Command vstore is the store's operational CLI: derive a configuration,
 // ingest streams under it, run queries, apply age-based erosion, serve
 // live traffic (in-process or over HTTP), and report store statistics.
+// Every verb that touches a store opens it through internal/server, so
+// configuration epochs, the segment manifest and stream positions govern
+// them all alike.
 //
 // Usage:
 //
 //	vstore configure -db DIR [-ingest-cores N] [-storage-gb N] [-lifespan D] [-clip frames]
 //	                 [-shards N] [-fast-gb N] [-demote-after D] [-results-mb N]
-//	vstore ingest    -db DIR -scene NAME [-segments N] [-start I] [-shards N]
+//	vstore ingest    -db DIR -scene NAME [-segments N] [-shards N]
 //	vstore query     -db DIR -scene NAME -query A|B [-accuracy F] [-from I] [-to I]
 //	vstore erode     -db DIR -scene NAME [-today D]
-//	vstore serve     -db DIR [-streams A,B] [-segments N] [-queries N] [-query A|B] [-erode-interval D]
-//	                 [-shards N] [-fast-bytes N] [-demote-after D]
-//	vstore api       -db DIR [-listen :8080] [-max-inflight N] [-max-queue N] [-max-subs N] [-query-timeout D]
+//	vstore serve     -db DIR [-streams A,B] [-segments N] [-queries N] [-query A|B] [-accuracy F]
 //	                 [-erode-interval D] [-today D] [-shards N] [-fast-bytes N] [-demote-after D]
+//	vstore api       -db DIR [-listen :8080] [-max-inflight N] [-max-queue N] [-max-subs N] [-tenants FILE]
+//	                 [-query-timeout D] [-erode-interval D] [-today D] [-shards N] [-fast-bytes N] [-demote-after D]
 //	vstore route     -nodes n1=http://H:P,n2=http://H:P[,...] [-listen :8090] [-replicas N] [-workers N]
 //	vstore scrub     -db DIR [-shards N]
 //	vstore damage    -db DIR -stream NAME [-segment I] [-sf KEY] [-shards N]
@@ -35,21 +38,33 @@ import (
 	"repro/internal/api"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/erode"
 	"repro/internal/experiments"
 	"repro/internal/fault"
-	"repro/internal/ingest"
+	"repro/internal/ops"
 	"repro/internal/query"
 	"repro/internal/segment"
 	"repro/internal/server"
 	"repro/internal/tenant"
-	"repro/internal/tier"
 	"repro/internal/vidsim"
 )
 
+var verbs = map[string]func(args []string) error{
+	"configure": cmdConfigure,
+	"ingest":    cmdIngest,
+	"query":     cmdQuery,
+	"erode":     cmdErode,
+	"serve":     cmdServe,
+	"api":       cmdAPI,
+	"route":     cmdRoute,
+	"scrub":     cmdScrub,
+	"damage":    cmdDamage,
+	"stats":     cmdStats,
+}
+
 func main() {
-	if len(os.Args) < 2 {
-		usage()
+	if len(os.Args) < 2 || verbs[os.Args[1]] == nil {
+		fmt.Fprintln(os.Stderr, `usage: vstore <configure|ingest|query|erode|serve|api|route|scrub|damage|stats> [flags]`)
+		os.Exit(2)
 	}
 	// Fault injection is boot-time wiring: VSTORE_FAULTS (with
 	// VSTORE_FAULT_SEED) arms the kvstore failpoints for every verb —
@@ -61,57 +76,89 @@ func main() {
 	} else if on {
 		fmt.Fprintln(os.Stderr, "vstore: fault injection armed from VSTORE_FAULTS")
 	}
-	cmd, args := os.Args[1], os.Args[2:]
-	var err error
-	switch cmd {
-	case "configure":
-		err = cmdConfigure(args)
-	case "ingest":
-		err = cmdIngest(args)
-	case "query":
-		err = cmdQuery(args)
-	case "erode":
-		err = cmdErode(args)
-	case "serve":
-		err = cmdServe(args)
-	case "api":
-		err = cmdAPI(args)
-	case "route":
-		err = cmdRoute(args)
-	case "scrub":
-		err = cmdScrub(args)
-	case "damage":
-		err = cmdDamage(args)
-	case "stats":
-		err = cmdStats(args)
-	default:
-		usage()
-	}
-	if err != nil {
+	if err := verbs[os.Args[1]](os.Args[2:]); err != nil {
 		fmt.Fprintln(os.Stderr, "vstore:", err)
 		os.Exit(1)
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: vstore <configure|ingest|query|erode|serve|api|route|scrub|damage|stats> [flags]`)
-	os.Exit(2)
-}
-
 func configPath(db string) string { return filepath.Join(db, "config.json") }
 
-// openStore opens the tiered sharded segment store directly (the bare,
-// server-less CLI path). Shards only matter when the store is created;
-// an existing layout wins.
-func openStore(db string, shards int) (*segment.Store, func(), error) {
-	ts, err := tier.Open(filepath.Join(db, "segments"), tier.Options{
-		Shards: shards,
-		Route:  segment.RouteKey,
+// openConfiguredServer is how every verb reaches a store: resolve the
+// shard count before the store opens (layout is a creation-time property,
+// read from the saved configuration when the flag is silent — an existing
+// on-disk layout wins over both), open the tiered engine, and install the
+// saved configuration on a store that has no epoch yet. A store's
+// configuration is therefore fixed when it is first opened. The caller
+// owns srv.Close().
+func openConfiguredServer(db string, shards int, fastBytes int64, demoteAfter int) (*server.Server, error) {
+	cfg, cfgErr := core.Load(configPath(db))
+	if shards == 0 && cfgErr == nil {
+		shards = cfg.Runtime.Shards
+	}
+	srv, err := server.OpenWith(db, server.Options{
+		Shards:          shards,
+		FastTierBytes:   fastBytes,
+		DemoteAfterDays: demoteAfter,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return segment.NewStore(ts), func() { ts.Close() }, nil
+	if srv.Current() == nil {
+		if cfgErr != nil {
+			cfgErr = fmt.Errorf("load configuration first (vstore configure): %w", cfgErr)
+		} else {
+			cfgErr = srv.Reconfigure(cfg)
+		}
+		if cfgErr != nil {
+			srv.Close()
+			return nil, cfgErr
+		}
+	}
+	return srv, nil
+}
+
+// serveFlags are the flags of the two long-running verbs, serve and api:
+// the store, the erosion daemon's clock and the tier knobs.
+type serveFlags struct {
+	db          *string
+	erodeEvery  *time.Duration
+	today       *int
+	shards      *int
+	fastBytes   *int64
+	demoteAfter *int
+}
+
+func declareServeFlags(fs *flag.FlagSet) serveFlags {
+	return serveFlags{
+		db:          fs.String("db", "vstore-db", "store directory"),
+		erodeEvery:  fs.Duration("erode-interval", 0, "erosion daemon pass interval (0 = no daemon)"),
+		today:       fs.Int("today", 1, "current day index for the erosion daemon's age function"),
+		shards:      fs.Int("shards", 0, "per-tier kvstore shards for fresh stores (0 = configured/default)"),
+		fastBytes:   fs.Int64("fast-bytes", 0, "fast disk tier byte budget (0 = configured/unbudgeted)"),
+		demoteAfter: fs.Int("demote-after", 0, "demote segments to the cold tier after this many days (0 = configured/off)"),
+	}
+}
+
+// age is the lifecycle passes' clock: segment age counted from -today.
+func (f serveFlags) age() server.AgeFunc {
+	return server.AgeByToday(func() int { return *f.today })
+}
+
+// open opens the configured server and, with -erode-interval, starts the
+// erosion daemon; srv.Close stops it.
+func (f serveFlags) open() (*server.Server, error) {
+	srv, err := openConfiguredServer(*f.db, *f.shards, *f.fastBytes, *f.demoteAfter)
+	if err != nil {
+		return nil, err
+	}
+	if *f.erodeEvery > 0 {
+		if _, err := srv.StartErosionDaemon(*f.erodeEvery, nil, f.age()); err != nil {
+			srv.Close()
+			return nil, err
+		}
+	}
+	return srv, nil
 }
 
 func cmdConfigure(args []string) error {
@@ -153,52 +200,37 @@ func cmdConfigure(args []string) error {
 	return nil
 }
 
+// cmdIngest appends segments at the stream's next index, transcoded into
+// the current epoch's storage formats.
 func cmdIngest(args []string) error {
 	fs := flag.NewFlagSet("ingest", flag.ExitOnError)
 	db := fs.String("db", "vstore-db", "store directory")
 	scene := fs.String("scene", "jackson", "dataset to ingest")
 	n := fs.Int("segments", 5, "number of 8-second segments")
-	start := fs.Int("start", 0, "first segment index")
 	shards := fs.Int("shards", 0, "per-tier kvstore shards for fresh stores (0 = configured/default)")
 	fs.Parse(args)
-	cfg, err := core.Load(configPath(*db))
-	if err != nil {
-		return fmt.Errorf("load configuration first (vstore configure): %w", err)
-	}
 	sc, err := vidsim.DatasetByName(*scene)
 	if err != nil {
 		return err
 	}
-	if *shards == 0 {
-		*shards = cfg.Runtime.Shards
-	}
-	store, closeStore, err := openStore(*db, *shards)
+	srv, err := openConfiguredServer(*db, *shards, 0, 0)
 	if err != nil {
 		return err
 	}
-	defer closeStore()
-	// Bare ingest honours the configuration's derived placement, so the
-	// retrieval-hot formats land on the fast tier even without a server.
-	placements := cfg.Placements()
-	store.SetPlacement(func(sfKey string) tier.ID {
-		if placements[sfKey] == core.PlaceCold {
-			return tier.Cold
-		}
-		return tier.Fast
-	})
-	ing := ingest.Ingester{Store: store, SFs: cfg.StorageFormats()}
-	st, err := ing.Stream(sc, *scene, *start, *n)
+	defer srv.Close()
+	base, t0 := srv.SegmentsOf(*scene), time.Now()
+	st, err := srv.Ingest(sc, *scene, *n)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("ingested %d segments (%.0fs of video) of %s into %d formats\n",
-		st.Segments, st.VideoSeconds(), *scene, len(st.PerSF))
+	fmt.Printf("ingested segments [%d,%d) (%.0fs of video) of %s into %d formats\n",
+		base, base+st.Segments, st.VideoSeconds(), *scene, len(st.PerSF))
 	for _, s := range st.PerSF {
 		fmt.Printf("  %-40s %8.1f KB  %.3f cores\n", s.SF, float64(s.Bytes)/1024, s.CPUSeconds/st.VideoSeconds())
 	}
 	fmt.Printf("total: %.2f transcoding cores, %.1f KB/s stored, wall %.1fs\n",
-		st.CPUSecPerVideoSec(), st.BytesPerSec()/1024, st.WallSeconds)
-	return nil
+		st.CPUSecPerVideoSec(), st.BytesPerSec()/1024, time.Since(t0).Seconds())
+	return srv.Close()
 }
 
 func cmdQuery(args []string) error {
@@ -210,113 +242,70 @@ func cmdQuery(args []string) error {
 	from := fs.Int("from", 0, "first segment")
 	to := fs.Int("to", 5, "one past the last segment")
 	fs.Parse(args)
-	cfg, err := core.Load(configPath(*db))
-	if err != nil {
-		return err
-	}
 	cascade, names, err := query.ByName(*q)
 	if err != nil {
 		return err
 	}
-	var binding query.Binding
-	for _, name := range names {
-		cf, sf, err := cfg.BindingFor(name, *acc)
-		if err != nil {
-			return err
-		}
-		binding = append(binding, query.StageBinding{CF: cf, SF: sf})
-	}
-	store, closeStore, err := openStore(*db, 0)
+	srv, err := openConfiguredServer(*db, 0, 0, 0)
 	if err != nil {
 		return err
 	}
-	defer closeStore()
-	eng := query.Engine{Store: store}
-	res, err := eng.Run(context.Background(), *scene, cascade, binding, *from, *to)
+	defer srv.Close()
+	t0 := time.Now()
+	res, err := srv.Query(context.Background(), *scene, cascade, names, *acc, *from, *to)
 	if err != nil {
 		return err
+	}
+	var video float64
+	for _, span := range res.Results {
+		video += span.VideoSeconds
 	}
 	fmt.Printf("query %s over %.0fs of %s at accuracy %.2f: %.0fx realtime (wall %.2fs)\n",
-		cascade.Name, res.VideoSeconds, *scene, *acc, res.Speed(), res.WallSeconds)
-	for _, st := range res.StageStats {
-		fmt.Printf("  %-8s consumed %5d frames  retrieval %.4fs  consumption %.4fs\n",
-			st.Op, st.FramesConsumed, st.RetrievalSec, st.ConsumptionSec)
-	}
-	fmt.Printf("%d detections", len(res.Detections))
-	shown := 0
-	for _, d := range res.Detections {
-		if shown >= 8 {
-			fmt.Print(" ...")
-			break
+		cascade.Name, video, *scene, *acc, res.Speed(), time.Since(t0).Seconds())
+	for _, span := range res.Results {
+		for _, st := range span.StageStats {
+			fmt.Printf("  %-8s consumed %5d frames  retrieval %.4fs  consumption %.4fs\n",
+				st.Op, st.FramesConsumed, st.RetrievalSec, st.ConsumptionSec)
 		}
-		fmt.Printf("  [t=%.1fs %s]", float64(d.PTS)/vidsim.FPS, d.Label)
-		shown++
 	}
-	fmt.Println()
-	return nil
+	fmt.Println(detectionsLine(res.Detections()))
+	return srv.Close()
 }
 
+// detectionsLine is query's last line: the count, then the first eight.
+func detectionsLine(dets []ops.Detection) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d detections", len(dets))
+	for i, d := range dets {
+		if i == 8 {
+			b.WriteString(" ...")
+			break
+		}
+		fmt.Fprintf(&b, "  [t=%.1fs %s]", float64(d.PTS)/vidsim.FPS, d.Label)
+	}
+	return b.String()
+}
+
+// cmdErode runs one erosion pass over the stream: every epoch's plan on
+// the segments it governs, expiry included.
 func cmdErode(args []string) error {
 	fs := flag.NewFlagSet("erode", flag.ExitOnError)
 	db := fs.String("db", "vstore-db", "store directory")
 	scene := fs.String("scene", "jackson", "stream to erode")
 	today := fs.Int("today", 1, "current day index; segment age = today - segment's day")
 	fs.Parse(args)
-	cfg, err := core.Load(configPath(*db))
+	srv, err := openConfiguredServer(*db, 0, 0, 0)
 	if err != nil {
 		return err
 	}
-	if cfg.Erosion == nil || cfg.Erosion.K == 0 {
-		fmt.Println("configuration has no erosion pressure (k=0); nothing to do")
-		return nil
-	}
-	store, closeStore, err := openStore(*db, 0)
+	defer srv.Close()
+	age := server.AgeByToday(func() int { return *today })
+	deleted, err := srv.Erode(*scene, func(idx int) int { return age(*scene, idx) })
 	if err != nil {
 		return err
 	}
-	defer closeStore()
-	e := erode.Eroder{Store: store}
-	deleted, err := e.Apply(*scene, cfg.StorageFormats(), cfg.Derivation.Golden, cfg.Erosion,
-		func(idx int) int { return *today - idx/erode.SegmentsPerDay })
-	if err != nil {
-		return err
-	}
-	fmt.Printf("eroded %d segments of %s (day %d, k=%.2f)\n", deleted, *scene, *today, cfg.Erosion.K)
-	return nil
-}
-
-// openConfiguredServer is the shared serve/api opening sequence: resolve
-// the shard count before the store opens (layout is a creation-time
-// property, read from the saved configuration when the flag is silent —
-// an existing on-disk layout wins over both), open the tiered engine,
-// and install the saved configuration on a fresh store. The caller owns
-// srv.Close().
-func openConfiguredServer(db string, shards int, fastBytes int64, demoteAfter int) (*server.Server, error) {
-	if shards == 0 {
-		if cfg, err := core.Load(configPath(db)); err == nil {
-			shards = cfg.Runtime.Shards
-		}
-	}
-	srv, err := server.OpenWith(db, server.Options{
-		Shards:          shards,
-		FastTierBytes:   fastBytes,
-		DemoteAfterDays: demoteAfter,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if srv.Current() == nil {
-		cfg, err := core.Load(configPath(db))
-		if err != nil {
-			srv.Close()
-			return nil, fmt.Errorf("load configuration first (vstore configure): %w", err)
-		}
-		if err := srv.Reconfigure(cfg); err != nil {
-			srv.Close()
-			return nil, err
-		}
-	}
-	return srv, nil
+	fmt.Printf("eroded %d segments of %s (day %d)\n", deleted, *scene, *today)
+	return srv.Close()
 }
 
 // cmdServe runs the store as a live engine: every named scene ingests
@@ -325,41 +314,28 @@ func openConfiguredServer(db string, shards int, fastBytes int64, demoteAfter in
 // ages footage out — all at once, the always-on operation of §4.1.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	db := fs.String("db", "vstore-db", "store directory")
+	sf := declareServeFlags(fs)
 	streamsFlag := fs.String("streams", "jackson,park", "comma-separated scenes to ingest live")
 	n := fs.Int("segments", 4, "segments to ingest per stream")
 	nq := fs.Int("queries", 8, "queries to run while ingesting")
 	q := fs.String("query", "A", "cascade: A (Diff+S-NN+NN) or B (Motion+License+OCR)")
 	acc := fs.Float64("accuracy", 0.9, "target operator accuracy")
-	erodeEvery := fs.Duration("erode-interval", 0, "erosion daemon pass interval (0 = no daemon)")
-	today := fs.Int("today", 1, "current day index for the erosion daemon's age function")
-	shards := fs.Int("shards", 0, "per-tier kvstore shards for fresh stores (0 = engine default)")
-	fastBytes := fs.Int64("fast-bytes", 0, "fast disk tier byte budget (0 = configured/unbudgeted)")
-	demoteAfter := fs.Int("demote-after", 0, "demote segments to the cold tier after this many days (0 = configured/off)")
 	fs.Parse(args)
 
-	srv, err := openConfiguredServer(*db, *shards, *fastBytes, *demoteAfter)
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
 	cascade, names, err := query.ByName(*q)
 	if err != nil {
 		return err
 	}
-
-	if *erodeEvery > 0 {
-		if _, err := srv.StartErosionDaemon(*erodeEvery, nil, server.AgeByToday(func() int { return *today })); err != nil {
-			return err
-		}
-		defer srv.StopErosionDaemon()
+	srv, err := sf.open()
+	if err != nil {
+		return err
 	}
+	defer srv.Close()
 
 	streams := strings.Split(*streamsFlag, ",")
 	var feeders sync.WaitGroup
 	feedErr := make(chan error, len(streams))
 	for _, name := range streams {
-		name := name
 		sc, err := vidsim.DatasetByName(name)
 		if err != nil {
 			return err
@@ -390,7 +366,6 @@ func cmdServe(args []string) error {
 	var qmu sync.Mutex
 	ran := 0
 	for w := 0; w < 4; w++ {
-		w := w
 		queriers.Add(1)
 		go func() {
 			defer queriers.Done()
@@ -447,18 +422,28 @@ func cmdServe(args []string) error {
 	// ingested after the daemon's last tick (or with no daemon at all —
 	// -demote-after/-fast-bytes work without -erode-interval) still age
 	// out of the fast tier. A no-op when no demotion knob is active.
-	if n, err := srv.DemotePass(server.AgeByToday(func() int { return *today })); err != nil {
+	if n, err := srv.DemotePass(sf.age()); err != nil {
 		return err
 	} else if n > 0 {
 		fmt.Printf("settling demotion pass migrated %d replicas\n", n)
 	}
 	st := srv.Stats()
-	fmt.Printf("served: %d queries over %d snapshots (%d erosion passes); store %d keys, cache %d/%d hit/miss\n",
-		ran, st.SnapshotsTaken, st.ErosionPasses, st.Keys, st.CacheHits, st.CacheMisses)
+	fmt.Printf("served: %d queries over %d snapshots (%d erosion passes)\n", ran, st.SnapshotsTaken, st.ErosionPasses)
+	printStats(st)
+	return srv.Close()
+}
+
+// printStats is the store report serve ends with and stats prints: the
+// counters /v1/stats serves as its store object.
+func printStats(st server.Stats) {
+	fmt.Printf("store: %d keys, live %.1f MB, garbage %.1f MB in %d files; cache %d/%d hit/miss, results %d/%d hit/miss\n",
+		st.Keys, float64(st.LiveBytes)/1e6, float64(st.GarbageBytes)/1e6, st.Files,
+		st.CacheHits, st.CacheMisses, st.ResultsHits, st.ResultsMisses)
 	fmt.Printf("tiers: %d shards; fast %d segs / %.1f MB, cold %d segs / %.1f MB, %d demotions\n",
 		st.Shards, st.FastSegments, float64(st.FastLiveBytes)/1e6,
 		st.ColdSegments, float64(st.ColdLiveBytes)/1e6, st.Demotions)
-	return nil
+	fmt.Printf("health: %d corrupt / %d transient reads, %d degraded serves, %d repairs (%d failed, %d pending)\n",
+		st.CorruptReads, st.TransientReads, st.DegradedServes, st.Repairs, st.RepairsFailed, st.RepairPending)
 }
 
 // cmdScrub runs one self-healing pass: verify every record checksum,
@@ -492,7 +477,7 @@ func cmdScrub(args []string) error {
 	if len(rep.Failed) > 0 || len(rep.Meta) > 0 {
 		return fmt.Errorf("%d replicas unhealed, %d meta keys damaged", len(rep.Failed), len(rep.Meta))
 	}
-	return nil
+	return srv.Close()
 }
 
 // cmdDamage deliberately corrupts one stored replica — the operational
@@ -520,32 +505,23 @@ func cmdDamage(args []string) error {
 	}
 	fmt.Printf("damaged %s/%s/%d (one bit flipped; reads now fail CRC until repaired)\n",
 		ref.Stream, ref.SFKey, ref.Idx)
-	return nil
+	return srv.Close()
 }
 
 func cmdStats(args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	db := fs.String("db", "vstore-db", "store directory")
 	fs.Parse(args)
-	store, closeStore, err := openStore(*db, 0)
+	srv, err := openConfiguredServer(*db, 0, 0, 0)
 	if err != nil {
 		return err
 	}
-	defer closeStore()
-	st := store.Tiered().Stats()
-	disk, err := store.KV().DiskBytes()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("keys %d, live %.1f MB, garbage %.1f MB, disk %.1f MB in %d files\n",
-		st.Keys, float64(st.LiveBytes)/1e6, float64(st.GarbageBytes)/1e6, float64(disk)/1e6, st.Files)
-	fmt.Printf("tiers: %d shards; fast %d keys / %.1f MB, cold %d keys / %.1f MB\n",
-		st.Shards, st.FastKeys, float64(st.FastLiveBytes)/1e6, st.ColdKeys, float64(st.ColdLiveBytes)/1e6)
-	if cfg, err := core.Load(configPath(*db)); err == nil {
-		fmt.Printf("configuration: %d consumers, %d storage formats, erosion k=%.2f\n",
-			len(cfg.Derivation.Choices), len(cfg.Derivation.SFs), cfg.Erosion.K)
-	}
-	return nil
+	defer srv.Close()
+	printStats(srv.Stats())
+	cfg := srv.Current()
+	fmt.Printf("configuration: %d epochs; current has %d consumers, %d storage formats, erosion k=%.2f\n",
+		len(srv.Epochs()), len(cfg.Derivation.Choices), len(cfg.Derivation.SFs), cfg.Erosion.K)
+	return srv.Close()
 }
 
 // parseNodes parses the -nodes flag: comma-separated name=url pairs
@@ -664,39 +640,27 @@ func loadTenants(db, file string) (*tenant.Registry, error) {
 // SIGINT/SIGTERM.
 func cmdAPI(args []string) error {
 	fs := flag.NewFlagSet("api", flag.ExitOnError)
-	db := fs.String("db", "vstore-db", "store directory")
+	sf := declareServeFlags(fs)
 	listen := fs.String("listen", ":8080", "listen address")
 	maxInFlight := fs.Int("max-inflight", 0, "max concurrently executing requests (0 = 2x GOMAXPROCS)")
 	maxQueue := fs.Int("max-queue", 0, "max requests waiting for a slot before 429 (0 = max-inflight)")
 	maxSubs := fs.Int("max-subs", 0, "max concurrent standing-query subscriptions before 429 (0 = default)")
 	tenantsFile := fs.String("tenants", "", "tenant key file: one \"<api-key> <tenant> [weight=W] [rate=R] ...\" per line (empty = single default tenant)")
 	queryTimeout := fs.Duration("query-timeout", 0, "server-side cap per query (0 = none)")
-	erodeEvery := fs.Duration("erode-interval", 0, "erosion daemon pass interval (0 = no daemon)")
-	today := fs.Int("today", 1, "current day index for the erosion daemon's age function")
-	shards := fs.Int("shards", 0, "per-tier kvstore shards for fresh stores (0 = engine default)")
-	fastBytes := fs.Int64("fast-bytes", 0, "fast disk tier byte budget (0 = configured/unbudgeted)")
-	demoteAfter := fs.Int("demote-after", 0, "demote segments to the cold tier after this many days (0 = configured/off)")
 	fs.Parse(args)
 
-	srv, err := openConfiguredServer(*db, *shards, *fastBytes, *demoteAfter)
+	srv, err := sf.open()
 	if err != nil {
 		return err
 	}
 	defer srv.Close()
-	if *erodeEvery > 0 {
-		if _, err := srv.StartErosionDaemon(*erodeEvery, nil, server.AgeByToday(func() int { return *today })); err != nil {
-			return err
-		}
-		defer srv.StopErosionDaemon()
-	}
-
 	lim := api.Limits{
 		MaxInFlight:      *maxInFlight,
 		MaxQueue:         *maxQueue,
 		MaxSubscriptions: *maxSubs,
 		QueryTimeout:     *queryTimeout,
 	}
-	if reg, err := loadTenants(*db, *tenantsFile); err != nil {
+	if reg, err := loadTenants(*sf.db, *tenantsFile); err != nil {
 		return err
 	} else if reg != nil {
 		lim.Tenants = reg
@@ -704,6 +668,6 @@ func cmdAPI(args []string) error {
 	// srv.Close (deferred) stops the daemon and live streams after the
 	// HTTP surface is quiet.
 	return serveUntilSignal(api.New(srv, lim), *listen, "drained; closing store", func(addr net.Addr) {
-		fmt.Printf("vstore api listening on %s (db %s)\n", addr, *db)
+		fmt.Printf("vstore api listening on %s (db %s)\n", addr, *sf.db)
 	})
 }

@@ -74,7 +74,6 @@ type KV interface {
 	Delete(key string) error
 	Keys(prefix string) []string
 	Scan(prefix string, fn func(key string, value []byte) bool) error
-	DiskBytes() (int64, error)
 	Compact() error
 	Close() error
 }
@@ -104,10 +103,6 @@ func NewStore(kv KV) *Store {
 
 // KV exposes the underlying key-value store (for stats and compaction).
 func (s *Store) KV() KV { return s.kv }
-
-// Tiered exposes the tiered engine, or nil when the store is backed by a
-// bare kvstore.
-func (s *Store) Tiered() *tier.Store { return s.ts }
 
 // SetPlacement installs the write-time tier placement. Safe to call
 // while ingest runs: in-flight segments pick up the new placement on
@@ -675,20 +670,4 @@ func (s *Store) Sync() error {
 		return kv.Sync()
 	}
 	return nil
-}
-
-// BytesFor returns the stored bytes of all segments of the stream/format.
-func (s *Store) BytesFor(stream string, sf format.StorageFormat) int64 {
-	var total int64
-	add := func(k string, v []byte) bool {
-		total += int64(len(v))
-		return true
-	}
-	if sf.Coding.Raw {
-		_ = s.kv.Scan(fmt.Sprintf("%s%s/%s/", rawPrefix, stream, sf.Key()), add)
-		_ = s.kv.Scan(fmt.Sprintf("%s%s/%s/", rawMetaPrefix, stream, sf.Key()), add)
-	} else {
-		_ = s.kv.Scan(fmt.Sprintf("%s%s/%s/", encPrefix, stream, sf.Key()), add)
-	}
-	return total
 }

@@ -156,21 +156,21 @@ func TestRawDeleteRemovesAllRecords(t *testing.T) {
 	if err := s.PutRaw("cam", rawSF, 7, frames); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.BytesFor("cam", rawSF); got == 0 {
-		t.Fatal("BytesFor raw = 0")
+	if got := s.KV().Keys(""); len(got) == 0 {
+		t.Fatal("raw put stored no records")
 	}
 	if err := s.Delete("cam", rawSF, 7); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.BytesFor("cam", rawSF); got != 0 {
-		t.Fatalf("bytes remain after raw delete: %d", got)
+	if got := s.KV().Keys(""); len(got) != 0 {
+		t.Fatalf("records remain after raw delete: %v", got)
 	}
 	if _, _, err := s.GetRaw("cam", rawSF, 7, nil); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("GetRaw after delete: %v", err)
 	}
 }
 
-func TestBytesForSeparatesFormats(t *testing.T) {
+func TestSegmentsSeparateFormats(t *testing.T) {
 	s := newStore(t)
 	frames := clip(t, 0, 10)
 	enc, _, _ := codec.Encode(frames, codec.ParamsFor(encSF))
@@ -179,15 +179,15 @@ func TestBytesForSeparatesFormats(t *testing.T) {
 	}
 	other := encSF
 	other.Coding.KeyframeI = 50
-	if got := s.BytesFor("cam", other); got != 0 {
-		t.Fatalf("BytesFor(other) = %d, want 0", got)
+	if got := s.Segments("cam", other); len(got) != 0 {
+		t.Fatalf("Segments(other) = %v, want none", got)
 	}
-	if got := s.BytesFor("cam", encSF); got == 0 {
-		t.Fatal("BytesFor(encSF) = 0")
+	if got := s.Segments("cam", encSF); len(got) != 1 {
+		t.Fatalf("Segments(encSF) = %v, want [0]", got)
 	}
 	// Streams are isolated too.
-	if got := s.BytesFor("cam2", encSF); got != 0 {
-		t.Fatalf("BytesFor(cam2) = %d", got)
+	if got := s.Segments("cam2", encSF); len(got) != 0 {
+		t.Fatalf("Segments(cam2) = %v", got)
 	}
 }
 

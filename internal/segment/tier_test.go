@@ -54,9 +54,6 @@ func TestTieredStorePlacementAndDemotion(t *testing.T) {
 	}
 	defer ts.Close()
 	store := NewStore(ts)
-	if store.Tiered() != ts {
-		t.Fatal("tiered engine not detected")
-	}
 	store.SetPlacement(func(sfKey string) tier.ID {
 		if sfKey == encSF.Key() {
 			return tier.Cold

@@ -311,14 +311,15 @@ func TestLiveStreamLifecycle(t *testing.T) {
 	sameDetections(t, res, res2, "after reopen")
 }
 
-// TestOpenReconcilesBareIngest: segments written by the bare ingest path
-// (no server, no persisted stream position — the CLI's `vstore ingest`)
-// are adopted on Open: the manifest commits them and the stream position
-// advances past them, so live ingest appends instead of overwriting.
+// TestOpenReconcilesBareIngest: segments written by a bare ingester (no
+// server, no persisted stream position — what a store written by an older
+// `vstore ingest` holds) are adopted on Open: the manifest commits them
+// and the stream position advances past them, so live ingest appends
+// instead of overwriting.
 func TestOpenReconcilesBareIngest(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(t, "jackson", []ops.Operator{ops.Motion{}}, []float64{0.9})
-	// Opened the way cmd/vstore's openStore does.
+	// Opened as a tiered segment store with no server on top.
 	kv, err := tier.Open(filepath.Join(dir, "segments"), tier.Options{Route: segment.RouteKey})
 	if err != nil {
 		t.Fatal(err)

@@ -219,9 +219,10 @@ func OpenWith(dir string, opt Options) (*Server, error) {
 	// reads exactly like that replica having been eroded; a logically
 	// eroded segment whose physical delete was pinned by a snapshot at
 	// crash time likewise reappears and is re-eroded by the next pass.)
-	// Stream positions are reconciled with the scan: segments ingested
-	// outside the server (the bare CLI ingest path writes no position)
-	// must not be overwritten by live ingest starting at a stale index.
+	// Stream positions are reconciled with the scan: segments written
+	// without a server (a store that predates one, or a bare
+	// segment.Store, writes no position) must not be overwritten by live
+	// ingest starting at a stale index.
 	// Each replica is re-committed on the tier its anchor record lives
 	// on, so demotions survive a reopen (and an interrupted demotion,
 	// already healed by the engine's recovery, reports its settled tier).
@@ -491,10 +492,10 @@ func (s *Server) Epochs() []*Epoch {
 }
 
 // epochOf returns the epoch governing the given segment of the stream.
-// Segments ingested before any epoch opened (the bare CLI ingest path,
-// adopted on Open) fall to the oldest epoch: its bindings resolve against
-// whatever formats those segments actually have, with missing formats
-// skipped like eroded segments.
+// Segments written before any epoch opened (without a server, adopted on
+// Open) fall to the oldest epoch: its bindings resolve against whatever
+// formats those segments actually have, with missing formats skipped like
+// eroded segments.
 func epochOf(epochs []*Epoch, stream string, seg int) *Epoch {
 	var out *Epoch
 	for _, ep := range epochs {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -176,6 +177,44 @@ func TestEpochTransition(t *testing.T) {
 				t.Fatalf("old segment %d was transcoded into new format %v", idx, sf)
 			}
 		}
+	}
+}
+
+// TestDetectionsSpanEpochs: a query's Detections are every epoch span's
+// final-stage detections in segment order, not one entry per span.
+func TestDetectionsSpanEpochs(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sc, _ := vidsim.DatasetByName("jackson")
+	cfg := testConfig(t, "jackson", []ops.Operator{ops.Motion{}}, []float64{0.9})
+	for epoch := 0; epoch < 2; epoch++ {
+		if err := s.Reconfigure(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Ingest(sc, "cam", 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cascade, names := motionCascade()
+	res, err := s.Query(context.Background(), "cam", cascade, names, 0.9, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Results) != 2 {
+		t.Fatalf("epoch spans = %d, want 2", len(res.Results))
+	}
+	var want []ops.Detection
+	for _, span := range res.Results {
+		want = append(want, span.Detections...)
+	}
+	if len(want) <= len(res.Results) {
+		t.Fatalf("%d detections over two segments: too few to tell from the span count", len(want))
+	}
+	if got := res.Detections(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Detections() = %d entries, want the spans' %d detections in order", len(got), len(want))
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/format"
+	"repro/internal/ops"
 	"repro/internal/query"
 	"repro/internal/segment"
 )
@@ -85,9 +86,14 @@ func (r Result) Speed() float64 {
 	return vid / sec
 }
 
-// Detections returns all final-stage results across spans.
-func (r Result) Detections() []query.Result {
-	return r.Results
+// Detections returns every span's final-stage detections in segment
+// order.
+func (r Result) Detections() []ops.Detection {
+	var out []ops.Detection
+	for _, one := range r.Results {
+		out = append(out, one.Detections...)
+	}
+	return out
 }
 
 // Store is the transport-agnostic store surface. All methods are safe for

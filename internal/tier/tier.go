@@ -541,22 +541,6 @@ func (s *Store) DamageValue(key string) error {
 	return kvstore.ErrNotFound
 }
 
-// DiskBytes returns the total log-file size across all shards of both
-// tiers.
-func (s *Store) DiskBytes() (int64, error) {
-	var total int64
-	for i := 0; i < s.shards; i++ {
-		for _, kv := range []*kvstore.Store{s.fast[i], s.cold[i]} {
-			n, err := kv.DiskBytes()
-			if err != nil {
-				return 0, err
-			}
-			total += n
-		}
-	}
-	return total, nil
-}
-
 // Compact rewrites every shard's live records sequentially. Use
 // CompactShards to fan the per-shard compactions across a worker pool.
 func (s *Store) Compact() error {
