@@ -22,8 +22,12 @@ all: build lint test
 build:
 	$(GO) build ./...
 
+# On an AVX2 host the vector blur kernel takes every row wide enough for it,
+# so the portable SWAR loop is vetted and tested again under -tags purego.
 test:
 	$(GO) test ./...
+	$(GO) vet -tags purego ./internal/ops
+	$(GO) test -tags purego ./internal/ops
 
 # The walkthroughs under examples/ are run, not just compiled: each is a
 # self-checking program over a throwaway store (a few seconds apiece), and
@@ -39,9 +43,10 @@ examples:
 
 # The ROADMAP's line metric and the same for tests, over this checkout's
 # own source: a bench-ab worktree left under .bench_build/ is not counted.
-# Prints only: nothing reads the numbers back.
+# Go assembly (*.s) counts as non-test code. Prints only: nothing reads the
+# numbers back.
 loc:
-	@printf 'non-test Go lines: '; find . -path ./.bench_build -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
+	@printf 'non-test Go lines: '; find . -path ./.bench_build -prune -o \( -name '*.go' ! -name '*_test.go' -o -name '*.s' \) -print | xargs cat | wc -l
 	@printf 'test Go lines:     '; find . -path ./.bench_build -prune -o -name '*_test.go' -print | xargs cat | wc -l
 
 # -short skips wall-clock timing assertions: the race detector's overhead
@@ -92,7 +97,9 @@ cover:
 # chunk size — the loop that once overflowed), over the NDJSON line
 # parser (any bytes must give json.Unmarshal's error or value), and over the
 # results entry decoder that adoption trusts (no panic, allocation bounded
-# by the input, and an accepted input re-encodes to itself).
+# by the input, and an accepted input re-encodes to itself), and over the
+# encoded-segment container a peer node may send (any bytes must fail
+# Unmarshal or decode to an error or frames, and never panic).
 # Nightly CI runs this with FUZZTIME=5m.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzConfigRoundTrip -fuzztime $(FUZZTIME) ./internal/core/
@@ -102,6 +109,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzQuerySpans -fuzztime $(FUZZTIME) ./internal/api/
 	$(GO) test -run '^$$' -fuzz FuzzQueryLine -fuzztime $(FUZZTIME) ./internal/api/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime $(FUZZTIME) ./internal/results/
+	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime $(FUZZTIME) ./internal/codec/
 
 # The subscription soak under the race detector: a live pipeline feeds
 # segments for VSTORE_SOAK (default a few hundred ms; nightly CI runs 60s)

@@ -530,10 +530,30 @@ func Unmarshal(b []byte) (*Encoded, error) {
 		e.pts[i] = int32(binary.BigEndian.Uint32(b[ptsOff+4*i:]))
 	}
 	e.Data = b[need:]
+	// The GOPs must tile positions [0, N) in order, each holding a frame, so
+	// that every position decode hands to keep — and reads PTSAt for — is one
+	// the PTS table has.
+	next := uint64(0)
 	for _, g := range e.gops {
-		if int(g.off)+int(g.length) > len(e.Data) {
+		if uint64(g.start) != next || g.frames == 0 {
+			return nil, errors.New("codec: GOP index does not tile the frames in order")
+		}
+		next += uint64(g.frames)
+		if g.off > uint64(len(e.Data)) || g.length > uint64(len(e.Data))-g.off {
 			return nil, errors.New("codec: GOP index overruns payload")
 		}
+		// Deflate expands at most 1032:1, so a GOP's payload bounds the
+		// planes it can inflate to; a header claiming more would only make
+		// decode allocate them before its first read fails.
+		if pl := uint64(e.planeLen()); pl > 0 && uint64(g.frames) > maxInflate*g.length/pl {
+			return nil, errors.New("codec: GOP payload too short for its frames")
+		}
+	}
+	if next != uint64(e.N) {
+		return nil, errors.New("codec: GOP index does not cover the frames")
 	}
 	return e, nil
 }
+
+// maxInflate is deflate's largest expansion: a 258-byte match in two bits.
+const maxInflate = 1032

@@ -1,6 +1,8 @@
 package codec
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -222,6 +224,44 @@ func TestUnmarshalErrors(t *testing.T) {
 		// The GOP index claims more payload than present.
 		t.Error("truncated payload accepted")
 	}
+	// A container from another node is parsed here too, so a GOP index that
+	// does not tile [0, N) — which would hand decode positions past the PTS
+	// table — or a plane size no payload could inflate to must fail
+	// Unmarshal, not panic or allocate later.
+	one, _, err := Encode(testClip(t, 2), Params{Quality: format.QGood, Speed: format.SpeedFastest, KeyframeI: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, _, err := Encode(testClip(t, 4), Params{Quality: format.QGood, Speed: format.SpeedFastest, KeyframeI: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gopField := func(gop, off int) int { return headerSize + gop*gopEntrySize + off }
+	for _, c := range []struct {
+		name string
+		enc  *Encoded
+		edit func(b []byte)
+	}{
+		{"GOP frames past N", one, func(b []byte) { binary.BigEndian.PutUint32(b[gopField(0, 4):], 9) }},
+		{"GOP frames short of N", one, func(b []byte) { binary.BigEndian.PutUint32(b[gopField(0, 4):], 1) }},
+		{"empty GOP", two, func(b []byte) { binary.BigEndian.PutUint32(b[gopField(0, 4):], 0) }},
+		{"first GOP not at 0", one, func(b []byte) { binary.BigEndian.PutUint32(b[gopField(0, 0):], 1) }},
+		{"GOPs out of order", two, func(b []byte) { binary.BigEndian.PutUint32(b[gopField(1, 0):], 0) }},
+		{"GOP offset wraps", two, func(b []byte) { binary.BigEndian.PutUint64(b[gopField(1, 8):], math.MaxUint64) }},
+		{"plane no payload inflates to", one, func(b []byte) {
+			binary.BigEndian.PutUint16(b[4:], math.MaxUint16)
+			binary.BigEndian.PutUint16(b[6:], math.MaxUint16)
+		}},
+	} {
+		b := c.enc.Marshal()
+		if _, err := Unmarshal(b); err != nil {
+			t.Fatalf("%s: the unedited container is rejected: %v", c.name, err)
+		}
+		c.edit(b)
+		if _, err := Unmarshal(b); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
 }
 
 func TestEncodeErrors(t *testing.T) {
@@ -349,4 +389,29 @@ func TestCompressionIsEffective(t *testing.T) {
 	if ratio := float64(raw) / float64(enc.Size()); ratio < 8 {
 		t.Fatalf("compression ratio %.1fx too weak for a static-camera scene", ratio)
 	}
+}
+
+// FuzzUnmarshal: whatever bytes arrive, Unmarshal rejects them or decode —
+// with a keep that reads the PTS table, as retrieval's does — returns an
+// error or frames. Nothing panics.
+func FuzzUnmarshal(f *testing.F) {
+	var frames []*frame.Frame
+	for _, fr := range testClip(f, 3) {
+		frames = append(frames, fr.Downscale(32, 18))
+	}
+	enc, _, err := Encode(frames, Params{Quality: format.QGood, Speed: format.SpeedMedium, KeyframeI: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(enc.Marshal())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		e, err := Unmarshal(b)
+		if err != nil {
+			return
+		}
+		got, _, err := e.DecodeSampled(func(i int) bool { return e.PTSAt(i)%2 == 0 })
+		if err == nil && len(got) > e.N {
+			t.Fatalf("decoded %d frames from a container of %d", len(got), e.N)
+		}
+	})
 }

@@ -23,6 +23,7 @@ type cellStats struct {
 	flips    []float64 // horizontal gradient sign-flip density (plate signature)
 	// accumulation and helper scratch, reused across update calls
 	acc  []cellAcc
+	cols []int     // updateMeans' column sums over one band of cell rows
 	med  []float64 // median sort buffer
 	rows []float64 // rowMedianMean output
 }
@@ -49,14 +50,8 @@ func growZero(buf []float64, n int) []float64 {
 // buffers when their capacity allows. Slices previously returned by g's
 // helpers are overwritten.
 func (g *cellStats) update(y []byte, w, h, px int) {
-	if px < 2 {
-		px = 2
-	}
-	cw := (w + px - 1) / px
-	ch := (h + px - 1) / px
-	n := cw * ch
-	g.cw, g.ch, g.px = cw, ch, px
-	g.mean = growZero(g.mean, n)
+	px = g.reset(w, h, px)
+	cw, n := g.cw, len(g.mean)
 	g.variance = growZero(g.variance, n)
 	g.hGrad = growZero(g.hGrad, n)
 	g.flips = growZero(g.flips, n)
@@ -117,6 +112,46 @@ func (g *cellStats) update(y []byte, w, h, px int) {
 		g.hGrad[c] = float64(a.grad) / cnt
 		g.flips[c] = float64(a.flip) / cnt
 	}
+}
+
+// updateMeans is update for a reader of mean alone, which NN is: it adds up
+// only each cell's samples, so mean has update's bits, and leaves variance,
+// hGrad and flips empty. A band of cell rows is summed column by column
+// first, then each cell adds its columns.
+func (g *cellStats) updateMeans(y []byte, w, h, px int) {
+	px = g.reset(w, h, px)
+	g.variance, g.hGrad, g.flips = g.variance[:0], g.hGrad[:0], g.flips[:0]
+	if cap(g.cols) < w {
+		g.cols = make([]int, w)
+	}
+	cols := g.cols[:w]
+	for cy := 0; cy < g.ch; cy++ {
+		y0, y1 := cy*px, min((cy+1)*px, h)
+		clear(cols)
+		for yy := y0; yy < y1; yy++ {
+			row := y[yy*w : (yy+1)*w]
+			for x, s := range cols[:len(row)] {
+				cols[x] = s + int(row[x])
+			}
+		}
+		for cx := 0; cx < g.cw; cx++ {
+			x0, x1 := cx*px, min((cx+1)*px, w)
+			sum := 0
+			for _, s := range cols[x0:x1] {
+				sum += s
+			}
+			g.mean[cy*g.cw+cx] = float64(sum) / float64((x1-x0)*(y1-y0))
+		}
+	}
+}
+
+// reset sizes the grid for a w×h plane in cells of px samples (at least 2,
+// which it returns) and zeroes mean.
+func (g *cellStats) reset(w, h, px int) int {
+	px = max(px, 2)
+	g.cw, g.ch, g.px = (w+px-1)/px, (h+px-1)/px, px
+	g.mean = growZero(g.mean, g.cw*g.ch)
+	return px
 }
 
 // globalMean returns the mean of all cell means.
@@ -231,10 +266,11 @@ outer:
 // feature passes; the work is real. scratch is grown as needed and returned
 // for reuse; nothing an earlier pass left in it reaches the output.
 //
-// The sum is separable — each output row adds its three source rows into
-// column sums, then every sample is three neighbouring column sums over
-// nine — and runs eight samples at a time, in the 16-bit lanes of two words:
-// one for the even samples, one for the odd.
+// Each row is written from saved copies of its three source rows. A row at
+// least vecBlurMin wide goes to the vector kernel, which on an AVX2 host
+// (blur_amd64.s, chosen once at init) sums sixteen windows at a time in
+// 16-bit lanes. Every other row — all rows on other hosts and under the
+// purego build tag — takes blurRowSWAR.
 func boxBlur3(y []byte, w, h int, scratch []byte) []byte {
 	if w < 3 || h < 3 {
 		return scratch
@@ -255,22 +291,36 @@ func boxBlur3(y []byte, w, h int, scratch []byte) []byte {
 	copy(cur, y[w:2*w])
 	for yy := 1; yy < h-1; yy++ {
 		copy(below, y[(yy+1)*w:(yy+2)*w])
-		var even, odd, prevOdd uint64
-		nextEven, nextOdd := columnSums(above, cur, below)
-		for k := 0; k < pw; k += 8 {
-			prevOdd, even, odd = odd, nextEven, nextOdd
-			nextEven, nextOdd = columnSums(above[k+8:], cur[k+8:], below[k+8:])
-			// An even sample's neighbours are the odd samples either side of
-			// it, the left one a lane down; an odd sample's are the even ones,
-			// the right one a lane up.
-			evenSums := even + odd + (odd<<16 | prevOdd>>48)
-			oddSums := even + odd + (even>>16 | nextEven<<48)
-			binary.LittleEndian.PutUint64(out[k:], ninths(evenSums)|ninths(oddSums)<<8)
+		if row := y[yy*w : (yy+1)*w]; w >= vecBlurMin {
+			blurRowVec(row, above[:w], cur[:w], below[:w])
+		} else {
+			blurRowSWAR(row, above, cur, below, out)
 		}
-		copy(y[yy*w+1:(yy+1)*w-1], out[1:w-1])
 		above, cur, below = cur, below, above
 	}
 	return scratch
+}
+
+// blurRowSWAR writes the interior of one row from its padded source rows.
+// The sum is separable — the three source rows are added into column sums,
+// then every sample is three neighbouring column sums over nine — and runs
+// eight samples at a time, in the 16-bit lanes of two words: one for the
+// even samples, one for the odd. The words go to out, whose length is the
+// padded width, and the interior is then copied into dst.
+func blurRowSWAR(dst, above, cur, below, out []byte) {
+	var even, odd, prevOdd uint64
+	nextEven, nextOdd := columnSums(above, cur, below)
+	for k := 0; k < len(out); k += 8 {
+		prevOdd, even, odd = odd, nextEven, nextOdd
+		nextEven, nextOdd = columnSums(above[k+8:], cur[k+8:], below[k+8:])
+		// An even sample's neighbours are the odd samples either side of
+		// it, the left one a lane down; an odd sample's are the even ones,
+		// the right one a lane up.
+		evenSums := even + odd + (odd<<16 | prevOdd>>48)
+		oddSums := even + odd + (even>>16 | nextEven<<48)
+		binary.LittleEndian.PutUint64(out[k:], ninths(evenSums)|ninths(oddSums)<<8)
+	}
+	copy(dst[1:len(dst)-1], out[1:len(dst)-1])
 }
 
 // columnSums adds the first eight samples of three rows column by column:

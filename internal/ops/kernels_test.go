@@ -87,11 +87,13 @@ func refCellStats(f *frame.Frame, px int) *cellStats {
 }
 
 // kernelDims are the plane sizes every kernel is compared at: degenerate,
-// thinner than the blur window, odd, and the sizes the derived
+// thinner than the blur window, odd, the widths where the vector blur's
+// blocks change (17 is below one block of sixteen outputs, 18 is one, 19 and
+// 33 end in an overlapping block, 34 is two), and the sizes the derived
 // configuration consumes.
 var kernelDims = [][2]int{
-	{1, 1}, {2, 5}, {5, 2}, {3, 3}, {3, 7}, {7, 3}, {17, 4}, {4, 17}, {33, 19},
-	{106, 60}, {136, 76}, {160, 90}, {161, 91},
+	{1, 1}, {2, 5}, {5, 2}, {3, 3}, {3, 7}, {7, 3}, {17, 4}, {4, 17}, {18, 5},
+	{19, 4}, {33, 19}, {34, 5}, {106, 60}, {136, 76}, {160, 90}, {161, 91},
 }
 
 // testPlane fills a w×h plane from rng. Kind 0 is uniform noise; kind 1 is
@@ -196,17 +198,18 @@ func sameBits(a, b []float64) int {
 
 func TestCellStatsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
-	var g cellStats // reused across every case, as the Run loops reuse it
+	var g, m cellStats // reused across every case, as the Run loops reuse them
 	for _, d := range kernelDims {
 		w, h := d[0], d[1]
 		for kind := 0; kind < 3; kind++ {
 			for _, px := range []int{0, 2, 3, 5, 7, 8, 10, 45, 200} {
 				f := &frame.Frame{W: w, H: h, Y: testPlane(rng, w, h, kind)}
 				g.update(f.Y, w, h, px)
+				m.updateMeans(f.Y, w, h, px)
 				want := refCellStats(f, px)
 				name := fmt.Sprintf("%dx%d kind %d px %d", w, h, kind, px)
-				if g.cw != want.cw || g.ch != want.ch || g.px != want.px {
-					t.Fatalf("%s: grid %dx%d/%d, reference %dx%d/%d", name, g.cw, g.ch, g.px, want.cw, want.ch, want.px)
+				if g.cw != want.cw || g.ch != want.ch || g.px != want.px || m.cw != want.cw || m.ch != want.ch || len(m.mean) != len(want.mean) {
+					t.Fatalf("%s: grid %dx%d/%d, means-only %dx%d, reference %dx%d/%d", name, g.cw, g.ch, g.px, m.cw, m.ch, want.cw, want.ch, want.px)
 				}
 				for _, fld := range []struct {
 					name      string
@@ -216,6 +219,7 @@ func TestCellStatsMatchesReference(t *testing.T) {
 					{"variance", g.variance, want.variance},
 					{"hGrad", g.hGrad, want.hGrad},
 					{"flips", g.flips, want.flips},
+					{"means-only mean", m.mean, want.mean},
 				} {
 					if i := sameBits(fld.got, fld.want); i >= 0 {
 						t.Fatalf("%s: %s[%d] = %v, reference %v", name, fld.name, i, fld.got[i], fld.want[i])

@@ -207,10 +207,9 @@ func (NN) Run(frames []*frame.Frame) (Output, Stats) {
 		for p := 0; p < nnConvPasses; p++ {
 			scratch = boxBlur3(feat, f.W, f.H, scratch)
 		}
-		grid.update(feat, f.W, f.H, max(f.H/nnCellDivisor, 2))
-		fine := &grid
+		grid.updateMeans(feat, f.W, f.H, max(f.H/nnCellDivisor, 2))
 		car, person := false, false
-		for _, cl := range objectClusters(fine, 0.7) {
+		for _, cl := range objectClusters(&grid, 0.7) {
 			if cl.cells >= nnCarMinCells {
 				car = true
 			} else {
