@@ -68,8 +68,8 @@ func main() {
 	}
 	// Fault injection is boot-time wiring: VSTORE_FAULTS (with
 	// VSTORE_FAULT_SEED) arms the kvstore failpoints for every verb —
-	// how the fault-probe load scenario and the crash harness induce
-	// storage outages. Unset, this is a no-op.
+	// how TestServeProcesses and the crash harness induce storage
+	// outages. Unset, this is a no-op.
 	if on, err := fault.InstallFromEnv(); err != nil {
 		fmt.Fprintln(os.Stderr, "vstore:", err)
 		os.Exit(1)
@@ -481,7 +481,7 @@ func cmdScrub(args []string) error {
 }
 
 // cmdDamage deliberately corrupts one stored replica — the operational
-// fault injector behind the scrub smoke test: damage a replica, run
+// fault injector TestVerbsShareTheServer heals: damage a replica, run
 // `vstore scrub`, watch it heal.
 func cmdDamage(args []string) error {
 	fs := flag.NewFlagSet("damage", flag.ExitOnError)
@@ -579,20 +579,22 @@ func cmdRoute(args []string) error {
 }
 
 // serveUntilSignal is the whole run of the api and route verbs: start
-// listening, print the listen line the smokes parse, wait for SIGINT or
-// SIGTERM, drain under a 30 s deadline, print the drained line.
+// listening, print the listen line a supervisor reads the address from,
+// wait for SIGINT or SIGTERM, drain under a 30 s deadline, print the
+// drained line. The signals are caught before the listen line is printed,
+// so a SIGTERM sent the moment it appears still drains.
 func serveUntilSignal(srv interface {
 	Start(addr string) (net.Addr, error)
 	Shutdown(ctx context.Context) error
 }, listen, drained string, listening func(net.Addr)) error {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	addr, err := srv.Start(listen)
 	if err != nil {
 		return err
 	}
 	listening(addr)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	fmt.Println("draining: waiting for in-flight requests...")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

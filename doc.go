@@ -3,8 +3,7 @@
 //
 // The system lives under internal/ (configuration engine in internal/core,
 // substrates alongside it), the operational CLI and evaluation harness under
-// cmd/, and runnable demonstrations under examples/. See README.md for an
-// overview, DESIGN.md for the system inventory and substitutions, and
-// EXPERIMENTS.md for paper-versus-measured results. The benchmarks in
-// bench_test.go regenerate each table and figure of the paper's evaluation.
+// cmd/, and the benchmark under benchmark/. See README.md for an overview.
+// The benchmarks in bench_test.go regenerate each table and figure of the
+// paper's evaluation.
 package repro

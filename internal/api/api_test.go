@@ -490,7 +490,9 @@ func TestGracefulDrain(t *testing.T) {
 // TestConcurrentServeOverHTTP is the live-traffic test: concurrent
 // queries, ingest and erosion passes all over HTTP under the race
 // detector, with only 429s permitted as failures, and the final state
-// deterministic: two identical queries at the end agree byte-for-byte.
+// deterministic: two identical queries at the end agree byte-for-byte. A
+// standing subscription held across the load sees every segment committed
+// while it was live exactly once, in commit order, with nothing dropped.
 func TestConcurrentServeOverHTTP(t *testing.T) {
 	_, cl := startAPI(t, api.Limits{MaxInFlight: 4, MaxQueue: 8})
 	ctx := context.Background()
@@ -501,6 +503,37 @@ func TestConcurrentServeOverHTTP(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The subscription registers before the load: nothing commits between
+	// its ack and base, so its pushes must be exactly [base, final).
+	type outcome struct {
+		sum api.SubSummary
+		err error
+	}
+	acks, pushes, subDone := make(chan string, 1), make(chan api.SubEvent, 64), make(chan outcome, 1)
+	go func() {
+		sum, err := cl.Subscribe(ctx, api.SubscribeRequest{Stream: "camA", Query: testQuery}, func(ev api.SubEvent) error {
+			if ev.Ack != nil {
+				acks <- ev.Ack.ID
+			} else if ev.Chunk != nil {
+				pushes <- ev
+			}
+			return nil
+		})
+		subDone <- outcome{sum, err}
+	}()
+	var subID string
+	select {
+	case subID = <-acks:
+	case out := <-subDone:
+		t.Fatalf("subscription ended before its ack: %v", out.err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("no subscribe ack")
+	}
+	streams, err := cl.Streams(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := streams["camA"].Segments
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
@@ -555,6 +588,30 @@ func TestConcurrentServeOverHTTP(t *testing.T) {
 	}
 	if t.Failed() {
 		t.FailNow()
+	}
+
+	if streams, err = cl.Streams(ctx); err != nil {
+		t.Fatal(err)
+	}
+	final, seen, lastSeq := streams["camA"].Segments, map[int]bool{}, int64(-1)
+	for len(seen) < final-base {
+		select {
+		case ev := <-pushes:
+			c := ev.Chunk
+			if ev.Seq <= lastSeq || ev.Dropped != 0 || c.Seg1 != c.Seg0+1 || c.Seg0 < base || c.Seg0 >= final || seen[c.Seg0] {
+				t.Fatalf("push seq %d (after %d, %d dropped) covers [%d,%d); want each of [%d,%d) once, in commit order",
+					ev.Seq, lastSeq, ev.Dropped, c.Seg0, c.Seg1, base, final)
+			}
+			seen[c.Seg0], lastSeq = true, ev.Seq
+		case <-time.After(60 * time.Second):
+			t.Fatalf("received %d of the %d pushes for [%d,%d)", len(seen), final-base, base, final)
+		}
+	}
+	if found, err := cl.Unsubscribe(ctx, subID); err != nil || !found {
+		t.Fatalf("unsubscribe = %v, %v", found, err)
+	}
+	if out := <-subDone; out.err != nil || out.sum.Reason != "unsubscribed" || out.sum.Dropped != 0 || out.sum.Delivered != int64(final-base) {
+		t.Fatalf("subscription ended with %+v, %v; want %d delivered, none dropped", out.sum, out.err, final-base)
 	}
 
 	// Quiesced: the store must answer deterministically. One warming run

@@ -15,8 +15,8 @@ import (
 	"repro/internal/sub"
 )
 
-// Client is the Go client of the HTTP API — what cmd/vload and
-// examples/httpserve drive. The zero HTTP client has no global timeout:
+// Client is the Go client of the HTTP API — what the router, the
+// benchmark and the tests drive. The zero HTTP client has no global timeout:
 // streamed queries run as long as the server allows; bound them with the
 // context (or QueryRequest.TimeoutMs).
 type Client struct {
@@ -73,7 +73,7 @@ func IsRejected(err error) bool {
 // header: either the server reported an in-band error line (Msg) or the
 // connection ended before the summary trailer (Truncated) — a killed
 // server, a dropped proxy, a partially-written response. Callers that
-// count hard errors (cmd/vload) must treat both as failures; before this
+// count hard errors must treat both as failures; before this
 // type existed a truncated stream was indistinguishable from other
 // failures and an in-band error could not be told apart from transport
 // errors.

@@ -339,6 +339,9 @@ func TestSubscribeUnencodableChunkEnds(t *testing.T) {
 	if want := `{"error":"api: encoding response line: json: unsupported value: NaN"}` + "\n"; string(rest) != want {
 		t.Fatalf("body after the ack:\n%s\nwant:\n%s", rest, want)
 	}
+	// Subscribe returned on the error line, before its handler's deferred
+	// accounting ran; Close waits for both handlers to return.
+	ts.Close()
 	if m := s.Metrics()["subscribe"]; m.Requests != 2 || m.Errors != 2 {
 		t.Fatalf("subscribe counters %+v, want 2 requests, 2 errors", m)
 	}

@@ -2,6 +2,7 @@ package api_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -11,18 +12,31 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/server"
+	"repro/internal/sub"
 )
 
 // TestSubscribeHTTPLifecycle drives a standing query end to end over the
 // wire: ack, one pushed chunk per committed segment — in commit order,
 // byte-identical to the same span fetched with a historical query — stats
-// surfacing, and a clean unsubscribe trailer.
+// surfacing, a rule's alert posted to its webhook, and a clean
+// unsubscribe trailer.
 func TestSubscribeHTTPLifecycle(t *testing.T) {
 	srv, cl := startAPI(t, api.Limits{})
 	// Cache off: a warm retrieval reports zero virtual retrieval cost, so
 	// the historical comparison query would differ in the timing fields.
 	srv.SetCacheBudget(0)
 	ctx := context.Background()
+	alerts := make(chan sub.Alert, 16)
+	hook := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var a sub.Alert
+		if json.NewDecoder(r.Body).Decode(&a) == nil {
+			select {
+			case alerts <- a:
+			default:
+			}
+		}
+	}))
+	defer hook.Close()
 
 	acks := make(chan api.SubAck, 1)
 	var mu sync.Mutex
@@ -34,7 +48,9 @@ func TestSubscribeHTTPLifecycle(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		sum, err := cl.Subscribe(ctx, api.SubscribeRequest{Stream: "cam", Query: testQuery}, func(ev api.SubEvent) error {
+		sum, err := cl.Subscribe(ctx, api.SubscribeRequest{Stream: "cam", Query: testQuery, Rules: []api.RuleSpec{
+			{MinCount: 1, WindowSegments: 1, Webhook: hook.URL},
+		}}, func(ev api.SubEvent) error {
 			switch {
 			case ev.Ack != nil:
 				acks <- *ev.Ack
@@ -120,6 +136,17 @@ func TestSubscribeHTTPLifecycle(t *testing.T) {
 		if got, want := mustMarshal(t, ch), mustMarshal(t, hist[0]); got != want {
 			t.Fatalf("pushed chunk %d differs from historical query:\n got %s\nwant %s", i, got, want)
 		}
+	}
+
+	// The rule fires on a detecting segment, and its alert reaches the
+	// webhook, not only the stream.
+	select {
+	case a := <-alerts:
+		if a.SubID != ack.ID || a.Stream != "cam" || a.Count < 1 {
+			t.Fatalf("webhook alert = %+v, want one for subscription %s on cam", a, ack.ID)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("no alert reached the webhook")
 	}
 
 	found, err := cl.Unsubscribe(ctx, ack.ID)

@@ -374,13 +374,14 @@ func getJSON(t *testing.T, url string, v any) {
 	}
 }
 
-// TestRouterFailoverOnDrainedOwner: with replication factor 2, reads
-// survive the owner going away — the router fails over to the follower,
-// the client sees identical results and zero errors, and the degraded
-// route is counted.
+// TestRouterFailoverOnDrainedOwner: with replication factor 2, an ingest
+// through the router reaches the follower (the router counts the
+// replication), and reads survive the owner going away — the router fails
+// over to the follower, the client sees identical results and zero
+// errors, and the degraded route is counted.
 func TestRouterFailoverOnDrainedOwner(t *testing.T) {
 	owner, follower := startNode(t, "owner"), startNode(t, "follower")
-	rt, rcl, _ := startRouter(t, cluster.Options{
+	rt, rcl, rurl := startRouter(t, cluster.Options{
 		Nodes:    []cluster.Node{owner.node, follower.node},
 		Replicas: 2,
 		Workers:  2,
@@ -390,7 +391,7 @@ func TestRouterFailoverOnDrainedOwner(t *testing.T) {
 	if _, err := rcl.Ingest(ctx, api.IngestRequest{Stream: stream, Scene: "jackson", Segments: 3}); err != nil {
 		t.Fatal(err)
 	}
-	waitForSegments(t, follower.cl, stream, 3)
+	waitForReplication(t, rurl)
 
 	want, _, err := follower.cl.Query(ctx, api.QueryRequest{Stream: stream, Query: testQuery, Chunk: 1})
 	if err != nil {
@@ -414,21 +415,25 @@ func TestRouterFailoverOnDrainedOwner(t *testing.T) {
 	}
 }
 
-// waitForSegments polls until the node holds n committed segments of the
-// stream — how tests wait out the router's asynchronous replication.
-func waitForSegments(t *testing.T, cl *api.Client, stream string, n int) {
+// waitForReplication waits until the router's /v1/stats counts a completed
+// follower pull: the router counts it once the follower has adopted the
+// stream, so the follower then holds every segment the owner had.
+func waitForReplication(t *testing.T, url string) {
 	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
+	tick := time.NewTicker(20 * time.Millisecond)
+	defer tick.Stop()
+	deadline := time.After(60 * time.Second)
 	for {
-		streams, err := cl.Streams(context.Background())
-		if err == nil && streams[stream].Segments >= n {
+		var stats cluster.StatsResponse
+		getJSON(t, url+"/v1/stats", &stats)
+		if stats.Router.Replications >= 1 {
 			return
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replication never delivered %d segments of %s (have %d, err %v)",
-				n, stream, streams[stream].Segments, err)
+		select {
+		case <-tick.C:
+		case <-deadline:
+			t.Fatalf("follower replication never completed: %+v", stats.Router)
 		}
-		time.Sleep(100 * time.Millisecond)
 	}
 }
 

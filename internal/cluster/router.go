@@ -17,7 +17,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -392,21 +391,21 @@ func (r *Router) handleIngest(w *api.Response, req *http.Request) {
 }
 
 // handleSubscribe proxies the standing-query stream to the stream's
-// owner: the subscription lives where commits happen. The NDJSON lines
-// pass through untouched, flushed as they arrive.
+// owner: the subscription lives where commits happen. The request is read
+// as every endpoint reads its body and forwarded re-encoded; the NDJSON
+// lines pass through untouched, flushed as they arrive.
 func (r *Router) handleSubscribe(w *api.Response, req *http.Request) {
-	body, err := io.ReadAll(req.Body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
 	var sr api.SubscribeRequest
-	if err := json.Unmarshal(body, &sr); err != nil && len(body) > 0 {
-		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+	if !api.ReadJSON(w, req, &sr) {
 		return
 	}
 	if sr.Stream == "" {
 		http.Error(w, "missing stream", http.StatusBadRequest)
+		return
+	}
+	body, err := json.Marshal(sr)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	owner := r.Place(sr.Stream)[0]

@@ -34,6 +34,29 @@ func TestRouterHugeChunkOneSpan(t *testing.T) {
 	}
 }
 
+// TestRouterPassesNode429: a node's admission rejection on a single-span
+// query reaches the router's client as the same 429 with the same
+// Retry-After hint.
+func TestRouterPassesNode429(t *testing.T) {
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/snapshot":
+			api.WriteJSON(w, http.StatusOK, api.SnapshotResponse{ID: "s1", Streams: map[string]int{"cam": 2}})
+		case "/v1/query":
+			w.Header().Set("Retry-After", "3")
+			http.Error(w, "admission queue full", http.StatusTooManyRequests)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer node.Close()
+	_, rcl, _ := startRouter(t, cluster.Options{Nodes: []cluster.Node{{Name: "n1", URL: node.URL}}})
+	_, _, err := rcl.Query(context.Background(), api.QueryRequest{Stream: "cam", Query: testQuery})
+	if se := new(api.StatusError); !errors.As(err, &se) || se.Code != http.StatusTooManyRequests || se.RetryAfter != 3*time.Second {
+		t.Fatalf("node 429 reached the client as %v, want 429 with Retry-After 3s", err)
+	}
+}
+
 // TestRouterShellAccounting is what the router gains from standing on the
 // node's shell: a body past the bound is refused and counted, a client
 // that vanishes before the first byte is an abort (not a 502), an
@@ -63,13 +86,15 @@ func TestRouterShellAccounting(t *testing.T) {
 	url := "http://" + addr.String()
 	rcl := api.NewClient(url)
 
-	resp, err := http.Post(url+"/v1/query", "application/json", strings.NewReader(`{"stream":"`+strings.Repeat("x", 2<<20)+`"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("2 MiB body answered %d, want 413", resp.StatusCode)
+	for _, path := range []string{"/v1/query", "/v1/subscribe"} {
+		resp, err := http.Post(url+path, "application/json", strings.NewReader(`{"stream":"`+strings.Repeat("x", 2<<20)+`"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("2 MiB body to %s answered %d, want 413", path, resp.StatusCode)
+		}
 	}
 	_, _, err = rcl.Query(context.Background(), api.QueryRequest{Stream: "cam", Accuracy: 1.5})
 	if se := new(api.StatusError); !errors.As(err, &se) || se.Code != http.StatusBadRequest {

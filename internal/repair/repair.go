@@ -17,6 +17,7 @@ package repair
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/codec"
 	"repro/internal/core"
@@ -48,7 +49,10 @@ type Repairer struct {
 	Parent []int
 	Golden int
 
-	byKey map[string]int
+	// byKey is built on first use; scrubs and degraded reads resolve
+	// formats concurrently.
+	byKeyOnce sync.Once
+	byKey     map[string]int
 }
 
 // New builds a Repairer over the store for a storage derivation.
@@ -94,12 +98,12 @@ func NewMulti(store *segment.Store, man *segment.Manifest, ds ...*core.StorageDe
 // indexOf resolves a storage-format key to its derivation index, -1 if
 // the format is not part of the derivation.
 func (r *Repairer) indexOf(sfKey string) int {
-	if r.byKey == nil {
+	r.byKeyOnce.Do(func() {
 		r.byKey = make(map[string]int, len(r.SFs))
 		for i, sf := range r.SFs {
 			r.byKey[sf.Key()] = i
 		}
-	}
+	})
 	if i, ok := r.byKey[sfKey]; ok {
 		return i
 	}

@@ -73,7 +73,7 @@ func TestCorruptOnlyCopySurfacesOriginalError(t *testing.T) {
 
 // TestFastShardOutageServesFromCold: an injected whole-tier read outage
 // on fast shards must leave cold-resident keys fully readable — the
-// availability property the vload fault-probe asserts end to end.
+// availability property TestServeProcesses asserts end to end.
 func TestFastShardOutageServesFromCold(t *testing.T) {
 	s := openTest(t, t.TempDir(), Options{Shards: 2})
 	for i := 0; i < 10; i++ {
