@@ -32,7 +32,7 @@ test:
 	$(GO) test -tags purego ./internal/ops
 
 # The ROADMAP's line metric and the same for tests, over this checkout's
-# own source: a bench-ab worktree left under .bench_build/ is not counted.
+# own source: a bench-ab base tree left under .bench_build/ is not counted.
 # Go assembly (*.s) counts as non-test code. Prints only: nothing reads the
 # numbers back.
 loc:
@@ -51,8 +51,8 @@ race:
 bench:
 	bash benchmark/run.sh
 
-# Interleaved A/B of one workload, BASE (a git ref, checked out into a
-# worktree under .bench_build/) against this working tree: PAIRS pairs of the
+# Interleaved A/B of one workload, BASE (a git ref, extracted with git archive
+# under .bench_build/) against this working tree: PAIRS pairs of the
 # driver's own 15-second run, the side that goes first alternating, then per
 # metric both sides' quartiles, the pairs won and whether that is a gain. The
 # only way to compare speeds on a host that drifts (benchmark/README.md);

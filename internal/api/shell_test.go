@@ -158,6 +158,9 @@ func TestUnencodableLineEndsStream(t *testing.T) {
 	if string(body) != want {
 		t.Fatalf("body:\n%s\nwant:\n%s", body, want)
 	}
+	// The client closed the first stream at its error line, so that
+	// handler may still be returning: Close waits for both.
+	ts.Close()
 	if st := sh.Metrics()["query"]; st.Requests != 2 || st.Errors != 2 {
 		t.Fatalf("query counters %+v, want 2 requests, 2 errors", st)
 	}

@@ -34,17 +34,10 @@ func (s *Server) handleSubscribe(w *Response, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	rules := make([]sub.Rule, len(req.Rules))
-	for i, rs := range req.Rules {
+	for _, rs := range req.Rules {
 		if rs.Webhook != "" && !strings.HasPrefix(rs.Webhook, "http://") && !strings.HasPrefix(rs.Webhook, "https://") {
 			http.Error(w, "rule webhook must be an http(s) URL", http.StatusBadRequest)
 			return
-		}
-		rules[i] = sub.Rule{
-			Label:          rs.Label,
-			MinCount:       rs.MinCount,
-			WindowSegments: rs.WindowSegments,
-			Webhook:        rs.Webhook,
 		}
 	}
 
@@ -54,7 +47,7 @@ func (s *Server) handleSubscribe(w *Response, r *http.Request) {
 		Accuracy: req.Accuracy,
 		Buffer:   req.Buffer,
 		Policy:   policy,
-		Rules:    rules,
+		Rules:    req.Rules,
 	})
 	switch {
 	case errors.Is(err, sub.ErrLimit):

@@ -215,12 +215,7 @@ type SubscribeRequest struct {
 // RuleSpec is one alert predicate: fire when detections matching Label
 // across the last WindowSegments chunks reach MinCount; deliver to
 // Webhook (buffered, bounded retry) when set.
-type RuleSpec struct {
-	Label          string `json:"label,omitempty"`
-	MinCount       int    `json:"min_count"`
-	WindowSegments int    `json:"window_segments,omitempty"`
-	Webhook        string `json:"webhook,omitempty"`
-}
+type RuleSpec = sub.Rule
 
 // SubAck is the first line of a subscription stream.
 type SubAck struct {

@@ -293,8 +293,8 @@ func (r *Router) handleQuery(w *api.Response, req *http.Request) {
 		return
 	}
 
-	// The spans: one per chunk of the merge, executed concurrently,
-	// emitted in order.
+	// The spans: one per chunk of the merge, executed concurrently by at
+	// most r.workers goroutines taking them in order, emitted in order.
 	type span struct{ lo, hi int }
 	var spans []span
 	for lo, hi := range qr.Spans(sess.streams[qr.Stream]) {
@@ -306,20 +306,25 @@ func (r *Router) handleQuery(w *api.Response, req *http.Request) {
 		err   error
 	}
 	results := make([]chan spanResult, len(spans))
-	sem := make(chan struct{}, r.workers)
-	for i := range spans {
+	for i := range results {
 		results[i] = make(chan spanResult, 1)
-		go func(i int) {
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-ctx.Done():
-				results[i] <- spanResult{err: ctx.Err()}
-				return
+	}
+	var next atomic.Int64
+	var workers sync.WaitGroup
+	// Stop the workers and wait for them before the session's leases go.
+	defer func() { cancel(); workers.Wait() }()
+	for range min(r.workers, len(spans)) {
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			for i := int(next.Add(1) - 1); i < len(spans); i = int(next.Add(1) - 1) {
+				res := spanResult{err: ctx.Err()} // a cancelled query runs no more spans
+				if res.err == nil {
+					res.chunk, res.err = sess.run(ctx, qr, spans[i].lo, spans[i].hi, i > 0)
+				}
+				results[i] <- res
 			}
-			c, err := sess.run(ctx, qr, spans[i].lo, spans[i].hi, i > 0)
-			results[i] <- spanResult{chunk: c, err: err}
-		}(i)
+		}()
 	}
 
 	t0 := time.Now()

@@ -2,11 +2,15 @@ package cluster_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -54,6 +58,67 @@ func TestRouterPassesNode429(t *testing.T) {
 	_, _, err := rcl.Query(context.Background(), api.QueryRequest{Stream: "cam", Query: testQuery})
 	if se := new(api.StatusError); !errors.As(err, &se) || se.Code != http.StatusTooManyRequests || se.RetryAfter != 3*time.Second {
 		t.Fatalf("node 429 reached the client as %v, want 429 with Retry-After 3s", err)
+	}
+}
+
+// TestRouterFanOutBounded: a routed query runs its spans on at most
+// Workers goroutines, however many spans the range cuts into. The stub
+// node answers span 0 at once and holds every other span until the first
+// chunk has reached the client — by then the router has started every
+// goroutine it would start for spans it cannot yet merge.
+func TestRouterFanOutBounded(t *testing.T) {
+	const spans = 2000
+	release := make(chan struct{})
+	var once sync.Once
+	letGo := func() { once.Do(func() { close(release) }) }
+	defer letGo()
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/snapshot":
+			api.WriteJSON(w, http.StatusOK, api.SnapshotResponse{ID: "s1", Streams: map[string]int{"cam": spans}})
+		case "/v1/query":
+			var q api.QueryRequest
+			if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			if q.From > 0 {
+				select {
+				case <-release:
+				case <-r.Context().Done():
+					return
+				}
+			}
+			enc := json.NewEncoder(w)
+			enc.Encode(api.QueryLine{Chunk: &api.QueryChunk{Seg0: q.From, Seg1: q.To}})
+			enc.Encode(api.QueryLine{Done: &api.QuerySummary{Chunks: 1, Segments: q.To - q.From}})
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer node.Close()
+	_, rcl, _ := startRouter(t, cluster.Options{Nodes: []cluster.Node{{Name: "n1", URL: node.URL}}, Workers: 2})
+
+	base := runtime.NumGoroutine()
+	n := 0
+	sum, err := rcl.QueryStream(context.Background(), api.QueryRequest{Stream: "cam", Query: testQuery, Chunk: 1}, func(c api.QueryChunk) error {
+		if n == 0 {
+			if grew := runtime.NumGoroutine() - base; grew >= 50 {
+				return fmt.Errorf("%d goroutines started for a %d-span query with 2 workers", grew, spans)
+			}
+			letGo()
+		}
+		if c.Seg0 != n || c.Seg1 != n+1 {
+			return fmt.Errorf("chunk %d is [%d, %d)", n, c.Seg0, c.Seg1)
+		}
+		n++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != spans || sum.Chunks != spans || sum.Segments != spans {
+		t.Fatalf("got %d chunks, summary %+v; want %d", n, sum, spans)
 	}
 }
 

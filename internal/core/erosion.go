@@ -24,12 +24,12 @@ type ErosionOptions struct {
 // ErosionPlan is the derived plan: for each age (day) and storage format,
 // the cumulative fraction of segments deleted.
 type ErosionPlan struct {
-	K            float64
-	PMin         float64
-	Parent       []int       // fallback tree: Parent[i] is the richer format; -1 for the golden root
-	DeletedFrac  [][]float64 // [age-1][sfIndex] cumulative deleted fraction
-	OverallSpeed []float64   // [age-1] overall relative speed after erosion
-	TotalBytes   int64       // lifespan footprint under the plan
+	K            float64     `json:"k"`
+	PMin         float64     `json:"p_min"`
+	Parent       []int       `json:"parent"`        // fallback tree: Parent[i] is the richer format; -1 for the golden root
+	DeletedFrac  [][]float64 `json:"deleted_frac"`  // [age-1][sfIndex] cumulative deleted fraction
+	OverallSpeed []float64   `json:"overall_speed"` // [age-1] overall relative speed after erosion
+	TotalBytes   int64       `json:"total_bytes"`   // lifespan footprint under the plan
 }
 
 // relSpeedParams precomputes per-consumer speeds along its fallback chain.

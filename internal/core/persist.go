@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/format"
 	"repro/internal/ops"
@@ -12,36 +11,15 @@ import (
 )
 
 // configDTO is the JSON form of a derived configuration. Operators are
-// persisted by name and resolved through the operator registry on load.
+// persisted by name and resolved through the operator registry on load;
+// ErosionPlan and Runtime are saved as they are, under their own tags.
 type configDTO struct {
 	Consumers []consumerDTO `json:"consumers"`
 	SFs       []sfDTO       `json:"storage_formats"`
 	Subs      []int         `json:"subscriptions"`
 	Golden    int           `json:"golden"`
-	Erosion   *erosionDTO   `json:"erosion,omitempty"`
-	Runtime   *runtimeDTO   `json:"runtime,omitempty"`
-}
-
-type runtimeDTO struct {
-	QueryWorkers     int              `json:"query_workers,omitempty"`
-	CacheBytes       int64            `json:"cache_bytes,omitempty"`
-	ResultsBytes     int64            `json:"results_bytes,omitempty"`
-	IngestQueueDepth int              `json:"ingest_queue_depth,omitempty"`
-	ErodeIntervalNS  int64            `json:"erode_interval_ns,omitempty"`
-	FastTierBytes    int64            `json:"fast_tier_bytes,omitempty"`
-	Shards           int              `json:"shards,omitempty"`
-	DemoteAfterDays  int              `json:"demote_after_days,omitempty"`
-	Tenants          []tenantQuotaDTO `json:"tenants,omitempty"`
-}
-
-type tenantQuotaDTO struct {
-	Name        string  `json:"name"`
-	Weight      int     `json:"weight,omitempty"`
-	MaxInFlight int     `json:"max_in_flight,omitempty"`
-	MaxQueue    int     `json:"max_queue,omitempty"`
-	RatePerSec  float64 `json:"rate_per_sec,omitempty"`
-	Burst       int     `json:"burst,omitempty"`
-	BytesPerSec int64   `json:"bytes_per_sec,omitempty"`
+	Erosion   *ErosionPlan  `json:"erosion,omitempty"`
+	Runtime   *Runtime      `json:"runtime,omitempty"`
 }
 
 type consumerDTO struct {
@@ -58,15 +36,6 @@ type sfDTO struct {
 	BytesPerSec float64 `json:"bytes_per_sec"`
 	IngestSec   float64 `json:"ingest_sec"`
 	Placement   string  `json:"placement"`
-}
-
-type erosionDTO struct {
-	K            float64     `json:"k"`
-	PMin         float64     `json:"p_min"`
-	Parent       []int       `json:"parent"`
-	DeletedFrac  [][]float64 `json:"deleted_frac"`
-	OverallSpeed []float64   `json:"overall_speed"`
-	TotalBytes   int64       `json:"total_bytes"`
 }
 
 func parseCoding(s string) (format.Coding, error) {
@@ -98,9 +67,8 @@ func (c *Config) Save(path string) error {
 // MarshalBytes serialises the configuration as JSON.
 func (c *Config) MarshalBytes() ([]byte, error) {
 	d := c.Derivation
-	dto := configDTO{Subs: d.Subs, Golden: d.Golden}
-	for i, ch := range d.Choices {
-		_ = i
+	dto := configDTO{Subs: d.Subs, Golden: d.Golden, Erosion: c.Erosion}
+	for _, ch := range d.Choices {
 		dto.Consumers = append(dto.Consumers, consumerDTO{
 			Op:       ch.Consumer.Op.Name(),
 			Target:   ch.Consumer.Target,
@@ -118,35 +86,8 @@ func (c *Config) MarshalBytes() ([]byte, error) {
 			Placement:   sf.Placement.String(),
 		})
 	}
-	if c.Erosion != nil {
-		dto.Erosion = &erosionDTO{
-			K: c.Erosion.K, PMin: c.Erosion.PMin, Parent: c.Erosion.Parent,
-			DeletedFrac: c.Erosion.DeletedFrac, OverallSpeed: c.Erosion.OverallSpeed,
-			TotalBytes: c.Erosion.TotalBytes,
-		}
-	}
 	if !c.Runtime.isZero() {
-		dto.Runtime = &runtimeDTO{
-			QueryWorkers:     c.Runtime.QueryWorkers,
-			CacheBytes:       c.Runtime.CacheBytes,
-			ResultsBytes:     c.Runtime.ResultsBytes,
-			IngestQueueDepth: c.Runtime.IngestQueueDepth,
-			ErodeIntervalNS:  int64(c.Runtime.ErodeInterval),
-			FastTierBytes:    c.Runtime.FastTierBytes,
-			Shards:           c.Runtime.Shards,
-			DemoteAfterDays:  c.Runtime.DemoteAfterDays,
-		}
-		for _, t := range c.Runtime.Tenants {
-			dto.Runtime.Tenants = append(dto.Runtime.Tenants, tenantQuotaDTO{
-				Name:        t.Name,
-				Weight:      t.Weight,
-				MaxInFlight: t.MaxInFlight,
-				MaxQueue:    t.MaxQueue,
-				RatePerSec:  t.RatePerSec,
-				Burst:       t.Burst,
-				BytesPerSec: t.BytesPerSec,
-			})
-		}
+		dto.Runtime = &c.Runtime
 	}
 	b, err := json.MarshalIndent(dto, "", "  ")
 	if err != nil {
@@ -217,36 +158,9 @@ func FromBytes(b []byte) (*Config, error) {
 		}
 		d.SFs[si].Consumers = append(d.SFs[si].Consumers, ci)
 	}
-	cfg := &Config{Derivation: d}
-	if dto.Erosion != nil {
-		cfg.Erosion = &ErosionPlan{
-			K: dto.Erosion.K, PMin: dto.Erosion.PMin, Parent: dto.Erosion.Parent,
-			DeletedFrac: dto.Erosion.DeletedFrac, OverallSpeed: dto.Erosion.OverallSpeed,
-			TotalBytes: dto.Erosion.TotalBytes,
-		}
-	}
+	cfg := &Config{Derivation: d, Erosion: dto.Erosion}
 	if dto.Runtime != nil {
-		cfg.Runtime = Runtime{
-			QueryWorkers:     dto.Runtime.QueryWorkers,
-			CacheBytes:       dto.Runtime.CacheBytes,
-			ResultsBytes:     dto.Runtime.ResultsBytes,
-			IngestQueueDepth: dto.Runtime.IngestQueueDepth,
-			ErodeInterval:    time.Duration(dto.Runtime.ErodeIntervalNS),
-			FastTierBytes:    dto.Runtime.FastTierBytes,
-			Shards:           dto.Runtime.Shards,
-			DemoteAfterDays:  dto.Runtime.DemoteAfterDays,
-		}
-		for _, t := range dto.Runtime.Tenants {
-			cfg.Runtime.Tenants = append(cfg.Runtime.Tenants, TenantQuota{
-				Name:        t.Name,
-				Weight:      t.Weight,
-				MaxInFlight: t.MaxInFlight,
-				MaxQueue:    t.MaxQueue,
-				RatePerSec:  t.RatePerSec,
-				Burst:       t.Burst,
-				BytesPerSec: t.BytesPerSec,
-			})
-		}
+		cfg.Runtime = *dto.Runtime
 	}
 	return cfg, nil
 }

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/format"
 	"repro/internal/ops"
@@ -106,5 +109,52 @@ func TestStorageFormatsAccessor(t *testing.T) {
 	sfs := cfg.StorageFormats()
 	if len(sfs) != len(cfg.Derivation.SFs) {
 		t.Fatalf("StorageFormats length %d", len(sfs))
+	}
+}
+
+// TestConfigBytesGolden pins the saved bytes of a configuration carrying
+// every Runtime knob, two tenants with every quota field set and an
+// erosion plan to testdata/config_all_knobs.golden.json. The keys are what
+// every existing store's config.json was written with, so a renamed key
+// (which would silently drop that knob on reopen) fails here, and a new
+// knob fails the every-field-set check until the golden carries it.
+func TestConfigBytesGolden(t *testing.T) {
+	cfg := fuzzSeedConfig(t)
+	cfg.Runtime = Runtime{
+		QueryWorkers:     8,
+		CacheBytes:       1 << 30,
+		ResultsBytes:     64 << 20,
+		IngestQueueDepth: 6,
+		ErodeInterval:    90 * time.Second,
+		FastTierBytes:    5e9,
+		Shards:           4,
+		DemoteAfterDays:  2,
+		Tenants: []TenantQuota{
+			{Name: "default", Weight: 2, MaxInFlight: 4, MaxQueue: 8, RatePerSec: 12.5, Burst: 20, BytesPerSec: 1 << 24},
+			{Name: "gold", Weight: 4, MaxInFlight: 8, MaxQueue: -1, RatePerSec: 50, Burst: 100, BytesPerSec: 1 << 20},
+		},
+	}
+	if cfg.Erosion == nil {
+		t.Fatal("seed configuration carries no erosion plan")
+	}
+	// Runtime's keys are omitempty: a zero field would not be written.
+	for _, v := range []any{cfg.Runtime, cfg.Runtime.Tenants[0], cfg.Runtime.Tenants[1]} {
+		rv := reflect.ValueOf(v)
+		for i := 0; i < rv.NumField(); i++ {
+			if rv.Field(i).IsZero() {
+				t.Fatalf("%s.%s is unset: the golden must carry every saved field", rv.Type().Name(), rv.Type().Field(i).Name)
+			}
+		}
+	}
+	got, err := cfg.MarshalBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/config_all_knobs.golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("saved configuration differs from the golden; got:\n%s", got)
 	}
 }

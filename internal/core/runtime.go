@@ -7,19 +7,20 @@ import "time"
 // runs, how much memory the retrieval cache may hold, and how the live
 // serving lifecycle (streaming ingest, background erosion) paces itself.
 // They persist with the configuration (and therefore with each epoch) so a
-// reopened store serves queries exactly as configured.
+// reopened store serves queries exactly as configured. Its JSON tags and
+// TenantQuota's are saved keys: renaming one drops that knob on reopen.
 type Runtime struct {
 	// QueryWorkers bounds the query engine's worker pool: epoch spans and
 	// per-stage segment retrievals execute concurrently up to this width.
 	// Zero selects runtime.GOMAXPROCS at execution time; one forces fully
 	// sequential execution.
-	QueryWorkers int
+	QueryWorkers int `json:"query_workers,omitempty"`
 	// CacheBytes is the retrieval cache budget in bytes: retrieved
 	// segments are kept in their consumption format and evicted least
 	// recently used once the budget is exceeded. Zero means "unspecified":
 	// no cache on open, and an operator-enabled cache survives a
 	// reconfiguration. Negative explicitly disables on Reconfigure.
-	CacheBytes int64
+	CacheBytes int64 `json:"cache_bytes,omitempty"`
 	// ResultsBytes is the materialized-results budget in bytes of in-memory
 	// footprint: finalized per-segment operator outputs are held least
 	// recently used up to it, and persisted in the kvstore, so repeated
@@ -28,15 +29,15 @@ type Runtime struct {
 	// operator-enabled store survives a reconfiguration. Negative
 	// explicitly disables on Reconfigure (and purges stored entries, so a
 	// later re-enable cannot adopt results that missed invalidations).
-	ResultsBytes int64
+	ResultsBytes int64 `json:"results_bytes,omitempty"`
 	// IngestQueueDepth bounds each live stream's pending-segment queue:
 	// Submit blocks (backpressure toward the camera) once this many
 	// segments await transcoding. Zero selects ingest.DefaultQueueDepth.
-	IngestQueueDepth int
+	IngestQueueDepth int `json:"ingest_queue_depth,omitempty"`
 	// ErodeInterval is the background erosion daemon's pass interval. Zero
 	// means the daemon is not started automatically; the server's
 	// StartErosionDaemon uses it as the default when no interval is given.
-	ErodeInterval time.Duration
+	ErodeInterval time.Duration `json:"erode_interval_ns,omitempty"`
 	// FastTierBytes is the fast disk tier's byte budget: once a demotion
 	// pass settles, the fast tier holds at most this many live bytes,
 	// with the overflow migrated to the cold tier oldest-first. Only
@@ -44,24 +45,24 @@ type Runtime struct {
 	// metadata (epoch configurations, stream positions) always stays
 	// fast. Zero means "unspecified" (an operator-set budget survives a
 	// reconfiguration); negative explicitly removes the budget.
-	FastTierBytes int64
+	FastTierBytes int64 `json:"fast_tier_bytes,omitempty"`
 	// Shards is the per-tier kvstore shard count used when a fresh store
 	// is created. An existing store's shard count is discovered from its
 	// on-disk layout — sharding is a creation-time property — so this
 	// knob only shapes new stores. Zero selects the engine default.
-	Shards int
+	Shards int `json:"shards,omitempty"`
 	// DemoteAfterDays ages segments off the fast tier: a demotion pass
 	// migrates segments at least this many days old to the cold tier
 	// before erosion runs. Zero means "unspecified" (no age-based
 	// demotion unless the operator sets one); negative explicitly
 	// disables.
-	DemoteAfterDays int
+	DemoteAfterDays int `json:"demote_after_days,omitempty"`
 	// Tenants is the serving layer's per-tenant admission envelope: one
 	// quota per tenant of the HTTP API, persisted with the configuration
 	// so a restarted server admits exactly as configured. The entry named
 	// "default" governs keyless requests. An empty list serves everything
 	// as one unlimited default tenant.
-	Tenants []TenantQuota
+	Tenants []TenantQuota `json:"tenants,omitempty"`
 }
 
 // isZero reports whether no Runtime knob is set — the slice field makes
@@ -81,26 +82,26 @@ func (r Runtime) isZero() bool {
 type TenantQuota struct {
 	// Name identifies the tenant; API keys resolve to it. "default" is
 	// the tenant of keyless requests.
-	Name string
+	Name string `json:"name"`
 	// Weight is the tenant's fair share: the admission gate drains
 	// per-tenant queues round-robin, granting each backlogged tenant
 	// Weight slots per round. Zero selects 1.
-	Weight int
+	Weight int `json:"weight,omitempty"`
 	// MaxInFlight caps the tenant's concurrently executing requests,
 	// independent of the gate-wide limit. Zero means no per-tenant cap.
-	MaxInFlight int
+	MaxInFlight int `json:"max_in_flight,omitempty"`
 	// MaxQueue bounds the tenant's private waiting room; one more and the
 	// tenant (alone) is answered 429. Zero inherits the gate-wide
 	// MaxQueue; negative means no waiting room.
-	MaxQueue int
+	MaxQueue int `json:"max_queue,omitempty"`
 	// RatePerSec is the tenant's sustained request-admission rate (token
 	// bucket, refilled continuously). Zero means unlimited.
-	RatePerSec float64
+	RatePerSec float64 `json:"rate_per_sec,omitempty"`
 	// Burst is the rate bucket's depth — how many requests may arrive
 	// back-to-back after idleness. Zero derives max(1, ceil(RatePerSec)).
-	Burst int
+	Burst int `json:"burst,omitempty"`
 	// BytesPerSec budgets the tenant's traffic volume: response bytes
 	// streamed plus segment bytes ingested, charged against a token
 	// bucket after each request. Zero means unlimited.
-	BytesPerSec int64
+	BytesPerSec int64 `json:"bytes_per_sec,omitempty"`
 }

@@ -8,6 +8,22 @@ import (
 // (short profiling clips, few segments); assertions target the paper's
 // shapes, not magnitudes. Heavy cases are skipped under -short.
 
+// envs holds one Env per clip length for the whole package: an Env's
+// profilers memoise every profiling run, and a run's result depends only
+// on the scene, the clip length and what is profiled, so a test reusing
+// another's measurements sees the numbers it would have measured itself.
+var envs = map[int]*Env{}
+
+// testEnv returns the package's shared Env for a clip length.
+func testEnv(clipFrames int) *Env {
+	e, ok := envs[clipFrames]
+	if !ok {
+		e = NewEnv(clipFrames)
+		envs[clipFrames] = e
+	}
+	return e
+}
+
 func TestFig3aShape(t *testing.T) {
 	rows, err := Fig3a("tucson", 10)
 	if err != nil {
@@ -53,7 +69,7 @@ func TestFig4Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiling sweep")
 	}
-	e := NewEnv(120)
+	e := testEnv(120)
 	panels := Fig4(e)
 	if len(panels) != 4 {
 		t.Fatalf("panels = %d", len(panels))
@@ -81,7 +97,7 @@ func TestFig5NoDominantOption(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiling sweep")
 	}
-	e := NewEnv(120)
+	e := testEnv(120)
 	rows := Fig5(e)
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
@@ -114,7 +130,7 @@ func TestFig6RetrievalBottleneck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiling sweep")
 	}
-	e := NewEnv(120)
+	e := testEnv(120)
 	rows := Fig6(e)
 	sawDecodeBottleneck := false
 	for _, r := range rows {
@@ -140,7 +156,7 @@ func TestTable4BudgetLadder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full derivation")
 	}
-	e := NewEnv(120)
+	e := testEnv(120)
 	rows := Table4(e, []float64{0, 6, 3})
 	if rows[0].Err != nil {
 		t.Fatal(rows[0].Err)
@@ -164,7 +180,7 @@ func TestFig12Plateau(t *testing.T) {
 	if testing.Short() {
 		t.Skip("derives configurations for 9 operator sets")
 	}
-	e := NewEnv(90)
+	e := testEnv(90)
 	rows, err := Fig12(e)
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +204,7 @@ func TestFig13Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("erosion planning over full configuration")
 	}
-	e := NewEnv(90)
+	e := testEnv(90)
 	budgets, err := Fig13(e, []float64{0.55, 0.8, 1.0})
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +253,7 @@ func TestSFConfigComparison(t *testing.T) {
 	if testing.Short() {
 		t.Skip("partition enumeration")
 	}
-	e := NewEnv(90)
+	e := testEnv(90)
 	res, err := SFConfig(e, DefaultExhaustiveCFLimit)
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +283,7 @@ func TestFig11SmallScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full end-to-end evaluation")
 	}
-	e := NewEnv(90)
+	e := testEnv(90)
 	res, err := Fig11(e, t.TempDir(), 1, []float64{1, 0.9, 0.7})
 	if err != nil {
 		t.Fatal(err)

@@ -129,7 +129,7 @@ func TestEnvProfilerReuse(t *testing.T) {
 }
 
 func TestStandardConsumers(t *testing.T) {
-	e := NewEnv(60)
+	e := testEnv(60)
 	cs := e.StandardConsumers()
 	if len(cs) != 24 {
 		t.Fatalf("consumers = %d, want 24 (6 ops x 4 accuracies)", len(cs))

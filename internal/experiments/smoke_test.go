@@ -14,7 +14,7 @@ import (
 // any of them fails here; a change that means to move them regenerates the
 // golden from cfg.MarshalBytes() and says why.
 func TestTable3Smoke(t *testing.T) {
-	e := NewEnv(120)
+	e := testEnv(120)
 	cfg, err := Table3(e)
 	if err != nil {
 		t.Fatal(err)

@@ -117,14 +117,9 @@ func RenderFidelity(full []*frame.Frame, fid format.Fidelity) []*frame.Frame {
 	return out
 }
 
-// Reference returns (computing and memoising if needed) the operator's
-// output on the ingestion-format clip: the accuracy ground truth.
-func (p *Profiler) Reference(op ops.Operator) ops.Output {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.referenceLocked(op)
-}
-
+// referenceLocked returns (computing and memoising if needed) the
+// operator's output on the ingestion-format clip: the accuracy ground
+// truth.
 func (p *Profiler) referenceLocked(op ops.Operator) ops.Output {
 	if out, ok := p.refs[op.Name()]; ok {
 		return out

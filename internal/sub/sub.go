@@ -102,12 +102,13 @@ func ParsePolicy(s string) (Policy, error) {
 // Rule is one predicate over a subscription's pushed chunks: fire when the
 // matching detections across the last WindowSegments chunks reach
 // MinCount. A firing rule emits an Alert on the push; when Webhook is set
-// it is also delivered there with bounded retry.
+// it is also delivered there with bounded retry. The JSON tags are a
+// rule's wire form in the HTTP API's subscribe request.
 type Rule struct {
-	Label          string // detection label to count; "" counts all
-	MinCount       int    // threshold (>= 1)
-	WindowSegments int    // sliding window; <= 0 selects 1
-	Webhook        string // optional POST target
+	Label          string `json:"label,omitempty"`           // detection label to count; "" counts all
+	MinCount       int    `json:"min_count"`                 // threshold (>= 1)
+	WindowSegments int    `json:"window_segments,omitempty"` // sliding window; <= 0 selects 1
+	Webhook        string `json:"webhook,omitempty"`         // optional POST target
 }
 
 // Alert is one rule firing, as pushed in-band and POSTed to webhooks.

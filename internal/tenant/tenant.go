@@ -17,11 +17,11 @@
 //     the "default" tenant, so single-tenant deployments behave exactly
 //     as before keys existed.
 //   - Tenant: one tenant's quota state — a request-rate token bucket, a
-//     byte-volume token bucket (charged after each response), cumulative
-//     counters for Prometheus, and a sliding 60-second window for
-//     /v1/stats.
+//     byte-volume token bucket (charged after each response), and a
+//     Window of its request statistics.
 //   - Gate: the weighted-fair admission gate (gate.go).
-//   - Window: the last-60s ring of per-second stat buckets (window.go).
+//   - Window: the last-60s ring of per-second stat buckets for /v1/stats
+//     beside the cumulative totals for Prometheus (window.go).
 //
 // Quotas are core.TenantQuota values: they persist in core.Runtime with
 // the store configuration, and `vstore api -tenants` layers a key file
@@ -52,7 +52,6 @@ type Tenant struct {
 	rate  *bucket // request-rate quota; nil = unlimited
 	bytes *bucket // byte-volume quota; nil = unlimited
 	win   *Window
-	tot   totals
 }
 
 func newTenant(q core.TenantQuota, now func() time.Time) *Tenant {
@@ -132,7 +131,6 @@ const (
 // and its sliding 60-second window. wait is the admission-gate wait
 // (counted only for admitted requests); bytes is the traffic charged.
 func (t *Tenant) Observe(o Outcome, latency, wait time.Duration, bytes int64) {
-	t.tot.observe(o, latency, wait, bytes)
 	t.win.Observe(o, latency, wait, bytes)
 }
 
@@ -141,11 +139,11 @@ func (t *Tenant) WindowStats() WindowStats { return t.win.Snapshot() }
 
 // Totals returns the tenant's cumulative counters (Prometheus counters —
 // they never reset).
-func (t *Tenant) Totals() Totals { return t.tot.snapshot() }
+func (t *Tenant) Totals() Totals { return t.win.Totals() }
 
 // WaitHist returns the cumulative admission-wait histogram: one count per
 // WaitBucketBoundsMs entry plus a final overflow bucket.
-func (t *Tenant) WaitHist() []int64 { return t.tot.waitHist() }
+func (t *Tenant) WaitHist() []int64 { return t.win.WaitHist() }
 
 // Registry resolves API keys to tenants. Immutable after construction —
 // quota changes arrive as a new registry on server restart, matching how

@@ -1,15 +1,15 @@
 // Windowed and cumulative per-tenant statistics. The Window is a ring of
 // per-second buckets summed over the trailing 60 seconds — what
 // /v1/stats reports, so a dashboard sees current load, not the average
-// since boot. The totals are monotonic counters — what /metrics exposes,
-// because Prometheus rates over cumulative counters itself.
+// since boot — beside one bucket that never resets: the totals, monotonic
+// counters for /metrics, because Prometheus rates over cumulative
+// counters itself.
 
 package tenant
 
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -83,7 +83,7 @@ type WindowStats struct {
 	P99WaitMs float64 `json:"p99_wait_ms"`
 }
 
-// winBucket is one second's counters.
+// winBucket is one second's counters, or, as Window.total, all of them.
 type winBucket struct {
 	sec      int64 // unix second this bucket currently holds
 	requests int64
@@ -99,34 +99,7 @@ type winBucket struct {
 	waitHist [waitBuckets]int64
 }
 
-// Window is a ring of per-second buckets; Observe writes the current
-// second's bucket (lazily recycling stale ones) and Snapshot sums the
-// trailing 60. One mutex serves both: contention is per-tenant and the
-// critical sections are a handful of adds.
-type Window struct {
-	mu      sync.Mutex
-	buckets [WindowSeconds + 4]winBucket // slack so a bucket ages out before reuse
-	now     func() time.Time
-}
-
-// NewWindow returns a wall-clock window.
-func NewWindow() *Window { return newWindowClock(time.Now) }
-
-func newWindowClock(now func() time.Time) *Window { return &Window{now: now} }
-
-func (w *Window) bucketLocked(sec int64) *winBucket {
-	b := &w.buckets[sec%int64(len(w.buckets))]
-	if b.sec != sec {
-		*b = winBucket{sec: sec}
-	}
-	return b
-}
-
-// Observe records one finished request.
-func (w *Window) Observe(o Outcome, latency, wait time.Duration, bytes int64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	b := w.bucketLocked(w.now().Unix())
+func (b *winBucket) observe(o Outcome, latency, wait time.Duration, bytes int64) {
 	b.requests++
 	b.bytes += bytes
 	switch o {
@@ -150,6 +123,36 @@ func (w *Window) Observe(o Outcome, latency, wait time.Duration, bytes int64) {
 	b.waits++
 	b.waitNs += wait.Nanoseconds()
 	b.waitHist[waitBucket(wait)]++
+}
+
+// Window is a ring of per-second buckets plus the cumulative total;
+// Observe writes the current second's bucket (lazily recycling stale
+// ones) and the total, Snapshot sums the trailing 60, Totals and WaitHist
+// read the total. One mutex serves them all: contention is per-tenant and
+// the critical sections are a handful of adds.
+type Window struct {
+	mu      sync.Mutex
+	buckets [WindowSeconds + 4]winBucket // slack so a bucket ages out before reuse
+	total   winBucket
+	now     func() time.Time
+}
+
+func newWindowClock(now func() time.Time) *Window { return &Window{now: now} }
+
+func (w *Window) bucketLocked(sec int64) *winBucket {
+	b := &w.buckets[sec%int64(len(w.buckets))]
+	if b.sec != sec {
+		*b = winBucket{sec: sec}
+	}
+	return b
+}
+
+// Observe records one finished request.
+func (w *Window) Observe(o Outcome, latency, wait time.Duration, bytes int64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.bucketLocked(w.now().Unix()).observe(o, latency, wait, bytes)
+	w.total.observe(o, latency, wait, bytes)
 }
 
 // Snapshot sums the trailing WindowSeconds of buckets.
@@ -209,55 +212,26 @@ type Totals struct {
 	WaitNs    int64 // admitted requests only
 }
 
-type totals struct {
-	requests atomic.Int64
-	ok       atomic.Int64
-	rejected atomic.Int64
-	aborted  atomic.Int64
-	errors   atomic.Int64
-	bytes    atomic.Int64
-	latNs    atomic.Int64
-	waitNs   atomic.Int64
-	hist     [waitBuckets]atomic.Int64
-}
-
-func (t *totals) observe(o Outcome, latency, wait time.Duration, bytes int64) {
-	t.requests.Add(1)
-	t.bytes.Add(bytes)
-	switch o {
-	case OutcomeRejected:
-		t.rejected.Add(1)
-		return
-	case OutcomeAborted:
-		t.aborted.Add(1)
-		return
-	case OutcomeError:
-		t.errors.Add(1)
-	default:
-		t.ok.Add(1)
-	}
-	t.latNs.Add(latency.Nanoseconds())
-	t.waitNs.Add(wait.Nanoseconds())
-	t.hist[waitBucket(wait)].Add(1)
-}
-
-func (t *totals) snapshot() Totals {
+// Totals returns the cumulative counters.
+func (w *Window) Totals() Totals {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	t := &w.total
 	return Totals{
-		Requests:  t.requests.Load(),
-		OK:        t.ok.Load(),
-		Rejected:  t.rejected.Load(),
-		Aborted:   t.aborted.Load(),
-		Errors:    t.errors.Load(),
-		Bytes:     t.bytes.Load(),
-		LatencyNs: t.latNs.Load(),
-		WaitNs:    t.waitNs.Load(),
+		Requests:  t.requests,
+		OK:        t.ok,
+		Rejected:  t.rejected,
+		Aborted:   t.aborted,
+		Errors:    t.errors,
+		Bytes:     t.bytes,
+		LatencyNs: t.latNs,
+		WaitNs:    t.waitNs,
 	}
 }
 
-func (t *totals) waitHist() []int64 {
-	out := make([]int64, waitBuckets)
-	for i := range t.hist {
-		out[i] = t.hist[i].Load()
-	}
-	return out
+// WaitHist returns the cumulative admission-wait histogram.
+func (w *Window) WaitHist() []int64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return append([]int64(nil), w.total.waitHist[:]...)
 }

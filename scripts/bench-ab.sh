@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Interleaved A/B of one benchmark workload: a base git ref against this
 # working tree, as choosing-metrics §8 prescribes for a host whose speed
-# drifts (benchmark/README.md). BASE is checked out into a git worktree under
-# .bench_build/, then each pair runs the driver's own command line once per
-# side with the pair number as the seed, the side that goes first alternating.
+# drifts (benchmark/README.md). BASE is extracted with git archive into
+# .bench_build/ab-base (benchmark/run.sh needs no git), then each pair runs
+# the driver's own command line once per side with the pair number as the
+# seed, the side that goes first alternating.
 # Prints, per end-to-end metric, both sides' quartiles, the ratio of medians,
 # the pairs the change won, and whether that is a gain by the rule: at least
 # nine tenths of the pairs, and medians further apart than the base's own
@@ -19,9 +20,10 @@ cd "$root"
 tree="$root/.bench_build/ab-base"
 runs="$root/.bench_build/ab-$workload.jsonl"
 mkdir -p "$root/.bench_build"
-git worktree remove --force "$tree" 2>/dev/null || true
-git worktree add --detach "$tree" "$base" >/dev/null
-trap 'git worktree remove --force "$tree"' EXIT
+rm -rf "$tree"
+mkdir -p "$tree"
+git archive "$base" | tar -x -C "$tree"
+trap 'rm -rf "$tree"' EXIT
 : > "$runs"
 
 # one <side> <dir> <pair>: a failed or incorrect run is recorded, not fatal.
