@@ -24,12 +24,15 @@ build:
 
 # Every end-to-end check is a Go test here: TestServeProcesses (cmd/vstore)
 # runs `vstore api` and `vstore route` as real processes.
-# On an AVX2 host the vector blur kernel takes every row wide enough for it,
-# so the portable SWAR loop is vetted and tested again under -tags purego.
+# On an AVX2 host the internal/vec kernels take the blur rows, the raw
+# downscale, the delta reconstruction and the power-of-two requantiser, so
+# the packages that call them are vetted and tested again under -tags
+# purego, where every portable loop runs.
+PUREGO_PKGS := ./internal/vec ./internal/frame ./internal/codec ./internal/ops
 test:
 	$(GO) test ./...
-	$(GO) vet -tags purego ./internal/ops
-	$(GO) test -tags purego ./internal/ops
+	$(GO) vet -tags purego $(PUREGO_PKGS)
+	$(GO) test -tags purego $(PUREGO_PKGS)
 
 # The ROADMAP's line metric and the same for tests, over this checkout's
 # own source: a bench-ab base tree left under .bench_build/ is not counted.
@@ -89,7 +92,10 @@ cover:
 # results entry decoder that adoption trusts (no panic, allocation bounded
 # by the input, and an accepted input re-encodes to itself), and over the
 # encoded-segment container a peer node may send (any bytes must fail
-# Unmarshal or decode to an error or frames, and never panic).
+# Unmarshal or decode to an error or frames, and never panic), and over log
+# replay (any bytes after valid records: no panic, allocation bounded by the
+# input, every listed key readable or ErrCorrupt, and a reopen sees the same
+# keys).
 # Nightly CI runs this with FUZZTIME=5m.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzConfigRoundTrip -fuzztime $(FUZZTIME) ./internal/core/
@@ -100,6 +106,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzQueryLine -fuzztime $(FUZZTIME) ./internal/api/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime $(FUZZTIME) ./internal/results/
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime $(FUZZTIME) ./internal/codec/
+	$(GO) test -run '^$$' -fuzz FuzzReplay -fuzztime $(FUZZTIME) ./internal/kvstore/
 
 # The subscription soak under the race detector: a live pipeline feeds
 # segments for VSTORE_SOAK (default a few hundred ms; nightly CI runs 60s)

@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/format"
 	"repro/internal/frame"
+	"repro/internal/vec"
 )
 
 // Params configures an encode.
@@ -246,13 +247,19 @@ func newQuantTable(q int) *quantTable {
 // apply quantises p in place; a nil table leaves it as it is. A step that
 // is a power of two needs no division, and its bin centre never passes 255:
 // (v/q)·q + q/2 is v with its low bits cleared and bit q/2 set, which one
-// mask and one or do to eight samples at a time. Other steps, and the tail
-// of every plane, go through the table.
+// mask and one or do to 32 samples at a time on an AVX2 host (vec.MaskOr)
+// and to eight at a time in a word. Other steps, and the tail of every
+// plane, go through the table.
 func (t *quantTable) apply(p []byte) {
 	if t == nil {
 		return
 	}
 	if q := t.step; q&(q-1) == 0 && q <= 256 {
+		if vec.AVX2 {
+			n := len(p) &^ 31
+			vec.MaskOr(p[:n], byte(^(q - 1)), byte(q/2))
+			p = p[n:]
+		}
 		const ones = 0x0101010101010101
 		keep, centre := ^(uint64(q-1) * ones), uint64(q/2)*ones
 		for ; len(p) >= 8; p = p[8:] {
@@ -439,12 +446,19 @@ func (e *Encoded) decodeGOP(g *gop, last, kept int, keep func(i int) bool, out [
 	return out, st, nil
 }
 
-// addBytes adds delta into acc sample by sample, modulo 256, eight samples
-// per step: the low seven bits of every byte are added with the top bits
-// masked off, so no carry leaves its byte, and the top bits are then added
-// without carry by exclusive or. A word of delta that is all zeros — most of
-// them, after the encoder's deadzone — leaves acc as it is and is skipped.
+// addBytes adds delta into acc sample by sample, modulo 256. On an AVX2 host
+// vec.AddBytes takes 32 samples per step; the rest, and every sample on other
+// builds, go eight per step: the low seven bits of every byte are added with
+// the top bits masked off, so no carry leaves its byte, and the top bits are
+// then added without carry by exclusive or. A block of delta that is all
+// zeros — most of them, after the encoder's deadzone — leaves acc as it is
+// and is skipped.
 func addBytes(acc, delta []byte) {
+	if vec.AVX2 {
+		n := len(acc) &^ 31
+		vec.AddBytes(acc[:n], delta[:n])
+		acc, delta = acc[n:], delta[n:]
+	}
 	const low7, top = 0x7f7f7f7f7f7f7f7f, 0x8080808080808080
 	n := len(acc) &^ 7
 	for j := 0; j < n; j += 8 {

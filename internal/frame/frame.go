@@ -20,9 +20,11 @@
 package frame
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
+
+	"repro/internal/vec"
 )
 
 // Frame is a planar YUV 4:2:0 picture. Y has W*H samples; Cb and Cr each
@@ -110,10 +112,6 @@ func (f *Frame) NumPixels() int { return f.W * f.H }
 // frame's raw storage footprint in bytes.
 func (f *Frame) Bytes() int { return len(f.Y) + len(f.Cb) + len(f.Cr) }
 
-// At returns the luma sample at (x, y) without bounds checking beyond the
-// slice's own.
-func (f *Frame) At(x, y int) byte { return f.Y[y*f.W+x] }
-
 // Set writes the luma sample at (x, y).
 func (f *Frame) Set(x, y int, v byte) { f.Y[y*f.W+x] = v }
 
@@ -158,15 +156,24 @@ const lane255s = 0xffff / 255
 
 // boxScale fills dst (dw×dh) by averaging the source box mapped to each
 // destination sample: columns [dx·sw/dw, (dx+1)·sw/dw) of rows
-// [dy·sh/dh, (dy+1)·sh/dh), each range widened to one when empty. A
-// destination row adds its source rows eight columns at a time, in the 16-bit
-// lanes of two words (even samples, odd samples), and empties the lanes into
-// running totals over the columns, after lane255s rows at the latest, so a
-// box of any height takes the same path. A box sum is then the difference of
-// two totals, divided by multiplying with the reciprocal of its area: a box
-// is one of two widths, so a row works out two.
+// [dy·sh/dh, (dy+1)·sh/dh), each range widened to one when empty. A box is
+// one of two widths, the narrowest or one column wider, and a box sum is
+// divided by multiplying with the reciprocal of its area, so a row works out
+// two. On an AVX2 host, a source at least 16 wide scaled to at least 8 whose
+// largest box fits a 16-bit lane (lane255s samples) takes boxScaleVec.
+// Otherwise a destination row adds its source rows eight columns at a time,
+// in the 16-bit lanes of two words (even samples, odd samples), and empties
+// the lanes into running totals over the columns, after lane255s rows at the
+// latest, so a box of any height takes the same path; a box sum is then the
+// difference of two totals.
 func boxScale(dst []byte, dw, dh int, src []byte, sw, sh int) {
 	if dw == 0 || dh == 0 {
+		return
+	}
+	narrowest := max(sw/dw, 1) // a box is this wide or one column wider
+	// The largest box is ⌈sw/dw⌉ columns by ⌈sh/dh⌉ rows.
+	if vec.AVX2 && sw >= 16 && dw >= 8 && (sw+dw-1)/dw*((sh+dh-1)/dh) <= lane255s {
+		boxScaleVec(dst, dw, dh, src, sw, sh, narrowest)
 		return
 	}
 	var narrow [512]uint64 // planes this narrow scale without allocating
@@ -178,7 +185,6 @@ func boxScale(dst []byte, dw, dh int, src []byte, sw, sh int) {
 	for dx := range edges {
 		edges[dx] = uint64(dx * sw / dw)
 	}
-	narrowest := max(sw/dw, 1) // a box is this wide or one column wider
 	for dy := 0; dy < dh; dy++ {
 		sy0 := dy * sh / dh
 		sy1 := max((dy+1)*sh/dh, sy0+1)
@@ -234,6 +240,47 @@ func boxScale(dst []byte, dw, dh int, src []byte, sw, sh int) {
 	}
 }
 
+// boxScaleVec is boxScale's vector path. For each destination row,
+// vec.ColumnSums adds the box's source rows in 16-bit lanes,
+// vec.WindowSums adds every run of narrowest neighbouring column sums, and
+// vec.BoxMeans takes a box sum as the run at its first column, plus the
+// column after the run for a wide box, and divides it. Every sum fits a
+// lane, and every area has a reciprocal, because no box holds more than
+// lane255s samples.
+func boxScaleVec(dst []byte, dw, dh int, src []byte, sw, sh, narrowest int) {
+	var narrow [512]uint16 // planes this narrow scale without allocating
+	tab := narrow[:]
+	if 2*sw+narrowest+1 > len(tab) {
+		tab = make([]uint16, 2*sw+narrowest+1)
+	}
+	// runs[x] is the run starting at column x. Past the last column, cols is
+	// padded with zeros, so every run and every read one lane past a box's
+	// first column stays inside tab.
+	runs, cols := tab[:sw], tab[sw:][:sw+narrowest+1]
+	var boxes [320]int32
+	tb := boxes[:]
+	if 2*dw > len(tb) {
+		tb = make([]int32, 2*dw)
+	}
+	starts, wides := tb[:dw], tb[dw:][:dw] // a box's first column; -1 for a wide box
+	for dx := range starts {
+		sx0 := dx * sw / dw
+		starts[dx] = int32(sx0)
+		wides[dx] = int32(sx0 + narrowest - max((dx+1)*sw/dw, sx0+1))
+	}
+	for dy := 0; dy < dh; dy++ {
+		sy0 := dy * sh / dh
+		sy1 := max((dy+1)*sh/dh, sy0+1)
+		vec.ColumnSums(cols[:sw], src[sy0*sw:], sw, sy1-sy0)
+		vec.WindowSums(runs, cols, narrowest)
+		// BoxMeans shifts by 31, not 32, so that a one-sample box's
+		// multiplier fits 32 bits: (r+1)/2 is ⌊2³¹/area⌋+1, exact for every
+		// sum a box can hold (TestHalfReciprocalExact).
+		narrowR, wideR := reciprocal(narrowest*(sy1-sy0)), reciprocal((narrowest+1)*(sy1-sy0))
+		vec.BoxMeans(dst[dy*dw:][:dw], runs, cols[narrowest:], starts, wides, uint32((narrowR+1)>>1), uint32((wideR+1)>>1))
+	}
+}
+
 // reciprocal returns the r for which sum·r>>32 is sum/area for every sum a
 // box of that area can hold (at most 255·area; TestReciprocalExact tries
 // every pair), or zero for an area above lane255s: the caller then divides.
@@ -281,63 +328,9 @@ func (f *Frame) CropCenter(frac float64) *Frame {
 	return g
 }
 
-// MeanAbsDiff returns the mean absolute luma difference between two frames
-// of identical dimensions. It panics if the dimensions differ, which always
-// indicates a caller bug.
-func MeanAbsDiff(a, b *Frame) float64 {
-	if a.W != b.W || a.H != b.H {
-		panic(fmt.Sprintf("frame: MeanAbsDiff dimension mismatch %dx%d vs %dx%d", a.W, a.H, b.W, b.H))
-	}
-	var sum int64
-	for i := range a.Y {
-		d := int(a.Y[i]) - int(b.Y[i])
-		if d < 0 {
-			d = -d
-		}
-		sum += int64(d)
-	}
-	return float64(sum) / float64(len(a.Y))
-}
-
-// PSNR returns the luma peak signal-to-noise ratio of b against reference a,
-// in dB. Identical frames return +Inf.
-func PSNR(a, b *Frame) float64 {
-	if a.W != b.W || a.H != b.H {
-		panic(fmt.Sprintf("frame: PSNR dimension mismatch %dx%d vs %dx%d", a.W, a.H, b.W, b.H))
-	}
-	var se int64
-	for i := range a.Y {
-		d := int64(a.Y[i]) - int64(b.Y[i])
-		se += d * d
-	}
-	if se == 0 {
-		return math.Inf(1)
-	}
-	mse := float64(se) / float64(len(a.Y))
-	return 10 * math.Log10(255*255/mse)
-}
-
 // Equal reports whether two frames have identical dimensions and samples.
 func Equal(a, b *Frame) bool {
-	if a.W != b.W || a.H != b.H || len(a.Y) != len(b.Y) {
-		return false
-	}
-	for i := range a.Y {
-		if a.Y[i] != b.Y[i] {
-			return false
-		}
-	}
-	for i := range a.Cb {
-		if a.Cb[i] != b.Cb[i] {
-			return false
-		}
-	}
-	for i := range a.Cr {
-		if a.Cr[i] != b.Cr[i] {
-			return false
-		}
-	}
-	return true
+	return a.W == b.W && a.H == b.H && bytes.Equal(a.Y, b.Y) && bytes.Equal(a.Cb, b.Cb) && bytes.Equal(a.Cr, b.Cr)
 }
 
 // FillRect paints a solid luma+chroma rectangle clipped to the frame.

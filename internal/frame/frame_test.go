@@ -1,7 +1,6 @@
 package frame
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -233,35 +232,6 @@ func TestCropCenterTakesCentre(t *testing.T) {
 	if g.Y[0] != 10 {
 		t.Fatalf("crop misaligned: corner sample %d", g.Y[0])
 	}
-}
-
-func TestMeanAbsDiffAndPSNR(t *testing.T) {
-	f := New(16, 16)
-	g := f.Clone()
-	if d := MeanAbsDiff(f, g); d != 0 {
-		t.Fatalf("MAD of identical frames = %v", d)
-	}
-	if p := PSNR(f, g); !math.IsInf(p, 1) {
-		t.Fatalf("PSNR of identical frames = %v", p)
-	}
-	for i := range g.Y {
-		g.Y[i] = 10
-	}
-	if d := MeanAbsDiff(f, g); d != 10 {
-		t.Fatalf("MAD = %v, want 10", d)
-	}
-	if p := PSNR(f, g); p <= 0 || math.IsInf(p, 1) {
-		t.Fatalf("PSNR = %v", p)
-	}
-}
-
-func TestMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MeanAbsDiff on mismatched dims did not panic")
-		}
-	}()
-	MeanAbsDiff(New(8, 8), New(16, 16))
 }
 
 func TestFillRectClips(t *testing.T) {

@@ -58,6 +58,19 @@ func checkBoxScale(t *testing.T, seed int64, dw, dh, sw, sh int) {
 	}
 }
 
+// hotShapes are the conversions a cold Query A runs on every frame — RAW
+// 540p (120×68 here, chroma 60×34) to 180p and 144p, luma and chroma — and
+// the edges of the vector path: source widths 15, 16 and 17, sw-k+1 = 16
+// for a box k columns wide, destination widths 7 and 8, one-sample boxes,
+// and largest boxes of 257 samples (a 16-bit lane of 255s, vector) and 258
+// (lane loop), tall, wide and two columns wide.
+var hotShapes = [][4]int{
+	{40, 22, 120, 68}, {20, 11, 60, 34}, {32, 18, 120, 68}, {16, 9, 60, 34},
+	{8, 3, 15, 9}, {8, 3, 16, 9}, {8, 3, 17, 9}, {8, 2, 18, 6}, {7, 3, 21, 9}, {8, 3, 24, 9},
+	{16, 4, 16, 4}, {16, 3, 17, 4}, {8, 1, 33, 7}, {16, 1, 16, 257}, {16, 1, 16, 258},
+	{8, 1, 2056, 1}, {8, 1, 2064, 1}, {8, 1, 16, 128}, {8, 1, 16, 129},
+}
+
 func TestBoxScaleMatchesReference(t *testing.T) {
 	// {dw, dh, sw, sh}: degenerate planes, integer and non-integer ratios,
 	// odd widths, the conversions the derived configuration performs
@@ -79,6 +92,7 @@ func TestBoxScaleMatchesReference(t *testing.T) {
 		{3, 1, 9, 257}, {3, 1, 9, 258}, {2, 1, 16, 600}, {5, 2, 60, 514}, {5, 2, 60, 516},
 		{20, 3, 60, 9}, {31, 5, 137, 21}, {2, 2, 7, 7}, {7, 3, 7, 9}, {1, 4, 1, 700}, {1, 1, 1, 258},
 	}
+	cases = append(cases, hotShapes...)
 	for i, c := range cases {
 		for seed := int64(0); seed < 3; seed++ {
 			checkBoxScale(t, int64(i)*3+seed, c[0], c[1], c[2], c[3])
@@ -107,15 +121,47 @@ func TestReciprocalExact(t *testing.T) {
 	}
 }
 
+// TestHalfReciprocalExact checks the multiplier boxScaleVec divides with,
+// (reciprocal(area)+1)/2 and a shift of 31, the same way.
+func TestHalfReciprocalExact(t *testing.T) {
+	for area := uint64(1); area <= lane255s; area++ {
+		r := (reciprocal(int(area)) + 1) >> 1
+		if r >= 1<<32 {
+			t.Fatalf("area %d: multiplier %d does not fit 32 bits", area, r)
+		}
+		for sum := uint64(0); sum <= 255*area; sum++ {
+			if sum*r>>31 != sum/area {
+				t.Fatalf("%d·%d>>31 = %d, want %d/%d = %d", sum, r, sum*r>>31, sum, area, sum/area)
+			}
+		}
+	}
+}
+
 func FuzzBoxScale(f *testing.F) {
 	f.Add(uint16(136), uint16(76), uint16(159), uint16(89), int64(1))
 	f.Add(uint16(5), uint16(5), uint16(2), uint16(2), int64(2))
 	f.Add(uint16(1), uint16(1), uint16(1), uint16(4), int64(3))
 	f.Add(uint16(3), uint16(1), uint16(8), uint16(257), int64(3))
+	for i, c := range hotShapes {
+		f.Add(uint16(c[0]), uint16(c[1]), uint16(c[2]-1), uint16(c[3]-1), int64(i))
+	}
 	f.Fuzz(func(t *testing.T, dw, dh, sw, sh uint16, seed int64) {
 		if (int(sw)+1)*(int(sh)+1) > 1<<22 || int(dw)*int(dh) > 1<<22 {
 			t.Skip("the reference walks every source sample of every box")
 		}
 		checkBoxScale(t, seed, int(dw), int(dh), int(sw)+1, int(sh)+1)
 	})
+}
+
+// BenchmarkBoxScale scales one RAW 540p frame's planes (120×68 luma, two
+// 60×34 chroma) to 180p, as Diff's retrieval does for every frame.
+func BenchmarkBoxScale(b *testing.B) {
+	src := make([]byte, 120*68)
+	rand.New(rand.NewSource(1)).Read(src)
+	dst := make([]byte, 40*22)
+	for b.Loop() {
+		boxScale(dst, 40, 22, src, 120, 68)
+		boxScale(dst, 20, 11, src, 60, 34)
+		boxScale(dst, 20, 11, src, 60, 34)
+	}
 }

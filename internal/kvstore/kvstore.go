@@ -168,8 +168,14 @@ func listLogs(dir string) ([]uint32, error) {
 }
 
 // replay scans one log, updating the index. For the newest log a torn tail
-// is truncated; for older logs it is corruption.
+// is truncated; for older logs it is corruption. A record whose header claims
+// more bytes than the file holds past it is torn too, and is found so before
+// its body is allocated: a damaged length field costs nothing.
 func (s *Store) replay(id uint32, f *os.File, tolerateTail bool) (int64, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("kvstore: replay %s: %w", s.logPath(id), err)
+	}
 	var off int64
 	var hdr [recHeaderSize]byte
 	for {
@@ -190,7 +196,7 @@ func (s *Store) replay(id uint32, f *os.File, tolerateTail bool) (int64, error) 
 		if vl == tombstoneVLen {
 			vlen = 0
 		}
-		if kl > maxKeyLen || vlen > maxValLen {
+		if kl > maxKeyLen || vlen > maxValLen || off+recHeaderSize+int64(kl)+int64(vlen) > fi.Size() {
 			return s.tornTail(id, f, off, tolerateTail)
 		}
 		body := make([]byte, int(kl)+int(vlen))
@@ -494,21 +500,6 @@ func (s *Store) Stats() Stats {
 		CorruptReads:   int64(s.corruptReads.Load()),
 		TransientReads: int64(s.transientReads.Load()),
 	}
-}
-
-// DiskBytes returns the total size of all log files on disk.
-func (s *Store) DiskBytes() (int64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var total int64
-	for id := range s.files {
-		fi, err := s.files[id].Stat()
-		if err != nil {
-			return 0, fmt.Errorf("kvstore: %w", err)
-		}
-		total += fi.Size()
-	}
-	return total, nil
 }
 
 // Compact rewrites all live records into fresh logs and removes the old

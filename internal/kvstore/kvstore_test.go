@@ -452,3 +452,18 @@ func TestClosedStoreRejectsOps(t *testing.T) {
 		t.Errorf("double close: %v", err)
 	}
 }
+
+// DiskBytes returns the total size of all log files on disk.
+func (s *Store) DiskBytes() (int64, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var total int64
+	for id := range s.files {
+		fi, err := s.files[id].Stat()
+		if err != nil {
+			return 0, fmt.Errorf("kvstore: %w", err)
+		}
+		total += fi.Size()
+	}
+	return total, nil
+}

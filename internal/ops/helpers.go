@@ -1,6 +1,10 @@
 package ops
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"repro/internal/vec"
+)
 
 // sigGrad is the horizontal gradient magnitude considered "significant":
 // above background texture, noise and quantisation steps, below the
@@ -154,32 +158,6 @@ func (g *cellStats) reset(w, h, px int) int {
 	return px
 }
 
-// globalMean returns the mean of all cell means.
-func (g *cellStats) globalMean() float64 {
-	var s float64
-	for _, m := range g.mean {
-		s += m
-	}
-	return s / float64(len(g.mean))
-}
-
-// medianVariance returns the median cell variance: a robust estimate of the
-// background texture level.
-func (g *cellStats) medianVariance() float64 {
-	m, buf := medianInto(g.med, g.variance)
-	g.med = buf
-	return m
-}
-
-// medianMean returns the median cell mean: a robust estimate of the
-// background brightness that, unlike the global mean, is not dragged by
-// bright or dark objects.
-func (g *cellStats) medianMean() float64 {
-	m, buf := medianInto(g.med, g.mean)
-	g.med = buf
-	return m
-}
-
 // rowMedianMean returns, per cell row, the median of that row's cell means.
 // Scenes have a vertical luminance gradient, so a per-row background
 // estimate is what keeps the top and bottom of the frame from reading as
@@ -211,11 +189,6 @@ func medianInto(buf, src []float64) (float64, []float64) {
 		}
 	}
 	return vs[len(vs)/2], buf
-}
-
-func median(src []float64) float64 {
-	m, _ := medianInto(nil, src)
-	return m
 }
 
 // centre returns the normalised centre of cell c.
@@ -266,11 +239,10 @@ outer:
 // feature passes; the work is real. scratch is grown as needed and returned
 // for reuse; nothing an earlier pass left in it reaches the output.
 //
-// Each row is written from saved copies of its three source rows. A row at
-// least vecBlurMin wide goes to the vector kernel, which on an AVX2 host
-// (blur_amd64.s, chosen once at init) sums sixteen windows at a time in
-// 16-bit lanes. Every other row — all rows on other hosts and under the
-// purego build tag — takes blurRowSWAR.
+// Each row is written from saved copies of its three source rows. On an AVX2
+// host a row at least 18 samples wide goes to vec.BlurRow, which sums
+// sixteen windows at a time in 16-bit lanes. Every other row — all rows on
+// other hosts and under the purego build tag — takes blurRowSWAR.
 func boxBlur3(y []byte, w, h int, scratch []byte) []byte {
 	if w < 3 || h < 3 {
 		return scratch
@@ -291,8 +263,8 @@ func boxBlur3(y []byte, w, h int, scratch []byte) []byte {
 	copy(cur, y[w:2*w])
 	for yy := 1; yy < h-1; yy++ {
 		copy(below, y[(yy+1)*w:(yy+2)*w])
-		if row := y[yy*w : (yy+1)*w]; w >= vecBlurMin {
-			blurRowVec(row, above[:w], cur[:w], below[:w])
+		if row := y[yy*w : (yy+1)*w]; vec.AVX2 && w >= 18 {
+			vec.BlurRow(row, above[:w], cur[:w], below[:w])
 		} else {
 			blurRowSWAR(row, above, cur, below, out)
 		}

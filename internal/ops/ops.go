@@ -14,7 +14,6 @@ package ops
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/format"
 	"repro/internal/frame"
@@ -192,19 +191,4 @@ func chebyshev(a, b Detection) float64 {
 		return dx
 	}
 	return dy
-}
-
-// Labels returns the sorted distinct labels in an output (test helper and
-// diagnostic).
-func (o Output) Labels() []string {
-	set := map[string]bool{}
-	for _, d := range o.Detections {
-		set[d.Label] = true
-	}
-	out := make([]string, 0, len(set))
-	for l := range set {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -237,4 +238,18 @@ func TestOutputLabels(t *testing.T) {
 	if strings.Join(got, ",") != "a,b" {
 		t.Fatalf("Labels() = %v", got)
 	}
+}
+
+// Labels returns the sorted distinct labels in an output.
+func (o Output) Labels() []string {
+	set := map[string]bool{}
+	for _, d := range o.Detections {
+		set[d.Label] = true
+	}
+	out := make([]string, 0, len(set))
+	for l := range set {
+		out = append(out, l)
+	}
+	sort.Strings(out)
+	return out
 }

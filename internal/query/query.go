@@ -23,7 +23,6 @@ import (
 	"repro/internal/retrieve"
 	"repro/internal/sched"
 	"repro/internal/segment"
-	"repro/internal/vidsim"
 )
 
 // Stage is one operator of a cascade.
@@ -524,36 +523,4 @@ func maxf(a, b float64) float64 {
 		return a
 	}
 	return b
-}
-
-// GroundTruth runs the cascade entirely at the ingestion fidelity directly
-// from the scene source (no store), producing the reference output used to
-// score query accuracy in examples and experiments.
-func GroundTruth(scene vidsim.Scene, c Cascade, seg0, seg1 int) ops.Output {
-	src := vidsim.NewSource(scene)
-	frames := src.Clip(seg0*segment.Frames, (seg1-seg0)*segment.Frames)
-	var within func(int) bool
-	var out ops.Output
-	full := format.MaxFidelity()
-	for si, stage := range c.Stages {
-		in := frames
-		if within != nil {
-			in = in[:0:0]
-			for _, f := range frames {
-				if within(f.PTS) {
-					in = append(in, f)
-				}
-			}
-		}
-		res, _ := ops.RunAtFidelity(stage.Op, in, full)
-		out = res
-		if si < len(c.Stages)-1 {
-			spans := activationSpans(res, full.Sampling)
-			if len(spans) == 0 {
-				return ops.Output{PTS: res.PTS}
-			}
-			within = spanPredicate(spans)
-		}
-	}
-	return out
 }

@@ -556,17 +556,6 @@ func (s *Store) DemoteRef(r Ref) error {
 	return s.ts.Demote(s.refKeys(r))
 }
 
-// RefBytes returns the stored bytes of one replica's records.
-func (s *Store) RefBytes(r Ref) int64 {
-	var total int64
-	for _, k := range s.refKeys(r) {
-		if v, err := s.kv.Get(k); err == nil {
-			total += int64(len(v))
-		}
-	}
-	return total
-}
-
 // ParseKey maps a raw store key back to the segment replica owning it:
 // encoded records, raw metadata records and per-frame raw records all
 // resolve to their segment's Ref. Non-segment keys (server metadata)

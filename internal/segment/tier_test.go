@@ -110,3 +110,14 @@ func TestTieredStorePlacementAndDemotion(t *testing.T) {
 		t.Fatal("deleted demoted replica still present")
 	}
 }
+
+// RefBytes returns the stored bytes of one replica's records.
+func (s *Store) RefBytes(r Ref) int64 {
+	var total int64
+	for _, k := range s.refKeys(r) {
+		if v, err := s.kv.Get(k); err == nil {
+			total += int64(len(v))
+		}
+	}
+	return total
+}

@@ -41,13 +41,6 @@ func NewLeases(ttl time.Duration) *Leases {
 	return &Leases{ttl: ttl, now: time.Now, leases: map[string]*lease{}}
 }
 
-// SetClock injects the time source (tests drive expiry deterministically).
-func (l *Leases) SetClock(now func() time.Time) {
-	l.mu.Lock()
-	l.now = now
-	l.mu.Unlock()
-}
-
 // sweepLocked releases every lease idle past the TTL. Caller holds mu.
 func (l *Leases) sweepLocked() {
 	cutoff := l.now().Add(-l.ttl)

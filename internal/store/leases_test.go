@@ -107,3 +107,10 @@ func TestLeaseReleaseAll(t *testing.T) {
 		t.Fatalf("active = %d after ReleaseAll", st.Active)
 	}
 }
+
+// SetClock injects the time source (tests drive expiry deterministically).
+func (l *Leases) SetClock(now func() time.Time) {
+	l.mu.Lock()
+	l.now = now
+	l.mu.Unlock()
+}
