@@ -95,7 +95,9 @@ cover:
 # Unmarshal or decode to an error or frames, and never panic), and over log
 # replay (any bytes after valid records: no panic, allocation bounded by the
 # input, every listed key readable or ErrCorrupt, and a reopen sees the same
-# keys).
+# keys), and over the tenants key file (no panic; an accepted file maps each
+# key to one uniquely named quota that a saved configuration can carry, and
+# loads the same twice).
 # Nightly CI runs this with FUZZTIME=5m.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzConfigRoundTrip -fuzztime $(FUZZTIME) ./internal/core/
@@ -107,6 +109,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime $(FUZZTIME) ./internal/results/
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime $(FUZZTIME) ./internal/codec/
 	$(GO) test -run '^$$' -fuzz FuzzReplay -fuzztime $(FUZZTIME) ./internal/kvstore/
+	$(GO) test -run '^$$' -fuzz FuzzLoadKeyFile -fuzztime $(FUZZTIME) ./internal/tenant/
 
 # The subscription soak under the race detector: a live pipeline feeds
 # segments for VSTORE_SOAK (default a few hundred ms; nightly CI runs 60s)

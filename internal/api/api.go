@@ -89,24 +89,12 @@ type Limits struct {
 	// QueryTimeout caps each query server-side. Zero means no cap; a
 	// request's timeout_ms can only tighten it.
 	QueryTimeout time.Duration
-	// RetryAfter, when set, overrides the load-derived Retry-After hint
-	// sent with 429 responses. Zero lets the gate derive the hint from
-	// its measured slot-hold time and backlog.
-	RetryAfter time.Duration
 	// MaxSubscriptions bounds concurrently active standing queries
 	// (POST /v1/subscribe); overflow is answered 429. Subscriptions are
 	// long-lived, so they are admitted against this dedicated budget, not
 	// the per-request gate. Zero selects the hub default; negative
 	// disables subscriptions.
 	MaxSubscriptions int
-	// Webhook tunes rule-alert delivery (queue depth, retry budget,
-	// backoff). The zero value selects the hub defaults.
-	Webhook sub.WebhookOptions
-	// SnapshotLeaseTTL bounds how long an untouched snapshot lease
-	// (POST /v1/snapshot) pins its snapshot before expiring — the guard
-	// against a remote peer pinning erosion's deletes forever. Zero
-	// selects store.DefaultLeaseTTL.
-	SnapshotLeaseTTL time.Duration
 }
 
 func (l Limits) withDefaults() Limits {
@@ -136,31 +124,24 @@ type Server struct {
 	lim     Limits
 	gate    *tenant.Gate
 	tenants *tenant.Registry
-	// retryAfterSet: the operator pinned Limits.RetryAfter, which then
-	// overrides the gate's load-derived hint on every 429.
-	retryAfterSet bool
-	hub           *sub.Hub
-	leases        *storepkg.Leases
+	hub     *sub.Hub
+	leases  *storepkg.Leases
 }
 
 // New wraps the store in an HTTP API server with the given limits.
 func New(store *server.Server, lim Limits) *Server {
 	s := &Server{
-		Shell:         NewShell("server"),
-		store:         store,
-		lim:           lim.withDefaults(),
-		retryAfterSet: lim.RetryAfter > 0,
+		Shell: NewShell("server"),
+		store: store,
+		lim:   lim.withDefaults(),
 	}
 	s.tenants = s.lim.Tenants
 	if s.tenants == nil {
 		s.tenants = tenant.NewRegistry(nil, nil)
 	}
 	s.gate = tenant.NewGate(s.lim.MaxInFlight, s.lim.MaxQueue)
-	s.hub = sub.NewHub(store, sub.HubOptions{
-		MaxSubscriptions: s.lim.MaxSubscriptions,
-		Webhook:          s.lim.Webhook,
-	})
-	s.leases = storepkg.NewLeases(s.lim.SnapshotLeaseTTL)
+	s.hub = sub.NewHub(store, sub.HubOptions{MaxSubscriptions: s.lim.MaxSubscriptions})
+	s.leases = storepkg.NewLeases()
 	s.route("query", "POST /v1/query", s.handleQuery)
 	s.route("ingest", "POST /v1/ingest", s.handleIngest)
 	s.route("subscribe", "POST /v1/subscribe", s.handleSubscribe)
@@ -251,13 +232,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// reject answers the 429, hinting when to retry: the operator-pinned
-// Limits.RetryAfter when set, else the load-derived hint the gate or
-// quota computed.
+// reject answers the 429 with the load-derived hint the gate or quota
+// computed for when to retry.
 func (s *Server) reject(w http.ResponseWriter, hint time.Duration, msg string) {
-	if s.retryAfterSet {
-		hint = s.lim.RetryAfter
-	}
 	SetRetryAfter(w, hint)
 	http.Error(w, msg, http.StatusTooManyRequests)
 }

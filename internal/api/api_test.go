@@ -235,12 +235,13 @@ func TestHTTPLifecycleEndpoints(t *testing.T) {
 
 // TestAdmissionControl pins the 429 path deterministically on a 1-slot,
 // 1-waiter server: a slow ingest holds the execution slot, a queued query
-// takes the waiting-room seat, and the next request is rejected with the
-// configured Retry-After hint — while both admitted requests complete.
+// takes the waiting-room seat, and the next request is rejected with a
+// Retry-After hint of at least a second — while both admitted requests
+// complete.
 // A follow-up burst shows saturation never deadlocks: every request either
 // completes or is rejected.
 func TestAdmissionControl(t *testing.T) {
-	srv, cl := startAPI(t, api.Limits{MaxInFlight: 1, MaxQueue: 1, RetryAfter: 2 * time.Second})
+	srv, cl := startAPI(t, api.Limits{MaxInFlight: 1, MaxQueue: 1})
 	srv.SetCacheBudget(0) // keep queries doing real retrieval work
 	ctx := context.Background()
 	sc, _ := vidsim.DatasetByName("jackson")
@@ -297,7 +298,7 @@ func TestAdmissionControl(t *testing.T) {
 		t.Fatalf("saturated server answered %v, want 429", err)
 	}
 	se := new(api.StatusError)
-	if !errors.As(err, &se) || se.RetryAfter != 2*time.Second {
+	if !errors.As(err, &se) || se.RetryAfter < time.Second {
 		t.Fatalf("Retry-After hint = %+v", se)
 	}
 

@@ -51,8 +51,7 @@ func (s *Server) handleSubscribe(w *Response, r *http.Request) {
 	})
 	switch {
 	case errors.Is(err, sub.ErrLimit):
-		// The subscription budget has no load signal; hint the 1s floor
-		// (the operator-pinned RetryAfter still overrides).
+		// The subscription budget has no load signal; hint the 1s floor.
 		s.reject(w, time.Second, "server saturated: subscription limit reached")
 		return
 	case errors.Is(err, sub.ErrClosed):

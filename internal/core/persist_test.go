@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/format"
 	"repro/internal/ops"
@@ -121,14 +120,11 @@ func TestStorageFormatsAccessor(t *testing.T) {
 func TestConfigBytesGolden(t *testing.T) {
 	cfg := fuzzSeedConfig(t)
 	cfg.Runtime = Runtime{
-		QueryWorkers:     8,
-		CacheBytes:       1 << 30,
-		ResultsBytes:     64 << 20,
-		IngestQueueDepth: 6,
-		ErodeInterval:    90 * time.Second,
-		FastTierBytes:    5e9,
-		Shards:           4,
-		DemoteAfterDays:  2,
+		CacheBytes:      1 << 30,
+		ResultsBytes:    64 << 20,
+		FastTierBytes:   5e9,
+		Shards:          4,
+		DemoteAfterDays: 2,
 		Tenants: []TenantQuota{
 			{Name: "default", Weight: 2, MaxInFlight: 4, MaxQueue: 8, RatePerSec: 12.5, Burst: 20, BytesPerSec: 1 << 24},
 			{Name: "gold", Weight: 4, MaxInFlight: 8, MaxQueue: -1, RatePerSec: 50, Burst: 100, BytesPerSec: 1 << 20},
@@ -156,5 +152,33 @@ func TestConfigBytesGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("saved configuration differs from the golden; got:\n%s", got)
+	}
+}
+
+// TestDroppedRuntimeKeysLoad: query_workers, ingest_queue_depth and
+// erode_interval_ns were once saved Runtime keys. A config.json that still
+// carries them loads, and saving it again writes exactly the golden.
+func TestDroppedRuntimeKeysLoad(t *testing.T) {
+	want, err := os.ReadFile("testdata/config_all_knobs.golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(want, []byte(`"runtime": {`), []byte(`"runtime": {
+    "query_workers": 8,
+    "ingest_queue_depth": 6,
+    "erode_interval_ns": 90000000000,`), 1)
+	if bytes.Equal(old, want) {
+		t.Fatal("golden carries no runtime object")
+	}
+	cfg, err := FromBytes(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := cfg.MarshalBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("resaved configuration differs from the golden; got:\n%s", got)
 	}
 }

@@ -1,20 +1,13 @@
 package core
 
-import "time"
-
 // Runtime holds execution knobs that travel with a configuration but do
-// not affect format derivation: how wide the query engine's worker pool
-// runs, how much memory the retrieval cache may hold, and how the live
-// serving lifecycle (streaming ingest, background erosion) paces itself.
+// not affect format derivation: how much memory the retrieval cache and
+// the materialized results may hold, how the disk tiers are laid out and
+// when segments leave the fast one, and each tenant's admission envelope.
 // They persist with the configuration (and therefore with each epoch) so a
 // reopened store serves queries exactly as configured. Its JSON tags and
 // TenantQuota's are saved keys: renaming one drops that knob on reopen.
 type Runtime struct {
-	// QueryWorkers bounds the query engine's worker pool: epoch spans and
-	// per-stage segment retrievals execute concurrently up to this width.
-	// Zero selects runtime.GOMAXPROCS at execution time; one forces fully
-	// sequential execution.
-	QueryWorkers int `json:"query_workers,omitempty"`
 	// CacheBytes is the retrieval cache budget in bytes: retrieved
 	// segments are kept in their consumption format and evicted least
 	// recently used once the budget is exceeded. Zero means "unspecified":
@@ -30,14 +23,6 @@ type Runtime struct {
 	// explicitly disables on Reconfigure (and purges stored entries, so a
 	// later re-enable cannot adopt results that missed invalidations).
 	ResultsBytes int64 `json:"results_bytes,omitempty"`
-	// IngestQueueDepth bounds each live stream's pending-segment queue:
-	// Submit blocks (backpressure toward the camera) once this many
-	// segments await transcoding. Zero selects ingest.DefaultQueueDepth.
-	IngestQueueDepth int `json:"ingest_queue_depth,omitempty"`
-	// ErodeInterval is the background erosion daemon's pass interval. Zero
-	// means the daemon is not started automatically; the server's
-	// StartErosionDaemon uses it as the default when no interval is given.
-	ErodeInterval time.Duration `json:"erode_interval_ns,omitempty"`
 	// FastTierBytes is the fast disk tier's byte budget: once a demotion
 	// pass settles, the fast tier holds at most this many live bytes,
 	// with the overflow migrated to the cold tier oldest-first. Only
@@ -68,8 +53,7 @@ type Runtime struct {
 // isZero reports whether no Runtime knob is set — the slice field makes
 // Runtime non-comparable, so persistence cannot use r != (Runtime{}).
 func (r Runtime) isZero() bool {
-	return r.QueryWorkers == 0 && r.CacheBytes == 0 && r.ResultsBytes == 0 &&
-		r.IngestQueueDepth == 0 && r.ErodeInterval == 0 && r.FastTierBytes == 0 &&
+	return r.CacheBytes == 0 && r.ResultsBytes == 0 && r.FastTierBytes == 0 &&
 		r.Shards == 0 && r.DemoteAfterDays == 0 && len(r.Tenants) == 0
 }
 

@@ -7,8 +7,8 @@ import (
 	"repro/internal/frame"
 )
 
-// DefaultQueueDepth bounds a live stream's pending-segment queue when the
-// configuration does not specify one (Runtime.IngestQueueDepth).
+// DefaultQueueDepth bounds a live stream's pending-segment queue when
+// NewStream is given no depth, as every server live stream is.
 const DefaultQueueDepth = 4
 
 // StreamStats reports a live stream's ingest activity.

@@ -49,8 +49,6 @@ type Options struct {
 	// MaxFileBytes rotates the active log once it exceeds this size.
 	// Zero selects the default (64 MiB).
 	MaxFileBytes int64
-	// SyncWrites fsyncs the active log after every Put/Delete.
-	SyncWrites bool
 	// FaultScope names this store in fault-injection sites (e.g.
 	// "fast/000" for a tier shard): hooks see "<scope>:<key>" for reads
 	// and writes and "<scope>" for syncs and compactions. Empty is fine —
@@ -315,14 +313,6 @@ func (s *Store) appendLocked(key string, value []byte, tombstone bool) error {
 	}
 	if _, err := f.WriteAt(buf, off); err != nil {
 		return fmt.Errorf("kvstore: append: %w", err)
-	}
-	if s.opts.SyncWrites {
-		if err := fault.OnSync(s.opts.FaultScope); err != nil {
-			return fmt.Errorf("kvstore: sync: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			return fmt.Errorf("kvstore: sync: %w", err)
-		}
 	}
 	s.actSize += int64(len(buf))
 	if old, ok := s.index[key]; ok {

@@ -428,10 +428,13 @@ func TestWriteErrDoesNotAdvanceState(t *testing.T) {
 }
 
 func TestSyncFaultSurfaces(t *testing.T) {
-	s := openTemp(t, Options{SyncWrites: true, FaultScope: "fast/000"})
+	s := openTemp(t, Options{FaultScope: "fast/000"})
 	faults(t, 3, "sync=err")
-	if err := s.Put("k", []byte("v")); !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("synced Put under sync fault = %v", err)
+	if err := s.Put("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("Sync under sync fault = %v", err)
 	}
 	fault.Install(nil)
 	if err := s.Sync(); err != nil {

@@ -164,7 +164,7 @@ func (e *Engine) Run(ctx context.Context, stream string, c Cascade, b Binding, s
 		// distinct from the per-range segment fan-out pools — a segment
 		// task blocking on a decode slot can never deadlock against its
 		// own pool.
-		r.DecodePool = NewPool(e.Workers)
+		r.DecodePool = sched.NewPool(e.Workers)
 	}
 	res := Result{VideoSeconds: float64(seg1-seg0) * segment.Seconds}
 	t0 := time.Now()

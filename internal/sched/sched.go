@@ -2,8 +2,6 @@
 // share. It is a leaf package — everything above it (codec GOP-parallel
 // decode, retrieval fan-out, the query engine, streaming ingest, shard
 // compaction) schedules onto the same primitive without import cycles.
-// query.Pool and query.Batch are aliases of the types here, so engine
-// callers are unaffected by the split.
 package sched
 
 import (

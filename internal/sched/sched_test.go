@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -53,5 +54,43 @@ func TestOrderedFoldIsWorkerIndependent(t *testing.T) {
 	}
 	if got, _ := Ordered(1, 4, func(i int) (int, error) { return 5, nil }); len(got) != 1 || got[0] != 5 {
 		t.Fatalf("single index: %v", got)
+	}
+}
+
+func TestPoolBoundsConcurrency(t *testing.T) {
+	const workers = 3
+	pool := NewPool(workers)
+	if pool.Workers() != workers {
+		t.Fatalf("Workers() = %d", pool.Workers())
+	}
+	var running, peak, total int32
+	var mu sync.Mutex
+	for i := 0; i < 20; i++ {
+		pool.Go(func() {
+			n := atomic.AddInt32(&running, 1)
+			mu.Lock()
+			if n > peak {
+				peak = n
+			}
+			mu.Unlock()
+			atomic.AddInt32(&total, 1)
+			atomic.AddInt32(&running, -1)
+		})
+	}
+	pool.Wait()
+	if total != 20 {
+		t.Fatalf("ran %d tasks, want 20", total)
+	}
+	if peak > workers {
+		t.Fatalf("peak concurrency %d exceeds pool width %d", peak, workers)
+	}
+}
+
+func TestPoolDefaultsToGOMAXPROCS(t *testing.T) {
+	if NewPool(0).Workers() <= 0 {
+		t.Fatal("zero-worker pool")
+	}
+	if NewPool(-3).Workers() <= 0 {
+		t.Fatal("negative-worker pool")
 	}
 }

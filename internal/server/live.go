@@ -154,8 +154,8 @@ func (ms manifestSet) Delete(stream string, sf format.StorageFormat, idx int) er
 }
 
 // StartStream opens a live streaming-ingest pipeline for the named stream:
-// a dedicated goroutine drains a bounded segment queue (depth from
-// Runtime.IngestQueueDepth), transcoding each segment on the shared pool
+// a dedicated goroutine drains a bounded segment queue
+// (ingest.DefaultQueueDepth deep), transcoding each segment on the shared pool
 // and committing it atomically. Submit full-fidelity segments on the
 // returned pipeline; stop it with StopStream (or Close, which stops all).
 func (s *Server) StartStream(name string) (*ingest.Stream, error) {
@@ -170,8 +170,7 @@ func (s *Server) StartStream(name string) (*ingest.Stream, error) {
 	if _, ok := s.streams[name]; ok {
 		return nil, fmt.Errorf("server: stream %q is already live", name)
 	}
-	depth := s.epochs[len(s.epochs)-1].Cfg.Runtime.IngestQueueDepth
-	st := ingest.NewStream(name, depth, func(full []*frame.Frame) error {
+	st := ingest.NewStream(name, 0, func(full []*frame.Frame) error {
 		_, _, err := s.ingestSegment(name, func(int) []*frame.Frame { return full })
 		return err
 	})
@@ -260,7 +259,7 @@ func (s *Server) ErodePass(age AgeFunc) (int, error) {
 }
 
 // StartErosionDaemon launches the background erosion daemon: every
-// interval (Runtime.ErodeInterval when zero) it applies each epoch's
+// interval (which must be positive) it applies each epoch's
 // erosion plan and retention expiry to every stream, invalidating the
 // retrieval cache for eroded segments generation-safely exactly as a
 // manual Erode does. clock nil selects the wall clock; tests inject
@@ -273,9 +272,6 @@ func (s *Server) StartErosionDaemon(interval time.Duration, clock erode.Clock, a
 	}
 	if s.daemon != nil {
 		return nil, fmt.Errorf("server: erosion daemon already running")
-	}
-	if interval <= 0 && len(s.epochs) > 0 {
-		interval = s.epochs[len(s.epochs)-1].Cfg.Runtime.ErodeInterval
 	}
 	d := &erode.Daemon{
 		Interval: interval,

@@ -250,7 +250,6 @@ func TestLiveStreamLifecycle(t *testing.T) {
 		t.Fatal("StartStream before Reconfigure accepted")
 	}
 	cfg := testConfig(t, "jackson", []ops.Operator{ops.Motion{}}, []float64{0.9})
-	cfg.Runtime.IngestQueueDepth = 2
 	if err := s.Reconfigure(cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -174,7 +174,7 @@ func TestParallelSpeedupMulticore(t *testing.T) {
 	}
 }
 
-// TestRuntimeKnobsPersist asserts the worker/cache knobs round-trip with
+// TestRuntimeKnobsPersist asserts the cache knob round-trips with
 // the configuration through the epoch store.
 func TestRuntimeKnobsPersist(t *testing.T) {
 	dir := t.TempDir()
@@ -183,7 +183,6 @@ func TestRuntimeKnobsPersist(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig(t, "park", []ops.Operator{ops.Motion{}}, []float64{0.8})
-	cfg.Runtime.QueryWorkers = 4
 	cfg.Runtime.CacheBytes = 1 << 20
 	if err := s.Reconfigure(cfg); err != nil {
 		t.Fatal(err)
@@ -199,7 +198,7 @@ func TestRuntimeKnobsPersist(t *testing.T) {
 	}
 	defer s2.Close()
 	got := s2.Current().Runtime
-	if got.QueryWorkers != 4 || got.CacheBytes != 1<<20 {
+	if got.CacheBytes != 1<<20 {
 		t.Fatalf("runtime knobs lost across reopen: %+v", got)
 	}
 	if cs := s2.CacheStats(); cs.Budget != 1<<20 {

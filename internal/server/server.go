@@ -77,7 +77,7 @@ type Server struct {
 	// and erosion invalidates through it segment by segment.
 	results *results.Store
 	streams map[string]*ingest.Stream // live streaming-ingest pipelines
-	pool    *query.Pool               // shared transcode pool for all ingest paths
+	pool    *sched.Pool               // shared transcode pool, GOMAXPROCS wide
 	daemon  *erode.Daemon
 	// pastErodePasses accumulates passes of stopped daemons so the
 	// ErosionPasses counter stays monotonic across daemon restarts.
@@ -103,13 +103,9 @@ type Server struct {
 	fastBytes       int64
 	demoteAfterDays int
 	demotions       int64 // segment replicas migrated fast→cold
-	// Parallelism bounds concurrent per-format transcodes during ingest;
-	// zero selects GOMAXPROCS.
-	Parallelism int
-	// QueryWorkers overrides the configuration's Runtime.QueryWorkers when
-	// non-zero: it bounds a query's TOTAL concurrency, divided between
-	// concurrent epoch spans and each span's per-stage fan-out. Negative
-	// values force sequential execution.
+	// QueryWorkers bounds a query's TOTAL concurrency, divided between
+	// concurrent epoch spans and each span's per-stage fan-out. Zero
+	// selects GOMAXPROCS; negative values force sequential execution.
 	QueryWorkers int
 }
 
@@ -152,6 +148,7 @@ func OpenWith(dir string, opt Options) (*Server, error) {
 	s := &Server{
 		kv: kv, segs: segment.NewStore(kv),
 		next: map[string]int{}, streams: map[string]*ingest.Stream{},
+		pool:            sched.NewPool(0),
 		placements:      map[string]core.Placement{},
 		fastBytes:       opt.FastTierBytes,
 		demoteAfterDays: opt.DemoteAfterDays,
@@ -571,7 +568,6 @@ func (s *Server) ingestSegment(stream string, clip func(idx int) []*frame.Frame)
 	cfg := s.epochs[len(s.epochs)-1].Cfg
 	idx := s.next[stream]
 	s.next[stream] = idx + 1
-	pool := s.poolLocked()
 	s.mu.Unlock()
 
 	full := clip(idx)
@@ -585,7 +581,7 @@ func (s *Server) ingestSegment(stream string, clip func(idx int) []*frame.Frame)
 		firstErr error
 		cpu      float64
 	)
-	batch := pool.Batch()
+	batch := s.pool.Batch()
 	for fi := range sfs {
 		fi := fi
 		batch.Go(func() {
@@ -637,19 +633,6 @@ func (s *Server) ingestSegment(stream string, clip func(idx int) []*frame.Frame)
 		return perSF, cpu, err
 	}
 	return perSF, cpu, nil
-}
-
-// poolLocked returns the shared transcode pool, creating it on first use.
-// Caller holds mu.
-func (s *Server) poolLocked() *query.Pool {
-	if s.pool == nil {
-		par := s.Parallelism
-		if par <= 0 {
-			par = runtime.GOMAXPROCS(0)
-		}
-		s.pool = query.NewPool(par)
-	}
-	return s.pool
 }
 
 // SegmentsOf returns how many segments the stream holds.
@@ -815,7 +798,7 @@ func (s *Server) QueryAt(ctx context.Context, snap *Snapshot, stream string, cas
 	// the two fan-out levels: spanPar spans run at once, each with
 	// workers/spanPar workers for its per-stage retrieval and consumption
 	// fan-out (spanPar * engine workers <= workers).
-	workers := s.queryWorkers(current)
+	workers := s.queryWorkers()
 	spanPar := 1
 	if workers > 1 && len(spans) > 1 {
 		spanPar = min(workers, len(spans))
@@ -845,14 +828,10 @@ func (s *Server) QueryAt(ctx context.Context, snap *Snapshot, stream string, cas
 	return QueryResult{Results: results}, nil
 }
 
-// queryWorkers resolves the effective worker-pool width: the server-level
-// override wins, then the configuration's Runtime.QueryWorkers, then
-// GOMAXPROCS. Negative values force sequential execution.
-func (s *Server) queryWorkers(cfg *core.Config) int {
+// queryWorkers resolves the effective worker-pool width from QueryWorkers:
+// zero selects GOMAXPROCS, negative values force sequential execution.
+func (s *Server) queryWorkers() int {
 	w := s.QueryWorkers
-	if w == 0 && cfg != nil {
-		w = cfg.Runtime.QueryWorkers
-	}
 	if w < 0 {
 		return 1
 	}
@@ -1061,8 +1040,5 @@ func (s *Server) Stats() Stats {
 // independently, so compactions proceed concurrently up to the pool's
 // width.
 func (s *Server) Compact() error {
-	s.mu.Lock()
-	pool := s.poolLocked()
-	s.mu.Unlock()
-	return s.kv.CompactShards(pool.Batch())
+	return s.kv.CompactShards(s.pool.Batch())
 }

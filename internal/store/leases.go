@@ -33,12 +33,9 @@ type lease struct {
 }
 
 // NewLeases returns a lease table whose untouched entries expire after
-// ttl (zero selects DefaultLeaseTTL).
-func NewLeases(ttl time.Duration) *Leases {
-	if ttl <= 0 {
-		ttl = DefaultLeaseTTL
-	}
-	return &Leases{ttl: ttl, now: time.Now, leases: map[string]*lease{}}
+// DefaultLeaseTTL.
+func NewLeases() *Leases {
+	return &Leases{ttl: DefaultLeaseTTL, now: time.Now, leases: map[string]*lease{}}
 }
 
 // sweepLocked releases every lease idle past the TTL. Caller holds mu.

@@ -35,7 +35,8 @@ func (f *fakeSnap) Release() error {
 var _ retrieve.SegmentReader = Snapshot(nil)
 
 func TestLeaseGrantGetRelease(t *testing.T) {
-	l := NewLeases(time.Minute)
+	l := NewLeases()
+	l.ttl = time.Minute
 	sn := &fakeSnap{}
 	id := l.Grant(sn)
 	if id == "" {
@@ -63,7 +64,8 @@ func TestLeaseGrantGetRelease(t *testing.T) {
 }
 
 func TestLeaseTTLExpiry(t *testing.T) {
-	l := NewLeases(time.Minute)
+	l := NewLeases()
+	l.ttl = time.Minute
 	now := time.Unix(1000, 0)
 	l.SetClock(func() time.Time { return now })
 	a, b := &fakeSnap{}, &fakeSnap{}
@@ -92,7 +94,7 @@ func TestLeaseTTLExpiry(t *testing.T) {
 }
 
 func TestLeaseReleaseAll(t *testing.T) {
-	l := NewLeases(0)
+	l := NewLeases()
 	snaps := []*fakeSnap{{}, {}, {}}
 	for _, sn := range snaps {
 		l.Grant(sn)

@@ -51,7 +51,7 @@ func TestParsePolicy(t *testing.T) {
 func TestApplyRulesWindow(t *testing.T) {
 	var mu sync.Mutex
 	var sent []Alert
-	hooks := newWebhooks(WebhookOptions{Sender: func(url string, body []byte) error {
+	hooks := newWebhooks(webhookOptions{Sender: func(url string, body []byte) error {
 		var a Alert
 		if err := json.Unmarshal(body, &a); err != nil {
 			t.Errorf("webhook body: %v", err)
@@ -128,7 +128,7 @@ func TestApplyRulesWindow(t *testing.T) {
 func TestWebhookRetry(t *testing.T) {
 	var calls int
 	var mu sync.Mutex
-	w := newWebhooks(WebhookOptions{Backoff: time.Millisecond, Attempts: 4, Sender: func(url string, body []byte) error {
+	w := newWebhooks(webhookOptions{Backoff: time.Millisecond, Attempts: 4, Sender: func(url string, body []byte) error {
 		mu.Lock()
 		defer mu.Unlock()
 		calls++
@@ -159,7 +159,7 @@ func TestWebhookRetry(t *testing.T) {
 // queued rather than waiting out retry backoffs.
 func TestWebhookOverflowAndClose(t *testing.T) {
 	block := make(chan struct{})
-	w := newWebhooks(WebhookOptions{Queue: 1, Attempts: 1, Sender: func(url string, body []byte) error {
+	w := newWebhooks(webhookOptions{Queue: 1, Attempts: 1, Sender: func(url string, body []byte) error {
 		<-block
 		return nil
 	}})
@@ -195,7 +195,7 @@ func waitStats(t *testing.T, w *webhooks, ok func(WebhookStats) bool) {
 // Uncapped, this schedule (10ms base, 10 attempts) would sleep
 // 10+20+40+...+2560ms ≈ 5.1s; capped at 20ms it sleeps 170ms total.
 func TestWebhookBackoffCapped(t *testing.T) {
-	w := newWebhooks(WebhookOptions{
+	w := newWebhooks(webhookOptions{
 		Backoff:    10 * time.Millisecond,
 		MaxBackoff: 20 * time.Millisecond,
 		Attempts:   10,
@@ -217,7 +217,7 @@ func TestWebhookBackoffCapped(t *testing.T) {
 // asleep between attempts must return promptly — the backoff timer is
 // stopped, not waited out — and the interrupted delivery counts failed.
 func TestWebhookCloseDuringBackoff(t *testing.T) {
-	w := newWebhooks(WebhookOptions{
+	w := newWebhooks(webhookOptions{
 		Backoff:  time.Hour, // the test only passes if close interrupts this sleep
 		Attempts: 3,
 		Sender:   func(url string, body []byte) error { return errors.New("endpoint down") },

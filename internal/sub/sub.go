@@ -256,8 +256,6 @@ type HubOptions struct {
 	// and Subscribe returns ErrLimit. Zero selects
 	// DefaultMaxSubscriptions; negative disables subscriptions entirely.
 	MaxSubscriptions int
-	// Webhook tunes alert delivery (see WebhookOptions).
-	Webhook WebhookOptions
 }
 
 // Hub fans segment commits out to standing queries. Create with NewHub,
@@ -321,7 +319,7 @@ func NewHub(store store.Store, opt HubOptions) *Hub {
 	}
 	h := &Hub{store: store, opt: opt, subs: map[string]*Subscription{}, flights: map[string]*flight{}}
 	h.ctx, h.cancelCtx = context.WithCancel(context.Background())
-	h.hooks = newWebhooks(opt.Webhook)
+	h.hooks = newWebhooks(webhookOptions{})
 	h.unhook = store.SubscribeCommits(h.onCommit)
 	return h
 }

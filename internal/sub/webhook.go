@@ -14,9 +14,9 @@ import (
 	"time"
 )
 
-// WebhookOptions tunes alert delivery. The zero value selects working
-// defaults.
-type WebhookOptions struct {
+// webhookOptions tunes alert delivery. The hub uses the zero value, which
+// selects working defaults; tests shorten the schedule and inject Sender.
+type webhookOptions struct {
 	// Queue bounds deliveries waiting for the dispatcher; overflow is
 	// dropped and counted as a failure. Zero selects 256.
 	Queue int
@@ -39,7 +39,7 @@ type WebhookOptions struct {
 	Sender func(url string, body []byte) error
 }
 
-func (o WebhookOptions) withDefaults() WebhookOptions {
+func (o webhookOptions) withDefaults() webhookOptions {
 	if o.Queue <= 0 {
 		o.Queue = 256
 	}
@@ -76,7 +76,7 @@ type delivery struct {
 // webhooks is the hub's alert dispatcher: one worker goroutine draining a
 // bounded queue.
 type webhooks struct {
-	opt  WebhookOptions
+	opt  webhookOptions
 	ch   chan delivery
 	quit chan struct{}
 	done chan struct{}
@@ -86,7 +86,7 @@ type webhooks struct {
 	failures atomic.Int64
 }
 
-func newWebhooks(opt WebhookOptions) *webhooks {
+func newWebhooks(opt webhookOptions) *webhooks {
 	w := &webhooks{
 		opt:  opt.withDefaults(),
 		quit: make(chan struct{}),

@@ -15,6 +15,7 @@ package tenant
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -99,8 +100,10 @@ func setQuotaAttr(q *core.TenantQuota, k, v string) error {
 	case "burst":
 		q.Burst, err = atoi()
 	case "rate":
+		// ParseFloat accepts NaN and Inf, which the saved configuration's
+		// JSON cannot carry.
 		q.RatePerSec, err = strconv.ParseFloat(v, 64)
-		if err != nil {
+		if err != nil || math.IsNaN(q.RatePerSec) || math.IsInf(q.RatePerSec, 0) {
 			err = fmt.Errorf("bad rate value %q", v)
 		}
 	case "bytes_per_sec":

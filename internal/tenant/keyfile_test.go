@@ -1,8 +1,10 @@
 package tenant
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -63,6 +65,8 @@ func TestLoadKeyFileErrors(t *testing.T) {
 		{"missing-tenant", "sk-lonely\n", "want \"<key> <tenant>"},
 		{"bad-attr", "sk-a t1 weight\n", "bad attribute"},
 		{"bad-value", "sk-a t1 weight=heavy\n", "bad weight value"},
+		{"nan-rate", "sk-a t1 rate=NaN\n", "bad rate value"},
+		{"inf-rate", "sk-a t1 rate=inf\n", "bad rate value"},
 		{"unknown-attr", "sk-a t1 color=red\n", "unknown attribute"},
 		{"dup-key", "sk-a t1\nsk-a t2\n", "already mapped"},
 	}
@@ -106,4 +110,62 @@ func TestMergeQuotas(t *testing.T) {
 			t.Fatalf("merged[%d] = %+v, want %+v", i, got[i], want[i])
 		}
 	}
+}
+
+// FuzzLoadKeyFile feeds any bytes to LoadKeyFile as a tenants file. It must
+// never panic; a file it accepts maps every key to exactly one uniquely
+// named quota, merges into a saved configuration that still saves, and
+// loads to the same result twice.
+func FuzzLoadKeyFile(f *testing.F) {
+	golden, err := os.ReadFile("../core/testdata/config_all_knobs.golden.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		"# <api-key> <tenant> [weight=W] [inflight=N] [queue=N] [rate=R] [burst=B] [bytes_per_sec=B]\n" +
+			"key-analytics  analytics  weight=3\nkey-dashboard  dashboard\n" +
+			"key-partner    partner    rate=2 burst=2 bytes_per_sec=1000000\n",
+		"\n   \n# only a comment\n",
+		"sk-a t1 weight\n",
+		"sk-a t1\nsk-a t2\n",
+		"sk-a t1 rate=NaN\n",
+		"sk-a t1 rate=1e400\n",
+		"sk-a t1 burst=-1\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p := filepath.Join(t.TempDir(), "tenants")
+		if err := os.WriteFile(p, b, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		kf, err := LoadKeyFile(p)
+		again, err2 := LoadKeyFile(p)
+		if fmt.Sprint(err) != fmt.Sprint(err2) || !reflect.DeepEqual(kf, again) {
+			t.Fatalf("two loads differ: %+v, %v vs %+v, %v", kf, err, again, err2)
+		}
+		if err != nil {
+			return
+		}
+		names := map[string]bool{}
+		for _, q := range kf.Quotas {
+			if names[q.Name] {
+				t.Fatalf("tenant %q listed twice: %+v", q.Name, kf.Quotas)
+			}
+			names[q.Name] = true
+		}
+		for key, name := range kf.Keys {
+			if !names[name] {
+				t.Fatalf("key %q names tenant %q, which has no quota", key, name)
+			}
+		}
+		cfg, err := core.FromBytes(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Runtime.Tenants = MergeQuotas(cfg.Runtime.Tenants, kf.Quotas)
+		if _, err := cfg.MarshalBytes(); err != nil {
+			t.Fatalf("merged quotas do not save: %v (%+v)", err, kf.Quotas)
+		}
+	})
 }

@@ -63,8 +63,6 @@ type Options struct {
 	// Route maps a key to its routing token; keys with equal tokens land
 	// on the same shard. Nil routes by the whole key.
 	Route func(key string) string
-	// KV configures every underlying shard.
-	KV kvstore.Options
 }
 
 // Batcher schedules functions concurrently and waits for them — the
@@ -113,16 +111,13 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s := &Store{dir: dir, opts: opts, shards: shards}
 	for i := 0; i < shards; i++ {
-		kvOpts := opts.KV
-		kvOpts.FaultScope = fmt.Sprintf("%s/%03d", Fast, i)
-		f, err := kvstore.Open(s.shardDir(Fast, i), kvOpts)
+		f, err := kvstore.Open(s.shardDir(Fast, i), kvstore.Options{FaultScope: fmt.Sprintf("%s/%03d", Fast, i)})
 		if err != nil {
 			s.Close()
 			return nil, err
 		}
 		s.fast = append(s.fast, f)
-		kvOpts.FaultScope = fmt.Sprintf("%s/%03d", Cold, i)
-		c, err := kvstore.Open(s.shardDir(Cold, i), kvOpts)
+		c, err := kvstore.Open(s.shardDir(Cold, i), kvstore.Options{FaultScope: fmt.Sprintf("%s/%03d", Cold, i)})
 		if err != nil {
 			s.Close()
 			return nil, err
