@@ -167,13 +167,14 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// stream runs one NDJSON request: every non-empty line of the response
-// goes to fn, which ends the stream by returning last (the trailer or an
-// in-band error line) or an error. Past the trailer the body is drained for
-// the connection's sake; past an error line it is not, since a failed
+// Stream runs one NDJSON request: every non-empty line of the response,
+// trimmed of surrounding whitespace, goes to fn, which ends the stream by
+// returning last (the trailer or an in-band error line) or an error; fn
+// must not keep line past its return. Past the trailer the body is drained
+// for the connection's sake; past an error line it is not, since a failed
 // stream owes no clean end. A body that ends before its last line is
-// truncated.
-func (c *Client) stream(ctx context.Context, path string, in any, fn func(line []byte) (last bool, err error)) error {
+// truncated. Any other status than 200 is a *StatusError.
+func (c *Client) Stream(ctx context.Context, path string, in any, fn func(line []byte) (last bool, err error)) error {
 	resp, err := c.send(ctx, http.MethodPost, path, in)
 	if err != nil {
 		return err
@@ -200,12 +201,16 @@ func (c *Client) stream(ctx context.Context, path string, in any, fn func(line [
 	return &StreamError{Truncated: true}
 }
 
-// QueryStream runs one query, invoking fn for every chunk as it arrives
-// off the wire — results flow while later segments are still decoding
-// server-side. It returns the summary trailer on success.
-func (c *Client) QueryStream(ctx context.Context, req QueryRequest, fn func(QueryChunk) error) (QuerySummary, error) {
+// QueryLines runs one query, invoking fn with every chunk line exactly as
+// the server wrote it, unread — what a relay passes on. The summary trailer
+// and an in-band error line are read here and end the stream as they do
+// in QueryStream. fn must not keep line past its return.
+func (c *Client) QueryLines(ctx context.Context, req QueryRequest, fn func(line []byte) error) (QuerySummary, error) {
 	var sum QuerySummary
-	err := c.stream(ctx, "/v1/query", req, func(line []byte) (bool, error) {
+	err := c.Stream(ctx, "/v1/query", req, func(line []byte) (bool, error) {
+		if isChunkLine(line) {
+			return false, fn(line)
+		}
 		ql, err := parseQueryLine(line)
 		switch {
 		case err != nil:
@@ -213,9 +218,7 @@ func (c *Client) QueryStream(ctx context.Context, req QueryRequest, fn func(Quer
 		case ql.Error != "":
 			return true, &StreamError{Msg: ql.Error}
 		case ql.Chunk != nil:
-			if fn != nil {
-				return false, fn(*ql.Chunk)
-			}
+			return false, fn(line)
 		case ql.Done != nil:
 			sum = *ql.Done
 			return true, nil
@@ -223,6 +226,22 @@ func (c *Client) QueryStream(ctx context.Context, req QueryRequest, fn func(Quer
 		return false, nil
 	})
 	return sum, err
+}
+
+// QueryStream runs one query, invoking fn for every chunk as it arrives
+// off the wire — results flow while later segments are still decoding
+// server-side. It returns the summary trailer on success.
+func (c *Client) QueryStream(ctx context.Context, req QueryRequest, fn func(QueryChunk) error) (QuerySummary, error) {
+	return c.QueryLines(ctx, req, func(line []byte) error {
+		ql, err := parseQueryLine(line)
+		switch {
+		case err != nil:
+			return fmt.Errorf("api: malformed response line: %w", err)
+		case fn != nil && ql.Chunk != nil:
+			return fn(*ql.Chunk)
+		}
+		return nil
+	})
 }
 
 // Query runs one query and collects every chunk.
@@ -254,7 +273,7 @@ type SubEvent struct {
 // Cancel ctx to drop the subscription client-side.
 func (c *Client) Subscribe(ctx context.Context, req SubscribeRequest, fn func(SubEvent) error) (SubSummary, error) {
 	var sum SubSummary
-	err := c.stream(ctx, "/v1/subscribe", req, func(line []byte) (bool, error) {
+	err := c.Stream(ctx, "/v1/subscribe", req, func(line []byte) (bool, error) {
 		var sl SubLine
 		err := json.Unmarshal(line, &sl)
 		switch {

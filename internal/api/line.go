@@ -1,9 +1,10 @@
 // The NDJSON line codec. A query chunk line — QueryLine{Chunk} from
-// /v1/query and the router — is nearly all a warm query costs to deliver,
-// and reflection is most of what encoding/json costs on it. appendLine
-// writes a chunk line by hand, byte for byte what json.Encoder writes: the
-// same key order, null for a nil slice, floats spelled 'f' or 'e' by
-// magnitude, labels HTML-escaped, the same error on NaN and ±Inf.
+// /v1/query, which the router relays unread — is nearly all a warm query
+// costs to deliver, and reflection is most of what encoding/json costs on
+// it. appendLine writes a chunk line by hand, byte for byte what
+// json.Encoder writes: the same key order, null for a nil slice, floats
+// spelled 'f' or 'e' by magnitude, labels HTML-escaped, the same error on
+// NaN and ±Inf.
 // parseQueryLine reads back exactly that canonical form and hands every
 // other line — a trailer, an error, or a chunk with whitespace, another key
 // order, an escape or a number spelled otherwise — to json.Unmarshal. Every
@@ -32,13 +33,22 @@ var plain = func() (t [256]bool) {
 	return t
 }()
 
+// chunkKey opens every chunk line appendLine writes.
+const chunkKey = `{"chunk":`
+
 // appendLine appends v as one NDJSON line, exactly as json.Encoder.Encode
-// writes it; on error b is returned as it was.
+// writes it; on error b is returned as it was. A []byte is a line already
+// encoded — a node's line the router relays — and goes out as it is.
 func appendLine(b []byte, v any) ([]byte, error) {
-	if l, ok := v.(QueryLine); ok && l.Chunk != nil && l.Done == nil && l.Error == "" {
-		e := lineEncoder{b: append(b, `{"chunk":`...)}
-		e.chunk(l.Chunk)
-		return e.end(len(b))
+	switch l := v.(type) {
+	case []byte:
+		return append(append(b, l...), '\n'), nil
+	case QueryLine:
+		if l.Chunk != nil && l.Done == nil && l.Error == "" {
+			e := lineEncoder{b: append(b, chunkKey...)}
+			e.chunk(l.Chunk)
+			return e.end(len(b))
+		}
 	}
 	j, err := json.Marshal(v)
 	if err != nil {
@@ -145,6 +155,12 @@ func (e *lineEncoder) end(start int) ([]byte, error) {
 	return append(e.b, "}\n"...), nil
 }
 
+// isChunkLine reports whether a query response line is a chunk line by how
+// appendLine begins one, without reading the chunk.
+func isChunkLine(line []byte) bool {
+	return bytes.HasPrefix(line, []byte(chunkKey+"{"))
+}
+
 // parseQueryLine parses one line of a query response.
 func parseQueryLine(line []byte) (QueryLine, error) {
 	if c, ok := canonical(line); ok {
@@ -159,7 +175,7 @@ func parseQueryLine(line []byte) (QueryLine, error) {
 // whether the whole line was one.
 func canonical(line []byte) (*QueryChunk, bool) {
 	s := lineScanner{b: line, ok: true}
-	s.lit(`{"chunk":`)
+	s.lit(chunkKey)
 	c := s.chunk()
 	s.lit("}")
 	return c, s.ok && s.i == len(line)

@@ -243,25 +243,19 @@ func (w *Response) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Flush pushes what has been written to the client now.
-func (w *Response) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
 // Wrote reports whether the handler has written a header or a body byte.
 func (w *Response) Wrote() bool { return w.wrote }
 
 // Bytes is the count of body bytes written so far.
 func (w *Response) Bytes() int64 { return w.bytes }
 
-// Line writes v as one NDJSON line (line.go's codec) with one Write and
-// flushes it, so a long stream reaches the client as it is produced. The
-// first line sends the 200 header. A line that cannot be encoded — a NaN
-// or ±Inf float — ends the stream as a server failure: its in-band error
-// line goes out instead, every later line is dropped, and Line reports
-// false, so the handler returns and the response ends.
+// Line writes v as one NDJSON line (line.go's codec; a []byte, a line
+// already encoded, goes out as it is) with one Write and flushes it, so a long stream
+// reaches the client as it is produced. The first line sends the 200
+// header. A line that cannot be encoded — a NaN or ±Inf float — ends the
+// stream as a server failure: its in-band error line goes out instead,
+// every later line is dropped, and Line reports false, so the handler
+// returns and the response ends.
 func (w *Response) Line(v any) bool {
 	if w.lineFailed {
 		return false
@@ -277,7 +271,9 @@ func (w *Response) Line(v any) bool {
 	}
 	w.line = b
 	_, _ = w.Write(b)
-	w.Flush()
+	if f, ok := w.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
 	return !w.lineFailed
 }
 

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"strings"
@@ -412,6 +414,66 @@ func TestRouterFailoverOnDrainedOwner(t *testing.T) {
 	}
 	if rt.DegradedRoutes() == 0 {
 		t.Fatal("owner was down but DegradedRoutes never moved")
+	}
+}
+
+// TestRoutedIngestDurability pins the cluster's durability contract
+// (README, "Replication"): a routed ingest is acknowledged once the owner
+// commits it, and until a follower's pull completes the segment lives on
+// the owner alone. The follower refuses every pull; the ingest is still
+// acknowledged and the refused pull is counted; with the owner drained, the
+// routed query fails instead of answering from the follower, which holds
+// none of the stream.
+func TestRoutedIngestDurability(t *testing.T) {
+	owner, follower := startNode(t, "owner"), startNode(t, "follower")
+	refused := make(chan struct{}, 1)
+	refusing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/pull" {
+			refused <- struct{}{}
+			http.Error(w, "follower refuses pulls", http.StatusServiceUnavailable)
+			return
+		}
+		follower.as.Handler().ServeHTTP(w, r)
+	}))
+	defer refusing.Close()
+	rt, err := cluster.NewRouter(cluster.Options{
+		Nodes:    []cluster.Node{owner.node, {Name: "follower", URL: refusing.URL}},
+		Replicas: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := rt.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcl := api.NewClient("http://" + addr.String())
+	ctx := context.Background()
+	stream := streamOwnedBy(t, rt.Place, "owner")
+	if _, err := rcl.Ingest(ctx, api.IngestRequest{Stream: stream, Scene: "jackson", Segments: 1}); err != nil {
+		t.Fatalf("routed ingest not acknowledged: %v", err)
+	}
+	<-refused
+
+	owner.shutdown(t)
+	_, _, err = rcl.Query(ctx, api.QueryRequest{Stream: stream, Query: testQuery})
+	if se := new(api.StatusError); !errors.As(err, &se) || se.Code != http.StatusBadGateway {
+		t.Fatalf("query with the owner drained and no pull completed returned %v, want the router's 502", err)
+	}
+
+	// Shutdown waits for the refused pull's goroutine, so its count is
+	// final; /metrics still answers while the router drains.
+	sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if err := rt.Shutdown(sctx); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, want := range []string{"\nvstore_router_replication_errors_total 1\n", "\nvstore_router_replications_total 0\n"} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Fatalf("router metrics lack %q:\n%s", strings.TrimSpace(want), rec.Body.String())
+		}
 	}
 }
 

@@ -1,8 +1,8 @@
 // The stateless router: one HTTP server fronting a static membership of
 // vstore nodes. Reads resolve the stream to its owner through the
 // consistent-hash placer, fan the requested range out in chunks over a
-// bounded worker pool against one leased snapshot, and merge the chunk
-// results back in segment order — so the response is byte-identical to
+// bounded worker pool against one leased snapshot, and relay the nodes'
+// chunk lines back in segment order — so the response is byte-identical to
 // the same query against a single node holding the data, at any worker
 // count. When the owner is down the session fails over to the stream's
 // replica followers (chunks are deterministic, so a re-run lands the
@@ -12,9 +12,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -157,29 +155,34 @@ func (s *querySession) acquire(ctx context.Context) (gen int, cl *api.Client, le
 		if s.cur >= len(s.cands) {
 			return 0, nil, "", fmt.Errorf("cluster: no live replica of %q (%d candidates tried)", s.stream, len(s.cands))
 		}
-		node := s.cands[s.cur]
-		cl := s.r.clientFor(node, s.key)
+		cl := s.r.clientFor(s.cands[s.cur], s.key)
 		pctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-		resp, perr := cl.PinSnapshot(pctx)
+		resp, err := cl.PinSnapshot(pctx)
 		cancel()
-		if perr != nil {
-			// This candidate is down (or refusing): count the degraded
-			// route and move on.
-			s.r.degradedRoutes.Add(1)
-			s.cur++
-			continue
-		}
-		s.cl, s.lease = cl, resp.ID
-		if s.streams == nil {
-			s.streams = resp.Streams
-		}
-		id := resp.ID
-		s.releases = append(s.releases, func() {
+		release := func() {
 			rctx, rcancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer rcancel()
-			_, _ = cl.ReleaseSnapshot(rctx, id)
-		})
-		return s.cur, s.cl, s.lease, nil
+			_, _ = cl.ReleaseSnapshot(rctx, resp.ID)
+		}
+		// A follower holding less of the stream than the first pin saw (none
+		// of it, when the owner was gone from the start) missed a pull whose
+		// data the owner took down with it: it would answer a shorter stream
+		// as the whole one, so it is no replica.
+		if err == nil && (s.cur == 0 || resp.Streams[s.stream] >= max(1, s.streams[s.stream])) {
+			s.cl, s.lease = cl, resp.ID
+			if s.streams == nil {
+				s.streams = resp.Streams
+			}
+			s.releases = append(s.releases, release)
+			return s.cur, s.cl, s.lease, nil
+		}
+		if err == nil {
+			release()
+		}
+		// This candidate is down, refusing or short of the stream: count
+		// the degraded route and move on.
+		s.r.degradedRoutes.Add(1)
+		s.cur++
 	}
 }
 
@@ -208,38 +211,39 @@ func (s *querySession) release() {
 }
 
 // run executes one span [lo, hi) on the serving candidate, failing over
-// until a candidate answers or all are exhausted. Chunks are
-// deterministic functions of the replicated bytes, so a re-run on a
-// follower returns the same chunk the owner would have. retry429 selects
-// whether node-side admission rejections are retried here (mid-stream
-// spans, where the 429 can no longer become a status code) or surfaced
-// to the caller (the first span, which still can).
-func (s *querySession) run(ctx context.Context, req api.QueryRequest, lo, hi int, retry429 bool) (api.QueryChunk, error) {
+// until a candidate answers or all are exhausted, and returns the span's
+// one chunk line as the node wrote it. Chunks are deterministic functions
+// of the replicated bytes, so a re-run on a follower returns the same
+// chunk the owner would have. retry429 selects whether node-side admission
+// rejections are retried here (mid-stream spans, where the 429 can no
+// longer become a status code) or surfaced to the caller (the first span,
+// which still can).
+func (s *querySession) run(ctx context.Context, req api.QueryRequest, lo, hi int, retry429 bool) ([]byte, error) {
 	for {
 		gen, cl, lease, err := s.acquire(ctx)
 		if err != nil {
-			return api.QueryChunk{}, err
+			return nil, err
 		}
-		chunks, _, err := cl.Query(ctx, api.QueryRequest{
-			Stream:   req.Stream,
-			Query:    req.Query,
-			Accuracy: req.Accuracy,
-			From:     lo,
-			To:       hi,
-			Snap:     lease,
+		var line []byte
+		chunks := 0
+		span := api.QueryRequest{Stream: req.Stream, Query: req.Query, Accuracy: req.Accuracy, From: lo, To: hi, Snap: lease}
+		_, err = cl.QueryLines(ctx, span, func(l []byte) error {
+			chunks++
+			line = append(line[:0], l...)
+			return nil
 		})
 		if err == nil {
-			if len(chunks) != 1 {
-				return api.QueryChunk{}, fmt.Errorf("cluster: node returned %d chunks for one span", len(chunks))
+			if chunks != 1 {
+				return nil, fmt.Errorf("cluster: node returned %d chunks for one span", chunks)
 			}
-			return chunks[0], nil
+			return line, nil
 		}
 		if ctx.Err() != nil {
-			return api.QueryChunk{}, err
+			return nil, err
 		}
 		if api.IsRejected(err) {
 			if !retry429 {
-				return api.QueryChunk{}, err
+				return nil, err
 			}
 			hint, _ := api.RetryAfterHint(err)
 			if hint <= 0 {
@@ -247,7 +251,7 @@ func (s *querySession) run(ctx context.Context, req api.QueryRequest, lo, hi int
 			}
 			select {
 			case <-ctx.Done():
-				return api.QueryChunk{}, ctx.Err()
+				return nil, ctx.Err()
 			case <-time.After(hint):
 			}
 			continue
@@ -256,7 +260,7 @@ func (s *querySession) run(ctx context.Context, req api.QueryRequest, lo, hi int
 		if errors.As(err, &se) && se.Code < 500 && se.Code != http.StatusNotFound {
 			// The node understood and refused (bad request, unauthorized):
 			// no other replica will answer differently.
-			return api.QueryChunk{}, err
+			return nil, err
 		}
 		// Transport failure, 5xx, truncated stream, or an expired lease
 		// (404): the candidate is gone — fail over.
@@ -266,10 +270,10 @@ func (s *querySession) run(ctx context.Context, req api.QueryRequest, lo, hi int
 
 // handleQuery serves one query across the cluster: resolve the stream's
 // candidates, lease a snapshot on the first live one, fan the range out
-// in chunks over the worker pool, and merge the results back in segment
-// order. Errors before the first byte keep their status codes (a node's
-// 429 stays a 429, hint included); errors after it travel in-band, as on
-// a node.
+// in chunks over the worker pool, and relay each span's chunk line in
+// segment order, as its node wrote it. Errors before the first byte keep
+// their status codes (a node's 429 stays a 429, hint included); errors
+// after it travel in-band, as on a node.
 func (r *Router) handleQuery(w *api.Response, req *http.Request) {
 	var qr api.QueryRequest
 	if !api.ReadJSON(w, req, &qr) {
@@ -302,8 +306,8 @@ func (r *Router) handleQuery(w *api.Response, req *http.Request) {
 	}
 
 	type spanResult struct {
-		chunk api.QueryChunk
-		err   error
+		line []byte
+		err  error
 	}
 	results := make([]chan spanResult, len(spans))
 	for i := range results {
@@ -320,7 +324,7 @@ func (r *Router) handleQuery(w *api.Response, req *http.Request) {
 			for i := int(next.Add(1) - 1); i < len(spans); i = int(next.Add(1) - 1) {
 				res := spanResult{err: ctx.Err()} // a cancelled query runs no more spans
 				if res.err == nil {
-					res.chunk, res.err = sess.run(ctx, qr, spans[i].lo, spans[i].hi, i > 0)
+					res.line, res.err = sess.run(ctx, qr, spans[i].lo, spans[i].hi, i > 0)
 				}
 				results[i] <- res
 			}
@@ -341,9 +345,7 @@ func (r *Router) handleQuery(w *api.Response, req *http.Request) {
 			w.Line(api.QueryLine{Error: res.err.Error()})
 			return
 		}
-		if !w.Line(api.QueryLine{Chunk: &res.chunk}) {
-			return
-		}
+		w.Line(res.line)
 		segments += spans[i].hi - spans[i].lo
 	}
 	w.Line(api.QueryLine{Done: &api.QuerySummary{
@@ -353,17 +355,13 @@ func (r *Router) handleQuery(w *api.Response, req *http.Request) {
 	}})
 }
 
-// handleIngest forwards the write to the stream's owner, then fans
-// replication pulls out to the followers in the background. Pulls are
-// idempotent stream-level copies, so a failed pull is simply retried by
-// the next ingest's fan-out.
+// handleIngest forwards the write to the stream's owner, which validates
+// it, then fans replication pulls out to the followers in the background.
+// Pulls are idempotent stream-level copies, so a failed pull is simply
+// retried by the next ingest's fan-out.
 func (r *Router) handleIngest(w *api.Response, req *http.Request) {
 	var ir api.IngestRequest
 	if !api.ReadJSON(w, req, &ir) {
-		return
-	}
-	if ir.Stream == "" {
-		http.Error(w, "missing stream", http.StatusBadRequest)
 		return
 	}
 	cands := r.Place(ir.Stream)
@@ -395,59 +393,22 @@ func (r *Router) handleIngest(w *api.Response, req *http.Request) {
 	api.WriteJSON(w, http.StatusOK, resp)
 }
 
-// handleSubscribe proxies the standing-query stream to the stream's
-// owner: the subscription lives where commits happen. The request is read
-// as every endpoint reads its body and forwarded re-encoded; the NDJSON
-// lines pass through untouched, flushed as they arrive.
+// handleSubscribe relays the standing-query stream from the stream's
+// owner, where commits happen: each line goes out as the owner wrote it,
+// flushed as it arrives. A refusal before the first line keeps its status
+// code, message and Retry-After hint, as a query's does.
 func (r *Router) handleSubscribe(w *api.Response, req *http.Request) {
 	var sr api.SubscribeRequest
 	if !api.ReadJSON(w, req, &sr) {
 		return
 	}
-	if sr.Stream == "" {
-		http.Error(w, "missing stream", http.StatusBadRequest)
-		return
-	}
-	body, err := json.Marshal(sr)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
 	owner := r.Place(sr.Stream)[0]
-	preq, err := http.NewRequestWithContext(req.Context(), http.MethodPost, owner.URL+"/v1/subscribe", bytes.NewReader(body))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	preq.Header.Set("Content-Type", "application/json")
-	if k := api.APIKey(req); k != "" {
-		preq.Header.Set("X-API-Key", k)
-	}
-	resp, err := r.http.Do(preq)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("owner %s unreachable: %v", owner.Name, err), http.StatusBadGateway)
-		return
-	}
-	defer resp.Body.Close()
-	if v := resp.Header.Get("Retry-After"); v != "" {
-		w.Header().Set("Retry-After", v)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.WriteHeader(resp.StatusCode)
-	buf := make([]byte, 32<<10)
-	for {
-		n, rerr := resp.Body.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return
-			}
-			w.Flush()
-		}
-		if rerr != nil {
-			return
-		}
+	err := r.clientFor(owner, api.APIKey(req)).Stream(req.Context(), "/v1/subscribe", sr, func(line []byte) (bool, error) {
+		w.Line(line)
+		return false, nil
+	})
+	if err != nil && !w.Wrote() {
+		writeStatusError(w, req, err)
 	}
 }
 

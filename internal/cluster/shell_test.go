@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -58,6 +59,78 @@ func TestRouterPassesNode429(t *testing.T) {
 	_, _, err := rcl.Query(context.Background(), api.QueryRequest{Stream: "cam", Query: testQuery})
 	if se := new(api.StatusError); !errors.As(err, &se) || se.Code != http.StatusTooManyRequests || se.RetryAfter != 3*time.Second {
 		t.Fatalf("node 429 reached the client as %v, want 429 with Retry-After 3s", err)
+	}
+}
+
+// TestRouterRelaysNodeLines: the router passes each span's chunk line on
+// as the node wrote it. The stub's lines are valid but not what the node's
+// encoder writes — keys out of struct order and a float spelled 1.50, then
+// a space after the chunk key — and the router's body carries them byte for
+// byte, where a decode and re-encode would respell both.
+func TestRouterRelaysNodeLines(t *testing.T) {
+	lines := []string{
+		`{"chunk":{"seg1":1,"seg0":0,"speed":1.50,"detections":[],"final_pts":[],"video_seconds":2,"virtual_seconds":0.5}}`,
+		`{"chunk": {"seg0":1,"seg1":2,"detections":null,"final_pts":[7],"video_seconds":2.0,"virtual_seconds":1,"speed":2}}`,
+	}
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/snapshot":
+			api.WriteJSON(w, http.StatusOK, api.SnapshotResponse{ID: "s1", Streams: map[string]int{"cam": 2}})
+		case "/v1/query":
+			var q api.QueryRequest
+			if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			fmt.Fprintf(w, "%s\n{\"done\":{\"chunks\":1,\"segments\":1}}\n", lines[q.From])
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer node.Close()
+	_, _, url := startRouter(t, cluster.Options{Nodes: []cluster.Node{{Name: "n1", URL: node.URL}}})
+	resp, err := http.Post(url+"/v1/query", "application/json", strings.NewReader(`{"stream":"cam","chunk":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Split(string(body), "\n")
+	if len(got) != 4 || got[0] != lines[0] || got[1] != lines[1] || !strings.HasPrefix(got[2], `{"done":{"chunks":2,"segments":2,`) || got[3] != "" {
+		t.Fatalf("router body:\n%s\nwant the node's two lines as written, then the router's trailer", body)
+	}
+}
+
+// TestRouterPassesSubscribeRefusal: a node's refusal of a subscription
+// reaches the router's client as the node sent it — a 429 with its
+// Retry-After hint, a 400 with its message.
+func TestRouterPassesSubscribeRefusal(t *testing.T) {
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var sr api.SubscribeRequest
+		if err := json.NewDecoder(r.Body).Decode(&sr); err != nil || r.URL.Path != "/v1/subscribe" {
+			http.NotFound(w, r)
+			return
+		}
+		if sr.Policy != "" {
+			http.Error(w, "unknown policy "+sr.Policy, http.StatusBadRequest)
+			return
+		}
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, "server saturated: subscription limit reached", http.StatusTooManyRequests)
+	}))
+	defer node.Close()
+	_, rcl, _ := startRouter(t, cluster.Options{Nodes: []cluster.Node{{Name: "n1", URL: node.URL}}})
+	ctx := context.Background()
+	_, err := rcl.Subscribe(ctx, api.SubscribeRequest{Stream: "cam"}, nil)
+	if se := new(api.StatusError); !errors.As(err, &se) || se.Code != http.StatusTooManyRequests || se.RetryAfter != time.Second {
+		t.Fatalf("node 429 on subscribe reached the client as %v, want 429 with Retry-After 1s", err)
+	}
+	_, err = rcl.Subscribe(ctx, api.SubscribeRequest{Stream: "cam", Policy: "sometimes"}, nil)
+	if se := new(api.StatusError); !errors.As(err, &se) || se.Code != http.StatusBadRequest || se.Msg != "unknown policy sometimes" {
+		t.Fatalf("node 400 on subscribe reached the client as %v, want 400 with the node's message", err)
 	}
 }
 
