@@ -90,7 +90,8 @@ func (ing *Ingester) Stream(scene vidsim.Scene, stream string, seg0, nSegments i
 
 // TranscodeSegment converts one full-fidelity segment into sf and stores
 // it, returning stored bytes and virtual CPU seconds. It is safe to call
-// concurrently for distinct formats of the same segment.
+// concurrently for distinct formats of one segment and for distinct
+// segments: a batch ingest transcodes consecutive segments at once.
 func (ing *Ingester) TranscodeSegment(full []*frame.Frame, stream string, sf format.StorageFormat, idx int) (int64, float64, error) {
 	var srcPixels int64
 	for _, f := range full {

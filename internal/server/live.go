@@ -170,9 +170,16 @@ func (s *Server) StartStream(name string) (*ingest.Stream, error) {
 	if _, ok := s.streams[name]; ok {
 		return nil, fmt.Errorf("server: stream %q is already live", name)
 	}
+	// A live stream keeps one segment in flight: its next segment waits
+	// for this one's commit, so a standing query's commit-time evaluation
+	// keeps the core a pipelined transcode would take.
 	st := ingest.NewStream(name, 0, func(full []*frame.Frame) error {
-		_, _, err := s.ingestSegment(name, func(int) []*frame.Frame { return full })
-		return err
+		r, err := s.reserve(name, func(int) []*frame.Frame { return full })
+		if err != nil {
+			return err
+		}
+		_, _, err = s.transcode(r)
+		return s.commit(r, err)
 	})
 	s.streams[name] = st
 	return st, nil

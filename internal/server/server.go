@@ -39,6 +39,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/erode"
@@ -103,6 +104,10 @@ type Server struct {
 	fastBytes       int64
 	demoteAfterDays int
 	demotions       int64 // segment replicas migrated fast→cold
+	// tails holds, per stream, the done signal of its newest reservation
+	// still in flight: the next reservation waits on it for its commit
+	// turn (see commit).
+	tails map[string]chan struct{}
 	// QueryWorkers bounds a query's TOTAL concurrency, divided between
 	// concurrent epoch spans and each span's per-stage fan-out. Zero
 	// selects GOMAXPROCS; negative values force sequential execution.
@@ -148,6 +153,7 @@ func OpenWith(dir string, opt Options) (*Server, error) {
 	s := &Server{
 		kv: kv, segs: segment.NewStore(kv),
 		next: map[string]int{}, streams: map[string]*ingest.Stream{},
+		tails:           map[string]chan struct{}{},
 		pool:            sched.NewPool(0),
 		placements:      map[string]core.Placement{},
 		fastBytes:       opt.FastTierBytes,
@@ -209,7 +215,7 @@ func OpenWith(dir string, opt Options) (*Server, error) {
 	}
 	s.segs.SetPlacement(s.placeFunc())
 	// The manifest restarts from the physical record set: a failed
-	// transcode cleans up its partial records (see ingestSegment), and a
+	// transcode cleans up its partial records (see transcode), and a
 	// crash's torn tail is truncated by the KV replay, so surviving
 	// records were durably committed. (A hard crash in the narrow window
 	// between two formats' writes can still leave a format short, which
@@ -515,22 +521,65 @@ func epochOf(epochs []*Epoch, stream string, seg int) *Epoch {
 // (StartStream). Each segment is transcoded into every storage format
 // concurrently on the shared transcode pool and committed to the segment
 // manifest atomically, so queries running concurrently either see a whole
-// segment (in every format) or none of it.
+// segment (in every format) or none of it. Up to the pool's width of
+// segments are in flight at once: the next segment is cut and starts
+// transcoding while the one before it still encodes its golden format,
+// and each commits in index order. After the first failure no further
+// segment is reserved; those already in flight settle, and the first
+// error is returned.
 func (s *Server) Ingest(scene vidsim.Scene, stream string, n int) (ingest.Stats, error) {
 	src := vidsim.NewSource(scene)
-	stats := ingest.Stats{}
-	for i := 0; i < n; i++ {
-		perSF, cpu, err := s.ingestSegment(stream, func(idx int) []*frame.Frame {
-			return src.Clip(idx*segment.Frames, segment.Frames)
-		})
-		mergeSFStats(&stats, perSF)
-		stats.CPUSeconds += cpu
-		if err != nil {
-			return stats, err
-		}
-		stats.Segments++
+	clip := func(idx int) []*frame.Frame { return src.Clip(idx*segment.Frames, segment.Frames) }
+	type settled struct {
+		perSF []ingest.SFStats
+		cpu   float64
+		err   error
 	}
-	return stats, nil
+	var (
+		stats    ingest.Stats
+		firstErr error
+		failed   atomic.Bool
+		inflight []chan settled // oldest first
+	)
+	fold := func() {
+		out := <-inflight[0]
+		inflight = inflight[1:]
+		mergeSFStats(&stats, out.perSF)
+		stats.CPUSeconds += out.cpu
+		if out.err == nil {
+			stats.Segments++
+		} else if firstErr == nil {
+			firstErr = out.err
+		}
+	}
+	for i := 0; i < n; i++ {
+		if len(inflight) == s.pool.Workers() {
+			fold()
+		}
+		if failed.Load() {
+			break
+		}
+		r, err := s.reserve(stream, clip)
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			break
+		}
+		ch := make(chan settled, 1)
+		inflight = append(inflight, ch)
+		go func() {
+			perSF, cpu, err := s.transcode(r)
+			if err != nil {
+				failed.Store(true)
+			}
+			ch <- settled{perSF, cpu, s.commit(r, err)}
+		}()
+	}
+	for len(inflight) > 0 {
+		fold()
+	}
+	return stats, firstErr
 }
 
 // mergeSFStats folds one segment's per-format stats into the batch totals,
@@ -552,29 +601,50 @@ func mergeSFStats(total *ingest.Stats, perSF []ingest.SFStats) {
 	}
 }
 
-// ingestSegment durably ingests one segment of the stream: it reserves the
-// next segment index, cuts the segment's frames via clip, transcodes every
-// storage format of the current epoch concurrently on the shared pool,
-// and — only if every format succeeded — commits the segment to the
-// manifest (atomic visibility) and persists the stream position. A failed
-// transcode leaves an invisible index hole that queries skip, exactly like
-// an eroded segment.
-func (s *Server) ingestSegment(stream string, clip func(idx int) []*frame.Frame) ([]ingest.SFStats, float64, error) {
+// reservation is one segment between reserve and commit: its index, the
+// formats of the epoch it was reserved under, and its frames.
+type reservation struct {
+	stream string
+	idx    int
+	sfs    []format.StorageFormat
+	full   []*frame.Frame
+	prev   chan struct{} // done of the stream's previous reservation; nil if none was in flight
+	done   chan struct{} // closed once this segment has committed or failed
+}
+
+// reserve takes the stream's next segment index and the current epoch's
+// storage formats, then cuts the segment's frames via clip on the caller.
+// Every reservation must be settled by commit, or the stream's later
+// segments never get their commit turn.
+func (s *Server) reserve(stream string, clip func(idx int) []*frame.Frame) (*reservation, error) {
 	s.mu.Lock()
 	if len(s.epochs) == 0 {
 		s.mu.Unlock()
-		return nil, 0, errors.New("server: no configuration installed; call Reconfigure first")
+		return nil, errors.New("server: no configuration installed; call Reconfigure first")
 	}
-	cfg := s.epochs[len(s.epochs)-1].Cfg
-	idx := s.next[stream]
-	s.next[stream] = idx + 1
+	r := &reservation{
+		stream: stream,
+		idx:    s.next[stream],
+		sfs:    s.epochs[len(s.epochs)-1].Cfg.StorageFormats(),
+		prev:   s.tails[stream],
+		done:   make(chan struct{}),
+	}
+	s.next[stream] = r.idx + 1
+	s.tails[stream] = r.done
 	s.mu.Unlock()
+	r.full = clip(r.idx)
+	return r, nil
+}
 
-	full := clip(idx)
-	sfs := cfg.StorageFormats()
-	perSF := make([]ingest.SFStats, len(sfs))
-	for i := range sfs {
-		perSF[i].SF = sfs[i]
+// transcode writes every storage format of the reservation concurrently
+// on the shared pool. On failure it deletes the formats that did land:
+// the segment is never committed, so the records are invisible, but
+// leaving them would leak disk and resurrect a partial segment when a
+// reopen rebuilds the manifest from physical records.
+func (s *Server) transcode(r *reservation) ([]ingest.SFStats, float64, error) {
+	perSF := make([]ingest.SFStats, len(r.sfs))
+	for i := range r.sfs {
+		perSF[i].SF = r.sfs[i]
 	}
 	var (
 		stMu     sync.Mutex
@@ -582,11 +652,10 @@ func (s *Server) ingestSegment(stream string, clip func(idx int) []*frame.Frame)
 		cpu      float64
 	)
 	batch := s.pool.Batch()
-	for fi := range sfs {
-		fi := fi
+	for fi := range r.sfs {
 		batch.Go(func() {
-			one := ingest.Ingester{Store: s.segs, SFs: sfs[fi : fi+1]}
-			bytes, c, err := one.TranscodeSegment(full, stream, sfs[fi], idx)
+			one := ingest.Ingester{Store: s.segs, SFs: r.sfs[fi : fi+1]}
+			bytes, c, err := one.TranscodeSegment(r.full, r.stream, r.sfs[fi], r.idx)
 			stMu.Lock()
 			defer stMu.Unlock()
 			if err != nil {
@@ -602,37 +671,51 @@ func (s *Server) ingestSegment(stream string, clip func(idx int) []*frame.Frame)
 	}
 	batch.Wait()
 	if firstErr != nil {
-		// Best-effort cleanup of the formats that did land: the segment
-		// was never committed, so the records are invisible, but leaving
-		// them would leak disk and resurrect a partial segment when a
-		// reopen rebuilds the manifest from physical records.
-		for _, sf := range sfs {
-			_ = s.segs.Delete(stream, sf, idx)
+		for _, sf := range r.sfs {
+			_ = s.segs.Delete(r.stream, sf, r.idx)
 		}
-		return perSF, cpu, firstErr
 	}
-	// Commit every format's replica atomically, each recorded on the
-	// tier its records were actually written to (the anchor's physical
-	// tier, exactly what a reopen rebuilds from) — re-consulting the
-	// placement map here could disagree with the writes if a Reconfigure
-	// flipped a format mid-transcode, leaving a fast replica the
-	// demotion pass would never enumerate.
-	refs := make([]segment.Ref, len(sfs))
-	tiers := make([]tier.ID, len(sfs))
-	for i, sf := range sfs {
-		refs[i] = segment.RefOf(stream, sf, idx)
-		tiers[i], _ = s.segs.TierOf(refs[i])
-	}
-	s.manifest.CommitPlaced(refs, tiers)
+	return perSF, cpu, firstErr
+}
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(s.next[stream]))
-	if err := s.kv.Put(streamKeyPrefix+stream, buf[:]); err != nil {
-		return perSF, cpu, err
+// commit waits for the reservation's commit turn — every lower reserved
+// index of the stream committed or failed — so one stream commits in
+// index order whoever writes it. If transcoding succeeded (err is nil) it
+// then commits the segment to the manifest (atomic visibility) and
+// persists the stream's committed position; a failed segment leaves an
+// invisible index hole that queries skip, exactly like an eroded segment.
+// Either way it passes the turn on, and returns the segment's error.
+func (s *Server) commit(r *reservation, err error) error {
+	if r.prev != nil {
+		<-r.prev
 	}
-	return perSF, cpu, nil
+	if err == nil {
+		// Each format's replica is recorded on the tier its records were
+		// actually written to (the anchor's physical tier, exactly what a
+		// reopen rebuilds from) — re-consulting the placement map here
+		// could disagree with the writes if a Reconfigure flipped a format
+		// mid-transcode, leaving a fast replica the demotion pass would
+		// never enumerate.
+		refs := make([]segment.Ref, len(r.sfs))
+		tiers := make([]tier.ID, len(r.sfs))
+		for i, sf := range r.sfs {
+			refs[i] = segment.RefOf(r.stream, sf, r.idx)
+			tiers[i], _ = s.segs.TierOf(refs[i])
+		}
+		s.manifest.CommitPlaced(refs, tiers)
+	}
+	s.mu.Lock()
+	if err == nil {
+		var buf [8]byte
+		binary.BigEndian.PutUint64(buf[:], uint64(r.idx+1))
+		err = s.kv.Put(streamKeyPrefix+r.stream, buf[:])
+	}
+	if s.tails[r.stream] == r.done {
+		delete(s.tails, r.stream)
+	}
+	s.mu.Unlock()
+	close(r.done)
+	return err
 }
 
 // SegmentsOf returns how many segments the stream holds.
