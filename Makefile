@@ -92,7 +92,9 @@ cover:
 # results entry decoder that adoption trusts (no panic, allocation bounded
 # by the input, and an accepted input re-encodes to itself), and over the
 # encoded-segment container a peer node may send (any bytes must fail
-# Unmarshal or decode to an error or frames, and never panic), and over log
+# Unmarshal or decode to an error or frames, and never panic), over the
+# codec's DEFLATE decoder (at any horizon compress/flate's reader fills, the
+# same bytes), and over log
 # replay (any bytes after valid records: no panic, allocation bounded by the
 # input, every listed key readable or ErrCorrupt, and a reopen sees the same
 # keys), and over the tenants key file (no panic; an accepted file maps each
@@ -108,6 +110,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzQueryLine -fuzztime $(FUZZTIME) ./internal/api/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime $(FUZZTIME) ./internal/results/
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime $(FUZZTIME) ./internal/codec/
+	$(GO) test -run '^$$' -fuzz FuzzInflate -fuzztime $(FUZZTIME) ./internal/codec/
 	$(GO) test -run '^$$' -fuzz FuzzReplay -fuzztime $(FUZZTIME) ./internal/kvstore/
 	$(GO) test -run '^$$' -fuzz FuzzLoadKeyFile -fuzztime $(FUZZTIME) ./internal/tenant/
 

@@ -1,7 +1,8 @@
 // Package codec implements the software video codec that stands in for
 // x264/NVDEC in this reproduction. Streams are grouped into GOPs (groups of
 // pictures): each GOP starts with an intra-coded keyframe followed by
-// delta-coded frames, and the whole GOP is entropy-coded with compress/flate.
+// delta-coded frames, and the whole GOP is one DEFLATE stream, encoded by
+// compress/flate and decoded by the package's own inflate.
 //
 // The coding knobs map mechanistically onto the codec:
 //
@@ -20,7 +21,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/format"
 	"repro/internal/frame"
@@ -291,18 +291,11 @@ func (e *Encoded) Decode() ([]*frame.Frame, Stats, error) {
 // from the keyframe to the last kept frame and stops. This is the mechanism
 // by which small keyframe intervals accelerate sparse consumers (Fig 3b).
 //
-// Scratch planes and the flate reader come from pools; delivered frames
-// are carved from fresh per-GOP arenas, never from pooled memory, so they
-// are safe to cache and share under the frame package's read-only
-// contract.
+// Each touched GOP inflates into a pooled buffer; delivered frames are
+// carved from fresh per-GOP arenas, never from pooled memory, so they are
+// safe to cache and share under the frame package's read-only contract.
 func (e *Encoded) DecodeSampled(keep func(i int) bool) ([]*frame.Frame, Stats, error) {
-	return e.DecodeSampledInto(keep, nil)
-}
-
-// DecodeSampledInto is DecodeSampled appending into out (which may be nil),
-// reusing its capacity — the variant for callers that retrieve many
-// segments into one frame slice.
-func (e *Encoded) DecodeSampledInto(keep func(i int) bool, out []*frame.Frame) ([]*frame.Frame, Stats, error) {
+	var out []*frame.Frame
 	var st Stats
 	for gi := range e.gops {
 		g := &e.gops[gi]
@@ -351,7 +344,7 @@ func (e *Encoded) DecodeSampledParallel(keep func(i int) bool, b Batcher) ([]*fr
 		}
 	}
 	if b == nil || len(plans) < 2 {
-		return e.DecodeSampledInto(keep, nil)
+		return e.DecodeSampled(keep)
 	}
 	type gopResult struct {
 		frames []*frame.Frame
@@ -394,10 +387,10 @@ func (e *Encoded) gopPlan(g *gop, keep func(i int) bool) (last, kept int) {
 }
 
 // decodeGOP reconstructs one GOP from its keyframe through position last,
-// appending the kept frames to out. Scratch comes from the pools; output
-// planes are carved from one fresh arena allocation per GOP
-// (frame.NewBatch), so a delivered frame never aliases pooled or
-// per-call scratch memory.
+// appending the kept frames to out. Its planes inflate in one pass into one
+// pooled buffer and are reconstructed there in place; output planes are
+// carved from one fresh arena per GOP (frame.NewBatch), so a delivered
+// frame never aliases pooled memory.
 func (e *Encoded) decodeGOP(g *gop, last, kept int, keep func(i int) bool, out []*frame.Frame) ([]*frame.Frame, Stats, error) {
 	var st Stats
 	if int(g.off)+int(g.length) > len(e.Data) {
@@ -406,25 +399,22 @@ func (e *Encoded) decodeGOP(g *gop, last, kept int, keep func(i int) bool, out [
 	planeLen := e.planeLen()
 	st.GOPsTouched++
 	st.BytesFlate += int64(g.length)
-	pair := getPlanePair(planeLen)
-	buf, recon := pair.a, pair.b // raw GOP read; reconstructed current frame
-	r := getGOPReader(e.Data[g.off : g.off+g.length])
+	// Unmarshal's expansion bound caps the buffer at 1032 times the payload.
+	n := (last + 1 - int(g.start)) * planeLen
+	buf := getGOPBuf(n)[:n]
+	defer putGOPBuf(buf)
+	if got, err := inflate(buf, e.Data[g.off:g.off+g.length]); err != nil {
+		return nil, st, fmt.Errorf("codec: decoding frame %d: %w", int(g.start)+got/planeLen, err)
+	}
 	batch := frame.NewBatch(e.W, e.H, kept)
 	bi := 0
 	for i := int(g.start); i <= last; i++ {
-		dst := buf
-		if i == int(g.start) {
-			dst = recon // the keyframe is its own reconstruction
-		}
-		if _, err := io.ReadFull(r, dst); err != nil {
-			r.close() // re-pools the reader; Reset reinitialises the broken stream
-			putPlanePair(pair)
-			return nil, st, fmt.Errorf("codec: decoding frame %d: %w", i, err)
-		}
-		if i == int(g.start) {
-			st.PixelsIntra += int64(planeLen)
+		k := i - int(g.start)
+		recon := buf[k*planeLen : (k+1)*planeLen]
+		if k == 0 {
+			st.PixelsIntra += int64(planeLen) // the keyframe is its own reconstruction
 		} else {
-			addBytes(recon, buf)
+			addBytes(recon, buf[(k-1)*planeLen:k*planeLen])
 			st.PixelsDelta += int64(planeLen)
 		}
 		st.Frames++
@@ -437,11 +427,6 @@ func (e *Encoded) decodeGOP(g *gop, last, kept int, keep func(i int) bool, out [
 			copy(f.Cr, recon[n:])
 			out = append(out, f)
 		}
-	}
-	err := r.close()
-	putPlanePair(pair)
-	if err != nil {
-		return nil, st, fmt.Errorf("codec: flate close: %w", err)
 	}
 	return out, st, nil
 }

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -15,6 +16,39 @@ func testClip(t testing.TB, n int) []*frame.Frame {
 	t.Helper()
 	src := vidsim.NewSource(vidsim.Datasets[0])
 	return src.Clip(0, n)
+}
+
+// goldenSegment encodes one segment of jackson as the golden storage format
+// stores it: 160×90 at the best quality, 240 frames in one GOP, at the
+// slowest speed step (flate level 9).
+func goldenSegment(t testing.TB) *Encoded {
+	t.Helper()
+	e, _, err := Encode(testClip(t, 240), Params{Quality: format.QBest, Speed: format.SpeedSlowest, KeyframeI: 250})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// BenchmarkDecodeGolden times DecodeSampled on the golden segment at the
+// samplings the benchmark's codec rung uses: every frame, a sixth and a
+// thirtieth.
+func BenchmarkDecodeGolden(b *testing.B) {
+	e := goldenSegment(b)
+	for _, s := range []format.Sampling{{Num: 1, Den: 1}, {Num: 1, Den: 6}, {Num: 1, Den: 30}} {
+		keep := make([]bool, e.N)
+		for _, i := range SelectPositions(e.PTSList(), s) {
+			keep[i] = true
+		}
+		b.Run(fmt.Sprintf("%d/%d", s.Num, s.Den), func(b *testing.B) {
+			b.SetBytes(int64(e.N * e.planeLen()))
+			for b.Loop() {
+				if _, _, err := e.DecodeSampled(func(i int) bool { return keep[i] }); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // lumaPSNR returns the luma peak signal-to-noise ratio of b against reference

@@ -184,28 +184,53 @@ func TestAddBytesMatchesReference(t *testing.T) {
 
 // TestDecodeMatchesReference decodes containers whose plane length is and is
 // not a multiple of eight (2×2 → 6, 6×2 → 18, 34×18 → 918, 160×90 → 21600)
-// at every quality level.
+// at every quality level and every speed step's flate level, and one
+// golden-shaped segment (a single 240-frame GOP at level 9) at the
+// samplings retrieval asks of it.
 func TestDecodeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
-	for _, q := range format.Qualities {
-		for _, d := range [][2]int{{2, 2}, {6, 2}, {34, 18}, {160, 90}} {
-			frames := randomFrames(rng, d[0], d[1], 7)
-			e, _, err := Encode(frames, Params{Quality: q, Speed: format.SpeedFastest, KeyframeI: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _, err := e.Decode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := refDecode(t, e)
-			if len(got) != len(want) {
-				t.Fatalf("%v %dx%d: decoded %d frames, reference %d", q, d[0], d[1], len(got), len(want))
-			}
-			for i := range got {
-				if got[i].PTS != want[i].PTS || !frame.Equal(got[i], want[i]) {
-					t.Fatalf("%v %dx%d: frame %d differs from the reference", q, d[0], d[1], i)
+	for _, speed := range format.SpeedSteps {
+		for _, q := range format.Qualities {
+			for _, d := range [][2]int{{2, 2}, {6, 2}, {34, 18}, {160, 90}} {
+				frames := randomFrames(rng, d[0], d[1], 7)
+				e, _, err := Encode(frames, Params{Quality: q, Speed: speed, KeyframeI: 3})
+				if err != nil {
+					t.Fatal(err)
 				}
+				got, _, err := e.Decode()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := refDecode(t, e)
+				if len(got) != len(want) {
+					t.Fatalf("%v %v %dx%d: decoded %d frames, reference %d", speed, q, d[0], d[1], len(got), len(want))
+				}
+				for i := range got {
+					if got[i].PTS != want[i].PTS || !frame.Equal(got[i], want[i]) {
+						t.Fatalf("%v %v %dx%d: frame %d differs from the reference", speed, q, d[0], d[1], i)
+					}
+				}
+			}
+		}
+	}
+	e := goldenSegment(t)
+	want := refDecode(t, e)
+	for _, s := range []format.Sampling{{Num: 1, Den: 1}, {Num: 1, Den: 6}, {Num: 1, Den: 30}} {
+		pos := SelectPositions(e.PTSList(), s)
+		keep := make([]bool, e.N)
+		for _, i := range pos {
+			keep[i] = true
+		}
+		got, _, err := e.DecodeSampled(func(i int) bool { return keep[i] })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(pos) {
+			t.Fatalf("golden at %v: decoded %d frames, want %d", s, len(got), len(pos))
+		}
+		for k, i := range pos {
+			if got[k].PTS != want[i].PTS || !frame.Equal(got[k], want[i]) {
+				t.Fatalf("golden at %v: frame %d differs from the reference", s, i)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package codec
 
 import (
-	"bytes"
 	"compress/flate"
 	"io"
 	"sync"
@@ -9,11 +8,10 @@ import (
 )
 
 // The codec's hot paths — one decode per retrieval, one encode per
-// transcoded segment — used to allocate their scratch fresh on every call:
-// two full plane buffers and a flate coder per call, plus a GOP staging
-// buffer on encode. Under a query fanning hundreds of segment retrievals
-// across a pool, that allocation traffic dominated the profile. All codec
-// scratch is therefore pooled here via sync.Pool and flate.Resetter.
+// transcoded segment — pool their scratch here via sync.Pool, as
+// allocating it per call dominated the profile of a query fanning hundreds
+// of retrievals: the encoder's plane pair and flate writers, and the GOP
+// buffer the encoder stages a GOP in and the decoder inflates one into.
 //
 // Pooled memory NEVER aliases decoder output: reconstructed frames are
 // carved from fresh per-GOP arenas (frame.NewBatch) and handed to the
@@ -33,9 +31,7 @@ func init() { poolingOn.Store(true) }
 // Get allocate fresh and every Put drop its buffer. Intended for tests.
 func SetPooling(on bool) bool { return poolingOn.Swap(on) }
 
-// planePair is the two-plane scratch both coder directions need: the
-// decoder's (raw GOP read, reconstruction) pair, the encoder's
-// (previous, current) quantised pair.
+// planePair is the encoder's (previous, current) quantised plane pair.
 type planePair struct {
 	a, b []byte
 }
@@ -43,7 +39,7 @@ type planePair struct {
 var planePairPool = sync.Pool{New: func() any { return new(planePair) }}
 
 // getPlanePair returns a scratch pair with both planes sized to planeLen.
-// Contents are arbitrary; both coder directions fully overwrite them.
+// Contents are arbitrary; the encoder fully overwrites them.
 func getPlanePair(planeLen int) *planePair {
 	if !poolingOn.Load() {
 		return &planePair{a: make([]byte, planeLen), b: make([]byte, planeLen)}
@@ -66,8 +62,8 @@ func putPlanePair(p *planePair) {
 
 var gopBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// getGOPBuf returns an empty byte slice with at least the given capacity,
-// the encoder's per-GOP staging buffer.
+// getGOPBuf returns an empty byte slice with at least the given capacity:
+// the encoder's per-GOP staging buffer, the decoder's inflated GOP.
 func getGOPBuf(capacity int) []byte {
 	if !poolingOn.Load() {
 		return make([]byte, 0, capacity)
@@ -84,48 +80,6 @@ func putGOPBuf(b []byte) {
 		b = b[:0]
 		gopBufPool.Put(&b)
 	}
-}
-
-// gopReader couples a bytes.Reader with a flate reader that decompresses
-// from it, so one pooled object resets both. flate's decompressor
-// allocates a ~32 KiB window plus Huffman tables on construction;
-// flate.Resetter reuses all of it.
-type gopReader struct {
-	br bytes.Reader
-	fr io.ReadCloser
-}
-
-var gopReaderPool = sync.Pool{New: func() any { return new(gopReader) }}
-
-// getGOPReader returns a flate reader positioned at the start of data.
-func getGOPReader(data []byte) *gopReader {
-	var r *gopReader
-	if poolingOn.Load() {
-		r = gopReaderPool.Get().(*gopReader)
-	} else {
-		r = new(gopReader)
-	}
-	r.br.Reset(data)
-	if r.fr == nil {
-		r.fr = flate.NewReader(&r.br)
-	} else {
-		// NewReader's result always implements Resetter (documented).
-		r.fr.(flate.Resetter).Reset(&r.br, nil)
-	}
-	return r
-}
-
-func (r *gopReader) Read(p []byte) (int, error) { return r.fr.Read(p) }
-
-// close closes the flate stream (verifying its checksummed end state) and
-// returns the reader to the pool on success. A reader that failed
-// mid-stream is returned too: Reset fully reinitialises it.
-func (r *gopReader) close() error {
-	err := r.fr.Close()
-	if poolingOn.Load() {
-		gopReaderPool.Put(r)
-	}
-	return err
 }
 
 // flateWriterPools holds one pool per compress/flate level in use

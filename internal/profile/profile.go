@@ -252,8 +252,7 @@ func (p *Profiler) RetrievalSpeed(sf format.StorageFormat, s format.Sampling) fl
 		}
 		sec = RawReadSeconds(bytes, len(idx)) + TransformSeconds(pixels)
 	} else {
-		prof := p.profileStorageLocked(sf)
-		_ = prof
+		p.profileStorageLocked(sf) // encodes the clip into sfEncMem[sf]
 		enc := p.sfEncMem[sf]
 		t0 := time.Now()
 		keep := keepSet(enc, s)
