@@ -94,7 +94,8 @@ cover:
 # encoded-segment container a peer node may send (any bytes must fail
 # Unmarshal or decode to an error or frames, and never panic), over the
 # codec's DEFLATE decoder (at any horizon compress/flate's reader fills, the
-# same bytes), and over log
+# same bytes) and compressor (at any level the codec uses, compress/flate's
+# writer's bytes), and over log
 # replay (any bytes after valid records: no panic, allocation bounded by the
 # input, every listed key readable or ErrCorrupt, and a reopen sees the same
 # keys), and over the tenants key file (no panic; an accepted file maps each
@@ -111,6 +112,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime $(FUZZTIME) ./internal/results/
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime $(FUZZTIME) ./internal/codec/
 	$(GO) test -run '^$$' -fuzz FuzzInflate -fuzztime $(FUZZTIME) ./internal/codec/
+	$(GO) test -run '^$$' -fuzz FuzzDeflate -fuzztime $(FUZZTIME) ./internal/codec/
 	$(GO) test -run '^$$' -fuzz FuzzReplay -fuzztime $(FUZZTIME) ./internal/kvstore/
 	$(GO) test -run '^$$' -fuzz FuzzLoadKeyFile -fuzztime $(FUZZTIME) ./internal/tenant/
 

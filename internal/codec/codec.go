@@ -2,25 +2,27 @@
 // x264/NVDEC in this reproduction. Streams are grouped into GOPs (groups of
 // pictures): each GOP starts with an intra-coded keyframe followed by
 // delta-coded frames, and the whole GOP is one DEFLATE stream, encoded by
-// compress/flate and decoded by the package's own inflate.
+// the package's own compressor (deflate.go), which emits compress/flate's
+// writer's exact bytes, and decoded by its own inflate. compress/flate is
+// the test oracle in both directions.
 //
 // The coding knobs map mechanistically onto the codec:
 //
 //   - image quality (a fidelity knob, applied at encode time): pixel
 //     quantisation step — coarser steps shrink the entropy-coded output and
 //     distort the reconstruction, without changing decoded pixel counts;
-//   - speed step: the flate effort level — slower levels compress harder and
-//     encode slower;
+//   - speed step: the DEFLATE effort level — slower levels compress harder
+//     and encode slower;
 //   - keyframe interval: the GOP length — decoding any frame requires
 //     decoding its GOP from the keyframe onward, so consumers that sample
 //     sparsely can skip whole GOPs when the interval is small (Figure 3b).
 package codec
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/format"
 	"repro/internal/frame"
@@ -141,24 +143,17 @@ func Encode(frames []*frame.Frame, p Params) (*Encoded, Stats, error) {
 	qt := newQuantTable(q)
 	dz := byte(deadzone(q))
 	planeLen := e.planeLen()
-	var data bytes.Buffer
 	// Pooled scratch: the (previous, current) quantised plane pair, the GOP
-	// staging buffer, and one flate writer Reset across every GOP of the
-	// segment (and across segments, through the pool).
+	// staging buffer, and one compressor for every GOP of the segment (and
+	// across segments, through the pool).
 	pair := getPlanePair(planeLen)
 	defer putPlanePair(pair)
 	prev, cur := pair.a, pair.b
+	// Sized for the longest GOP, so staging a frame never regrows it.
 	gopBuf := getGOPBuf(planeLen * min(p.KeyframeI, len(frames)))
-	// Closure, not value: append may regrow gopBuf, and error returns must
-	// pool whatever backing array the encode ended up with.
-	defer func() { putGOPBuf(gopBuf) }()
-	fw, err := getFlateWriter(&data, p.Speed.FlateLevel())
-	if err != nil {
-		return nil, st, fmt.Errorf("codec: flate init: %w", err)
-	}
-	// Pooled even after a mid-stream error: Reset fully reinitialises a
-	// broken writer on its next Get.
-	defer putFlateWriter(fw, p.Speed.FlateLevel())
+	defer putGOPBuf(gopBuf)
+	c := getCompressor()
+	defer putCompressor(c)
 	for g := 0; g < len(frames); g += p.KeyframeI {
 		end := min(g+p.KeyframeI, len(frames))
 		gopBuf = gopBuf[:0]
@@ -174,13 +169,16 @@ func Encode(frames []*frame.Frame, p Params) (*Encoded, Stats, error) {
 				// The encoder reconstructs what the decoder will see
 				// (cur[j] = prev[j] for suppressed deltas), so no drift
 				// accumulates across a GOP.
-				for j := 0; j < planeLen; j++ {
+				n := len(gopBuf)
+				gopBuf = slices.Grow(gopBuf, planeLen)[:n+planeLen]
+				delta := gopBuf[n:]
+				for j := range delta {
 					d := cur[j] - prev[j]
 					if d+dz <= 2*dz { // |delta| <= dz under mod-256 arithmetic
-						gopBuf = append(gopBuf, 0)
+						delta[j] = 0
 						cur[j] = prev[j]
 					} else {
-						gopBuf = append(gopBuf, d)
+						delta[j] = d
 					}
 				}
 				st.PixelsDelta += int64(planeLen)
@@ -188,27 +186,18 @@ func Encode(frames []*frame.Frame, p Params) (*Encoded, Stats, error) {
 			prev, cur = cur, prev
 			st.Frames++
 		}
-		off := data.Len()
-		if g > 0 {
-			fw.Reset(&data)
-		}
-		if _, err := fw.Write(gopBuf); err != nil {
-			return nil, st, fmt.Errorf("codec: flate write: %w", err)
-		}
-		// Each GOP is a complete flate stream, so decode can open any GOP
+		// Each GOP is a complete DEFLATE stream, so decode can open any GOP
 		// independently.
-		if err := fw.Close(); err != nil {
-			return nil, st, fmt.Errorf("codec: flate close: %w", err)
-		}
+		off := len(e.Data)
+		e.Data = c.compress(e.Data, gopBuf, p.Speed.FlateLevel())
 		st.BytesFlate += int64(len(gopBuf))
 		e.gops = append(e.gops, gop{
 			start:  uint32(g),
 			frames: uint32(end - g),
 			off:    uint64(off),
-			length: uint64(data.Len() - off),
+			length: uint64(len(e.Data) - off),
 		})
 	}
-	e.Data = data.Bytes()
 	return e, st, nil
 }
 

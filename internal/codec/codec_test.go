@@ -51,6 +51,23 @@ func BenchmarkDecodeGolden(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeGolden times Encode of the golden segment's 240 frames
+// (one GOP) at every speed step, so at every flate level the codec uses.
+func BenchmarkEncodeGolden(b *testing.B) {
+	frames := testClip(b, 240)
+	for _, s := range format.SpeedSteps {
+		b.Run(fmt.Sprintf("%s/level%d", s, s.FlateLevel()), func(b *testing.B) {
+			p := Params{Quality: format.QBest, Speed: s, KeyframeI: 250}
+			b.SetBytes(int64(len(frames) * (frames[0].W*frames[0].H + 2*(frames[0].W/2)*(frames[0].H/2))))
+			for b.Loop() {
+				if _, _, err := Encode(frames, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // lumaPSNR returns the luma peak signal-to-noise ratio of b against reference
 // a, in dB; identical planes give +Inf.
 func lumaPSNR(a, b *frame.Frame) float64 {

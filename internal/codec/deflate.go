@@ -1,0 +1,1088 @@
+// The compressor below is derived from Go's compress/flate writer
+// (deflate.go, deflatefast.go, huffman_bit_writer.go, huffman_code.go and
+// token.go): Copyright 2009 The Go Authors. All rights reserved. Use of
+// that source is governed by a BSD-style license that can be found in the
+// LICENSE file of the Go distribution.
+
+package codec
+
+import (
+	"encoding/binary"
+	"math"
+	"math/bits"
+	"sort"
+)
+
+// A one-shot DEFLATE compressor: compress appends to dst the exact bytes
+// compress/flate's writer emits for NewWriter(w, level), one Write(src) and
+// Close, at the levels SpeedStep.FlateLevel returns (1, 2, 5, 7, 9). It is
+// that writer's algorithm cut to one-shot use: deflateFast at level 1, the
+// hash-chain matcher above it, and the same block choices, Huffman codes
+// and bit order, so every stored GOP keeps its bytes. compress/flate's
+// writer is its oracle in the tests; identity is pinned to the toolchain
+// that runs them (go1.24.0), and should a later writer change its output
+// the oracle test fails while stored streams still decode.
+//
+// The chain walk returns the match flate's returns, sooner: matchLen
+// compares eight bytes at a time, and a candidate is tested on the four
+// bytes that end a longer match before it is compared. At level 9 the walk
+// also knows where each run of one value starts: a candidate must end in a
+// run that starts as far into it as into the target, and where a run
+// covers a failing candidate, whose chain through the run is consecutive
+// positions, the walk steps over the whole run at once.
+const (
+	windowSize          = 1 << 15
+	windowMask          = windowSize - 1
+	minMatchLength      = 4   // the shortest match the compressor emits
+	maxMatchLength      = 258 // the longest match DEFLATE codes
+	maxMatchOffset      = 1 << 15
+	maxFlateBlockTokens = 1 << 14 // tokens after which a block is cut
+	maxStoreBlockSize   = 65535
+	hashBits            = 17
+	hashSize            = 1 << hashBits
+	maxHashOffset       = 1 << 24
+	skipNever           = math.MaxInt32
+
+	// A token is a literal (below matchType) or a match: its length minus 3
+	// from bit 22, its offset minus 1 below.
+	lengthShift = 22
+	matchType   = 1 << 30
+	endBlock    = 256 // the end-of-block literal
+)
+
+type token uint32
+
+func matchToken(length, offset int) token {
+	return token(matchType + (length-3)<<lengthShift + offset - 1)
+}
+
+func (t token) length() uint32 { return uint32(t-matchType) >> lengthShift }
+func (t token) offset() uint32 { return uint32(t) & (1<<lengthShift - 1) }
+
+// levelParams are compress/flate's per-level tuning: a match this long
+// shortens the chain walk, a previous match this long is not re-searched,
+// a match this long ends the walk, the chain's length, and the longest
+// match whose positions are all hashed (skipNever: every one is).
+type levelParams struct{ good, lazy, nice, chain, fastSkipHashing int }
+
+// The levels SpeedStep.FlateLevel returns but 1, which has its own matcher.
+var levels = [10]levelParams{
+	2: {4, 0, 16, 8, 5},
+	5: {8, 16, 32, 32, skipNever},
+	7: {8, 32, 128, 256, skipNever},
+	9: {32, 258, 258, 4096, skipNever},
+}
+
+// skipRunsFrom is the lowest level whose chain walk skips runs. Keeping the
+// run table costs a pass over every input byte, and only the level-9 chain
+// is long enough for the skip to repay it (BenchmarkEncodeGolden).
+const skipRunsFrom = 9
+
+// compressor is the whole state of one compression, pooled between calls.
+// Its pointers come first, so the garbage collector scans only its first
+// 13 KB, not its 1.2 MB of tables.
+type compressor struct {
+	w bitWriter
+
+	levelParams
+	level int
+	runs  bool // the chain walk skips runs
+
+	// The input window: unprocessed data is window[index:windowEnd].
+	window         []byte
+	index          int
+	windowEnd      int
+	blockStart     int  // window index where the current tokens start
+	byteAvailable  bool // window[index-1] is still to be emitted
+	sync           bool // the input has ended
+	tokens         []token
+	length, offset int
+	maxInsertIndex int
+
+	fast fastMatcher // its table follows its one pointer
+
+	// Hash chains: hashHead[h] is the latest position (plus hashOffset)
+	// whose four bytes hash to h, and hashPrev[p&windowMask] the position
+	// before p with the same hash.
+	hashHead   [hashSize]uint32
+	hashPrev   [windowSize]uint32
+	hashOffset int
+
+	// runStart[p] is a window index q <= p with window[q..p] one value.
+	runStart [2 * windowSize]int32
+}
+
+// compress appends to dst src's DEFLATE stream at level 1, 2, 5, 7 or 9.
+func (d *compressor) compress(dst, src []byte, level int) []byte {
+	d.reset(level)
+	return d.run(dst, src)
+}
+
+// run compresses src as compress/flate's writer does a single Write and
+// Close.
+func (d *compressor) run(dst, src []byte) []byte {
+	d.w.out = dst
+	for len(src) > 0 {
+		d.step()
+		src = src[d.fill(src):]
+	}
+	d.sync = true
+	d.step()
+	d.w.writeStoredHeader(0, true)
+	d.w.flush()
+	out := d.w.out
+	d.w.out = nil
+	return out
+}
+
+// reset readies d for a new stream, as compress/flate's NewWriter does.
+func (d *compressor) reset(level int) {
+	d.level, d.sync = level, false
+	d.w.bits, d.w.nbits = 0, 0
+	if d.window == nil {
+		d.window = make([]byte, 2*windowSize)
+		d.tokens = make([]token, 0, maxStoreBlockSize+1)
+	}
+	if level == 1 {
+		d.window = d.window[:maxStoreBlockSize]
+		d.windowEnd = 0
+		d.fast.reset()
+		return
+	}
+	d.window = d.window[:2*windowSize]
+	d.levelParams = levels[level]
+	d.runs = level >= skipRunsFrom
+	d.hashOffset = 1
+	clear(d.hashHead[:])
+	clear(d.hashPrev[:])
+	d.index, d.windowEnd, d.blockStart, d.byteAvailable = 0, 0, 0, false
+	d.tokens = d.tokens[:0]
+	d.length, d.offset, d.maxInsertIndex = minMatchLength-1, 0, 0
+}
+
+func (d *compressor) step() {
+	if d.level == 1 {
+		d.encSpeed()
+	} else {
+		d.deflate()
+	}
+}
+
+// fill copies the next of src into the window and reports how much.
+func (d *compressor) fill(src []byte) int {
+	if d.level == 1 {
+		n := copy(d.window[d.windowEnd:], src)
+		d.windowEnd += n
+		return n
+	}
+	if d.index >= 2*windowSize-(minMatchLength+maxMatchLength) {
+		// Slide the window down by windowSize. A block whose start slid out
+		// can no longer be stored.
+		copy(d.window, d.window[windowSize:2*windowSize])
+		d.index -= windowSize
+		d.windowEnd -= windowSize
+		if d.blockStart >= windowSize {
+			d.blockStart -= windowSize
+		} else {
+			d.blockStart = math.MaxInt32
+		}
+		if d.runs {
+			for p, r := range d.runStart[windowSize:] {
+				d.runStart[p] = max(r-windowSize, 0)
+			}
+		}
+		d.hashOffset += windowSize
+		if d.hashOffset > maxHashOffset {
+			// Rebase the chains before hashOffset outgrows uint32: entries
+			// older than the window become 0, which no walk follows.
+			delta := d.hashOffset - 1
+			d.hashOffset -= delta
+			for i, v := range d.hashPrev[:] {
+				d.hashPrev[i] = uint32(max(int(v)-delta, 0))
+			}
+			for i, v := range d.hashHead[:] {
+				d.hashHead[i] = uint32(max(int(v)-delta, 0))
+			}
+		}
+	}
+	start := d.windowEnd
+	n := copy(d.window[start:], src)
+	d.windowEnd += n
+	if d.runs {
+		win, runs := d.window[:d.windowEnd], d.runStart[:d.windowEnd]
+		for p := start; p < len(win); p++ {
+			if p > 0 && win[p] == win[p-1] {
+				runs[p] = runs[p-1]
+			} else {
+				runs[p] = int32(p)
+			}
+		}
+	}
+	return n
+}
+
+func (d *compressor) writeBlock(index int) {
+	if index > 0 {
+		var window []byte
+		if d.blockStart <= index {
+			window = d.window[d.blockStart:index]
+		}
+		d.blockStart = index
+		d.w.writeBlock(d.tokens, window)
+		d.tokens = d.tokens[:0]
+	}
+}
+
+func hash4(b []byte) uint32 {
+	return (binary.BigEndian.Uint32(b) * 0x1e35a7bd) >> (32 - hashBits)
+}
+
+// insert links position index into its hash chain and returns the window
+// index the link leads to.
+func (d *compressor) insert(index int) int {
+	hh := &d.hashHead[hash4(d.window[index:index+minMatchLength])]
+	prev := *hh
+	d.hashPrev[index&windowMask] = prev
+	*hh = uint32(index + d.hashOffset)
+	return int(prev) - d.hashOffset
+}
+
+// findMatch walks the chain from prevHead, at most d.chain candidates, for
+// a match at pos longer than prevLength. It returns what compress/flate's
+// walk returns.
+func (d *compressor) findMatch(pos, prevHead, prevLength, lookahead int) (length, offset int, ok bool) {
+	minMatchLook := min(maxMatchLength, lookahead)
+	win := d.window[0 : pos+minMatchLook]
+	nice := min(d.nice, len(win)-pos)
+	tries := d.chain
+	length = prevLength
+	if length >= d.good {
+		tries >>= 2
+	}
+	// A candidate that beats length matches the four bytes that end at
+	// pos+length, and where runs are tracked, the run of one value those
+	// end in starts as far into the candidate as into pos (or before both).
+	tail := binary.LittleEndian.Uint32(win[pos+length-3:])
+	var run int
+	if d.runs {
+		run = max(int(d.runStart[pos+length])-pos, 0)
+	}
+	wPos := win[pos:]
+	minIndex := pos - windowSize
+	for i := prevHead; tries > 0; tries-- {
+		match := binary.LittleEndian.Uint32(win[i+length-3:]) == tail
+		if d.runs {
+			r := int(d.runStart[i+length])
+			match = match && max(r-i, 0) == run
+			if !match && r < i {
+				// One value fills window[i-k..i+length] for some k > 0, so
+				// every position down to i-k fails as i did. Every position
+				// is hashed, so the chain through them is i-1, i-2, ...,
+				// i-k: go to i-k (or minIndex) at once, spending the tries
+				// the walk would.
+				j := max(r, minIndex)
+				if tries -= i - j; tries <= 0 {
+					break
+				}
+				i = j
+			}
+		}
+		if match {
+			n := matchLen(win[i:], wPos, minMatchLook)
+			if n > length && (n > minMatchLength || pos-i <= 4096) {
+				length, offset, ok = n, pos-i, true
+				if n >= nice {
+					break
+				}
+				tail = binary.LittleEndian.Uint32(win[pos+n-3:])
+				if d.runs {
+					run = max(int(d.runStart[pos+n])-pos, 0)
+				}
+			}
+		}
+		if i == minIndex {
+			// hashPrev[i&windowMask] already holds pos's link.
+			break
+		}
+		i = int(d.hashPrev[i&windowMask]) - d.hashOffset
+		if i < minIndex || i < 0 {
+			break
+		}
+	}
+	return
+}
+
+// matchLen returns how many leading bytes of a and b agree, up to max;
+// both hold at least max bytes.
+func matchLen(a, b []byte, max int) int {
+	a, b = a[:max], b[:max]
+	n := 0
+	for ; n+8 <= max; n += 8 {
+		if x := binary.LittleEndian.Uint64(a[n:]) ^ binary.LittleEndian.Uint64(b[n:]); x != 0 {
+			return n + bits.TrailingZeros64(x)>>3
+		}
+	}
+	for ; n < max && a[n] == b[n]; n++ {
+	}
+	return n
+}
+
+// deflate tokenises the window with lazy (levels 5, 7, 9) or greedy (2)
+// matching and writes each full block, keeping minMatchLength+maxMatchLength
+// bytes of lookahead until the input has ended.
+func (d *compressor) deflate() {
+	if d.windowEnd-d.index < minMatchLength+maxMatchLength && !d.sync {
+		return
+	}
+	d.maxInsertIndex = d.windowEnd - (minMatchLength - 1)
+	lazy := d.fastSkipHashing == skipNever
+	for {
+		lookahead := d.windowEnd - d.index
+		if lookahead < minMatchLength+maxMatchLength {
+			if !d.sync {
+				return
+			}
+			if lookahead == 0 {
+				if d.byteAvailable {
+					d.tokens = append(d.tokens, token(d.window[d.index-1]))
+					d.byteAvailable = false
+				}
+				if len(d.tokens) > 0 {
+					d.writeBlock(d.index)
+				}
+				return
+			}
+		}
+		chainHead := -1
+		if d.index < d.maxInsertIndex {
+			chainHead = d.insert(d.index)
+		}
+		prevLength, prevOffset := d.length, d.offset
+		d.length, d.offset = minMatchLength-1, 0
+		minIndex := max(d.index-windowSize, 0)
+		if chainHead >= minIndex &&
+			(!lazy && lookahead > minMatchLength-1 || lazy && lookahead > prevLength && prevLength < d.lazy) {
+			if n, off, ok := d.findMatch(d.index, chainHead, minMatchLength-1, lookahead); ok {
+				d.length, d.offset = n, off
+			}
+		}
+		if !lazy && d.length >= minMatchLength || lazy && prevLength >= minMatchLength && d.length <= prevLength {
+			// Emit the match found here (greedy) or at the previous
+			// position, which this one does not beat (lazy).
+			if lazy {
+				d.tokens = append(d.tokens, matchToken(prevLength, prevOffset))
+			} else {
+				d.tokens = append(d.tokens, matchToken(d.length, d.offset))
+			}
+			// Hash every position up to the match's end, but for a greedy
+			// match longer than fastSkipHashing. A position without four
+			// bytes left (from maxInsertIndex on) is not hashed.
+			if d.length <= d.fastSkipHashing {
+				newIndex := d.index + d.length
+				if lazy {
+					newIndex = d.index + prevLength - 1
+				}
+				index := d.index + 1
+				for ; index < newIndex; index++ {
+					if index < d.maxInsertIndex {
+						d.insert(index)
+					}
+				}
+				d.index = index
+				if lazy {
+					d.byteAvailable = false
+					d.length = minMatchLength - 1
+				}
+			} else {
+				d.index += d.length
+			}
+			if len(d.tokens) == maxFlateBlockTokens {
+				d.writeBlock(d.index)
+			}
+		} else {
+			if !lazy || d.byteAvailable {
+				i := d.index
+				if lazy {
+					i--
+				}
+				d.tokens = append(d.tokens, token(d.window[i]))
+				if len(d.tokens) == maxFlateBlockTokens {
+					d.writeBlock(i + 1)
+				}
+			}
+			d.index++
+			d.byteAvailable = lazy
+		}
+	}
+}
+
+// encSpeed codes each full window (and the last, partial one) with
+// deflateFast's matcher, as compress/flate does at level 1.
+func (d *compressor) encSpeed() {
+	win := d.window[:d.windowEnd]
+	switch {
+	case len(win) == maxStoreBlockSize || d.sync && len(win) >= 128:
+		d.tokens = d.fast.encode(d.tokens[:0], win)
+		// Code the bytes as literals if matching removed under a sixteenth.
+		if len(d.tokens) > len(win)-len(win)>>4 {
+			d.w.writeBlockHuff(win)
+		} else {
+			d.w.writeBlockDynamic(d.tokens, win)
+		}
+	case !d.sync || len(win) == 0:
+		return
+	case len(win) <= 16:
+		d.w.writeStored(win, false)
+	default:
+		d.w.writeBlockHuff(win)
+	}
+	d.windowEnd = 0
+}
+
+// fastMatcher is compress/flate's deflateFast: Snappy's matcher, with one
+// table entry per hash and matches into the previous block. Its offsets
+// are ints, so they never need the rebase flate's int32 offsets take.
+type fastMatcher struct {
+	prev  []byte
+	cur   int // the table offset of the current block's start
+	table [1 << fastTableBits]fastEntry
+}
+
+type fastEntry struct {
+	val    uint32 // the four bytes at offset
+	offset int
+}
+
+const (
+	fastTableBits = 14
+	fastTableMask = 1<<fastTableBits - 1
+	inputMargin   = 16 - 1
+)
+
+func (e *fastMatcher) reset() {
+	clear(e.table[:])
+	if e.prev == nil {
+		e.prev = make([]byte, 0, maxStoreBlockSize)
+	}
+	e.prev, e.cur = e.prev[:0], maxStoreBlockSize
+}
+
+func fastHash(u uint32) uint32 { return (u * 0x1e35a7bd) >> (32 - fastTableBits) }
+
+func load32(b []byte, i int) uint32 { return binary.LittleEndian.Uint32(b[i:]) }
+
+// encode appends the tokens of src, at least 128 bytes, to dst.
+func (e *fastMatcher) encode(dst []token, src []byte) []token {
+	sLimit := len(src) - inputMargin
+	nextEmit, s := 0, 0
+	cv := load32(src, s)
+	nextHash := fastHash(cv)
+	for {
+		// Look at every byte for 32 bytes, then every second for 32 more,
+		// and so on, until a four-byte match turns up.
+		skip := 32
+		nextS := s
+		var candidate fastEntry
+		for {
+			s = nextS
+			bytesBetweenHashLookups := skip >> 5
+			nextS = s + bytesBetweenHashLookups
+			skip += bytesBetweenHashLookups
+			if nextS > sLimit {
+				goto emitRemainder
+			}
+			candidate = e.table[nextHash&fastTableMask]
+			now := load32(src, nextS)
+			e.table[nextHash&fastTableMask] = fastEntry{offset: s + e.cur, val: cv}
+			nextHash = fastHash(now)
+			if offset := s - (candidate.offset - e.cur); offset <= maxMatchOffset && cv == candidate.val {
+				break
+			}
+			cv = now
+		}
+		dst = emitLiterals(dst, src[nextEmit:s])
+		// Emit the match, extended, and then any match that starts right
+		// after it.
+		for {
+			s += 4
+			t := candidate.offset - e.cur + 4
+			l := e.matchLen(s, t, src)
+			dst = append(dst, matchToken(l+4, s-t))
+			s += l
+			nextEmit = s
+			if s >= sLimit {
+				goto emitRemainder
+			}
+			x := binary.LittleEndian.Uint64(src[s-1:])
+			prevHash := fastHash(uint32(x))
+			e.table[prevHash&fastTableMask] = fastEntry{offset: e.cur + s - 1, val: uint32(x)}
+			x >>= 8
+			currHash := fastHash(uint32(x))
+			candidate = e.table[currHash&fastTableMask]
+			e.table[currHash&fastTableMask] = fastEntry{offset: e.cur + s, val: uint32(x)}
+			if offset := s - (candidate.offset - e.cur); offset > maxMatchOffset || uint32(x) != candidate.val {
+				cv = uint32(x >> 8)
+				nextHash = fastHash(cv)
+				s++
+				break
+			}
+		}
+	}
+emitRemainder:
+	dst = emitLiterals(dst, src[nextEmit:])
+	e.cur += len(src)
+	e.prev = append(e.prev[:0], src...)
+	return dst
+}
+
+func emitLiterals(dst []token, lit []byte) []token {
+	for _, v := range lit {
+		dst = append(dst, token(v))
+	}
+	return dst
+}
+
+// matchLen returns the length of the match between src[s:] and src[t:],
+// at most maxMatchLength-4; a negative t starts the match in e.prev.
+func (e *fastMatcher) matchLen(s, t int, src []byte) int {
+	s1 := min(s+maxMatchLength-4, len(src))
+	if t >= 0 {
+		return matchLen(src[t:], src[s:], s1-s)
+	}
+	tp := len(e.prev) + t
+	if tp < 0 {
+		return 0
+	}
+	k := min(len(e.prev)-tp, s1-s)
+	n := matchLen(e.prev[tp:], src[s:], k)
+	if n < k || s+n == s1 {
+		return n
+	}
+	return n + matchLen(src, src[s+n:], s1-s-n)
+}
+
+// Symbol tables of RFC 1951 §3.2.5, by code: the extra bits after a length
+// or an offset code, the least length-3 and offset-1 it codes, and the
+// length (0-255) and offset (0-255) codes.
+var (
+	lengthExtraBits, offsetExtraBits [30]uint8
+	lengthBase, offsetBase           [30]uint32
+	lengthCodes, offsetCodes         [256]uint8
+
+	fixedLiteralEncoding, fixedOffsetEncoding, huffOffset = deflateTables()
+)
+
+func deflateTables() (fixedLit, fixedOff, huffOff huffmanEncoder) {
+	for c := range 30 {
+		lengthExtraBits[c] = uint8(max(c/4-1, 0)) % 6 // code 28 is 258 exactly
+		offsetExtraBits[c] = uint8(max(c/2-1, 0))
+		if c > 0 {
+			lengthBase[c] = lengthBase[c-1] + 1<<lengthExtraBits[c-1]
+			offsetBase[c] = offsetBase[c-1] + 1<<offsetExtraBits[c-1]
+		}
+	}
+	lengthBase[28] = 255
+	for c := range 29 {
+		for l := lengthBase[c]; l < min(lengthBase[c+1], 256); l++ {
+			lengthCodes[l] = uint8(c)
+		}
+		for o := offsetBase[c]; o < min(offsetBase[c+1], 256); o++ {
+			offsetCodes[o] = uint8(c)
+		}
+	}
+	// The fixed codes of §3.2.6, and the one-symbol offset code a block
+	// of literals carries.
+	for ch := range maxLit {
+		bits, size := ch+48, 8
+		switch {
+		case ch >= 280:
+			bits = ch + 192 - 280
+		case ch >= 256:
+			bits, size = ch-256, 7
+		case ch >= 144:
+			bits, size = ch+400-144, 9
+		}
+		fixedLit.codes[ch] = hcode{reverseBits(uint16(bits), uint8(size)), uint16(size)}
+	}
+	for ch := range maxDist {
+		fixedOff.codes[ch] = hcode{reverseBits(uint16(ch), 5), 5}
+	}
+	huffOff.codes[0] = hcode{0, 1}
+	return fixedLit, fixedOff, huffOff
+}
+
+func lengthCode(length uint32) uint32 { return uint32(lengthCodes[length]) }
+
+func offsetCode(off uint32) uint32 {
+	switch {
+	case off < 256:
+		return uint32(offsetCodes[off])
+	case off>>7 < 256:
+		return uint32(offsetCodes[off>>7]) + 14
+	}
+	return uint32(offsetCodes[off>>14]) + 28
+}
+
+const codegenCodeCount = 19
+
+// bitWriter is compress/flate's huffmanBitWriter, appending to out: bits
+// gather least significant first and leave in six-byte words.
+type bitWriter struct {
+	out   []byte
+	bits  uint64
+	nbits uint
+
+	literalFreq     [maxLit]int32
+	offsetFreq      [maxDist]int32
+	codegenFreq     [codegenCodeCount]int32
+	codegen         [maxLit + maxDist + 1]uint8
+	literalEncoding huffmanEncoder
+	offsetEncoding  huffmanEncoder
+	codegenEncoding huffmanEncoder
+}
+
+func (w *bitWriter) writeBits(b uint32, nb uint) {
+	w.bits |= uint64(b) << w.nbits
+	w.nbits += nb
+	if w.nbits >= 48 {
+		b := w.bits
+		w.out = append(w.out, byte(b), byte(b>>8), byte(b>>16), byte(b>>24), byte(b>>32), byte(b>>40))
+		w.bits >>= 48
+		w.nbits -= 48
+	}
+}
+
+func (w *bitWriter) writeCode(c hcode) { w.writeBits(uint32(c.code), uint(c.len)) }
+
+// flush writes out the pending bits, padding the last byte with zeros.
+func (w *bitWriter) flush() {
+	for ; w.nbits > 0; w.nbits -= min(w.nbits, 8) {
+		w.out = append(w.out, byte(w.bits))
+		w.bits >>= 8
+	}
+	w.bits = 0
+}
+
+func (w *bitWriter) writeStoredHeader(length int, eof bool) {
+	var flag uint32
+	if eof {
+		flag = 1
+	}
+	w.writeBits(flag, 3)
+	w.flush()
+	w.writeBits(uint32(length), 16)
+	w.writeBits(uint32(^uint16(length)), 16)
+}
+
+// writeStored writes input as a stored block.
+func (w *bitWriter) writeStored(input []byte, eof bool) {
+	w.writeStoredHeader(len(input), eof)
+	w.flush()
+	w.out = append(w.out, input...)
+}
+
+// storable reports whether input, a nil one never, may go in a stored block.
+func storable(input []byte) bool { return input != nil && len(input) <= maxStoreBlockSize }
+
+// generateCodegen run-length codes the literal and offset code lengths
+// (RFC 1951 §3.2.7) into w.codegen, ending it with badCode, and counts each
+// code-length symbol in w.codegenFreq.
+func (w *bitWriter) generateCodegen(numLiterals, numOffsets int, litEnc, offEnc *huffmanEncoder) {
+	const badCode = 255
+	clear(w.codegenFreq[:])
+	// codegen holds the lengths first, and the output overwrites them from
+	// the front, never overtaking what is still to read.
+	codegen := w.codegen[:]
+	for i := range numLiterals {
+		codegen[i] = uint8(litEnc.codes[i].len)
+	}
+	for i := range numOffsets {
+		codegen[numLiterals+i] = uint8(offEnc.codes[i].len)
+	}
+	codegen[numLiterals+numOffsets] = badCode
+	size := codegen[0]
+	count := 1
+	outIndex := 0
+	put := func(v ...uint8) {
+		outIndex += copy(codegen[outIndex:], v)
+	}
+	for inIndex := 1; size != badCode; inIndex++ {
+		// count copies of size are still to code.
+		nextSize := codegen[inIndex]
+		if nextSize == size {
+			count++
+			continue
+		}
+		if size != 0 {
+			put(size)
+			w.codegenFreq[size]++
+			count--
+			for count >= 3 {
+				n := min(6, count)
+				put(16, uint8(n-3))
+				w.codegenFreq[16]++
+				count -= n
+			}
+		} else {
+			for count >= 11 {
+				n := min(138, count)
+				put(18, uint8(n-11))
+				w.codegenFreq[18]++
+				count -= n
+			}
+			if count >= 3 {
+				put(17, uint8(count-3))
+				w.codegenFreq[17]++
+				count = 0
+			}
+		}
+		for ; count > 0; count-- {
+			put(size)
+			w.codegenFreq[size]++
+		}
+		size = nextSize
+		count = 1
+	}
+	codegen[outIndex] = badCode
+}
+
+// dynamicSize returns the size in bits of a dynamic block with these codes,
+// and how many code-length code lengths its header gives.
+func (w *bitWriter) dynamicSize(litEnc, offEnc *huffmanEncoder, extraBits int) (size, numCodegens int) {
+	numCodegens = codegenCodeCount
+	for numCodegens > 4 && w.codegenFreq[codeOrder[numCodegens-1]] == 0 {
+		numCodegens--
+	}
+	header := 3 + 5 + 5 + 4 + (3 * numCodegens) +
+		w.codegenEncoding.bitLength(w.codegenFreq[:]) +
+		int(w.codegenFreq[16])*2 +
+		int(w.codegenFreq[17])*3 +
+		int(w.codegenFreq[18])*7
+	return header + litEnc.bitLength(w.literalFreq[:]) + offEnc.bitLength(w.offsetFreq[:]) + extraBits, numCodegens
+}
+
+// writeDynamicHeader writes a non-final dynamic block's header.
+func (w *bitWriter) writeDynamicHeader(numLiterals, numOffsets, numCodegens int) {
+	w.writeBits(4, 3)
+	w.writeBits(uint32(numLiterals-257), 5)
+	w.writeBits(uint32(numOffsets-1), 5)
+	w.writeBits(uint32(numCodegens-4), 4)
+	for _, sym := range codeOrder[:numCodegens] {
+		w.writeBits(uint32(w.codegenEncoding.codes[sym].len), 3)
+	}
+	for i := 0; w.codegen[i] != 255; i++ {
+		sym := w.codegen[i]
+		w.writeCode(w.codegenEncoding.codes[sym])
+		if sym >= 16 {
+			i++
+			w.writeBits(uint32(w.codegen[i]), [3]uint{2, 3, 7}[sym-16])
+		}
+	}
+}
+
+// writeBlock writes tokens as a non-final block in the smallest of the
+// fixed code, a dynamic code and, where input is storable, a stored block.
+func (w *bitWriter) writeBlock(tokens []token, input []byte) {
+	tokens = append(tokens, endBlock)
+	numLiterals, numOffsets := w.indexTokens(tokens)
+	// The extra bits cost the same under either code, so they count only
+	// against a stored block.
+	var extraBits int
+	if storable(input) {
+		for c := 257 + 8; c < numLiterals; c++ {
+			extraBits += int(w.literalFreq[c]) * int(lengthExtraBits[c-257])
+		}
+		for c := 4; c < numOffsets; c++ {
+			extraBits += int(w.offsetFreq[c]) * int(offsetExtraBits[c])
+		}
+	}
+	literalEncoding, offsetEncoding := &fixedLiteralEncoding, &fixedOffsetEncoding
+	size := 3 + fixedLiteralEncoding.bitLength(w.literalFreq[:]) + fixedOffsetEncoding.bitLength(w.offsetFreq[:]) + extraBits
+	w.generateCodegen(numLiterals, numOffsets, &w.literalEncoding, &w.offsetEncoding)
+	w.codegenEncoding.generate(w.codegenFreq[:], 7)
+	dynamicSize, numCodegens := w.dynamicSize(&w.literalEncoding, &w.offsetEncoding, extraBits)
+	if dynamicSize < size {
+		size = dynamicSize
+		literalEncoding, offsetEncoding = &w.literalEncoding, &w.offsetEncoding
+	}
+	if storable(input) && (len(input)+5)*8 < size {
+		w.writeStored(input, false)
+		return
+	}
+	if literalEncoding == &fixedLiteralEncoding {
+		w.writeBits(2, 3)
+	} else {
+		w.writeDynamicHeader(numLiterals, numOffsets, numCodegens)
+	}
+	w.writeTokens(tokens, literalEncoding.codes[:], offsetEncoding.codes[:])
+}
+
+// writeBlockDynamic writes tokens as a non-final dynamic block, or input as
+// a stored one if the code saves less than a sixteenth.
+func (w *bitWriter) writeBlockDynamic(tokens []token, input []byte) {
+	tokens = append(tokens, endBlock)
+	numLiterals, numOffsets := w.indexTokens(tokens)
+	w.generateCodegen(numLiterals, numOffsets, &w.literalEncoding, &w.offsetEncoding)
+	w.codegenEncoding.generate(w.codegenFreq[:], 7)
+	size, numCodegens := w.dynamicSize(&w.literalEncoding, &w.offsetEncoding, 0)
+	if storable(input) && (len(input)+5)*8 < size+size>>4 {
+		w.writeStored(input, false)
+		return
+	}
+	w.writeDynamicHeader(numLiterals, numOffsets, numCodegens)
+	w.writeTokens(tokens, w.literalEncoding.codes[:], w.offsetEncoding.codes[:])
+}
+
+// writeBlockHuff writes input as a non-final dynamic block of literals, or
+// as a stored one if the code saves less than a sixteenth.
+func (w *bitWriter) writeBlockHuff(input []byte) {
+	clear(w.literalFreq[:])
+	for _, b := range input {
+		w.literalFreq[b]++
+	}
+	w.literalFreq[endBlock] = 1
+	w.offsetFreq[0] = 1
+	w.literalEncoding.generate(w.literalFreq[:], 15)
+	w.generateCodegen(endBlock+1, 1, &w.literalEncoding, &huffOffset)
+	w.codegenEncoding.generate(w.codegenFreq[:], 7)
+	size, numCodegens := w.dynamicSize(&w.literalEncoding, &huffOffset, 0)
+	if storable(input) && (len(input)+5)*8 < size+size>>4 {
+		w.writeStored(input, false)
+		return
+	}
+	w.writeDynamicHeader(endBlock+1, 1, numCodegens)
+	for _, b := range input {
+		w.writeCode(w.literalEncoding.codes[b])
+	}
+	w.writeCode(w.literalEncoding.codes[endBlock])
+}
+
+// indexTokens counts the tokens' symbols and builds their codes. It returns
+// how many literal/length and offset codes the block's header gives.
+func (w *bitWriter) indexTokens(tokens []token) (numLiterals, numOffsets int) {
+	clear(w.literalFreq[:])
+	clear(w.offsetFreq[:])
+	for _, t := range tokens {
+		if t < matchType {
+			w.literalFreq[t]++
+			continue
+		}
+		w.literalFreq[257+lengthCode(t.length())]++
+		w.offsetFreq[offsetCode(t.offset())]++
+	}
+	numLiterals = maxLit
+	for w.literalFreq[numLiterals-1] == 0 {
+		numLiterals--
+	}
+	numOffsets = maxDist
+	for numOffsets > 0 && w.offsetFreq[numOffsets-1] == 0 {
+		numOffsets--
+	}
+	if numOffsets == 0 {
+		// A dynamic header needs at least one offset code.
+		w.offsetFreq[0] = 1
+		numOffsets = 1
+	}
+	w.literalEncoding.generate(w.literalFreq[:], 15)
+	w.offsetEncoding.generate(w.offsetFreq[:], 15)
+	return numLiterals, numOffsets
+}
+
+func (w *bitWriter) writeTokens(tokens []token, leCodes, oeCodes []hcode) {
+	for _, t := range tokens {
+		if t < matchType {
+			w.writeCode(leCodes[t])
+			continue
+		}
+		length := t.length()
+		lc := lengthCode(length)
+		w.writeCode(leCodes[lc+257])
+		if eb := lengthExtraBits[lc]; eb > 0 {
+			w.writeBits(length-lengthBase[lc], uint(eb))
+		}
+		offset := t.offset()
+		oc := offsetCode(offset)
+		w.writeCode(oeCodes[oc])
+		if eb := offsetExtraBits[oc]; eb > 0 {
+			w.writeBits(offset-offsetBase[oc], uint(eb))
+		}
+	}
+}
+
+// hcode is a Huffman code, bit-reversed, and its length.
+type hcode struct{ code, len uint16 }
+
+// huffmanEncoder builds compress/flate's length-limited Huffman codes.
+type huffmanEncoder struct {
+	codes     [maxLit]hcode
+	freqcache [maxLit + 1]literalNode
+	bitCount  [17]int32
+	lns       byLiteral
+	lfs       byFreq
+}
+
+type literalNode struct {
+	literal uint16
+	freq    int32
+}
+
+// levelInfo is the state of one depth of the tree bitCounts builds.
+type levelInfo struct {
+	level        int32
+	lastFreq     int32 // the frequency of the level's last node
+	nextCharFreq int32 // the frequency of the next leaf to add
+	nextPairFreq int32 // the frequency of the next pair from the level below
+	needed       int32 // the chains still to build at this level
+}
+
+func (h *huffmanEncoder) bitLength(freq []int32) int {
+	var total int
+	for i, f := range freq {
+		if f != 0 {
+			total += int(f) * int(h.codes[i].len)
+		}
+	}
+	return total
+}
+
+// bitCounts returns how many literals of list (at least three, by rising
+// frequency) get each code length up to maxBits, by package-merge.
+func (h *huffmanEncoder) bitCounts(list []literalNode, maxBits int32) []int32 {
+	n := int32(len(list))
+	list = list[0 : n+1]
+	list[n] = literalNode{math.MaxUint16, math.MaxInt32}
+	maxBits = min(maxBits, n-1)
+	// levels[0] is a bogus level whose needed is 0, so level 1's
+	// nextPairFreq is never chosen. leafCounts[i][j] counts the literals
+	// left of the level-j ancestor of level i's rightmost node.
+	var levels [16]levelInfo
+	var leafCounts [16][16]int32
+	for level := int32(1); level <= maxBits; level++ {
+		levels[level] = levelInfo{
+			level:        level,
+			lastFreq:     list[1].freq,
+			nextCharFreq: list[2].freq,
+			nextPairFreq: list[0].freq + list[1].freq,
+		}
+		leafCounts[level][level] = 2
+		if level == 1 {
+			levels[level].nextPairFreq = math.MaxInt32
+		}
+	}
+	// The top level needs 2n-2 items and has 2.
+	levels[maxBits].needed = 2*n - 4
+	level := maxBits
+	for {
+		l := &levels[level]
+		if l.nextPairFreq == math.MaxInt32 && l.nextCharFreq == math.MaxInt32 {
+			// Out of leaves and pairs: close this level for good.
+			l.needed = 0
+			levels[level+1].nextPairFreq = math.MaxInt32
+			level++
+			continue
+		}
+		prevFreq := l.lastFreq
+		if l.nextCharFreq < l.nextPairFreq {
+			// The next item is a leaf.
+			n := leafCounts[level][level] + 1
+			l.lastFreq = l.nextCharFreq
+			leafCounts[level][level] = n
+			l.nextCharFreq = list[n].freq
+		} else {
+			// The next item is a pair from the level below, which must
+			// make two more items before its next pair is known.
+			l.lastFreq = l.nextPairFreq
+			copy(leafCounts[level][:level], leafCounts[level-1][:level])
+			levels[l.level-1].needed = 2
+		}
+		if l.needed--; l.needed == 0 {
+			// This level is done: hand its last pair up.
+			if l.level == maxBits {
+				break
+			}
+			levels[l.level+1].nextPairFreq = prevFreq + l.lastFreq
+			level++
+		} else {
+			// Replenish the levels below that were stolen from.
+			for levels[level-1].needed > 0 {
+				level--
+			}
+		}
+	}
+	bitCount := h.bitCount[:maxBits+1]
+	bits := 1
+	counts := &leafCounts[maxBits]
+	for level := maxBits; level > 0; level-- {
+		bitCount[bits] = counts[level] - counts[level-1]
+		bits++
+	}
+	return bitCount
+}
+
+// assignEncodingAndSize gives the literals of list their codes (RFC 1951
+// §3.2.2): the rarest take the longest, and one length's codes go out in
+// literal order.
+func (h *huffmanEncoder) assignEncodingAndSize(bitCount []int32, list []literalNode) {
+	code := uint16(0)
+	for n, bits := range bitCount {
+		code <<= 1
+		if n == 0 || bits == 0 {
+			continue
+		}
+		chunk := list[len(list)-int(bits):]
+		h.lns = byLiteral(chunk)
+		sort.Sort(&h.lns)
+		for _, node := range chunk {
+			h.codes[node.literal] = hcode{code: reverseBits(code, uint8(n)), len: uint16(n)}
+			code++
+		}
+		list = list[0 : len(list)-int(bits)]
+	}
+}
+
+// generate makes h the shortest code of at most maxBits per literal for
+// the frequencies freq.
+func (h *huffmanEncoder) generate(freq []int32, maxBits int32) {
+	list := h.freqcache[:len(freq)+1]
+	count := 0
+	for i, f := range freq {
+		if f != 0 {
+			list[count] = literalNode{uint16(i), f}
+			count++
+		} else {
+			h.codes[i].len = 0
+		}
+	}
+	list = list[:count]
+	if count <= 2 {
+		// One or two literals: each gets one bit, in literal order.
+		for i, node := range list {
+			h.codes[node.literal] = hcode{code: uint16(i), len: 1}
+		}
+		return
+	}
+	h.lfs = byFreq(list)
+	sort.Sort(&h.lfs)
+	h.assignEncodingAndSize(h.bitCounts(list, maxBits), list)
+}
+
+type byLiteral []literalNode
+
+func (s byLiteral) Len() int           { return len(s) }
+func (s byLiteral) Less(i, j int) bool { return s[i].literal < s[j].literal }
+func (s byLiteral) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
+
+type byFreq []literalNode
+
+func (s byFreq) Len() int { return len(s) }
+func (s byFreq) Less(i, j int) bool {
+	if s[i].freq == s[j].freq {
+		return s[i].literal < s[j].literal
+	}
+	return s[i].freq < s[j].freq
+}
+func (s byFreq) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
+
+func reverseBits(number uint16, bitLength uint8) uint16 {
+	return bits.Reverse16(number << (16 - bitLength))
+}

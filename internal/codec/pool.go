@@ -1,8 +1,6 @@
 package codec
 
 import (
-	"compress/flate"
-	"io"
 	"sync"
 	"sync/atomic"
 )
@@ -10,7 +8,7 @@ import (
 // The codec's hot paths — one decode per retrieval, one encode per
 // transcoded segment — pool their scratch here via sync.Pool, as
 // allocating it per call dominated the profile of a query fanning hundreds
-// of retrievals: the encoder's plane pair and flate writers, and the GOP
+// of retrievals: the encoder's plane pair and compressor, and the GOP
 // buffer the encoder stages a GOP in and the decoder inflates one into.
 //
 // Pooled memory NEVER aliases decoder output: reconstructed frames are
@@ -82,26 +80,19 @@ func putGOPBuf(b []byte) {
 	}
 }
 
-// flateWriterPools holds one pool per compress/flate level in use
-// (FlateLevel returns 1..9). Index 0 is unused.
-var flateWriterPools [10]sync.Pool
+var compressorPool = sync.Pool{New: func() any { return new(compressor) }}
 
-// getFlateWriter returns a flate writer at the given level writing to w.
-// Levels outside [1,9] (never produced by SpeedStep.FlateLevel) fall back
-// to a fresh writer.
-func getFlateWriter(w io.Writer, level int) (*flate.Writer, error) {
-	if level < 1 || level > 9 || !poolingOn.Load() {
-		return flate.NewWriter(w, level)
+// getCompressor returns a compressor; compress resets whatever state it
+// holds.
+func getCompressor() *compressor {
+	if !poolingOn.Load() {
+		return new(compressor)
 	}
-	if fw, ok := flateWriterPools[level].Get().(*flate.Writer); ok {
-		fw.Reset(w)
-		return fw, nil
-	}
-	return flate.NewWriter(w, level)
+	return compressorPool.Get().(*compressor)
 }
 
-func putFlateWriter(fw *flate.Writer, level int) {
-	if level >= 1 && level <= 9 && poolingOn.Load() {
-		flateWriterPools[level].Put(fw)
+func putCompressor(c *compressor) {
+	if poolingOn.Load() {
+		compressorPool.Put(c)
 	}
 }

@@ -20,8 +20,8 @@ func encodeClip(t testing.TB, frames []*frame.Frame, p Params) *Encoded {
 
 var poolTestParams = Params{Quality: format.QGood, Speed: format.SpeedFast, KeyframeI: 10}
 
-// TestEncodePoolingByteIdentical proves the pooled encoder (Reset-reused
-// flate writer, pooled plane and GOP scratch) emits the exact container
+// TestEncodePoolingByteIdentical proves the pooled encoder (a compressor
+// reset for every GOP, pooled plane and GOP scratch) emits the exact container
 // bytes of the pooling-free encoder.
 func TestEncodePoolingByteIdentical(t *testing.T) {
 	frames := testClip(t, 60)

@@ -134,8 +134,10 @@ const (
 // SpeedSteps lists all coding speed steps, slowest first.
 var SpeedSteps = []SpeedStep{SpeedSlowest, SpeedSlow, SpeedMedium, SpeedFast, SpeedFastest}
 
-// FlateLevel maps the speed step onto a compress/flate effort level, the
-// reproduction's stand-in for the x264 preset.
+// FlateLevel maps the speed step onto a DEFLATE effort level, the
+// reproduction's stand-in for the x264 preset. The codec's own compressor
+// codes each level as compress/flate's writer does at it, byte for byte
+// (its oracle in the codec tests), so a level names the same bytes.
 func (s SpeedStep) FlateLevel() int {
 	switch s {
 	case SpeedSlowest:
