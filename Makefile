@@ -101,7 +101,9 @@ cover:
 # keys), and over the tenants key file (no panic; an accepted file maps each
 # key to one uniquely named quota that a saved configuration can carry, and
 # loads the same twice).
-# Nightly CI runs this with FUZZTIME=5m.
+# Nightly CI runs this with FUZZTIME=5m. The two DEFLATE targets take large
+# inputs, which the fuzzer would minimise for up to a minute each; three
+# seconds of that leave the budget for fuzzing.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzConfigRoundTrip -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzBoxScale -fuzztime $(FUZZTIME) ./internal/frame/
@@ -111,8 +113,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzQueryLine -fuzztime $(FUZZTIME) ./internal/api/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime $(FUZZTIME) ./internal/results/
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime $(FUZZTIME) ./internal/codec/
-	$(GO) test -run '^$$' -fuzz FuzzInflate -fuzztime $(FUZZTIME) ./internal/codec/
-	$(GO) test -run '^$$' -fuzz FuzzDeflate -fuzztime $(FUZZTIME) ./internal/codec/
+	$(GO) test -run '^$$' -fuzz FuzzInflate -fuzztime $(FUZZTIME) -fuzzminimizetime 3s ./internal/codec/
+	$(GO) test -run '^$$' -fuzz FuzzDeflate -fuzztime $(FUZZTIME) -fuzzminimizetime 3s ./internal/codec/
 	$(GO) test -run '^$$' -fuzz FuzzReplay -fuzztime $(FUZZTIME) ./internal/kvstore/
 	$(GO) test -run '^$$' -fuzz FuzzLoadKeyFile -fuzztime $(FUZZTIME) ./internal/tenant/
 

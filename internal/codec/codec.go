@@ -4,7 +4,9 @@
 // delta-coded frames, and the whole GOP is one DEFLATE stream, encoded by
 // the package's own compressor (deflate.go), which emits compress/flate's
 // writer's exact bytes, and decoded by its own inflate. compress/flate is
-// the test oracle in both directions.
+// the test oracle in both directions. An encode lent idle workers
+// (EncodeWith) splits a GOP's parse into chunks they parse beside it
+// (split.go), and its bytes are Encode's.
 //
 // The coding knobs map mechanistically onto the codec:
 //
@@ -121,6 +123,14 @@ func (e *Encoded) planeLen() int { return e.W*e.H + 2*((e.W/2)*(e.H/2)) }
 // dimensions; the first frame's PTS is recorded and positions are assumed
 // consecutive within whatever (possibly sampled) timeline the caller uses.
 func Encode(frames []*frame.Frame, p Params) (*Encoded, Stats, error) {
+	return EncodeWith(frames, p, nil)
+}
+
+// EncodeWith is Encode with idle workers lent by helpers: while one is
+// free, it parses chunks of a GOP's DEFLATE input beside the encode
+// (split.go), and the bytes are Encode's. It returns once every helper it
+// started has. Nil helpers encode alone.
+func EncodeWith(frames []*frame.Frame, p Params, helpers Helpers) (*Encoded, Stats, error) {
 	var st Stats
 	if len(frames) == 0 {
 		return nil, st, errors.New("codec: no frames to encode")
@@ -143,6 +153,10 @@ func Encode(frames []*frame.Frame, p Params) (*Encoded, Stats, error) {
 	qt := newQuantTable(q)
 	dz := byte(deadzone(q))
 	planeLen := e.planeLen()
+	gopLen := planeLen * min(p.KeyframeI, len(frames))
+	if gopLen > maxDeflateInput {
+		return nil, st, fmt.Errorf("codec: a GOP of %d bytes exceeds the compressor's %d", gopLen, maxDeflateInput)
+	}
 	// Pooled scratch: the (previous, current) quantised plane pair, the GOP
 	// staging buffer, and one compressor for every GOP of the segment (and
 	// across segments, through the pool).
@@ -150,7 +164,7 @@ func Encode(frames []*frame.Frame, p Params) (*Encoded, Stats, error) {
 	defer putPlanePair(pair)
 	prev, cur := pair.a, pair.b
 	// Sized for the longest GOP, so staging a frame never regrows it.
-	gopBuf := getGOPBuf(planeLen * min(p.KeyframeI, len(frames)))
+	gopBuf := getGOPBuf(gopLen)
 	defer putGOPBuf(gopBuf)
 	c := getCompressor()
 	defer putCompressor(c)
@@ -189,7 +203,7 @@ func Encode(frames []*frame.Frame, p Params) (*Encoded, Stats, error) {
 		// Each GOP is a complete DEFLATE stream, so decode can open any GOP
 		// independently.
 		off := len(e.Data)
-		e.Data = c.compress(e.Data, gopBuf, p.Speed.FlateLevel())
+		e.Data = c.compressSplit(e.Data, gopBuf, p.Speed.FlateLevel(), helpers, splitChunk)
 		st.BytesFlate += int64(len(gopBuf))
 		e.gops = append(e.gops, gop{
 			start:  uint32(g),

@@ -1,14 +1,18 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/format"
 	"repro/internal/frame"
+	"repro/internal/sched"
 	"repro/internal/vidsim"
 )
 
@@ -52,20 +56,80 @@ func BenchmarkDecodeGolden(b *testing.B) {
 }
 
 // BenchmarkEncodeGolden times Encode of the golden segment's 240 frames
-// (one GOP) at every speed step, so at every flate level the codec uses.
+// (one GOP) at every speed step, so at every flate level the codec uses,
+// and EncodeWith the same with helpers: a pool of the cores beside the
+// encode's own, and at least one, so that -cpu 1 times what splitting the
+// parse costs and -cpu 2 what it gains.
 func BenchmarkEncodeGolden(b *testing.B) {
 	frames := testClip(b, 240)
+	pool := sched.NewPool(max(runtime.GOMAXPROCS(0)-1, 1))
 	for _, s := range format.SpeedSteps {
-		b.Run(fmt.Sprintf("%s/level%d", s, s.FlateLevel()), func(b *testing.B) {
-			p := Params{Quality: format.QBest, Speed: s, KeyframeI: 250}
-			b.SetBytes(int64(len(frames) * (frames[0].W*frames[0].H + 2*(frames[0].W/2)*(frames[0].H/2))))
-			for b.Loop() {
-				if _, _, err := Encode(frames, p); err != nil {
-					b.Fatal(err)
-				}
+		for _, split := range []bool{false, true} {
+			name := fmt.Sprintf("%s/level%d", s, s.FlateLevel())
+			if split {
+				name += "/helpers"
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				p := Params{Quality: format.QBest, Speed: s, KeyframeI: 250}
+				b.SetBytes(int64(len(frames) * (frames[0].W*frames[0].H + 2*(frames[0].W/2)*(frames[0].H/2))))
+				var h Helpers
+				if split {
+					h = pool.Batch()
+				}
+				for b.Loop() {
+					if _, _, err := EncodeWith(frames, p, h); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
+}
+
+// TestEncodeWithHelpers: EncodeWith gives Encode's bytes with helpers on a
+// pool, and when it returns every slot of that pool is free again.
+func TestEncodeWithHelpers(t *testing.T) {
+	frames := testClip(t, 240)
+	p := Params{Quality: format.QBest, Speed: format.SpeedSlowest, KeyframeI: 250}
+	want, _, err := Encode(frames, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := sched.NewPool(3)
+	h := &countingHelpers{Batch: pool.Batch()}
+	got, _, err := EncodeWith(frames, p, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Marshal(), want.Marshal()) {
+		t.Fatal("EncodeWith's container differs from Encode's")
+	}
+	if h.started.Load() == 0 {
+		t.Fatal("no helper started on a free pool")
+	}
+	b := pool.Batch()
+	hold := make(chan struct{})
+	for i := range pool.Workers() {
+		if !b.TryGo(func() { <-hold }) {
+			t.Fatalf("slot %d of %d still held after EncodeWith returned", i+1, pool.Workers())
+		}
+	}
+	close(hold)
+	b.Wait()
+}
+
+// countingHelpers counts the helpers a Batch starts.
+type countingHelpers struct {
+	*sched.Batch
+	started atomic.Int64
+}
+
+func (c *countingHelpers) TryGo(fn func()) bool {
+	ok := c.Batch.TryGo(fn)
+	if ok {
+		c.started.Add(1)
+	}
+	return ok
 }
 
 // lumaPSNR returns the luma peak signal-to-noise ratio of b against reference

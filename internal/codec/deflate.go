@@ -23,6 +23,13 @@ import (
 // that runs them (go1.24.0), and should a later writer change its output
 // the oracle test fails while stored streams still decode.
 //
+// Above level 1 the matcher parses the input where it lies, at absolute
+// positions; flate's copies it through a sliding window of 2·windowSize
+// bytes. Two marks of that window show in flate's output, and both follow
+// from positions alone: just after a slide the chain walk reaches no lower
+// than the window's new start (floor), and a block whose start slid out
+// before the block was written is not stored (writeBlock).
+//
 // The chain walk returns the match flate's returns, sooner: matchLen
 // compares eight bytes at a time, and a candidate is tested on the four
 // bytes that end a longer match before it is compared. At level 9 the walk
@@ -40,8 +47,15 @@ const (
 	maxStoreBlockSize   = 65535
 	hashBits            = 17
 	hashSize            = 1 << hashBits
-	maxHashOffset       = 1 << 24
 	skipNever           = math.MaxInt32
+	runMask             = 2*windowSize - 1
+
+	// flate slides its window once the parse stands within lookTail bytes of
+	// the window's end, with input still to come.
+	lookTail = minMatchLength + maxMatchLength - 1
+
+	// maxDeflateInput bounds one stream: positions are held in 32 bits.
+	maxDeflateInput = math.MaxInt32
 
 	// A token is a literal (below matchType) or a match: its length minus 3
 	// from bit 22, its offset minus 1 below.
@@ -58,6 +72,14 @@ func matchToken(length, offset int) token {
 
 func (t token) length() uint32 { return uint32(t-matchType) >> lengthShift }
 func (t token) offset() uint32 { return uint32(t) & (1<<lengthShift - 1) }
+
+// span returns how many input bytes t codes.
+func (t token) span() int {
+	if t < matchType {
+		return 1
+	}
+	return int(t.length()) + 3
+}
 
 // levelParams are compress/flate's per-level tuning: a match this long
 // shortens the chain walk, a previous match this long is not re-searched,
@@ -78,9 +100,9 @@ var levels = [10]levelParams{
 // is long enough for the skip to repay it (BenchmarkEncodeGolden).
 const skipRunsFrom = 9
 
-// compressor is the whole state of one compression, pooled between calls.
-// Its pointers come first, so the garbage collector scans only its first
-// 13 KB, not its 1.2 MB of tables.
+// compressor is the whole state of one parse, pooled between calls. Its
+// pointers come first, so the garbage collector scans only its first 13 KB,
+// not its 1.2 MB of tables.
 type compressor struct {
 	w bitWriter
 
@@ -88,148 +110,148 @@ type compressor struct {
 	level int
 	runs  bool // the chain walk skips runs
 
-	// The input window: unprocessed data is window[index:windowEnd].
-	window         []byte
-	index          int
-	windowEnd      int
-	blockStart     int  // window index where the current tokens start
-	byteAvailable  bool // window[index-1] is still to be emitted
-	sync           bool // the input has ended
+	src            []byte // the input, whole
+	index          int    // the position the parse visits next
+	byteAvailable  bool   // src[index-1] is still to be emitted
+	length, offset int    // the match found at index-1
 	tokens         []token
-	length, offset int
-	maxInsertIndex int
+	blockStart     int // the position the unwritten tokens start at
+	cut            int // the token count at which a block is written
+
+	// A helper's parse records its sync points (split.go).
+	record bool
+	syncs  []syncPoint
+	split  *splitJob // the split parse of this compressor's input
+
+	// runStart holds positions [runFrom, runEnd) or the last 2·windowSize of
+	// them; the parse extends it on reaching runNext.
+	runFrom, runEnd, runNext int
 
 	fast fastMatcher // its table follows its one pointer
 
-	// Hash chains: hashHead[h] is the latest position (plus hashOffset)
-	// whose four bytes hash to h, and hashPrev[p&windowMask] the position
-	// before p with the same hash.
-	hashHead   [hashSize]uint32
-	hashPrev   [windowSize]uint32
-	hashOffset int
+	// Hash chains: hashHead[h] is one more than the latest position whose
+	// four bytes hash to h, and hashPrev[p&windowMask] one more than the
+	// position before p with the same hash; 0 is none.
+	hashHead [hashSize]uint32
+	hashPrev [windowSize]uint32
 
-	// runStart[p] is a window index q <= p with window[q..p] one value.
+	// runStart[p&runMask] is a position q <= p, not below runFrom, with
+	// src[q..p] one value.
 	runStart [2 * windowSize]int32
 }
 
 // compress appends to dst src's DEFLATE stream at level 1, 2, 5, 7 or 9.
 func (d *compressor) compress(dst, src []byte, level int) []byte {
-	d.reset(level)
-	return d.run(dst, src)
+	return d.compressSplit(dst, src, level, nil, 0)
 }
 
-// run compresses src as compress/flate's writer does a single Write and
-// Close.
-func (d *compressor) run(dst, src []byte) []byte {
+// compressSplit is compress with the parse split into chunks of chunk bytes
+// that workers lent by h parse beside this one (split.go). A nil h, level 1
+// or 2, or an input under two chunks parses alone.
+func (d *compressor) compressSplit(dst, src []byte, level int, h Helpers, chunk int) []byte {
+	d.reset(src, level)
 	d.w.out = dst
-	for len(src) > 0 {
-		d.step()
-		src = src[d.fill(src):]
+	if level == 1 {
+		d.encSpeed()
+	} else {
+		if h == nil || d.fastSkipHashing != skipNever || len(src) < 2*chunk {
+			d.parse(len(src), nil)
+		} else {
+			d.parseSplit(h, chunk)
+		}
+		if len(d.tokens) > 0 {
+			d.writeBlock()
+		}
 	}
-	d.sync = true
-	d.step()
 	d.w.writeStoredHeader(0, true)
 	d.w.flush()
 	out := d.w.out
-	d.w.out = nil
+	d.w.out, d.src = nil, nil
 	return out
 }
 
-// reset readies d for a new stream, as compress/flate's NewWriter does.
-func (d *compressor) reset(level int) {
-	d.level, d.sync = level, false
+// reset readies d to parse src from its start, as compress/flate's
+// NewWriter readies a writer.
+func (d *compressor) reset(src []byte, level int) {
+	d.src, d.level = src, level
 	d.w.bits, d.w.nbits = 0, 0
-	if d.window == nil {
-		d.window = make([]byte, 2*windowSize)
+	if d.tokens == nil {
 		d.tokens = make([]token, 0, maxStoreBlockSize+1)
 	}
+	d.tokens = d.tokens[:0]
 	if level == 1 {
-		d.window = d.window[:maxStoreBlockSize]
-		d.windowEnd = 0
 		d.fast.reset()
 		return
 	}
-	d.window = d.window[:2*windowSize]
 	d.levelParams = levels[level]
 	d.runs = level >= skipRunsFrom
-	d.hashOffset = 1
 	clear(d.hashHead[:])
 	clear(d.hashPrev[:])
-	d.index, d.windowEnd, d.blockStart, d.byteAvailable = 0, 0, 0, false
+	d.index, d.byteAvailable, d.blockStart = 0, false, 0
+	d.length, d.offset = minMatchLength-1, 0
+	d.cut = maxFlateBlockTokens
+	d.runFrom, d.runEnd, d.runNext = 0, 0, 0
+	if !d.runs {
+		d.runNext = math.MaxInt
+	}
+}
+
+// fillRuns extends the run table a window past the parse; the chain walk
+// at index reads it from index-windowSize to index+maxMatchLength.
+func (d *compressor) fillRuns() {
+	end := min(d.index+windowSize, len(d.src))
+	for p := d.runEnd; p < end; p++ {
+		r := int32(p)
+		if p > d.runFrom && d.src[p] == d.src[p-1] {
+			r = d.runStart[(p-1)&runMask]
+		}
+		d.runStart[p&runMask] = r
+	}
+	d.runEnd, d.runNext = end, end-maxMatchLength
+	if end == len(d.src) {
+		d.runNext = math.MaxInt
+	}
+}
+
+// writeBlock writes the tokens as one block. The bytes they code may be
+// stored only if flate's window still holds them: its k-th slide, which
+// drops the positions below k·windowSize, comes when the parse first
+// visits a position from (k+1)·windowSize-lookTail on (the parse skips the
+// inside of a match), and only while input beyond (k+1)·windowSize is
+// still to come.
+func (d *compressor) writeBlock() {
+	start, end := d.blockStart, d.blockStart
+	for _, t := range d.tokens {
+		end += t.span()
+	}
+	input := d.src[start:end]
+	slide := (start/windowSize + 2) * windowSize
+	if at := slide - lookTail; len(d.src) > slide && end > at {
+		// The slide came first, unless at is inside the block's last token, a
+		// match whose first one (greedy) or two (lazy) positions alone the
+		// parse visits.
+		last := d.tokens[len(d.tokens)-1]
+		visited := 2
+		if d.fastSkipHashing != skipNever {
+			visited = 1
+		}
+		if last < matchType || at < end-last.span()+visited {
+			input = nil
+		}
+	}
+	d.blockStart = end
+	d.w.writeBlock(d.tokens, input)
 	d.tokens = d.tokens[:0]
-	d.length, d.offset, d.maxInsertIndex = minMatchLength-1, 0, 0
 }
 
-func (d *compressor) step() {
-	if d.level == 1 {
-		d.encSpeed()
-	} else {
-		d.deflate()
-	}
-}
-
-// fill copies the next of src into the window and reports how much.
-func (d *compressor) fill(src []byte) int {
-	if d.level == 1 {
-		n := copy(d.window[d.windowEnd:], src)
-		d.windowEnd += n
-		return n
-	}
-	if d.index >= 2*windowSize-(minMatchLength+maxMatchLength) {
-		// Slide the window down by windowSize. A block whose start slid out
-		// can no longer be stored.
-		copy(d.window, d.window[windowSize:2*windowSize])
-		d.index -= windowSize
-		d.windowEnd -= windowSize
-		if d.blockStart >= windowSize {
-			d.blockStart -= windowSize
-		} else {
-			d.blockStart = math.MaxInt32
+// feed appends tokens to the block being built, writing each full block.
+func (d *compressor) feed(tokens []token) {
+	for len(tokens) > 0 {
+		n := copy(d.tokens[len(d.tokens):d.cut], tokens)
+		d.tokens, tokens = d.tokens[:len(d.tokens)+n], tokens[n:]
+		if len(d.tokens) == d.cut {
+			d.writeBlock()
 		}
-		if d.runs {
-			for p, r := range d.runStart[windowSize:] {
-				d.runStart[p] = max(r-windowSize, 0)
-			}
-		}
-		d.hashOffset += windowSize
-		if d.hashOffset > maxHashOffset {
-			// Rebase the chains before hashOffset outgrows uint32: entries
-			// older than the window become 0, which no walk follows.
-			delta := d.hashOffset - 1
-			d.hashOffset -= delta
-			for i, v := range d.hashPrev[:] {
-				d.hashPrev[i] = uint32(max(int(v)-delta, 0))
-			}
-			for i, v := range d.hashHead[:] {
-				d.hashHead[i] = uint32(max(int(v)-delta, 0))
-			}
-		}
-	}
-	start := d.windowEnd
-	n := copy(d.window[start:], src)
-	d.windowEnd += n
-	if d.runs {
-		win, runs := d.window[:d.windowEnd], d.runStart[:d.windowEnd]
-		for p := start; p < len(win); p++ {
-			if p > 0 && win[p] == win[p-1] {
-				runs[p] = runs[p-1]
-			} else {
-				runs[p] = int32(p)
-			}
-		}
-	}
-	return n
-}
-
-func (d *compressor) writeBlock(index int) {
-	if index > 0 {
-		var window []byte
-		if d.blockStart <= index {
-			window = d.window[d.blockStart:index]
-		}
-		d.blockStart = index
-		d.w.writeBlock(d.tokens, window)
-		d.tokens = d.tokens[:0]
 	}
 }
 
@@ -237,22 +259,33 @@ func hash4(b []byte) uint32 {
 	return (binary.BigEndian.Uint32(b) * 0x1e35a7bd) >> (32 - hashBits)
 }
 
-// insert links position index into its hash chain and returns the window
-// index the link leads to.
-func (d *compressor) insert(index int) int {
-	hh := &d.hashHead[hash4(d.window[index:index+minMatchLength])]
+// insert links position p into its hash chain and returns the position the
+// link leads to, or -1.
+func (d *compressor) insert(p int) int {
+	hh := &d.hashHead[hash4(d.src[p:p+minMatchLength])]
 	prev := *hh
-	d.hashPrev[index&windowMask] = prev
-	*hh = uint32(index + d.hashOffset)
-	return int(prev) - d.hashOffset
+	d.hashPrev[p&windowMask] = prev
+	*hh = uint32(p + 1)
+	return int(prev) - 1
 }
 
-// findMatch walks the chain from prevHead, at most d.chain candidates, for
-// a match at pos longer than prevLength. It returns what compress/flate's
-// walk returns.
-func (d *compressor) findMatch(pos, prevHead, prevLength, lookahead int) (length, offset int, ok bool) {
+// floor returns the lowest position the chain walk at pos reaches:
+// windowSize back, but for the lookTail positions after each of flate's
+// window slides, no lower than the window's new start.
+func (d *compressor) floor(pos int) int {
+	f := max(pos-windowSize, 0)
+	if k := (pos+lookTail)/windowSize - 1; k >= 1 && len(d.src) > (k+1)*windowSize {
+		f = max(f, k*windowSize)
+	}
+	return f
+}
+
+// findMatch walks the chain from prevHead down to minIndex, at most d.chain
+// candidates, for a match at pos longer than prevLength. It returns what
+// compress/flate's walk returns.
+func (d *compressor) findMatch(pos, prevHead, prevLength, lookahead, minIndex int) (length, offset int, ok bool) {
 	minMatchLook := min(maxMatchLength, lookahead)
-	win := d.window[0 : pos+minMatchLook]
+	win := d.src[0 : pos+minMatchLook]
 	nice := min(d.nice, len(win)-pos)
 	tries := d.chain
 	length = prevLength
@@ -265,21 +298,20 @@ func (d *compressor) findMatch(pos, prevHead, prevLength, lookahead int) (length
 	tail := binary.LittleEndian.Uint32(win[pos+length-3:])
 	var run int
 	if d.runs {
-		run = max(int(d.runStart[pos+length])-pos, 0)
+		run = max(int(d.runStart[(pos+length)&runMask])-pos, 0)
 	}
 	wPos := win[pos:]
-	minIndex := pos - windowSize
 	for i := prevHead; tries > 0; tries-- {
 		match := binary.LittleEndian.Uint32(win[i+length-3:]) == tail
 		if d.runs {
-			r := int(d.runStart[i+length])
+			r := int(d.runStart[(i+length)&runMask])
 			match = match && max(r-i, 0) == run
 			if !match && r < i {
-				// One value fills window[i-k..i+length] for some k > 0, so
-				// every position down to i-k fails as i did. Every position
-				// is hashed, so the chain through them is i-1, i-2, ...,
-				// i-k: go to i-k (or minIndex) at once, spending the tries
-				// the walk would.
+				// One value fills src[i-k..i+length] for some k > 0, so every
+				// position down to i-k fails as i did. Every position is
+				// hashed, so the chain through them is i-1, i-2, ..., i-k: go
+				// to i-k (or minIndex) at once, spending the tries the walk
+				// would.
 				j := max(r, minIndex)
 				if tries -= i - j; tries <= 0 {
 					break
@@ -296,16 +328,16 @@ func (d *compressor) findMatch(pos, prevHead, prevLength, lookahead int) (length
 				}
 				tail = binary.LittleEndian.Uint32(win[pos+n-3:])
 				if d.runs {
-					run = max(int(d.runStart[pos+n])-pos, 0)
+					run = max(int(d.runStart[(pos+n)&runMask])-pos, 0)
 				}
 			}
 		}
 		if i == minIndex {
-			// hashPrev[i&windowMask] already holds pos's link.
+			// Its link is gone or below minIndex: pos-windowSize shares
+			// pos's hashPrev entry.
 			break
 		}
-		i = int(d.hashPrev[i&windowMask]) - d.hashOffset
-		if i < minIndex || i < 0 {
+		if i = int(d.hashPrev[i&windowMask]) - 1; i < minIndex {
 			break
 		}
 	}
@@ -327,42 +359,50 @@ func matchLen(a, b []byte, max int) int {
 	return n
 }
 
-// deflate tokenises the window with lazy (levels 5, 7, 9) or greedy (2)
-// matching and writes each full block, keeping minMatchLength+maxMatchLength
-// bytes of lookahead until the input has ended.
-func (d *compressor) deflate() {
-	if d.windowEnd-d.index < minMatchLength+maxMatchLength && !d.sync {
-		return
-	}
-	d.maxInsertIndex = d.windowEnd - (minMatchLength - 1)
+// parse tokenises src from d.index with compress/flate's lazy (levels 5,
+// 7, 9) or greedy (2) matching, writing each full block, up to the first
+// position it visits at or past stop, or to the end of src, where it emits
+// the byte still pending. A lazy parse given m also stops, and reports
+// true, at a sync point where m meets the parse that follows.
+func (d *compressor) parse(stop int, m *meeter) bool {
+	src := d.src
+	maxInsertIndex := len(src) - (minMatchLength - 1) // positions with four bytes left
 	lazy := d.fastSkipHashing == skipNever
+	watch := d.record || m != nil
 	for {
-		lookahead := d.windowEnd - d.index
-		if lookahead < minMatchLength+maxMatchLength {
-			if !d.sync {
-				return
+		if d.index >= d.runNext {
+			d.fillRuns()
+		}
+		lookahead := len(src) - d.index
+		if lookahead == 0 {
+			if d.byteAvailable {
+				d.tokens = append(d.tokens, token(src[d.index-1]))
+				d.byteAvailable = false
 			}
-			if lookahead == 0 {
-				if d.byteAvailable {
-					d.tokens = append(d.tokens, token(d.window[d.index-1]))
-					d.byteAvailable = false
-				}
-				if len(d.tokens) > 0 {
-					d.writeBlock(d.index)
-				}
-				return
+			return false
+		}
+		if d.index >= stop {
+			return false
+		}
+		if watch && (!d.byteAvailable || d.index%syncEvery == 0) {
+			s := d.syncPoint()
+			if d.record {
+				d.syncs = append(d.syncs, s)
+			}
+			if m != nil && m.meet(s) {
+				return true
 			}
 		}
 		chainHead := -1
-		if d.index < d.maxInsertIndex {
+		if d.index < maxInsertIndex {
 			chainHead = d.insert(d.index)
 		}
 		prevLength, prevOffset := d.length, d.offset
 		d.length, d.offset = minMatchLength-1, 0
-		minIndex := max(d.index-windowSize, 0)
+		minIndex := d.floor(d.index)
 		if chainHead >= minIndex &&
 			(!lazy && lookahead > minMatchLength-1 || lazy && lookahead > prevLength && prevLength < d.lazy) {
-			if n, off, ok := d.findMatch(d.index, chainHead, minMatchLength-1, lookahead); ok {
+			if n, off, ok := d.findMatch(d.index, chainHead, minMatchLength-1, lookahead, minIndex); ok {
 				d.length, d.offset = n, off
 			}
 		}
@@ -375,20 +415,16 @@ func (d *compressor) deflate() {
 				d.tokens = append(d.tokens, matchToken(d.length, d.offset))
 			}
 			// Hash every position up to the match's end, but for a greedy
-			// match longer than fastSkipHashing. A position without four
-			// bytes left (from maxInsertIndex on) is not hashed.
+			// match longer than fastSkipHashing.
 			if d.length <= d.fastSkipHashing {
 				newIndex := d.index + d.length
 				if lazy {
 					newIndex = d.index + prevLength - 1
 				}
-				index := d.index + 1
-				for ; index < newIndex; index++ {
-					if index < d.maxInsertIndex {
-						d.insert(index)
-					}
+				for p := d.index + 1; p < min(newIndex, maxInsertIndex); p++ {
+					d.insert(p)
 				}
-				d.index = index
+				d.index = newIndex
 				if lazy {
 					d.byteAvailable = false
 					d.length = minMatchLength - 1
@@ -396,8 +432,8 @@ func (d *compressor) deflate() {
 			} else {
 				d.index += d.length
 			}
-			if len(d.tokens) == maxFlateBlockTokens {
-				d.writeBlock(d.index)
+			if len(d.tokens) == d.cut {
+				d.writeBlock()
 			}
 		} else {
 			if !lazy || d.byteAvailable {
@@ -405,9 +441,9 @@ func (d *compressor) deflate() {
 				if lazy {
 					i--
 				}
-				d.tokens = append(d.tokens, token(d.window[i]))
-				if len(d.tokens) == maxFlateBlockTokens {
-					d.writeBlock(i + 1)
+				d.tokens = append(d.tokens, token(src[i]))
+				if len(d.tokens) == d.cut {
+					d.writeBlock()
 				}
 			}
 			d.index++
@@ -416,27 +452,28 @@ func (d *compressor) deflate() {
 	}
 }
 
-// encSpeed codes each full window (and the last, partial one) with
-// deflateFast's matcher, as compress/flate does at level 1.
+// encSpeed codes src in blocks of maxStoreBlockSize bytes, the last one
+// shorter, with deflateFast's matcher, as compress/flate does at level 1.
 func (d *compressor) encSpeed() {
-	win := d.window[:d.windowEnd]
-	switch {
-	case len(win) == maxStoreBlockSize || d.sync && len(win) >= 128:
-		d.tokens = d.fast.encode(d.tokens[:0], win)
+	src := d.src
+	for len(src) >= 128 {
+		block := src[:min(len(src), maxStoreBlockSize)]
+		src = src[len(block):]
+		d.tokens = d.fast.encode(d.tokens[:0], block)
 		// Code the bytes as literals if matching removed under a sixteenth.
-		if len(d.tokens) > len(win)-len(win)>>4 {
-			d.w.writeBlockHuff(win)
+		if len(d.tokens) > len(block)-len(block)>>4 {
+			d.w.writeBlockHuff(block)
 		} else {
-			d.w.writeBlockDynamic(d.tokens, win)
+			d.w.writeBlockDynamic(d.tokens, block)
 		}
-	case !d.sync || len(win) == 0:
-		return
-	case len(win) <= 16:
-		d.w.writeStored(win, false)
-	default:
-		d.w.writeBlockHuff(win)
 	}
-	d.windowEnd = 0
+	switch {
+	case len(src) == 0:
+	case len(src) <= 16:
+		d.w.writeStored(src, false)
+	default:
+		d.w.writeBlockHuff(src)
+	}
 }
 
 // fastMatcher is compress/flate's deflateFast: Snappy's matcher, with one

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/sched"
 )
 
 // deflateLevels are the levels SpeedStep.FlateLevel returns.
@@ -102,10 +104,68 @@ func TestDeflateMatchesFlate(t *testing.T) {
 			}
 		}
 	}
+	// A split parse gives the same bytes, at chunks down to 1 KiB, with no
+	// helper, one, three, and one run at once on the owner. Under -short,
+	// the race detector's run, only the helpers that run concurrently, at
+	// levels 5 and 9. Zero runs of 258·k+1 bytes split by single bytes set
+	// parses out of phase, so some may never meet.
+	splitLevels, splitHelpers := []int{5, 7, 9}, []int{0, 1, 3, -1}
+	if testing.Short() {
+		splitLevels, splitHelpers = []int{5, 9}, []int{1, 3}
+	}
+	inputs := deflateTestData(t)
+	var phase []byte
+	for k := 1; len(phase) < 60_000; k = k%9 + 1 {
+		phase = append(phase, make([]byte, 258*k+1)...)
+		phase = append(phase, byte(k))
+	}
+	inputs["out of phase"] = phase
+	for name, data := range inputs {
+		for _, level := range splitLevels {
+			want := deflate(t, data, level)
+			for chunk := 1 << 10; chunk <= 1<<18; chunk <<= 4 {
+				if len(data) < 2*chunk || len(data) > 64*chunk {
+					continue
+				}
+				for _, k := range splitHelpers {
+					if got := c.compressSplit(nil, data, level, testHelpers(k), chunk); !bytes.Equal(got, want) {
+						t.Errorf("%s (%d bytes), level %d, %d-byte chunks, helpers %d: %d bytes differ from flate's %d",
+							name, len(data), level, chunk, k, len(got), len(want))
+					}
+				}
+			}
+		}
+	}
 }
 
+// testHelpers returns k helpers of their own: none for k = 0 (the owner
+// parses every chunk, stopping at each), and for k = -1 one that runs at
+// once on the owner, so that helpers parse every chunk but the owner's
+// first, back to front, before the owner meets them. For k = -2 it is nil.
+func testHelpers(k int) Helpers {
+	switch {
+	case k == -2:
+		return nil
+	case k < 1:
+		return stubHelpers{inline: k == -1}
+	}
+	return sched.NewPool(k).Batch()
+}
+
+// stubHelpers runs each helper at once on the caller, or none.
+type stubHelpers struct{ inline bool }
+
+func (s stubHelpers) TryGo(fn func()) bool {
+	if s.inline {
+		fn()
+	}
+	return s.inline
+}
+
+func (stubHelpers) Wait() {}
+
 // TestDeflateMatchesFlateLarge codes a 17 MiB input, past the 16 MiB at
-// which the hash chains are rebased.
+// which compress/flate rebases its hash chains.
 func TestDeflateMatchesFlateLarge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("17 MiB at two levels")
@@ -119,37 +179,24 @@ func TestDeflateMatchesFlateLarge(t *testing.T) {
 	}
 }
 
-// TestDeflateOffsetsNearOverflow starts the hash chains' offsets where only
-// their rebase keeps them from overflowing uint32: the bytes must still be
-// flate's, whose offsets start low.
-func TestDeflateOffsetsNearOverflow(t *testing.T) {
-	data := mixedData(rand.New(rand.NewSource(40)), 400_000)
-	var c compressor
-	for _, level := range []int{2, 9} {
-		c.reset(level)
-		c.hashOffset = 1<<32 - 3*windowSize
-		if !bytes.Equal(c.run(nil, data), deflate(t, data, level)) {
-			t.Errorf("level %d: bytes differ from flate's", level)
-		}
-	}
-}
-
 // FuzzDeflate holds compress to compress/flate's writer on any bytes,
 // repeated up to 128 times (to at most 128 KiB) so that streams also cross
-// block and window sizes, at a level the input picks.
+// block and window sizes, at a level the input picks, parsed whole or split
+// into chunks of 1 to 8 KiB among the helpers the input picks.
 func FuzzDeflate(f *testing.F) {
 	for name, data := range flateTestData() {
-		f.Add(data[:3000], uint8(len(name)), uint8(3))
+		f.Add(data[:3000], uint8(len(name)), uint8(3), uint8(len(name)))
 	}
-	f.Add([]byte{}, uint8(0), uint8(0))
-	f.Add([]byte{0}, uint8(4), uint8(127))
-	f.Fuzz(func(t *testing.T, data []byte, level, reps uint8) {
+	f.Add([]byte{}, uint8(0), uint8(0), uint8(0))
+	f.Add([]byte{0}, uint8(4), uint8(127), uint8(9))
+	f.Fuzz(func(t *testing.T, data []byte, level, reps, split uint8) {
 		src := bytes.Repeat(data, min(1+int(reps)%128, max(1, 128<<10/max(len(data), 1))))
 		l := deflateLevels[int(level)%len(deflateLevels)]
+		chunk, k := 1<<(10+split%4), int(split/4)%6-2
 		c := getCompressor()
 		defer putCompressor(c)
-		if got, want := c.compress(nil, src, l), deflate(t, src, l); !bytes.Equal(got, want) {
-			t.Fatalf("level %d, %d bytes: %d bytes differ from flate's %d", l, len(src), len(got), len(want))
+		if got, want := c.compressSplit(nil, src, l, testHelpers(k), chunk), deflate(t, src, l); !bytes.Equal(got, want) {
+			t.Fatalf("level %d, %d bytes, %d-byte chunks, helpers %d: %d bytes differ from flate's %d", l, len(src), chunk, k, len(got), len(want))
 		}
 	})
 }

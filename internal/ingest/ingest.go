@@ -13,6 +13,7 @@ import (
 	"repro/internal/format"
 	"repro/internal/frame"
 	"repro/internal/profile"
+	"repro/internal/sched"
 	"repro/internal/segment"
 	"repro/internal/vidsim"
 )
@@ -56,9 +57,12 @@ func (s Stats) BytesPerSec() float64 {
 }
 
 // Ingester transcodes a scene's stream into a set of storage formats.
+// With a Pool, an encode borrows that pool's idle workers to split its
+// GOPs' compression (codec.EncodeWith); without one it encodes alone.
 type Ingester struct {
 	Store *segment.Store
 	SFs   []format.StorageFormat
+	Pool  *sched.Pool
 }
 
 // Stream ingests nSegments segments of the scene under the given stream
@@ -115,7 +119,11 @@ func (ing *Ingester) TranscodeSegment(full []*frame.Frame, stream string, sf for
 		}
 		return bytes, cpu, nil
 	}
-	enc, st, err := codec.Encode(frames, codec.ParamsFor(sf))
+	var h codec.Helpers
+	if ing.Pool != nil {
+		h = ing.Pool.Batch()
+	}
+	enc, st, err := codec.EncodeWith(frames, codec.ParamsFor(sf), h)
 	if err != nil {
 		return 0, 0, err
 	}

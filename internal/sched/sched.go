@@ -32,8 +32,9 @@ func NewPool(workers int) *Pool {
 func (p *Pool) Workers() int { return cap(p.sem) }
 
 // Go schedules fn on the pool, blocking until a worker slot frees up.
-// Tasks must not themselves schedule onto the same pool: a task waiting on
-// a slot it transitively holds would deadlock.
+// Tasks must not themselves schedule onto the same pool with Go: a task
+// waiting on a slot it transitively holds would deadlock. Batch.TryGo,
+// which never waits for a slot, is the exception.
 func (p *Pool) Go(fn func()) {
 	p.wg.Add(1)
 	p.sem <- struct{}{}
@@ -62,8 +63,27 @@ func (p *Pool) Batch() *Batch { return &Batch{p: p} }
 // Go schedules fn on the underlying pool, blocking until a slot frees up.
 // The same transitive-scheduling caveat as Pool.Go applies.
 func (b *Batch) Go(fn func()) {
-	b.wg.Add(1)
 	b.p.sem <- struct{}{}
+	b.run(fn)
+}
+
+// TryGo starts fn on the underlying pool if a worker slot is free, and
+// reports whether it did. It never blocks, so a task may call it on its
+// own pool to lend itself workers that would otherwise sit idle.
+func (b *Batch) TryGo(fn func()) bool {
+	select {
+	case b.p.sem <- struct{}{}:
+		b.run(fn)
+		return true
+	default:
+		return false
+	}
+}
+
+// run starts fn in the slot its caller took, and frees the slot when fn
+// returns.
+func (b *Batch) run(fn func()) {
+	b.wg.Add(1)
 	go func() {
 		defer b.wg.Done()
 		defer func() { <-b.p.sem }()
@@ -71,8 +91,9 @@ func (b *Batch) Go(fn func()) {
 	}()
 }
 
-// Wait blocks until every task scheduled through this batch has finished;
-// other batches' and Pool.Go tasks are not waited for.
+// Wait blocks until every task scheduled through this batch has finished,
+// its worker slot free again; other batches' and Pool.Go tasks are not
+// waited for.
 func (b *Batch) Wait() { b.wg.Wait() }
 
 // Ordered runs fn(i) for every i in [0, n) and returns the results in index

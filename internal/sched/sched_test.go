@@ -94,3 +94,68 @@ func TestPoolDefaultsToGOMAXPROCS(t *testing.T) {
 		t.Fatal("negative-worker pool")
 	}
 }
+
+// TestTryGoOnSaturatedPool: a task that asks its own full pool for a
+// helper is refused at once, and no helper runs.
+func TestTryGoOnSaturatedPool(t *testing.T) {
+	pool := NewPool(1)
+	got := make(chan bool)
+	pool.Go(func() { got <- pool.Batch().TryGo(func() { t.Error("a helper ran on a saturated pool") }) })
+	if <-got {
+		t.Fatal("TryGo started a task on a saturated pool")
+	}
+	pool.Wait()
+}
+
+// TestTryGoBoundsConcurrency: TryGo takes only free slots, so tasks and the
+// helpers they start never run more than Workers() at once, and once a
+// batch's Wait returns, every slot its tasks held is free again.
+func TestTryGoBoundsConcurrency(t *testing.T) {
+	const workers = 3
+	pool := NewPool(workers)
+	b := pool.Batch()
+	hold := make(chan struct{})
+	for i := range workers {
+		if !b.TryGo(func() { <-hold }) {
+			t.Fatalf("TryGo %d of %d on a free pool was refused", i+1, workers)
+		}
+	}
+	if b.TryGo(func() {}) {
+		t.Fatal("TryGo started a task past Workers()")
+	}
+	close(hold)
+	b.Wait()
+	hold = make(chan struct{})
+	for i := range workers {
+		if !b.TryGo(func() { <-hold }) {
+			t.Fatalf("slot %d still held after Wait returned", i+1)
+		}
+	}
+	close(hold)
+	b.Wait()
+
+	var running, peak atomic.Int32
+	enter := func() {
+		n := running.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+	}
+	for range 40 {
+		pool.Go(func() {
+			enter()
+			defer running.Add(-1)
+			helpers := pool.Batch()
+			for range workers {
+				helpers.TryGo(func() {
+					enter()
+					running.Add(-1)
+				})
+			}
+			helpers.Wait()
+		})
+	}
+	pool.Wait()
+	if p := peak.Load(); p > workers {
+		t.Fatalf("peak concurrency %d exceeds pool width %d", p, workers)
+	}
+}

@@ -172,7 +172,8 @@ func (s *Server) StartStream(name string) (*ingest.Stream, error) {
 	}
 	// A live stream keeps one segment in flight: its next segment waits
 	// for this one's commit, so a standing query's commit-time evaluation
-	// keeps the core a pipelined transcode would take.
+	// keeps the core a pipelined transcode would take. Within the segment,
+	// the longest encode borrows the pool slots the others leave idle.
 	st := ingest.NewStream(name, 0, func(full []*frame.Frame) error {
 		r, err := s.reserve(name, func(int) []*frame.Frame { return full })
 		if err != nil {

@@ -637,7 +637,8 @@ func (s *Server) reserve(stream string, clip func(idx int) []*frame.Frame) (*res
 }
 
 // transcode writes every storage format of the reservation concurrently
-// on the shared pool. On failure it deletes the formats that did land:
+// on the shared pool, and each encode borrows the pool's slots that fall
+// idle while it runs. On failure it deletes the formats that did land:
 // the segment is never committed, so the records are invisible, but
 // leaving them would leak disk and resurrect a partial segment when a
 // reopen rebuilds the manifest from physical records.
@@ -654,7 +655,7 @@ func (s *Server) transcode(r *reservation) ([]ingest.SFStats, float64, error) {
 	batch := s.pool.Batch()
 	for fi := range r.sfs {
 		batch.Go(func() {
-			one := ingest.Ingester{Store: s.segs, SFs: r.sfs[fi : fi+1]}
+			one := ingest.Ingester{Store: s.segs, SFs: r.sfs[fi : fi+1], Pool: s.pool}
 			bytes, c, err := one.TranscodeSegment(r.full, r.stream, r.sfs[fi], r.idx)
 			stMu.Lock()
 			defer stMu.Unlock()
