@@ -16,7 +16,7 @@
 //	                 [-erode-interval D] [-today D] [-shards N] [-fast-bytes N] [-demote-after D]
 //	vstore api       -db DIR [-listen :8080] [-max-inflight N] [-max-queue N] [-max-subs N] [-tenants FILE]
 //	                 [-query-timeout D] [-erode-interval D] [-today D] [-shards N] [-fast-bytes N] [-demote-after D]
-//	vstore route     -nodes n1=http://H:P,n2=http://H:P[,...] [-listen :8090] [-replicas N] [-workers N]
+//	vstore route     -nodes n1=http://H:P,n2=http://H:P[,...] [-listen :8090] [-replicas N]
 //	vstore scrub     -db DIR [-shards N]
 //	vstore damage    -db DIR -stream NAME [-segment I] [-sf KEY] [-shards N]
 //	vstore stats     -db DIR
@@ -548,14 +548,13 @@ func parseNodes(spec string) ([]cluster.Node, error) {
 }
 
 // cmdRoute runs the stateless cluster router: no store of its own, just
-// the membership, the placement hash, and the fan-out/merge machinery —
-// any number of these can front the same nodes.
+// the membership, the placement hash, and the relay that sends each query
+// to its node — any number of these can front the same nodes.
 func cmdRoute(args []string) error {
 	fs := flag.NewFlagSet("route", flag.ExitOnError)
 	nodesSpec := fs.String("nodes", "", "comma-separated member nodes: name=http://host:port (bare URLs auto-name)")
 	listen := fs.String("listen", ":8090", "listen address")
 	replicas := fs.Int("replicas", 1, "nodes serving each stream (owner + replicas-1 followers)")
-	workers := fs.Int("workers", 4, "concurrent chunk executions per query")
 	fs.Parse(args)
 	nodes, err := parseNodes(*nodesSpec)
 	if err != nil {
@@ -564,14 +563,12 @@ func cmdRoute(args []string) error {
 	rt, err := cluster.NewRouter(cluster.Options{
 		Nodes:    nodes,
 		Replicas: *replicas,
-		Workers:  *workers,
 	})
 	if err != nil {
 		return err
 	}
 	return serveUntilSignal(rt, *listen, "drained", func(addr net.Addr) {
-		fmt.Printf("vstore router listening on %s (%d nodes, %d replicas, %d workers)\n",
-			addr, len(nodes), *replicas, *workers)
+		fmt.Printf("vstore router listening on %s (%d nodes, %d replicas)\n", addr, len(nodes), *replicas)
 		for _, n := range nodes {
 			fmt.Printf("  node %-12s %s\n", n.Name, n.URL)
 		}

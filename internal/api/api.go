@@ -346,6 +346,11 @@ func (s *Server) handleQuery(w *Response, r *http.Request) {
 	t0 := time.Now()
 	chunks, segments := 0, 0
 	for lo, hi := range req.Spans(snap.Segments(req.Stream)) {
+		if req.Snap != "" {
+			// Renew the lease at every chunk: its TTL bounds how long a
+			// lease sits idle, and a routed query is one long request.
+			s.leases.Get(req.Snap)
+		}
 		res, err := s.store.QueryAt(ctx, snap, req.Stream, cascade, names, acc, lo, hi)
 		if err != nil {
 			// Client-driven terminations (disconnect, timeout) are not

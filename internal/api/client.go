@@ -172,8 +172,9 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 // returning last (the trailer or an in-band error line) or an error; fn
 // must not keep line past its return. Past the trailer the body is drained
 // for the connection's sake; past an error line it is not, since a failed
-// stream owes no clean end. A body that ends before its last line is
-// truncated. Any other status than 200 is a *StatusError.
+// stream owes no clean end. A body that ends or is cut before its last
+// line is truncated, and fn never sees a line its newline did not end.
+// Any other status than 200 is a *StatusError.
 func (c *Client) Stream(ctx context.Context, path string, in any, fn func(line []byte) (last bool, err error)) error {
 	resp, err := c.send(ctx, http.MethodPost, path, in)
 	if err != nil {
@@ -182,6 +183,7 @@ func (c *Client) Stream(ctx context.Context, path string, in any, fn func(line [
 	defer resp.Body.Close()
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20) // detection lists can be long
+	sc.Split(scanTerminatedLines)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
@@ -195,10 +197,20 @@ func (c *Client) Stream(ctx context.Context, path string, in any, fn func(line [
 			return err
 		}
 	}
-	if err := sc.Err(); err != nil {
+	if err := sc.Err(); err != nil && !errors.Is(err, io.ErrUnexpectedEOF) {
 		return err
 	}
 	return &StreamError{Truncated: true}
+}
+
+// scanTerminatedLines splits newline-terminated lines, like
+// bufio.ScanLines, but yields no unterminated remainder at the end: a body
+// cut mid-line would hand on the torn half as a whole line.
+func scanTerminatedLines(data []byte, atEOF bool) (advance int, token []byte, err error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i], nil
+	}
+	return 0, nil, nil
 }
 
 // QueryLines runs one query, invoking fn with every chunk line exactly as

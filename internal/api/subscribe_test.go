@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -348,5 +350,47 @@ func TestStreamTypedErrors(t *testing.T) {
 	_, err = api.NewClient(ts5.URL).QueryStream(ctx, api.QueryRequest{Stream: "cam"}, nil)
 	if api.IsStreamError(err) {
 		t.Fatalf("status error misclassified as stream error: %v", err)
+	}
+}
+
+// TestStreamCutAtEveryByte cuts a valid chunk, chunk, done body at every
+// byte offset, the server returning or aborting there: fn sees only the
+// lines a newline ended, and the call fails as a truncation unless the
+// cut falls after the trailer's newline.
+func TestStreamCutAtEveryByte(t *testing.T) {
+	lines := []string{`{"chunk":{"seg0":0,"seg1":1}}`, `{"chunk":{"seg0":1,"seg1":2}}`, `{"done":{"chunks":2,"segments":2}}`}
+	body := strings.Join(lines, "\n") + "\n"
+	var cut atomic.Int64
+	var abort atomic.Bool
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, body[:cut.Load()])
+		w.(http.Flusher).Flush()
+		if abort.Load() {
+			panic(http.ErrAbortHandler)
+		}
+	}))
+	defer ts.Close()
+	cl := api.NewClient(ts.URL)
+	for i := range len(body) + 1 {
+		for _, ab := range []bool{false, true} {
+			cut.Store(int64(i))
+			abort.Store(ab)
+			var got []string
+			err := cl.Stream(context.Background(), "/v1/query", api.QueryRequest{Stream: "cam"}, func(line []byte) (bool, error) {
+				got = append(got, string(line))
+				return strings.HasPrefix(string(line), `{"done"`), nil
+			})
+			whole := strings.Count(body[:i], "\n")
+			if strings.Join(got, "\n") != strings.Join(lines[:whole], "\n") {
+				t.Fatalf("cut at %d (abort %v): fn saw %q, want the %d whole lines", i, ab, got, whole)
+			}
+			if i == len(body) {
+				if err != nil {
+					t.Fatalf("whole body (abort %v): %v", ab, err)
+				}
+			} else if !api.IsTruncated(err) {
+				t.Fatalf("cut at %d (abort %v): %v, want a truncation", i, ab, err)
+			}
+		}
 	}
 }

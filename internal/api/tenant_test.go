@@ -46,7 +46,10 @@ func TestGateFairnessAcrossTenants(t *testing.T) {
 	cold := api.NewClient(cl.BaseURL)
 	cold.APIKey = "k-cold"
 
-	waitInFlight := func(endpoint string, n int64) {
+	// waitHot polls /v1/stats until hot's gate state is reached: the gate
+	// grants and parks after arrival, so each step is awaited, not slept
+	// for (the holder's ingest lasts only about 100 ms).
+	waitHot := func(what string, want tenant.GateTenantStats) {
 		t.Helper()
 		deadline := time.Now().Add(15 * time.Second)
 		for {
@@ -54,13 +57,13 @@ func TestGateFairnessAcrossTenants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.API[endpoint].InFlight >= n {
+			if got := st.Tenants["hot"].Gate; got == want {
 				return
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("%s never reached %d in-flight", endpoint, n)
+				t.Fatalf("never observed: %s (last gate %+v)", what, st.Tenants["hot"].Gate)
 			}
-			time.Sleep(5 * time.Millisecond)
+			time.Sleep(time.Millisecond)
 		}
 	}
 
@@ -73,8 +76,7 @@ func TestGateFairnessAcrossTenants(t *testing.T) {
 			t.Errorf("hot holder: %v", err)
 		}
 	}()
-	waitInFlight("ingest", 1)
-	time.Sleep(50 * time.Millisecond) // arrival -> slot acquisition
+	waitHot("the ingest holding the slot", tenant.GateTenantStats{InFlight: 1})
 
 	// ...and fills its whole waiting room with queries.
 	for i := 0; i < 2; i++ {
@@ -86,8 +88,7 @@ func TestGateFairnessAcrossTenants(t *testing.T) {
 			}
 		}()
 	}
-	waitInFlight("query", 2)
-	time.Sleep(100 * time.Millisecond) // arrival -> queue entry
+	waitHot("both queries parked", tenant.GateTenantStats{InFlight: 1, Queued: 2})
 
 	// Hot's own overflow is rejected — its queue really is full.
 	if _, _, err := hot.Query(ctx, api.QueryRequest{Stream: "cam", Query: testQuery}); !api.IsRejected(err) {

@@ -39,9 +39,9 @@ type QueryRequest struct {
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
 	// Snap, when set, runs the query against a snapshot lease previously
 	// granted by POST /v1/snapshot instead of pinning a fresh one — how
-	// the cluster router issues several chunked reads against one frozen
-	// view. The lease stays live after the query; its
-	// owner releases it.
+	// the cluster router runs a query, and on failover its remainder,
+	// against one frozen view. Each chunk renews the lease, which stays
+	// live after the query; its owner releases it.
 	Snap string `json:"snap,omitempty"`
 }
 

@@ -261,28 +261,24 @@ func TestNewPlacerRejects(t *testing.T) {
 	}
 }
 
-// TestRouterMergeDeterminism is the fan-out/merge contract: with two
-// streams split across a two-node cluster, a chunked query through the
-// router is byte-identical to the same query against the owning node
-// alone — at every worker count, because the merge orders by segment,
-// not by completion.
+// TestRouterMergeDeterminism is the relay contract: with two streams
+// split across a two-node cluster, a chunked query through the router is
+// byte-identical to the same query against the owning node alone.
 func TestRouterMergeDeterminism(t *testing.T) {
 	n1, n2 := startNode(t, "n1"), startNode(t, "n2")
 	nodes := []cluster.Node{n1.node, n2.node}
-	rt1, rcl1, _ := startRouter(t, cluster.Options{Nodes: nodes, Workers: 1})
-	_, rcl2, _ := startRouter(t, cluster.Options{Nodes: nodes, Workers: 2})
-	_, rcl8, rurl8 := startRouter(t, cluster.Options{Nodes: nodes, Workers: 8})
+	rt, rcl, rurl := startRouter(t, cluster.Options{Nodes: nodes})
 
 	ctx := context.Background()
 	streams := map[string]*testNode{
-		streamOwnedBy(t, rt1.Place, "n1"): n1,
-		streamOwnedBy(t, rt1.Place, "n2"): n2,
+		streamOwnedBy(t, rt.Place, "n1"): n1,
+		streamOwnedBy(t, rt.Place, "n2"): n2,
 	}
 	if len(streams) != 2 {
 		t.Fatal("probe streams collided")
 	}
 	for stream := range streams {
-		if _, err := rcl1.Ingest(ctx, api.IngestRequest{Stream: stream, Scene: "jackson", Segments: 3}); err != nil {
+		if _, err := rcl.Ingest(ctx, api.IngestRequest{Stream: stream, Scene: "jackson", Segments: 3}); err != nil {
 			t.Fatalf("ingest %s through router: %v", stream, err)
 		}
 	}
@@ -316,29 +312,27 @@ func TestRouterMergeDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s chunk=%d: single-node query: %v", stream, chunk, err)
 			}
-			for name, rcl := range map[string]*api.Client{"w1": rcl1, "w2": rcl2, "w8": rcl8} {
-				gotChunks, gotSum, err := rcl.Query(ctx, req)
-				if err != nil {
-					t.Fatalf("%s chunk=%d via %s: %v", stream, chunk, name, err)
-				}
-				if l, r := mustMarshal(t, canon(wantChunks)), mustMarshal(t, canon(gotChunks)); l != r {
-					t.Fatalf("%s chunk=%d via %s: chunks differ\nnode   %s\nrouter %s", stream, chunk, name, l, r)
-				}
-				if gotSum.Chunks != wantSum.Chunks || gotSum.Segments != wantSum.Segments {
-					t.Fatalf("%s chunk=%d via %s: summary %+v, node %+v", stream, chunk, name, gotSum, wantSum)
-				}
+			gotChunks, gotSum, err := rcl.Query(ctx, req)
+			if err != nil {
+				t.Fatalf("%s chunk=%d via the router: %v", stream, chunk, err)
+			}
+			if l, r := mustMarshal(t, canon(wantChunks)), mustMarshal(t, canon(gotChunks)); l != r {
+				t.Fatalf("%s chunk=%d: chunks differ\nnode   %s\nrouter %s", stream, chunk, l, r)
+			}
+			if gotSum.Chunks != wantSum.Chunks || gotSum.Segments != wantSum.Segments {
+				t.Fatalf("%s chunk=%d: summary %+v, node %+v", stream, chunk, gotSum, wantSum)
 			}
 		}
 	}
 
 	// The router's aggregation and introspection surfaces see the fleet.
 	var stats cluster.StatsResponse
-	getJSON(t, rurl8+"/v1/stats", &stats)
+	getJSON(t, rurl+"/v1/stats", &stats)
 	if stats.Nodes["n1"] == nil || stats.Nodes["n2"] == nil {
 		t.Fatalf("aggregated stats missing a node: %v", stats.Unreachable)
 	}
 	var info cluster.ClusterResponse
-	getJSON(t, rurl8+"/v1/cluster", &info)
+	getJSON(t, rurl+"/v1/cluster", &info)
 	if len(info.Nodes) != 2 || !info.Nodes[0].OK || !info.Nodes[1].OK {
 		t.Fatalf("cluster introspection: %+v", info.Nodes)
 	}
@@ -347,7 +341,7 @@ func TestRouterMergeDeterminism(t *testing.T) {
 			t.Fatalf("no placement reported for %s", stream)
 		}
 	}
-	resp, err := http.Get(rurl8 + "/metrics")
+	resp, err := http.Get(rurl + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +380,6 @@ func TestRouterFailoverOnDrainedOwner(t *testing.T) {
 	rt, rcl, rurl := startRouter(t, cluster.Options{
 		Nodes:    []cluster.Node{owner.node, follower.node},
 		Replicas: 2,
-		Workers:  2,
 	})
 	ctx := context.Background()
 	stream := streamOwnedBy(t, rt.Place, "owner")
@@ -657,7 +650,6 @@ func TestRouterKillNodeFailover(t *testing.T) {
 			survivor.node,
 		},
 		Replicas: 2,
-		Workers:  1, // sequential chunks: the kill lands with spans still pending
 	})
 
 	// Replicate the stream onto the survivor before the kill — R=2 means

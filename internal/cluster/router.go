@@ -1,12 +1,12 @@
 // The stateless router: one HTTP server fronting a static membership of
 // vstore nodes. Reads resolve the stream to its owner through the
-// consistent-hash placer, fan the requested range out in chunks over a
-// bounded worker pool against one leased snapshot, and relay the nodes'
-// chunk lines back in segment order — so the response is byte-identical to
-// the same query against a single node holding the data, at any worker
-// count. When the owner is down the session fails over to the stream's
-// replica followers (chunks are deterministic, so a re-run lands the
-// same bytes) and counts the degraded route. Writes forward to the owner
+// consistent-hash placer, lease one snapshot there, and send the node the
+// client's whole query against that lease as one request, relaying its
+// chunk lines as they arrive — so the response is byte-identical to the
+// same query against a single node holding the data. When the owner fails
+// the session moves to the stream's replica followers and sends only the
+// unrelayed remainder (chunks are deterministic, so a re-run lands the
+// same bytes), counting the degraded route. Writes forward to the owner
 // and fan replication pulls out to the followers in the background.
 
 package cluster
@@ -31,9 +31,6 @@ type Options struct {
 	// Replicas is how many nodes serve each stream (the owner plus
 	// Replicas-1 followers). Zero or one means no replication.
 	Replicas int
-	// Workers bounds how many chunks of one query execute concurrently.
-	// Zero selects 4; the merge order is segment order at any setting.
-	Workers int
 }
 
 // Router serves the cluster. Create with NewRouter, start with Start (or
@@ -43,7 +40,6 @@ type Router struct {
 	nodes    []Node
 	placer   *Placer
 	replicas int
-	workers  int
 
 	http *http.Client // shared transport to the nodes; no global timeout (streams)
 
@@ -52,7 +48,7 @@ type Router struct {
 	replicationErrs atomic.Int64
 
 	// drainCtx ends when Shutdown begins, aborting background replication
-	// pulls and any straggling fan-out.
+	// pulls.
 	drainCtx    context.Context
 	cancelDrain context.CancelFunc
 	background  sync.WaitGroup
@@ -69,14 +65,10 @@ func NewRouter(opts Options) (*Router, error) {
 		nodes:    append([]Node(nil), opts.Nodes...),
 		placer:   placer,
 		replicas: opts.Replicas,
-		workers:  opts.Workers,
 		http:     &http.Client{},
 	}
 	if r.replicas < 1 {
 		r.replicas = 1
-	}
-	if r.workers <= 0 {
-		r.workers = 4
 	}
 	r.drainCtx, r.cancelDrain = context.WithCancel(context.Background())
 	r.Route("query", "POST /v1/query", r.handleQuery)
@@ -125,35 +117,26 @@ func writeStatusError(w http.ResponseWriter, req *http.Request, err error) {
 
 // querySession is one query's routing state: the candidate nodes in
 // placement order and the snapshot lease on whichever of them is
-// currently serving. Workers share it; a failed chunk advances the
-// session to the next candidate exactly once no matter how many workers
-// hit the failure.
+// currently serving.
 type querySession struct {
 	r      *Router
 	key    string
 	stream string
 	cands  []Node
 
-	mu       sync.Mutex
-	cur      int // index of the serving candidate
-	cl       *api.Client
+	cur      int         // index of the serving candidate
+	cl       *api.Client // nil until a candidate is pinned
 	lease    string
 	streams  map[string]int // committed lengths at the FIRST pin (resolves To)
 	releases []func()
 }
 
-// acquire returns the serving candidate's client and lease, advancing
-// past dead candidates. The returned generation identifies the candidate
-// for fail().
-func (s *querySession) acquire(ctx context.Context) (gen int, cl *api.Client, lease string, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.cl != nil {
-			return s.cur, s.cl, s.lease, nil
-		}
+// acquire pins a snapshot on the serving candidate, advancing past dead
+// candidates; it does nothing while one is pinned.
+func (s *querySession) acquire(ctx context.Context) error {
+	for s.cl == nil {
 		if s.cur >= len(s.cands) {
-			return 0, nil, "", fmt.Errorf("cluster: no live replica of %q (%d candidates tried)", s.stream, len(s.cands))
+			return fmt.Errorf("cluster: no live replica of %q (%d candidates tried)", s.stream, len(s.cands))
 		}
 		cl := s.r.clientFor(s.cands[s.cur], s.key)
 		pctx, cancel := context.WithTimeout(ctx, 5*time.Second)
@@ -174,106 +157,45 @@ func (s *querySession) acquire(ctx context.Context) (gen int, cl *api.Client, le
 				s.streams = resp.Streams
 			}
 			s.releases = append(s.releases, release)
-			return s.cur, s.cl, s.lease, nil
+			return nil
 		}
 		if err == nil {
 			release()
+		} else if ctx.Err() != nil {
+			return ctx.Err() // the query ended, not the candidate
 		}
 		// This candidate is down, refusing or short of the stream: count
 		// the degraded route and move on.
 		s.r.degradedRoutes.Add(1)
 		s.cur++
 	}
+	return nil
 }
 
-// fail abandons the candidate identified by gen; later acquires move to
-// the next one. A stale gen (another worker already advanced) is a no-op.
-func (s *querySession) fail(gen int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if gen == s.cur {
-		s.cl, s.lease = nil, ""
-		s.cur++
-		s.r.degradedRoutes.Add(1)
-	}
+// fail abandons the serving candidate; the next acquire moves on.
+func (s *querySession) fail() {
+	s.cl, s.lease = nil, ""
+	s.cur++
+	s.r.degradedRoutes.Add(1)
 }
 
 // release releases every lease the session pinned (best-effort; a lease
 // on a dead node expires by TTL instead).
 func (s *querySession) release() {
-	s.mu.Lock()
-	rels := s.releases
-	s.releases = nil
-	s.mu.Unlock()
-	for _, rel := range rels {
+	for _, rel := range s.releases {
 		rel()
 	}
 }
 
-// run executes one span [lo, hi) on the serving candidate, failing over
-// until a candidate answers or all are exhausted, and returns the span's
-// one chunk line as the node wrote it. Chunks are deterministic functions
-// of the replicated bytes, so a re-run on a follower returns the same
-// chunk the owner would have. retry429 selects whether node-side admission
-// rejections are retried here (mid-stream spans, where the 429 can no
-// longer become a status code) or surfaced to the caller (the first span,
-// which still can).
-func (s *querySession) run(ctx context.Context, req api.QueryRequest, lo, hi int, retry429 bool) ([]byte, error) {
-	for {
-		gen, cl, lease, err := s.acquire(ctx)
-		if err != nil {
-			return nil, err
-		}
-		var line []byte
-		chunks := 0
-		span := api.QueryRequest{Stream: req.Stream, Query: req.Query, Accuracy: req.Accuracy, From: lo, To: hi, Snap: lease}
-		_, err = cl.QueryLines(ctx, span, func(l []byte) error {
-			chunks++
-			line = append(line[:0], l...)
-			return nil
-		})
-		if err == nil {
-			if chunks != 1 {
-				return nil, fmt.Errorf("cluster: node returned %d chunks for one span", chunks)
-			}
-			return line, nil
-		}
-		if ctx.Err() != nil {
-			return nil, err
-		}
-		if api.IsRejected(err) {
-			if !retry429 {
-				return nil, err
-			}
-			hint, _ := api.RetryAfterHint(err)
-			if hint <= 0 {
-				hint = time.Second
-			}
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-time.After(hint):
-			}
-			continue
-		}
-		var se *api.StatusError
-		if errors.As(err, &se) && se.Code < 500 && se.Code != http.StatusNotFound {
-			// The node understood and refused (bad request, unauthorized):
-			// no other replica will answer differently.
-			return nil, err
-		}
-		// Transport failure, 5xx, truncated stream, or an expired lease
-		// (404): the candidate is gone — fail over.
-		s.fail(gen)
-	}
-}
-
 // handleQuery serves one query across the cluster: resolve the stream's
-// candidates, lease a snapshot on the first live one, fan the range out
-// in chunks over the worker pool, and relay each span's chunk line in
-// segment order, as its node wrote it. Errors before the first byte keep
-// their status codes (a node's 429 stays a 429, hint included); errors
-// after it travel in-band, as on a node.
+// candidates, lease a snapshot on the first live one, and send it the
+// client's whole request as one query against that lease, relaying each
+// chunk line as its node wrote it. When the candidate fails mid-stream,
+// only the unrelayed remainder goes to the next one: chunks are
+// deterministic functions of the replicated bytes and the remainder starts
+// on a chunk boundary, so the lines carry on where they stopped. Errors
+// before the first byte keep their status codes (a node's 429 stays a 429,
+// hint included); errors after it travel in-band, as on a node.
 func (r *Router) handleQuery(w *api.Response, req *http.Request) {
 	var qr api.QueryRequest
 	if !api.ReadJSON(w, req, &qr) {
@@ -287,70 +209,93 @@ func (r *Router) handleQuery(w *api.Response, req *http.Request) {
 		http.Error(w, "snapshot leases are node-scoped; query the node directly", http.StatusBadRequest)
 		return
 	}
-
-	ctx, cancel := context.WithCancel(req.Context())
-	defer cancel()
-	sess := &querySession{r: r, key: api.APIKey(req), stream: qr.Stream, cands: r.Place(qr.Stream)}
-	defer sess.release()
-	if _, _, _, err := sess.acquire(ctx); err != nil {
-		writeStatusError(w, req, err)
-		return
+	ctx := req.Context()
+	if qr.TimeoutMs > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(qr.TimeoutMs)*time.Millisecond)
+		defer cancel()
 	}
-
-	// The spans: one per chunk of the merge, executed concurrently by at
-	// most r.workers goroutines taking them in order, emitted in order.
-	type span struct{ lo, hi int }
-	var spans []span
-	for lo, hi := range qr.Spans(sess.streams[qr.Stream]) {
-		spans = append(spans, span{lo, hi})
-	}
-
-	type spanResult struct {
-		line []byte
-		err  error
-	}
-	results := make([]chan spanResult, len(spans))
-	for i := range results {
-		results[i] = make(chan spanResult, 1)
-	}
-	var next atomic.Int64
-	var workers sync.WaitGroup
-	// Stop the workers and wait for them before the session's leases go.
-	defer func() { cancel(); workers.Wait() }()
-	for range min(r.workers, len(spans)) {
-		workers.Add(1)
-		go func() {
-			defer workers.Done()
-			for i := int(next.Add(1) - 1); i < len(spans); i = int(next.Add(1) - 1) {
-				res := spanResult{err: ctx.Err()} // a cancelled query runs no more spans
-				if res.err == nil {
-					res.line, res.err = sess.run(ctx, qr, spans[i].lo, spans[i].hi, i > 0)
-				}
-				results[i] <- res
-			}
-		}()
-	}
-
-	t0 := time.Now()
-	segments := 0
-	for i := range spans {
-		res := <-results[i]
-		if res.err != nil {
-			if !w.Wrote() {
-				// Nothing sent yet: the error keeps its status code.
-				writeStatusError(w, req, res.err)
-				return
-			}
-			w.MidStreamErr = true
-			w.Line(api.QueryLine{Error: res.err.Error()})
+	writeErr := func(err error) {
+		if !w.Wrote() {
+			// Nothing sent yet: the error keeps its status code.
+			writeStatusError(w, req, err)
 			return
 		}
-		w.Line(res.line)
-		segments += spans[i].hi - spans[i].lo
+		w.MidStreamErr = !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
+		w.Line(api.QueryLine{Error: err.Error()})
+	}
+
+	sess := &querySession{r: r, key: api.APIKey(req), stream: qr.Stream, cands: r.Place(qr.Stream)}
+	defer sess.release()
+	if err := sess.acquire(ctx); err != nil {
+		writeErr(err)
+		return
+	}
+	to := qr.To
+	if to == 0 {
+		to = sess.streams[qr.Stream]
+	}
+	from := min(qr.From, to)
+	next := from // the first segment no relayed line covers
+
+	t0 := time.Now()
+	chunks := 0
+	for next < to {
+		rest := qr
+		rest.From, rest.To, rest.Snap = next, to, sess.lease
+		_, err := sess.cl.QueryLines(ctx, rest, func(line []byte) error {
+			if next == to {
+				return errors.New("cluster: node answered past the range")
+			}
+			w.Line(line)
+			chunks++
+			if qr.Chunk > 0 && qr.Chunk < to-next { // not next+Chunk < to: that sum can overflow
+				next += qr.Chunk
+			} else {
+				next = to
+			}
+			return nil
+		})
+		if err == nil && next < to {
+			err = errors.New("cluster: node answered short of the range")
+		}
+		var se *api.StatusError
+		switch {
+		case err == nil:
+		case ctx.Err() != nil:
+			writeErr(ctx.Err())
+			return
+		case api.IsRejected(err) && w.Wrote():
+			// Too late for a status code: wait out the node's hint and
+			// retry the remainder.
+			hint, _ := api.RetryAfterHint(err)
+			if hint <= 0 {
+				hint = time.Second
+			}
+			select {
+			case <-ctx.Done():
+				writeErr(ctx.Err())
+				return
+			case <-time.After(hint):
+			}
+		case errors.As(err, &se) && se.Code < 500 && se.Code != http.StatusNotFound:
+			// The node understood and refused (admission before any line,
+			// bad request, unauthorized): no other replica answers otherwise.
+			writeErr(err)
+			return
+		default:
+			// Transport failure, 5xx, truncated stream, in-band error or an
+			// expired lease (404): the candidate is gone, so fail over.
+			sess.fail()
+			if err := sess.acquire(ctx); err != nil {
+				writeErr(err)
+				return
+			}
+		}
 	}
 	w.Line(api.QueryLine{Done: &api.QuerySummary{
-		Chunks:   len(spans),
-		Segments: segments,
+		Chunks:   chunks,
+		Segments: to - from,
 		WallMs:   float64(time.Since(t0).Nanoseconds()) / 1e6,
 	}})
 }
@@ -487,7 +432,6 @@ func (r *Router) handleStreams(w *api.Response, req *http.Request) {
 func (r *Router) handleCluster(w *api.Response, req *http.Request) {
 	resp := ClusterResponse{
 		Replicas:   r.replicas,
-		Workers:    r.workers,
 		Placements: map[string][]string{},
 	}
 	key := api.APIKey(req)

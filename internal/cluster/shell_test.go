@@ -19,9 +19,9 @@ import (
 	"repro/internal/cluster"
 )
 
-// TestRouterHugeChunkOneSpan: the router splits a range with the same
-// QueryRequest.Spans a node does, so a chunk large enough to overflow
-// lo+chunk is one span there too — it used to wrap negative and hang.
+// TestRouterHugeChunkOneSpan: a chunk large enough to overflow lo+chunk
+// is one span through the router too — the router's split used to wrap
+// negative and hang, and its relay steps over chunks with the same guard.
 func TestRouterHugeChunkOneSpan(t *testing.T) {
 	n := startNode(t, "n1")
 	_, rcl, _ := startRouter(t, cluster.Options{Nodes: []cluster.Node{n.node}})
@@ -62,8 +62,8 @@ func TestRouterPassesNode429(t *testing.T) {
 	}
 }
 
-// TestRouterRelaysNodeLines: the router passes each span's chunk line on
-// as the node wrote it. The stub's lines are valid but not what the node's
+// TestRouterRelaysNodeLines: the router passes each chunk line on as the
+// node wrote it. The stub's lines are valid but not what the node's
 // encoder writes — keys out of struct order and a float spelled 1.50, then
 // a space after the chunk key — and the router's body carries them byte for
 // byte, where a decode and re-encode would respell both.
@@ -82,7 +82,10 @@ func TestRouterRelaysNodeLines(t *testing.T) {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
-			fmt.Fprintf(w, "%s\n{\"done\":{\"chunks\":1,\"segments\":1}}\n", lines[q.From])
+			for _, l := range lines[q.From:q.To] {
+				fmt.Fprintf(w, "%s\n", l)
+			}
+			fmt.Fprintf(w, "{\"done\":{\"chunks\":%d,\"segments\":%d}}\n", q.To-q.From, q.To-q.From)
 		default:
 			http.NotFound(w, r)
 		}
@@ -134,64 +137,192 @@ func TestRouterPassesSubscribeRefusal(t *testing.T) {
 	}
 }
 
-// TestRouterFanOutBounded: a routed query runs its spans on at most
-// Workers goroutines, however many spans the range cuts into. The stub
-// node answers span 0 at once and holds every other span until the first
-// chunk has reached the client — by then the router has started every
-// goroutine it would start for spans it cannot yet merge.
-func TestRouterFanOutBounded(t *testing.T) {
-	const spans = 2000
-	release := make(chan struct{})
-	var once sync.Once
-	letGo := func() { once.Do(func() { close(release) }) }
-	defer letGo()
-	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+// stubNode is a node whose snapshot lease holds segments of stream: it
+// answers a query with one encoded chunk line per span and the trailer,
+// passing the decoded query to seen first. With cut >= 0 it dies after cut
+// chunk lines instead, its response aborted mid-stream.
+func stubNode(stream string, segments int, lease string, cut int, seen func(api.QueryRequest)) *httptest.Server {
+	var mu sync.Mutex
+	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case "/v1/snapshot":
-			api.WriteJSON(w, http.StatusOK, api.SnapshotResponse{ID: "s1", Streams: map[string]int{"cam": spans}})
+			api.WriteJSON(w, http.StatusOK, api.SnapshotResponse{ID: lease, Streams: map[string]int{stream: segments}})
 		case "/v1/query":
 			var q api.QueryRequest
 			if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
-			if q.From > 0 {
-				select {
-				case <-release:
-				case <-r.Context().Done():
-					return
-				}
-			}
+			mu.Lock()
+			seen(q)
+			mu.Unlock()
 			enc := json.NewEncoder(w)
-			enc.Encode(api.QueryLine{Chunk: &api.QueryChunk{Seg0: q.From, Seg1: q.To}})
-			enc.Encode(api.QueryLine{Done: &api.QuerySummary{Chunks: 1, Segments: q.To - q.From}})
+			n := 0
+			for lo, hi := range q.Spans(segments) {
+				if n == cut {
+					w.(http.Flusher).Flush()
+					panic(http.ErrAbortHandler)
+				}
+				enc.Encode(api.QueryLine{Chunk: &api.QueryChunk{Seg0: lo, Seg1: hi}})
+				n++
+			}
+			enc.Encode(api.QueryLine{Done: &api.QuerySummary{Chunks: n, Segments: q.To - q.From}})
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+}
+
+// TestRouterOneRequestPerQuery: a routed query is one /v1/query to its
+// node, whatever the chunking, carrying the client's chunk and timeout_ms
+// against the router's lease; the router starts no goroutine per chunk,
+// and the client gets every chunk in order.
+func TestRouterOneRequestPerQuery(t *testing.T) {
+	for _, tc := range []struct{ segments, chunk int }{{3, 0}, {3, 1}, {2000, 1}} {
+		var reqs []api.QueryRequest
+		node := stubNode("cam", tc.segments, "s1", -1, func(q api.QueryRequest) { reqs = append(reqs, q) })
+		_, rcl, _ := startRouter(t, cluster.Options{Nodes: []cluster.Node{{Name: "n1", URL: node.URL}}})
+
+		base, grew := runtime.NumGoroutine(), 0
+		n := 0
+		req := api.QueryRequest{Stream: "cam", Query: testQuery, Chunk: tc.chunk, TimeoutMs: 60000}
+		sum, err := rcl.QueryStream(context.Background(), req, func(c api.QueryChunk) error {
+			grew = max(grew, runtime.NumGoroutine()-base)
+			lo, hi := n, tc.segments
+			if tc.chunk > 0 {
+				hi = n + 1
+			}
+			if c.Seg0 != lo || c.Seg1 != hi {
+				return fmt.Errorf("chunk %d is [%d, %d), want [%d, %d)", n, c.Seg0, c.Seg1, lo, hi)
+			}
+			n++
+			return nil
+		})
+		node.Close()
+		if err != nil {
+			t.Fatalf("%+v: %v", tc, err)
+		}
+		want := 1
+		if tc.chunk > 0 {
+			want = tc.segments
+		}
+		if n != want || sum.Chunks != want || sum.Segments != tc.segments {
+			t.Fatalf("%+v: got %d chunks, summary %+v; want %d", tc, n, sum, want)
+		}
+		if grew >= 20 {
+			t.Fatalf("%+v: %d goroutines started for a %d-chunk query", tc, grew, want)
+		}
+		if len(reqs) != 1 {
+			t.Fatalf("%+v: the node saw %d queries, want 1", tc, len(reqs))
+		}
+		if q := reqs[0]; q.Chunk != tc.chunk || q.TimeoutMs != req.TimeoutMs || q.Snap != "s1" || q.From != 0 || q.To != tc.segments {
+			t.Fatalf("%+v: the node saw %+v, want the client's chunk and timeout_ms over [0, %d) on lease s1", tc, q, tc.segments)
+		}
+	}
+}
+
+// TestRouterTimeoutEndsQuery: the client's timeout_ms bounds the routed
+// query as a whole. A node that stalls after one line is not failed over
+// to a replica: the query ends in-band at the deadline, its node asked
+// once and no route counted as degraded.
+func TestRouterTimeoutEndsQuery(t *testing.T) {
+	queries := make(chan struct{}, 4)
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/snapshot":
+			api.WriteJSON(w, http.StatusOK, api.SnapshotResponse{ID: "s1", Streams: map[string]int{"cam": 3}})
+		case "/v1/query":
+			queries <- struct{}{}
+			json.NewEncoder(w).Encode(api.QueryLine{Chunk: &api.QueryChunk{Seg0: 0, Seg1: 1}})
+			w.(http.Flusher).Flush()
+			<-r.Context().Done()
 		default:
 			http.NotFound(w, r)
 		}
 	}))
 	defer node.Close()
-	_, rcl, _ := startRouter(t, cluster.Options{Nodes: []cluster.Node{{Name: "n1", URL: node.URL}}, Workers: 2})
-
-	base := runtime.NumGoroutine()
+	rt, rcl, _ := startRouter(t, cluster.Options{Nodes: []cluster.Node{{Name: "n1", URL: node.URL}}})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
 	n := 0
-	sum, err := rcl.QueryStream(context.Background(), api.QueryRequest{Stream: "cam", Query: testQuery, Chunk: 1}, func(c api.QueryChunk) error {
-		if n == 0 {
-			if grew := runtime.NumGoroutine() - base; grew >= 50 {
-				return fmt.Errorf("%d goroutines started for a %d-span query with 2 workers", grew, spans)
-			}
-			letGo()
-		}
+	_, err := rcl.QueryStream(ctx, api.QueryRequest{Stream: "cam", Chunk: 1, TimeoutMs: 300}, func(api.QueryChunk) error {
+		n++
+		return nil
+	})
+	var se *api.StreamError
+	if !errors.As(err, &se) || !strings.Contains(se.Msg, "deadline exceeded") || n != 1 {
+		t.Fatalf("stalled node gave %d chunks and %v, want 1 and the deadline in-band", n, err)
+	}
+	if len(queries) != 1 || rt.DegradedRoutes() != 0 {
+		t.Fatalf("%d node queries, %d degraded routes; want 1 and 0", len(queries), rt.DegradedRoutes())
+	}
+}
+
+// TestRouterResumesOnFollower: the owner streams two of five chunk=1
+// lines and dies; the router sends the follower one query for the
+// remainder [2, 5) alone, and the client sees all five lines in order
+// under one trailer.
+func TestRouterResumesOnFollower(t *testing.T) {
+	// Placement hashes node names alone, so the stream is picked first.
+	placer, err := cluster.NewPlacer([]cluster.Node{{Name: "owner", URL: "http://x"}, {Name: "follower", URL: "http://y"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := streamOwnedBy(t, func(s string) []cluster.Node { return placer.Place(s, 1) }, "owner")
+	owner := stubNode(stream, 5, "s1", 2, func(api.QueryRequest) {})
+	defer owner.Close()
+	var reqs []api.QueryRequest
+	follower := stubNode(stream, 5, "f1", -1, func(q api.QueryRequest) { reqs = append(reqs, q) })
+	defer follower.Close()
+	rt, rcl, _ := startRouter(t, cluster.Options{
+		Nodes:    []cluster.Node{{Name: "owner", URL: owner.URL}, {Name: "follower", URL: follower.URL}},
+		Replicas: 2,
+	})
+
+	n := 0
+	sum, err := rcl.QueryStream(context.Background(), api.QueryRequest{Stream: stream, Query: testQuery, Chunk: 1}, func(c api.QueryChunk) error {
 		if c.Seg0 != n || c.Seg1 != n+1 {
-			return fmt.Errorf("chunk %d is [%d, %d)", n, c.Seg0, c.Seg1)
+			return fmt.Errorf("line %d is [%d, %d)", n, c.Seg0, c.Seg1)
 		}
 		n++
 		return nil
 	})
+	follower.Close() // waits for its handler: reqs is final
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("query through the owner's death: %v", err)
 	}
-	if n != spans || sum.Chunks != spans || sum.Segments != spans {
-		t.Fatalf("got %d chunks, summary %+v; want %d", n, sum, spans)
+	if n != 5 || sum.Chunks != 5 || sum.Segments != 5 {
+		t.Fatalf("got %d lines, summary %+v; want 5 chunks over 5 segments", n, sum)
+	}
+	if len(reqs) != 1 || reqs[0].From != 2 || reqs[0].To != 5 || reqs[0].Chunk != 1 || reqs[0].Snap != "f1" {
+		t.Fatalf("the follower saw %+v, want one query for [2, 5) at chunk 1 on lease f1", reqs)
+	}
+	if d := rt.DegradedRoutes(); d != 1 {
+		t.Fatalf("DegradedRoutes = %d, want 1", d)
+	}
+}
+
+// TestRouterSubscribeTornLine: a node that dies mid-line has the router
+// relay only its whole lines, so the router's client sees a truncated
+// stream after them, never the torn half as a line.
+func TestRouterSubscribeTornLine(t *testing.T) {
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"ack":{"id":"s1","stream":"cam"}}`+"\n"+`{"chunk":{"seg0":1,"se`)
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler)
+	}))
+	defer node.Close()
+	_, rcl, _ := startRouter(t, cluster.Options{Nodes: []cluster.Node{{Name: "n1", URL: node.URL}}})
+	var events []api.SubEvent
+	_, err := rcl.Subscribe(context.Background(), api.SubscribeRequest{Stream: "cam"}, func(ev api.SubEvent) error {
+		events = append(events, ev)
+		return nil
+	})
+	if !api.IsTruncated(err) {
+		t.Fatalf("torn subscription ended with %v, want a truncation", err)
+	}
+	if len(events) != 1 || events[0].Ack == nil || events[0].Ack.ID != "s1" {
+		t.Fatalf("events %+v, want the ack alone", events)
 	}
 }
 

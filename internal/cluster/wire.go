@@ -13,7 +13,7 @@ import "repro/internal/api"
 // fan-out is doing.
 type RouterStats struct {
 	// DegradedRoutes counts candidate nodes skipped while routing a read:
-	// every pin or chunk that had to move past a dead (or lease-expired)
+	// every pin or query that had to move past a dead (or lease-expired)
 	// node adds one. Zero means every read ran on its stream's owner.
 	DegradedRoutes int64 `json:"degraded_routes"`
 	// Replications counts follower pulls completed after ingests.
@@ -46,7 +46,6 @@ type NodeStatus struct {
 // first, then its replica followers).
 type ClusterResponse struct {
 	Replicas   int                 `json:"replicas"`
-	Workers    int                 `json:"workers"`
 	Nodes      []NodeStatus        `json:"nodes"`
 	Placements map[string][]string `json:"placements,omitempty"`
 }
