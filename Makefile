@@ -94,8 +94,8 @@ cover:
 # encoded-segment container a peer node may send (any bytes must fail
 # Unmarshal or decode to an error or frames, and never panic), over the
 # codec's DEFLATE decoder (at any horizon compress/flate's reader fills, the
-# same bytes) and compressor (at any level the codec uses, compress/flate's
-# writer's bytes), and over log
+# same bytes) and compressor (at any level the codec uses, a stream both
+# decoders read back, the same with any helpers), and over log
 # replay (any bytes after valid records: no panic, allocation bounded by the
 # input, every listed key readable or ErrCorrupt, and a reopen sees the same
 # keys), and over the tenants key file (no panic; an accepted file maps each

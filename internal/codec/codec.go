@@ -2,11 +2,14 @@
 // x264/NVDEC in this reproduction. Streams are grouped into GOPs (groups of
 // pictures): each GOP starts with an intra-coded keyframe followed by
 // delta-coded frames, and the whole GOP is one DEFLATE stream, encoded by
-// the package's own compressor (deflate.go), which emits compress/flate's
-// writer's exact bytes, and decoded by its own inflate. compress/flate is
-// the test oracle in both directions. An encode lent idle workers
-// (EncodeWith) splits a GOP's parse into chunks they parse beside it
-// (split.go), and its bytes are Encode's.
+// the package's own compressor (deflate.go) and decoded by its own
+// inflate. The compressor's bytes are its own, a function of the input and
+// the level: a GOP of two 256 KiB chunks or more is parsed in fixed chunks
+// (split.go), which idle workers lent to an encode (EncodeWith) parse
+// beside it, and its bytes are Encode's. compress/flate is the test
+// oracle: its reader decodes what the compressor writes, its writer bounds
+// the compressor's size, and inflate decodes what its writer wrote, so
+// streams stored with flate's bytes still decode.
 //
 // The coding knobs map mechanistically onto the codec:
 //
@@ -127,7 +130,7 @@ func Encode(frames []*frame.Frame, p Params) (*Encoded, Stats, error) {
 }
 
 // EncodeWith is Encode with idle workers lent by helpers: while one is
-// free, it parses chunks of a GOP's DEFLATE input beside the encode
+// free, it parses fixed chunks of a GOP's DEFLATE input beside the encode
 // (split.go), and the bytes are Encode's. It returns once every helper it
 // started has. Nil helpers encode alone.
 func EncodeWith(frames []*frame.Frame, p Params, helpers Helpers) (*Encoded, Stats, error) {
@@ -203,7 +206,7 @@ func EncodeWith(frames []*frame.Frame, p Params, helpers Helpers) (*Encoded, Sta
 		// Each GOP is a complete DEFLATE stream, so decode can open any GOP
 		// independently.
 		off := len(e.Data)
-		e.Data = c.compressSplit(e.Data, gopBuf, p.Speed.FlateLevel(), helpers, splitChunk)
+		e.Data = c.compress(e.Data, gopBuf, p.Speed.FlateLevel(), helpers, splitChunk)
 		st.BytesFlate += int64(len(gopBuf))
 		e.gops = append(e.gops, gop{
 			start:  uint32(g),

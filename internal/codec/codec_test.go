@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -58,8 +59,10 @@ func BenchmarkDecodeGolden(b *testing.B) {
 // BenchmarkEncodeGolden times Encode of the golden segment's 240 frames
 // (one GOP) at every speed step, so at every flate level the codec uses,
 // and EncodeWith the same with helpers: a pool of the cores beside the
-// encode's own, and at least one, so that -cpu 1 times what splitting the
-// parse costs and -cpu 2 what it gains.
+// encode's own, and at least one, so that -cpu 1 times what lending
+// helpers costs and -cpu 2 what it gains. Each reports the compressed bytes
+// per GOP (B/GOP) beside its time, so one line shows both sides of a codec
+// change.
 func BenchmarkEncodeGolden(b *testing.B) {
 	frames := testClip(b, 240)
 	pool := sched.NewPool(max(runtime.GOMAXPROCS(0)-1, 1))
@@ -76,11 +79,14 @@ func BenchmarkEncodeGolden(b *testing.B) {
 				if split {
 					h = pool.Batch()
 				}
+				var e *Encoded
 				for b.Loop() {
-					if _, _, err := EncodeWith(frames, p, h); err != nil {
+					var err error
+					if e, _, err = EncodeWith(frames, p, h); err != nil {
 						b.Fatal(err)
 					}
 				}
+				b.ReportMetric(float64(len(e.Data))/float64(len(e.gops)), "B/GOP")
 			})
 		}
 	}
@@ -540,4 +546,50 @@ func FuzzUnmarshal(f *testing.F) {
 			t.Fatalf("decoded %d frames from a container of %d", len(got), e.N)
 		}
 	})
+}
+
+// TestFlateStreamsStillDecode: every store written while the compressor
+// copied compress/flate's writer holds that writer's streams. A container
+// whose GOPs hold flate.NewWriter's stream over the same staged bytes must
+// decode, in sequence and in parallel, to the frames the compressor's own
+// container decodes to, at every level the codec uses.
+func TestFlateStreamsStillDecode(t *testing.T) {
+	frames := testClip(t, 60)
+	keep := func(i int) bool { return i%7 != 3 }
+	differs := false
+	for _, s := range format.SpeedSteps {
+		e, _, err := Encode(frames, Params{Quality: format.QGood, Speed: s, KeyframeI: 25})
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := *e
+		old.Data, old.gops = nil, slices.Clone(e.gops)
+		for i, g := range e.gops {
+			staged := make([]byte, int(g.frames)*e.planeLen())
+			if _, err := inflate(staged, e.Data[g.off:g.off+g.length]); err != nil {
+				t.Fatal(err)
+			}
+			off := len(old.Data)
+			old.Data = append(old.Data, deflate(t, staged, s.FlateLevel())...)
+			old.gops[i].off, old.gops[i].length = uint64(off), uint64(len(old.Data)-off)
+		}
+		differs = differs || !bytes.Equal(old.Data, e.Data)
+		want, _, err := e.DecodeSampled(keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := old.DecodeSampled(keep)
+		if err != nil {
+			t.Fatalf("level %d: %v", s.FlateLevel(), err)
+		}
+		assertSameFrames(t, got, want)
+		got, _, err = old.DecodeSampledParallel(keep, sched.NewPool(2).Batch())
+		if err != nil {
+			t.Fatalf("level %d, parallel: %v", s.FlateLevel(), err)
+		}
+		assertSameFrames(t, got, want)
+	}
+	if !differs {
+		t.Fatal("flate's streams equal the compressor's at every level: nothing was checked")
+	}
 }

@@ -7,28 +7,25 @@
 package codec
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
-// A one-shot DEFLATE compressor: compress appends to dst the exact bytes
-// compress/flate's writer emits for NewWriter(w, level), one Write(src) and
-// Close, at the levels SpeedStep.FlateLevel returns (1, 2, 5, 7, 9). It is
-// that writer's algorithm cut to one-shot use: deflateFast at level 1, the
+// A one-shot DEFLATE compressor: compress appends to dst src's DEFLATE
+// stream at the levels SpeedStep.FlateLevel returns (1, 2, 5, 7, 9). It is
+// compress/flate's writer cut to one-shot use: deflateFast at level 1, the
 // hash-chain matcher above it, and the same block choices, Huffman codes
-// and bit order, so every stored GOP keeps its bytes. compress/flate's
-// writer is its oracle in the tests; identity is pinned to the toolchain
-// that runs them (go1.24.0), and should a later writer change its output
-// the oracle test fails while stored streams still decode.
-//
-// Above level 1 the matcher parses the input where it lies, at absolute
-// positions; flate's copies it through a sliding window of 2·windowSize
-// bytes. Two marks of that window show in flate's output, and both follow
-// from positions alone: just after a slide the chain walk reaches no lower
-// than the window's new start (floor), and a block whose start slid out
-// before the block was written is not stored (writeBlock).
+// and bit order. Its bytes are its own: the matcher parses the input where
+// it lies, at absolute positions, with none of the marks flate's sliding
+// window leaves; level 9 quarters its chain after a good match as zlib
+// does (lazyAboveFrom); and levels 5 to 9 parse an input of two chunks or
+// more in fixed chunks (split.go). The bytes are a function of the input
+// and the level alone. compress/flate is the oracle in the tests: its
+// reader must decode every stream to its input, and its writer's output at
+// the same level bounds the size.
 //
 // The chain walk returns the match flate's returns, sooner: matchLen
 // compares eight bytes at a time, and a candidate is tested on the four
@@ -49,10 +46,6 @@ const (
 	hashSize            = 1 << hashBits
 	skipNever           = math.MaxInt32
 	runMask             = 2*windowSize - 1
-
-	// flate slides its window once the parse stands within lookTail bytes of
-	// the window's end, with input still to come.
-	lookTail = minMatchLength + maxMatchLength - 1
 
 	// maxDeflateInput bounds one stream: positions are held in 32 bits.
 	maxDeflateInput = math.MaxInt32
@@ -82,9 +75,10 @@ func (t token) span() int {
 }
 
 // levelParams are compress/flate's per-level tuning: a match this long
-// shortens the chain walk, a previous match this long is not re-searched,
-// a match this long ends the walk, the chain's length, and the longest
-// match whose positions are all hashed (skipNever: every one is).
+// quarters the chain walk that seeks a longer one, a previous match this
+// long is not re-searched, a match this long ends the walk, the chain's
+// length, and the longest match whose positions are all hashed (skipNever:
+// every one is).
 type levelParams struct{ good, lazy, nice, chain, fastSkipHashing int }
 
 // The levels SpeedStep.FlateLevel returns but 1, which has its own matcher.
@@ -99,6 +93,14 @@ var levels = [10]levelParams{
 // run table costs a pass over every input byte, and only the level-9 chain
 // is long enough for the skip to repay it (BenchmarkEncodeGolden).
 const skipRunsFrom = 9
+
+// lazyAboveFrom is the lowest level whose lazy search, after a match, asks
+// for a longer one, as zlib's does, so that a previous match of good bytes
+// quarters the chain. Below it the search asks for any match and walks the
+// whole chain again: on the scenes' golden GOPs the quartered walk made
+// level 7 up to 1.9 % larger (miami), and level 9 at most 0.11 % larger or
+// smaller, for a quarter less time (BenchmarkEncodeGolden).
+const lazyAboveFrom = 9
 
 // compressor is the whole state of one parse, pooled between calls. Its
 // pointers come first, so the garbage collector scans only its first 13 KB,
@@ -116,12 +118,9 @@ type compressor struct {
 	length, offset int    // the match found at index-1
 	tokens         []token
 	blockStart     int // the position the unwritten tokens start at
-	cut            int // the token count at which a block is written
+	cut            int // the token count at which a block is written, or -1
 
-	// A helper's parse records its sync points (split.go).
-	record bool
-	syncs  []syncPoint
-	split  *splitJob // the split parse of this compressor's input
+	split *splitJob // the split parse of this compressor's input, kept for its buffers
 
 	// runStart holds positions [runFrom, runEnd) or the last 2·windowSize of
 	// them; the parse extends it on reaching runNext.
@@ -141,21 +140,16 @@ type compressor struct {
 }
 
 // compress appends to dst src's DEFLATE stream at level 1, 2, 5, 7 or 9.
-func (d *compressor) compress(dst, src []byte, level int) []byte {
-	return d.compressSplit(dst, src, level, nil, 0)
-}
-
-// compressSplit is compress with the parse split into chunks of chunk bytes
-// that workers lent by h parse beside this one (split.go). A nil h, level 1
-// or 2, or an input under two chunks parses alone.
-func (d *compressor) compressSplit(dst, src []byte, level int, h Helpers, chunk int) []byte {
+// The lazy levels parse an input of two chunks of chunk bytes or more in
+// such chunks, with workers lent by h, if any, parsing some (split.go).
+func (d *compressor) compress(dst, src []byte, level int, h Helpers, chunk int) []byte {
 	d.reset(src, level)
 	d.w.out = dst
 	if level == 1 {
 		d.encSpeed()
 	} else {
-		if h == nil || d.fastSkipHashing != skipNever || len(src) < 2*chunk {
-			d.parse(len(src), nil)
+		if d.fastSkipHashing != skipNever || len(src) < 2*chunk {
+			d.parse()
 		} else {
 			d.parseSplit(h, chunk)
 		}
@@ -170,8 +164,7 @@ func (d *compressor) compressSplit(dst, src []byte, level int, h Helpers, chunk 
 	return out
 }
 
-// reset readies d to parse src from its start, as compress/flate's
-// NewWriter readies a writer.
+// reset readies d to parse src from its start.
 func (d *compressor) reset(src []byte, level int) {
 	d.src, d.level = src, level
 	d.w.bits, d.w.nbits = 0, 0
@@ -213,34 +206,14 @@ func (d *compressor) fillRuns() {
 	}
 }
 
-// writeBlock writes the tokens as one block. The bytes they code may be
-// stored only if flate's window still holds them: its k-th slide, which
-// drops the positions below k·windowSize, comes when the parse first
-// visits a position from (k+1)·windowSize-lookTail on (the parse skips the
-// inside of a match), and only while input beyond (k+1)·windowSize is
-// still to come.
+// writeBlock writes the tokens as one block.
 func (d *compressor) writeBlock() {
-	start, end := d.blockStart, d.blockStart
+	end := d.blockStart
 	for _, t := range d.tokens {
 		end += t.span()
 	}
-	input := d.src[start:end]
-	slide := (start/windowSize + 2) * windowSize
-	if at := slide - lookTail; len(d.src) > slide && end > at {
-		// The slide came first, unless at is inside the block's last token, a
-		// match whose first one (greedy) or two (lazy) positions alone the
-		// parse visits.
-		last := d.tokens[len(d.tokens)-1]
-		visited := 2
-		if d.fastSkipHashing != skipNever {
-			visited = 1
-		}
-		if last < matchType || at < end-last.span()+visited {
-			input = nil
-		}
-	}
+	d.w.writeBlock(d.tokens, d.src[d.blockStart:end])
 	d.blockStart = end
-	d.w.writeBlock(d.tokens, input)
 	d.tokens = d.tokens[:0]
 }
 
@@ -269,20 +242,19 @@ func (d *compressor) insert(p int) int {
 	return int(prev) - 1
 }
 
-// floor returns the lowest position the chain walk at pos reaches:
-// windowSize back, but for the lookTail positions after each of flate's
-// window slides, no lower than the window's new start.
-func (d *compressor) floor(pos int) int {
-	f := max(pos-windowSize, 0)
-	if k := (pos+lookTail)/windowSize - 1; k >= 1 && len(d.src) > (k+1)*windowSize {
-		f = max(f, k*windowSize)
+// prime hashes the positions in [from, to) that have four bytes left,
+// emitting nothing, and returns how many it hashed.
+func (d *compressor) prime(from, to int) int {
+	to = min(to, len(d.src)-(minMatchLength-1))
+	for p := from; p < to; p++ {
+		d.insert(p)
 	}
-	return f
+	return max(to-from, 0)
 }
 
 // findMatch walks the chain from prevHead down to minIndex, at most d.chain
-// candidates, for a match at pos longer than prevLength. It returns what
-// compress/flate's walk returns.
+// candidates, a quarter of them if prevLength is good, for a match at pos
+// longer than prevLength. It returns what compress/flate's walk returns.
 func (d *compressor) findMatch(pos, prevHead, prevLength, lookahead, minIndex int) (length, offset int, ok bool) {
 	minMatchLook := min(maxMatchLength, lookahead)
 	win := d.src[0 : pos+minMatchLook]
@@ -359,16 +331,13 @@ func matchLen(a, b []byte, max int) int {
 	return n
 }
 
-// parse tokenises src from d.index with compress/flate's lazy (levels 5,
-// 7, 9) or greedy (2) matching, writing each full block, up to the first
-// position it visits at or past stop, or to the end of src, where it emits
-// the byte still pending. A lazy parse given m also stops, and reports
-// true, at a sync point where m meets the parse that follows.
-func (d *compressor) parse(stop int, m *meeter) bool {
+// parse tokenises d.src from d.index to its end with compress/flate's lazy
+// (levels 5, 7, 9) or greedy (2) matching, writing each full block, and
+// emits the byte still pending at the end.
+func (d *compressor) parse() {
 	src := d.src
 	maxInsertIndex := len(src) - (minMatchLength - 1) // positions with four bytes left
 	lazy := d.fastSkipHashing == skipNever
-	watch := d.record || m != nil
 	for {
 		if d.index >= d.runNext {
 			d.fillRuns()
@@ -378,20 +347,11 @@ func (d *compressor) parse(stop int, m *meeter) bool {
 			if d.byteAvailable {
 				d.tokens = append(d.tokens, token(src[d.index-1]))
 				d.byteAvailable = false
+				if len(d.tokens) == d.cut {
+					d.writeBlock()
+				}
 			}
-			return false
-		}
-		if d.index >= stop {
-			return false
-		}
-		if watch && (!d.byteAvailable || d.index%syncEvery == 0) {
-			s := d.syncPoint()
-			if d.record {
-				d.syncs = append(d.syncs, s)
-			}
-			if m != nil && m.meet(s) {
-				return true
-			}
+			return
 		}
 		chainHead := -1
 		if d.index < maxInsertIndex {
@@ -399,10 +359,14 @@ func (d *compressor) parse(stop int, m *meeter) bool {
 		}
 		prevLength, prevOffset := d.length, d.offset
 		d.length, d.offset = minMatchLength-1, 0
-		minIndex := d.floor(d.index)
+		minIndex := max(d.index-windowSize, 0)
 		if chainHead >= minIndex &&
 			(!lazy && lookahead > minMatchLength-1 || lazy && lookahead > prevLength && prevLength < d.lazy) {
-			if n, off, ok := d.findMatch(d.index, chainHead, minMatchLength-1, lookahead, minIndex); ok {
+			bar := minMatchLength - 1
+			if d.level >= lazyAboveFrom {
+				bar = max(bar, prevLength)
+			}
+			if n, off, ok := d.findMatch(d.index, chainHead, bar, lookahead, minIndex); ok {
 				d.length, d.offset = n, off
 			}
 		}
@@ -718,8 +682,8 @@ func (w *bitWriter) writeStored(input []byte, eof bool) {
 	w.out = append(w.out, input...)
 }
 
-// storable reports whether input, a nil one never, may go in a stored block.
-func storable(input []byte) bool { return input != nil && len(input) <= maxStoreBlockSize }
+// storable reports whether input may go in a stored block.
+func storable(input []byte) bool { return len(input) <= maxStoreBlockSize }
 
 // generateCodegen run-length codes the literal and offset code lengths
 // (RFC 1951 §3.2.7) into w.codegen, ending it with badCode, and counts each
@@ -954,8 +918,6 @@ type huffmanEncoder struct {
 	codes     [maxLit]hcode
 	freqcache [maxLit + 1]literalNode
 	bitCount  [17]int32
-	lns       byLiteral
-	lfs       byFreq
 }
 
 type literalNode struct {
@@ -1067,8 +1029,7 @@ func (h *huffmanEncoder) assignEncodingAndSize(bitCount []int32, list []literalN
 			continue
 		}
 		chunk := list[len(list)-int(bits):]
-		h.lns = byLiteral(chunk)
-		sort.Sort(&h.lns)
+		slices.SortFunc(chunk, func(a, b literalNode) int { return cmp.Compare(a.literal, b.literal) })
 		for _, node := range chunk {
 			h.codes[node.literal] = hcode{code: reverseBits(code, uint8(n)), len: uint16(n)}
 			code++
@@ -1098,27 +1059,11 @@ func (h *huffmanEncoder) generate(freq []int32, maxBits int32) {
 		}
 		return
 	}
-	h.lfs = byFreq(list)
-	sort.Sort(&h.lfs)
+	slices.SortFunc(list, func(a, b literalNode) int {
+		return cmp.Or(cmp.Compare(a.freq, b.freq), cmp.Compare(a.literal, b.literal))
+	})
 	h.assignEncodingAndSize(h.bitCounts(list, maxBits), list)
 }
-
-type byLiteral []literalNode
-
-func (s byLiteral) Len() int           { return len(s) }
-func (s byLiteral) Less(i, j int) bool { return s[i].literal < s[j].literal }
-func (s byLiteral) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
-
-type byFreq []literalNode
-
-func (s byFreq) Len() int { return len(s) }
-func (s byFreq) Less(i, j int) bool {
-	if s[i].freq == s[j].freq {
-		return s[i].literal < s[j].literal
-	}
-	return s[i].freq < s[j].freq
-}
-func (s byFreq) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
 
 func reverseBits(number uint16, bitLength uint8) uint16 {
 	return bits.Reverse16(number << (16 - bitLength))

@@ -2,11 +2,15 @@ package codec
 
 import (
 	"bytes"
+	"compress/flate"
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 
+	"repro/internal/format"
 	"repro/internal/sched"
+	"repro/internal/vidsim"
 )
 
 // deflateLevels are the levels SpeedStep.FlateLevel returns.
@@ -14,8 +18,8 @@ var deflateLevels = []int{1, 2, 5, 7, 9}
 
 // mixedData strings together noise, runs of one value, runs broken by
 // single bytes and copies of earlier stretches, near and far, so blocks end
-// by token count and by input, some stored and some coded, across window
-// slides.
+// by token count and by input, some stored and some coded, with matches
+// out to the window's edge.
 func mixedData(rng *rand.Rand, n int) []byte {
 	b := make([]byte, 0, n+1000)
 	for len(b) < n {
@@ -42,10 +46,11 @@ func mixedData(rng *rand.Rand, n int) []byte {
 	return b[:n]
 }
 
-// deflateTestData returns the inputs the compressor must code as
-// compress/flate's writer does: the decoder's shapes, edge sizes, runs,
-// equal symbol counts (Huffman ties), sizes about the window's slide points
-// and, but under -short, 1 MiB of mixed data and one real golden GOP.
+// deflateTestData returns the inputs the compressor must code: the
+// decoder's shapes, edge sizes, runs, equal symbol counts (Huffman ties),
+// sizes about the window's edges, zero runs whose match phase differs at
+// every chunk start and, but under -short, 1 MiB of mixed data and one real
+// golden GOP.
 func deflateTestData(t *testing.T) map[string][]byte {
 	rng := rand.New(rand.NewSource(38))
 	data := flateTestData()
@@ -78,60 +83,136 @@ func deflateTestData(t *testing.T) map[string][]byte {
 			data[fmt.Sprintf("mixed %d%+d", base, delta)] = mixedData(rng, base+delta)
 		}
 	}
-	// Blocks that span a window slide, so that some start before it.
 	data["mixed 400 KB"] = mixedData(rng, 400_000)
+	data["out of phase"] = outOfPhase()
 	if testing.Short() { // the race detector's run
 		return data
 	}
 	data["mixed 1 MiB"] = mixedData(rng, 1<<20)
-	gop := make([]byte, 240*(160*90+2*80*45))
-	if _, err := inflate(gop, goldenSegment(t).Data); err != nil {
-		t.Fatal(err)
-	}
-	data["golden GOP"] = gop
+	data["golden GOP"] = goldenGOP(t, vidsim.Datasets[0])
 	return data
 }
 
-// TestDeflateMatchesFlate holds compress to compress/flate's writer, byte
-// for byte, at every level the codec uses. The pooled compressor runs every
-// input in turn, so no state may leak from one stream into the next.
+// outOfPhase is zero runs of 258·k+1 bytes split by single bytes, so that
+// parses started at different positions match out of phase.
+func outOfPhase() []byte {
+	var b []byte
+	for k := 1; len(b) < 60_000; k = k%9 + 1 {
+		b = append(b, make([]byte, 258*k+1)...)
+		b = append(b, byte(k))
+	}
+	return b
+}
+
+// goldenGOP returns the staged bytes of scene's golden segment: 240 frames
+// of 160×90 at the best quality, one GOP.
+func goldenGOP(t testing.TB, scene vidsim.Scene) []byte {
+	t.Helper()
+	frames := vidsim.NewSource(scene).Clip(0, 240)
+	e, _, err := Encode(frames, Params{Quality: format.QBest, Speed: format.SpeedFastest, KeyframeI: 250})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gop := make([]byte, e.N*e.planeLen())
+	if _, err := inflate(gop, e.Data); err != nil {
+		t.Fatal(err)
+	}
+	return gop
+}
+
+// checkDeflate compresses data at level in chunks of chunk bytes, alone and
+// with each of helpers (testHelpers), and checks that every run gives one
+// stream, which inflate and compress/flate's reader both decode to data.
+// It returns that stream.
+func checkDeflate(t testing.TB, c *compressor, data []byte, level, chunk int, helpers []int) []byte {
+	t.Helper()
+	want := c.compress(nil, data, level, nil, chunk)
+	for _, k := range helpers {
+		if got := c.compress(nil, data, level, testHelpers(k), chunk); !bytes.Equal(got, want) {
+			t.Fatalf("level %d, %d bytes, %d-byte chunks: %d bytes with helpers %d differ from %d alone",
+				level, len(data), chunk, len(got), k, len(want))
+		}
+	}
+	got := make([]byte, len(data))
+	if n, err := inflate(got, want); err != nil || n != len(data) || !bytes.Equal(got, data) {
+		t.Fatalf("level %d, %d bytes, %d-byte chunks: inflate gave %d bytes (%v), not the input", level, len(data), chunk, n, err)
+	}
+	if got, err := io.ReadAll(flate.NewReader(bytes.NewReader(want))); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("level %d, %d bytes, %d-byte chunks: flate's reader gave %d bytes (%v), not the input", level, len(data), chunk, len(got), err)
+	}
+	return want
+}
+
+// checkSize fails if got, a stream of ours, is more than 0.5 % larger than
+// flate's writer's stream of the same input at the same level.
+func checkSize(t testing.TB, name string, data, got []byte, level int) {
+	t.Helper()
+	if want := deflate(t, data, level); 200*len(got) > 201*len(want) {
+		t.Errorf("%s (%d bytes), level %d: %d bytes, over 0.5 %% above flate's %d", name, len(data), level, len(got), len(want))
+	}
+}
+
+// TestDeflateMatchesFlate holds compress to compress/flate at every level
+// the codec uses: a stream both decoders read back to the input, the same
+// bytes alone, inline, with one helper and with three, and a size at most
+// 0.5 % above flate's writer's. The lazy levels are split again at chunks
+// down to 1 KiB. The pooled compressor runs every input in turn, so no
+// state may leak from one stream into the next. Under -short, the race
+// detector's run, only the helpers that run concurrently.
 func TestDeflateMatchesFlate(t *testing.T) {
+	helpers := []int{0, -1, 1, 3}
+	if testing.Short() {
+		helpers = []int{1, 3}
+	}
 	var c compressor
 	for name, data := range deflateTestData(t) {
 		for _, level := range deflateLevels {
-			if got, want := c.compress(nil, data, level), deflate(t, data, level); !bytes.Equal(got, want) {
-				t.Errorf("%s (%d bytes), level %d: %d bytes differ from flate's %d", name, len(data), level, len(got), len(want))
+			checkSize(t, name, data, checkDeflate(t, &c, data, level, splitChunk, helpers), level)
+			for chunk := 1 << 10; level >= 5 && chunk < splitChunk; chunk <<= 4 {
+				if len(data) >= 2*chunk && len(data) <= 64*chunk {
+					checkDeflate(t, &c, data, level, chunk, helpers)
+				}
 			}
 		}
 	}
-	// A split parse gives the same bytes, at chunks down to 1 KiB, with no
-	// helper, one, three, and one run at once on the owner. Under -short,
-	// the race detector's run, only the helpers that run concurrently, at
-	// levels 5 and 9. Zero runs of 258·k+1 bytes split by single bytes set
-	// parses out of phase, so some may never meet.
-	splitLevels, splitHelpers := []int{5, 7, 9}, []int{0, 1, 3, -1}
+}
+
+// TestDeflateSizeOnGoldenGOPs holds the compressor's size to 0.5 % above
+// compress/flate's writer's on the golden GOPs of four scenes, at the
+// levels that split it.
+func TestDeflateSizeOnGoldenGOPs(t *testing.T) {
 	if testing.Short() {
-		splitLevels, splitHelpers = []int{5, 9}, []int{1, 3}
+		t.Skip("four 5 MB GOPs at three levels")
 	}
-	inputs := deflateTestData(t)
-	var phase []byte
-	for k := 1; len(phase) < 60_000; k = k%9 + 1 {
-		phase = append(phase, make([]byte, 258*k+1)...)
-		phase = append(phase, byte(k))
+	var c compressor
+	for _, name := range []string{"jackson", "tucson", "park", "airport"} {
+		scene, err := vidsim.DatasetByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gop := goldenGOP(t, scene)
+		for _, level := range []int{5, 7, 9} {
+			checkSize(t, name, gop, c.compress(nil, gop, level, nil, splitChunk), level)
+		}
 	}
-	inputs["out of phase"] = phase
-	for name, data := range inputs {
-		for _, level := range splitLevels {
-			want := deflate(t, data, level)
-			for chunk := 1 << 10; chunk <= 1<<18; chunk <<= 4 {
-				if len(data) < 2*chunk || len(data) > 64*chunk {
-					continue
+}
+
+// TestSplitParsesEachChunkOnce: however many helpers take chunks, every
+// position of the input is parsed once, by the owner or one helper, and
+// only the window before a chunk is hashed besides, to prime its chains.
+func TestSplitParsesEachChunkOnce(t *testing.T) {
+	const chunk = 16 << 10
+	for name, data := range map[string][]byte{"out of phase": outOfPhase(), "zeros": make([]byte, 300_000)} {
+		chunks := (len(data) + chunk - 1) / chunk
+		for _, level := range []int{5, 7, 9} {
+			for _, k := range []int{1, 3} {
+				var c compressor
+				c.compress(nil, data, level, testHelpers(k), chunk)
+				if got := c.split.parsed.Load(); got != int64(len(data)) {
+					t.Errorf("%s, level %d, helpers %d: %d positions parsed, want the input's %d", name, level, k, got, len(data))
 				}
-				for _, k := range splitHelpers {
-					if got := c.compressSplit(nil, data, level, testHelpers(k), chunk); !bytes.Equal(got, want) {
-						t.Errorf("%s (%d bytes), level %d, %d-byte chunks, helpers %d: %d bytes differ from flate's %d",
-							name, len(data), level, chunk, k, len(got), len(want))
-					}
+				if got := c.split.primed.Load(); got > int64((chunks-1)*windowSize) {
+					t.Errorf("%s, level %d, helpers %d: %d positions primed, over a window for each of %d chunks", name, level, k, got, chunks-1)
 				}
 			}
 		}
@@ -139,9 +220,9 @@ func TestDeflateMatchesFlate(t *testing.T) {
 }
 
 // testHelpers returns k helpers of their own: none for k = 0 (the owner
-// parses every chunk, stopping at each), and for k = -1 one that runs at
-// once on the owner, so that helpers parse every chunk but the owner's
-// first, back to front, before the owner meets them. For k = -2 it is nil.
+// parses every chunk), and for k = -1 one that runs at once on the owner,
+// so that it parses every chunk but the owner's first, back to front. For
+// k = -2 it is nil.
 func testHelpers(k int) Helpers {
 	switch {
 	case k == -2:
@@ -165,7 +246,8 @@ func (s stubHelpers) TryGo(fn func()) bool {
 func (stubHelpers) Wait() {}
 
 // TestDeflateMatchesFlateLarge codes a 17 MiB input, past the 16 MiB at
-// which compress/flate rebases its hash chains.
+// which compress/flate rebases its hash chains, with TestDeflateMatchesFlate's
+// three checks.
 func TestDeflateMatchesFlateLarge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("17 MiB at two levels")
@@ -173,16 +255,15 @@ func TestDeflateMatchesFlateLarge(t *testing.T) {
 	data := mixedData(rand.New(rand.NewSource(39)), 17<<20)
 	var c compressor
 	for _, level := range []int{2, 5} {
-		if !bytes.Equal(c.compress(nil, data, level), deflate(t, data, level)) {
-			t.Errorf("level %d: bytes differ from flate's", level)
-		}
+		checkSize(t, "mixed 17 MiB", data, checkDeflate(t, &c, data, level, splitChunk, []int{0, -1, 1, 3}), level)
 	}
 }
 
-// FuzzDeflate holds compress to compress/flate's writer on any bytes,
+// FuzzDeflate holds compress to compress/flate's reader on any bytes,
 // repeated up to 128 times (to at most 128 KiB) so that streams also cross
-// block and window sizes, at a level the input picks, parsed whole or split
-// into chunks of 1 to 8 KiB among the helpers the input picks.
+// block and window sizes, at a level the input picks, parsed in chunks of 1
+// to 8 KiB, alone and among the helpers the input picks. It leaves out the
+// size bound, which a fuzzer can shrink an input to break by one byte.
 func FuzzDeflate(f *testing.F) {
 	for name, data := range flateTestData() {
 		f.Add(data[:3000], uint8(len(name)), uint8(3), uint8(len(name)))
@@ -192,11 +273,8 @@ func FuzzDeflate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, level, reps, split uint8) {
 		src := bytes.Repeat(data, min(1+int(reps)%128, max(1, 128<<10/max(len(data), 1))))
 		l := deflateLevels[int(level)%len(deflateLevels)]
-		chunk, k := 1<<(10+split%4), int(split/4)%6-2
 		c := getCompressor()
 		defer putCompressor(c)
-		if got, want := c.compressSplit(nil, src, l, testHelpers(k), chunk), deflate(t, src, l); !bytes.Equal(got, want) {
-			t.Fatalf("level %d, %d bytes, %d-byte chunks, helpers %d: %d bytes differ from flate's %d", l, len(src), chunk, k, len(got), len(want))
-		}
+		checkDeflate(t, c, src, l, 1<<(10+split%4), []int{int(split/4)%6 - 2})
 	})
 }

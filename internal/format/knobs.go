@@ -136,8 +136,10 @@ var SpeedSteps = []SpeedStep{SpeedSlowest, SpeedSlow, SpeedMedium, SpeedFast, Sp
 
 // FlateLevel maps the speed step onto a DEFLATE effort level, the
 // reproduction's stand-in for the x264 preset. The codec's own compressor
-// codes each level as compress/flate's writer does at it, byte for byte
-// (its oracle in the codec tests), so a level names the same bytes.
+// codes each level with compress/flate's effort settings, to bytes of its
+// own that are a function of the input and the level alone; its size stays
+// within 0.5 % of compress/flate's writer's at the same level (checked in
+// the codec tests).
 func (s SpeedStep) FlateLevel() int {
 	switch s {
 	case SpeedSlowest:
