@@ -37,8 +37,8 @@
 //	GET  /metrics     Prometheus text exposition (served during drain)
 //	GET  /healthz     liveness (reports draining during shutdown)
 //
-// Peer endpoints (what follower replication and the cluster router
-// drive; see internal/store for the snapshot leases behind them):
+// Peer endpoints (what follower replication drives; see internal/store
+// for the snapshot leases behind them):
 //
 //	POST /v1/snapshot          pin a snapshot, returning a TTL lease
 //	POST /v1/snapshot/release  release a snapshot lease
@@ -277,9 +277,10 @@ func (s *Server) acquire(ctx context.Context, w http.ResponseWriter, r *http.Req
 
 // handleQuery streams one query as NDJSON. The request is admitted
 // through the gate (429 on overflow), pinned to one snapshot for its
-// whole life, and executed chunk-by-chunk so results flow before the full
-// span finishes decoding. Client disconnection or timeout cancels the
-// execution between per-segment batches.
+// whole life (the stream's length in it goes out as CommittedHeader), and
+// executed chunk-by-chunk so results flow before the full span finishes
+// decoding. Client disconnection or timeout cancels the execution between
+// per-segment batches.
 func (s *Server) handleQuery(w *Response, r *http.Request) {
 	var req QueryRequest
 	if !ReadJSON(w, r, &req) {
@@ -318,39 +319,18 @@ func (s *Server) handleQuery(w *Response, r *http.Request) {
 	}
 	defer release()
 
-	var snap *server.Snapshot
-	if req.Snap != "" {
-		// The query runs against a leased snapshot: same frozen view as
-		// every other read through the lease, and the lease's owner — not
-		// this request — releases the pin.
-		leased, ok := s.leases.Get(req.Snap)
-		if !ok {
-			http.Error(w, "unknown snapshot lease", http.StatusNotFound)
-			return
-		}
-		snap, ok = leased.(*server.Snapshot)
-		if !ok {
-			http.Error(w, "snapshot lease is not queryable here", http.StatusInternalServerError)
-			return
-		}
-	} else {
-		pinned, err := s.store.Snapshot()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		defer pinned.Release()
-		snap = pinned
+	snap, err := s.store.Snapshot()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		return
 	}
+	defer snap.Release()
+	committed := snap.Segments(req.Stream)
+	w.Header().Set(CommittedHeader, strconv.Itoa(committed))
 
 	t0 := time.Now()
 	chunks, segments := 0, 0
-	for lo, hi := range req.Spans(snap.Segments(req.Stream)) {
-		if req.Snap != "" {
-			// Renew the lease at every chunk: its TTL bounds how long a
-			// lease sits idle, and a routed query is one long request.
-			s.leases.Get(req.Snap)
-		}
+	for lo, hi := range req.Spans(committed) {
 		res, err := s.store.QueryAt(ctx, snap, req.Stream, cascade, names, acc, lo, hi)
 		if err != nil {
 			// Client-driven terminations (disconnect, timeout) are not

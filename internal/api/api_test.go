@@ -149,6 +149,26 @@ func TestHTTPQueryMatchesInProcess(t *testing.T) {
 		t.Fatalf("HTTP result differs from in-process:\n got %s\nwant %s", got, want)
 	}
 
+	// The node reports the stream's length in the snapshot it pinned,
+	// whatever range the query asks for; a stream it does not hold is 0.
+	for _, tc := range []struct {
+		req  api.QueryRequest
+		want int
+	}{
+		{api.QueryRequest{Stream: "cam", Query: testQuery}, 3},
+		{api.QueryRequest{Stream: "cam", Query: testQuery, From: 1, To: 2}, 3},
+		{api.QueryRequest{Stream: "elsewhere", Query: testQuery}, 0},
+	} {
+		got := -1
+		_, err := cl.QueryLines(ctx, tc.req, func(n int) error {
+			got = n
+			return nil
+		}, func([]byte) error { return nil })
+		if err != nil || got != tc.want {
+			t.Fatalf("%+v: %s %d (err %v), want %d", tc.req, api.CommittedHeader, got, err, tc.want)
+		}
+	}
+
 	// Segment-by-segment streaming: byte-identical to the same chunked
 	// execution against one pinned snapshot.
 	chunks, sum, err = cl.Query(ctx, api.QueryRequest{Stream: "cam", Query: testQuery, Chunk: 1})

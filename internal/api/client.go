@@ -176,11 +176,22 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 // line is truncated, and fn never sees a line its newline did not end.
 // Any other status than 200 is a *StatusError.
 func (c *Client) Stream(ctx context.Context, path string, in any, fn func(line []byte) (last bool, err error)) error {
+	return c.stream(ctx, path, in, nil, fn)
+}
+
+// stream is Stream with head, when not nil, shown the 200 response's
+// header before any line; an error from it ends the stream unread.
+func (c *Client) stream(ctx context.Context, path string, in any, head func(http.Header) error, fn func(line []byte) (last bool, err error)) error {
 	resp, err := c.send(ctx, http.MethodPost, path, in)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
+	if head != nil {
+		if err := head(resp.Header); err != nil {
+			return err
+		}
+	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20) // detection lists can be long
 	sc.Split(scanTerminatedLines)
@@ -216,10 +227,22 @@ func scanTerminatedLines(data []byte, atEOF bool) (advance int, token []byte, er
 // QueryLines runs one query, invoking fn with every chunk line exactly as
 // the server wrote it, unread — what a relay passes on. The summary trailer
 // and an in-band error line are read here and end the stream as they do
-// in QueryStream. fn must not keep line past its return.
-func (c *Client) QueryLines(ctx context.Context, req QueryRequest, fn func(line []byte) error) (QuerySummary, error) {
+// in QueryStream. fn must not keep line past its return. committed, when
+// not nil, is first handed the node's CommittedHeader; an error from it
+// ends the query before its first line.
+func (c *Client) QueryLines(ctx context.Context, req QueryRequest, committed func(n int) error, fn func(line []byte) error) (QuerySummary, error) {
+	var head func(http.Header) error
+	if committed != nil {
+		head = func(h http.Header) error {
+			n, err := strconv.Atoi(h.Get(CommittedHeader))
+			if err != nil {
+				return fmt.Errorf("api: query answered without %s: %w", CommittedHeader, err)
+			}
+			return committed(n)
+		}
+	}
 	var sum QuerySummary
-	err := c.Stream(ctx, "/v1/query", req, func(line []byte) (bool, error) {
+	err := c.stream(ctx, "/v1/query", req, head, func(line []byte) (bool, error) {
 		if isChunkLine(line) {
 			return false, fn(line)
 		}
@@ -244,7 +267,7 @@ func (c *Client) QueryLines(ctx context.Context, req QueryRequest, fn func(line 
 // off the wire — results flow while later segments are still decoding
 // server-side. It returns the summary trailer on success.
 func (c *Client) QueryStream(ctx context.Context, req QueryRequest, fn func(QueryChunk) error) (QuerySummary, error) {
-	return c.QueryLines(ctx, req, func(line []byte) error {
+	return c.QueryLines(ctx, req, nil, func(line []byte) error {
 		ql, err := parseQueryLine(line)
 		switch {
 		case err != nil:

@@ -1,8 +1,8 @@
-// Peer endpoints: the wire surface follower replication (pullStream) and
-// the cluster router drive. A peer pins a snapshot through a TTL lease,
-// enumerates and fetches segment replicas through it, runs leased
-// queries, and replicates whole streams with idempotent pulls. Nothing
-// here reaches past what a local holder of a server.Snapshot could do.
+// Peer endpoints: the wire surface follower replication (pullStream)
+// drives. A peer pins a snapshot through a TTL lease, enumerates and
+// fetches segment replicas through it, and replicates whole streams with
+// idempotent pulls. Nothing here reaches past what a local holder of a
+// server.Snapshot could do.
 
 package api
 

@@ -1,6 +1,6 @@
 // Client methods for the peer endpoints: snapshot leases, replica
 // enumeration and fetch, and replication pulls. These are what follower
-// replication and the cluster layer are built from.
+// replication is built from.
 
 package api
 

@@ -37,13 +37,12 @@ type QueryRequest struct {
 	// TimeoutMs bounds the query server-side; zero defers to the server's
 	// configured default. The smaller of the two wins.
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
-	// Snap, when set, runs the query against a snapshot lease previously
-	// granted by POST /v1/snapshot instead of pinning a fresh one — how
-	// the cluster router runs a query, and on failover its remainder,
-	// against one frozen view. Each chunk renews the lease, which stays
-	// live after the query; its owner releases it.
-	Snap string `json:"snap,omitempty"`
 }
+
+// CommittedHeader carries, on a node's 200 answer to POST /v1/query, the
+// stream's committed length in the snapshot the query pinned: what To = 0
+// resolves to, sent before the first line.
+const CommittedHeader = "X-Vstore-Committed"
 
 // Validate reports what makes the request unanswerable, as the 400 body a
 // node and the router both send.

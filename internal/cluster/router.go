@@ -1,13 +1,14 @@
 // The stateless router: one HTTP server fronting a static membership of
 // vstore nodes. Reads resolve the stream to its owner through the
-// consistent-hash placer, lease one snapshot there, and send the node the
-// client's whole query against that lease as one request, relaying its
-// chunk lines as they arrive — so the response is byte-identical to the
-// same query against a single node holding the data. When the owner fails
-// the session moves to the stream's replica followers and sends only the
-// unrelayed remainder (chunks are deterministic, so a re-run lands the
-// same bytes), counting the degraded route. Writes forward to the owner
-// and fan replication pulls out to the followers in the background.
+// consistent-hash placer and send the node the client's whole query as one
+// request, relaying its chunk lines as they arrive — so the response is
+// byte-identical to the same query against a single node holding the data.
+// The node pins a snapshot for the request and reports the stream's length
+// in it before the first line. When the owner fails the query moves to the
+// stream's replica followers and sends only the unrelayed remainder (chunks
+// are deterministic, so a re-run lands the same bytes), counting the
+// degraded route. Writes forward to the owner and fan replication pulls out
+// to the followers in the background.
 
 package cluster
 
@@ -115,87 +116,15 @@ func writeStatusError(w http.ResponseWriter, req *http.Request, err error) {
 	http.Error(w, err.Error(), http.StatusBadGateway)
 }
 
-// querySession is one query's routing state: the candidate nodes in
-// placement order and the snapshot lease on whichever of them is
-// currently serving.
-type querySession struct {
-	r      *Router
-	key    string
-	stream string
-	cands  []Node
-
-	cur      int         // index of the serving candidate
-	cl       *api.Client // nil until a candidate is pinned
-	lease    string
-	streams  map[string]int // committed lengths at the FIRST pin (resolves To)
-	releases []func()
-}
-
-// acquire pins a snapshot on the serving candidate, advancing past dead
-// candidates; it does nothing while one is pinned.
-func (s *querySession) acquire(ctx context.Context) error {
-	for s.cl == nil {
-		if s.cur >= len(s.cands) {
-			return fmt.Errorf("cluster: no live replica of %q (%d candidates tried)", s.stream, len(s.cands))
-		}
-		cl := s.r.clientFor(s.cands[s.cur], s.key)
-		pctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-		resp, err := cl.PinSnapshot(pctx)
-		cancel()
-		release := func() {
-			rctx, rcancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer rcancel()
-			_, _ = cl.ReleaseSnapshot(rctx, resp.ID)
-		}
-		// A follower holding less of the stream than the first pin saw (none
-		// of it, when the owner was gone from the start) missed a pull whose
-		// data the owner took down with it: it would answer a shorter stream
-		// as the whole one, so it is no replica.
-		if err == nil && (s.cur == 0 || resp.Streams[s.stream] >= max(1, s.streams[s.stream])) {
-			s.cl, s.lease = cl, resp.ID
-			if s.streams == nil {
-				s.streams = resp.Streams
-			}
-			s.releases = append(s.releases, release)
-			return nil
-		}
-		if err == nil {
-			release()
-		} else if ctx.Err() != nil {
-			return ctx.Err() // the query ended, not the candidate
-		}
-		// This candidate is down, refusing or short of the stream: count
-		// the degraded route and move on.
-		s.r.degradedRoutes.Add(1)
-		s.cur++
-	}
-	return nil
-}
-
-// fail abandons the serving candidate; the next acquire moves on.
-func (s *querySession) fail() {
-	s.cl, s.lease = nil, ""
-	s.cur++
-	s.r.degradedRoutes.Add(1)
-}
-
-// release releases every lease the session pinned (best-effort; a lease
-// on a dead node expires by TTL instead).
-func (s *querySession) release() {
-	for _, rel := range s.releases {
-		rel()
-	}
-}
-
-// handleQuery serves one query across the cluster: resolve the stream's
-// candidates, lease a snapshot on the first live one, and send it the
-// client's whole request as one query against that lease, relaying each
-// chunk line as its node wrote it. When the candidate fails mid-stream,
-// only the unrelayed remainder goes to the next one: chunks are
-// deterministic functions of the replicated bytes and the remainder starts
-// on a chunk boundary, so the lines carry on where they stopped. Errors
-// before the first byte keep their status codes (a node's 429 stays a 429,
-// hint included); errors after it travel in-band, as on a node.
+// handleQuery serves one query across the cluster: send the client's whole
+// request to the stream's first live candidate and relay each chunk line as
+// its node wrote it, resolving To = 0 from the node's CommittedHeader. When
+// the candidate fails mid-stream, only the unrelayed remainder goes to the
+// next one: chunks are deterministic functions of the replicated bytes and
+// the remainder starts on a chunk boundary, so the lines carry on where
+// they stopped. Errors before the first byte keep their status codes (a
+// node's 429 stays a 429, hint included); errors after it travel in-band,
+// as on a node.
 func (r *Router) handleQuery(w *api.Response, req *http.Request) {
 	var qr api.QueryRequest
 	if !api.ReadJSON(w, req, &qr) {
@@ -203,10 +132,6 @@ func (r *Router) handleQuery(w *api.Response, req *http.Request) {
 	}
 	if err := qr.Validate(); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if qr.Snap != "" {
-		http.Error(w, "snapshot leases are node-scoped; query the node directly", http.StatusBadRequest)
 		return
 	}
 	ctx := req.Context()
@@ -225,25 +150,38 @@ func (r *Router) handleQuery(w *api.Response, req *http.Request) {
 		w.Line(api.QueryLine{Error: err.Error()})
 	}
 
-	sess := &querySession{r: r, key: api.APIKey(req), stream: qr.Stream, cands: r.Place(qr.Stream)}
-	defer sess.release()
-	if err := sess.acquire(ctx); err != nil {
-		writeErr(err)
-		return
-	}
-	to := qr.To
-	if to == 0 {
-		to = sess.streams[qr.Stream]
-	}
-	from := min(qr.From, to)
+	cands, key := r.Place(qr.Stream), api.APIKey(req)
+	cur := 0    // index of the serving candidate
+	first := -1 // the committed length the first accepted candidate pinned
+	to, from := qr.To, qr.From
 	next := from // the first segment no relayed line covers
-
 	t0 := time.Now()
 	chunks := 0
-	for next < to {
+	for first < 0 || next < to {
+		if cur == len(cands) {
+			writeErr(fmt.Errorf("cluster: no live replica of %q (%d candidates tried)", qr.Stream, len(cands)))
+			return
+		}
 		rest := qr
-		rest.From, rest.To, rest.Snap = next, to, sess.lease
-		_, err := sess.cl.QueryLines(ctx, rest, func(line []byte) error {
+		rest.From, rest.To = next, to
+		_, err := r.clientFor(cands[cur], key).QueryLines(ctx, rest, func(committed int) error {
+			// A follower holding less of the stream than the first answer
+			// (none of it, when the owner was gone from the start) missed a
+			// pull whose data the owner took down with it: it would answer
+			// a shorter stream as the whole one, so it is no replica.
+			if cur > 0 && committed < max(1, first) {
+				return errors.New("cluster: replica short of the stream")
+			}
+			if first < 0 {
+				first = committed
+				if to == 0 {
+					to = committed
+				}
+				from = min(from, to)
+				next = from
+			}
+			return nil
+		}, func(line []byte) error {
 			if next == to {
 				return errors.New("cluster: node answered past the range")
 			}
@@ -278,19 +216,16 @@ func (r *Router) handleQuery(w *api.Response, req *http.Request) {
 				return
 			case <-time.After(hint):
 			}
-		case errors.As(err, &se) && se.Code < 500 && se.Code != http.StatusNotFound:
+		case errors.As(err, &se) && se.Code < 500:
 			// The node understood and refused (admission before any line,
 			// bad request, unauthorized): no other replica answers otherwise.
 			writeErr(err)
 			return
 		default:
-			// Transport failure, 5xx, truncated stream, in-band error or an
-			// expired lease (404): the candidate is gone, so fail over.
-			sess.fail()
-			if err := sess.acquire(ctx); err != nil {
-				writeErr(err)
-				return
-			}
+			// Transport failure, 5xx, truncated stream, in-band error or a
+			// short replica: count the degraded route and move on.
+			cur++
+			r.degradedRoutes.Add(1)
 		}
 	}
 	w.Line(api.QueryLine{Done: &api.QuerySummary{

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -44,15 +45,12 @@ func TestRouterHugeChunkOneSpan(t *testing.T) {
 // Retry-After hint.
 func TestRouterPassesNode429(t *testing.T) {
 	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/v1/snapshot":
-			api.WriteJSON(w, http.StatusOK, api.SnapshotResponse{ID: "s1", Streams: map[string]int{"cam": 2}})
-		case "/v1/query":
-			w.Header().Set("Retry-After", "3")
-			http.Error(w, "admission queue full", http.StatusTooManyRequests)
-		default:
+		if r.URL.Path != "/v1/query" {
 			http.NotFound(w, r)
+			return
 		}
+		w.Header().Set("Retry-After", "3")
+		http.Error(w, "admission queue full", http.StatusTooManyRequests)
 	}))
 	defer node.Close()
 	_, rcl, _ := startRouter(t, cluster.Options{Nodes: []cluster.Node{{Name: "n1", URL: node.URL}}})
@@ -73,22 +71,18 @@ func TestRouterRelaysNodeLines(t *testing.T) {
 		`{"chunk": {"seg0":1,"seg1":2,"detections":null,"final_pts":[7],"video_seconds":2.0,"virtual_seconds":1,"speed":2}}`,
 	}
 	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/v1/snapshot":
-			api.WriteJSON(w, http.StatusOK, api.SnapshotResponse{ID: "s1", Streams: map[string]int{"cam": 2}})
-		case "/v1/query":
-			var q api.QueryRequest
-			if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			for _, l := range lines[q.From:q.To] {
-				fmt.Fprintf(w, "%s\n", l)
-			}
-			fmt.Fprintf(w, "{\"done\":{\"chunks\":%d,\"segments\":%d}}\n", q.To-q.From, q.To-q.From)
-		default:
+		var q api.QueryRequest
+		if err := json.NewDecoder(r.Body).Decode(&q); err != nil || r.URL.Path != "/v1/query" {
 			http.NotFound(w, r)
+			return
 		}
+		w.Header().Set(api.CommittedHeader, strconv.Itoa(len(lines)))
+		n := 0
+		for lo := range q.Spans(len(lines)) {
+			fmt.Fprintf(w, "%s\n", lines[lo])
+			n++
+		}
+		fmt.Fprintf(w, "{\"done\":{\"chunks\":%d,\"segments\":%d}}\n", n, n)
 	}))
 	defer node.Close()
 	_, _, url := startRouter(t, cluster.Options{Nodes: []cluster.Node{{Name: "n1", URL: node.URL}}})
@@ -137,50 +131,56 @@ func TestRouterPassesSubscribeRefusal(t *testing.T) {
 	}
 }
 
-// stubNode is a node whose snapshot lease holds segments of stream: it
-// answers a query with one encoded chunk line per span and the trailer,
-// passing the decoded query to seen first. With cut >= 0 it dies after cut
-// chunk lines instead, its response aborted mid-stream.
-func stubNode(stream string, segments int, lease string, cut int, seen func(api.QueryRequest)) *httptest.Server {
+// stubNode is a node holding segments of a stream: it answers a query
+// with the committed-length header, one encoded chunk line per span and
+// the trailer, and any other path with 404. Every request's path, and a
+// query's decoded body, goes to seen first. With cut >= 0 it dies after
+// cut chunk lines instead, its response aborted mid-stream.
+func stubNode(segments, cut int, seen func(path string, q api.QueryRequest)) *httptest.Server {
 	var mu sync.Mutex
 	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/v1/snapshot":
-			api.WriteJSON(w, http.StatusOK, api.SnapshotResponse{ID: lease, Streams: map[string]int{stream: segments}})
-		case "/v1/query":
-			var q api.QueryRequest
+		var q api.QueryRequest
+		if r.URL.Path == "/v1/query" {
 			if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
-			mu.Lock()
-			seen(q)
-			mu.Unlock()
-			enc := json.NewEncoder(w)
-			n := 0
-			for lo, hi := range q.Spans(segments) {
-				if n == cut {
-					w.(http.Flusher).Flush()
-					panic(http.ErrAbortHandler)
-				}
-				enc.Encode(api.QueryLine{Chunk: &api.QueryChunk{Seg0: lo, Seg1: hi}})
-				n++
-			}
-			enc.Encode(api.QueryLine{Done: &api.QuerySummary{Chunks: n, Segments: q.To - q.From}})
-		default:
-			http.NotFound(w, r)
 		}
+		mu.Lock()
+		seen(r.URL.Path, q)
+		mu.Unlock()
+		if r.URL.Path != "/v1/query" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set(api.CommittedHeader, strconv.Itoa(segments))
+		enc := json.NewEncoder(w)
+		n := 0
+		for lo, hi := range q.Spans(segments) {
+			if n == cut {
+				w.(http.Flusher).Flush()
+				panic(http.ErrAbortHandler)
+			}
+			enc.Encode(api.QueryLine{Chunk: &api.QueryChunk{Seg0: lo, Seg1: hi}})
+			n++
+		}
+		enc.Encode(api.QueryLine{Done: &api.QuerySummary{Chunks: n, Segments: q.To - q.From}})
 	}))
 }
 
-// TestRouterOneRequestPerQuery: a routed query is one /v1/query to its
-// node, whatever the chunking, carrying the client's chunk and timeout_ms
-// against the router's lease; the router starts no goroutine per chunk,
-// and the client gets every chunk in order.
+// TestRouterOneRequestPerQuery: a routed query is one request to its
+// node, whatever the chunking: the client's /v1/query as sent, chunk and
+// timeout_ms included, and no snapshot pin or release around it; the
+// router starts no goroutine per chunk, and the client gets every chunk in
+// order.
 func TestRouterOneRequestPerQuery(t *testing.T) {
 	for _, tc := range []struct{ segments, chunk int }{{3, 0}, {3, 1}, {2000, 1}} {
+		var paths []string
 		var reqs []api.QueryRequest
-		node := stubNode("cam", tc.segments, "s1", -1, func(q api.QueryRequest) { reqs = append(reqs, q) })
+		node := stubNode(tc.segments, -1, func(path string, q api.QueryRequest) {
+			paths = append(paths, path)
+			reqs = append(reqs, q)
+		})
 		_, rcl, _ := startRouter(t, cluster.Options{Nodes: []cluster.Node{{Name: "n1", URL: node.URL}}})
 
 		base, grew := runtime.NumGoroutine(), 0
@@ -212,11 +212,11 @@ func TestRouterOneRequestPerQuery(t *testing.T) {
 		if grew >= 20 {
 			t.Fatalf("%+v: %d goroutines started for a %d-chunk query", tc, grew, want)
 		}
-		if len(reqs) != 1 {
-			t.Fatalf("%+v: the node saw %d queries, want 1", tc, len(reqs))
+		if len(paths) != 1 || paths[0] != "/v1/query" {
+			t.Fatalf("%+v: the node saw requests %q, want one /v1/query", tc, paths)
 		}
-		if q := reqs[0]; q.Chunk != tc.chunk || q.TimeoutMs != req.TimeoutMs || q.Snap != "s1" || q.From != 0 || q.To != tc.segments {
-			t.Fatalf("%+v: the node saw %+v, want the client's chunk and timeout_ms over [0, %d) on lease s1", tc, q, tc.segments)
+		if q := reqs[0]; q != req {
+			t.Fatalf("%+v: the node saw %+v, want the client's request %+v", tc, q, req)
 		}
 	}
 }
@@ -228,17 +228,15 @@ func TestRouterOneRequestPerQuery(t *testing.T) {
 func TestRouterTimeoutEndsQuery(t *testing.T) {
 	queries := make(chan struct{}, 4)
 	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/v1/snapshot":
-			api.WriteJSON(w, http.StatusOK, api.SnapshotResponse{ID: "s1", Streams: map[string]int{"cam": 3}})
-		case "/v1/query":
-			queries <- struct{}{}
-			json.NewEncoder(w).Encode(api.QueryLine{Chunk: &api.QueryChunk{Seg0: 0, Seg1: 1}})
-			w.(http.Flusher).Flush()
-			<-r.Context().Done()
-		default:
+		if r.URL.Path != "/v1/query" {
 			http.NotFound(w, r)
+			return
 		}
+		queries <- struct{}{}
+		w.Header().Set(api.CommittedHeader, "3")
+		json.NewEncoder(w).Encode(api.QueryLine{Chunk: &api.QueryChunk{Seg0: 0, Seg1: 1}})
+		w.(http.Flusher).Flush()
+		<-r.Context().Done()
 	}))
 	defer node.Close()
 	rt, rcl, _ := startRouter(t, cluster.Options{Nodes: []cluster.Node{{Name: "n1", URL: node.URL}}})
@@ -269,10 +267,10 @@ func TestRouterResumesOnFollower(t *testing.T) {
 		t.Fatal(err)
 	}
 	stream := streamOwnedBy(t, func(s string) []cluster.Node { return placer.Place(s, 1) }, "owner")
-	owner := stubNode(stream, 5, "s1", 2, func(api.QueryRequest) {})
+	owner := stubNode(5, 2, func(string, api.QueryRequest) {})
 	defer owner.Close()
 	var reqs []api.QueryRequest
-	follower := stubNode(stream, 5, "f1", -1, func(q api.QueryRequest) { reqs = append(reqs, q) })
+	follower := stubNode(5, -1, func(_ string, q api.QueryRequest) { reqs = append(reqs, q) })
 	defer follower.Close()
 	rt, rcl, _ := startRouter(t, cluster.Options{
 		Nodes:    []cluster.Node{{Name: "owner", URL: owner.URL}, {Name: "follower", URL: follower.URL}},
@@ -294,11 +292,45 @@ func TestRouterResumesOnFollower(t *testing.T) {
 	if n != 5 || sum.Chunks != 5 || sum.Segments != 5 {
 		t.Fatalf("got %d lines, summary %+v; want 5 chunks over 5 segments", n, sum)
 	}
-	if len(reqs) != 1 || reqs[0].From != 2 || reqs[0].To != 5 || reqs[0].Chunk != 1 || reqs[0].Snap != "f1" {
-		t.Fatalf("the follower saw %+v, want one query for [2, 5) at chunk 1 on lease f1", reqs)
+	if len(reqs) != 1 || reqs[0].From != 2 || reqs[0].To != 5 || reqs[0].Chunk != 1 {
+		t.Fatalf("the follower saw %+v, want one query for [2, 5) at chunk 1", reqs)
 	}
 	if d := rt.DegradedRoutes(); d != 1 {
 		t.Fatalf("DegradedRoutes = %d, want 1", d)
+	}
+}
+
+// TestRouterSkipsShortFollower: the owner reports five segments, streams
+// two chunk=1 lines and dies; the follower reports three, short of the
+// stream though not empty. The router relays none of the follower's lines:
+// the client gets the owner's two, then an in-band error, and both
+// candidates count as degraded routes.
+func TestRouterSkipsShortFollower(t *testing.T) {
+	placer, err := cluster.NewPlacer([]cluster.Node{{Name: "owner", URL: "http://x"}, {Name: "follower", URL: "http://y"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := streamOwnedBy(t, func(s string) []cluster.Node { return placer.Place(s, 1) }, "owner")
+	owner := stubNode(5, 2, func(string, api.QueryRequest) {})
+	defer owner.Close()
+	follower := stubNode(3, -1, func(string, api.QueryRequest) {})
+	defer follower.Close()
+	rt, rcl, _ := startRouter(t, cluster.Options{
+		Nodes:    []cluster.Node{{Name: "owner", URL: owner.URL}, {Name: "follower", URL: follower.URL}},
+		Replicas: 2,
+	})
+
+	var got []api.QueryChunk
+	_, err = rcl.QueryStream(context.Background(), api.QueryRequest{Stream: stream, Query: testQuery, Chunk: 1}, func(c api.QueryChunk) error {
+		got = append(got, c)
+		return nil
+	})
+	var se *api.StreamError
+	if !errors.As(err, &se) || se.Truncated || len(got) != 2 || got[0].Seg0 != 0 || got[1].Seg0 != 1 {
+		t.Fatalf("got %d lines %+v and %v; want the owner's two lines, then an in-band error", len(got), got, err)
+	}
+	if d := rt.DegradedRoutes(); d != 2 {
+		t.Fatalf("DegradedRoutes = %d, want 2", d)
 	}
 }
 
@@ -332,14 +364,14 @@ func TestRouterSubscribeTornLine(t *testing.T) {
 // out-of-range accuracy is the router's own 400, and a drain-time 503 is
 // counted as unavailable.
 func TestRouterShellAccounting(t *testing.T) {
-	// The one member answers no pin until the test is over.
-	pinning, release := make(chan struct{}, 1), make(chan struct{})
+	// The one member answers no query until the test is over.
+	asked, release := make(chan struct{}, 1), make(chan struct{})
 	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/snapshot" {
+		if r.URL.Path != "/v1/query" {
 			http.NotFound(w, r)
 			return
 		}
-		pinning <- struct{}{}
+		asked <- struct{}{}
 		<-release
 	}))
 	defer node.Close()
@@ -376,7 +408,7 @@ func TestRouterShellAccounting(t *testing.T) {
 		_, _, err := rcl.Query(ctx, api.QueryRequest{Stream: "cam"})
 		gone <- err
 	}()
-	<-pinning
+	<-asked
 	cancel()
 	if err := <-gone; !errors.Is(err, context.Canceled) {
 		t.Fatalf("vanished query returned %v", err)

@@ -13,8 +13,8 @@ import "repro/internal/api"
 // fan-out is doing.
 type RouterStats struct {
 	// DegradedRoutes counts candidate nodes skipped while routing a read:
-	// every pin or query that had to move past a dead (or lease-expired)
-	// node adds one. Zero means every read ran on its stream's owner.
+	// every query that had to move past a dead, refusing or short node
+	// adds one. Zero means every read ran on its stream's owner.
 	DegradedRoutes int64 `json:"degraded_routes"`
 	// Replications counts follower pulls completed after ingests.
 	Replications int64 `json:"replications"`

@@ -14,9 +14,9 @@ const DefaultLeaseTTL = 2 * time.Minute
 
 // Leases is a TTL-bounded table of pinned snapshots, keyed by opaque ID —
 // how the HTTP layer hands a remote peer a snapshot it can issue several
-// reads and chunked evaluations against. Expiry is lazy: every operation
-// sweeps, so an abandoned lease releases its pin the next time anything
-// touches the table (or at ReleaseAll on shutdown).
+// reads against (a replication pull's enumeration and fetches). Expiry is
+// lazy: every operation sweeps, so an abandoned lease releases its pin the
+// next time anything touches the table (or at ReleaseAll on shutdown).
 type Leases struct {
 	mu      sync.Mutex
 	ttl     time.Duration

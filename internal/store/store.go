@@ -11,8 +11,9 @@
 // every read and every evaluation through a Snapshot returns exactly what
 // the server returns over the same committed set, at any worker count,
 // cache state or transport. The cluster layer (internal/cluster) builds
-// on this: a router fans one query's spans across nodes and merges the
-// chunks, and the answer is provably the single-node answer.
+// on this: a router relays each query from one node, and on failover the
+// unrelayed remainder from a replica, so the answer is the single-node
+// answer.
 package store
 
 import (
