@@ -25,9 +25,9 @@ build:
 # Every end-to-end check is a Go test here: TestServeProcesses (cmd/vstore)
 # runs `vstore api` and `vstore route` as real processes.
 # On an AVX2 host the internal/vec kernels take the blur rows, the raw
-# downscale, the delta reconstruction and the power-of-two requantiser, so
-# the packages that call them are vetted and tested again under -tags
-# purego, where every portable loop runs.
+# downscale, the encoder's deadzone delta, the delta reconstruction and the
+# power-of-two requantiser, so the packages that call them are vetted and
+# tested again under -tags purego, where every portable loop runs.
 PUREGO_PKGS := ./internal/vec ./internal/frame ./internal/codec ./internal/ops
 test:
 	$(GO) test ./...
@@ -95,15 +95,16 @@ cover:
 # Unmarshal or decode to an error or frames, and never panic), over the
 # codec's DEFLATE decoder (at any horizon compress/flate's reader fills, the
 # same bytes) and compressor (at any level the codec uses, a stream both
-# decoders read back, the same with any helpers), and over log
-# replay (any bytes after valid records: no panic, allocation bounded by the
-# input, every listed key readable or ErrCorrupt, and a reopen sees the same
-# keys), and over the tenants key file (no panic; an accepted file maps each
-# key to one uniquely named quota that a saved configuration can carry, and
-# loads the same twice).
-# Nightly CI runs this with FUZZTIME=5m. The two DEFLATE targets take large
-# inputs, which the fuzzer would minimise for up to a minute each; three
-# seconds of that leave the budget for fuzzing.
+# decoders read back, the same with any helpers) and its level-9 chain
+# walk (at every position, the match of the old walk the test keeps), and
+# over log replay (any bytes after valid records: no panic, allocation
+# bounded by the input, every listed key readable or ErrCorrupt, and a
+# reopen sees the same keys), and over the tenants key file (no panic; an
+# accepted file maps each key to one uniquely named quota that a saved
+# configuration can carry, and loads the same twice).
+# Nightly CI runs this with FUZZTIME=5m. The three DEFLATE targets take
+# large inputs, which the fuzzer would minimise for up to a minute each;
+# three seconds of that leave the budget for fuzzing.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzConfigRoundTrip -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzBoxScale -fuzztime $(FUZZTIME) ./internal/frame/
@@ -115,6 +116,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime $(FUZZTIME) ./internal/codec/
 	$(GO) test -run '^$$' -fuzz FuzzInflate -fuzztime $(FUZZTIME) -fuzzminimizetime 3s ./internal/codec/
 	$(GO) test -run '^$$' -fuzz FuzzDeflate -fuzztime $(FUZZTIME) -fuzzminimizetime 3s ./internal/codec/
+	$(GO) test -run '^$$' -fuzz FuzzFindMatch -fuzztime $(FUZZTIME) -fuzzminimizetime 3s ./internal/codec/
 	$(GO) test -run '^$$' -fuzz FuzzReplay -fuzztime $(FUZZTIME) ./internal/kvstore/
 	$(GO) test -run '^$$' -fuzz FuzzLoadKeyFile -fuzztime $(FUZZTIME) ./internal/tenant/
 

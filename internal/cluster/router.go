@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -118,13 +119,13 @@ func writeStatusError(w http.ResponseWriter, req *http.Request, err error) {
 
 // handleQuery serves one query across the cluster: send the client's whole
 // request to the stream's first live candidate and relay each chunk line as
-// its node wrote it, resolving To = 0 from the node's CommittedHeader. When
-// the candidate fails mid-stream, only the unrelayed remainder goes to the
-// next one: chunks are deterministic functions of the replicated bytes and
-// the remainder starts on a chunk boundary, so the lines carry on where
-// they stopped. Errors before the first byte keep their status codes (a
-// node's 429 stays a 429, hint included); errors after it travel in-band,
-// as on a node.
+// its node wrote it, resolving To = 0 from the node's CommittedHeader, which
+// it passes on. When the candidate fails mid-stream, only the unrelayed
+// remainder goes to the next one: chunks are deterministic functions of the
+// replicated bytes and the remainder starts on a chunk boundary, so the
+// lines carry on where they stopped. Errors before the first byte keep
+// their status codes (a node's 429 stays a 429, hint included); errors
+// after it travel in-band, as on a node.
 func (r *Router) handleQuery(w *api.Response, req *http.Request) {
 	var qr api.QueryRequest
 	if !api.ReadJSON(w, req, &qr) {
@@ -174,6 +175,7 @@ func (r *Router) handleQuery(w *api.Response, req *http.Request) {
 			}
 			if first < 0 {
 				first = committed
+				w.Header().Set(api.CommittedHeader, strconv.Itoa(first))
 				if to == 0 {
 					to = committed
 				}

@@ -221,6 +221,36 @@ func TestRouterOneRequestPerQuery(t *testing.T) {
 	}
 }
 
+// TestRouterFrontsRouter: a router answers /v1/query with the node's
+// CommittedHeader, so a router placed in front of another router reaches
+// the node through it instead of counting it dead.
+func TestRouterFrontsRouter(t *testing.T) {
+	node := stubNode(3, -1, func(string, api.QueryRequest) {})
+	defer node.Close()
+	_, _, innerURL := startRouter(t, cluster.Options{Nodes: []cluster.Node{{Name: "n1", URL: node.URL}}})
+	outer, rcl, outerURL := startRouter(t, cluster.Options{Nodes: []cluster.Node{{Name: "inner", URL: innerURL}}})
+	resp, err := http.Post(outerURL+"/v1/query", "application/json", strings.NewReader(`{"stream":"cam"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if got := resp.Header.Get(api.CommittedHeader); resp.StatusCode != http.StatusOK || got != "3" {
+		t.Fatalf("outer router answered %d with %s %q, want 200 with 3", resp.StatusCode, api.CommittedHeader, got)
+	}
+	var seg []int
+	sum, err := rcl.QueryStream(context.Background(), api.QueryRequest{Stream: "cam", Query: testQuery, Chunk: 1}, func(c api.QueryChunk) error {
+		seg = append(seg, c.Seg0)
+		return nil
+	})
+	if err != nil || len(seg) != 3 || seg[2] != 2 || sum.Segments != 3 {
+		t.Fatalf("query through two routers: chunks from %v, summary %+v, err %v; want 3 chunks", seg, sum, err)
+	}
+	if n := outer.DegradedRoutes(); n != 0 {
+		t.Fatalf("outer router counted %d degraded routes, want 0", n)
+	}
+}
+
 // TestRouterTimeoutEndsQuery: the client's timeout_ms bounds the routed
 // query as a whole. A node that stalls after one line is not failed over
 // to a replica: the query ends in-band at the deadline, its node asked

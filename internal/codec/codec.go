@@ -180,24 +180,15 @@ func EncodeWith(frames []*frame.Frame, p Params, helpers Helpers) (*Encoded, Sta
 				gopBuf = append(gopBuf, cur...)
 				st.PixelsIntra += int64(planeLen)
 			} else {
-				// Delta coding with a temporal deadzone: deltas within the
-				// sensor-noise band are coded as zero, which is what gives a
-				// real codec its inter-frame compression on static scenes.
-				// The encoder reconstructs what the decoder will see
-				// (cur[j] = prev[j] for suppressed deltas), so no drift
-				// accumulates across a GOP.
+				// Delta coding with a temporal deadzone, 32 samples a step
+				// on AVX2: deltas within the sensor-noise band are coded as
+				// zero, giving a real codec's inter-frame compression on
+				// static scenes. The encoder reconstructs what the decoder
+				// will see (cur[j] = prev[j] for suppressed deltas), so no
+				// drift accumulates across a GOP.
 				n := len(gopBuf)
 				gopBuf = slices.Grow(gopBuf, planeLen)[:n+planeLen]
-				delta := gopBuf[n:]
-				for j := range delta {
-					d := cur[j] - prev[j]
-					if d+dz <= 2*dz { // |delta| <= dz under mod-256 arithmetic
-						delta[j] = 0
-						cur[j] = prev[j]
-					} else {
-						delta[j] = d
-					}
-				}
+				deadzoneDelta(gopBuf[n:], cur, prev, dz)
 				st.PixelsDelta += int64(planeLen)
 			}
 			prev, cur = cur, prev
@@ -228,6 +219,37 @@ func deadzone(quantStep int) int {
 		return quantStep
 	}
 	return 4
+}
+
+// deadzoneDelta sets delta[j] to d = cur[j]-prev[j], or, where |d| ≤ dz
+// modulo 256, to 0 and cur[j] to prev[j]; dz < 64, so 2·dz fits seven bits.
+// vec.DeadzoneDelta takes 32 samples a step on an AVX2 host, and a word
+// eight: a borrow-free byte difference, dz added to its low bits, and a
+// byte kept where its top bit or its low bits plus 127-2·dz set bit 7.
+func deadzoneDelta(delta, cur, prev []byte, dz byte) {
+	if vec.AVX2 {
+		n := len(delta) &^ 31
+		vec.DeadzoneDelta(delta[:n], cur[:n], prev[:n], dz)
+		delta, cur, prev = delta[n:], cur[n:], prev[n:]
+	}
+	const ones, low7, top = 0x0101010101010101, 0x7f7f7f7f7f7f7f7f, 0x8080808080808080
+	dzs, over := uint64(dz)*ones, uint64(0x7f-2*dz)*ones
+	n := len(delta) &^ 7
+	for j := 0; j < n; j += 8 {
+		c, p := binary.LittleEndian.Uint64(cur[j:]), binary.LittleEndian.Uint64(prev[j:])
+		d := ((c | top) - (p & low7)) ^ ((c ^ ^p) & top)
+		t := ((d & low7) + dzs) ^ (d & top)
+		keep := ((((t & low7) + over) | t) & top >> 7) * 0xff
+		binary.LittleEndian.PutUint64(delta[j:], d&keep)
+		binary.LittleEndian.PutUint64(cur[j:], p^(p^c)&keep)
+	}
+	for j := n; j < len(delta); j++ {
+		if d := cur[j] - prev[j]; d+dz <= 2*dz {
+			delta[j], cur[j] = 0, prev[j]
+		} else {
+			delta[j] = d
+		}
+	}
 }
 
 // quantTable maps every sample value to its reconstruction under one

@@ -31,9 +31,9 @@ import (
 // compares eight bytes at a time, and a candidate is tested on the four
 // bytes that end a longer match before it is compared. At level 9 the walk
 // also knows where each run of one value starts: a candidate must end in a
-// run that starts as far into it as into the target, and where a run
-// covers a failing candidate, whose chain through the run is consecutive
-// positions, the walk steps over the whole run at once.
+// run that starts as far into it as into the target, and once the match in
+// hand is as long as the target's leading run, the walk tests at most one
+// position of each run, whose chain is consecutive positions (findMatch).
 const (
 	windowSize          = 1 << 15
 	windowMask          = windowSize - 1
@@ -255,6 +255,10 @@ func (d *compressor) prime(from, to int) int {
 // findMatch walks the chain from prevHead down to minIndex, at most d.chain
 // candidates, a quarter of them if prevLength is good, for a match at pos
 // longer than prevLength. It returns what compress/flate's walk returns.
+// Where runs are tracked and pos starts with a ≥ 4 copies of a value v and
+// then another byte, a match in hand a long is beaten only by a candidate
+// holding exactly a copies, so the walk tests one position of each run and
+// charges the tries of every position it passes.
 func (d *compressor) findMatch(pos, prevHead, prevLength, lookahead, minIndex int) (length, offset int, ok bool) {
 	minMatchLook := min(maxMatchLength, lookahead)
 	win := d.src[0 : pos+minMatchLook]
@@ -264,31 +268,41 @@ func (d *compressor) findMatch(pos, prevHead, prevLength, lookahead, minIndex in
 	if length >= d.good {
 		tries >>= 2
 	}
+	wPos := win[pos:]
 	// A candidate that beats length matches the four bytes that end at
 	// pos+length, and where runs are tracked, the run of one value those
 	// end in starts as far into the candidate as into pos (or before both).
 	tail := binary.LittleEndian.Uint32(win[pos+length-3:])
-	var run int
+	var run, a int
 	if d.runs {
 		run = max(int(d.runStart[(pos+length)&runMask])-pos, 0)
+		if a = 1 + matchLen(wPos[1:], wPos, minMatchLook-1); a < minMatchLength || a == minMatchLook {
+			a = 0 // no run of four followed by another byte
+		}
 	}
-	wPos := win[pos:]
-	for i := prevHead; tries > 0; tries-- {
+	for i := prevHead; ; {
 		match := binary.LittleEndian.Uint32(win[i+length-3:]) == tail
+		b := 0 // how many copies of v i holds, up to a, once known
 		if d.runs {
+			exact := a > 0 && length >= a // only a candidate of a copies beats length
 			r := int(d.runStart[(i+length)&runMask])
 			match = match && max(r-i, 0) == run
+			if exact { // a run reaching i+a holds too many copies
+				r = int(d.runStart[(i+a)&runMask])
+				match = match && r > i
+			}
 			if !match && r < i {
-				// One value fills src[i-k..i+length] for some k > 0, so every
-				// position down to i-k fails as i did. Every position is
-				// hashed, so the chain through them is i-1, i-2, ..., i-k: go
-				// to i-k (or minIndex) at once, spending the tries the walk
-				// would.
+				// One value fills src[r..i+a] (or i+length), so every
+				// position down to r fails as i did, and the chain through
+				// them is i-1, ..., r: go to r (or minIndex) at once.
 				j := max(r, minIndex)
 				if tries -= i - j; tries <= 0 {
 					break
 				}
 				i = j
+				match = false
+			} else if exact && !match {
+				b = matchLen(win[i:], wPos, a)
 			}
 		}
 		if match {
@@ -303,10 +317,26 @@ func (d *compressor) findMatch(pos, prevHead, prevLength, lookahead, minIndex in
 					run = max(int(d.runStart[(pos+n)&runMask])-pos, 0)
 				}
 			}
+			b = min(n, a)
 		}
-		if i == minIndex {
-			// Its link is gone or below minIndex: pos-windowSize shares
-			// pos's hashPrev entry.
+		if b >= minMatchLength && length >= a {
+			// i holds b copies of v, so i-(a-b) holds a if the run starts
+			// there; those between hold too few, those below too many.
+			lo := max(int(d.runStart[i&runMask]), minIndex)
+			j, test := i-(a-b), b < a
+			if !test || j < lo {
+				j, test = lo, false
+			}
+			if tries -= i - j; tries <= 0 {
+				break
+			}
+			if i = j; test {
+				continue
+			}
+		}
+		if tries--; tries <= 0 || i == minIndex {
+			// Out of tries, or i's link is gone or below minIndex:
+			// pos-windowSize shares pos's hashPrev entry.
 			break
 		}
 		if i = int(d.hashPrev[i&windowMask]) - 1; i < minIndex {

@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand"
@@ -276,5 +277,174 @@ func FuzzDeflate(f *testing.F) {
 		c := getCompressor()
 		defer putCompressor(c)
 		checkDeflate(t, c, src, l, 1<<(10+split%4), []int{int(split/4)%6 - 2})
+	})
+}
+
+// refFindMatch is findMatch as it stood before the walk jumped within runs:
+// it visits every position of the chain, skipping only where a run covers
+// a failing candidate through its tail, kept verbatim as the oracle.
+func (d *compressor) refFindMatch(pos, prevHead, prevLength, lookahead, minIndex int) (length, offset int, ok bool) {
+	minMatchLook := min(maxMatchLength, lookahead)
+	win := d.src[0 : pos+minMatchLook]
+	nice := min(d.nice, len(win)-pos)
+	tries := d.chain
+	length = prevLength
+	if length >= d.good {
+		tries >>= 2
+	}
+	// A candidate that beats length matches the four bytes that end at
+	// pos+length, and where runs are tracked, the run of one value those
+	// end in starts as far into the candidate as into pos (or before both).
+	tail := binary.LittleEndian.Uint32(win[pos+length-3:])
+	var run int
+	if d.runs {
+		run = max(int(d.runStart[(pos+length)&runMask])-pos, 0)
+	}
+	wPos := win[pos:]
+	for i := prevHead; tries > 0; tries-- {
+		match := binary.LittleEndian.Uint32(win[i+length-3:]) == tail
+		if d.runs {
+			r := int(d.runStart[(i+length)&runMask])
+			match = match && max(r-i, 0) == run
+			if !match && r < i {
+				// One value fills src[i-k..i+length] for some k > 0, so every
+				// position down to i-k fails as i did. Every position is
+				// hashed, so the chain through them is i-1, i-2, ..., i-k: go
+				// to i-k (or minIndex) at once, spending the tries the walk
+				// would.
+				j := max(r, minIndex)
+				if tries -= i - j; tries <= 0 {
+					break
+				}
+				i = j
+			}
+		}
+		if match {
+			n := matchLen(win[i:], wPos, minMatchLook)
+			if n > length && (n > minMatchLength || pos-i <= 4096) {
+				length, offset, ok = n, pos-i, true
+				if n >= nice {
+					break
+				}
+				tail = binary.LittleEndian.Uint32(win[pos+n-3:])
+				if d.runs {
+					run = max(int(d.runStart[(pos+n)&runMask])-pos, 0)
+				}
+			}
+		}
+		if i == minIndex {
+			// Its link is gone or below minIndex: pos-windowSize shares
+			// pos's hashPrev entry.
+			break
+		}
+		if i = int(d.hashPrev[i&windowMask]) - 1; i < minIndex {
+			break
+		}
+	}
+	return
+}
+
+// walkFindMatch drives a level-9 compressor over src position by position
+// from start, its chains and runs primed from from as a helper primes them,
+// and at every position holds findMatch to refFindMatch at bar 3, at the
+// length the last position's walk found and at 32, where the walk is
+// quartered.
+func walkFindMatch(t testing.TB, name string, src []byte, from, start int) {
+	t.Helper()
+	var d compressor
+	d.reset(src, 9)
+	d.prime(from, start)
+	d.runFrom, d.runEnd = from, from
+	maxInsertIndex := len(src) - (minMatchLength - 1)
+	prev := 0
+	for pos := start; pos < len(src); pos++ {
+		d.index = pos
+		if pos >= d.runNext {
+			d.fillRuns()
+		}
+		if pos >= maxInsertIndex {
+			break
+		}
+		head := d.insert(pos)
+		minIndex := max(pos-windowSize, 0)
+		lookahead := len(src) - pos
+		if head < minIndex {
+			prev = 0
+			continue
+		}
+		for _, bar := range []int{minMatchLength - 1, prev, d.good} {
+			if bar < minMatchLength-1 || bar >= min(maxMatchLength, lookahead) {
+				continue
+			}
+			n, off, ok := d.findMatch(pos, head, bar, lookahead, minIndex)
+			wn, woff, wok := d.refFindMatch(pos, head, bar, lookahead, minIndex)
+			if n != wn || off != woff || ok != wok {
+				t.Fatalf("%s at %d (bar %d): findMatch gave (%d, %d, %t), the reference (%d, %d, %t)", name, pos, bar, n, off, ok, wn, woff, wok)
+			}
+			if bar == minMatchLength-1 {
+				prev = 0
+				if ok {
+					prev = n
+				}
+			}
+		}
+	}
+}
+
+// brokenRuns is runs of zeros of every length from 0 to 300, each ended by
+// a single other byte, so that the target's run and the candidates' meet at
+// every difference of length.
+func brokenRuns() []byte {
+	var b []byte
+	for k := 0; k <= 300; k++ {
+		b = append(b, make([]byte, k)...)
+		b = append(b, byte(1+k%7))
+	}
+	return b
+}
+
+// TestFindMatchMatchesReference holds the chain walk to refFindMatch on the
+// last 8 KiB of each compressor test input, its chains primed from a window
+// before; on runs broken at every spacing; on a stretch of two scenes'
+// golden GOPs; and on chains primed as a helper's are. It is skipped under
+// -short: the walk runs on one goroutine, and the race detector would take
+// minutes over what the oracle costs.
+func TestFindMatchMatchesReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the reference walk over every position")
+	}
+	for name, src := range deflateTestData(t) {
+		start := max(len(src)-8<<10, 0)
+		walkFindMatch(t, name, src, max(start-windowSize, 0), start)
+	}
+	walkFindMatch(t, "broken runs at every spacing", brokenRuns(), 0, 0)
+	walkFindMatch(t, "out of phase", outOfPhase(), 0, 0)
+	for _, name := range []string{"jackson", "park"} {
+		scene, err := vidsim.DatasetByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gop := goldenGOP(t, scene)
+		start := len(gop) / 2
+		walkFindMatch(t, name, gop[:start+64<<10], start-windowSize, start)
+	}
+	// A helper's chains and runs start a window before its chunk, inside a
+	// run.
+	runs := brokenRuns()
+	src := append(bytes.Repeat(runs, 3), outOfPhase()...)
+	walkFindMatch(t, "helper-primed", src, len(runs)/2, len(runs)/2+windowSize)
+}
+
+// FuzzFindMatch runs TestFindMatchMatchesReference's comparison on any
+// bytes, repeated up to 64 times, from a start and a priming the input
+// picks.
+func FuzzFindMatch(f *testing.F) {
+	f.Add(brokenRuns()[:2000], uint8(3), uint16(0))
+	f.Add([]byte{0, 0, 0, 0, 0, 1}, uint8(63), uint16(100))
+	f.Add([]byte("abcabcabcabc"), uint8(9), uint16(7))
+	f.Fuzz(func(t *testing.T, data []byte, reps uint8, skip uint16) {
+		src := bytes.Repeat(data, min(1+int(reps)%64, max(1, 64<<10/max(len(data), 1))))
+		start := min(int(skip), len(src))
+		walkFindMatch(t, "fuzz", src, max(start-windowSize, 0)/2, start)
 	})
 }

@@ -35,6 +35,20 @@ func refAddDelta(recon, buf []byte) {
 	}
 }
 
+// refDeadzoneDelta is EncodeWith's temporal-deadzone loop as it stood
+// before deadzoneDelta, kept verbatim as the oracle.
+func refDeadzoneDelta(delta, cur, prev []byte, dz byte) {
+	for j := range delta {
+		d := cur[j] - prev[j]
+		if d+dz <= 2*dz { // |delta| <= dz under mod-256 arithmetic
+			delta[j] = 0
+			cur[j] = prev[j]
+		} else {
+			delta[j] = d
+		}
+	}
+}
+
 // refDecode reconstructs every frame of e the way decodeGOP did before the
 // rewrite: read into buf, copy the keyframe into recon, add deltas one
 // sample at a time, copy recon out.
@@ -177,6 +191,37 @@ func TestAddBytesMatchesReference(t *testing.T) {
 			addBytes(acc, delta)
 			if !bytes.Equal(acc, want) {
 				t.Fatalf("%s, length %d: sum differs from the reference", shape.name, n)
+			}
+		}
+	}
+}
+
+// TestDeadzoneDeltaMatchesReference covers every quality's deadzone over
+// planes of every length from 0 to 41 — tails of 0 to 31 samples past the
+// kernel and of 0 to 7 past the word loop — and of the scenes' plane
+// lengths, with random deltas and deltas of exactly ±dz and ±(dz+1),
+// checking both the delta and the updated cur.
+func TestDeadzoneDeltaMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	lens := []int{15504, 21600, 21601}
+	for n := 0; n <= 41; n++ {
+		lens = append(lens, n)
+	}
+	for _, q := range format.Qualities {
+		dz := byte(deadzone(q.QuantStep()))
+		for _, n := range lens {
+			cur, prev := make([]byte, n), make([]byte, n)
+			rng.Read(cur)
+			rng.Read(prev)
+			for j := range n / 2 { // the edges: ±dz suppressed, ±(dz+1) kept
+				prev[j] = cur[j] - [4]byte{dz, -dz, dz + 1, -dz - 1}[j%4]
+			}
+			delta, wantDelta := make([]byte, n), make([]byte, n)
+			wantCur := bytes.Clone(cur)
+			refDeadzoneDelta(wantDelta, wantCur, prev, dz)
+			deadzoneDelta(delta, cur, prev, dz)
+			if !bytes.Equal(delta, wantDelta) || !bytes.Equal(cur, wantCur) {
+				t.Fatalf("deadzone %d, length %d: delta or cur differs from the reference", dz, n)
 			}
 		}
 	}

@@ -50,6 +50,13 @@ func AddBytes(acc, delta []byte)
 //go:noescape
 func MaskOr(p []byte, keep, set byte)
 
+// DeadzoneDelta sets delta[i] to d = cur[i]-prev[i], or where d+dz ≤ 2·dz
+// (modulo 256) to 0 and cur[i] to prev[i]. len(delta) is a multiple of 32;
+// cur and prev are at least as long.
+//
+//go:noescape
+func DeadzoneDelta(delta, cur, prev []byte, dz byte)
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)

@@ -240,6 +240,41 @@ maskDone:
 	VZEROUPPER
 	RET
 
+// func DeadzoneDelta(delta, cur, prev []byte, dz byte)
+//
+// d = cur-prev is suppressed where min(d+dz, 2·dz) = d+dz, unsigned, and
+// cur rewritten as prev plus the delta kept.
+TEXT ·DeadzoneDelta(SB), NOSPLIT, $0-73
+	MOVQ    delta_base+0(FP), DI
+	MOVQ    delta_len+8(FP), CX
+	MOVQ    cur_base+24(FP), SI
+	MOVQ    prev_base+48(FP), DX
+	MOVBLZX dz+72(FP), AX
+	VMOVD   AX, X1
+	VPBROADCASTB X1, Y1 // dz
+	VPADDB  Y1, Y1, Y2  // 2·dz
+	XORQ    BX, BX
+
+dzLoop:
+	CMPQ    BX, CX
+	JAE     dzDone
+	VMOVDQU (SI)(BX*1), Y3
+	VMOVDQU (DX)(BX*1), Y4
+	VPSUBB  Y4, Y3, Y5 // d
+	VPADDB  Y1, Y5, Y6
+	VPMINUB Y2, Y6, Y7
+	VPCMPEQB Y7, Y6, Y7 // all ones where suppressed
+	VPANDN  Y5, Y7, Y5
+	VMOVDQU Y5, (DI)(BX*1)
+	VPADDB  Y4, Y5, Y3
+	VMOVDQU Y3, (SI)(BX*1)
+	ADDQ    $32, BX
+	JMP     dzLoop
+
+dzDone:
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

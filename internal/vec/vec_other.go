@@ -13,4 +13,5 @@ func AddBytes(acc, delta []byte)                            { panic("vec: no AVX
 func BoxMeans(dst []byte, runs, cols []uint16, starts, wides []int32, narrow, wide uint32) {
 	panic("vec: no AVX2 kernels")
 }
-func MaskOr(p []byte, keep, set byte) { panic("vec: no AVX2 kernels") }
+func MaskOr(p []byte, keep, set byte)                { panic("vec: no AVX2 kernels") }
+func DeadzoneDelta(delta, cur, prev []byte, dz byte) { panic("vec: no AVX2 kernels") }

@@ -161,3 +161,31 @@ func TestMaskOr(t *testing.T) {
 		}
 	}
 }
+
+func TestDeadzoneDelta(t *testing.T) {
+	needAVX2(t)
+	rng := rand.New(rand.NewSource(7))
+	for _, dz := range []byte{0, 4, 16, 48, 64, 127, 128, 200} {
+		for _, n := range []int{0, 32, 64, 96, 21600 &^ 31} {
+			cur, prev := make([]byte, n), make([]byte, n+3)
+			rng.Read(cur)
+			rng.Read(prev)
+			for j := 0; j < n; j += 3 { // deltas about the deadzone's edges
+				prev[j] = cur[j] - dz + byte(rng.Intn(3)) - 1
+			}
+			want, wantCur := make([]byte, n), bytes.Clone(cur)
+			for j := range want {
+				if d := cur[j] - prev[j]; d+dz <= 2*dz {
+					wantCur[j] = prev[j]
+				} else {
+					want[j] = d
+				}
+			}
+			got := make([]byte, n)
+			DeadzoneDelta(got, cur, prev, dz)
+			if !bytes.Equal(got, want) || !bytes.Equal(cur, wantCur) {
+				t.Fatalf("dz %d, length %d: delta or cur differs from the plain loop", dz, n)
+			}
+		}
+	}
+}
