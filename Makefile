@@ -24,9 +24,9 @@ build:
 
 # Every end-to-end check is a Go test here: TestServeProcesses (cmd/vstore)
 # runs `vstore api` and `vstore route` as real processes.
-# On an AVX2 host the internal/vec kernels take the blur rows, the raw
-# downscale, the encoder's deadzone delta, the delta reconstruction and the
-# power-of-two requantiser, so the packages that call them are vetted and
+# On an AVX2 host the internal/vec kernels take NN's blur passes, the
+# classifiers' column sums, the raw downscale, the encoder's deadzone delta,
+# the delta reconstruction and the power-of-two requantiser, so the packages that call them are vetted and
 # tested again under -tags purego, where every portable loop runs.
 PUREGO_PKGS := ./internal/vec ./internal/frame ./internal/codec ./internal/ops
 test:
@@ -84,6 +84,8 @@ cover:
 # (FromBytes must never panic, and accepted inputs must round-trip), over
 # the two pixel kernels whose rewrite is hardest to read (any plane size and
 # seed must give the bytes of the reference loop kept in the test file) and
+# NN's cell means (any plane size, cell size and seed: the reference's
+# bits, whichever of the column-sum kernel and its fallback a band takes),
 # over the raw record parser, whose frames alias their input (any bytes must
 # give the copying reference's error or frame, and never panic), over the
 # query chunk split (any validated range must be tiled exactly, whatever the
@@ -102,13 +104,14 @@ cover:
 # reopen sees the same keys), and over the tenants key file (no panic; an
 # accepted file maps each key to one uniquely named quota that a saved
 # configuration can carry, and loads the same twice).
-# Nightly CI runs this with FUZZTIME=5m. The three DEFLATE targets take
-# large inputs, which the fuzzer would minimise for up to a minute each;
-# three seconds of that leave the budget for fuzzing.
+# Nightly CI runs this with FUZZTIME=5m. The three DEFLATE targets and the
+# cell means take large inputs, which the fuzzer would minimise for up to a
+# minute each; three seconds of that leave the budget for fuzzing.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzConfigRoundTrip -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzBoxScale -fuzztime $(FUZZTIME) ./internal/frame/
 	$(GO) test -run '^$$' -fuzz FuzzBoxBlur3 -fuzztime $(FUZZTIME) ./internal/ops/
+	$(GO) test -run '^$$' -fuzz FuzzCellMeans -fuzztime $(FUZZTIME) -fuzzminimizetime 3s ./internal/ops/
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalFrame -fuzztime $(FUZZTIME) ./internal/segment/
 	$(GO) test -run '^$$' -fuzz FuzzQuerySpans -fuzztime $(FUZZTIME) ./internal/api/
 	$(GO) test -run '^$$' -fuzz FuzzQueryLine -fuzztime $(FUZZTIME) ./internal/api/

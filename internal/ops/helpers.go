@@ -27,7 +27,7 @@ type cellStats struct {
 	flips    []float64 // horizontal gradient sign-flip density (plate signature)
 	// accumulation and helper scratch, reused across update calls
 	acc  []cellAcc
-	cols []int     // updateMeans' column sums over one band of cell rows
+	cols []uint16  // updateMeans' column sums over one band of cell rows
 	med  []float64 // median sort buffer
 	rows []float64 // rowMedianMean output
 }
@@ -120,29 +120,37 @@ func (g *cellStats) update(y []byte, w, h, px int) {
 
 // updateMeans is update for a reader of mean alone, which NN is: it adds up
 // only each cell's samples, so mean has update's bits, and leaves variance,
-// hGrad and flips empty. A band of cell rows is summed column by column
-// first, then each cell adds its columns.
+// hGrad and flips empty. On an AVX2 host, where a plane is at least 16 wide
+// and a band of cell rows at most 257 tall, vec.ColumnSums sums the band
+// column by column first and each cell adds its columns; otherwise each cell
+// adds its samples row by row.
 func (g *cellStats) updateMeans(y []byte, w, h, px int) {
 	px = g.reset(w, h, px)
 	g.variance, g.hGrad, g.flips = g.variance[:0], g.hGrad[:0], g.flips[:0]
 	if cap(g.cols) < w {
-		g.cols = make([]int, w)
+		g.cols = make([]uint16, w)
 	}
 	cols := g.cols[:w]
 	for cy := 0; cy < g.ch; cy++ {
 		y0, y1 := cy*px, min((cy+1)*px, h)
-		clear(cols)
-		for yy := y0; yy < y1; yy++ {
-			row := y[yy*w : (yy+1)*w]
-			for x, s := range cols[:len(row)] {
-				cols[x] = s + int(row[x])
-			}
+		band := y[y0*w : y1*w]
+		vector := vec.AVX2 && w >= 16 && y1-y0 <= 257
+		if vector {
+			vec.ColumnSums(cols, band, w, y1-y0)
 		}
 		for cx := 0; cx < g.cw; cx++ {
 			x0, x1 := cx*px, min((cx+1)*px, w)
 			sum := 0
-			for _, s := range cols[x0:x1] {
-				sum += s
+			if vector {
+				for _, s := range cols[x0:x1] {
+					sum += int(s)
+				}
+			} else {
+				for r := 0; r < len(band); r += w {
+					for _, v := range band[r+x0 : r+x1] {
+						sum += int(v)
+					}
+				}
 			}
 			g.mean[cy*g.cw+cx] = float64(sum) / float64((x1-x0)*(y1-y0))
 		}
@@ -239,12 +247,21 @@ outer:
 // feature passes; the work is real. scratch is grown as needed and returned
 // for reuse; nothing an earlier pass left in it reaches the output.
 //
-// Each row is written from saved copies of its three source rows. On an AVX2
-// host a row at least 18 samples wide goes to vec.BlurRow, which sums
-// sixteen windows at a time in 16-bit lanes. Every other row — all rows on
-// other hosts and under the purego build tag — takes blurRowSWAR.
+// On an AVX2 host a plane at least 18 samples wide is one vec.BlurPlane
+// call, which keeps each row's horizontal 3-sums in a three-row ring of
+// 16-bit sums in scratch and writes sixteen samples at a time. Every other
+// plane — all planes on other hosts and under the purego build tag — is
+// written row by row by blurRowSWAR, from saved copies of its three source
+// rows.
 func boxBlur3(y []byte, w, h int, scratch []byte) []byte {
 	if w < 3 || h < 3 {
+		return scratch
+	}
+	if vec.AVX2 && w >= 18 {
+		if cap(scratch) < 6*w {
+			scratch = make([]byte, 6*w)
+		}
+		vec.BlurPlane(y, w, h, scratch[:6*w])
 		return scratch
 	}
 	// Three source rows, saved because an in-place pass overwrites a row
@@ -263,11 +280,7 @@ func boxBlur3(y []byte, w, h int, scratch []byte) []byte {
 	copy(cur, y[w:2*w])
 	for yy := 1; yy < h-1; yy++ {
 		copy(below, y[(yy+1)*w:(yy+2)*w])
-		if row := y[yy*w : (yy+1)*w]; vec.AVX2 && w >= 18 {
-			vec.BlurRow(row, above[:w], cur[:w], below[:w])
-		} else {
-			blurRowSWAR(row, above, cur, below, out)
-		}
+		blurRowSWAR(y[yy*w:(yy+1)*w], above, cur, below, out)
 		above, cur, below = cur, below, above
 	}
 	return scratch

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"repro/internal/format"
 	"repro/internal/frame"
 )
 
@@ -228,4 +230,158 @@ func TestCellStatsMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	// updateMeans' portable path on every host: a plane narrower than
+	// vec.ColumnSums' sixteen columns, and bands of cell rows taller than its
+	// 257 (the last band of 84 rows takes the kernel where it runs); then its
+	// tallest band, saturated, whose column sums fill the 16-bit lanes.
+	for _, c := range []struct{ w, h, px, kind int }{
+		{15, 40, 4, 0}, {15, 40, 4, 2}, {40, 600, 258, 2}, {40, 600, 300, 0}, {40, 514, 257, 2},
+	} {
+		f := &frame.Frame{W: c.w, H: c.h, Y: testPlane(rng, c.w, c.h, c.kind)}
+		m.updateMeans(f.Y, c.w, c.h, c.px)
+		checkMeans(t, &m, refCellStats(f, c.px), fmt.Sprintf("%dx%d kind %d px %d", c.w, c.h, c.kind, c.px))
+	}
 }
+
+// checkMeans fails t unless the means-only grid g has want's shape and mean
+// bits.
+func checkMeans(t *testing.T, g, want *cellStats, name string) {
+	t.Helper()
+	if g.cw != want.cw || g.ch != want.ch || g.px != want.px || len(g.mean) != len(want.mean) {
+		t.Fatalf("%s: means-only grid %dx%d/%d, reference %dx%d/%d", name, g.cw, g.ch, g.px, want.cw, want.ch, want.px)
+	}
+	if i := sameBits(g.mean, want.mean); i >= 0 {
+		t.Fatalf("%s: means-only mean[%d] = %v, reference %v", name, i, g.mean[i], want.mean[i])
+	}
+}
+
+func FuzzCellMeans(f *testing.F) {
+	f.Add(uint8(159), uint16(90), uint16(7), int64(1))
+	f.Add(uint8(14), uint16(40), uint16(4), int64(2))
+	f.Add(uint8(39), uint16(600), uint16(258), int64(3))
+	f.Add(uint8(31), uint16(18), uint16(2), int64(4))
+	var g cellStats // reused across inputs, as NN.Run reuses it across frames
+	f.Fuzz(func(t *testing.T, w8 uint8, h16, px16 uint16, seed int64) {
+		w, h, px := int(w8)+1, int(h16%600)+1, int(px16%320)
+		fr := &frame.Frame{W: w, H: h, Y: testPlane(rand.New(rand.NewSource(seed)), w, h, int(uint64(seed)%3))}
+		g.updateMeans(fr.Y, w, h, px)
+		checkMeans(t, &g, refCellStats(fr, px), fmt.Sprintf("%dx%d px %d seed %d", w, h, px, seed))
+	})
+}
+
+// refSNN is SNN.Run as it stood before its band sums went to vec.ColumnSums,
+// kept verbatim as the oracle: each column of a band summed down the band,
+// one column after another.
+func refSNN(frames []*frame.Frame) (Output, Stats) {
+	var out Output
+	var st Stats
+	var colMean, medBuf []float64 // per-band scratch reused across frames
+	for _, f := range frames {
+		out.PTS = append(out.PTS, f.PTS)
+		st.Frames++
+		st.Pixels += int64(f.NumPixels())
+		st.Work += int64(f.NumPixels()) * snnWorkDepth
+		var xs, ys []float64
+		bandH := max(f.H/snnCellDivisor, 2)
+		if cap(colMean) < f.W {
+			colMean = make([]float64, f.W)
+		}
+		colMean = colMean[:f.W]
+		for y0 := 0; y0+bandH <= f.H; y0 += bandH {
+			for x := 0; x < f.W; x++ {
+				var s int
+				for y := y0; y < y0+bandH; y++ {
+					s += int(f.Y[y*f.W+x])
+				}
+				colMean[x] = float64(s) / float64(bandH)
+			}
+			var bg float64
+			bg, medBuf = medianInto(medBuf, colMean)
+			minRun := max(f.W*8/100, 2) // cars are ~19% of frame width
+			maxGap := max(minRun/2, 1)  // plates and roof stripes split runs
+			run, gap := 0, 0
+			for x := 0; x <= f.W; x++ {
+				hit := false
+				if x < f.W {
+					d := colMean[x] - bg
+					if d < 0 {
+						d = -d
+					}
+					hit = d >= carMeanDelta
+				}
+				switch {
+				case hit:
+					run += 1 + gap
+					gap = 0
+				case run > 0 && gap < maxGap:
+					gap++
+				default:
+					if run >= minRun {
+						end := float64(x - gap)
+						xs = append(xs, (end-float64(run)/2)/float64(f.W))
+						ys = append(ys, (float64(y0)+float64(bandH)/2)/float64(f.H))
+					}
+					run, gap = 0, 0
+				}
+			}
+			if run >= minRun {
+				xs = append(xs, (float64(f.W)-float64(run)/2)/float64(f.W))
+				ys = append(ys, (float64(y0)+float64(bandH)/2)/float64(f.H))
+			}
+		}
+		// NoScope-style binary output: S-NN answers "does this frame
+		// contain a car", not where. The paper's F1 for it is over these
+		// per-frame binary labels.
+		if len(xs) > 0 {
+			out.Detections = append(out.Detections, Detection{PTS: f.PTS, Label: "car", X: 0.5, Y: 0.5})
+		}
+	}
+	return out, st
+}
+
+// TestSNNMatchesReference runs S-NN and its oracle on every kernel size and
+// plane kind, one frame each in one Run so the scratch is reused across
+// sizes, and on 50 frames of jackson at S-NN's 0.9 binding (32×18, a car in
+// every frame) and at 720p (160×90, no car in 5 of them).
+func TestSNNMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	var frames []*frame.Frame
+	for _, d := range kernelDims {
+		for kind := 0; kind < 3; kind++ {
+			frames = append(frames, &frame.Frame{PTS: len(frames), W: d[0], H: d[1], Y: testPlane(rng, d[0], d[1], kind)})
+		}
+	}
+	inputs := [][]*frame.Frame{frames}
+	for _, cf := range []string{"bad-144p-1/6-100%", "best-720p-1/6-100%"} {
+		fid, err := format.ParseFidelity(cf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, renderAt(t, "jackson", 0, 300, fid))
+	}
+	for i, in := range inputs {
+		gotOut, gotSt := SNN{}.Run(in)
+		wantOut, wantSt := refSNN(in)
+		if !reflect.DeepEqual(gotOut, wantOut) || gotSt != wantSt {
+			t.Fatalf("input %d: output %v %+v, reference %v %+v", i, gotOut.Detections, gotSt, wantOut.Detections, wantSt)
+		}
+	}
+}
+
+// benchmarkRun times op on jackson's frames at its Query A binding at 0.9,
+// as the derived configuration consumes them, and reports µs per frame.
+func benchmarkRun(b *testing.B, op Operator, cf string) {
+	fid, err := format.ParseFidelity(cf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	frames := renderAt(b, "jackson", 0, 300, fid)
+	b.ResetTimer()
+	for range b.N {
+		op.Run(frames)
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(frames)), "us/frame")
+}
+
+func BenchmarkNNRun(b *testing.B)  { benchmarkRun(b, NN{}, "bad-720p-1/6-100%") }
+func BenchmarkSNNRun(b *testing.B) { benchmarkRun(b, SNN{}, "bad-144p-1/6-100%") }

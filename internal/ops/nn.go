@@ -1,6 +1,9 @@
 package ops
 
-import "repro/internal/frame"
+import (
+	"repro/internal/frame"
+	"repro/internal/vec"
+)
 
 // Car bodies are solid fills that shift a cell's brightness away from the
 // textured background, so the classifiers look for cells whose mean departs
@@ -43,6 +46,7 @@ func (SNN) Run(frames []*frame.Frame) (Output, Stats) {
 	var out Output
 	var st Stats
 	var colMean, medBuf []float64 // per-band scratch reused across frames
+	var sums []uint16
 	for _, f := range frames {
 		out.PTS = append(out.PTS, f.PTS)
 		st.Frames++
@@ -51,16 +55,25 @@ func (SNN) Run(frames []*frame.Frame) (Output, Stats) {
 		var xs, ys []float64
 		bandH := max(f.H/snnCellDivisor, 2)
 		if cap(colMean) < f.W {
-			colMean = make([]float64, f.W)
+			colMean, sums = make([]float64, f.W), make([]uint16, f.W)
 		}
-		colMean = colMean[:f.W]
+		colMean, sums = colMean[:f.W], sums[:f.W]
+		vector := vec.AVX2 && f.W >= 16 && bandH <= 257
 		for y0 := 0; y0+bandH <= f.H; y0 += bandH {
-			for x := 0; x < f.W; x++ {
-				var s int
-				for y := y0; y < y0+bandH; y++ {
-					s += int(f.Y[y*f.W+x])
+			band := f.Y[y0*f.W : (y0+bandH)*f.W]
+			if vector {
+				vec.ColumnSums(sums, band, f.W, bandH)
+				for x, s := range sums {
+					colMean[x] = float64(s) / float64(bandH)
 				}
-				colMean[x] = float64(s) / float64(bandH)
+			} else {
+				for x := range colMean {
+					s := 0
+					for r := x; r < len(band); r += f.W {
+						s += int(band[r])
+					}
+					colMean[x] = float64(s) / float64(bandH)
+				}
 			}
 			var bg float64
 			bg, medBuf = medianInto(medBuf, colMean)

@@ -10,12 +10,13 @@ package vec
 // across context switches. It is set once, at init.
 var AVX2 = hasAVX2()
 
-// BlurRow writes dst[1 : len(dst)-1], the 3×3 box means of one interior row,
-// from the three source rows above, cur and below, each at least len(dst)
-// long, with len(dst) ≥ 18.
+// BlurPlane replaces every interior sample of the w×h plane y with the
+// mean of its 3×3 box, as it stood before the call, rounded down; border rows
+// and columns are left as they are. w ≥ 18, h ≥ 3, len(y) ≥ w·h, and hs is
+// scratch for three rows of w 16-bit sums: at least 6·w bytes.
 //
 //go:noescape
-func BlurRow(dst, above, cur, below []byte)
+func BlurPlane(y []byte, w, h int, hs []byte)
 
 // ColumnSums sets dst[x] to the sum of src[r·stride+x] over r < rows, for
 // every x < len(dst). len(dst) ≥ 16, 1 ≤ rows ≤ 257 (so a sum of 255s fits a

@@ -6,7 +6,7 @@ package vec
 // every caller takes its portable loop.
 const AVX2 = false
 
-func BlurRow(dst, above, cur, below []byte)                 { panic("vec: no AVX2 kernels") }
+func BlurPlane(y []byte, w, h int, hs []byte)               { panic("vec: no AVX2 kernels") }
 func ColumnSums(dst []uint16, src []byte, stride, rows int) { panic("vec: no AVX2 kernels") }
 func WindowSums(dst, cols []uint16, k int)                  { panic("vec: no AVX2 kernels") }
 func AddBytes(acc, delta []byte)                            { panic("vec: no AVX2 kernels") }

@@ -18,26 +18,34 @@ func needAVX2(t *testing.T) {
 	}
 }
 
-func TestBlurRow(t *testing.T) {
+func TestBlurPlane(t *testing.T) {
 	needAVX2(t)
 	rng := rand.New(rand.NewSource(1))
+	hs := make([]byte, 6*70) // one ring for every width, as a pass reuses it
 	for w := 18; w <= 70; w++ {
-		rows := make([][]byte, 3)
-		for i := range rows {
-			rows[i] = make([]byte, w)
-			rng.Read(rows[i])
-		}
-		got, want := make([]byte, w), make([]byte, w)
-		BlurRow(got, rows[0], rows[1], rows[2])
-		for x := 1; x < w-1; x++ {
-			sum := 0
-			for _, r := range rows {
-				sum += int(r[x-1]) + int(r[x]) + int(r[x+1])
+		for h := 3; h <= 9; h++ {
+			// want is only written inside the border, so comparing the
+			// whole buffer also checks that the kernel leaves the border
+			// rows and columns, and 32 bytes past the plane, as they were.
+			got := make([]byte, w*h+32)
+			rng.Read(got)
+			want := bytes.Clone(got)
+			for pass := 1; pass <= 10; pass++ {
+				BlurPlane(got[:w*h], w, h, hs)
+				src := bytes.Clone(want)
+				for y := 1; y < h-1; y++ {
+					for x := 1; x < w-1; x++ {
+						sum := 0
+						for _, i := range [...]int{-w - 1, -w, -w + 1, -1, 0, 1, w - 1, w, w + 1} {
+							sum += int(src[y*w+x+i])
+						}
+						want[y*w+x] = byte(sum / 9)
+					}
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%dx%d: plane differs from the plain loop after pass %d", w, h, pass)
+				}
 			}
-			want[x] = byte(sum / 9)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("width %d: row differs from the plain loop", w)
 		}
 	}
 }
