@@ -37,14 +37,10 @@
 //	GET  /metrics     Prometheus text exposition (served during drain)
 //	GET  /healthz     liveness (reports draining during shutdown)
 //
-// Peer endpoints (what follower replication drives; see internal/store
-// for the snapshot leases behind them):
+// Peer endpoints (what follower replication drives):
 //
-//	POST /v1/snapshot          pin a snapshot, returning a TTL lease
-//	POST /v1/snapshot/release  release a snapshot lease
-//	GET  /v1/refs              a leased snapshot's committed replicas
-//	GET  /v1/segment           one replica's bytes through a lease
-//	POST /v1/pull              replicate a stream from a peer node
+//	POST /v1/replicas  a stream's replicas from an index on, from one pinned snapshot
+//	POST /v1/pull      replicate a stream from a peer node
 //
 // Authentication: clients present an API key via the X-API-Key header (or
 // Authorization: Bearer). Keys map to tenants through tenant.Registry;
@@ -60,11 +56,11 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/query"
 	"repro/internal/server"
-	storepkg "repro/internal/store"
 	"repro/internal/sub"
 	"repro/internal/tenant"
 	"repro/internal/vidsim"
@@ -125,7 +121,7 @@ type Server struct {
 	gate    *tenant.Gate
 	tenants *tenant.Registry
 	hub     *sub.Hub
-	leases  *storepkg.Leases
+	pulls   sync.Map // stream → its pull turn, a chan struct{} of one slot
 }
 
 // New wraps the store in an HTTP API server with the given limits.
@@ -141,7 +137,6 @@ func New(store *server.Server, lim Limits) *Server {
 	}
 	s.gate = tenant.NewGate(s.lim.MaxInFlight, s.lim.MaxQueue)
 	s.hub = sub.NewHub(store, sub.HubOptions{MaxSubscriptions: s.lim.MaxSubscriptions})
-	s.leases = storepkg.NewLeases()
 	s.route("query", "POST /v1/query", s.handleQuery)
 	s.route("ingest", "POST /v1/ingest", s.handleIngest)
 	s.route("subscribe", "POST /v1/subscribe", s.handleSubscribe)
@@ -153,10 +148,7 @@ func New(store *server.Server, lim Limits) *Server {
 	s.route("demote", "POST /v1/demote", s.handleDemote)
 	s.route("compact", "POST /v1/compact", s.handleCompact)
 	s.route("scrub", "POST /v1/scrub", s.handleScrub)
-	s.route("snapshot", "POST /v1/snapshot", s.handleSnapshot)
-	s.route("snapshot_release", "POST /v1/snapshot/release", s.handleSnapshotRelease)
-	s.route("refs", "GET /v1/refs", s.handleRefs)
-	s.route("segment", "GET /v1/segment", s.handleSegment)
+	s.route("replicas", "POST /v1/replicas", s.handleReplicas)
 	s.route("pull", "POST /v1/pull", s.handlePull)
 	s.route("metrics", "GET /metrics", s.handleMetrics)
 	s.route("healthz", "GET /healthz", s.handleHealthz)
@@ -225,11 +217,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// Subscriptions never return on their own, so the hub must close
 	// before the drain: each subscribe handler sees its push channel
 	// close, writes its trailer line, and returns.
-	err := s.Shell.Shutdown(ctx, s.hub.Close)
-	// No remote pin outlives the server: whatever leases peers abandoned
-	// release here, before the caller closes the store.
-	s.leases.ReleaseAll()
-	return err
+	return s.Shell.Shutdown(ctx, s.hub.Close)
 }
 
 // reject answers the 429 with the load-derived hint the gate or quota
@@ -415,8 +403,6 @@ func (s *Server) handleStats(w *Response, r *http.Request) {
 	}
 	hs := s.hub.Stats()
 	resp.Subs = &hs
-	ls := s.leases.Stats()
-	resp.Leases = &ls
 	WriteJSON(w, http.StatusOK, resp)
 }
 

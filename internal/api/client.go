@@ -69,6 +69,28 @@ func IsRejected(err error) bool {
 	return ok && se.Code == http.StatusTooManyRequests
 }
 
+// IsUnavailable reports whether err is the server's 503 — a drain in
+// progress (or a slot-wait deadline). Like a 429, it is transient: the
+// request was refused, not failed, and a retry elsewhere (or after the
+// Retry-After hint) is the right response.
+func IsUnavailable(err error) bool {
+	var se *StatusError
+	return errors.As(err, &se) && se.Code == http.StatusServiceUnavailable
+}
+
+// RetryAfterHint returns the server's backoff hint carried by err. Both
+// admission rejections (429) and drain refusals (503) carry one; before
+// the drain path gained its header, clients backed off properly on 429
+// but hammered a draining server.
+func RetryAfterHint(err error) (time.Duration, bool) {
+	var se *StatusError
+	if errors.As(err, &se) && se.RetryAfter > 0 &&
+		(se.Code == http.StatusTooManyRequests || se.Code == http.StatusServiceUnavailable) {
+		return se.RetryAfter, true
+	}
+	return 0, false
+}
+
 // StreamError is an NDJSON stream that ended abnormally after the 200
 // header: either the server reported an in-band error line (Msg) or the
 // connection ended before the summary trailer (Truncated) — a killed
@@ -345,6 +367,14 @@ func (c *Client) Subs(ctx context.Context) (SubsResponse, error) {
 func (c *Client) Ingest(ctx context.Context, req IngestRequest) (IngestResponse, error) {
 	var resp IngestResponse
 	err := c.do(ctx, http.MethodPost, "/v1/ingest", req, &resp)
+	return resp, err
+}
+
+// Pull asks the server to replicate a stream from a peer node onto
+// itself.
+func (c *Client) Pull(ctx context.Context, req PullRequest) (PullResponse, error) {
+	var resp PullResponse
+	err := c.do(ctx, http.MethodPost, "/v1/pull", req, &resp)
 	return resp, err
 }
 

@@ -3,7 +3,7 @@
 // the drain gate, the response writer that classifies each request, the
 // listen/serve/drain lifecycle and the Prometheus text writer. What a
 // server adds on top is only what is its own — a node its tenant
-// resolution, fair gate, hub and leases; the router its placement,
+// resolution, fair gate, hub and pull turns; the router its placement,
 // fan-out and replication.
 
 package api

@@ -9,7 +9,6 @@ import (
 	"iter"
 
 	"repro/internal/server"
-	"repro/internal/store"
 	"repro/internal/sub"
 	"repro/internal/tenant"
 )
@@ -141,51 +140,38 @@ func ChunkFromResult(seg0, seg1 int, res server.QueryResult) QueryChunk {
 	return c
 }
 
-// SnapshotResponse is the body of POST /v1/snapshot: the granted lease ID
-// and every stream's committed segment count at the pin. The lease pins
-// the snapshot server-side until released (POST /v1/snapshot/release) or
-// idle past the server's lease TTL; any operation naming it renews the
-// clock.
-type SnapshotResponse struct {
-	ID      string         `json:"id"`
-	Streams map[string]int `json:"streams"`
+// ReplicasRequest is the body of POST /v1/replicas: stream the stream's
+// committed replicas with index From or later. A follower's pull sends its
+// own committed length as From.
+type ReplicasRequest struct {
+	Stream string `json:"stream"`
+	From   int    `json:"from"`
 }
 
-// SnapshotReleaseRequest is the body of POST /v1/snapshot/release.
-type SnapshotReleaseRequest struct {
-	ID string `json:"id"`
-}
-
-// SnapshotReleaseResponse reports whether the lease was live.
-type SnapshotReleaseResponse struct {
-	Found bool `json:"found"`
-}
-
-// WireRef is one committed segment replica on the wire: the storage-format
-// key, whether the format stores raw frames, and the segment index.
-type WireRef struct {
-	SF  string `json:"sf"`
-	Raw bool   `json:"raw,omitempty"`
-	Idx int    `json:"idx"`
-}
-
-// RefsResponse is the body of GET /v1/refs: every committed replica of one
-// stream in the leased snapshot, sorted by (format key, index).
-type RefsResponse struct {
-	Refs []WireRef `json:"refs"`
+// ReplicaLine is one header line of a POST /v1/replicas body. A replica's
+// line names it — format key, raw or encoded, segment index — and N raw
+// bytes follow the line: the codec container of an encoded replica, the
+// raw-segment framing of a raw one. Replicas come in (index, format key)
+// order, and a line with Done set, or an in-band Error, ends the body.
+type ReplicaLine struct {
+	SF    string `json:"sf,omitempty"`
+	Raw   bool   `json:"raw,omitempty"`
+	Idx   int    `json:"idx,omitempty"`
+	N     int    `json:"n,omitempty"`
+	Done  bool   `json:"done,omitempty"`
+	Error string `json:"error,omitempty"`
 }
 
 // PullRequest is the body of POST /v1/pull: replicate the stream's
 // committed segments from the peer node at Source onto this node. The pull
-// is idempotent — segments whose replicas are all already committed here
-// are skipped — which is how the cluster layer re-runs replication safely.
+// is idempotent — it copies only the segments past this node's committed
+// length — which is how the cluster layer re-runs replication safely.
 type PullRequest struct {
 	Stream string `json:"stream"`
 	Source string `json:"source"`
 }
 
-// PullResponse reports how many segments the pull adopted (already-present
-// segments excluded).
+// PullResponse reports how many segments the pull adopted.
 type PullResponse struct {
 	Segments int `json:"segments"`
 }
@@ -349,7 +335,6 @@ type StatsResponse struct {
 	API     map[string]EndpointStats `json:"api"`
 	Tenants map[string]TenantStats   `json:"tenants,omitempty"`
 	Subs    *sub.HubStats            `json:"subs,omitempty"`
-	Leases  *store.LeaseStats        `json:"leases,omitempty"`
 }
 
 // StreamInfo is one stream's serving state.

@@ -13,6 +13,7 @@ import (
 	"os/exec"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -413,15 +414,28 @@ func TestRouterFailoverOnDrainedOwner(t *testing.T) {
 // TestRoutedIngestDurability pins the cluster's durability contract
 // (README, "Replication"): a routed ingest is acknowledged once the owner
 // commits it, and until a follower's pull completes the segment lives on
-// the owner alone. The follower refuses every pull; the ingest is still
-// acknowledged and the refused pull is counted; with the owner drained, the
-// routed query fails instead of answering from the follower, which holds
-// none of the stream.
+// the owner alone. The follower refuses the first pull; the ingest is
+// still acknowledged and the refused pull is counted; with the owner
+// answering 503 as a drained node does, the routed query fails instead of
+// answering from the follower, which holds none of the stream. The next
+// routed ingest's pull copies both segments: a pull starts at the
+// follower's committed length, so nothing a refused pull missed is lost.
 func TestRoutedIngestDurability(t *testing.T) {
 	owner, follower := startNode(t, "owner"), startNode(t, "follower")
+	var ownerDown atomic.Bool
+	ownerFront := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if ownerDown.Load() {
+			w.Header().Set("Retry-After", "1")
+			http.Error(w, "server draining", http.StatusServiceUnavailable)
+			return
+		}
+		owner.as.Handler().ServeHTTP(w, r)
+	}))
+	defer ownerFront.Close()
 	refused := make(chan struct{}, 1)
+	var pulls atomic.Int32
 	refusing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/pull" {
+		if r.URL.Path == "/v1/pull" && pulls.Add(1) == 1 {
 			refused <- struct{}{}
 			http.Error(w, "follower refuses pulls", http.StatusServiceUnavailable)
 			return
@@ -430,7 +444,7 @@ func TestRoutedIngestDurability(t *testing.T) {
 	}))
 	defer refusing.Close()
 	rt, err := cluster.NewRouter(cluster.Options{
-		Nodes:    []cluster.Node{owner.node, {Name: "follower", URL: refusing.URL}},
+		Nodes:    []cluster.Node{{Name: "owner", URL: ownerFront.URL}, {Name: "follower", URL: refusing.URL}},
 		Replicas: 2,
 	})
 	if err != nil {
@@ -440,7 +454,8 @@ func TestRoutedIngestDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcl := api.NewClient("http://" + addr.String())
+	url := "http://" + addr.String()
+	rcl := api.NewClient(url)
 	ctx := context.Background()
 	stream := streamOwnedBy(t, rt.Place, "owner")
 	if _, err := rcl.Ingest(ctx, api.IngestRequest{Stream: stream, Scene: "jackson", Segments: 1}); err != nil {
@@ -448,14 +463,23 @@ func TestRoutedIngestDurability(t *testing.T) {
 	}
 	<-refused
 
-	owner.shutdown(t)
+	ownerDown.Store(true)
 	_, _, err = rcl.Query(ctx, api.QueryRequest{Stream: stream, Query: testQuery})
 	if se := new(api.StatusError); !errors.As(err, &se) || se.Code != http.StatusBadGateway {
 		t.Fatalf("query with the owner drained and no pull completed returned %v, want the router's 502", err)
 	}
+	ownerDown.Store(false)
 
-	// Shutdown waits for the refused pull's goroutine, so its count is
-	// final; /metrics still answers while the router drains.
+	if _, err := rcl.Ingest(ctx, api.IngestRequest{Stream: stream, Scene: "jackson", Segments: 1}); err != nil {
+		t.Fatalf("second routed ingest not acknowledged: %v", err)
+	}
+	waitForReplication(t, url)
+	if n := follower.srv.StreamSegments()[stream]; n != 2 {
+		t.Fatalf("follower holds %d segments after the second pull, want both", n)
+	}
+
+	// Shutdown waits for the pulls' goroutines, so their counts are final;
+	// /metrics still answers while the router drains.
 	sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
 	if err := rt.Shutdown(sctx); err != nil {
@@ -463,7 +487,7 @@ func TestRoutedIngestDurability(t *testing.T) {
 	}
 	rec := httptest.NewRecorder()
 	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	for _, want := range []string{"\nvstore_router_replication_errors_total 1\n", "\nvstore_router_replications_total 0\n"} {
+	for _, want := range []string{"\nvstore_router_replication_errors_total 1\n", "\nvstore_router_replications_total 1\n"} {
 		if !strings.Contains(rec.Body.String(), want) {
 			t.Fatalf("router metrics lack %q:\n%s", strings.TrimSpace(want), rec.Body.String())
 		}

@@ -407,21 +407,21 @@ func (s *Snapshot) Segments(stream, sfKey string) []int {
 	return out
 }
 
-// Refs returns every committed replica of the stream in the snapshot,
-// sorted by (format key, index) — the enumeration inter-node transfers
-// (remote reads, replication pulls) walk.
-func (s *Snapshot) Refs(stream string) []Ref {
+// Refs returns every committed replica of the stream with index from or
+// later in the snapshot, sorted by (index, format key) — the order a
+// replication pull streams and adopts them in.
+func (s *Snapshot) Refs(stream string, from int) []Ref {
 	var out []Ref
 	for r := range s.live {
-		if r.Stream == stream {
+		if r.Stream == stream && r.Idx >= from {
 			out = append(out, r)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].SFKey != out[j].SFKey {
-			return out[i].SFKey < out[j].SFKey
+		if out[i].Idx != out[j].Idx {
+			return out[i].Idx < out[j].Idx
 		}
-		return out[i].Idx < out[j].Idx
+		return out[i].SFKey < out[j].SFKey
 	})
 	return out
 }

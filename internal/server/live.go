@@ -56,25 +56,15 @@ func (s *Server) Snapshot() (*Snapshot, error) {
 // [0, Segments) is the widest range a snapshot query can cover.
 func (sn *Snapshot) Segments(stream string) int { return sn.lens[stream] }
 
-// StreamSegments returns every stream's committed length at the pin — what
-// a snapshot lease reports to the remote peer that pinned it.
-func (sn *Snapshot) StreamSegments() map[string]int {
-	out := make(map[string]int, len(sn.lens))
-	for k, v := range sn.lens {
-		out[k] = v
-	}
-	return out
-}
-
 // Refs returns the snapshot's sorted committed segment indices of the
 // stream in the storage format identified by sfKey (store.Snapshot's
 // enumeration surface).
 func (sn *Snapshot) Refs(stream, sfKey string) []int { return sn.ms.Segments(stream, sfKey) }
 
-// RefsOf returns every committed replica of the stream in the snapshot,
-// sorted by (format key, index) — the full enumeration replication pulls
-// walk.
-func (sn *Snapshot) RefsOf(stream string) []segment.Ref { return sn.ms.Refs(stream) }
+// RefsOf returns every committed replica of the stream with index from or
+// later in the snapshot, sorted by (index, format key) — what a
+// replication pull streams.
+func (sn *Snapshot) RefsOf(stream string, from int) []segment.Ref { return sn.ms.Refs(stream, from) }
 
 // Visible reports whether the replica was committed when the snapshot was
 // taken. Together with GetEncoded and VisitRaw this makes the Snapshot
@@ -97,7 +87,7 @@ func (sn *Snapshot) VisitRaw(stream string, sf format.StorageFormat, idx int, ke
 // GetEncodedRef reads an encoded replica by manifest ref through the
 // snapshot: outside the committed set is ErrNotFound, inside it the bytes
 // are physically readable even if erosion removed the segment after the
-// pin — exactly what /v1/segment serves a remote peer.
+// pin — what /v1/replicas streams to a follower.
 func (sn *Snapshot) GetEncodedRef(r segment.Ref) (*codec.Encoded, error) {
 	if !sn.ms.Contains(r) {
 		return nil, segment.ErrNotFound

@@ -6,11 +6,10 @@
 // bytes live.
 //
 // The one implementation is the in-process *server.Server; a peer node is
-// reached through internal/api's client and the snapshot leases in this
-// package, not through a second Store. The contract is byte-identity:
-// every read and every evaluation through a Snapshot returns exactly what
-// the server returns over the same committed set, at any worker count,
-// cache state or transport. The cluster layer (internal/cluster) builds
+// reached through internal/api's client, not through a second Store. The
+// contract is byte-identity: every read and every evaluation through a
+// Snapshot returns exactly what the server returns over the same committed
+// set, at any worker count, cache state or transport. The cluster layer (internal/cluster) builds
 // on this: a router relays each query from one node, and on failover the
 // unrelayed remainder from a replica, so the answer is the single-node
 // answer.
