@@ -26,13 +26,16 @@ build:
 # runs `vstore api` and `vstore route` as real processes.
 # On an AVX2 host the internal/vec kernels take NN's blur passes, the
 # classifiers' column sums, the raw downscale, the encoder's deadzone delta,
-# the delta reconstruction and the power-of-two requantiser, so the packages that call them are vetted and
-# tested again under -tags purego, where every portable loop runs.
+# the compressor's long match compares, the delta reconstruction and the
+# power-of-two requantiser, so the packages that call them are vetted and
+# tested again under -tags purego, where every portable loop runs. The codec
+# benchmarks run once, so that they cannot rot unseen.
 PUREGO_PKGS := ./internal/vec ./internal/frame ./internal/codec ./internal/ops
 test:
 	$(GO) test ./...
 	$(GO) vet -tags purego $(PUREGO_PKGS)
 	$(GO) test -tags purego $(PUREGO_PKGS)
+	$(GO) test -run '^$$' -bench 'EncodeGolden|DecodeGolden' -benchtime 1x ./internal/codec
 
 # The ROADMAP's line metric and the same for tests, over this checkout's
 # own source: a bench-ab base tree left under .bench_build/ is not counted.

@@ -12,6 +12,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+
+	"repro/internal/vec"
 )
 
 // A one-shot DEFLATE compressor: compress appends to dst src's DEFLATE
@@ -21,19 +23,25 @@ import (
 // and bit order. Its bytes are its own: the matcher parses the input where
 // it lies, at absolute positions, with none of the marks flate's sliding
 // window leaves; level 9 quarters its chain after a good match as zlib
-// does (lazyAboveFrom); and levels 5 to 9 parse an input of two chunks or
-// more in fixed chunks (split.go). The bytes are a function of the input
-// and the level alone. compress/flate is the oracle in the tests: its
-// reader must decode every stream to its input, and its writer's output at
-// the same level bounds the size.
+// does (lazyAboveFrom); levels 5 to 9 parse an input of two chunks or more
+// in fixed chunks (split.go); and level 1 cuts its blocks by token count,
+// as the levels above it do, not by input (encSpeed). The bytes are a
+// function of the input and the level alone. compress/flate is the oracle
+// in the tests: its reader must decode every stream to its input, and its
+// writer's output at the same level bounds the size.
 //
 // The chain walk returns the match flate's returns, sooner: matchLen
-// compares eight bytes at a time, and a candidate is tested on the four
-// bytes that end a longer match before it is compared. At level 9 the walk
-// also knows where each run of one value starts: a candidate must end in a
-// run that starts as far into it as into the target, and once the match in
-// hand is as long as the target's leading run, the walk tests at most one
-// position of each run, whose chain is consecutive positions (findMatch).
+// compares eight bytes at a time (past 32 that agree, longMatchLen 32 at a
+// time on an AVX2 host), and a candidate is tested on the four bytes that
+// end a longer match before it is compared. At
+// level 9 the walk also knows where each run of one value starts: a
+// candidate must end in a run that starts as far into it as into the
+// target, and once the match in hand is as long as the target's leading
+// run, the walk tests at most one position of each run, whose chain is
+// consecutive positions (findMatch). The bookkeeping costs one step per
+// run, not per byte: the parse links a run's positions without hashing
+// them (insertRange), and the run table is filled a run at a time
+// (fillRuns).
 const (
 	windowSize          = 1 << 15
 	windowMask          = windowSize - 1
@@ -66,12 +74,10 @@ func matchToken(length, offset int) token {
 func (t token) length() uint32 { return uint32(t-matchType) >> lengthShift }
 func (t token) offset() uint32 { return uint32(t) & (1<<lengthShift - 1) }
 
-// span returns how many input bytes t codes.
+// span returns how many input bytes t codes, without a branch: a literal
+// has no match bit.
 func (t token) span() int {
-	if t < matchType {
-		return 1
-	}
-	return int(t.length()) + 3
+	return 1 + int(t/matchType)*(int(t>>lengthShift&0xff)+2)
 }
 
 // levelParams are compress/flate's per-level tuning: a match this long
@@ -160,7 +166,7 @@ func (d *compressor) compress(dst, src []byte, level int, h Helpers, chunk int) 
 	d.w.writeStoredHeader(0, true)
 	d.w.flush()
 	out := d.w.out
-	d.w.out, d.src = nil, nil
+	d.w.out, d.src, d.fast.prev = nil, nil, nil
 	return out
 }
 
@@ -172,6 +178,7 @@ func (d *compressor) reset(src []byte, level int) {
 		d.tokens = make([]token, 0, maxStoreBlockSize+1)
 	}
 	d.tokens = d.tokens[:0]
+	d.blockStart, d.cut = 0, maxFlateBlockTokens
 	if level == 1 {
 		d.fast.reset()
 		return
@@ -180,25 +187,38 @@ func (d *compressor) reset(src []byte, level int) {
 	d.runs = level >= skipRunsFrom
 	clear(d.hashHead[:])
 	clear(d.hashPrev[:])
-	d.index, d.byteAvailable, d.blockStart = 0, false, 0
+	d.index, d.byteAvailable = 0, false
 	d.length, d.offset = minMatchLength-1, 0
-	d.cut = maxFlateBlockTokens
 	d.runFrom, d.runEnd, d.runNext = 0, 0, 0
 	if !d.runs {
 		d.runNext = math.MaxInt
 	}
 }
 
-// fillRuns extends the run table a window past the parse; the chain walk
-// at index reads it from index-windowSize to index+maxMatchLength.
+// fillRuns extends the run table a window past the parse, one run of one
+// value at a time: longMatchLen finds where the run ends, and every
+// position up to there gets its start. The chain walk at index reads the
+// table from index-windowSize to index+maxMatchLength.
 func (d *compressor) fillRuns() {
-	end := min(d.index+windowSize, len(d.src))
-	for p := d.runEnd; p < end; p++ {
+	src := d.src
+	end := min(d.index+windowSize, len(src))
+	for p := d.runEnd; p < end; {
 		r := int32(p)
-		if p > d.runFrom && d.src[p] == d.src[p-1] {
+		if p > d.runFrom && src[p] == src[p-1] {
 			r = d.runStart[(p-1)&runMask]
 		}
-		d.runStart[p&runMask] = r
+		q := p + 1
+		if q < end && src[q] == src[p] {
+			q += 1 + longMatchLen(src[q+1:end], src[q:end], end-q-1)
+		}
+		for p < q { // in up to two pieces, where the table wraps
+			t := d.runStart[p&runMask:]
+			t = t[:min(len(t), q-p)]
+			for k := range t {
+				t[k] = r
+			}
+			p += len(t)
+		}
 	}
 	d.runEnd, d.runNext = end, end-maxMatchLength
 	if end == len(d.src) {
@@ -242,13 +262,37 @@ func (d *compressor) insert(p int) int {
 	return int(prev) - 1
 }
 
+// insertRange links positions [from, to), each with four bytes left, into
+// their hash chains, as insert on each in turn would. Where src[p-1..p+3] is
+// one value, p hashes as p-1 did and p-1, just linked, heads that chain, so
+// p's link is p-1: the positions of a run are linked by one store each, and
+// the chain's head is set once, to the run's last.
+func (d *compressor) insertRange(from, to int) {
+	src := d.src
+	for p := from; p < to; {
+		d.insert(p)
+		if p++; p < to && load32(src, p) == uint32(src[p-1])*0x01010101 {
+			// p, and every later position whose fourth byte is still the
+			// value, up to to.
+			q := p + 1 + longMatchLen(src[p+4:], src[p+3:], to-p-1)
+			for p < q { // in up to two pieces, where the table wraps
+				t := d.hashPrev[p&windowMask:]
+				t = t[:min(len(t), q-p)]
+				for k := range t {
+					t[k] = uint32(p + k)
+				}
+				p += len(t)
+			}
+			d.hashHead[hash4(src[q-1:])] = uint32(q)
+		}
+	}
+}
+
 // prime hashes the positions in [from, to) that have four bytes left,
 // emitting nothing, and returns how many it hashed.
 func (d *compressor) prime(from, to int) int {
 	to = min(to, len(d.src)-(minMatchLength-1))
-	for p := from; p < to; p++ {
-		d.insert(p)
-	}
+	d.insertRange(from, to)
 	return max(to-from, 0)
 }
 
@@ -276,7 +320,10 @@ func (d *compressor) findMatch(pos, prevHead, prevLength, lookahead, minIndex in
 	var run, a int
 	if d.runs {
 		run = max(int(d.runStart[(pos+length)&runMask])-pos, 0)
-		if a = 1 + matchLen(wPos[1:], wPos, minMatchLook-1); a < minMatchLength || a == minMatchLook {
+		if a = 1 + matchLen(wPos[1:], wPos, min(minMatchLook-1, 32)); a == 33 {
+			a += longMatchLen(wPos[33:], wPos[32:], minMatchLook-33)
+		}
+		if a < minMatchLength || a == minMatchLook {
 			a = 0 // no run of four followed by another byte
 		}
 	}
@@ -302,11 +349,16 @@ func (d *compressor) findMatch(pos, prevHead, prevLength, lookahead, minIndex in
 				i = j
 				match = false
 			} else if exact && !match {
-				b = matchLen(win[i:], wPos, a)
+				if b = matchLen(win[i:], wPos, min(a, 32)); b == 32 {
+					b += longMatchLen(win[i+32:], wPos[32:], a-32)
+				}
 			}
 		}
 		if match {
-			n := matchLen(win[i:], wPos, minMatchLook)
+			n := matchLen(win[i:], wPos, min(minMatchLook, 32))
+			if n == 32 { // a compare this long may run to the end
+				n += longMatchLen(win[i+32:], wPos[32:], minMatchLook-32)
+			}
 			if n > length && (n > minMatchLength || pos-i <= 4096) {
 				length, offset, ok = n, pos-i, true
 				if n >= nice {
@@ -347,7 +399,7 @@ func (d *compressor) findMatch(pos, prevHead, prevLength, lookahead, minIndex in
 }
 
 // matchLen returns how many leading bytes of a and b agree, up to max;
-// both hold at least max bytes.
+// both hold at least max bytes. It compares eight bytes a step.
 func matchLen(a, b []byte, max int) int {
 	a, b = a[:max], b[:max]
 	n := 0
@@ -361,9 +413,22 @@ func matchLen(a, b []byte, max int) int {
 	return n
 }
 
+// longMatchLen is matchLen for a compare that likely runs long: on an AVX2
+// host vec.MatchLen takes 32 bytes a step, and matchLen the rest.
+func longMatchLen(a, b []byte, max int) int {
+	n := 0
+	if k := max &^ 31; vec.AVX2 && k > 0 {
+		if n = vec.MatchLen(a[:k], b[:k]); n < k {
+			return n
+		}
+	}
+	return n + matchLen(a[n:], b[n:], max-n)
+}
+
 // parse tokenises d.src from d.index to its end with compress/flate's lazy
 // (levels 5, 7, 9) or greedy (2) matching, writing each full block, and
-// emits the byte still pending at the end.
+// emits the byte still pending at the end. It links each position it
+// visits with insert and the positions a match covers with insertRange.
 func (d *compressor) parse() {
 	src := d.src
 	maxInsertIndex := len(src) - (minMatchLength - 1) // positions with four bytes left
@@ -408,16 +473,14 @@ func (d *compressor) parse() {
 			} else {
 				d.tokens = append(d.tokens, matchToken(d.length, d.offset))
 			}
-			// Hash every position up to the match's end, but for a greedy
+			// Link every position up to the match's end, but for a greedy
 			// match longer than fastSkipHashing.
 			if d.length <= d.fastSkipHashing {
 				newIndex := d.index + d.length
 				if lazy {
 					newIndex = d.index + prevLength - 1
 				}
-				for p := d.index + 1; p < min(newIndex, maxInsertIndex); p++ {
-					d.insert(p)
-				}
+				d.insertRange(d.index+1, min(newIndex, maxInsertIndex))
 				d.index = newIndex
 				if lazy {
 					d.byteAvailable = false
@@ -446,27 +509,25 @@ func (d *compressor) parse() {
 	}
 }
 
-// encSpeed codes src in blocks of maxStoreBlockSize bytes, the last one
-// shorter, with deflateFast's matcher, as compress/flate does at level 1.
+// encSpeed matches src in blocks of maxStoreBlockSize bytes with
+// deflateFast's matcher, as compress/flate does at level 1, a last block
+// under 128 bytes as literals. Its tokens go through the lazy levels'
+// block writer, which cuts a block every maxFlateBlockTokens tokens and
+// writes it in the smallest code: where flate builds codes for every
+// maxStoreBlockSize bytes of input, a well-matched input shares one.
 func (d *compressor) encSpeed() {
-	src := d.src
-	for len(src) >= 128 {
+	for src := d.src; len(src) > 0; {
 		block := src[:min(len(src), maxStoreBlockSize)]
 		src = src[len(block):]
-		d.tokens = d.fast.encode(d.tokens[:0], block)
-		// Code the bytes as literals if matching removed under a sixteenth.
-		if len(d.tokens) > len(block)-len(block)>>4 {
-			d.w.writeBlockHuff(block)
+		if len(block) < 128 {
+			d.fast.tokens = emitLiterals(d.fast.tokens[:0], block)
 		} else {
-			d.w.writeBlockDynamic(d.tokens, block)
+			d.fast.tokens = d.fast.encode(d.fast.tokens[:0], block)
 		}
+		d.feed(d.fast.tokens)
 	}
-	switch {
-	case len(src) == 0:
-	case len(src) <= 16:
-		d.w.writeStored(src, false)
-	default:
-		d.w.writeBlockHuff(src)
+	if len(d.tokens) > 0 {
+		d.writeBlock()
 	}
 }
 
@@ -474,9 +535,10 @@ func (d *compressor) encSpeed() {
 // table entry per hash and matches into the previous block. Its offsets
 // are ints, so they never need the rebase flate's int32 offsets take.
 type fastMatcher struct {
-	prev  []byte
-	cur   int // the table offset of the current block's start
-	table [1 << fastTableBits]fastEntry
+	prev   []byte
+	tokens []token // the current block's
+	cur    int     // the table offset of the current block's start
+	table  [1 << fastTableBits]fastEntry
 }
 
 type fastEntry struct {
@@ -492,10 +554,7 @@ const (
 
 func (e *fastMatcher) reset() {
 	clear(e.table[:])
-	if e.prev == nil {
-		e.prev = make([]byte, 0, maxStoreBlockSize)
-	}
-	e.prev, e.cur = e.prev[:0], maxStoreBlockSize
+	e.prev, e.cur = nil, maxStoreBlockSize
 }
 
 func fastHash(u uint32) uint32 { return (u * 0x1e35a7bd) >> (32 - fastTableBits) }
@@ -562,7 +621,7 @@ func (e *fastMatcher) encode(dst []token, src []byte) []token {
 emitRemainder:
 	dst = emitLiterals(dst, src[nextEmit:])
 	e.cur += len(src)
-	e.prev = append(e.prev[:0], src...)
+	e.prev = src // the input is whole and unchanged, so its blocks need no copy
 	return dst
 }
 
@@ -578,7 +637,11 @@ func emitLiterals(dst []token, lit []byte) []token {
 func (e *fastMatcher) matchLen(s, t int, src []byte) int {
 	s1 := min(s+maxMatchLength-4, len(src))
 	if t >= 0 {
-		return matchLen(src[t:], src[s:], s1-s)
+		n := matchLen(src[t:], src[s:], min(s1-s, 32))
+		if n == 32 { // a compare this long may run to the end
+			n += longMatchLen(src[t+32:], src[s+32:], s1-s-32)
+		}
+		return n
 	}
 	tp := len(e.prev) + t
 	if tp < 0 {
@@ -600,10 +663,10 @@ var (
 	lengthBase, offsetBase           [30]uint32
 	lengthCodes, offsetCodes         [256]uint8
 
-	fixedLiteralEncoding, fixedOffsetEncoding, huffOffset = deflateTables()
+	fixedLiteralEncoding, fixedOffsetEncoding = deflateTables()
 )
 
-func deflateTables() (fixedLit, fixedOff, huffOff huffmanEncoder) {
+func deflateTables() (fixedLit, fixedOff huffmanEncoder) {
 	for c := range 30 {
 		lengthExtraBits[c] = uint8(max(c/4-1, 0)) % 6 // code 28 is 258 exactly
 		offsetExtraBits[c] = uint8(max(c/2-1, 0))
@@ -621,8 +684,7 @@ func deflateTables() (fixedLit, fixedOff, huffOff huffmanEncoder) {
 			offsetCodes[o] = uint8(c)
 		}
 	}
-	// The fixed codes of §3.2.6, and the one-symbol offset code a block
-	// of literals carries.
+	// The fixed codes of §3.2.6.
 	for ch := range maxLit {
 		bits, size := ch+48, 8
 		switch {
@@ -638,8 +700,7 @@ func deflateTables() (fixedLit, fixedOff, huffOff huffmanEncoder) {
 	for ch := range maxDist {
 		fixedOff.codes[ch] = hcode{reverseBits(uint16(ch), 5), 5}
 	}
-	huffOff.codes[0] = hcode{0, 1}
-	return fixedLit, fixedOff, huffOff
+	return fixedLit, fixedOff
 }
 
 func lengthCode(length uint32) uint32 { return uint32(lengthCodes[length]) }
@@ -846,46 +907,6 @@ func (w *bitWriter) writeBlock(tokens []token, input []byte) {
 		w.writeDynamicHeader(numLiterals, numOffsets, numCodegens)
 	}
 	w.writeTokens(tokens, literalEncoding.codes[:], offsetEncoding.codes[:])
-}
-
-// writeBlockDynamic writes tokens as a non-final dynamic block, or input as
-// a stored one if the code saves less than a sixteenth.
-func (w *bitWriter) writeBlockDynamic(tokens []token, input []byte) {
-	tokens = append(tokens, endBlock)
-	numLiterals, numOffsets := w.indexTokens(tokens)
-	w.generateCodegen(numLiterals, numOffsets, &w.literalEncoding, &w.offsetEncoding)
-	w.codegenEncoding.generate(w.codegenFreq[:], 7)
-	size, numCodegens := w.dynamicSize(&w.literalEncoding, &w.offsetEncoding, 0)
-	if storable(input) && (len(input)+5)*8 < size+size>>4 {
-		w.writeStored(input, false)
-		return
-	}
-	w.writeDynamicHeader(numLiterals, numOffsets, numCodegens)
-	w.writeTokens(tokens, w.literalEncoding.codes[:], w.offsetEncoding.codes[:])
-}
-
-// writeBlockHuff writes input as a non-final dynamic block of literals, or
-// as a stored one if the code saves less than a sixteenth.
-func (w *bitWriter) writeBlockHuff(input []byte) {
-	clear(w.literalFreq[:])
-	for _, b := range input {
-		w.literalFreq[b]++
-	}
-	w.literalFreq[endBlock] = 1
-	w.offsetFreq[0] = 1
-	w.literalEncoding.generate(w.literalFreq[:], 15)
-	w.generateCodegen(endBlock+1, 1, &w.literalEncoding, &huffOffset)
-	w.codegenEncoding.generate(w.codegenFreq[:], 7)
-	size, numCodegens := w.dynamicSize(&w.literalEncoding, &huffOffset, 0)
-	if storable(input) && (len(input)+5)*8 < size+size>>4 {
-		w.writeStored(input, false)
-		return
-	}
-	w.writeDynamicHeader(endBlock+1, 1, numCodegens)
-	for _, b := range input {
-		w.writeCode(w.literalEncoding.codes[b])
-	}
-	w.writeCode(w.literalEncoding.codes[endBlock])
 }
 
 // indexTokens counts the tokens' symbols and builds their codes. It returns

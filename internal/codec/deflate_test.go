@@ -74,8 +74,8 @@ func deflateTestData(t *testing.T) map[string][]byte {
 	}
 	rng.Shuffle(len(ties), func(i, j int) { ties[i], ties[j] = ties[j], ties[i] })
 	data["ties"] = ties
-	// Level 1 stores a last block of up to 16 bytes and codes one of up to
-	// 127 as literals.
+	// Level 1 codes a last block of under 128 bytes as literals, and
+	// flate's level 1 stores one of up to 16 bytes.
 	for _, n := range []int{16, 17, 127, 128} {
 		data[fmt.Sprintf("mixed %d", n)] = mixedData(rng, n)
 	}
@@ -344,36 +344,82 @@ func (d *compressor) refFindMatch(pos, prevHead, prevLength, lookahead, minIndex
 	return
 }
 
+// refFillRuns is fillRuns as it stood before it filled a run at a time:
+// it sets runs[p&runMask] for p in [from, end), one byte at a time, kept
+// verbatim as the oracle.
+func refFillRuns(runs *[2 * windowSize]int32, src []byte, runFrom, from, end int) {
+	for p := from; p < end; p++ {
+		r := int32(p)
+		if p > runFrom && src[p] == src[p-1] {
+			r = runs[(p-1)&runMask]
+		}
+		runs[p&runMask] = r
+	}
+}
+
+// checkLinks fails unless s, which linked positions [from, to) with
+// insertRange, holds the links and chain heads of d, which linked the same
+// positions with insert, one at a time.
+func checkLinks(t testing.TB, name string, d, s *compressor, from, to int) {
+	t.Helper()
+	for p := from; p < to; p++ {
+		h := hash4(d.src[p:])
+		if got, want := s.hashPrev[p&windowMask], d.hashPrev[p&windowMask]; got != want || s.hashHead[h] != d.hashHead[h] {
+			t.Fatalf("%s: insertRange(%d, %d) left %d linked to %d, head %d; insert, to %d, head %d",
+				name, from, to, p, int(got)-1, int(s.hashHead[h])-1, int(want)-1, int(d.hashHead[h])-1)
+		}
+	}
+}
+
 // walkFindMatch drives a level-9 compressor over src position by position
 // from start, its chains and runs primed from from as a helper primes them,
 // and at every position holds findMatch to refFindMatch at bar 3, at the
 // length the last position's walk found and at 32, where the walk is
-// quartered.
+// quartered. Its chains are linked one insert at a time, and each run
+// table fillRuns extends is held to refFillRuns'. A second compressor
+// links the same positions as the parse does, with prime and then one
+// insertRange per parse step, over the match the walk found there or one
+// position; after each step its links and heads are held to the first's.
 func walkFindMatch(t testing.TB, name string, src []byte, from, start int) {
 	t.Helper()
-	var d compressor
+	d, s := new(compressor), new(compressor)
 	d.reset(src, 9)
-	d.prime(from, start)
-	d.runFrom, d.runEnd = from, from
+	s.reset(src, 9)
 	maxInsertIndex := len(src) - (minMatchLength - 1)
-	prev := 0
+	for p := from; p < min(start, maxInsertIndex); p++ {
+		d.insert(p)
+	}
+	s.prime(from, start)
+	checkLinks(t, name, d, s, from, min(start, maxInsertIndex))
+	d.runFrom, d.runEnd = from, from
+	var runs [2 * windowSize]int32
+	prev, step, next := 0, start, start // s has linked up to next, its last step from step
 	for pos := start; pos < len(src); pos++ {
 		d.index = pos
 		if pos >= d.runNext {
+			end := d.runEnd
 			d.fillRuns()
+			refFillRuns(&runs, src, from, end, d.runEnd)
+			for p := end; p < d.runEnd; p++ {
+				if got, want := d.runStart[p&runMask], runs[p&runMask]; got != want {
+					t.Fatalf("%s: fillRuns from %d gave %d a run start of %d, byte by byte %d", name, end, p, got, want)
+				}
+			}
 		}
 		if pos >= maxInsertIndex {
 			break
+		}
+		if pos == next {
+			checkLinks(t, name, d, s, step, next)
 		}
 		head := d.insert(pos)
 		minIndex := max(pos-windowSize, 0)
 		lookahead := len(src) - pos
 		if head < minIndex {
 			prev = 0
-			continue
 		}
 		for _, bar := range []int{minMatchLength - 1, prev, d.good} {
-			if bar < minMatchLength-1 || bar >= min(maxMatchLength, lookahead) {
+			if head < minIndex || bar < minMatchLength-1 || bar >= min(maxMatchLength, lookahead) {
 				continue
 			}
 			n, off, ok := d.findMatch(pos, head, bar, lookahead, minIndex)
@@ -388,7 +434,12 @@ func walkFindMatch(t testing.TB, name string, src []byte, from, start int) {
 				}
 			}
 		}
+		if pos == next {
+			step, next = pos, min(pos+max(prev, 1), maxInsertIndex)
+			s.insertRange(step, next)
+		}
 	}
+	checkLinks(t, name, d, s, step, next)
 }
 
 // brokenRuns is runs of zeros of every length from 0 to 300, each ended by

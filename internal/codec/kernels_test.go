@@ -227,6 +227,33 @@ func TestDeadzoneDeltaMatchesReference(t *testing.T) {
 	}
 }
 
+// TestMatchLenMatchesReference holds matchLen, the portable loop, and
+// longMatchLen, which on an AVX2 host runs vec.MatchLen before it, to a
+// byte-at-a-time count at every length from 0 to 300, at every
+// first-difference position and with none. Each slice is allocated to its
+// length, so a compare that ends at a 32-byte boundary ends where the
+// memory does.
+func TestMatchLenMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for n := 0; n <= 300; n++ {
+		for diff := 0; diff <= n; diff++ {
+			a, b := make([]byte, n), make([]byte, n)
+			rng.Read(a)
+			copy(b, a)
+			if diff < n {
+				b[diff] ^= byte(1 + rng.Intn(255))
+			}
+			want := 0
+			for want < n && a[want] == b[want] {
+				want++
+			}
+			if got, long := matchLen(a, b, n), longMatchLen(a, b, n); got != want || long != want {
+				t.Fatalf("%d bytes, first difference at %d: matchLen %d, longMatchLen %d, the reference %d", n, diff, got, long, want)
+			}
+		}
+	}
+}
+
 // TestDecodeMatchesReference decodes containers whose plane length is and is
 // not a multiple of eight (2×2 → 6, 6×2 → 18, 34×18 → 918, 160×90 → 21600)
 // at every quality level and every speed step's flate level, and one

@@ -58,6 +58,12 @@ func MaskOr(p []byte, keep, set byte)
 //go:noescape
 func DeadzoneDelta(delta, cur, prev []byte, dz byte)
 
+// MatchLen returns how many leading bytes of a and b agree, up to len(a).
+// len(a) is a multiple of 32 and len(b) ≥ len(a).
+//
+//go:noescape
+func MatchLen(a, b []byte) int
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)

@@ -227,8 +227,8 @@ meanDone:
 
 // func AddBytes(acc, delta []byte)
 //
-// Thirty-two bytes per step; a delta block of zeros — most of them, after
-// the encoder's deadzone — leaves acc as it is and is skipped.
+// Thirty-two bytes per step; a delta block of zeros leaves acc as it is and
+// is skipped.
 TEXT ·AddBytes(SB), NOSPLIT, $0-48
 	MOVQ acc_base+0(FP), DI
 	MOVQ acc_len+8(FP), CX
@@ -310,6 +310,37 @@ dzLoop:
 
 dzDone:
 	VZEROUPPER
+	RET
+
+// func MatchLen(a, b []byte) int
+//
+// Thirty-two byte pairs per step, compared to a mask of the equal ones; the
+// first step with a zero bit ends the scan at its lowest.
+TEXT ·MatchLen(SB), NOSPLIT, $0-56
+	MOVQ a_base+0(FP), SI
+	MOVQ a_len+8(FP), CX
+	MOVQ b_base+24(FP), DI
+	XORQ BX, BX
+
+mlLoop:
+	CMPQ      BX, CX
+	JAE       mlDone
+	VMOVDQU   (SI)(BX*1), Y0
+	VPCMPEQB  (DI)(BX*1), Y0, Y0
+	VPMOVMSKB Y0, AX
+	NOTL      AX
+	TESTL     AX, AX
+	JNZ       mlDiff
+	ADDQ      $32, BX
+	JMP       mlLoop
+
+mlDiff:
+	BSFL AX, AX
+	ADDQ AX, BX
+
+mlDone:
+	VZEROUPPER
+	MOVQ BX, ret+48(FP)
 	RET
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)

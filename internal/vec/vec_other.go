@@ -15,3 +15,4 @@ func BoxMeans(dst []byte, runs, cols []uint16, starts, wides []int32, narrow, wi
 }
 func MaskOr(p []byte, keep, set byte)                { panic("vec: no AVX2 kernels") }
 func DeadzoneDelta(delta, cur, prev []byte, dz byte) { panic("vec: no AVX2 kernels") }
+func MatchLen(a, b []byte) int                       { panic("vec: no AVX2 kernels") }

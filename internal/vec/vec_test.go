@@ -197,3 +197,28 @@ func TestDeadzoneDelta(t *testing.T) {
 		}
 	}
 }
+
+// TestMatchLen compares slices of every multiple of 32 up to 320 bytes,
+// each allocated to its length so that the last block ends where the
+// memory does, at every first-difference position and with none.
+func TestMatchLen(t *testing.T) {
+	needAVX2(t)
+	rng := rand.New(rand.NewSource(8))
+	for n := 0; n <= 320; n += 32 {
+		for diff := 0; diff <= n; diff++ {
+			a, b := make([]byte, n), make([]byte, n)
+			rng.Read(a)
+			copy(b, a)
+			if diff < n {
+				b[diff] ^= byte(1 + rng.Intn(255))
+			}
+			want := 0
+			for want < n && a[want] == b[want] {
+				want++
+			}
+			if got := MatchLen(a, b); got != want {
+				t.Fatalf("%d bytes, first difference at %d: %d agree, the plain loop says %d", n, diff, got, want)
+			}
+		}
+	}
+}
