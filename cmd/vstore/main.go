@@ -238,7 +238,7 @@ func cmdQuery(args []string) error {
 	db := fs.String("db", "vstore-db", "store directory")
 	scene := fs.String("scene", "jackson", "stream to query")
 	q := fs.String("query", "A", "cascade: A (Diff+S-NN+NN) or B (Motion+License+OCR)")
-	acc := fs.Float64("accuracy", 0.9, "target operator accuracy")
+	acc := fs.Float64("accuracy", query.DefaultAccuracy, "target operator accuracy")
 	from := fs.Int("from", 0, "first segment")
 	to := fs.Int("to", 5, "one past the last segment")
 	fs.Parse(args)
@@ -319,7 +319,7 @@ func cmdServe(args []string) error {
 	n := fs.Int("segments", 4, "segments to ingest per stream")
 	nq := fs.Int("queries", 8, "queries to run while ingesting")
 	q := fs.String("query", "A", "cascade: A (Diff+S-NN+NN) or B (Motion+License+OCR)")
-	acc := fs.Float64("accuracy", 0.9, "target operator accuracy")
+	acc := fs.Float64("accuracy", query.DefaultAccuracy, "target operator accuracy")
 	fs.Parse(args)
 
 	cascade, names, err := query.ByName(*q)

@@ -278,14 +278,14 @@ func (s *Server) handleQuery(w *Response, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	cascade, names, err := query.ByName(orDefault(req.Query, "A"))
+	cascade, names, err := query.ByName(req.Query)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	acc := req.Accuracy
 	if acc == 0 {
-		acc = 0.9
+		acc = query.DefaultAccuracy
 	}
 
 	ctx := r.Context()

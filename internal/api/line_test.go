@@ -261,21 +261,14 @@ func FuzzQueryLine(f *testing.F) {
 	})
 }
 
-// nanStore is a store.Store whose every evaluation finds one detection at a
-// NaN coordinate: a chunk no JSON encoder can write.
+// nanStore is a sub.Source whose every query finds one detection at a NaN
+// coordinate: a chunk no JSON encoder can write.
 type nanStore struct {
-	storepkg.Store
 	mu     sync.Mutex
 	commit func(segment.Commit)
 }
 
-type nanSnap struct{ storepkg.Snapshot }
-
-func (nanSnap) Release() error { return nil }
-
-func (*nanStore) Pin() (storepkg.Snapshot, error) { return nanSnap{}, nil }
-
-func (*nanStore) Evaluate(context.Context, storepkg.Snapshot, storepkg.Request) (storepkg.Result, error) {
+func (*nanStore) Query(context.Context, string, query.Cascade, []string, float64, int, int) (storepkg.Result, error) {
 	return storepkg.Result{Results: []query.Result{{Detections: []ops.Detection{{Label: "car", X: math.NaN()}}}}}, nil
 }
 

@@ -43,7 +43,7 @@ func (s *Server) handleSubscribe(w *Response, r *http.Request) {
 
 	sn, err := s.hub.Subscribe(sub.Request{
 		Stream:   req.Stream,
-		Query:    orDefault(req.Query, "A"),
+		Query:    req.Query,
 		Accuracy: req.Accuracy,
 		Buffer:   req.Buffer,
 		Policy:   policy,

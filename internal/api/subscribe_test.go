@@ -257,6 +257,8 @@ func TestSubscribeHTTPAdmission(t *testing.T) {
 		{Stream: "cam", Query: "nope"},   // unknown query
 		{Stream: "cam", Query: testQuery, Rules: []api.RuleSpec{{MinCount: 1, Webhook: "ftp://x"}}}, // non-http webhook
 		{Stream: "cam", Query: testQuery, Rules: []api.RuleSpec{{MinCount: 0}}},                     // threshold below 1
+		{Stream: "cam", Query: testQuery, Accuracy: 1.5},                                            // accuracy above 1
+		{Stream: "cam", Query: testQuery, Accuracy: -0.1},                                           // accuracy below 0
 	} {
 		_, err := cl.Subscribe(ctx, bad, nil)
 		se, ok := err.(*api.StatusError)

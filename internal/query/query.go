@@ -48,11 +48,16 @@ func QueryB() Cascade {
 	return Cascade{Name: "B (Motion+License+OCR)", Stages: []Stage{{ops.Motion{}}, {ops.License{}}, {ops.OCR{}}}}
 }
 
+// DefaultAccuracy is the target operator accuracy a request that names
+// none runs at.
+const DefaultAccuracy = 0.9
+
 // ByName resolves the named standard cascade and its operator names — the
 // shared lookup behind the CLI's and the HTTP API's -query/"query" knob.
+// The empty name selects Query A.
 func ByName(name string) (Cascade, []string, error) {
 	switch name {
-	case "A", "a":
+	case "", "A", "a":
 		return QueryA(), []string{"Diff", "S-NN", "NN"}, nil
 	case "B", "b":
 		return QueryB(), []string{"Motion", "License", "OCR"}, nil

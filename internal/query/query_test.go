@@ -4,6 +4,7 @@ package query
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/format"
@@ -122,6 +123,26 @@ func TestQueryBEndToEnd(t *testing.T) {
 	for _, d := range res.Detections {
 		if len(d.Label) != vidsim.PlateDigits {
 			t.Fatalf("OCR output %q is not a plate string", d.Label)
+		}
+	}
+}
+
+// TestByName: the empty name selects Query A, a name matches in either
+// case, and an unknown name is an error.
+func TestByName(t *testing.T) {
+	for _, c := range []struct {
+		name, want string
+		ops        []string
+	}{
+		{"", QueryA().Name, []string{"Diff", "S-NN", "NN"}},
+		{"a", QueryA().Name, []string{"Diff", "S-NN", "NN"}},
+		{"A", QueryA().Name, []string{"Diff", "S-NN", "NN"}},
+		{"b", QueryB().Name, []string{"Motion", "License", "OCR"}},
+		{"nope", "", nil},
+	} {
+		cascade, names, err := ByName(c.name)
+		if (err != nil) != (c.want == "") || cascade.Name != c.want || !slices.Equal(names, c.ops) {
+			t.Errorf("ByName(%q) = %q, %v, %v; want %q, %v", c.name, cascade.Name, names, err, c.want, c.ops)
 		}
 	}
 }

@@ -394,19 +394,6 @@ func (s *Snapshot) Contains(r Ref) bool {
 	return ok
 }
 
-// Segments returns the snapshot's sorted segment indices for the stream
-// and format key.
-func (s *Snapshot) Segments(stream, sfKey string) []int {
-	var out []int
-	for r := range s.live {
-		if r.Stream == stream && r.SFKey == sfKey {
-			out = append(out, r.Idx)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Refs returns every committed replica of the stream with index from or
 // later in the snapshot, sorted by (index, format key) — the order a
 // replication pull streams and adopts them in.

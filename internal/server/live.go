@@ -56,11 +56,6 @@ func (s *Server) Snapshot() (*Snapshot, error) {
 // [0, Segments) is the widest range a snapshot query can cover.
 func (sn *Snapshot) Segments(stream string) int { return sn.lens[stream] }
 
-// Refs returns the snapshot's sorted committed segment indices of the
-// stream in the storage format identified by sfKey (store.Snapshot's
-// enumeration surface).
-func (sn *Snapshot) Refs(stream, sfKey string) []int { return sn.ms.Segments(stream, sfKey) }
-
 // RefsOf returns every committed replica of the stream with index from or
 // later in the snapshot, sorted by (index, format key) — what a
 // replication pull streams.
@@ -68,8 +63,8 @@ func (sn *Snapshot) RefsOf(stream string, from int) []segment.Ref { return sn.ms
 
 // Visible reports whether the replica was committed when the snapshot was
 // taken. Together with GetEncoded and VisitRaw this makes the Snapshot
-// itself a retrieve.SegmentReader — the surface a query engine (local or
-// remote) reads through.
+// itself a retrieve.SegmentReader — the surface a query engine reads
+// through.
 func (sn *Snapshot) Visible(stream string, sf format.StorageFormat, idx int) bool {
 	return sn.view.Visible(stream, sf, idx)
 }

@@ -794,9 +794,8 @@ func intersectFidelity(a, b format.Fidelity) format.Fidelity {
 	return out
 }
 
-// QueryResult is a server query's outcome: per-epoch results merged. It
-// is the transport-agnostic store.Result — the same value type whichever
-// side of a socket produced it (see internal/store).
+// QueryResult is a server query's outcome: per-epoch results merged, in
+// segment order.
 type QueryResult = store.Result
 
 // Query runs the cascade at the target accuracy over segments [seg0, seg1)

@@ -1,8 +1,6 @@
-// The implementation of the store boundary (internal/store): the Server
-// and its Snapshot satisfy store.Store and store.Snapshot directly, so the
-// engine packages (query, retrieve, sub) depend only on the interface.
-// AdoptSegment is the replication primitive the cluster layer's follower
-// pulls land on.
+// Two entry points beside Query: Evaluate runs a query request (the
+// value type of internal/store) against a held snapshot, and AdoptSegment
+// is the replication primitive the cluster layer's follower pulls land on.
 
 package server
 
@@ -20,38 +18,20 @@ import (
 	"repro/internal/tier"
 )
 
-var (
-	_ store.Store    = (*Server)(nil)
-	_ store.Snapshot = (*Snapshot)(nil)
-)
-
-// Pin implements store.Store: it freezes the current server state exactly
-// like Snapshot (which it wraps), typed to the transport-agnostic
-// interface.
-func (s *Server) Pin() (store.Snapshot, error) { return s.Snapshot() }
-
-// Evaluate implements store.Store: resolve the cascade by name, apply the
-// request defaults, and run the full QueryAt path (epoch splitting,
-// binding resolution, span parallelism, degraded fallback) against the
-// pinned snapshot.
-func (s *Server) Evaluate(ctx context.Context, snap store.Snapshot, req store.Request) (store.Result, error) {
-	sn, ok := snap.(*Snapshot)
-	if !ok {
-		return store.Result{}, fmt.Errorf("server: snapshot %T was not pinned by this store", snap)
-	}
-	name := req.Query
-	if name == "" {
-		name = "A"
-	}
-	cascade, opNames, err := query.ByName(name)
+// Evaluate resolves the request's cascade by name, applies the accuracy
+// default, and runs the full QueryAt path (epoch splitting, binding
+// resolution, span parallelism, degraded fallback) against the held
+// snapshot.
+func (s *Server) Evaluate(ctx context.Context, snap *Snapshot, req store.Request) (store.Result, error) {
+	cascade, opNames, err := query.ByName(req.Query)
 	if err != nil {
 		return store.Result{}, err
 	}
 	acc := req.Accuracy
 	if acc == 0 {
-		acc = 0.9
+		acc = query.DefaultAccuracy
 	}
-	return s.QueryAt(ctx, sn, req.Stream, cascade, opNames, acc, req.Seg0, req.Seg1)
+	return s.QueryAt(ctx, snap, req.Stream, cascade, opNames, acc, req.Seg0, req.Seg1)
 }
 
 // AdoptedReplica is one storage-format replica of a segment in transit

@@ -12,10 +12,9 @@
 //     subscriber's bounded pending queue — ingest never waits on a
 //     subscriber;
 //   - each subscription owns an evaluator goroutine that drains its
-//     pending queue, pins a fresh server snapshot per commit, and reuses
-//     the exact historical query path (Server.QueryAt over [idx, idx+1)),
-//     so every pushed chunk is byte-identical to a post-hoc query over the
-//     same span;
+//     pending queue and runs the server's own one-shot query (Server.Query
+//     over [idx, idx+1), which pins a fresh snapshot), so every pushed
+//     chunk is byte-identical to a post-hoc query over the same span;
 //   - a slow consumer fills its own pending queue and hits its configured
 //     policy: PolicyDisconnect (default) ends the subscription with
 //     ErrLagged — the client re-subscribes and backfills with a historical
@@ -127,8 +126,8 @@ type Alert struct {
 // Request registers one standing query.
 type Request struct {
 	Stream   string
-	Query    string  // cascade name for query.ByName; "" selects "A"
-	Accuracy float64 // target operator accuracy; 0 selects 0.9
+	Query    string  // cascade name for query.ByName; "" selects Query A
+	Accuracy float64 // target operator accuracy in [0, 1]; 0 selects query.DefaultAccuracy
 	Buffer   int     // pending-commit queue depth; <= 0 selects DefaultBuffer
 	Policy   Policy
 	Rules    []Rule
@@ -258,11 +257,23 @@ type HubOptions struct {
 	MaxSubscriptions int
 }
 
+// Source is what a hub reads: the commit stream it routes, and the
+// one-shot query it runs over each committed segment. *server.Server is
+// the one implementation.
+type Source interface {
+	// SubscribeCommits registers fn to observe every segment commit from
+	// this point on, exactly once, in commit order; fn must not block.
+	SubscribeCommits(fn func(segment.Commit)) (cancel func())
+	// Query runs the cascade over segments [seg0, seg1) of the stream
+	// against a snapshot pinned for this call.
+	Query(ctx context.Context, stream string, cascade query.Cascade, opNames []string, acc float64, seg0, seg1 int) (store.Result, error)
+}
+
 // Hub fans segment commits out to standing queries. Create with NewHub,
 // register with Subscribe, tear down with Close (part of graceful drain:
 // in-flight pushes finish, every subscription ends with ErrClosed).
 type Hub struct {
-	store store.Store
+	src   Source
 	opt   HubOptions
 	hooks *webhooks
 
@@ -310,24 +321,23 @@ func flightKey(s *Subscription, idx int) string {
 	return fmt.Sprintf("%s\x00%d\x00%s\x00%g", s.req.Stream, idx, s.cascade.Name, s.req.Accuracy)
 }
 
-// NewHub wires a hub to the store's commit stream — any store.Store: the
-// in-process server or a remote peer, the hub cannot tell. The caller must
-// Close it before closing the store.
-func NewHub(store store.Store, opt HubOptions) *Hub {
+// NewHub wires a hub to the source's commit stream. The caller must Close
+// it before closing the source.
+func NewHub(src Source, opt HubOptions) *Hub {
 	if opt.MaxSubscriptions == 0 {
 		opt.MaxSubscriptions = DefaultMaxSubscriptions
 	}
-	h := &Hub{store: store, opt: opt, subs: map[string]*Subscription{}, flights: map[string]*flight{}}
+	h := &Hub{src: src, opt: opt, subs: map[string]*Subscription{}, flights: map[string]*flight{}}
 	h.ctx, h.cancelCtx = context.WithCancel(context.Background())
 	h.hooks = newWebhooks(webhookOptions{})
-	h.unhook = store.SubscribeCommits(h.onCommit)
+	h.unhook = src.SubscribeCommits(h.onCommit)
 	return h
 }
 
 // onCommit is the manifest-side listener: it runs inside the commit step,
 // so it only routes — a non-blocking send per matching subscriber, with
 // the subscriber's policy applied on overflow. Lock order is manifest.mu →
-// hub.mu; nothing here may call back into the store.
+// hub.mu; nothing here may call back into the source.
 func (h *Hub) onCommit(c segment.Commit) {
 	now := time.Now()
 	h.mu.Lock()
@@ -351,15 +361,18 @@ func (h *Hub) onCommit(c segment.Commit) {
 // subscription observes every segment committed to its stream from this
 // call on, exactly once, in commit order.
 func (h *Hub) Subscribe(req Request) (*Subscription, error) {
-	cascade, names, err := query.ByName(orA(req.Query))
+	cascade, names, err := query.ByName(req.Query)
 	if err != nil {
 		return nil, err
 	}
 	if req.Stream == "" {
 		return nil, errors.New("sub: missing stream")
 	}
+	if req.Accuracy < 0 || req.Accuracy > 1 {
+		return nil, errors.New("sub: accuracy must be within [0, 1]")
+	}
 	if req.Accuracy == 0 {
-		req.Accuracy = 0.9
+		req.Accuracy = query.DefaultAccuracy
 	}
 	if req.Buffer <= 0 {
 		req.Buffer = DefaultBuffer
@@ -553,24 +566,12 @@ func (h *Hub) sharedEval(ctx context.Context, s *Subscription, ev event) (res st
 	return f.res, f.err, false
 }
 
-// directEval runs one commit's query against a freshly pinned snapshot —
-// the exact historical query path (through the transport-agnostic store
-// boundary), so the chunk is byte-identical to a post-hoc query over the
-// same span.
+// directEval runs one commit's query through the source's one-shot query
+// path, the one a post-hoc query takes, so the chunk is byte-identical to
+// a post-hoc query over the same span.
 func (h *Hub) directEval(ctx context.Context, s *Subscription, ev event) (store.Result, error) {
-	snap, err := h.store.Pin()
-	if err != nil {
-		return store.Result{}, fmt.Errorf("snapshot: %w", err)
-	}
-	defer snap.Release()
 	h.evalRuns.Add(1)
-	return h.store.Evaluate(ctx, snap, store.Request{
-		Stream:   s.req.Stream,
-		Query:    orA(s.req.Query), // ByName validated it at Subscribe
-		Accuracy: s.req.Accuracy,
-		Seg0:     ev.c.Idx,
-		Seg1:     ev.c.Idx + 1,
-	})
+	return h.src.Query(ctx, s.req.Stream, s.cascade, s.opNames, s.req.Accuracy, ev.c.Idx, ev.c.Idx+1)
 }
 
 // applyRules advances every rule's sliding window with this chunk's
@@ -677,11 +678,4 @@ func (h *Hub) Close() {
 	}
 	h.hooks.close()
 	h.cancelCtx()
-}
-
-func orA(s string) string {
-	if s == "" {
-		return "A"
-	}
-	return s
 }

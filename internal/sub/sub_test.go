@@ -388,6 +388,11 @@ func TestSubscribeAdmissionAndValidation(t *testing.T) {
 	if _, err := hub.Subscribe(sub.Request{Stream: "cam", Query: testQuery, Rules: []sub.Rule{{MinCount: 0}}}); err == nil {
 		t.Fatal("rule with min_count 0 accepted")
 	}
+	for _, acc := range []float64{1.5, -0.1} {
+		if _, err := hub.Subscribe(sub.Request{Stream: "cam", Query: testQuery, Accuracy: acc}); err == nil {
+			t.Fatalf("accuracy %v accepted", acc)
+		}
+	}
 	sn, err := hub.Subscribe(sub.Request{Stream: "cam", Query: testQuery})
 	if err != nil {
 		t.Fatal(err)
