@@ -8,8 +8,9 @@ RACE_PKGS := ./internal/api/... ./internal/server/... ./internal/query/... ./int
 # The live-serving and storage core: covered with a minimum gate so the
 # concurrency machinery (manifest commits, snapshot release, daemon
 # lifecycle, tier demotion, shard recovery, HTTP admission control,
-# standing-query push) cannot silently lose its tests.
-COVER_PKGS := ./internal/api ./internal/server ./internal/ingest ./internal/erode ./internal/kvstore ./internal/tier ./internal/sub ./internal/results ./internal/tenant ./internal/fault ./internal/repair ./internal/store ./internal/cluster
+# standing-query push, the one fan-out primitive and retrieval) cannot
+# silently lose its tests.
+COVER_PKGS := ./internal/api ./internal/server ./internal/ingest ./internal/erode ./internal/kvstore ./internal/tier ./internal/sub ./internal/results ./internal/tenant ./internal/fault ./internal/repair ./internal/store ./internal/cluster ./internal/sched ./internal/retrieve
 COVER_MIN := 80
 
 # Fuzzing budget: 10s locally keeps the loop fast, nightly CI raises it.
@@ -80,7 +81,7 @@ cover:
 	$(GO) test -coverprofile=cover.out $(COVER_PKGS)
 	@$(GO) tool cover -func=cover.out | awk -v min=$(COVER_MIN) '/^total:/ { \
 		sub(/%/, "", $$3); \
-		printf "coverage (api+server+ingest+erode+kvstore+tier+sub+results+tenant+fault+repair+store+cluster): %s%% (minimum %s%%)\n", $$3, min; \
+		printf "coverage (api+server+ingest+erode+kvstore+tier+sub+results+tenant+fault+repair+store+cluster+sched+retrieve): %s%% (minimum %s%%)\n", $$3, min; \
 		if ($$3 + 0 < min) { print "FAIL: coverage below minimum"; exit 1 } }'
 
 # A short deterministic-input fuzz pass over configuration persistence

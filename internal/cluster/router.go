@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/sched"
 )
 
 // Options configures a router.
@@ -347,14 +346,19 @@ func (r *Router) mergedStreams(ctx context.Context, key string) map[string]api.S
 // the answers and errors in membership order: callers fold them with no
 // locking of their own.
 func eachNode[T any](ctx context.Context, r *Router, timeout time.Duration, ask func(ctx context.Context, n Node) (T, error)) ([]T, []error) {
+	answers := make([]T, len(r.nodes))
 	errs := make([]error, len(r.nodes))
-	answers, _ := sched.Ordered(len(r.nodes), len(r.nodes), func(i int) (T, error) {
-		nctx, cancel := context.WithTimeout(ctx, timeout)
-		defer cancel()
-		v, err := ask(nctx, r.nodes[i])
-		errs[i] = err
-		return v, nil
-	})
+	var wg sync.WaitGroup
+	for i, n := range r.nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			nctx, cancel := context.WithTimeout(ctx, timeout)
+			defer cancel()
+			answers[i], errs[i] = ask(nctx, n)
+		}()
+	}
+	wg.Wait()
 	return answers, errs
 }
 

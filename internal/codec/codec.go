@@ -31,6 +31,7 @@ import (
 
 	"repro/internal/format"
 	"repro/internal/frame"
+	"repro/internal/sched"
 	"repro/internal/vec"
 )
 
@@ -342,24 +343,18 @@ func (e *Encoded) DecodeSampled(keep func(i int) bool) ([]*frame.Frame, Stats, e
 	return out, st, nil
 }
 
-// Batcher schedules functions concurrently and waits for them — the
-// subset of the worker pool's Batch the GOP-parallel decoder needs, kept
-// as a local interface so codec stays a leaf package (*sched.Batch
-// satisfies it).
-type Batcher interface {
-	Go(fn func())
-	Wait()
-}
-
 // DecodeSampledParallel is DecodeSampled with independent GOPs decoded
-// concurrently on b: each GOP is self-contained (keyframe plus deltas, its
-// own flate stream), so GOPs of one segment reconstruct in parallel with
-// no shared state. Results merge in position order and Stats accumulate in
-// GOP order, so output and stats are identical to the sequential call,
-// byte for byte, at any worker count. keep must be safe for concurrent
-// use. A nil b, or a plan touching fewer than two GOPs, falls back to the
-// sequential path.
-func (e *Encoded) DecodeSampledParallel(keep func(i int) bool, b Batcher) ([]*frame.Frame, Stats, error) {
+// concurrently on p (sched.Ordered): each GOP is self-contained (keyframe
+// plus deltas, its own flate stream), so GOPs of one segment reconstruct in
+// parallel with no shared state. Results merge in position order and Stats
+// accumulate in GOP order, so output and stats are identical to the
+// sequential call, byte for byte, at any pool width. keep must be safe for
+// concurrent use. A nil p, or a plan touching fewer than two GOPs, decodes
+// sequentially.
+func (e *Encoded) DecodeSampledParallel(keep func(i int) bool, p *sched.Pool) ([]*frame.Frame, Stats, error) {
+	if p == nil {
+		return e.DecodeSampled(keep)
+	}
 	type gopPlanned struct {
 		g          *gop
 		last, kept int
@@ -371,31 +366,25 @@ func (e *Encoded) DecodeSampledParallel(keep func(i int) bool, b Batcher) ([]*fr
 			plans = append(plans, gopPlanned{g, last, kept})
 		}
 	}
-	if b == nil || len(plans) < 2 {
+	if len(plans) < 2 {
 		return e.DecodeSampled(keep)
 	}
 	type gopResult struct {
 		frames []*frame.Frame
 		st     Stats
-		err    error
 	}
-	results := make([]gopResult, len(plans))
-	for pi := range plans {
-		p := plans[pi]
-		slot := &results[pi]
-		b.Go(func() {
-			slot.frames, slot.st, slot.err = e.decodeGOP(p.g, p.last, p.kept, keep, nil)
-		})
-	}
-	b.Wait()
+	results, err := sched.Ordered(p, len(plans), func(i int) (gopResult, error) {
+		frames, st, err := e.decodeGOP(plans[i].g, plans[i].last, plans[i].kept, keep, nil)
+		return gopResult{frames, st}, err
+	})
 	var out []*frame.Frame
 	var st Stats
-	for i := range results {
-		st.Add(results[i].st)
-		if results[i].err != nil {
-			return nil, st, results[i].err
-		}
-		out = append(out, results[i].frames...)
+	for _, r := range results {
+		st.Add(r.st)
+		out = append(out, r.frames...)
+	}
+	if err != nil {
+		return nil, st, err
 	}
 	return out, st, nil
 }

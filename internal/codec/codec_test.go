@@ -687,7 +687,7 @@ func TestFlateStreamsStillDecode(t *testing.T) {
 			t.Fatalf("level %d: %v", s.FlateLevel(), err)
 		}
 		assertSameFrames(t, got, want)
-		got, _, err = old.DecodeSampledParallel(keep, sched.NewPool(2).Batch())
+		got, _, err = old.DecodeSampledParallel(keep, sched.NewPool(2))
 		if err != nil {
 			t.Fatalf("level %d, parallel: %v", s.FlateLevel(), err)
 		}

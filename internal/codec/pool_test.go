@@ -92,7 +92,7 @@ func TestDecodeSampledParallelMatchesSequential(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 8} {
 			pool := sched.NewPool(workers)
-			got, st, err := enc.DecodeSampledParallel(tc.keep, pool.Batch())
+			got, st, err := enc.DecodeSampledParallel(tc.keep, pool)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
 			}

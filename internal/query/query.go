@@ -12,7 +12,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/format"
@@ -128,15 +127,17 @@ type Engine struct {
 	// accounting of the computation they memoise — so results are
 	// byte-identical to the recomputing path at any worker count.
 	Results *results.Store
-	// Workers bounds the engine's worker pool. Each stage fans its segment
-	// retrievals across the pool and merges frames in segment order, and
-	// operators declaring per-frame independence (ops.FrameIndependent)
-	// additionally fan consumption across frame chunks reassembled in
-	// order — so the cascade's output is identical to the sequential path
-	// in both cases. Stateful operators (frame differencing, background
-	// models) consume sequentially, since splitting their input would
-	// change detections. Zero selects runtime.GOMAXPROCS; one forces fully
-	// sequential execution.
+	// Workers is the width of the one pool each Run makes and lends from
+	// at every level (sched.Ordered): each stage fans its segment
+	// retrievals across it and merges frames in segment order, each
+	// segment fans its GOPs' decode across it, and operators declaring
+	// per-frame independence (ops.FrameIndependent) fan consumption across
+	// frame chunks reassembled in order — so the cascade's output is
+	// identical to the sequential path. A nested level takes only the
+	// slots that are free and otherwise runs inline. Stateful operators
+	// (frame differencing, background models) consume sequentially, since
+	// splitting their input would change detections. Zero selects
+	// runtime.GOMAXPROCS; one forces fully sequential execution.
 	Workers int
 	// Rebuild, when non-nil, reconstructs a damaged or lost replica from
 	// a richer surviving ancestor so the query answers degraded instead
@@ -150,9 +151,9 @@ type Engine struct {
 
 // Run executes the cascade over segments [seg0, seg1) of the stream using
 // the given binding (one entry per stage). ctx cancels the run between
-// per-segment retrieval batches: a canceled query stops scheduling decode
-// work promptly — segments already decoding finish, nothing further
-// starts — and Run returns ctx.Err(). Pass context.Background() for an
+// per-segment retrievals: a canceled query stops claiming segments
+// promptly — segments already decoding finish, nothing further starts —
+// and Run returns ctx.Err(). Pass context.Background() for an
 // uncancellable run; nil is treated the same.
 func (e *Engine) Run(ctx context.Context, stream string, c Cascade, b Binding, seg0, seg1 int) (Result, error) {
 	if ctx == nil {
@@ -163,13 +164,7 @@ func (e *Engine) Run(ctx context.Context, stream string, c Cascade, b Binding, s
 	}
 	r := retrieve.Retriever{Store: e.Store, Cache: e.Cache, Rebuild: e.Rebuild, OnDegraded: e.OnDegraded}
 	if e.Workers != 1 {
-		// Intra-segment decode parallelism: each retrieval fans its
-		// segment's independent GOPs across this pool (merged in position
-		// order, so output is byte-identical to sequential). The pool is
-		// distinct from the per-range segment fan-out pools — a segment
-		// task blocking on a decode slot can never deadlock against its
-		// own pool.
-		r.DecodePool = sched.NewPool(e.Workers)
+		r.Pool = sched.NewPool(e.Workers)
 	}
 	res := Result{VideoSeconds: float64(seg1-seg0) * segment.Seconds}
 	t0 := time.Now()
@@ -202,7 +197,7 @@ func (e *Engine) Run(ctx context.Context, stream string, c Cascade, b Binding, s
 			var frames []*frame.Frame
 			frames, rst, err = e.retrieveRange(ctx, &r, stream, b[si].SF, b[si].CF, seg0, seg1, within, tag)
 			if err == nil {
-				out, ost = runStage(stage.Op, frames, b[si].CF.Fidelity, e.Workers)
+				out, ost = runStage(stage.Op, frames, b[si].CF.Fidelity, r.Pool)
 			}
 		case ops.IsFrameIndependent(stage.Op) || seg1-seg0 <= 1:
 			out, rst, ost, err = e.runStageMaterialized(ctx, &r, stream, stage.Op, b[si], seg0, seg1, within, tag)
@@ -253,21 +248,21 @@ func (e *Engine) Run(ctx context.Context, stream string, c Cascade, b Binding, s
 }
 
 // retrieveRange fetches segments [seg0, seg1), fanning them across the
-// engine's worker pool and merging frames and stats in segment order — the
+// run's pool and merging frames and stats in segment order — the
 // same fold the sequential retrieve.Range performs, so results (including
 // the order-sensitive float accumulation of virtual seconds) are identical.
 // Missing (eroded) segments are skipped exactly as in the sequential path.
-// ctx is checked between per-segment batches (before each sequential
-// retrieval, and before each pooled segment task starts): cancellation
-// stops further decode work promptly and surfaces as ctx.Err().
+// ctx is checked before each segment's retrieval starts, whoever claimed
+// it: cancellation stops further decode work promptly and surfaces as
+// ctx.Err().
 func (e *Engine) retrieveRange(ctx context.Context, r *retrieve.Retriever, stream string, sf format.StorageFormat, cf format.ConsumptionFormat, seg0, seg1 int, within func(pts int) bool, tag string) ([]*frame.Frame, retrieve.Stats, error) {
 	type segResult struct {
 		frames []*frame.Frame
 		st     retrieve.Stats
 	}
-	slots, err := sched.Ordered(seg1-seg0, e.Workers, func(i int) (segResult, error) {
-		// A canceled query abandons queued segment tasks before their
-		// decode starts; in-flight decodes run to completion.
+	slots, err := sched.Ordered(r.Pool, seg1-seg0, func(i int) (segResult, error) {
+		// A canceled query abandons unclaimed segments before their decode
+		// starts; in-flight decodes run to completion.
 		if err := ctx.Err(); err != nil {
 			return segResult{}, err
 		}
@@ -306,20 +301,14 @@ func (e *Engine) runStageMaterialized(ctx context.Context, r *retrieve.Retriever
 		rst retrieve.Stats
 		ost ops.Stats
 	}
-	// Segments fanned across the pool consume sequentially; a lone segment
-	// gets the whole worker budget for its consumption instead.
-	inner := 1
-	if seg1-seg0 <= 1 {
-		inner = e.Workers
-	}
-	slots, err := sched.Ordered(seg1-seg0, e.Workers, func(i int) (segResult, error) {
-		// A canceled query abandons queued segment tasks before they touch
+	slots, err := sched.Ordered(r.Pool, seg1-seg0, func(i int) (segResult, error) {
+		// A canceled query abandons unclaimed segments before they touch
 		// the store; a task that has started always balances its own Get
 		// miss (Put or Abandon) before finishing.
 		if err := ctx.Err(); err != nil {
 			return segResult{}, err
 		}
-		out, rst, ost, err := e.materializedSegment(r, stream, op, sb, seg0+i, within, tag, inner)
+		out, rst, ost, err := e.materializedSegment(r, stream, op, sb, seg0+i, within, tag)
 		if errors.Is(err, segment.ErrNotFound) {
 			return segResult{rst: rst}, nil // eroded segment: same skip as the retrieval fold
 		}
@@ -349,13 +338,13 @@ type stageFunc func() (ops.Output, retrieve.Stats, ops.Stats, error)
 
 // retrieveThenRun is the stageFunc both materialized paths memoise: retrieve
 // the frames, then run the operator over them.
-func retrieveThenRun(op ops.Operator, fid format.Fidelity, workers int, retrieveFrames func() ([]*frame.Frame, retrieve.Stats, error)) stageFunc {
+func retrieveThenRun(op ops.Operator, fid format.Fidelity, p *sched.Pool, retrieveFrames func() ([]*frame.Frame, retrieve.Stats, error)) stageFunc {
 	return func() (ops.Output, retrieve.Stats, ops.Stats, error) {
 		frames, rst, err := retrieveFrames()
 		if err != nil {
 			return ops.Output{}, rst, ops.Stats{}, err
 		}
-		out, ost := runStage(op, frames, fid, workers)
+		out, ost := runStage(op, frames, fid, p)
 		return out, rst, ost, nil
 	}
 }
@@ -387,12 +376,12 @@ func (e *Engine) memoised(k results.Key, want []int, compute stageFunc) (ops.Out
 // materializedSegment answers one segment of an eligible stage: visibility
 // check first (an eroded segment must miss even while its entry is still
 // resident), then the store, then compute and write behind on a miss.
-func (e *Engine) materializedSegment(r *retrieve.Retriever, stream string, op ops.Operator, sb StageBinding, idx int, within func(pts int) bool, tag string, workers int) (ops.Output, retrieve.Stats, ops.Stats, error) {
+func (e *Engine) materializedSegment(r *retrieve.Retriever, stream string, op ops.Operator, sb StageBinding, idx int, within func(pts int) bool, tag string) (ops.Output, retrieve.Stats, ops.Stats, error) {
 	if !e.Store.Visible(stream, sb.SF, idx) {
 		return ops.Output{}, retrieve.Stats{}, ops.Stats{}, segment.ErrNotFound
 	}
 	k := results.Key{Stream: stream, Seg: idx, Op: op.Name(), SF: sb.SF.Key(), CF: sb.CF.Fidelity.Key(), Span: tag}
-	return e.memoised(k, nil, retrieveThenRun(op, sb.CF.Fidelity, workers, func() ([]*frame.Frame, retrieve.Stats, error) {
+	return e.memoised(k, nil, retrieveThenRun(op, sb.CF.Fidelity, r.Pool, func() ([]*frame.Frame, retrieve.Stats, error) {
 		return r.SegmentTagged(stream, sb.SF, sb.CF, idx, within, tag)
 	}))
 }
@@ -414,7 +403,7 @@ func (e *Engine) runStageRangeMaterialized(ctx context.Context, r *retrieve.Retr
 			visible = append(visible, idx)
 		}
 	}
-	recompute := retrieveThenRun(op, sb.CF.Fidelity, e.Workers, func() ([]*frame.Frame, retrieve.Stats, error) {
+	recompute := retrieveThenRun(op, sb.CF.Fidelity, r.Pool, func() ([]*frame.Frame, retrieve.Stats, error) {
 		return e.retrieveRange(ctx, r, stream, sb.SF, sb.CF, seg0, seg1, within, tag)
 	})
 	if len(visible) == 0 {
@@ -445,26 +434,23 @@ const minChunkFrames = 4
 
 // runStage executes one cascade stage's consumption. Operators declaring
 // per-frame independence (ops.FrameIndependent) run on contiguous frame
-// chunks fanned across a worker pool, with outputs concatenated in chunk
-// order and stats summed — which the contract guarantees is identical to a
-// single sequential call. Stateful operators (frame differencing,
-// background models) always run sequentially.
-func runStage(op ops.Operator, frames []*frame.Frame, fid format.Fidelity, workers int) (ops.Output, ops.Stats) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// chunks fanned across p, with outputs concatenated in chunk order and
+// stats summed — which the contract guarantees is identical to a single
+// sequential call. Stateful operators (frame differencing, background
+// models), and every operator when p is nil, run sequentially.
+func runStage(op ops.Operator, frames []*frame.Frame, fid format.Fidelity, p *sched.Pool) (ops.Output, ops.Stats) {
+	if p == nil || !ops.IsFrameIndependent(op) {
+		return ops.RunAtFidelity(op, frames, fid)
 	}
-	chunks := workers
-	if max := len(frames) / minChunkFrames; chunks > max {
-		chunks = max
-	}
-	if workers == 1 || chunks < 2 || !ops.IsFrameIndependent(op) {
+	chunks := min(p.Workers(), len(frames)/minChunkFrames)
+	if chunks < 2 {
 		return ops.RunAtFidelity(op, frames, fid)
 	}
 	type chunkResult struct {
 		out ops.Output
 		st  ops.Stats
 	}
-	results, _ := sched.Ordered(chunks, workers, func(i int) (chunkResult, error) {
+	results, _ := sched.Ordered(p, chunks, func(i int) (chunkResult, error) {
 		lo := len(frames) * i / chunks
 		hi := len(frames) * (i + 1) / chunks
 		out, st := ops.RunAtFidelity(op, frames[lo:hi], fid)

@@ -120,7 +120,7 @@ func TestPoolReuseDeterminism(t *testing.T) {
 	for _, pooling := range []bool{true, false} {
 		codec.SetPooling(pooling)
 		for _, workers := range []int{1, 2, 8} {
-			rr := &Retriever{Store: r.Store, DecodePool: sched.NewPool(workers)}
+			rr := &Retriever{Store: r.Store, Pool: sched.NewPool(workers)}
 			for pass := 0; pass < 2; pass++ { // second pass rides recycled buffers
 				got, st, err := rr.SegmentTagged("cam", sf, cf, 0, nil, "")
 				if err != nil {

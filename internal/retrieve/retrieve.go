@@ -66,12 +66,13 @@ type Retriever struct {
 	// bypass it: the delivered frame set depends on the predicate, which
 	// cannot be keyed.
 	Cache *Cache
-	// DecodePool, when non-nil, fans the independent GOPs of each encoded
-	// segment across the pool (codec.DecodeSampledParallel) — intra-segment
-	// decode parallelism on top of the engine's inter-segment fan-out.
-	// Results are merged in position order, so delivered frames and stats
-	// are byte-identical to the sequential path at any worker count.
-	DecodePool *sched.Pool
+	// Pool, when non-nil, is the query's one pool: each encoded segment
+	// lends itself its free slots to decode independent GOPs at once
+	// (codec.DecodeSampledParallel), inside whatever fan-out over segments
+	// the caller runs on the same pool. Results are merged in position
+	// order, so delivered frames and stats are byte-identical to the
+	// sequential path at any pool width.
+	Pool *sched.Pool
 	// Rebuild, when non-nil, reconstructs a replica whose stored bytes
 	// are damaged (segment.ErrCorrupt, a failing shard) or lost (visible
 	// in the reader's view yet physically absent): it re-derives segment
@@ -196,14 +197,7 @@ func (r *Retriever) SegmentTagged(stream string, sf format.StorageFormat, cf for
 			enc = renc
 		}
 		keep := encodedKeep(enc, cf.Fidelity.Sampling, within)
-		keepFn := func(i int) bool { return keep[i] }
-		var got []*frame.Frame
-		var cst codec.Stats
-		if r.DecodePool != nil && r.DecodePool.Workers() > 1 {
-			got, cst, err = enc.DecodeSampledParallel(keepFn, r.DecodePool.Batch())
-		} else {
-			got, cst, err = enc.DecodeSampled(keepFn)
-		}
+		got, cst, err := enc.DecodeSampledParallel(func(i int) bool { return keep[i] }, r.Pool)
 		if err != nil {
 			return nil, st, err
 		}

@@ -1,22 +1,22 @@
 // Package sched provides the bounded worker pool the execution paths
-// share. It is a leaf package — everything above it (codec GOP-parallel
-// decode, retrieval fan-out, the query engine, streaming ingest, shard
-// compaction) schedules onto the same primitive without import cycles.
+// share, and Ordered, the one fan-out over it. It is a leaf package —
+// everything above it (codec GOP-parallel decode, retrieval, the query
+// engine, streaming ingest, shard compaction) schedules onto the same
+// primitive without import cycles. A query makes one pool per run and
+// lends from it at every level: segments, each segment's GOPs and frame
+// chunks all fan out through Ordered, whose helpers take only free slots.
 package sched
 
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
-// Pool is a bounded worker pool: at most its configured number of tasks run
-// concurrently, and Go blocks once the pool is saturated, so a producer
-// enqueueing thousands of segments never builds an unbounded goroutine
-// backlog. It is the execution substrate of the parallel query engine and
-// the GOP-parallel decoder.
+// Pool is a bounded set of worker slots: at most its configured number of
+// tasks run on it at once. Tasks start through a Batch.
 type Pool struct {
 	sem chan struct{}
-	wg  sync.WaitGroup
 }
 
 // NewPool returns a pool running at most workers tasks concurrently;
@@ -31,27 +31,10 @@ func NewPool(workers int) *Pool {
 // Workers returns the pool's concurrency bound.
 func (p *Pool) Workers() int { return cap(p.sem) }
 
-// Go schedules fn on the pool, blocking until a worker slot frees up.
-// Tasks must not themselves schedule onto the same pool with Go: a task
-// waiting on a slot it transitively holds would deadlock. Batch.TryGo,
-// which never waits for a slot, is the exception.
-func (p *Pool) Go(fn func()) {
-	p.wg.Add(1)
-	p.sem <- struct{}{}
-	go func() {
-		defer p.wg.Done()
-		defer func() { <-p.sem }()
-		fn()
-	}()
-}
-
-// Wait blocks until every scheduled task has finished.
-func (p *Pool) Wait() { p.wg.Wait() }
-
 // Batch groups tasks scheduled on a shared pool so one caller can wait for
 // just its own tasks while slot accounting stays pool-wide. This is how
 // concurrent ingest streams share a single transcode pool, and how one
-// segment's GOP-parallel decode waits for just its own GOPs.
+// fan-out waits for just the helpers it lent itself.
 type Batch struct {
 	p  *Pool
 	wg sync.WaitGroup
@@ -61,7 +44,7 @@ type Batch struct {
 func (p *Pool) Batch() *Batch { return &Batch{p: p} }
 
 // Go schedules fn on the underlying pool, blocking until a slot frees up.
-// The same transitive-scheduling caveat as Pool.Go applies.
+// Only a caller that holds no slot of the pool may wait for one.
 func (b *Batch) Go(fn func()) {
 	b.p.sem <- struct{}{}
 	b.run(fn)
@@ -92,33 +75,50 @@ func (b *Batch) run(fn func()) {
 }
 
 // Wait blocks until every task scheduled through this batch has finished,
-// its worker slot free again; other batches' and Pool.Go tasks are not
-// waited for.
+// its worker slot free again; other batches' tasks are not waited for.
 func (b *Batch) Wait() { b.wg.Wait() }
 
 // Ordered runs fn(i) for every i in [0, n) and returns the results in index
-// order, cut after the first index whose fn failed, with that error. With
-// workers == 1 or n <= 1 it runs inline and stops there; otherwise every
-// index runs, on a pool of at most workers tasks (workers <= 0 selects
-// GOMAXPROCS). Either way a caller folding the returned slice in order sees
-// exactly what a sequential loop that stops at its first error would have
-// seen — the fold is written once and is byte-identical at any worker count.
-func Ordered[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
+// order, cut after the first index whose fn failed, with that error. With a
+// nil pool it runs inline and stops there. On a pool every index runs: the
+// caller lends itself at most p.Workers()-1 helpers through TryGo, which
+// never waits for a slot: every free slot the call can use at once, and
+// before each index it claims, any slot freed since while unclaimed
+// indices remain. So fan-out nested to any depth on one pool cannot
+// deadlock, and a level whose slots are all taken runs inline. Either way a caller
+// folding the returned slice in order sees exactly what a sequential loop
+// that stops at its first error would have seen — the fold is written once
+// and is byte-identical at any pool width.
+func Ordered[T any](p *Pool, n int, fn func(i int) (T, error)) ([]T, error) {
 	n = max(n, 0)
 	out := make([]T, n)
 	errs := make([]error, n)
-	if workers == 1 || n <= 1 {
+	if p == nil {
 		for i := range out {
 			if out[i], errs[i] = fn(i); errs[i] != nil {
 				break
 			}
 		}
 	} else {
-		p := NewPool(workers)
-		for i := range out {
-			p.Go(func() { out[i], errs[i] = fn(i) })
+		var next atomic.Int64
+		claim := func() int { return int(next.Add(1) - 1) }
+		help := func() {
+			for i := claim(); i < n; i = claim() {
+				out[i], errs[i] = fn(i)
+			}
 		}
-		p.Wait()
+		b := p.Batch()
+		helpers := 0
+		for helpers < min(p.Workers(), n)-1 && b.TryGo(help) {
+			helpers++
+		}
+		for i := claim(); i < n; i = claim() {
+			if helpers < p.Workers()-1 && int(next.Load()) < n && b.TryGo(help) {
+				helpers++
+			}
+			out[i], errs[i] = fn(i)
+		}
+		b.Wait()
 	}
 	for i, err := range errs {
 		if err != nil {

@@ -3,9 +3,11 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestOrderedFoldIsWorkerIndependent pins Ordered's contract: results come
@@ -15,9 +17,13 @@ import (
 func TestOrderedFoldIsWorkerIndependent(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 2, 8, 0} {
+		var p *Pool // one worker: inline
+		if workers != 1 {
+			p = NewPool(workers)
+		}
 		for _, failAt := range []int{-1, 0, 3, 9} {
 			var ran atomic.Int64
-			got, err := Ordered(10, workers, func(i int) (int, error) {
+			got, err := Ordered(p, 10, func(i int) (int, error) {
 				ran.Add(1)
 				if i == failAt || i == 7 && failAt >= 0 {
 					return -i, boom
@@ -49,10 +55,10 @@ func TestOrderedFoldIsWorkerIndependent(t *testing.T) {
 			}
 		}
 	}
-	if got, err := Ordered(-3, 4, func(int) (int, error) { return 0, boom }); len(got) != 0 || err != nil {
+	if got, err := Ordered(NewPool(4), -3, func(int) (int, error) { return 0, boom }); len(got) != 0 || err != nil {
 		t.Fatalf("negative n: %v, %v", got, err)
 	}
-	if got, _ := Ordered(1, 4, func(i int) (int, error) { return 5, nil }); len(got) != 1 || got[0] != 5 {
+	if got, _ := Ordered(NewPool(4), 1, func(i int) (int, error) { return 5, nil }); len(got) != 1 || got[0] != 5 {
 		t.Fatalf("single index: %v", got)
 	}
 }
@@ -65,8 +71,9 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 	}
 	var running, peak, total int32
 	var mu sync.Mutex
+	b := pool.Batch()
 	for i := 0; i < 20; i++ {
-		pool.Go(func() {
+		b.Go(func() {
 			n := atomic.AddInt32(&running, 1)
 			mu.Lock()
 			if n > peak {
@@ -77,7 +84,7 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 			atomic.AddInt32(&running, -1)
 		})
 	}
-	pool.Wait()
+	b.Wait()
 	if total != 20 {
 		t.Fatalf("ran %d tasks, want 20", total)
 	}
@@ -100,11 +107,12 @@ func TestPoolDefaultsToGOMAXPROCS(t *testing.T) {
 func TestTryGoOnSaturatedPool(t *testing.T) {
 	pool := NewPool(1)
 	got := make(chan bool)
-	pool.Go(func() { got <- pool.Batch().TryGo(func() { t.Error("a helper ran on a saturated pool") }) })
+	b := pool.Batch()
+	b.Go(func() { got <- pool.Batch().TryGo(func() { t.Error("a helper ran on a saturated pool") }) })
 	if <-got {
 		t.Fatal("TryGo started a task on a saturated pool")
 	}
-	pool.Wait()
+	b.Wait()
 }
 
 // TestTryGoBoundsConcurrency: TryGo takes only free slots, so tasks and the
@@ -140,8 +148,9 @@ func TestTryGoBoundsConcurrency(t *testing.T) {
 		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
 		}
 	}
+	tasks := pool.Batch()
 	for range 40 {
-		pool.Go(func() {
+		tasks.Go(func() {
 			enter()
 			defer running.Add(-1)
 			helpers := pool.Batch()
@@ -154,8 +163,104 @@ func TestTryGoBoundsConcurrency(t *testing.T) {
 			helpers.Wait()
 		})
 	}
-	pool.Wait()
+	tasks.Wait()
 	if p := peak.Load(); p > workers {
 		t.Fatalf("peak concurrency %d exceeds pool width %d", p, workers)
+	}
+}
+
+// TestOrderedNestedOnOnePool nests Ordered three deep on one pool, as a
+// query does (segments, GOPs, frame chunks): every index at every level
+// runs exactly once with no deadlock, at most the pool's slots plus the
+// caller run at once, and no goroutine outlives the call.
+func TestOrderedNestedOnOnePool(t *testing.T) {
+	const n0, n1, n2 = 4, 3, 5
+	for _, workers := range []int{1, 2, 3} {
+		name := fmt.Sprintf("workers=%d", workers)
+		pool := NewPool(workers)
+		baseline := runtime.NumGoroutine()
+		var runs [n0][n1][n2]atomic.Int32
+		var mids [n0][n1]atomic.Int32
+		var tops [n0]atomic.Int32
+		var running, peak atomic.Int32
+		done := make(chan error, 1)
+		go func() {
+			_, err := Ordered(pool, n0, func(i int) (int, error) {
+				tops[i].Add(1)
+				_, err := Ordered(pool, n1, func(j int) (int, error) {
+					mids[i][j].Add(1)
+					_, err := Ordered(pool, n2, func(k int) (int, error) {
+						runs[i][j][k].Add(1)
+						n := running.Add(1)
+						for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+						}
+						time.Sleep(time.Millisecond)
+						running.Add(-1)
+						return k, nil
+					})
+					return j, err
+				})
+				return i, err
+			})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		case <-time.After(time.Minute):
+			t.Fatalf("%s: nested Ordered deadlocked", name)
+		}
+		for i := range runs {
+			if got := tops[i].Load(); got != 1 {
+				t.Fatalf("%s: index %d ran %d times", name, i, got)
+			}
+			for j := range runs[i] {
+				if got := mids[i][j].Load(); got != 1 {
+					t.Fatalf("%s: index %d/%d ran %d times", name, i, j, got)
+				}
+				for k := range runs[i][j] {
+					if got := runs[i][j][k].Load(); got != 1 {
+						t.Fatalf("%s: index %d/%d/%d ran %d times", name, i, j, k, got)
+					}
+				}
+			}
+		}
+		if p := int(peak.Load()); p > pool.Workers()+1 {
+			t.Fatalf("%s: %d fns ran at once, over the pool's %d slots plus the caller", name, p, pool.Workers())
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > baseline {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines after the call, %d before", name, runtime.NumGoroutine(), baseline)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// TestOrderedTakesEveryFreeSlot: a fan-out of as many indices as the pool
+// has slots runs them all at once — the caller starts a helper in every
+// free slot it can use before it runs an index, rather than one helper per
+// index it claims. Each fn waits until all of them have arrived.
+func TestOrderedTakesEveryFreeSlot(t *testing.T) {
+	for _, workers := range []int{2, 3, 4, 8} {
+		var arrived atomic.Int32
+		all := make(chan struct{})
+		_, err := Ordered(NewPool(workers), workers, func(i int) (int, error) {
+			if int(arrived.Add(1)) == workers {
+				close(all)
+			}
+			select {
+			case <-all:
+				return i, nil
+			case <-time.After(10 * time.Second):
+				return i, fmt.Errorf("fn %d waited 10s for all %d fns to run at once", i, workers)
+			}
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 	}
 }

@@ -74,7 +74,6 @@ type KV interface {
 	Delete(key string) error
 	Keys(prefix string) []string
 	Scan(prefix string, fn func(key string, value []byte) bool) error
-	Compact() error
 	Close() error
 }
 

@@ -137,8 +137,9 @@ func TestQueryCacheHitsAndDeterminism(t *testing.T) {
 // TestParallelSpeedupMulticore asserts the worker pool delivers real
 // wall-clock speedup where cores exist. It needs genuine parallelism to
 // mean anything, so it skips on small machines (CI race shards and
-// single-core containers); BenchmarkQueryParallel8 is the precise artifact
-// for measuring the speedup factor. The 1.4x floor is deliberately below
+// single-core containers); the benchmark ladder's query.run_wn_ms and
+// query.parallel_speedup are the precise artifacts for measuring the
+// speedup factor. The 1.4x floor is deliberately below
 // the ~2x+ a quiet 4-core machine shows, to stay robust against noisy
 // shared runners.
 func TestParallelSpeedupMulticore(t *testing.T) {

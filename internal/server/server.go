@@ -78,7 +78,7 @@ type Server struct {
 	// and erosion invalidates through it segment by segment.
 	results *results.Store
 	streams map[string]*ingest.Stream // live streaming-ingest pipelines
-	pool    *sched.Pool               // shared transcode pool, GOMAXPROCS wide
+	pool    *sched.Pool               // transcode pool, GOMAXPROCS wide; queries make their own
 	daemon  *erode.Daemon
 	// pastErodePasses accumulates passes of stopped daemons so the
 	// ErosionPasses counter stays monotonic across daemon restarts.
@@ -108,9 +108,10 @@ type Server struct {
 	// still in flight: the next reservation waits on it for its commit
 	// turn (see commit).
 	tails map[string]chan struct{}
-	// QueryWorkers bounds a query's TOTAL concurrency, divided between
-	// concurrent epoch spans and each span's per-stage fan-out. Zero
-	// selects GOMAXPROCS; negative values force sequential execution.
+	// QueryWorkers is the width of the one pool a query's engine run
+	// makes and lends from at every level (segments, GOPs, frame chunks).
+	// Queries never draw on the transcode pool. Zero selects GOMAXPROCS;
+	// negative values force sequential execution.
 	QueryWorkers int
 }
 
@@ -803,17 +804,18 @@ type QueryResult = store.Result
 // each stage's formats per epoch. It takes a snapshot of the segment
 // manifest at entry and releases it on return, so the whole query — every
 // stage, every span — observes one immutable segment set even while
-// ingest and the erosion daemon run concurrently. Epoch spans execute
-// concurrently on a worker pool (one span's operators consume while
-// another span still retrieves), within each span every stage fans its
-// segment retrievals across the same pool width, and each retrieval fans
-// its segment's independent GOPs across the engine's decode pool; results
-// merge in segment (and GOP position) order, so the output is identical
-// to fully sequential execution.
+// ingest and the erosion daemon run concurrently. Epoch spans run one
+// after another, each as one engine run with one pool of QueryWorkers
+// slots: every stage fans its segments across that pool, each segment
+// its GOPs and each frame-independent operator its frame chunks, every
+// level lending itself only the slots that are free (sched.Ordered's
+// TryGo) and otherwise running inline. Results merge in segment (and GOP
+// position) order, so the output is identical to fully sequential
+// execution.
 //
 // ctx bounds the query: cancellation (a remote client disconnecting, a
-// deadline expiring) is observed between per-segment retrieval batches, so
-// an abandoned query stops consuming the shared pool promptly and returns
+// deadline expiring) is observed between per-segment retrievals, so an
+// abandoned query stops consuming its pool promptly and returns
 // ctx.Err() — the contract the HTTP API layer depends on. nil is treated
 // as context.Background().
 func (s *Server) Query(ctx context.Context, stream string, cascade query.Cascade, opNames []string, acc float64, seg0, seg1 int) (QueryResult, error) {
@@ -830,7 +832,7 @@ func (s *Server) Query(ctx context.Context, stream string, cascade query.Cascade
 // repeatable reads: segments eroded after the snapshot remain readable
 // until the snapshot is released, and segments ingested after it stay
 // invisible. Cancellation follows Query's contract: ctx is checked between
-// spans and between per-segment batches, and a canceled query returns
+// stages and between per-segment retrievals, and a canceled query returns
 // ctx.Err() promptly.
 func (s *Server) QueryAt(ctx context.Context, snap *Snapshot, stream string, cascade query.Cascade, opNames []string, acc float64, seg0, seg1 int) (QueryResult, error) {
 	if ctx == nil {
@@ -877,31 +879,25 @@ func (s *Server) QueryAt(ctx context.Context, snap *Snapshot, stream string, cas
 		}
 	}
 
-	// The worker budget bounds TOTAL concurrency, so it is split between
-	// the two fan-out levels: spanPar spans run at once, each with
-	// workers/spanPar workers for its per-stage retrieval and consumption
-	// fan-out (spanPar * engine workers <= workers).
-	workers := s.queryWorkers()
-	spanPar := 1
-	if workers > 1 && len(spans) > 1 {
-		spanPar = min(workers, len(spans))
-	}
 	eng := query.Engine{
-		Store: snap.view, Cache: cache, Results: resStore, Workers: max(workers/spanPar, 1),
+		Store: snap.view, Cache: cache, Results: resStore, Workers: s.queryWorkers(),
 		// A damaged replica rebuilds from its fallback ancestor and the
 		// query answers degraded; the serve is counted and the replica
 		// queued for background repair.
 		Rebuild:    s.rebuildReplica,
 		OnDegraded: s.onDegraded,
 	}
-	results, err := sched.Ordered(len(spans), spanPar, func(i int) (query.Result, error) {
-		if err := ctx.Err(); err != nil {
-			return query.Result{}, err
+	// Spans run one after another: each Run fans out on its own pool of
+	// the whole worker budget.
+	results := make([]query.Result, len(spans))
+	var err error
+	for i, sp := range spans {
+		if results[i], err = eng.Run(ctx, stream, cascade, bindings[i], sp.lo, sp.hi); err != nil {
+			break
 		}
-		return eng.Run(ctx, stream, cascade, bindings[i], spans[i].lo, spans[i].hi)
-	})
+	}
 	// A canceled query reports the cancellation, not whichever span error
-	// the abandonment happened to produce first.
+	// the abandonment happened to produce.
 	if cerr := ctx.Err(); cerr != nil {
 		return QueryResult{}, cerr
 	}
@@ -911,7 +907,7 @@ func (s *Server) QueryAt(ctx context.Context, snap *Snapshot, stream string, cas
 	return QueryResult{Results: results}, nil
 }
 
-// queryWorkers resolves the effective worker-pool width from QueryWorkers:
+// queryWorkers resolves the engine's pool width from QueryWorkers:
 // zero selects GOMAXPROCS, negative values force sequential execution.
 func (s *Server) queryWorkers() int {
 	w := s.QueryWorkers
@@ -1119,9 +1115,8 @@ func (s *Server) Stats() Stats {
 
 // Compact reclaims garbage space in the underlying store (e.g., after
 // erosion deleted many segments), compacting every shard of both tiers
-// in parallel on the shared transcode/query pool — shards lock
-// independently, so compactions proceed concurrently up to the pool's
-// width.
+// in parallel on the transcode pool's free slots — shards lock
+// independently, so compactions proceed concurrently.
 func (s *Server) Compact() error {
-	return s.kv.CompactShards(s.pool.Batch())
+	return s.kv.CompactShards(s.pool)
 }

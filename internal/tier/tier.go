@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"repro/internal/kvstore"
+	"repro/internal/sched"
 )
 
 // ID names a storage tier.
@@ -63,15 +64,6 @@ type Options struct {
 	// Route maps a key to its routing token; keys with equal tokens land
 	// on the same shard. Nil routes by the whole key.
 	Route func(key string) string
-}
-
-// Batcher schedules functions concurrently and waits for them — the
-// subset of the query pool's Batch that per-shard parallel compaction
-// needs, kept as an interface so this package does not import the query
-// engine.
-type Batcher interface {
-	Go(fn func())
-	Wait()
 }
 
 // Store is a tiered, sharded key-value store. All methods are safe for
@@ -536,31 +528,17 @@ func (s *Store) DamageValue(key string) error {
 	return kvstore.ErrNotFound
 }
 
-// Compact rewrites every shard's live records sequentially. Use
-// CompactShards to fan the per-shard compactions across a worker pool.
-func (s *Store) Compact() error {
-	return s.compact(func(fn func()) { fn() }, func() {})
-}
-
-// CompactShards compacts every shard of both tiers, scheduling the
-// per-shard compactions on b — shards lock independently, so compactions
-// proceed in parallel up to the batcher's width. A nil batcher compacts
-// sequentially.
-func (s *Store) CompactShards(b Batcher) error {
-	if b == nil {
-		return s.Compact()
-	}
-	return s.compact(b.Go, b.Wait)
-}
-
-func (s *Store) compact(schedule func(func()), wait func()) error {
+// CompactShards rewrites every shard of both tiers, fanning the per-shard
+// compactions across p (sched.Ordered) — shards lock independently, so
+// compactions proceed in parallel on the pool's free slots. A nil p
+// compacts sequentially. Every shard is attempted either way; the first
+// shard's error, in shard order, is returned.
+func (s *Store) CompactShards(p *sched.Pool) error {
 	errs := make([]error, 2*s.shards)
-	for i := 0; i < s.shards; i++ {
-		i := i
-		schedule(func() { errs[2*i] = s.fast[i].Compact() })
-		schedule(func() { errs[2*i+1] = s.cold[i].Compact() })
-	}
-	wait()
+	sched.Ordered(p, len(errs), func(i int) (struct{}, error) {
+		errs[i] = s.tier(ID(i % 2))[i/2].Compact()
+		return struct{}{}, nil
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err

@@ -2,6 +2,7 @@ package tier
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,7 +12,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/kvstore"
+	"repro/internal/sched"
 )
 
 func openTest(t *testing.T, dir string, opts Options) *Store {
@@ -356,7 +359,10 @@ func TestCompactShardsParallel(t *testing.T) {
 		t.Fatal("no garbage to compact")
 	}
 	before := s.Keys("")
-	if err := s.CompactShards(&waitGroupBatcher{}); err != nil {
+	// A pool as wide as the compactions lends the caller a helper for
+	// every compaction but its own at once, so per-shard compactions run
+	// concurrently and their races are visible to -race.
+	if err := s.CompactShards(sched.NewPool(2 * s.Shards())); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.GarbageBytes != 0 {
@@ -365,22 +371,69 @@ func TestCompactShardsParallel(t *testing.T) {
 	if after := s.Keys(""); !reflect.DeepEqual(before, after) {
 		t.Fatal("compaction changed the key set")
 	}
-	// Sequential compaction path (nil batcher) also works.
+	// Sequential compaction path (nil pool) also works.
 	if err := s.CompactShards(nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// waitGroupBatcher runs everything concurrently — the widest legal
-// Batcher — so parallel per-shard compaction races are visible to -race.
-type waitGroupBatcher struct{ wg sync.WaitGroup }
-
-func (b *waitGroupBatcher) Go(fn func()) {
-	b.wg.Add(1)
-	go func() { defer b.wg.Done(); fn() }()
+// TestCompactShardsAttemptsEveryShard: a compaction failing on one shard
+// does not stop the others, sequentially or on a pool — the failure is
+// returned and every other shard of both tiers is left without garbage.
+func TestCompactShardsAttemptsEveryShard(t *testing.T) {
+	rules, err := fault.Parse("compact@fast/000=err:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pool := range []*sched.Pool{nil, sched.NewPool(3)} {
+		s := openTest(t, t.TempDir(), Options{Shards: 4})
+		// Garbage on every shard of both tiers: a dead record beside a live
+		// one, until each shard has one.
+		for i := 0; ; i++ {
+			dirty := true
+			for _, tid := range []ID{Fast, Cold} {
+				for _, kv := range s.tier(tid) {
+					dirty = dirty && kv.Stats().GarbageBytes > 0
+				}
+			}
+			if dirty {
+				break
+			}
+			k := fmt.Sprintf("k/%04d", i)
+			if err := s.PutTier(ID(i%2), k, bytes.Repeat([]byte{1}, 64)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.PutTier(ID(i%2), k+"/dead", []byte{2}); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Delete(k + "/dead"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := s.Keys("")
+		fault.Install(fault.New(1, rules))
+		err := s.CompactShards(pool)
+		fault.Install(nil)
+		if !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("pool=%v: CompactShards = %v, want the injected error", pool != nil, err)
+		}
+		for _, tid := range []ID{Fast, Cold} {
+			for i, kv := range s.tier(tid) {
+				g := kv.Stats().GarbageBytes
+				if tid == Fast && i == 0 {
+					if g == 0 {
+						t.Fatalf("pool=%v: the failed shard was compacted", pool != nil)
+					}
+				} else if g != 0 {
+					t.Fatalf("pool=%v: %s/%03d keeps %d garbage bytes after a failure on fast/000", pool != nil, tid, i, g)
+				}
+			}
+		}
+		if after := s.Keys(""); !reflect.DeepEqual(before, after) {
+			t.Fatal("compaction changed the key set")
+		}
+	}
 }
-
-func (b *waitGroupBatcher) Wait() { b.wg.Wait() }
 
 // TestConcurrentAccessAcrossShards: puts, demotions, reads and scans on
 // distinct shards proceed concurrently without data races.
