@@ -8,9 +8,9 @@ RACE_PKGS := ./internal/api/... ./internal/server/... ./internal/query/... ./int
 # The live-serving and storage core: covered with a minimum gate so the
 # concurrency machinery (manifest commits, snapshot release, daemon
 # lifecycle, tier demotion, shard recovery, HTTP admission control,
-# standing-query push, the one fan-out primitive and retrieval) cannot
-# silently lose its tests.
-COVER_PKGS := ./internal/api ./internal/server ./internal/ingest ./internal/erode ./internal/kvstore ./internal/tier ./internal/sub ./internal/results ./internal/tenant ./internal/fault ./internal/repair ./internal/store ./internal/cluster ./internal/sched ./internal/retrieve
+# standing-query push, the one fan-out primitive, retrieval and the
+# segment layout it reads) cannot silently lose its tests.
+COVER_PKGS := ./internal/api ./internal/server ./internal/ingest ./internal/erode ./internal/kvstore ./internal/tier ./internal/sub ./internal/results ./internal/tenant ./internal/fault ./internal/repair ./internal/store ./internal/cluster ./internal/sched ./internal/retrieve ./internal/segment
 COVER_MIN := 80
 
 # Fuzzing budget: 10s locally keeps the loop fast, nightly CI raises it.
@@ -81,7 +81,7 @@ cover:
 	$(GO) test -coverprofile=cover.out $(COVER_PKGS)
 	@$(GO) tool cover -func=cover.out | awk -v min=$(COVER_MIN) '/^total:/ { \
 		sub(/%/, "", $$3); \
-		printf "coverage (api+server+ingest+erode+kvstore+tier+sub+results+tenant+fault+repair+store+cluster+sched+retrieve): %s%% (minimum %s%%)\n", $$3, min; \
+		printf "coverage (api+server+ingest+erode+kvstore+tier+sub+results+tenant+fault+repair+store+cluster+sched+retrieve+segment): %s%% (minimum %s%%)\n", $$3, min; \
 		if ($$3 + 0 < min) { print "FAIL: coverage below minimum"; exit 1 } }'
 
 # A short deterministic-input fuzz pass over configuration persistence
@@ -92,6 +92,8 @@ cover:
 # bits, whichever of the column-sum kernel and its fallback a band takes),
 # over the raw record parser, whose frames alias their input (any bytes must
 # give the copying reference's error or frame, and never panic), over the
+# raw anchor's frame directory (any bytes fail to parse or re-marshal to
+# themselves, allocation bounded by the input), over the
 # query chunk split (any validated range must be tiled exactly, whatever the
 # chunk size — the loop that once overflowed), over the NDJSON line
 # parser (any bytes must give json.Unmarshal's error or value), and over the
@@ -117,6 +119,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBoxBlur3 -fuzztime $(FUZZTIME) ./internal/ops/
 	$(GO) test -run '^$$' -fuzz FuzzCellMeans -fuzztime $(FUZZTIME) -fuzzminimizetime 3s ./internal/ops/
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalFrame -fuzztime $(FUZZTIME) ./internal/segment/
+	$(GO) test -run '^$$' -fuzz FuzzRawMeta -fuzztime $(FUZZTIME) ./internal/segment/
 	$(GO) test -run '^$$' -fuzz FuzzQuerySpans -fuzztime $(FUZZTIME) ./internal/api/
 	$(GO) test -run '^$$' -fuzz FuzzQueryLine -fuzztime $(FUZZTIME) ./internal/api/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime $(FUZZTIME) ./internal/results/

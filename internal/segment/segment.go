@@ -7,7 +7,10 @@
 // (coding-bypass) segments are stored one record per frame, so a sparse
 // consumer can read exactly the sampled frames from disk — the property the
 // paper notes for SF3 in Table 3 ("RAW frames can be sampled individually
-// from disk").
+// from disk"). A raw replica's anchor names its frames (their PTS, in
+// order), so a read looks up only the frames it keeps and lists no keys; an
+// anchor written before it carried that directory reads as ErrCorrupt and
+// heals through degraded serve and repair.
 package segment
 
 import (
@@ -154,6 +157,14 @@ func rawFramePrefixOf(stream, sfKey string, idx int) string {
 	return fmt.Sprintf("%s%s/%s/%08d/", rawPrefix, stream, sfKey, idx)
 }
 
+// rawFrameKey is the key of the frame at pts under a replica's frame prefix:
+// the PTS zero-padded to eight digits, so a listing sorts in PTS order.
+func rawFrameKey(prefix string, pts int) string {
+	var buf [20]byte
+	d := strconv.AppendInt(buf[:0], int64(pts), 10)
+	return prefix + "00000000"[min(len(d), 8):] + string(d) // one allocation
+}
+
 // PutEncoded stores an encoded segment through the write-time placement.
 func (s *Store) PutEncoded(stream string, sf format.StorageFormat, idx int, enc *codec.Encoded) error {
 	return s.PutEncodedRef(RefOf(stream, sf, idx), nil, enc)
@@ -190,30 +201,39 @@ func (s *Store) GetEncodedRef(r Ref) (*codec.Encoded, error) {
 	return enc, nil
 }
 
-// rawMeta is the fixed-size per-segment header for raw segments.
+// rawMeta is a raw replica's anchor and frame directory: a 16-byte header
+// (w, h, n, firstPTS) and then the PTS of its n stored frames, in order, as
+// big-endian uint32. A raw read finds the replica's frames here.
 type rawMeta struct {
-	w, h, n, firstPTS int
+	w, h, firstPTS int
+	pts            []int
 }
 
 func (m rawMeta) marshal() []byte {
-	var b [16]byte
-	binary.BigEndian.PutUint32(b[0:], uint32(m.w))
-	binary.BigEndian.PutUint32(b[4:], uint32(m.h))
-	binary.BigEndian.PutUint32(b[8:], uint32(m.n))
-	binary.BigEndian.PutUint32(b[12:], uint32(m.firstPTS))
-	return b[:]
+	b := make([]byte, 0, 16+4*len(m.pts))
+	for _, v := range append([]int{m.w, m.h, len(m.pts), m.firstPTS}, m.pts...) {
+		b = binary.BigEndian.AppendUint32(b, uint32(v))
+	}
+	return b
 }
 
+// unmarshalRawMeta parses an anchor. One whose length is not 16+4n (the
+// bare header older writers left is one) is rejected before n PTS are
+// allocated.
 func unmarshalRawMeta(b []byte) (rawMeta, error) {
-	if len(b) != 16 {
+	if len(b) < 16 || uint64(len(b)-16) != 4*uint64(binary.BigEndian.Uint32(b[8:])) {
 		return rawMeta{}, errors.New("segment: bad raw metadata")
 	}
-	return rawMeta{
+	m := rawMeta{
 		w:        int(binary.BigEndian.Uint32(b[0:])),
 		h:        int(binary.BigEndian.Uint32(b[4:])),
-		n:        int(binary.BigEndian.Uint32(b[8:])),
 		firstPTS: int(binary.BigEndian.Uint32(b[12:])),
-	}, nil
+		pts:      make([]int, (len(b)-16)/4),
+	}
+	for i := range m.pts {
+		m.pts[i] = int(binary.BigEndian.Uint32(b[16+4*i:]))
+	}
+	return m, nil
 }
 
 // appendFrame appends f's stored record: an 8-byte header (W, H, PTS) and
@@ -266,12 +286,13 @@ func (s *Store) PutRawRef(r Ref, at *tier.ID, frames []*frame.Frame) error {
 	}
 	put := s.writer(r.SFKey, at)
 	prefix := rawFramePrefixOf(r.Stream, r.SFKey, r.Idx)
-	for _, f := range frames {
-		if err := put(fmt.Sprintf("%s%08d", prefix, f.PTS), marshalFrame(f)); err != nil {
+	meta := rawMeta{w: frames[0].W, h: frames[0].H, firstPTS: frames[0].PTS, pts: make([]int, len(frames))}
+	for i, f := range frames {
+		if err := put(rawFrameKey(prefix, f.PTS), marshalFrame(f)); err != nil {
 			return err
 		}
+		meta.pts[i] = f.PTS
 	}
-	meta := rawMeta{w: frames[0].W, h: frames[0].H, n: len(frames), firstPTS: frames[0].PTS}
 	return put(rawMetaKeyOf(r.Stream, r.SFKey, r.Idx), meta.marshal())
 }
 
@@ -299,11 +320,11 @@ func (s *Store) GetRawRef(r Ref, keep func(pts int) bool) ([]*frame.Frame, int64
 }
 
 // RawVisitor receives the kept frames of one raw segment in PTS order; n is
-// how many were listed (a frame eroded between listing and read is skipped,
-// so fewer may arrive). f and the record buffer its planes alias are lent
-// until the visitor returns, when the next frame's read overwrites both —
-// unless it returns true, which makes them its own: f then stays valid, and
-// may be written to.
+// how many the anchor's directory names (a frame it names but the store no
+// longer holds is skipped, so fewer may arrive). f and the record buffer its
+// planes alias are lent until the visitor returns, when the next frame's
+// read overwrites both — unless it returns true, which makes them its own: f
+// then stays valid, and may be written to.
 type RawVisitor func(n int, f *frame.Frame) (keep bool)
 
 // VisitRaw is VisitRawRef addressed by stream, format and index.
@@ -315,36 +336,36 @@ func (s *Store) VisitRaw(stream string, sf format.StorageFormat, idx int, keep f
 // frames for which keep(pts) is true (all, when keep is nil) are read from
 // disk, each into a record buffer the next one reuses unless visit kept it,
 // and the returned read-bytes count reflects the disk traffic incurred. The
-// metadata anchor gates existence (no anchor means no committed replica);
-// frames are found by listing the stored frame keys, in PTS order, not by
-// assuming a contiguous run from the anchor: a temporally sampled storage
-// format keeps its frames at their strided timeline positions.
+// metadata anchor gates existence (no anchor means no committed replica) and
+// names the frames: its directory lists their PTS in order, so the read
+// costs one Get per kept frame and one for the anchor, however large the store,
+// and a temporally sampled format's frames are found at their strided
+// timeline positions. An anchor without a directory (as older writers left
+// them) is ErrCorrupt: the query is served degraded from a fallback ancestor,
+// and the repair that queues rewrites the replica with one.
 func (s *Store) VisitRawRef(r Ref, keep func(pts int) bool, visit RawVisitor) (int64, error) {
 	mb, err := s.kv.Get(rawMetaKeyOf(r.Stream, r.SFKey, r.Idx))
 	if err != nil {
 		return 0, asSegmentErr(err)
 	}
-	if _, err := unmarshalRawMeta(mb); err != nil {
+	meta, err := unmarshalRawMeta(mb)
+	if err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	prefix := rawFramePrefixOf(r.Stream, r.SFKey, r.Idx)
-	keys := s.kv.Keys(prefix)
-	kept := keys[:0]
-	for _, key := range keys {
-		pts, err := strconv.Atoi(key[len(prefix):])
-		if err != nil {
-			return 0, fmt.Errorf("%w: bad raw frame key %q", ErrCorrupt, key)
-		}
+	kept := meta.pts[:0]
+	for _, pts := range meta.pts {
 		if keep == nil || keep(pts) {
-			kept = append(kept, key)
+			kept = append(kept, pts)
 		}
 	}
+	prefix := rawFramePrefixOf(r.Stream, r.SFKey, r.Idx)
 	var read int64
 	var buf []byte                 // the record buffer a visitor gave back, lent to the next read
 	hdrs := make([]frame.Frame, 1) // headers to lend: one, until a visitor keeps it
-	for i, key := range kept {
+	for i, pts := range kept {
 		// With nothing to lend (the first read, or the visitor kept the last
 		// record) the read is a plain Get, whose value is the visitor's to keep.
+		key := rawFrameKey(prefix, pts)
 		var b []byte
 		if buf == nil {
 			b, err = s.kv.Get(key)
@@ -352,7 +373,7 @@ func (s *Store) VisitRawRef(r Ref, keep func(pts int) bool, visit RawVisitor) (i
 			b, err = s.kv.GetInto(key, &buf)
 		}
 		if errors.Is(err, kvstore.ErrNotFound) {
-			continue // frame individually eroded between listing and read
+			continue // a frame the anchor names but the store no longer holds
 		}
 		if err != nil {
 			return read, asSegmentErr(err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/erode"
 	"repro/internal/format"
+	"repro/internal/frame"
 	"repro/internal/kvstore"
 	"repro/internal/ops"
 	"repro/internal/profile"
@@ -65,11 +67,16 @@ func selfhealConfig() *core.Config {
 
 func openSelfhealServer(t *testing.T, segments int) *Server {
 	t.Helper()
+	return openHealServer(t, selfhealConfig(), segments)
+}
+
+func openHealServer(t *testing.T, cfg *core.Config, segments int) *Server {
+	t.Helper()
 	s, err := OpenWith(t.TempDir(), Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Reconfigure(selfhealConfig()); err != nil {
+	if err := s.Reconfigure(cfg); err != nil {
 		t.Fatal(err)
 	}
 	sc, err := vidsim.DatasetByName("jackson")
@@ -169,6 +176,80 @@ func TestSelfHealEndToEnd(t *testing.T) {
 	}
 	if s.Degraded() {
 		t.Fatal("server still reports degraded after repair")
+	}
+}
+
+// TestHeaderOnlyRawAnchorHeals: a raw replica whose anchor is the bare
+// 16-byte header, as written before anchors carried their frame directory,
+// reads as corrupt. The query still answers byte-identically through the
+// golden and counts one degraded serve, and a repair rewrites the anchor with
+// its directory, after which the replica serves directly again.
+func TestHeaderOnlyRawAnchorHeals(t *testing.T) {
+	const segments = 3
+	rawLeaf := healLeafSF
+	rawLeaf.Coding = format.RawCoding
+	cfg := selfhealConfig()
+	cfg.Derivation.SFs[0].SF, cfg.Derivation.SFs[0].Prof.SF = rawLeaf, rawLeaf
+	s := openHealServer(t, cfg, segments)
+	defer s.Close()
+	s.stopRepairWorker() // the repair below is the test's own, not a background one
+	cascade, names := motionCascade()
+	ref, err := s.Query(context.Background(), "cam", cascade, names, 0.9, 0, segments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, _, err := s.segs.GetRaw("cam", rawLeaf, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	old := segment.RefOf("cam", rawLeaf, 1)
+	anchor := fmt.Sprintf("rawmeta/cam/%s/%08d", old.SFKey, old.Idx)
+	mb, err := s.segs.KV().Get(anchor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mb) != 16+4*len(fresh) {
+		t.Fatalf("anchor of %d frames is %d bytes", len(fresh), len(mb))
+	}
+	if err := s.segs.KV().Put(anchor, mb[:16]); err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := s.Query(context.Background(), "cam", cascade, names, 0.9, 0, segments)
+	if err != nil {
+		t.Fatalf("query through a header-only anchor: %v", err)
+	}
+	sameDetections(t, ref, got, "degraded serve")
+	if st := s.Stats(); st.DegradedServes != 1 {
+		t.Fatalf("%d degraded serves, want 1", st.DegradedServes)
+	}
+
+	s.erodeMu.Lock()
+	ok, err := s.currentRepairer().RepairRef(old)
+	s.erodeMu.Unlock()
+	if !ok || err != nil {
+		t.Fatalf("RepairRef = %v, %v", ok, err)
+	}
+	if mb, err := s.segs.KV().Get(anchor); err != nil || len(mb) != 16+4*len(fresh) {
+		t.Fatalf("repaired anchor: %d bytes, %v; want %d", len(mb), err, 16+4*len(fresh))
+	}
+	healed, _, err := s.segs.GetRaw("cam", rawLeaf, 1, nil)
+	if err != nil || len(healed) != len(fresh) {
+		t.Fatalf("repaired replica: %d frames, %v; want %d", len(healed), err, len(fresh))
+	}
+	for i := range healed {
+		if healed[i].PTS != fresh[i].PTS || !frame.Equal(healed[i], fresh[i]) {
+			t.Fatalf("repaired frame %d differs from fresh ingest", i)
+		}
+	}
+	again, err := s.Query(context.Background(), "cam", cascade, names, 0.9, 0, segments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameDetections(t, ref, again, "post-repair read")
+	if st := s.Stats(); st.DegradedServes != 1 {
+		t.Fatalf("post-repair query served degraded: %d degraded serves", st.DegradedServes)
 	}
 }
 
